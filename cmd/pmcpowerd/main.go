@@ -29,8 +29,7 @@
 //
 // Observability: logs are structured JSON on stderr (-log-level
 // debug|info|warn|error). With -debug-addr a second, private listener
-// serves net/http/pprof under /debug/pprof/, the request-span dump as
-// Chrome trace JSON under /debug/trace, and the metrics exposition
+// serves net/http/pprof under /debug/pprof/ and the metrics exposition
 // under /debug/metrics — profiling never shares the public port.
 //
 // Request tracing: every request carries a W3C trace context (adopted
@@ -69,7 +68,7 @@ func main() {
 	flag.Func("model", "trained model JSON to serve (repeatable; registered under its base name)",
 		func(p string) error { modelPaths = append(modelPaths, p); return nil })
 	addr := flag.String("addr", ":9120", "listen address")
-	debugAddr := flag.String("debug-addr", "", "private listener for pprof, /debug/trace and /debug/metrics (empty = disabled)")
+	debugAddr := flag.String("debug-addr", "", "private listener for pprof and /debug/metrics (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	selfcal := flag.Bool("selfcal", false, "calibrate a model on the simulated platform at startup (registered as \"default\")")
 	seed := flag.Uint64("seed", 42, "calibration seed for -selfcal")
@@ -190,7 +189,6 @@ func run(logger *slog.Logger, opts options) error {
 		return errors.New("no models: pass -model model.json (train one with `estimate -train model.json`) or -selfcal")
 	}
 
-	tracer := obs.NewTracer()
 	srv := serve.New(serve.Config{
 		Registry:         reg,
 		DefaultAlpha:     opts.alpha,
@@ -205,7 +203,6 @@ func run(logger *slog.Logger, opts options) error {
 		LegacyServing:    opts.legacyServing,
 		Obs:              obs.Default(),
 		Logger:           logger,
-		Tracer:           tracer,
 		QualityWindow:    opts.qualityWindow,
 		QualityExemplars: opts.qualityExemplars,
 		QualityThresholds: quality.Thresholds{
@@ -229,7 +226,7 @@ func run(logger *slog.Logger, opts options) error {
 
 	var debugSrv *http.Server
 	if debugAddr != "" {
-		debugSrv = &http.Server{Addr: debugAddr, Handler: obs.DebugMux(tracer, obs.Default())}
+		debugSrv = &http.Server{Addr: debugAddr, Handler: obs.DebugMux(obs.Default())}
 		go func() {
 			logger.Info("debug listener", "addr", debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -276,8 +273,7 @@ func run(logger *slog.Logger, opts options) error {
 	}
 	logger.Info("shutdown complete",
 		"uptime_s", time.Since(start).Seconds(),
-		"requests_served", srv.Metrics().TotalRequests(),
-		"request_spans", tracer.Len())
+		"requests_served", srv.Metrics().TotalRequests())
 	return nil
 }
 

@@ -16,9 +16,10 @@ package acquisition
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
-	"io"
+	"slices"
 	"sort"
 
 	"pmcpower/internal/cpusim"
@@ -208,8 +209,10 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 	// Every stochastic input of a cell comes from rng streams split
 	// off the campaign seed by a stable (workload, frequency, run)
 	// label, so a cell's output is independent of which worker runs it
-	// and of how many cells run concurrently.
-	results, err := parallel.MapCtx(ctx, len(cells), o.Parallelism, func(ctx context.Context, ci int) (cellResult, error) {
+	// and of how many cells run concurrently. Each worker owns one
+	// scratch, reused by every run of every cell it executes.
+	newScratch := func(int) *scratch { return &scratch{} }
+	results, err := parallel.MapWorkers(ctx, len(cells), o.Parallelism, newScratch, func(ctx context.Context, sc *scratch, ci int) (cellResult, error) {
 		w, f := cells[ci].w, cells[ci].f
 		_, cellSpan := obs.FromContext(ctx).StartSpan(ctx, "acquire.cell",
 			obs.String("workload", w.Name), obs.Int("freq_mhz", f))
@@ -218,17 +221,16 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 		runProfiles := make([][]*phaseprofile.Phase, 0, len(plan))
 		for runIdx, set := range plan {
 			seed := base.Split(rng.HashString(fmt.Sprintf("%s|%d|run%d", w.Name, f, runIdx)))
-			var buf bytes.Buffer
-			if err := recordRun(&o, exec, sensors, w, f, set, seed, &buf); err != nil {
+			if err := recordRun(&o, exec, sensors, w, f, set, seed, sc); err != nil {
 				return cellResult{}, fmt.Errorf("acquisition: %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
 			if o.TraceSink != nil {
 				res.traces = append(res.traces, namedTrace{
 					name: fmt.Sprintf("%s_%dMHz_run%d.trc", w.Name, f, runIdx),
-					data: append([]byte(nil), buf.Bytes()...),
+					data: bytes.Clone(sc.archive.Bytes()),
 				})
 			}
-			phases, err := phaseprofile.FromTrace(&buf, w.Name)
+			phases, err := phaseprofile.FromTrace(&sc.archive, w.Name)
 			if err != nil {
 				return cellResult{}, fmt.Errorf("acquisition: post-processing %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
@@ -260,12 +262,33 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 	return ds, nil
 }
 
-// recordRun executes every (thread step × phase) of a workload at one
-// frequency with one event set, writing the Score-P-style trace to w.
-func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
-	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, w io.Writer) error {
+// scratch is one campaign worker's reusable memory. Every byte a run
+// reads from it was written earlier by that same run, so results do
+// not depend on which worker ran a cell.
+type scratch struct {
+	// archive receives one run's trace before post-processing.
+	archive bytes.Buffer
+	// merged holds one step's plugin samples in chronological order.
+	merged []timedSample
+}
 
-	tw := trace.NewWriter(w)
+// timedSample is one plugin sample bound to its trace location and
+// metric.
+type timedSample struct {
+	t   uint64
+	loc trace.Ref
+	ref trace.Ref
+	v   float64
+}
+
+// recordRun executes every (thread step × phase) of a workload at one
+// frequency with one event set, writing the Score-P-style trace to
+// sc.archive.
+func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
+	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) error {
+
+	sc.archive.Reset()
+	tw := trace.NewWriter(&sc.archive)
 	loc, err := tw.DefineLocation("master thread")
 	if err != nil {
 		return err
@@ -391,13 +414,7 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 			Activity: act,
 			Platform: o.Platform,
 		}
-		type timed struct {
-			t   uint64
-			loc trace.Ref
-			ref trace.Ref
-			v   float64
-		}
-		var all []timed
+		all := sc.merged[:0]
 		for pi, pm := range pms {
 			iv.Rand = stepSeed.Split(rng.HashString(fmt.Sprintf("plugin%d", pi)))
 			samples, err := pm.plugin.Sample(iv)
@@ -412,10 +429,11 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 					}
 					sampleLoc = coreLocs[s.Core]
 				}
-				all = append(all, timed{t: s.TimeNs, loc: sampleLoc, ref: pm.refs[s.MetricIndex], v: s.Value})
+				all = append(all, timedSample{t: s.TimeNs, loc: sampleLoc, ref: pm.refs[s.MetricIndex], v: s.Value})
 			}
 		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].t < all[j].t })
+		sc.merged = all
+		slices.SortStableFunc(all, func(a, b timedSample) int { return cmp.Compare(a.t, b.t) })
 		for _, s := range all {
 			if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: s.loc, TimeNs: s.t, Metric: s.ref, Value: s.v}); err != nil {
 				return err

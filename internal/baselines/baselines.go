@@ -14,6 +14,7 @@ package baselines
 
 import (
 	"fmt"
+	"slices"
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
@@ -137,7 +138,14 @@ func TrainPerFreqLinear(rows []*acquisition.Row, events []pmu.EventID) (*PerFreq
 		byFreq[r.FreqMHz] = append(byFreq[r.FreqMHz], r)
 	}
 	out := &PerFreqLinear{events: events, models: map[int][]float64{}}
-	for f, group := range byFreq {
+	for f := range byFreq {
+		out.freqs = append(out.freqs, f)
+	}
+	// Ascending order makes Predict's nearest-frequency fallback
+	// deterministic: a tie goes to the lower frequency.
+	slices.Sort(out.freqs)
+	for _, f := range out.freqs {
+		group := byFreq[f]
 		x := mat.New(len(group), len(events))
 		y := make([]float64, len(group))
 		for i, r := range group {
@@ -151,7 +159,6 @@ func TrainPerFreqLinear(rows []*acquisition.Row, events []pmu.EventID) (*PerFreq
 			return nil, fmt.Errorf("baselines: per-frequency fit at %d MHz: %w", f, err)
 		}
 		out.models[f] = fit.Coeffs
-		out.freqs = append(out.freqs, f)
 	}
 	return out, nil
 }
@@ -163,8 +170,9 @@ func (m *PerFreqLinear) Name() string { return "per-frequency linear" }
 func (m *PerFreqLinear) Predict(r *acquisition.Row) float64 {
 	coeffs, ok := m.models[r.FreqMHz]
 	if !ok {
-		// Nearest trained frequency — the baseline's fundamental
-		// weakness: it cannot transfer across DVFS states.
+		// Nearest trained frequency, the lower one on a tie — the
+		// baseline's fundamental weakness: it cannot transfer across
+		// DVFS states.
 		best, bestD := 0, 1<<30
 		for _, f := range m.freqs {
 			d := f - r.FreqMHz

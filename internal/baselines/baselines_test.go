@@ -138,6 +138,35 @@ func TestPerFreqLinearNearestFallback(t *testing.T) {
 	}
 }
 
+// TestPerFreqLinearTieGoesToLowerFrequency pins the fallback that
+// E13's transfer split depends on: 1600 MHz is 400 MHz from both 1200
+// and 2000 MHz, and the tie must go to 1200 MHz on every training run,
+// not to whichever frequency a map iteration happened to list first.
+func TestPerFreqLinearTieGoesToLowerFrequency(t *testing.T) {
+	d := dataset(t)
+	train := d.Filter(func(r *acquisition.Row) bool { return r.FreqMHz == 1200 || r.FreqMHz == 2000 })
+	m1200, err := TrainPerFreqLinear(d.AtFrequency(1200).Rows, events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at1600, err := acquisition.Acquire(acquisition.Options{Seed: 43, Events: events()},
+		workloads.ActiveByClass(workloads.Synthetic)[:3], []int{1600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		m, err := TrainPerFreqLinear(train.Rows, events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range at1600.Rows {
+			if got, want := m.Predict(r), m1200.Predict(r); got != want {
+				t.Fatalf("run %d: %s@1600 MHz predicts %v W, want the 1200 MHz sub-model's %v W", run, r.Workload, got, want)
+			}
+		}
+	}
+}
+
 func TestMAPEHelper(t *testing.T) {
 	d := dataset(t)
 	m, err := TrainCyclesOnly(d.Rows)

@@ -17,9 +17,11 @@
 package phaseprofile
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -83,6 +85,12 @@ func IsPowerMetric(name string) bool {
 // writes Enter/Leave around every phase on the master location and
 // annotates each phase with active_threads and core_frequency sync
 // metrics; power, voltage and PAPI rates arrive as async samples.
+//
+// Aggregation state is reused across phases: once a (metric,
+// location) pair has been seen, its samples allocate nothing. Beyond
+// the definition section, work and memory grow with the samples an
+// archive carries, never with the number of locations or metrics it
+// declares.
 func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
@@ -90,7 +98,10 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 	}
 	defs := tr.Definitions()
 
-	// Metric classification by definition name.
+	// Metric classification by definition name. slotOf numbers each
+	// power metric's channel and each voltage or PMC metric's value
+	// slot: slot 0 is voltage, and every distinct PMC event gets one
+	// slot after it, whatever the number of metrics naming it.
 	type metricClass int
 	const (
 		mcPower metricClass = iota
@@ -101,13 +112,16 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 		mcOther
 	)
 	classOf := make([]metricClass, len(defs.Metrics))
-	pmcOf := make([]pmu.EventID, len(defs.Metrics))
-	hasPowerDef := false
+	slotOf := make([]int, len(defs.Metrics))
+	eventSlot := make([]int, pmu.NumEvents()) // 0 = no slot yet
+	slotEvent := []pmu.EventID{-1}            // slot 0: voltage
+	nPower := 0
 	for i, m := range defs.Metrics {
 		switch {
 		case IsPowerMetric(m.Name):
 			classOf[i] = mcPower
-			hasPowerDef = true
+			slotOf[i] = nPower
+			nPower++
 			continue
 		}
 		switch m.Name {
@@ -120,7 +134,11 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 		default:
 			if ev, err := pmu.ByName(m.Name); err == nil {
 				classOf[i] = mcPMC
-				pmcOf[i] = ev.ID
+				if eventSlot[ev.ID] == 0 {
+					eventSlot[ev.ID] = len(slotEvent)
+					slotEvent = append(slotEvent, ev.ID)
+				}
+				slotOf[i] = eventSlot[ev.ID]
 			} else {
 				classOf[i] = mcOther
 			}
@@ -131,17 +149,36 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 		sum     float64
 		weightS float64
 	}
+	// cell aggregates one (value slot, location) pair. Its key sorts
+	// slot-major, then by ascending location ref.
+	type cell struct {
+		key uint64 // slot<<32 | location ref
+		agg
+	}
 	// Per-core instruments (voltage, PMCs) are aggregated per trace
 	// location first: a core's samples average to that core's mean,
 	// then cores combine — voltages by averaging (the node-level
 	// reading), counter rates by summing (per-core counters add up to
 	// the node total).
+	//
+	// A (slot, location) pair gets a cell on its first sample. Each
+	// phase lists the power channels and cells it touched; flush folds
+	// just those in ascending ref order — float addition is not
+	// associative, and reproducibility is non-negotiable — and zeroes
+	// them for the next phase.
+	//
+	// The recorder writes every tick's samples in the same order, so
+	// cells are created in that order and the cell after the last one
+	// used is checked before the map.
 	var (
-		phases  []*Phase
-		current *Phase
-		powerA  map[trace.Ref]*agg // one aggregate per power channel
-		voltA   map[trace.Ref]*agg
-		pmcA    map[pmu.EventID]map[trace.Ref]*agg
+		phases   []*Phase
+		current  *Phase
+		powerA   = make([]agg, nPower) // one aggregate per power channel
+		powered  []int                 // channels sampled this phase
+		cellOf   = make(map[uint64]int)
+		cells    []cell
+		nextCell int
+		touched  []int // cells sampled this phase
 	)
 	flush := func(endNs uint64) error {
 		if current == nil {
@@ -155,46 +192,45 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 		// that recorded power channels but caught no samples in its
 		// window must not silently become a 0 W observation — the
 		// regression would treat it as free power. Reject it instead.
-		var pw float64
-		sampledChannels := 0
-		for _, ref := range sortedRefs(powerA) {
-			if a := powerA[ref]; a.weightS > 0 {
-				pw += a.sum / a.weightS
-				sampledChannels++
-			}
-		}
-		if hasPowerDef && sampledChannels == 0 {
+		if nPower > 0 && len(powered) == 0 {
 			return fmt.Errorf("phaseprofile: phase %q [%d, %d] ns has no power samples", current.Region, current.StartNs, current.EndNs)
 		}
+		slices.Sort(powered) // channels are numbered in metric ref order
+		var pw float64
+		for _, ch := range powered {
+			pw += powerA[ch].sum / powerA[ch].weightS
+			powerA[ch] = agg{}
+		}
+		powered = powered[:0]
 		current.PowerW = pw
-		if len(voltA) > 0 {
-			var vsum, vn float64
-			for _, loc := range sortedRefs(voltA) {
-				if a := voltA[loc]; a.weightS > 0 {
-					vsum += a.sum / a.weightS
-					vn++
-				}
-			}
-			if vn > 0 {
-				current.VoltageV = vsum / vn
+
+		slices.SortFunc(touched, func(a, b int) int { return cmp.Compare(cells[a].key, cells[b].key) })
+		slotAt := func(i int) uint64 { return cells[touched[i]].key >> 32 }
+		nRates := 0
+		for i := range touched {
+			if slotAt(i) > 0 && (i == 0 || slotAt(i-1) != slotAt(i)) {
+				nRates++
 			}
 		}
-		current.Rates = make(map[pmu.EventID]float64, len(pmcA))
-		for id, byLoc := range pmcA {
+		current.Rates = make(map[pmu.EventID]float64, nRates)
+		for i := 0; i < len(touched); {
+			slot := slotAt(i)
 			var total float64
-			var any bool
-			// Sum in sorted location order: float addition is not
-			// associative, and reproducibility is non-negotiable.
-			for _, loc := range sortedRefs(byLoc) {
-				if a := byLoc[loc]; a.weightS > 0 {
-					total += a.sum / a.weightS
-					any = true
-				}
+			n := 0
+			for ; i < len(touched) && slotAt(i) == slot; i++ {
+				c := &cells[touched[i]]
+				total += c.sum / c.weightS
+				c.agg = agg{}
+				n++
 			}
-			if any {
-				current.Rates[id] = total
+			if slot == 0 {
+				current.VoltageV = total / float64(n)
+			} else {
+				current.Rates[slotEvent[slot]] = total
 			}
 		}
+		touched = touched[:0]
+
 		phases = append(phases, current)
 		current = nil
 		return nil
@@ -218,9 +254,6 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 				Region:  defs.Regions[ev.Region].Name,
 				StartNs: ev.TimeNs,
 			}
-			powerA = make(map[trace.Ref]*agg)
-			voltA = make(map[trace.Ref]*agg)
-			pmcA = make(map[pmu.EventID]map[trace.Ref]*agg)
 		case trace.KindLeave:
 			if current == nil {
 				return nil, fmt.Errorf("phaseprofile: Leave without Enter at %d ns", ev.TimeNs)
@@ -232,39 +265,36 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 			if current == nil {
 				continue // inter-phase samples are discarded
 			}
+			var a *agg
 			switch classOf[ev.Metric] {
 			case mcPower:
-				a := powerA[ev.Metric]
-				if a == nil {
-					a = &agg{}
-					powerA[ev.Metric] = a
+				ch := slotOf[ev.Metric]
+				if powerA[ch].weightS == 0 {
+					powered = append(powered, ch)
 				}
-				a.sum += ev.Value
-				a.weightS++
-			case mcVoltage:
-				a := voltA[ev.Location]
-				if a == nil {
-					a = &agg{}
-					voltA[ev.Location] = a
+				a = &powerA[ch]
+			case mcVoltage, mcPMC:
+				key := uint64(slotOf[ev.Metric])<<32 | uint64(ev.Location)
+				ci := nextCell
+				if ci == len(cells) || cells[ci].key != key {
+					var ok bool
+					if ci, ok = cellOf[key]; !ok {
+						ci = len(cells)
+						cellOf[key] = ci
+						cells = append(cells, cell{key: key})
+					}
 				}
-				a.sum += ev.Value
-				a.weightS++
+				nextCell = ci + 1
+				if cells[ci].weightS == 0 {
+					touched = append(touched, ci)
+				}
+				a = &cells[ci].agg
 			case mcThreads:
 				current.Threads = int(ev.Value)
 			case mcFreq:
 				current.FreqMHz = int(ev.Value)
-			case mcPMC:
-				id := pmcOf[ev.Metric]
-				byLoc := pmcA[id]
-				if byLoc == nil {
-					byLoc = make(map[trace.Ref]*agg)
-					pmcA[id] = byLoc
-				}
-				a := byLoc[ev.Location]
-				if a == nil {
-					a = &agg{}
-					byLoc[ev.Location] = a
-				}
+			}
+			if a != nil {
 				a.sum += ev.Value
 				a.weightS++
 			}
@@ -274,17 +304,6 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 		return nil, fmt.Errorf("phaseprofile: trace ended inside phase %q", current.Region)
 	}
 	return phases, nil
-}
-
-// sortedRefs returns the keys of a per-location aggregation map in
-// ascending order, for deterministic float summation.
-func sortedRefs[V any](m map[trace.Ref]V) []trace.Ref {
-	out := make([]trace.Ref, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // CombineRuns merges phase profiles from multiple runs of the same

@@ -143,8 +143,7 @@ func TestRequestLogging(t *testing.T) {
 }
 
 // TestRequestSpans asserts the middleware records one span per
-// request on the configured tracer — the dump pmcpowerd serves at
-// /debug/trace.
+// request on the configured tracer.
 func TestRequestSpans(t *testing.T) {
 	tracer := obs.NewTracer()
 	_, ts := newTestServer(t, Config{Tracer: tracer})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -732,6 +733,63 @@ func TestAnonymousStreamAndLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || !strings.Contains(string(body), `"samples": 0`) {
 		t.Fatalf("empty body = %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestEarlyRejectionClosesConnection is the regression test for a
+// server panic any estimate client could trigger. A full-duplex
+// estimate stream rejected before streaming starts returns with body
+// bytes unread; net/http's post-handler body close then drains to EOF,
+// which starts the connection's background read, and that read raced
+// the next request's read on the same keep-alive connection ("invalid
+// concurrent Body.Read call", recovered by net/http, connection reset).
+// Early rejections now close the connection, so a keep-alive client
+// alternating rejected and valid streams never sees a reset and the
+// server never logs a panic.
+func TestEarlyRejectionClosesConnection(t *testing.T) {
+	m, _ := fixture(t)
+	reg := NewRegistry()
+	if _, err := reg.Add("m", m); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Registry: reg, MaxLineBytes: 256})
+	var serverLog syncBuffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	small := &acquisition.Row{FreqMHz: 2400, VoltageV: 1.0, Rates: map[pmu.EventID]float64{}}
+	for _, id := range testEvents() {
+		small.Rates[id] = 1e8
+	}
+	valid := sampleLine(t, small, 0) + "\n"
+	// Long enough that bytes remain after the handler's bounded drain,
+	// short enough that net/http's post-handler close reads to EOF.
+	oversized := strings.Repeat(" ", 4096) + valid
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	post := func(body string) (*http.Response, string) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/estimate?model=m", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("transport error (server reset the connection?): %v", err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, string(got)
+	}
+	for i := 0; i < 60; i++ {
+		resp, body := post(oversized)
+		if resp.StatusCode != http.StatusBadRequest || !resp.Close {
+			t.Fatalf("round %d: oversized line = %d (close %v) %s, want 400 with Connection: close", i, resp.StatusCode, resp.Close, body)
+		}
+		if resp, body = post(valid); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: valid stream after a rejection = %d %s", i, resp.StatusCode, body)
+		}
+	}
+	if strings.Contains(serverLog.String(), "panic") {
+		t.Fatalf("server panicked:\n%s", serverLog.String())
 	}
 }
 

@@ -100,8 +100,10 @@ type Config struct {
 	// lifecycle events. Nil disables request logging.
 	Logger *slog.Logger
 	// Tracer, when non-nil, records one span per HTTP request; the
-	// span context is threaded into the handler. pmcpowerd exposes
-	// the dump at /debug/trace on its private debug listener.
+	// span context is threaded into the handler. The tracer keeps
+	// every span, so it suits bounded runs (tests, benchmarks); a
+	// long-running daemon leaves it nil and relies on the flight
+	// recorder's bounded request traces.
 	Tracer *obs.Tracer
 	// QualityWindow is the sliding-window size (in labelled samples)
 	// for model-quality tracking, both per served model version and
@@ -803,6 +805,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// first sample) must drain what the client already sent — bounded,
 	// to keep a hostile stream from pinning the handler.
 	defer io.Copy(io.Discard, io.LimitReader(r.Body, int64(s.cfg.MaxLineBytes)))
+	// rejectEarly answers a stream refused before its 200 header and
+	// closes the connection. Body bytes may still be unread: net/http's
+	// post-handler close drains them to EOF, which in full-duplex mode
+	// starts the connection's background read, and on a kept-alive
+	// connection that read races the next request's (a recovered
+	// "invalid concurrent Body.Read call" panic that resets it).
+	rejectEarly := func(reason string, err error) {
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusBadRequest, reason, err)
+	}
 
 	bufCap := 64 * 1024
 	if bufCap > s.cfg.MaxLineBytes {
@@ -957,7 +969,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		at.Event("reject", reason, 0)
 		if !streaming {
 			at.Error(err.Error())
-			writeError(w, http.StatusBadRequest, reason, err)
+			rejectEarly(reason, err)
 			return
 		}
 		enc.Encode(wireError{Error: err.Error(), Reason: reason, TraceID: tc.TraceID})
@@ -972,7 +984,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Reject(reason)
 		at.Error(readErr.Error())
 		if !streaming {
-			writeError(w, http.StatusBadRequest, reason, fmt.Errorf("serve: reading stream: %w", readErr))
+			rejectEarly(reason, fmt.Errorf("serve: reading stream: %w", readErr))
 			return
 		}
 		enc.Encode(wireError{Error: readErr.Error(), Reason: reason, TraceID: tc.TraceID})

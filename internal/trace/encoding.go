@@ -12,22 +12,46 @@ import (
 // Timestamps are delta-encoded per location before varint packing —
 // the dominant space saving identified by the OTF2 enhanced-encoding
 // work for monotone event times.
+//
+// Both directions work inside the bufio buffer itself: the encoder
+// appends into bufio.Writer.AvailableBuffer and the decoder reads
+// fixed-width fields through Peek/Discard, so no per-field scratch
+// array escapes to the heap and the event path allocates nothing.
+
+// maxEventLen bounds one encoded event record: a kind byte, three
+// uvarints (location, time delta, region or metric) and a float64.
+const maxEventLen = 1 + 3*binary.MaxVarintLen64 + 8
 
 type encoder struct {
 	w *bufio.Writer
 	// lastTime tracks the previous timestamp per location for delta
-	// encoding.
-	lastTime map[Ref]uint64
+	// encoding, indexed by location ref. It is sized when the
+	// definition section is written.
+	lastTime []uint64
 }
 
 func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: bufio.NewWriter(w), lastTime: make(map[Ref]uint64)}
+	return &encoder{w: bufio.NewWriter(w)}
+}
+
+// room returns the writer's free buffer, emptied to the underlying
+// writer first if fewer than n bytes remain, so appending up to n
+// bytes to the result never reallocates.
+func (e *encoder) room(n int) ([]byte, error) {
+	if e.w.Available() < n {
+		if err := e.w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return e.w.AvailableBuffer(), nil
 }
 
 func (e *encoder) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := e.w.Write(buf[:n])
+	buf, err := e.room(binary.MaxVarintLen64)
+	if err != nil {
+		return err
+	}
+	_, err = e.w.Write(binary.AppendUvarint(buf, v))
 	return err
 }
 
@@ -39,13 +63,6 @@ func (e *encoder) str(s string) error {
 	return err
 }
 
-func (e *encoder) f64(v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := e.w.Write(buf[:])
-	return err
-}
-
 func (e *encoder) byte(b uint8) error {
 	return e.w.WriteByte(b)
 }
@@ -53,12 +70,14 @@ func (e *encoder) byte(b uint8) error {
 func (e *encoder) flush() error { return e.w.Flush() }
 
 type decoder struct {
-	r        *bufio.Reader
-	lastTime map[Ref]uint64
+	r *bufio.Reader
+	// lastTime is the decoding twin of encoder.lastTime, sized from
+	// the location definitions actually read.
+	lastTime []uint64
 }
 
 func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReader(r), lastTime: make(map[Ref]uint64)}
+	return &decoder{r: bufio.NewReader(r)}
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -81,11 +100,13 @@ func (d *decoder) str() (string, error) {
 }
 
 func (d *decoder) f64() (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
+	b, err := d.r.Peek(8)
+	if err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	_, err = d.r.Discard(8)
+	return v, err
 }
 
 func (d *decoder) byte() (uint8, error) {

@@ -88,6 +88,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 			Ref: Ref(i), Name: name, Unit: unit, Mode: MetricMode(mode),
 		})
 	}
+	d.lastTime = make([]uint64, len(rd.defs.Locations))
 	return rd, nil
 }
 
@@ -109,17 +110,19 @@ func (r *Reader) Next() (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("trace: reading location: %w", noEOF(err))
 	}
-	ev.Location = Ref(loc)
-	if int(loc) >= len(r.defs.Locations) {
+	// Compare unsigned: a uvarint of 2^63 or more would turn
+	// negative as an int and slip past the check.
+	if loc >= uint64(len(r.defs.Locations)) {
 		return Event{}, fmt.Errorf("trace: event references undefined location %d", loc)
 	}
+	ev.Location = Ref(loc)
 
 	delta, err := r.dec.uvarint()
 	if err != nil {
 		return Event{}, fmt.Errorf("trace: reading timestamp: %w", noEOF(err))
 	}
-	ev.TimeNs = r.dec.lastTime[ev.Location] + delta
-	r.dec.lastTime[ev.Location] = ev.TimeNs
+	ev.TimeNs = r.dec.lastTime[loc] + delta
+	r.dec.lastTime[loc] = ev.TimeNs
 
 	switch ev.Kind {
 	case KindEnter, KindLeave:
@@ -127,7 +130,7 @@ func (r *Reader) Next() (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: reading region: %w", noEOF(err))
 		}
-		if int(reg) >= len(r.defs.Regions) {
+		if reg >= uint64(len(r.defs.Regions)) {
 			return Event{}, fmt.Errorf("trace: event references undefined region %d", reg)
 		}
 		ev.Region = Ref(reg)
@@ -136,7 +139,7 @@ func (r *Reader) Next() (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: reading metric ref: %w", noEOF(err))
 		}
-		if int(met) >= len(r.defs.Metrics) {
+		if met >= uint64(len(r.defs.Metrics)) {
 			return Event{}, fmt.Errorf("trace: event references undefined metric %d", met)
 		}
 		ev.Metric = Ref(met)

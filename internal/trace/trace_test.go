@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,18 @@ func TestUndefinedRefsRejected(t *testing.T) {
 	}
 	if err := w.WriteEvent(Event{Kind: KindEnter, Location: 9, TimeNs: 1, Region: 0}); err == nil {
 		t.Fatal("undefined location must be rejected")
+	}
+	// Refs of 2^31 and above are negative as a 32-bit int.
+	for _, ref := range []Ref{1 << 31, math.MaxUint32} {
+		if err := w.WriteEvent(Event{Kind: KindEnter, Location: ref, TimeNs: 1}); err == nil {
+			t.Fatalf("undefined location %d must be rejected", ref)
+		}
+		if err := w.WriteEvent(Event{Kind: KindEnter, Location: loc, TimeNs: 1, Region: ref}); err == nil {
+			t.Fatalf("undefined region %d must be rejected", ref)
+		}
+		if err := w.WriteEvent(Event{Kind: KindMetric, Location: loc, TimeNs: 1, Metric: ref}); err == nil {
+			t.Fatalf("undefined metric %d must be rejected", ref)
+		}
 	}
 }
 
@@ -324,5 +337,69 @@ func TestCompactness(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("read %d of %d events", count, n)
+	}
+}
+
+// TestWriteEventAllocFree gates the encoder's per-event path: records
+// are appended straight into the bufio buffer, so once the definition
+// section is out, writing an event allocates nothing.
+func TestWriteEventAllocFree(t *testing.T) {
+	w := NewWriter(io.Discard)
+	loc, _ := w.DefineLocation("core 0")
+	reg, _ := w.DefineRegion("phase")
+	met, _ := w.DefineMetric("power", "W", MetricAsync)
+	var i uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		ev := Event{Kind: KindMetric, Location: loc, TimeNs: i * 50_000_000, Metric: met, Value: float64(i)}
+		if i%3 == 0 {
+			ev = Event{Kind: KindEnter, Location: loc, TimeNs: i * 50_000_000, Region: reg}
+		}
+		if err := w.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteEvent allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// TestReaderNextAllocFree gates the decoder's per-event path: fields
+// are decoded inside the bufio buffer and per-location delta state is
+// a slice, so reading an event allocates nothing.
+func TestReaderNextAllocFree(t *testing.T) {
+	const n = 2000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	locs := []Ref{}
+	for _, name := range []string{"master", "core 0", "core 1"} {
+		l, _ := w.DefineLocation(name)
+		locs = append(locs, l)
+	}
+	reg, _ := w.DefineRegion("phase")
+	met, _ := w.DefineMetric("power", "W", MetricAsync)
+	for i := 0; i < n; i++ {
+		ev := Event{Kind: KindMetric, Location: locs[i%len(locs)], TimeNs: uint64(i) * 1_000_000, Metric: met, Value: float64(i) / 7}
+		if i%5 == 0 {
+			ev = Event{Kind: KindLeave, Location: locs[0], TimeNs: uint64(i) * 1_000_000, Region: reg}
+		}
+		if err := w.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reader.Next allocates %.1f times per event, want 0", allocs)
 	}
 }

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Writer produces an archive: definitions first, then a chronological
@@ -97,6 +99,7 @@ func (w *Writer) writeDefs() error {
 			return err
 		}
 	}
+	w.enc.lastTime = make([]uint64, len(w.defs.Locations))
 	w.defsWritten = true
 	return nil
 }
@@ -115,51 +118,45 @@ func (w *Writer) WriteEvent(ev Event) error {
 	if ev.TimeNs < w.lastGlobal {
 		return fmt.Errorf("trace: event at %d ns violates chronological order (last %d ns)", ev.TimeNs, w.lastGlobal)
 	}
-	if int(ev.Location) >= len(w.defs.Locations) {
+	// Unsigned, so a Ref of 2^31 or more cannot turn negative on a
+	// 32-bit int and slip past the check.
+	if uint(ev.Location) >= uint(len(w.defs.Locations)) {
 		return fmt.Errorf("trace: undefined location %d", ev.Location)
 	}
 	switch ev.Kind {
 	case KindEnter, KindLeave:
-		if int(ev.Region) >= len(w.defs.Regions) {
+		if uint(ev.Region) >= uint(len(w.defs.Regions)) {
 			return fmt.Errorf("trace: undefined region %d", ev.Region)
 		}
 	case KindMetric:
-		if int(ev.Metric) >= len(w.defs.Metrics) {
+		if uint(ev.Metric) >= uint(len(w.defs.Metrics)) {
 			return fmt.Errorf("trace: undefined metric %d", ev.Metric)
 		}
 	default:
 		return fmt.Errorf("trace: unknown event kind %d", ev.Kind)
 	}
-	w.lastGlobal = ev.TimeNs
-
-	if err := w.enc.byte(uint8(ev.Kind)); err != nil {
-		return err
-	}
-	if err := w.enc.uvarint(uint64(ev.Location)); err != nil {
-		return err
-	}
-	// Per-location delta encoding of timestamps.
+	// Per-location delta encoding of timestamps. The global order
+	// check above means a location's time never goes backwards.
 	last := w.enc.lastTime[ev.Location]
-	if ev.TimeNs < last {
-		return fmt.Errorf("trace: per-location time went backwards at location %d", ev.Location)
-	}
-	if err := w.enc.uvarint(ev.TimeNs - last); err != nil {
-		return err
-	}
+	w.lastGlobal = ev.TimeNs
 	w.enc.lastTime[ev.Location] = ev.TimeNs
 
-	switch ev.Kind {
-	case KindEnter, KindLeave:
-		if err := w.enc.uvarint(uint64(ev.Region)); err != nil {
-			return err
-		}
-	case KindMetric:
-		if err := w.enc.uvarint(uint64(ev.Metric)); err != nil {
-			return err
-		}
-		if err := w.enc.f64(ev.Value); err != nil {
-			return err
-		}
+	// The whole record is appended straight into the bufio buffer.
+	buf, err := w.enc.room(maxEventLen)
+	if err != nil {
+		return err
+	}
+	buf = append(buf, uint8(ev.Kind))
+	buf = binary.AppendUvarint(buf, uint64(ev.Location))
+	buf = binary.AppendUvarint(buf, ev.TimeNs-last)
+	if ev.Kind == KindMetric {
+		buf = binary.AppendUvarint(buf, uint64(ev.Metric))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(ev.Region))
+	}
+	if _, err := w.enc.w.Write(buf); err != nil {
+		return err
 	}
 	w.eventCount++
 	return nil
