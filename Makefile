@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify scenarios bench bench-hotpath bench-rls loadtest loadtest-smoke report examples trace-demo clean
+.PHONY: all build vet test race verify scenarios bench bench-hotpath bench-rls report examples trace-demo clean
 
 all: build vet test
 
@@ -37,37 +37,17 @@ scenarios:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The selection/CV/training hot path only, with allocation counts —
-# compare against the committed BENCH_5.json baseline.
+# The selection/CV/training hot path only, with allocation counts.
 bench-hotpath:
 	$(GO) test -run XXX -benchmem -benchtime=20x \
-		-bench 'BenchmarkModelTraining$$|BenchmarkSelectionSerial$$|BenchmarkSelectionParallel$$|BenchmarkSelectionExact$$|BenchmarkCrossValidationSerial$$|BenchmarkCrossValidationParallel$$|BenchmarkQRAppend|BenchmarkFitKernels' .
+		-bench 'BenchmarkModelTraining$$|BenchmarkSelectionSerial$$|BenchmarkSelectionParallel$$|BenchmarkCrossValidationSerial$$|BenchmarkCrossValidationParallel$$|BenchmarkQRAppend|BenchmarkFitKernels' .
 
 # The streaming-refit path: per-sample RLS update vs batch window
-# refit — compare against the committed BENCH_6.json baseline.
+# refit.
 bench-rls:
 	$(GO) test -run XXX -benchmem -benchtime=20x \
 		-bench 'BenchmarkRowQRAppendRow|BenchmarkRLSPush$$|BenchmarkRLSPushSolve$$|BenchmarkRLSBatchRefit$$' \
 		./internal/mat ./internal/stats
-
-# Serving loadtest: self-hosted daemon, 64 concurrent streams, the
-# single-lock legacy path vs. the sharded path, plus an overload leg
-# with admission control engaged. Writes the committed BENCH_7.json
-# baseline (median of three repeats) and strict-validates it.
-loadtest:
-	$(GO) run ./cmd/loadgen -mode compare \
-		-sessions 64 -samples 800 -conc 64 -batch 200 -repeat 3 \
-		-json BENCH_7.json
-	$(GO) run ./cmd/loadgen -validate -json BENCH_7.json
-
-# A small fixed workload for CI: exercises the full client/server
-# loop, the report writer, and the strict validator in a few seconds
-# without asserting machine-dependent throughput ratios.
-loadtest-smoke:
-	$(GO) run ./cmd/loadgen -mode compare \
-		-sessions 8 -samples 64 -conc 8 -batch 16 \
-		-json loadtest-smoke.json
-	$(GO) run ./cmd/loadgen -validate -json loadtest-smoke.json
 
 # Text report of every table and figure.
 report:

@@ -514,28 +514,6 @@ func benchCrossValidation(b *testing.B, parallelism int) {
 func BenchmarkCrossValidationSerial(b *testing.B)   { benchCrossValidation(b, 1) }
 func BenchmarkCrossValidationParallel(b *testing.B) { benchCrossValidation(b, 0) }
 
-// benchSelectionExact measures the legacy per-candidate full-OLS
-// selection path (SelectOptions.Exact) — the baseline the fast-fit
-// kernel is compared against. The fast/exact ratio in BENCH_5.json
-// comes from this pair.
-func BenchmarkSelectionExact(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.SelectionDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: 6, Parallelism: 1, Exact: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(steps) != 6 {
-			b.Fatal("wrong step count")
-		}
-	}
-}
-
 // BenchmarkQRAppend contrasts the O(n·k) column-append trial fit
 // against a from-scratch O(n·k²) decomposition of the same design —
 // the per-candidate cost inside one selection round.

@@ -81,7 +81,6 @@ func main() {
 	shedP99MS := flag.Float64("shed-p99-ms", 0, "shed estimate/predict requests with 503 while the p99 latency EWMA exceeds this many milliseconds (0 disables)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After backoff hint stamped on shed (429/503) responses")
 	maxBodyBytes := flag.Int64("max-body-bytes", 8<<20, "cap on /v1/predict and model-upload request bodies (413 beyond)")
-	legacyServing := flag.Bool("legacy-serving", false, "serve with the pre-sharding code path (single-lock sessions, per-sample flush); the loadtest baseline")
 	qualityWindow := flag.Int("quality-window", 256, "sliding-window size (labelled samples) for model-quality tracking")
 	qualityExemplars := flag.Int("quality-exemplars", 32, "worst-residual samples kept per model for /debug/exemplars")
 	warnMAPE := flag.Float64("quality-warn-mape", 10, "windowed MAPE %% that moves a model to drift warn (negative disables)")
@@ -119,7 +118,6 @@ func main() {
 		shedP99:          time.Duration(*shedP99MS * float64(time.Millisecond)),
 		retryAfter:       *retryAfter,
 		maxBodyBytes:     *maxBodyBytes,
-		legacyServing:    *legacyServing,
 		qualityWindow:    *qualityWindow,
 		qualityExemplars: *qualityExemplars,
 		warnMAPE:         *warnMAPE,
@@ -151,7 +149,6 @@ type options struct {
 	shedP99          time.Duration
 	retryAfter       time.Duration
 	maxBodyBytes     int64
-	legacyServing    bool
 	qualityWindow    int
 	qualityExemplars int
 	warnMAPE         float64
@@ -200,7 +197,6 @@ func run(logger *slog.Logger, opts options) error {
 		ShedP99:          opts.shedP99,
 		RetryAfter:       opts.retryAfter,
 		MaxBodyBytes:     opts.maxBodyBytes,
-		LegacyServing:    opts.legacyServing,
 		Obs:              obs.Default(),
 		Logger:           logger,
 		QualityWindow:    opts.qualityWindow,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"pmcpower/internal/acquisition"
 	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/rng"
@@ -12,6 +14,51 @@ import (
 // These tests pin the central claim of the fast-fit selection kernel:
 // it is an optimization, not an approximation. Every comparison is
 // bit-level (== / sameFloat), not tolerance-based.
+
+// selectWithFullFits is the oracle the fast selection is pinned against:
+// Algorithm 1 with every candidate of every round scored by a full OLS
+// fit via Train, its design rebuilt from the rows — the pre-kernel
+// arithmetic, run serially. It shares selectionRun's bookkeeping (step
+// recording, VIFs, cycle seeding, tie-breaking) with SelectEvents.
+func selectWithFullFits(rows []*acquisition.Row, opts SelectOptions) ([]SelectionStep, error) {
+	ctx := context.Background()
+	run := &selectionRun{
+		rows:        rows,
+		cache:       NewDatasetCache(rows),
+		opts:        opts,
+		candidates:  opts.Candidates,
+		inSelected:  make(map[pmu.EventID]bool),
+		parallelism: opts.Parallelism,
+	}
+	if len(run.candidates) == 0 {
+		run.candidates = pmu.AllIDs()
+	}
+	if opts.InitWithCycles {
+		if err := run.seedWithCycles(ctx); err != nil {
+			return nil, err
+		}
+	}
+	for len(run.selected) < opts.Count {
+		fits := make([]candFit, len(run.candidates))
+		for ci, cand := range run.candidates {
+			if run.inSelected[cand] {
+				continue
+			}
+			trial := append(append([]pmu.EventID(nil), run.selected...), cand)
+			// A candidate whose fit fails (a rank-deficient design) is
+			// skipped, as a statsmodels workflow discards a failed fit.
+			if m, err := Train(run.rows, trial, TrainOptions{}); err == nil {
+				fits[ci] = candFit{r2: m.R2(), adjR2: m.AdjR2(), ok: true}
+			}
+		}
+		best, r2, adjR2, err := run.reduceRound(fits)
+		if err != nil {
+			return nil, err
+		}
+		run.appendStep(ctx, best, r2, adjR2)
+	}
+	return run.steps, nil
+}
 
 func sameSteps(t *testing.T, name string, a, b []SelectionStep) {
 	t.Helper()
@@ -54,9 +101,7 @@ func TestSelectFastMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fast: %v", tc.name, err)
 		}
-		exactOpts := tc.opts
-		exactOpts.Exact = true
-		exact, err := SelectEvents(sel.Rows, exactOpts)
+		exact, err := selectWithFullFits(sel.Rows, tc.opts)
 		if err != nil {
 			t.Fatalf("%s exact: %v", tc.name, err)
 		}
@@ -72,8 +117,8 @@ func TestSelectFastDegenerateMatchesExact(t *testing.T) {
 	if _, err := SelectEvents(rows, SelectOptions{Count: 1}); err == nil {
 		t.Fatal("fast path must reject an underdetermined dataset")
 	}
-	if _, err := SelectEvents(rows, SelectOptions{Count: 1, Exact: true}); err == nil {
-		t.Fatal("exact path must reject an underdetermined dataset")
+	if _, err := selectWithFullFits(rows, SelectOptions{Count: 1}); err == nil {
+		t.Fatal("exact oracle must reject an underdetermined dataset")
 	}
 }
 

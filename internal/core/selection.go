@@ -44,13 +44,6 @@ type SelectOptions struct {
 	// the accuracy of the resulting model significantly"); the flag
 	// exists for the ablation experiment.
 	InitWithCycles bool
-	// Exact forces the legacy per-candidate full-OLS path (every trial
-	// fit pays for the covariance apparatus and rebuilds its design
-	// from rows) instead of the fast-fit kernel. The two paths produce
-	// bit-identical selections — Exact exists as the escape hatch the
-	// equivalence tests compare against, and as a fallback should a
-	// platform ever surface a numeric divergence.
-	Exact bool
 	// Parallelism bounds the workers evaluating the independent
 	// candidate fits of each round (and the VIF auxiliary
 	// regressions): 0 = GOMAXPROCS, 1 = serial. The selection result
@@ -73,18 +66,18 @@ func SelectEvents(rows []*acquisition.Row, opts SelectOptions) ([]SelectionStep,
 // Span emission stays off the numeric path, so the selected events
 // are bit-identical with or without a tracer.
 //
-// By default the per-candidate trial fits run on the fast-fit kernel:
-// the shared design-matrix prefix (intercept + already-selected event
-// features) is QR-factored once per round, each candidate appends its
-// three remaining columns to a per-worker copy in O(n·k) (see
-// mat.UpdQR), and only coefficients and R²/Adj.R² are computed — the
-// covariance sandwich, leverages and t/p statistics that candidate
-// scoring discards are skipped. The kernel's arithmetic is operation
-// for operation the one FitOLS performs on the full design, so the
+// The per-candidate trial fits run on the fast-fit kernel: the shared
+// design-matrix prefix (intercept + already-selected event features)
+// is QR-factored once per round, each candidate appends its three
+// remaining columns to a per-worker copy in O(n·k) (see mat.UpdQR),
+// and only coefficients and R²/Adj.R² are computed — the covariance
+// sandwich, leverages and t/p statistics that candidate scoring
+// discards are skipped. The kernel's arithmetic is operation for
+// operation the one FitOLS performs on the full design, so the
 // selected sequence and the recorded R²/Adj.R² values are
-// bit-identical to the legacy path (enforced by equivalence tests);
-// opts.Exact forces the legacy full-OLS path should an escape hatch
-// ever be needed.
+// bit-identical to per-candidate full OLS fits
+// (TestSelectFastMatchesExact pins them against that loop, kept as a
+// test oracle).
 func SelectEventsCtx(ctx context.Context, rows []*acquisition.Row, opts SelectOptions) ([]SelectionStep, error) {
 	if opts.Count < 1 {
 		return nil, fmt.Errorf("core: SelectEvents needs Count >= 1, got %d", opts.Count)
@@ -114,16 +107,13 @@ func SelectEventsCtx(ctx context.Context, rows []*acquisition.Row, opts SelectOp
 		selected:    make([]pmu.EventID, 0, opts.Count),
 		parallelism: opts.Parallelism,
 	}
-	if opts.Exact {
-		return run.selectExact(ctx)
-	}
 	return run.selectFast(ctx)
 }
 
-// selectionRun carries the state shared by the fast and exact greedy
-// loops: the selected set, the recorded steps, and the per-dataset
-// column cache that the candidate designs and the VIF auxiliary
-// regressions are assembled from.
+// selectionRun carries the state of the greedy loop (shared with the
+// exact-fit oracle in the tests): the selected set, the recorded
+// steps, and the per-dataset column cache that the candidate designs
+// and the VIF auxiliary regressions are assembled from.
 type selectionRun struct {
 	rows        []*acquisition.Row
 	cache       *DatasetCache
@@ -245,7 +235,7 @@ func (rk *roundKernel) newScratch() *candScratch {
 // fitOLSCore (same accumulation orders), so the score is bit-identical
 // to a full FitOLS of the candidate design. ok=false mirrors the
 // conditions under which FitOLS returns ErrDegenerate (n <= k or a
-// rank-deficient design at the same tolerance) — the legacy loop
+// rank-deficient design at the same tolerance) — the exact loop
 // skipped those candidates, and so does this one. The whole evaluation
 // is allocation-free (gated by testing.AllocsPerRun).
 func (rk *roundKernel) eval(s *candScratch, evCand []float64) (r2, adjR2 float64, ok bool) {
@@ -297,7 +287,7 @@ func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error
 	}
 
 	// The centered total sum of squares is a property of y alone; every
-	// candidate fit of the legacy path recomputed the identical value.
+	// candidate fit of the exact loop recomputed the identical value.
 	ybar := stats.Mean(y)
 	var sst float64
 	for _, v := range y {
@@ -322,8 +312,8 @@ func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error
 		kTot := pcols + 3
 		if n <= kTot {
 			// Every candidate design would be underdetermined — the
-			// exact condition under which the legacy loop found no
-			// fittable candidate.
+			// condition under which the exact loop found no fittable
+			// candidate.
 			roundSpan.End()
 			return nil, fmt.Errorf("core: no fittable candidate left after %d selections", len(run.selected))
 		}
@@ -353,62 +343,6 @@ func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error
 				}
 				r2, adj, ok := rk.eval(s, evAll[ci])
 				return candFit{r2: r2, adjR2: adj, ok: ok}, nil
-			})
-		if err != nil {
-			roundSpan.End()
-			return nil, err
-		}
-		bestEvent, bestR2, bestAdj, err := run.reduceRound(fits)
-		if err != nil {
-			roundSpan.End()
-			return nil, err
-		}
-		run.appendStep(ctx, bestEvent, bestR2, bestAdj)
-		roundSpan.SetAttr(obs.String("selected", pmu.Lookup(bestEvent).Short), obs.Float("r2", bestR2))
-		roundSpan.End()
-	}
-	return run.steps, nil
-}
-
-// --- exact legacy path -------------------------------------------------
-
-// selectExact is the escape hatch: per-candidate full OLS fits via
-// Train, exactly as the pre-kernel implementation ran them. The only
-// optimization it keeps is a per-worker trial-event buffer (the old
-// loop allocated a fresh slice per candidate per round).
-func (run *selectionRun) selectExact(ctx context.Context) ([]SelectionStep, error) {
-	opts := run.opts
-
-	if opts.InitWithCycles {
-		if err := run.seedWithCycles(ctx); err != nil {
-			return nil, err
-		}
-	}
-
-	// Each round fans the candidate fits out over the worker pool (the
-	// paper's 54 independent OLS fits per round); the winner is then
-	// reduced serially in candidate order with a strict > comparison,
-	// which reproduces the serial loop's tie-breaking exactly.
-	for len(run.selected) < opts.Count {
-		rctx, roundSpan := obs.FromContext(ctx).StartSpan(ctx, "selection.round", obs.Int("round", len(run.selected)+1))
-		fits, err := parallel.MapWorkers(rctx, len(run.candidates), run.parallelism,
-			func(int) []pmu.EventID { return make([]pmu.EventID, 0, opts.Count) },
-			func(_ context.Context, trial []pmu.EventID, ci int) (candFit, error) {
-				cand := run.candidates[ci]
-				if run.inSelected[cand] {
-					return candFit{}, nil
-				}
-				trial = append(trial[:0], run.selected...)
-				trial = append(trial, cand)
-				m, err := Train(run.rows, trial, TrainOptions{})
-				if err != nil {
-					// Candidate makes the design rank-deficient (e.g. a
-					// counter that is an exact linear combination of the
-					// selected ones) — skip it, exactly as a statsmodels
-					// workflow would discard a failed fit.
-					return candFit{}, nil
-				}
-				return candFit{r2: m.R2(), adjR2: m.AdjR2(), ok: true}, nil
 			})
 		if err != nil {
 			roundSpan.End()

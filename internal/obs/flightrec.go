@@ -189,27 +189,39 @@ type stageAgg struct {
 // returns its ActiveTrace. A nil recorder returns a nil trace (whose
 // methods all no-op). Steady-state Begin reuses a trace buffer from
 // the free list and performs no allocations.
+//
+// A recycled buffer may still be held by a reader that looked it up
+// before it was finished (InFlight, Flag, Annotate), so its fields are
+// written under at.mu like every other access. The lock order is at.mu
+// before r.mu (Finish's), so the buffer is taken off the free list,
+// initialized, and registered in three separate critical sections.
 func (r *FlightRecorder) Begin(tc TraceContext, method, path string) *ActiveTrace {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	var at *ActiveTrace
+	r.mu.Lock()
 	if n := len(r.free); n > 0 {
 		at = r.free[n-1]
 		r.free[n-1] = nil
 		r.free = r.free[:n-1]
-	} else {
+	}
+	r.mu.Unlock()
+	if at == nil {
 		at = &ActiveTrace{
 			rec:    r,
 			stages: make([]stageAgg, len(r.cfg.Stages)),
 			events: make([]FlightEvent, 0, r.cfg.MaxEvents),
 		}
 	}
+	start := r.cfg.Now()
+	at.mu.Lock()
 	at.tc = tc
 	at.method = method
 	at.path = path
-	at.start = r.cfg.Now()
+	at.start = start
+	at.mu.Unlock()
+	r.mu.Lock()
 	r.inflight[tc.TraceID] = at
 	r.mu.Unlock()
 	return at
@@ -296,6 +308,12 @@ func (at *ActiveTrace) Event(name, detail string, d time.Duration) {
 	}
 	end := at.rec.cfg.Now()
 	at.mu.Lock()
+	at.eventLocked(end, name, detail, d)
+	at.mu.Unlock()
+}
+
+// eventLocked is Event with at.mu held and the end time read.
+func (at *ActiveTrace) eventLocked(end time.Time, name, detail string, d time.Duration) {
 	if len(at.events) < cap(at.events) {
 		at.events = append(at.events, FlightEvent{
 			Name:    name,
@@ -306,7 +324,6 @@ func (at *ActiveTrace) Event(name, detail string, d time.Duration) {
 	} else {
 		at.dropped++
 	}
-	at.mu.Unlock()
 }
 
 // Error records the request's terminal error message; a non-empty
@@ -328,11 +345,15 @@ func (at *ActiveTrace) Flag(reason string) {
 		return
 	}
 	at.mu.Lock()
+	at.flagLocked(reason)
+	at.mu.Unlock()
+}
+
+func (at *ActiveTrace) flagLocked(reason string) {
 	if !at.flagged {
 		at.flagged = true
 		at.flagWhy = reason
 	}
-	at.mu.Unlock()
 }
 
 // TraceID returns the trace id the ActiveTrace was begun with ("" on
@@ -341,6 +362,8 @@ func (at *ActiveTrace) TraceID() string {
 	if at == nil {
 		return ""
 	}
+	at.mu.Lock()
+	defer at.mu.Unlock()
 	return at.tc.TraceID
 }
 
@@ -487,17 +510,7 @@ func (r *FlightRecorder) Lookup(traceID string) *ActiveTrace {
 // Flag marks the in-flight trace with the given trace id for
 // retention; it reports whether the trace was found.
 func (r *FlightRecorder) Flag(traceID, reason string) bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	at := r.inflight[traceID]
-	r.mu.Unlock()
-	if at == nil {
-		return false
-	}
-	at.Flag(reason)
-	return true
+	return r.withInFlight(traceID, func(at *ActiveTrace) { at.flagLocked(reason) })
 }
 
 // Annotate appends a discrete zero-duration marker event to the
@@ -507,13 +520,30 @@ func (r *FlightRecorder) Annotate(traceID, name, detail string) bool {
 	if r == nil {
 		return false
 	}
+	end := r.cfg.Now()
+	return r.withInFlight(traceID, func(at *ActiveTrace) { at.eventLocked(end, name, detail, 0) })
+}
+
+// withInFlight runs fn under at.mu on the in-flight trace registered
+// under traceID. The trace may finish and be recycled for another
+// request between the lookup and the lock, so fn runs only if the
+// trace still carries traceID.
+func (r *FlightRecorder) withInFlight(traceID string, fn func(*ActiveTrace)) bool {
+	if r == nil {
+		return false
+	}
 	r.mu.Lock()
 	at := r.inflight[traceID]
 	r.mu.Unlock()
 	if at == nil {
 		return false
 	}
-	at.Event(name, detail, 0)
+	at.mu.Lock()
+	defer at.mu.Unlock()
+	if at.tc.TraceID != traceID {
+		return false
+	}
+	fn(at)
 	return true
 }
 
@@ -562,11 +592,16 @@ func (r *FlightRecorder) InFlight() []RequestSummary {
 	r.mu.Unlock()
 	out := make([]RequestSummary, 0, len(ats))
 	for _, at := range ats {
-		var s RequestSummary
 		at.mu.Lock()
-		at.summarizeInto(&s, now, true)
+		// A trace that finished since the snapshot is either reset
+		// (empty id, skipped) or already begun for another in-flight
+		// request.
+		if at.tc.TraceID != "" {
+			var s RequestSummary
+			at.summarizeInto(&s, now, true)
+			out = append(out, s)
+		}
 		at.mu.Unlock()
-		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartUnixNs != out[j].StartUnixNs {

@@ -145,10 +145,9 @@ type MetricSummary struct {
 	P99   float64 `json:"p99,omitempty"`
 }
 
-// Summaries renders every collected metric, sorted by name. Series
-// summaries degrade gracefully on empty input via the stats ...OK
-// variants — a scenario that observed nothing reports n=0, it does
-// not panic.
+// Summaries renders every collected metric, sorted by name. A series
+// that observed nothing reports n=0 and zero statistics; it does not
+// panic.
 func (m *Metrics) Summaries() map[string]MetricSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -157,15 +156,10 @@ func (m *Metrics) Summaries() map[string]MetricSummary {
 		out[name] = MetricSummary{Kind: "counter", Value: v}
 	}
 	for name, xs := range m.series {
-		s := MetricSummary{Kind: "series", N: len(xs)}
-		if mn, mx, ok := stats.MinMaxOK(xs); ok {
-			s.Min, s.Max = mn, mx
-		}
-		if mean, ok := stats.MeanOK(xs); ok {
-			s.Mean = mean
-		}
-		if p99, ok := stats.QuantileOK(xs, 0.99); ok {
-			s.P99 = p99
+		sum := stats.Summarize(xs)
+		s := MetricSummary{Kind: "series", N: sum.N, Min: sum.Min, Max: sum.Max, Mean: sum.Mean}
+		if len(xs) > 0 {
+			s.P99 = stats.Quantile(xs, 0.99)
 		}
 		out[name] = s
 	}

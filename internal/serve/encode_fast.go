@@ -12,9 +12,10 @@ import (
 // sample; json.Encoder re-walks the struct type for every line. This
 // appender emits the identical bytes — field order, float formatting,
 // omitempty, trailing newline — without reflection. Identity with
-// encoding/json is load-bearing (the shard-equivalence contract test
-// compares response bodies against the legacy path byte for byte), so
-// anything the appender cannot prove it reproduces exactly — a
+// encoding/json is load-bearing (the wire and shard equivalence tests
+// compare response bodies byte for byte against golden transcripts
+// captured from the encoding/json path), so anything the appender
+// cannot prove it reproduces exactly — a
 // non-finite float, a trace id needing escaping — returns false and
 // the caller falls back to json.Encoder.
 

@@ -5,14 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/pmu"
@@ -21,10 +19,11 @@ import (
 // The fast NDJSON parse/encode paths promise byte-identity with the
 // encoding/json routes: they either reproduce the exact bytes and
 // semantics or bail so the slow path answers. These tests pin that
-// contract — first at the wire (a legacy server and a fast server
-// must return identical bodies for a gauntlet of edge-case inputs),
+// contract — first at the wire (the server must reproduce a committed
+// transcript of a gauntlet of edge-case inputs, see golden_test.go),
 // then at the unit level for the float formatter and number scanner,
-// whose corner cases are easiest to hit directly.
+// whose corner cases are easiest to hit directly. FuzzParseSample
+// (parse_fuzz_test.go) does the same for the sample parser.
 
 // ratesJSON renders a row's full rate map as a JSON object fragment.
 func ratesJSON(t *testing.T, r *acquisition.Row) string {
@@ -40,113 +39,179 @@ func ratesJSON(t *testing.T, r *acquisition.Row) string {
 	return string(b)
 }
 
-func TestFastPathWireEquivalence(t *testing.T) {
-	m, rows := fixture(t)
-	fixedNow := func() time.Time { return time.Unix(1_700_000_000, 0) }
-
-	newSrv := func(cfg Config) *httptest.Server {
-		cfg.Now = fixedNow
-		cfg.Registry = NewRegistry()
-		if _, err := cfg.Registry.Add("m", m); err != nil {
-			t.Fatal(err)
-		}
-		_, ts := newTestServer(t, cfg)
-		return ts
-	}
-	legacy := newSrv(Config{LegacyServing: true})
-	fast := newSrv(Config{})
-
+// wireSpecs is the transcript of testdata/fastpath_wire.golden: the
+// NDJSON gauntlet, then every per-sample rejection reason both as a
+// stream's first line and mid-stream, then batch prediction's success
+// and rejections.
+func wireSpecs(t *testing.T) []equivSpec {
+	_, rows := fixture(t)
 	rj := ratesJSON(t, rows[0])
-	valid := func(timeNs uint64) string {
-		return fmt.Sprintf(`{"time_ns":%d,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, timeNs, rj)
+	withRates := func(timeNs uint64, rates string) string {
+		return fmt.Sprintf(`{"time_ns":%d,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, timeNs, rates)
 	}
-
-	// Each entry is one NDJSON stream (same session name on both
-	// servers, so cross-request state like last-time_ns also agrees).
-	streams := [][]string{
+	valid := func(timeNs uint64) string { return withRates(timeNs, rj) }
+	labelled := func(timeNs uint64, powerW string) string {
+		return fmt.Sprintf(`{"time_ns":%d,"freq_mhz":2000,"voltage_v":1.05,"power_w":%s,"rates":%s}`, timeNs, powerW, rj)
+	}
+	// One line just over the default MaxLineBytes.
+	oversized := `{"pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	// Each stream is one NDJSON request on its own named session, so
+	// cross-request state like last-time_ns carries over only where a
+	// session name repeats.
+	stream := func(session string, lines ...string) equivSpec {
+		return equivSpec{method: "POST", path: "/v1/estimate?model=m&session=" + session,
+			body: strings.Join(lines, "\n") + "\n"}
+	}
+	specs := []equivSpec{
 		// Plain accepted lines, then generous whitespace.
-		{valid(1e6), "  { \"time_ns\" : 2000000 , \"freq_mhz\": 2000, \"voltage_v\": 1.05, \"rates\": " + rj + " }  "},
+		stream("g00", valid(1e6), "  { \"time_ns\" : 2000000 , \"freq_mhz\": 2000, \"voltage_v\": 1.05, \"rates\": "+rj+" }  "),
 		// Empty object: zero operating point, rejected in-stream.
-		{valid(1e6), `{}`, valid(2e6)},
+		stream("g01", valid(1e6), `{}`, valid(2e6)),
 		// Escaped key spellings force the slow path; result identical.
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
+		stream("g02", `{"time_\u006es":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":`+rj+`}`),
 		// Duplicate scalar key: last one wins.
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":900,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
+		stream("g03", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":900,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
 		// Duplicate rates objects merge key-by-key. The overriding key
 		// must reuse the exact spelling from the first object: an alias
 		// (bare name vs PAPI_ prefix) resolves to the same event on both
 		// paths, but which alias wins depends on map iteration order in
-		// the seed's resolver — nondeterministic, so not equivalence
+		// the decoder's resolver — nondeterministic, so not equivalence
 		// material.
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":%s,"rates":{"PAPI_LST_INS":0.33}}`, rj)},
+		stream("g04", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":%s,"rates":{"PAPI_LST_INS":0.33}}`, rj)),
 		// Unknown top-level field: DisallowUnknownFields error.
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"label":"x","rates":%s}`, rj)},
+		stream("g05", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"label":"x","rates":%s}`, rj)),
 		// null leaves the field zero (encoding/json semantics).
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":null,"voltage_v":1.05,"rates":%s}`, rj)},
+		stream("g06", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":null,"voltage_v":1.05,"rates":%s}`, rj)),
 		// Number grammar violations and exponent spellings.
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":01,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2e3,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2.0E+03,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":.5,"voltage_v":1.05,"rates":%s}`, rj)},
+		stream("g07", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":01,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g08", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2e3,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g09", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2.0E+03,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g10", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":.5,"voltage_v":1.05,"rates":%s}`, rj)),
 		// time_ns is uint64: sign, fraction, exponent, overflow all reject.
-		{fmt.Sprintf(`{"time_ns":-1,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":1.5,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":1e6,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":18446744073709551615,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
-		{fmt.Sprintf(`{"time_ns":18446744073709551616,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)},
+		stream("g11", fmt.Sprintf(`{"time_ns":-1,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g12", fmt.Sprintf(`{"time_ns":1.5,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g13", fmt.Sprintf(`{"time_ns":1e6,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g14", fmt.Sprintf(`{"time_ns":18446744073709551615,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
+		stream("g15", fmt.Sprintf(`{"time_ns":18446744073709551616,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
 		// Unknown event and non-number rate values.
-		{valid(1e6), `{"time_ns":2000000,"freq_mhz":2000,"voltage_v":1.05,"rates":{"NO_SUCH_EV":1}}`, valid(3e6)},
-		{`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":{"LST_INS":"x"}}`},
+		stream("g16", valid(1e6), withRates(2e6, `{"NO_SUCH_EV":1}`), valid(3e6)),
+		stream("g17", withRates(1e6, `{"LST_INS":"x"}`)),
 		// Labelled sample (power_w present).
-		{fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"power_w":31.25,"rates":%s}`, rj)},
+		stream("g18", labelled(1e6, "31.25")),
 		// Trailing bytes after the object: Decoder.Decode stops at the
 		// closing brace, so the junk is ignored on both paths.
-		{valid(1e6) + " trailing junk"},
+		stream("g19", valid(1e6)+" trailing junk"),
 		// Non-object top level and blank lines.
-		{`[1,2]`},
-		{valid(1e6), "   ", valid(2e6)},
+		stream("g20", `[1,2]`),
+		stream("g21", valid(1e6), "   ", valid(2e6)),
 		// Cache churn on one session: full set, a dropped event
 		// (rejected), the full set again, then the same keys spelled
 		// in a different order — every transition must be invisible.
-		{
-			valid(1e6),
-			`{"time_ns":2000000,"freq_mhz":2000,"voltage_v":1.05,"rates":{"LST_INS":0.4}}`,
-			valid(3e6),
-			"{\"time_ns\":4000000,\"freq_mhz\":2000,\"voltage_v\":1.05,\"rates\":" + reorderedRates(t, rows[0]) + "}",
-			valid(5e6),
-		},
+		stream("g22", valid(1e6), withRates(2e6, `{"LST_INS":0.4}`), valid(3e6),
+			withRates(4e6, reorderedRates(t, rows[0])), valid(5e6)),
+
+		// Every per-sample rejection reason, first as a stream's first
+		// line (HTTP 400, nothing streamed) and then mid-stream (an
+		// NDJSON error row between two estimates).
+		stream("parse-first", `{"time_ns":1000000,"freq_mhz":2000`),
+		stream("parse-mid", valid(1e6), `{"time_ns":2000000,"freq_mhz":`, valid(3e6)),
+		stream("unknown-first", withRates(1e6, `{"NO_SUCH_EV":1}`)),
+		stream("unknown-mid", valid(1e6), withRates(2e6, `{"PAPI_NO_SUCH_EV":1}`), valid(3e6)),
+		stream("missing-first", withRates(1e6, `{"LST_INS":0.4}`)),
+		stream("missing-mid", valid(1e6), withRates(2e6, `{"TOT_CYC":1e9}`), valid(3e6)),
+		stream("rate-first", mutatedLine(t, rows[0], 1e6, "LST_INS", -1)),
+		stream("rate-mid", valid(1e6), mutatedLine(t, rows[0], 2e6, "TOT_CYC", -5), valid(3e6)),
+		// The operating point is checked twice: a fractional frequency
+		// at the wire, a zero voltage by the estimator.
+		stream("operpt-first", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":0,"rates":%s}`, rj)),
+		stream("operpt-mid", valid(1e6), fmt.Sprintf(`{"time_ns":2000000,"freq_mhz":2000.5,"voltage_v":1.05,"rates":%s}`, rj), valid(3e6)),
+		// Out of order across requests needs the session's last time.
+		stream("order-first", valid(5e6)),
+		stream("order-first", valid(1e6)),
+		stream("order-mid", valid(2e6), valid(1e6), valid(3e6)),
+		// A power label is validated only where it is used: on a
+		// refitting session.
+		equivSpec{method: "POST", path: "/v1/estimate?model=m&refit=32&session=power-first",
+			body: labelled(1e6, "0") + "\n"},
+		equivSpec{method: "POST", path: "/v1/estimate?model=m&refit=32&session=power-mid",
+			body: labelled(1e6, "31.25") + "\n" + labelled(2e6, "-1") + "\n" + labelled(3e6, "30") + "\n"},
+		// An over-long line ends the stream.
+		stream("oversized-first", oversized),
+		stream("oversized-mid", valid(1e6), oversized),
 	}
 
-	do := func(ts *httptest.Server, session, trace string, lines []string) (int, string, []byte) {
-		t.Helper()
-		body := strings.Join(lines, "\n") + "\n"
-		req, err := http.NewRequest(http.MethodPost,
-			ts.URL+"/v1/estimate?model=m&session="+session, strings.NewReader(body))
+	// Batch prediction: one success, then each rejection, the bad row
+	// second so the error names its index.
+	row0 := rowToWire(rows[0])
+	predict := func(model string, bad ...wireRow) equivSpec {
+		b, err := json.Marshal(predictRequest{Model: model, Rows: append([]wireRow{row0}, bad...)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
-		req.Header.Set("traceparent", trace)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), raw
+		return equivSpec{method: "POST", path: "/v1/predict", body: string(b)}
 	}
+	mutRow := func(mut func(*wireRow)) wireRow {
+		w := rowToWire(rows[1])
+		mut(&w)
+		return w
+	}
+	// Exactly one byte over the default MaxBodyBytes, so the whole body
+	// is read before the 413.
+	const bodyCap = 8 << 20
+	bigHead := `{"model":"m","rows":[`
+	big := bigHead + strings.Repeat(" ", bodyCap+1-len(bigHead))
+	specs = append(specs,
+		predict("m", rowToWire(rows[1]), rowToWire(rows[2])),
+		equivSpec{method: "POST", path: "/v1/predict", body: `{"model":"m","rows":[{"freq_mhz":"fast"}]}`},
+		predict("m", mutRow(func(w *wireRow) { w.Rates = map[string]float64{"NO_SUCH_EV": 1} })),
+		predict("m", mutRow(func(w *wireRow) { delete(w.Rates, "PAPI_TOT_CYC") })),
+		predict("m", mutRow(func(w *wireRow) { w.Rates["PAPI_LST_INS"] = -1 })),
+		predict("m", mutRow(func(w *wireRow) { w.FreqMHz = 0 })),
+		equivSpec{method: "POST", path: "/v1/predict", body: big},
+		equivSpec{method: "POST", path: "/v1/predict", body: `{"model":"m","rows":[]}`},
+		predict("ghost"),
+	)
+	return specs
+}
 
-	for i, lines := range streams {
-		session := fmt.Sprintf("s%d", i)
-		trace := fmt.Sprintf("00-%032x-%016x-01", i+1, i+1)
-		wantStatus, wantCT, wantBody := do(legacy, session, trace, lines)
-		gotStatus, gotCT, gotBody := do(fast, session, trace, lines)
-		if gotStatus != wantStatus || gotCT != wantCT || !bytes.Equal(gotBody, wantBody) {
-			t.Errorf("stream %d diverges:\n legacy: %d %s %q\n fast:   %d %s %q",
-				i, wantStatus, wantCT, wantBody, gotStatus, gotCT, gotBody)
+func TestFastPathWireEquivalence(t *testing.T) {
+	specs := wireSpecs(t)
+	replies := recordTranscript(t, equivServer(t, Config{}), specs)
+	checkReasonCoverage(t, specs, replies)
+	checkGolden(t, "testdata/fastpath_wire.golden", renderTranscript(specs, replies))
+}
+
+// checkReasonCoverage requires every per-sample rejection reason to
+// appear in the transcript both as a first-line rejection (an HTTP 400
+// before any row) and as an NDJSON error row mid-stream.
+func checkReasonCoverage(t *testing.T, specs []equivSpec, replies []reply) {
+	t.Helper()
+	first, mid := map[string]bool{}, map[string]bool{}
+	for i, r := range replies {
+		if !strings.HasPrefix(specs[i].path, "/v1/estimate") {
+			continue
+		}
+		if r.status == http.StatusBadRequest {
+			var we wireError
+			if json.Unmarshal(r.body, &we) == nil {
+				first[we.Reason] = true
+			}
+			continue
+		}
+		for _, line := range bytes.Split(r.body, []byte("\n")) {
+			var we wireError
+			if json.Unmarshal(line, &we) == nil && we.Reason != "" {
+				mid[we.Reason] = true
+			}
+		}
+	}
+	for _, reason := range []string{ReasonParse, ReasonUnknownEv, ReasonMissingEv, ReasonBadRate,
+		ReasonBadOperPt, ReasonOutOfOrder, ReasonBadPower, ReasonOversized} {
+		if !first[reason] {
+			t.Errorf("no stream is rejected on its first line with reason %q", reason)
+		}
+		if !mid[reason] {
+			t.Errorf("no stream carries a mid-stream error row with reason %q", reason)
 		}
 	}
 }
@@ -163,9 +228,7 @@ func reorderedRates(t *testing.T, r *acquisition.Row) string {
 		names = append(names, n)
 		vals[n] = v
 	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, n := range names {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -136,13 +135,6 @@ func TestRegistryHotSwapUnderLiveTraffic(t *testing.T) {
 
 // --- shard equivalence ------------------------------------------------
 
-// equivSpec is one request of the equivalence transcript.
-type equivSpec struct {
-	method string
-	path   string
-	body   string
-}
-
 // normalizeStatus zeroes the fields of a /v1/status document that
 // legitimately depend on the shard layout or wall-clock timing.
 func normalizeStatus(t *testing.T, raw []byte) StatusResponse {
@@ -177,31 +169,11 @@ func normalizeMetrics(s string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestShardEquivalence drives an identical transcript — streaming
-// sessions with labelled refit samples, mid-stream rejections, batch
-// prediction, status and metrics reads — through a single-shard
-// server, a multi-shard server, and the legacy serving path, and
-// requires bit-identical responses. Shard layout is an implementation
-// detail; the service contract must not move.
-func TestShardEquivalence(t *testing.T) {
-	m, rows := fixture(t)
-	fixedNow := func() time.Time { return time.Unix(1_700_000_000, 0) }
-
-	newSrv := func(cfg Config) *httptest.Server {
-		cfg.Now = fixedNow
-		cfg.Registry = NewRegistry()
-		if _, err := cfg.Registry.Add("m", m); err != nil {
-			t.Fatal(err)
-		}
-		_, ts := newTestServer(t, cfg)
-		return ts
-	}
-	servers := map[string]*httptest.Server{
-		"shards1": newSrv(Config{Shards: 1}),
-		"shards8": newSrv(Config{Shards: 8}),
-		"legacy":  newSrv(Config{LegacyServing: true}),
-	}
-
+// shardSpecs is the transcript of testdata/shard_equivalence.golden:
+// streaming sessions with labelled refit samples and mid-stream
+// rejections, batch prediction, the model listing and deep health.
+func shardSpecs(t *testing.T) []equivSpec {
+	_, rows := fixture(t)
 	stream := func(session string, lines ...string) equivSpec {
 		q := "?model=m&refit=32"
 		if session != "" {
@@ -215,8 +187,7 @@ func TestShardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	specs := []equivSpec{
+	return []equivSpec{
 		stream("a", sampleLine(t, rows[0], 1e6), labelledLine(t, rows[1], 2e6), sampleLine(t, rows[2], 3e6)),
 		stream("b", labelledLine(t, rows[3], 1e6), labelledLine(t, rows[4], 2e6)),
 		// Anonymous stream with a mid-stream rejection (unknown event).
@@ -227,66 +198,44 @@ func TestShardEquivalence(t *testing.T) {
 		{method: "GET", path: "/v1/models"},
 		{method: "GET", path: "/healthz?deep=1"},
 	}
+}
 
-	do := func(ts *httptest.Server, spec equivSpec, trace string) (int, []byte) {
-		req, err := http.NewRequest(spec.method, ts.URL+spec.path, strings.NewReader(spec.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("traceparent", trace)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, raw
-	}
-
+// TestShardEquivalence drives an identical transcript through a
+// single-shard and a multi-shard server and requires bit-identical
+// responses, /v1/status and /metrics included: shard layout is an
+// implementation detail, and the service contract must not move. The
+// responses must also match the committed golden transcript.
+func TestShardEquivalence(t *testing.T) {
+	specs := shardSpecs(t)
+	shards1 := equivServer(t, Config{Shards: 1})
+	shards8 := equivServer(t, Config{Shards: 8})
+	base := recordTranscript(t, shards1, specs)
+	got := recordTranscript(t, shards8, specs)
 	for i, spec := range specs {
-		trace := fmt.Sprintf("00-%032x-%016x-01", i+1, i+1)
-		baseStatus, baseBody := do(servers["shards1"], spec, trace)
-		for name, ts := range servers {
-			if name == "shards1" {
-				continue
-			}
-			status, body := do(ts, spec, trace)
-			if status != baseStatus || !bytes.Equal(body, baseBody) {
-				t.Errorf("spec %d (%s %s): %s diverges from shards1:\n shards1: %d %q\n %s: %d %q",
-					i, spec.method, spec.path, name, baseStatus, baseBody, name, status, body)
-			}
+		if got[i].status != base[i].status || got[i].contentType != base[i].contentType || !bytes.Equal(got[i].body, base[i].body) {
+			t.Errorf("spec %d (%s %s): shards8 diverges from shards1:\n shards1: %d %s %q\n shards8: %d %s %q",
+				i, spec.method, spec.path, base[i].status, base[i].contentType, base[i].body,
+				got[i].status, got[i].contentType, got[i].body)
 		}
 	}
 
 	// /v1/status must agree after stripping the shard-layout block.
-	_, baseRaw := do(servers["shards1"], equivSpec{method: "GET", path: "/v1/status"}, "00-"+strings.Repeat("a", 32)+"-"+strings.Repeat("b", 16)+"-01")
-	base := normalizeStatus(t, baseRaw)
-	for name, ts := range servers {
-		if name == "shards1" {
-			continue // each server must see the transcript exactly once
-		}
-		_, raw := do(ts, equivSpec{method: "GET", path: "/v1/status"}, "00-"+strings.Repeat("a", 32)+"-"+strings.Repeat("b", 16)+"-01")
-		st := normalizeStatus(t, raw)
-		if !reflect.DeepEqual(st, base) {
-			t.Errorf("status diverges on %s:\n shards1: %+v\n %s: %+v", name, base, name, st)
-		}
+	statusTrace := "00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-01"
+	status := equivSpec{method: "GET", path: "/v1/status"}
+	st1 := normalizeStatus(t, send(t, shards1, status, statusTrace).body)
+	if st8 := normalizeStatus(t, send(t, shards8, status, statusTrace).body); !reflect.DeepEqual(st8, st1) {
+		t.Errorf("status diverges:\n shards1: %+v\n shards8: %+v", st1, st8)
 	}
 
 	// /metrics must agree after dropping wall-clock-valued lines.
-	_, baseMetrics := do(servers["shards1"], equivSpec{method: "GET", path: "/metrics"}, "00-"+strings.Repeat("c", 32)+"-"+strings.Repeat("d", 16)+"-01")
-	baseNorm := normalizeMetrics(string(baseMetrics))
-	for name, ts := range servers {
-		if name == "shards1" {
-			continue
-		}
-		_, raw := do(ts, equivSpec{method: "GET", path: "/metrics"}, "00-"+strings.Repeat("c", 32)+"-"+strings.Repeat("d", 16)+"-01")
-		if got := normalizeMetrics(string(raw)); got != baseNorm {
-			t.Errorf("metrics diverge on %s:\n--- shards1 ---\n%s\n--- %s ---\n%s", name, baseNorm, name, got)
-		}
+	metricsTrace := "00-" + strings.Repeat("c", 32) + "-" + strings.Repeat("d", 16) + "-01"
+	metrics := equivSpec{method: "GET", path: "/metrics"}
+	m1 := normalizeMetrics(string(send(t, shards1, metrics, metricsTrace).body))
+	if m8 := normalizeMetrics(string(send(t, shards8, metrics, metricsTrace).body)); m8 != m1 {
+		t.Errorf("metrics diverge:\n--- shards1 ---\n%s\n--- shards8 ---\n%s", m1, m8)
 	}
+
+	checkGolden(t, "testdata/shard_equivalence.golden", renderTranscript(specs, got))
 }
 
 func rowToWire(r *acquisition.Row) wireRow {

@@ -24,9 +24,9 @@ import (
 // event names, semantic rejections — bails out, so every error
 // (message, reason, and field semantics such as
 // DisallowUnknownFields and last-key-wins) is still produced by the
-// same code path the legacy server uses. The fast path can therefore
-// never change what a client observes, only how fast the common case
-// is served.
+// encoding/json route, decodeSample. The fast path can therefore never
+// change what a client observes, only how fast the common case is
+// served; FuzzParseSample checks it against decodeSample line by line.
 
 // jsonWS reports JSON insignificant whitespace.
 func jsonWS(c byte) bool {

@@ -1,0 +1,89 @@
+package serve
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"pmcpower/internal/pmu"
+)
+
+// FuzzParseSample is the differential oracle of the NDJSON sample
+// parser. The input is split into lines the way the estimate handler
+// splits a stream. Every line goes through parseSampleInto with one
+// workspace shared across the input, so the resolved-name cache
+// carries over from line to line as it does on a stream, and through
+// decodeSample (plain encoding/json) with a fresh workspace. Both must
+// agree on the sample, the power label, the rejection reason and the
+// error text. The seed corpus in testdata/fuzz/FuzzParseSample holds
+// the wire gauntlet's streams.
+func FuzzParseSample(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var shared parseScratch
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			if len(line) == 0 {
+				continue
+			}
+			var fresh parseScratch
+			want, wantPower, wantReason, wantErr := decodeSample(line, &fresh)
+			if ambiguousRates(fresh.ws.Rates) {
+				continue
+			}
+			got, gotPower, gotReason, gotErr := parseSampleInto(line, &shared)
+			if gotReason != wantReason || errText(gotErr) != errText(wantErr) {
+				t.Fatalf("line %q: parser rejects (%q, %q), decoder (%q, %q)",
+					line, gotReason, errText(gotErr), wantReason, errText(wantErr))
+			}
+			if wantErr != nil {
+				continue
+			}
+			if got.TimeNs != want.TimeNs || got.FreqMHz != want.FreqMHz ||
+				math.Float64bits(got.VoltageV) != math.Float64bits(want.VoltageV) {
+				t.Fatalf("line %q: parser sample (%d, %d, %v), decoder (%d, %d, %v)", line,
+					got.TimeNs, got.FreqMHz, got.VoltageV, want.TimeNs, want.FreqMHz, want.VoltageV)
+			}
+			if len(got.Rates) != len(want.Rates) {
+				t.Fatalf("line %q: parser rates %v, decoder %v", line, got.Rates, want.Rates)
+			}
+			for id, v := range want.Rates {
+				if g, ok := got.Rates[id]; !ok || math.Float64bits(g) != math.Float64bits(v) {
+					t.Fatalf("line %q: parser rates %v, decoder %v", line, got.Rates, want.Rates)
+				}
+			}
+			if (gotPower == nil) != (wantPower == nil) ||
+				gotPower != nil && math.Float64bits(*gotPower) != math.Float64bits(*wantPower) {
+				t.Fatalf("line %q: parser power_w %v, decoder %v", line, gotPower, wantPower)
+			}
+		}
+	})
+}
+
+// ambiguousRates reports whether the decoder resolves a rates object
+// in map-iteration order, which makes the oracle itself
+// nondeterministic: two keys naming one event (LST_INS and
+// PAPI_LST_INS) leave the stored value to chance, and two unknown keys
+// leave the error message to chance.
+func ambiguousRates(rates map[string]float64) bool {
+	seen := make(map[pmu.EventID]bool, len(rates))
+	unknown := 0
+	for name := range rates {
+		ev, err := pmu.ByName(name)
+		if err != nil {
+			unknown++
+			continue
+		}
+		if seen[ev.ID] {
+			return true
+		}
+		seen[ev.ID] = true
+	}
+	return unknown > 1
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

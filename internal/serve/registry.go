@@ -175,7 +175,8 @@ func (r *Registry) Get(key string) (*core.Model, error) {
 
 // Resolve is Get with the resolved name and concrete version attached.
 // It reads one atomic snapshot and allocates nothing on success, so
-// per-request (and loadgen per-sample) resolution is contention-free.
+// per-request (and EstimateSample's per-sample) resolution is
+// contention-free.
 func (r *Registry) Resolve(key string) (ModelRef, error) {
 	snap := r.snap.Load()
 	name, version := key, 0

@@ -47,8 +47,8 @@ type Config struct {
 	// of two. Each shard has its own lock and janitor bookkeeping, so
 	// concurrent streams for different clients never serialize on one
 	// mutex; the per-sample latency histogram is striped the same way.
-	// Default 8. 1 reproduces the seed's single-lock table (the
-	// loadtest baseline). pmcpowerd sets it from -shards.
+	// Default 8; 1 gives a single-lock table. pmcpowerd sets it from
+	// -shards.
 	Shards int
 	// MaxInFlight caps concurrently admitted estimate/predict
 	// requests; beyond it the admission gate sheds with 429 +
@@ -71,14 +71,6 @@ type Config struct {
 	// 413. Default 8 MiB. The streaming estimate endpoint is bounded
 	// per line by MaxLineBytes instead.
 	MaxBodyBytes int64
-	// LegacyServing reproduces the seed's serving path exactly: a
-	// single-shard session table, a response flush and a fresh parse
-	// allocation per NDJSON sample. Responses are bit-identical either
-	// way (the equivalence test pins it); the flag exists so the
-	// committed loadtest baseline (BENCH_7.json) measures the real
-	// pre-optimization path on the same binary, the same way
-	// SelectOptions.Exact preserves the exact selection path.
-	LegacyServing bool
 	// RefitWindow is the default streaming-refit window (in labelled
 	// samples) applied to new estimator sessions when a client does not
 	// pass ?refit=. 0 (the default) serves the frozen offline fit;
@@ -177,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards == 0 {
 		c.Shards = 8
-	}
-	if c.LegacyServing {
-		c.Shards = 1
 	}
 	c.Shards = shardCount(c.Shards)
 	if c.ShedSampleEvery <= 0 {
@@ -431,7 +420,7 @@ func (s *Server) SweepIdleSessions() int { return s.sessions.sweep(s.cfg.Now()) 
 // estimator exactly as one /v1/estimate NDJSON line would — admission
 // gate, registry resolution, session bookkeeping, and metrics are the
 // serving path's — but without HTTP framing or parsing. It exists for
-// in-process harnesses (cmd/loadgen's engine mode, the allocation
+// in-process harnesses (the bench ladder's engine rung, the allocation
 // gate in tests) that drive the serving core without a socket; the
 // steady-state path allocates nothing.
 func (s *Server) EstimateSample(model, sessionID string, cs core.CounterSample) (core.StreamEstimate, error) {
@@ -829,18 +818,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// and is waiting gets its row immediately, while a batch upload
 	// gets one coalesced write per batch instead of one syscall and
 	// chunk frame per sample — the dominant per-sample cost at fleet
-	// scale. LegacyServing restores the seed's flush-per-sample.
+	// scale.
 	bw := bufio.NewWriterSize(w, 32*1024)
 	defer bw.Flush()
 	enc := json.NewEncoder(bw)
 	streaming := false // true once the 200 header is out
-	// flushIfDrained is the one flush decision per record: legacy mode
-	// reproduces the seed's write-and-flush per sample; the default
-	// path coalesces output until the reader has drained everything the
-	// client sent, so a batch costs one write while a waiting
-	// interactive client still sees its row immediately.
+	// flushIfDrained is the one flush decision per record.
 	flushIfDrained := func() {
-		if streaming && (s.cfg.LegacyServing || br.Buffered() == 0) {
+		if streaming && br.Buffered() == 0 {
 			bw.Flush()
 			rc.Flush()
 		}
@@ -871,15 +856,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		if tracing {
 			stageStart = time.Now()
 		}
-		var cs core.CounterSample
-		var powerW *float64
-		var reason string
-		var err error
-		if s.cfg.LegacyServing {
-			cs, powerW, reason, err = parseSample(line, m)
-		} else {
-			cs, powerW, reason, err = parseSampleInto(line, &ps)
-		}
+		cs, powerW, reason, err := parseSampleInto(line, &ps)
 		if tracing {
 			at.Stage(stageParse, time.Since(stageStart))
 		}
@@ -950,7 +927,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 					ModelVersion: est.ModelVersion,
 					TraceID:      tc.TraceID,
 				}
-				if s.cfg.LegacyServing || !writeEstimateFast(bw, &encBuf, we) {
+				if !writeEstimateFast(bw, &encBuf, we) {
 					enc.Encode(we)
 				}
 				flushIfDrained()
@@ -1055,8 +1032,8 @@ func readLine(br *bufio.Reader, max int, lineBuf *[]byte) ([]byte, error) {
 	return buf, err
 }
 
-// parseScratch is the per-stream parse workspace of the default
-// serving path: the wire struct's string-keyed map and the resolved
+// parseScratch is the per-stream parse workspace of the estimate
+// stream: the wire struct's string-keyed map and the resolved
 // event-id map are reused across lines, so a steady-state stream
 // allocates no per-sample maps. Reuse is safe because every consumer
 // of a pushed sample copies the rates it keeps — core's estimators
@@ -1100,18 +1077,28 @@ func (ps *parseScratch) namesMatchCache() bool {
 	return len(k) == 0
 }
 
-// parseSampleInto is parseSample with a reusable workspace: same wire
-// format, same rejection reasons, but the returned sample's Rates map
-// is valid only until the next call. The common case is served by the
-// hand scanner in parse_fast.go; anything it cannot prove identical
-// to encoding/json semantics falls through to the decoder below, so
-// all rejections keep their legacy messages and ordering.
+// parseSampleInto decodes one NDJSON line and resolves event names
+// into a reusable workspace; the returned sample's Rates map is valid
+// only until the next call. Rate semantics (finite, non-negative,
+// covering the model's events) are the estimator's to enforce; this
+// layer rejects what the estimator cannot see: unparseable JSON,
+// unknown event names, and a frequency that does not survive the
+// float→int conversion. The common case is served by the hand scanner
+// in parse_fast.go; anything it cannot prove identical to
+// encoding/json semantics falls through to decodeSample, which owns
+// every rejection message.
 func parseSampleInto(line []byte, ps *parseScratch) (core.CounterSample, *float64, string, error) {
 	if parseSampleFast(line, ps) {
 		if cs, powerW, ok := finishSampleFast(ps); ok {
 			return cs, powerW, "", nil
 		}
 	}
+	return decodeSample(line, ps)
+}
+
+// decodeSample is the encoding/json route of parseSampleInto, and the
+// oracle the fast scanner is fuzzed against (FuzzParseSample).
+func decodeSample(line []byte, ps *parseScratch) (core.CounterSample, *float64, string, error) {
 	// Reset the wire struct but keep the decoded map's backing storage:
 	// json reuses a non-nil map (cleared below) and would leave absent
 	// fields stale otherwise.
@@ -1151,52 +1138,10 @@ func parseSampleInto(line []byte, ps *parseScratch) (core.CounterSample, *float6
 	}, ps.ws.PowerW, "", nil
 }
 
-// parseSample decodes one NDJSON line and resolves event names. Rate
-// semantics (finite, non-negative, covering the model's events) are
-// the estimator's to enforce; this layer rejects what the estimator
-// cannot see: unparseable JSON, unknown event names, and a frequency
-// that does not survive the float→int conversion.
-func parseSample(line []byte, m *core.Model) (core.CounterSample, *float64, string, error) {
-	var ws wireSample
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ws); err != nil {
-		return core.CounterSample{}, nil, ReasonParse, fmt.Errorf("serve: decoding sample: %w", err)
-	}
-	freq, err := validFreqMHz(ws.FreqMHz)
-	if err != nil {
-		return core.CounterSample{}, nil, ReasonBadOperPt, fmt.Errorf("serve: %w", err)
-	}
-	rates := make(map[pmu.EventID]float64, len(ws.Rates))
-	for name, v := range ws.Rates {
-		ev, err := pmu.ByName(name)
-		if err != nil {
-			return core.CounterSample{}, nil, ReasonUnknownEv, fmt.Errorf("serve: sample references unknown event %q", name)
-		}
-		rates[ev.ID] = v
-	}
-	return core.CounterSample{
-		TimeNs:   ws.TimeNs,
-		FreqMHz:  freq,
-		VoltageV: ws.VoltageV,
-		Rates:    rates,
-	}, ws.PowerW, "", nil
-}
-
-// convertRow maps a wire row to a fresh acquisition.Row, enforcing
-// the same validity rules the streaming path gets from the estimator.
-func convertRow(wr wireRow, m *core.Model) (*acquisition.Row, string, error) {
-	var row acquisition.Row
-	reason, err := convertRowInto(wr, m, &row)
-	if err != nil {
-		return nil, reason, err
-	}
-	return &row, "", nil
-}
-
-// convertRowInto is convertRow into a caller-owned row whose rates
-// map is reused (the batch-predict scratch): a large batch resolves
-// the model once and allocates no per-row state.
+// convertRowInto maps a wire row into a caller-owned row whose rates
+// map is reused (the batch-predict scratch), enforcing the same
+// validity rules the streaming path gets from the estimator: a large
+// batch resolves the model once and allocates no per-row state.
 func convertRowInto(wr wireRow, m *core.Model, row *acquisition.Row) (string, error) {
 	freq, ferr := validFreqMHz(wr.FreqMHz)
 	if ferr != nil || !(wr.VoltageV > 0) || math.IsInf(wr.VoltageV, 0) {

@@ -33,30 +33,11 @@ func Pearson(x, y []float64) float64 {
 	return sxy / den
 }
 
-// PearsonOK is Pearson that reports ok=false on length mismatch or
-// fewer than two observations instead of panicking. Use it on paths
-// fed by external input (served samples, scenario traffic) where the
-// pair lengths are not compile-time invariants.
-func PearsonOK(x, y []float64) (float64, bool) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, false
-	}
-	return Pearson(x, y), true
-}
-
 // Spearman returns the Spearman rank correlation coefficient: the
 // Pearson correlation of the rank-transformed inputs, with ties
 // assigned their average rank.
 func Spearman(x, y []float64) float64 {
 	return Pearson(ranks(x), ranks(y))
-}
-
-// SpearmanOK is Spearman with PearsonOK's degradation contract.
-func SpearmanOK(x, y []float64) (float64, bool) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, false
-	}
-	return Spearman(x, y), true
 }
 
 // ranks converts values to average ranks (1-based).

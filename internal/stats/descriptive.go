@@ -115,51 +115,3 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Non-panicking variants for paths fed by external input. The plain
-// Mean/Variance/Quantile panic on degenerate input by design — their
-// call sites inside the modeling pipeline control their sizes — but a
-// network-facing or report path handed an empty window must degrade to
-// an ok=false, not take the process down.
-
-// MeanOK is Mean that reports ok=false on empty input.
-func MeanOK(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	return Mean(xs), true
-}
-
-// VarianceOK is Variance that reports ok=false for fewer than two
-// observations.
-func VarianceOK(xs []float64) (float64, bool) {
-	if len(xs) < 2 {
-		return 0, false
-	}
-	return Variance(xs), true
-}
-
-// StdDevOK is StdDev that reports ok=false for fewer than two
-// observations.
-func StdDevOK(xs []float64) (float64, bool) {
-	v, ok := VarianceOK(xs)
-	return math.Sqrt(v), ok
-}
-
-// MinMaxOK is MinMax that reports ok=false on empty input.
-func MinMaxOK(xs []float64) (min, max float64, ok bool) {
-	if len(xs) == 0 {
-		return 0, 0, false
-	}
-	min, max = MinMax(xs)
-	return min, max, true
-}
-
-// QuantileOK is Quantile that reports ok=false on empty input or q
-// outside [0,1].
-func QuantileOK(xs []float64, q float64) (float64, bool) {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, false
-	}
-	return Quantile(xs, q), true
-}

@@ -137,77 +137,12 @@ func checkPair(name string, a, b []float64) {
 	}
 }
 
-// pairOK is the non-panicking admission check behind the ...OK error
-// metrics: a pair is usable when the lengths match and there is at
-// least one observation.
-func pairOK(a, b []float64) bool {
-	return len(a) == len(b) && len(a) > 0
-}
-
-// Non-panicking variants for paths fed by external input, mirroring
-// the MeanOK/QuantileOK convention in descriptive.go. The plain
-// metrics panic on mismatched or empty pairs by design — the modeling
-// pipeline controls its sizes — but a serving or scenario-harness path
-// comparing externally collected series must degrade to ok=false.
-
-// APEDetailOK is APEDetail that reports ok=false on a mismatched or
-// empty pair instead of panicking. The error return keeps APEDetail's
-// all-skipped contract for usable pairs.
-func APEDetailOK(actual, predicted []float64) (APEStats, bool, error) {
-	if !pairOK(actual, predicted) {
-		return APEStats{}, false, nil
-	}
-	st, err := APEDetail(actual, predicted)
-	return st, true, err
-}
-
-// MAPEOK is MAPE that reports ok=false on a mismatched or empty pair.
+// MAPEOK is MAPE that reports ok=false on a mismatched or empty pair
+// instead of panicking, for paths comparing externally collected
+// series (the scenario harness) whose lengths are not invariants.
 func MAPEOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
+	if len(actual) != len(predicted) || len(actual) == 0 {
 		return 0, false
 	}
 	return MAPE(actual, predicted), true
-}
-
-// MaxAPEOK is MaxAPE that reports ok=false on a mismatched or empty
-// pair.
-func MaxAPEOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
-		return 0, false
-	}
-	return MaxAPE(actual, predicted), true
-}
-
-// RMSEOK is RMSE that reports ok=false on a mismatched or empty pair.
-func RMSEOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
-		return 0, false
-	}
-	return RMSE(actual, predicted), true
-}
-
-// MAEOK is MAE that reports ok=false on a mismatched or empty pair.
-func MAEOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
-		return 0, false
-	}
-	return MAE(actual, predicted), true
-}
-
-// MeanBiasOK is MeanBias that reports ok=false on a mismatched or
-// empty pair.
-func MeanBiasOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
-		return 0, false
-	}
-	return MeanBias(actual, predicted), true
-}
-
-// R2ScoreOK is R2Score that reports ok=false on a mismatched or empty
-// pair.
-func R2ScoreOK(actual, predicted []float64) (float64, bool) {
-	if !pairOK(actual, predicted) {
-		return 0, false
-	}
-	return R2Score(actual, predicted), true
 }

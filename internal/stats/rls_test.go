@@ -234,7 +234,8 @@ func TestRLSSteadyStateAllocFree(t *testing.T) {
 
 // BenchmarkRLSPush measures the steady-state per-sample update at the
 // serving path's shape (6 events + V²f + V + intercept = 9 features,
-// 256-sample window) — the number BENCH_6.json records.
+// 256-sample window) — the per-sample refit cost CHANGES.md records
+// for streaming refit.
 func BenchmarkRLSPush(b *testing.B) {
 	rls, err := NewRLS(9, 256)
 	if err != nil {

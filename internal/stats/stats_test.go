@@ -481,118 +481,22 @@ func TestVIFParallelEquivalence(t *testing.T) {
 	}
 }
 
-func TestOKVariantsDegrade(t *testing.T) {
-	// The OK variants exist for paths fed by external input: degenerate
-	// slices must come back ok=false instead of panicking.
-	if _, ok := MeanOK(nil); ok {
-		t.Fatal("MeanOK(nil) reported ok")
-	}
-	if _, ok := VarianceOK([]float64{1}); ok {
-		t.Fatal("VarianceOK of one observation reported ok")
-	}
-	if _, ok := StdDevOK(nil); ok {
-		t.Fatal("StdDevOK(nil) reported ok")
-	}
-	if _, _, ok := MinMaxOK(nil); ok {
-		t.Fatal("MinMaxOK(nil) reported ok")
-	}
-	if _, ok := QuantileOK(nil, 0.5); ok {
-		t.Fatal("QuantileOK(nil) reported ok")
-	}
-	if _, ok := QuantileOK([]float64{1, 2}, 1.5); ok {
-		t.Fatal("QuantileOK accepted q=1.5")
-	}
-	if _, ok := QuantileOK([]float64{1, 2}, math.NaN()); ok {
-		t.Fatal("QuantileOK accepted q=NaN")
-	}
-}
-
-func TestOKVariantsAgreeWithPanicking(t *testing.T) {
-	xs := []float64{3, -1, 7, 2, 5}
-	if m, ok := MeanOK(xs); !ok || m != Mean(xs) {
-		t.Fatalf("MeanOK = %v,%v", m, ok)
-	}
-	if v, ok := VarianceOK(xs); !ok || v != Variance(xs) {
-		t.Fatalf("VarianceOK = %v,%v", v, ok)
-	}
-	if s, ok := StdDevOK(xs); !ok || s != StdDev(xs) {
-		t.Fatalf("StdDevOK = %v,%v", s, ok)
-	}
-	lo, hi, ok := MinMaxOK(xs)
-	wlo, whi := MinMax(xs)
-	if !ok || lo != wlo || hi != whi {
-		t.Fatalf("MinMaxOK = %v,%v,%v", lo, hi, ok)
-	}
-	if q, ok := QuantileOK(xs, 0.25); !ok || q != Quantile(xs, 0.25) {
-		t.Fatalf("QuantileOK = %v,%v", q, ok)
-	}
-}
-
 func TestPairOKVariantsDegrade(t *testing.T) {
 	// Mismatched or empty pairs must report ok=false, never panic —
-	// these variants guard the serving and scenario-harness paths.
-	short := []float64{1, 2}
-	long := []float64{1, 2, 3}
-	for name, call := range map[string]func(a, b []float64) bool{
-		"PearsonOK":  func(a, b []float64) bool { _, ok := PearsonOK(a, b); return ok },
-		"SpearmanOK": func(a, b []float64) bool { _, ok := SpearmanOK(a, b); return ok },
-		"MAPEOK":     func(a, b []float64) bool { _, ok := MAPEOK(a, b); return ok },
-		"MaxAPEOK":   func(a, b []float64) bool { _, ok := MaxAPEOK(a, b); return ok },
-		"RMSEOK":     func(a, b []float64) bool { _, ok := RMSEOK(a, b); return ok },
-		"MAEOK":      func(a, b []float64) bool { _, ok := MAEOK(a, b); return ok },
-		"MeanBiasOK": func(a, b []float64) bool { _, ok := MeanBiasOK(a, b); return ok },
-		"R2ScoreOK":  func(a, b []float64) bool { _, ok := R2ScoreOK(a, b); return ok },
-		"APEDetailOK": func(a, b []float64) bool {
-			_, ok, _ := APEDetailOK(a, b)
-			return ok
-		},
-	} {
-		if call(short, long) {
-			t.Errorf("%s accepted mismatched lengths", name)
-		}
-		if call(nil, nil) {
-			t.Errorf("%s accepted empty pair", name)
-		}
+	// MAPEOK guards the scenario harness's comparisons of externally
+	// collected series.
+	if _, ok := MAPEOK([]float64{1, 2}, []float64{1, 2, 3}); ok {
+		t.Error("MAPEOK accepted mismatched lengths")
 	}
-	// Correlations additionally need two observations.
-	if _, ok := PearsonOK([]float64{1}, []float64{2}); ok {
-		t.Error("PearsonOK accepted a single observation")
-	}
-	if _, ok := SpearmanOK([]float64{1}, []float64{2}); ok {
-		t.Error("SpearmanOK accepted a single observation")
+	if _, ok := MAPEOK(nil, nil); ok {
+		t.Error("MAPEOK accepted an empty pair")
 	}
 }
 
 func TestPairOKVariantsAgreeWithPanicking(t *testing.T) {
 	a := []float64{230, 245, 260, 251, 240}
 	b := []float64{228, 249, 255, 252, 244}
-	if r, ok := PearsonOK(a, b); !ok || r != Pearson(a, b) {
-		t.Fatalf("PearsonOK = %v,%v", r, ok)
-	}
-	if r, ok := SpearmanOK(a, b); !ok || r != Spearman(a, b) {
-		t.Fatalf("SpearmanOK = %v,%v", r, ok)
-	}
 	if m, ok := MAPEOK(a, b); !ok || m != MAPE(a, b) {
 		t.Fatalf("MAPEOK = %v,%v", m, ok)
-	}
-	if m, ok := MaxAPEOK(a, b); !ok || m != MaxAPE(a, b) {
-		t.Fatalf("MaxAPEOK = %v,%v", m, ok)
-	}
-	if m, ok := RMSEOK(a, b); !ok || m != RMSE(a, b) {
-		t.Fatalf("RMSEOK = %v,%v", m, ok)
-	}
-	if m, ok := MAEOK(a, b); !ok || m != MAE(a, b) {
-		t.Fatalf("MAEOK = %v,%v", m, ok)
-	}
-	if m, ok := MeanBiasOK(a, b); !ok || m != MeanBias(a, b) {
-		t.Fatalf("MeanBiasOK = %v,%v", m, ok)
-	}
-	if m, ok := R2ScoreOK(a, b); !ok || m != R2Score(a, b) {
-		t.Fatalf("R2ScoreOK = %v,%v", m, ok)
-	}
-	st, ok, err := APEDetailOK(a, b)
-	want, werr := APEDetail(a, b)
-	if !ok || err != nil || werr != nil || st != want {
-		t.Fatalf("APEDetailOK = %+v,%v,%v", st, ok, err)
 	}
 }
