@@ -1,9 +1,10 @@
 // Online monitor: the paper's motivating use case — "accurate
 // real-time power information for efficient power management". A
-// trained Equation-1 model is deployed as a streaming estimator fed by
-// apapi-style counter samples from a live (simulated) run, next to a
-// Bellosa-style integrating energy accountant. The estimates are
-// compared against the reference instrumentation at the end.
+// trained Equation-1 model is deployed as a core.StreamSession fed by
+// apapi-style counter samples from a live (simulated) run: smoothed
+// watts per sample and a Bellosa-style integrated energy. The energy
+// is compared against the reference instrumentation at the end, and
+// the program exits non-zero when it is off by more than 10 %.
 //
 // Run with: go run ./examples/online_monitor
 package main
@@ -11,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
@@ -41,8 +43,8 @@ func main() {
 	fmt.Printf("deployed model: %s\n\n", model)
 
 	// "Live" run: the node executes a sequence of workload phases; an
-	// apapi sampler delivers counter rates at 10 Hz; the online
-	// estimator turns each sample into watts.
+	// apapi sampler delivers counter rates at 10 Hz; the stream session
+	// turns each sample into watts and integrates them into joules.
 	platform := cpusim.HaswellEP()
 	exec := cpusim.NewExecutor(platform)
 	gtModel := power.DefaultModel()
@@ -55,11 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	est, err := core.NewOnlineEstimator(model, 0.3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	acct, err := core.NewEnergyAccountant(model)
+	session, err := core.NewStreamSession(model, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +109,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Group per-tick samples into CounterSamples.
+		// Group per-tick samples into CounterSamples. The sampler reads
+		// every active core separately, so a node rate is the sum over
+		// cores.
 		ids := set.Events()
 		perTick := map[uint64]map[pmu.EventID]float64{}
 		var ticks []uint64
@@ -122,21 +122,17 @@ func main() {
 				perTick[s.TimeNs] = m
 				ticks = append(ticks, s.TimeNs)
 			}
-			m[ids[s.MetricIndex]] = s.Value
+			m[ids[s.MetricIndex]] += s.Value
 		}
-		var lastEst core.Estimate
+		var lastEst core.StreamEstimate
 		for _, tick := range ticks {
-			cs := core.CounterSample{
+			lastEst, err = session.Push(core.CounterSample{
 				TimeNs:   tick,
 				Rates:    perTick[tick],
 				VoltageV: act.CoreVoltageV,
 				FreqMHz:  ph.freq,
-			}
-			lastEst, err = est.Push(cs)
+			})
 			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := acct.Push(cs); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -146,8 +142,12 @@ func main() {
 		now += uint64(ph.secs * 1e9)
 	}
 
-	estJ := acct.TotalJoules()
+	estJ, samples := session.Totals()
+	errPct := (estJ - trueJ) / trueJ * 100
 	fmt.Printf("\nenergy over %d s: reference %.0f J, estimated %.0f J (error %+.1f%%)\n",
-		int(float64(now)/1e9), trueJ, estJ, (estJ-trueJ)/trueJ*100)
-	fmt.Printf("samples processed: %d\n", est.Samples())
+		int(float64(now)/1e9), trueJ, estJ, errPct)
+	fmt.Printf("samples processed: %d\n", samples)
+	if math.Abs(errPct) > 10 {
+		log.Fatalf("energy error %+.1f%% exceeds ±10%%", errPct)
+	}
 }

@@ -112,13 +112,13 @@ func TestCrossValidateRejectsInvalidFoldCount(t *testing.T) {
 	}
 }
 
-// --- satellite bugfix: OnlineEstimator.Push input validation -----------
+// --- StreamSession.Push input validation -------------------------------
 
 func TestOnlineEstimatorRejectsInvalidRates(t *testing.T) {
 	m := trainedModel(t)
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	for _, v := range bad {
-		est, err := NewOnlineEstimator(m, 0.5)
+		est, err := NewStreamSession(m, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestOnlineEstimatorRejectsInvalidRates(t *testing.T) {
 		if _, err := est.Push(s); err == nil {
 			t.Fatalf("rate %v must be rejected", v)
 		}
-		if est.Samples() != 0 {
+		if _, n := est.Totals(); n != 0 {
 			t.Fatalf("rejected sample with rate %v mutated estimator state", v)
 		}
 	}
@@ -142,7 +142,7 @@ func TestOnlineEstimatorRejectsInvalidRates(t *testing.T) {
 func TestOnlineEstimatorRejectsInvalidVoltage(t *testing.T) {
 	m := trainedModel(t)
 	for _, v := range []float64{math.NaN(), math.Inf(1), 0, -0.9} {
-		est, err := NewOnlineEstimator(m, 0.5)
+		est, err := NewStreamSession(m, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestOnlineEstimatorRejectsInvalidVoltage(t *testing.T) {
 		if _, err := est.Push(s); err == nil {
 			t.Fatalf("voltage %v must be rejected", v)
 		}
-		if est.Samples() != 0 {
+		if _, n := est.Totals(); n != 0 {
 			t.Fatalf("rejected sample with voltage %v mutated estimator state", v)
 		}
 	}
@@ -159,7 +159,7 @@ func TestOnlineEstimatorRejectsInvalidVoltage(t *testing.T) {
 
 func TestOnlineEstimatorStateSurvivesRejection(t *testing.T) {
 	m := trainedModel(t)
-	est, err := NewOnlineEstimator(m, 0.5)
+	est, err := NewStreamSession(m, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestOnlineEstimatorStateSurvivesRejection(t *testing.T) {
 	if math.Abs(b.SmoothedW-want) > 1e-9 {
 		t.Fatalf("EWMA after rejection = %v, want %v (state contaminated?)", b.SmoothedW, want)
 	}
-	if est.Samples() != 2 {
-		t.Fatalf("Samples = %d, want 2", est.Samples())
+	if _, n := est.Totals(); n != 2 {
+		t.Fatalf("Samples = %d, want 2", n)
 	}
 }

@@ -111,7 +111,7 @@ func TestLoadedModelUsableByOnlineEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewOnlineEstimator(loaded, 0.5)
+	est, err := NewStreamSession(loaded, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

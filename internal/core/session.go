@@ -1,51 +1,106 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sync"
+
+	"pmcpower/internal/acquisition"
+	"pmcpower/internal/pmu"
 )
 
-// StreamSession couples an OnlineEstimator with an EnergyAccountant
-// behind one mutex, so a deployment surface (the pmcpowerd daemon,
-// or any embedder) can feed one logical client's samples from
-// multiple goroutines without interleaving the EWMA and trapezoid
-// state. The arithmetic is exactly that of the wrapped types: a
-// sequence of samples pushed through a StreamSession yields
-// bit-identical estimates and joules to driving an OnlineEstimator
-// and EnergyAccountant directly in the same order.
+// This file provides the run-time side of the paper's motivation:
+// "there is a growing need for accurate real-time power information
+// for efficient power management". A trained Equation-1 model is
+// turned into a streaming session that consumes counter-rate samples
+// (as an apapi-style sampler delivers them) and emits instantaneous
+// and smoothed power estimates plus the integrated energy, in the
+// spirit of Bellosa's Joule Watcher [8].
+
+// Sentinel rejection kinds for StreamSession.Push. Deployment
+// surfaces (internal/serve) classify rejected samples by these with
+// errors.Is, so the mapping from validation failure to client-visible
+// reason is typed rather than string-matched.
+var (
+	// ErrOutOfOrder marks a sample older than the last accepted one.
+	ErrOutOfOrder = errors.New("sample out of order")
+	// ErrBadOperatingPoint marks a non-positive frequency or a
+	// non-finite/non-positive voltage.
+	ErrBadOperatingPoint = errors.New("invalid operating point")
+	// ErrMissingEvent marks a sample lacking a model event rate.
+	ErrMissingEvent = errors.New("missing model event")
+	// ErrBadRate marks a NaN, infinite, or negative counter rate.
+	ErrBadRate = errors.New("invalid counter rate")
+)
+
+// CounterSample is one streaming observation: counter rates over the
+// preceding sampling interval together with the operating point.
+type CounterSample struct {
+	// TimeNs is the sample timestamp (monotonic, nanoseconds).
+	TimeNs uint64
+	// Rates are event rates in events/second for at least the model's
+	// events.
+	Rates map[pmu.EventID]float64
+	// VoltageV and FreqMHz describe the operating point during the
+	// interval.
+	VoltageV float64
+	FreqMHz  int
+}
+
+// StreamSession turns a trained model into one logical client's
+// streaming power estimator: every accepted sample yields the
+// instantaneous Equation-1 watts, an exponentially smoothed reading,
+// and the energy integrated trapezoidally between consecutive samples
+// — the software equivalent of an energy counter, after Bellosa's
+// event-driven energy accounting. A mutex serializes pushes, so a
+// deployment surface (the pmcpowerd daemon, or any embedder) can feed
+// one client's samples from multiple goroutines without interleaving
+// the EWMA and trapezoid state.
 //
 // A session opened with NewStreamSessionRefit additionally carries a
 // Refitter: labelled samples (PushLabeled) slide the model's
 // coefficients toward the live counters-to-power relationship, and
 // every estimate is stamped with the model version that produced it.
 type StreamSession struct {
-	mu   sync.Mutex
-	est  *OnlineEstimator
-	acct *EnergyAccountant
+	mu sync.Mutex
+	// model serves the estimates: the frozen fit, or the refitter's
+	// adapted copy whose coefficients refresh in place.
+	model *Model
+	// alpha is the EWMA smoothing factor in (0,1]; 1 disables
+	// smoothing.
+	alpha    float64
+	smoothed float64
+	// lastNs and lastW are the last accepted sample's timestamp and
+	// instantaneous watts: the ordering bound and the left edge of the
+	// next trapezoid.
+	lastNs  uint64
+	lastW   float64
+	totalJ  float64
+	samples uint64
 	// refit is nil for frozen sessions.
 	refit *Refitter
 }
 
-// NewStreamSession wraps a trained model. alpha is the EWMA smoothing
-// factor of the embedded OnlineEstimator (the energy integral always
-// uses instantaneous power, so alpha does not affect joules).
+// NewStreamSession wraps a trained model. alpha is the EWMA factor:
+// smoothed ← alpha·instant + (1−alpha)·smoothed. The energy integral
+// always uses instantaneous power, so alpha does not affect joules.
 func NewStreamSession(m *Model, alpha float64) (*StreamSession, error) {
-	est, err := NewOnlineEstimator(m, alpha)
-	if err != nil {
-		return nil, err
+	if m == nil {
+		return nil, fmt.Errorf("core: nil model")
 	}
-	acct, err := NewEnergyAccountant(m)
-	if err != nil {
-		return nil, err
+	if alpha <= 0 || alpha > 1 {
+		return nil, fmt.Errorf("core: EWMA alpha %v outside (0,1]", alpha)
 	}
-	return &StreamSession{est: est, acct: acct}, nil
+	return &StreamSession{model: m, alpha: alpha}, nil
 }
 
 // NewStreamSessionRefit is NewStreamSession with streaming refit over
 // a sliding window of refitWindow labelled samples (window == 0 means
-// frozen, identical to NewStreamSession). The estimator and the energy
-// accountant both serve the refitter's adapted model, so coefficient
-// refreshes take effect on the very next sample; until the first
-// refresh the adapted model is coefficient-identical to m.
+// frozen, identical to NewStreamSession). The session serves the
+// refitter's adapted model, so coefficient refreshes take effect on
+// the very next sample; until the first refresh the adapted model is
+// coefficient-identical to m.
 func NewStreamSessionRefit(m *Model, alpha float64, refitWindow int) (*StreamSession, error) {
 	if refitWindow == 0 {
 		return NewStreamSession(m, alpha)
@@ -62,23 +117,26 @@ func NewStreamSessionRefit(m *Model, alpha float64, refitWindow int) (*StreamSes
 	return s, nil
 }
 
-// StreamEstimate is one output of a StreamSession: the estimator's
-// instantaneous and smoothed watts plus the accountant's cumulative
-// joules, the number of samples accepted so far, and the version of
-// the model that computed the estimate (0 = the frozen offline fit;
-// it increments with every streaming coefficient refresh).
+// StreamEstimate is one output of a StreamSession: the instantaneous
+// and smoothed watts, the cumulative joules, the number of samples
+// accepted so far, and the version of the model that computed the
+// estimate (0 = the frozen offline fit; it increments with every
+// streaming coefficient refresh).
 type StreamEstimate struct {
-	Estimate
+	TimeNs       uint64
+	InstantW     float64
+	SmoothedW    float64
 	TotalJoules  float64
 	Samples      uint64
 	ModelVersion uint64
 }
 
-// Push consumes one sample under the session lock. A rejected sample
-// (out of order, missing event, non-finite rate or operating point)
-// leaves both the estimator and the accountant untouched: the wrapped
-// types validate before mutating, so an error here never poisons
-// later estimates.
+// Push consumes one sample under the session lock. Samples must
+// arrive in non-decreasing time order, carry every model event, and be
+// finite: an out-of-order sample, an invalid operating point, or a
+// missing or NaN/Inf/negative counter rate is rejected before any
+// state mutates, so an error here never poisons the EWMA, the energy
+// integral, or any later estimate.
 func (s *StreamSession) Push(cs CounterSample) (StreamEstimate, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,24 +144,41 @@ func (s *StreamSession) Push(cs CounterSample) (StreamEstimate, error) {
 }
 
 func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
+	if s.samples > 0 && cs.TimeNs < s.lastNs {
+		return StreamEstimate{}, fmt.Errorf("core: %w: sample at %d ns (last %d ns)", ErrOutOfOrder, cs.TimeNs, s.lastNs)
+	}
+	if cs.FreqMHz <= 0 || !(cs.VoltageV > 0) || math.IsInf(cs.VoltageV, 0) {
+		return StreamEstimate{}, fmt.Errorf("core: %w: freq %d MHz, voltage %v V", ErrBadOperatingPoint, cs.FreqMHz, cs.VoltageV)
+	}
+	for _, id := range s.model.Events {
+		r, ok := cs.Rates[id]
+		if !ok {
+			return StreamEstimate{}, fmt.Errorf("core: %w: %s", ErrMissingEvent, pmu.Lookup(id).Name)
+		}
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return StreamEstimate{}, fmt.Errorf("core: %w: %v for event %s", ErrBadRate, r, pmu.Lookup(id).Name)
+		}
+	}
+	inst := s.model.Predict(&acquisition.Row{FreqMHz: cs.FreqMHz, VoltageV: cs.VoltageV, Rates: cs.Rates})
+	if s.samples == 0 {
+		s.smoothed = inst
+	} else {
+		s.smoothed = s.alpha*inst + (1-s.alpha)*s.smoothed
+		dt := float64(cs.TimeNs-s.lastNs) / 1e9
+		s.totalJ += dt * (inst + s.lastW) / 2
+	}
+	s.lastNs, s.lastW = cs.TimeNs, inst
+	s.samples++
 	version := uint64(0)
 	if s.refit != nil {
 		version = s.refit.Version()
 	}
-	est, err := s.est.Push(cs)
-	if err != nil {
-		return StreamEstimate{}, err
-	}
-	// The accountant validates identically, so it cannot fail after
-	// the estimator accepted the same sample.
-	joules, err := s.acct.Push(cs)
-	if err != nil {
-		return StreamEstimate{}, err
-	}
 	return StreamEstimate{
-		Estimate:     est,
-		TotalJoules:  joules,
-		Samples:      s.est.Samples(),
+		TimeNs:       cs.TimeNs,
+		InstantW:     inst,
+		SmoothedW:    s.smoothed,
+		TotalJoules:  s.totalJ,
+		Samples:      s.samples,
 		ModelVersion: version,
 	}, nil
 }
@@ -130,8 +205,8 @@ func (s *StreamSession) PushLabeled(cs CounterSample, powerW float64) (StreamEst
 	if err != nil {
 		return StreamEstimate{}, err
 	}
-	// The estimator accepted the sample and the label is valid, so
-	// Observe cannot reject it.
+	// push accepted the sample and the label is valid, so Observe
+	// cannot reject it.
 	if err := s.refit.Observe(cs, powerW); err != nil {
 		return StreamEstimate{}, err
 	}
@@ -169,5 +244,5 @@ func (s *StreamSession) RefitRebuilds() uint64 {
 func (s *StreamSession) Totals() (joules float64, samples uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.acct.TotalJoules(), s.est.Samples()
+	return s.totalJ, s.samples
 }

@@ -107,10 +107,12 @@ func sampleFromRow(rowIdx int, timeNs uint64, t *testing.T) CounterSample {
 	}
 }
 
+// TestOnlineEstimatorMatchesModel: with alpha 1 a StreamSession's
+// instantaneous and smoothed watts are exactly Model.Predict.
 func TestOnlineEstimatorMatchesModel(t *testing.T) {
 	m := trainedModel(t)
 	_, full := fixtures(t)
-	est, err := NewOnlineEstimator(m, 1) // no smoothing
+	est, err := NewStreamSession(m, 1) // no smoothing
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +130,15 @@ func TestOnlineEstimatorMatchesModel(t *testing.T) {
 			t.Fatal("alpha=1 must disable smoothing")
 		}
 	}
-	if est.Samples() != 5 {
-		t.Fatalf("Samples = %d", est.Samples())
+	if _, n := est.Totals(); n != 5 {
+		t.Fatalf("Samples = %d", n)
 	}
 }
 
+// TestOnlineEstimatorSmoothing pins StreamSession's EWMA.
 func TestOnlineEstimatorSmoothing(t *testing.T) {
 	m := trainedModel(t)
-	est, err := NewOnlineEstimator(m, 0.25)
+	est, err := NewStreamSession(m, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +165,19 @@ func TestOnlineEstimatorSmoothing(t *testing.T) {
 	}
 }
 
+// TestOnlineEstimatorValidation covers StreamSession's constructor
+// and per-sample checks.
 func TestOnlineEstimatorValidation(t *testing.T) {
 	m := trainedModel(t)
-	if _, err := NewOnlineEstimator(nil, 0.5); err == nil {
+	if _, err := NewStreamSession(nil, 0.5); err == nil {
 		t.Fatal("nil model must error")
 	}
 	for _, alpha := range []float64{0, -1, 1.5} {
-		if _, err := NewOnlineEstimator(m, alpha); err == nil {
+		if _, err := NewStreamSession(m, alpha); err == nil {
 			t.Fatalf("alpha %v must error", alpha)
 		}
 	}
-	est, err := NewOnlineEstimator(m, 0.5)
+	est, err := NewStreamSession(m, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +202,12 @@ func TestOnlineEstimatorValidation(t *testing.T) {
 	}
 }
 
+// TestEnergyAccountant: a StreamSession integrates a constant power P
+// over T seconds to P·T joules.
 func TestEnergyAccountant(t *testing.T) {
 	m := trainedModel(t)
 	_, full := fixtures(t)
-	acc, err := NewEnergyAccountant(m)
+	acc, err := NewStreamSession(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +216,7 @@ func TestEnergyAccountant(t *testing.T) {
 	p := m.Predict(r)
 	const steps = 10
 	for i := 0; i <= steps; i++ {
-		j, err := acc.Push(CounterSample{
+		out, err := acc.Push(CounterSample{
 			TimeNs:   uint64(i) * 1e9,
 			Rates:    r.Rates,
 			VoltageV: r.VoltageV,
@@ -218,20 +225,23 @@ func TestEnergyAccountant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		j := out.TotalJoules
 		want := p * float64(i)
 		if math.Abs(j-want) > 1e-6*math.Max(want, 1) {
 			t.Fatalf("energy after %d s = %.3f J, want %.3f J", i, j, want)
 		}
 	}
-	if math.Abs(acc.TotalJoules()-p*steps) > 1e-6*p*steps {
-		t.Fatalf("TotalJoules = %.3f, want %.3f", acc.TotalJoules(), p*steps)
+	if j, _ := acc.Totals(); math.Abs(j-p*steps) > 1e-6*p*steps {
+		t.Fatalf("TotalJoules = %.3f, want %.3f", j, p*steps)
 	}
 }
 
+// TestEnergyAccountantTrapezoid: between two samples a StreamSession
+// adds the trapezoid of their instantaneous watts.
 func TestEnergyAccountantTrapezoid(t *testing.T) {
 	m := trainedModel(t)
 	_, full := fixtures(t)
-	acc, err := NewEnergyAccountant(m)
+	acc, err := NewStreamSession(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +250,11 @@ func TestEnergyAccountantTrapezoid(t *testing.T) {
 	if _, err := acc.Push(CounterSample{TimeNs: 0, Rates: rA.Rates, VoltageV: rA.VoltageV, FreqMHz: rA.FreqMHz}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := acc.Push(CounterSample{TimeNs: 2e9, Rates: rB.Rates, VoltageV: rB.VoltageV, FreqMHz: rB.FreqMHz})
+	out, err := acc.Push(CounterSample{TimeNs: 2e9, Rates: rB.Rates, VoltageV: rB.VoltageV, FreqMHz: rB.FreqMHz})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := out.TotalJoules
 	want := 2 * (pA + pB) / 2
 	if math.Abs(j-want) > 1e-9*want {
 		t.Fatalf("trapezoid energy = %.4f, want %.4f", j, want)

@@ -335,6 +335,115 @@ func TestEstimateSampleZeroAllocs(t *testing.T) {
 	}
 }
 
+// discardWriter is a flushable ResponseWriter that counts the rows it
+// is sent and keeps no bytes, so an allocation count taken around
+// ServeHTTP is the server's alone.
+type discardWriter struct {
+	header       http.Header
+	status       int
+	rows, errors int
+}
+
+var (
+	newline  = []byte("\n")
+	errorKey = []byte(`"error"`)
+)
+
+func (d *discardWriter) Header() http.Header { return d.header }
+func (d *discardWriter) WriteHeader(code int) {
+	if d.status == 0 {
+		d.status = code
+	}
+}
+func (d *discardWriter) Write(b []byte) (int, error) {
+	if d.status == 0 {
+		d.status = http.StatusOK
+	}
+	d.rows += bytes.Count(b, newline)
+	d.errors += bytes.Count(b, errorKey)
+	return len(b), nil
+}
+func (d *discardWriter) Flush() {}
+
+// TestEstimateHandlerAllocs gates the real handler's per-sample
+// allocations: driving Handler().ServeHTTP in process, as the bench
+// ladder's serve.handler rung does, a warmed named session's body of
+// 8n lines must allocate at most one object more than a body of n
+// lines, labelled refit streams included. One allocation per sample
+// would show as 7n more.
+func TestEstimateHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	_, rows := fixture(t)
+	s := New(Config{Registry: func() *Registry {
+		m, _ := fixture(t)
+		r := NewRegistry()
+		r.Add("m", m)
+		return r
+	}()})
+	defer s.Close()
+	h := s.Handler()
+
+	const n, runs = 50, 10
+	for _, tc := range []struct {
+		name, query string
+		line        func(*testing.T, *acquisition.Row, uint64) string
+	}{
+		{"unlabelled", "?model=m&session=plain", func(t *testing.T, r *acquisition.Row, timeNs uint64) string {
+			// As a sampler sends it: sampleLine's "power_w":null is
+			// valid but left to the encoding/json route.
+			return strings.Replace(sampleLine(t, r, timeNs), `,"power_w":null`, "", 1)
+		}},
+		{"labelled", "?model=m&session=refit&refit=64", labelledLine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var timeNs uint64
+			// requests builds k requests of lines samples each, continuing
+			// the session's timeline.
+			requests := func(k, lines int) ([]*http.Request, []*discardWriter) {
+				reqs := make([]*http.Request, k)
+				ws := make([]*discardWriter, k)
+				for i := range reqs {
+					var body strings.Builder
+					for j := 0; j < lines; j++ {
+						timeNs += 1e6
+						body.WriteString(tc.line(t, rows[int(timeNs/1e6)%len(rows)], timeNs))
+						body.WriteByte('\n')
+					}
+					req, err := http.NewRequest(http.MethodPost, "/v1/estimate"+tc.query, strings.NewReader(body.String()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					reqs[i], ws[i] = req, &discardWriter{header: http.Header{}}
+				}
+				return reqs, ws
+			}
+			measure := func(lines int) float64 {
+				reqs, ws := requests(runs+1, lines) // AllocsPerRun adds one warm-up call
+				k := 0
+				allocs := testing.AllocsPerRun(runs, func() {
+					h.ServeHTTP(ws[k], reqs[k])
+					k++
+				})
+				for i, w := range ws {
+					if w.status != http.StatusOK || w.rows != lines || w.errors != 0 {
+						t.Fatalf("request %d of %d lines: status %d, %d rows, %d errors", i, lines, w.status, w.rows, w.errors)
+					}
+				}
+				return allocs
+			}
+			measure(n) // open the session and its quality state outside the gate
+			small, large := measure(n), measure(8*n)
+			t.Logf("allocs per request: %.0f for %d lines, %.0f for %d lines", small, n, large, 8*n)
+			if large > small+1 {
+				t.Fatalf("a body of %d lines allocates %.0f objects, of %d lines %.0f: %.2f allocs per extra sample, want 0",
+					8*n, large, n, small, (large-small)/(7*n))
+			}
+		})
+	}
+}
+
 // --- body caps --------------------------------------------------------
 
 func TestPredictBodyCap(t *testing.T) {

@@ -121,8 +121,8 @@ func parseNumber(b []byte, i int) (v float64, next int, ok bool) {
 }
 
 // parseSampleFast scans one wireSample object out of line into ps,
-// filling ps.ws (except Rates) and the borrowed ps.rateNames /
-// ps.rateVals pairs. It returns false whenever the input strays from
+// filling ps.ws (except Rates and PowerW), the label fields and the
+// borrowed ps.rateNames / ps.rateVals pairs. It returns false whenever the input strays from
 // the common shape; the caller must then re-parse via encoding/json.
 // Mirrored semantics worth noting: trailing bytes after the closing
 // brace are ignored (json.Decoder.Decode reads one value and stops),
@@ -132,6 +132,7 @@ func parseNumber(b []byte, i int) (v float64, next int, ok bool) {
 func parseSampleFast(line []byte, ps *parseScratch) bool {
 	ps.rateNames = ps.rateNames[:0]
 	ps.rateVals = ps.rateVals[:0]
+	ps.powerW, ps.labelled = 0, false
 	// Keep the slow path's reusable decoded map across a bailout; the
 	// fast path itself never touches ws.Rates.
 	ps.ws = wireSample{Rates: ps.ws.Rates}
@@ -192,8 +193,7 @@ func parseSampleFast(line []byte, ps *parseScratch) bool {
 			if !ok {
 				return false
 			}
-			p := v
-			ps.ws.PowerW = &p
+			ps.powerW, ps.labelled = v, true
 			i = next
 		case "rates":
 			if i >= len(line) || line[i] != '{' {
@@ -259,10 +259,10 @@ func parseSampleFast(line []byte, ps *parseScratch) bool {
 // path re-parses and produces the identical error in the identical
 // order, so rejected lines cost a second parse but behave exactly as
 // before.
-func finishSampleFast(ps *parseScratch) (core.CounterSample, *float64, bool) {
+func finishSampleFast(ps *parseScratch) (core.CounterSample, bool) {
 	freq, err := validFreqMHz(ps.ws.FreqMHz)
 	if err != nil {
-		return core.CounterSample{}, nil, false
+		return core.CounterSample{}, false
 	}
 	if ps.namesMatchCache() {
 		// Same key set as the previous line: overwrite values in place.
@@ -281,7 +281,7 @@ func finishSampleFast(ps *parseScratch) (core.CounterSample, *float64, bool) {
 		for k, name := range ps.rateNames {
 			ev, err := pmu.ByName(string(name))
 			if err != nil {
-				return core.CounterSample{}, nil, false
+				return core.CounterSample{}, false
 			}
 			ps.rates[ev.ID] = ps.rateVals[k]
 			ps.keyCache = append(append(ps.keyCache, name...), 0xff)
@@ -294,5 +294,5 @@ func finishSampleFast(ps *parseScratch) (core.CounterSample, *float64, bool) {
 		FreqMHz:  freq,
 		VoltageV: ps.ws.VoltageV,
 		Rates:    ps.rates,
-	}, ps.ws.PowerW, true
+	}, true
 }

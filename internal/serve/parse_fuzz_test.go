@@ -26,11 +26,11 @@ func FuzzParseSample(f *testing.F) {
 				continue
 			}
 			var fresh parseScratch
-			want, wantPower, wantReason, wantErr := decodeSample(line, &fresh)
+			want, wantPower, wantLabelled, wantReason, wantErr := decodeSample(line, &fresh)
 			if ambiguousRates(fresh.ws.Rates) {
 				continue
 			}
-			got, gotPower, gotReason, gotErr := parseSampleInto(line, &shared)
+			got, gotPower, gotLabelled, gotReason, gotErr := parseSampleInto(line, &shared)
 			if gotReason != wantReason || errText(gotErr) != errText(wantErr) {
 				t.Fatalf("line %q: parser rejects (%q, %q), decoder (%q, %q)",
 					line, gotReason, errText(gotErr), wantReason, errText(wantErr))
@@ -51,9 +51,9 @@ func FuzzParseSample(f *testing.F) {
 					t.Fatalf("line %q: parser rates %v, decoder %v", line, got.Rates, want.Rates)
 				}
 			}
-			if (gotPower == nil) != (wantPower == nil) ||
-				gotPower != nil && math.Float64bits(*gotPower) != math.Float64bits(*wantPower) {
-				t.Fatalf("line %q: parser power_w %v, decoder %v", line, gotPower, wantPower)
+			if gotLabelled != wantLabelled || math.Float64bits(gotPower) != math.Float64bits(wantPower) {
+				t.Fatalf("line %q: parser power_w (%v, %v), decoder (%v, %v)",
+					line, gotPower, gotLabelled, wantPower, wantLabelled)
 			}
 		}
 	})

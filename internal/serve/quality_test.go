@@ -214,6 +214,38 @@ func abs(v float64) float64 {
 	return v
 }
 
+// TestQualityLedgerStartsAtFirstLabel: a model version's quality
+// ledger opens with its first labelled sample, as StatusResponse.Quality
+// documents. Unlabelled traffic adds no /v1/status quality entry and no
+// pmcpowerd_quality_state series; one labelled sample adds exactly one
+// of each.
+func TestQualityLedgerStartsAtFirstLabel(t *testing.T) {
+	_, rows := fixture(t)
+	s, ts := newTestServer(t, Config{})
+	ledger := func() ([]ModelQuality, int) {
+		t.Helper()
+		var status StatusResponse
+		if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
+			t.Fatalf("/v1/status = %d", code)
+		}
+		return status.Quality, strings.Count(s.Metrics().Render(), "pmcpowerd_quality_state{")
+	}
+
+	if code, ests, _ := streamEstimates(t, ts, "?model=m&session=q", []string{sampleLine(t, rows[0], 1e6)}); code != http.StatusOK || len(ests) != 1 {
+		t.Fatalf("unlabelled stream: status %d, %d estimates", code, len(ests))
+	}
+	if q, series := ledger(); len(q) != 0 || series != 0 {
+		t.Fatalf("after an unlabelled sample: quality %+v, %d quality_state series; want none", q, series)
+	}
+
+	if code, ests, _ := streamEstimates(t, ts, "?model=m&session=q", []string{labelledLine(t, rows[1], 2e6)}); code != http.StatusOK || len(ests) != 1 {
+		t.Fatalf("labelled stream: status %d, %d estimates", code, len(ests))
+	}
+	if q, series := ledger(); len(q) != 1 || q[0].Model != "m@1" || q[0].LabelledSamples != 1 || series != 1 {
+		t.Fatalf("after one labelled sample: quality %+v, %d quality_state series; want one m@1 entry and one series", q, series)
+	}
+}
+
 // TestHealthReadiness pins the readiness semantics: a daemon with no
 // models is not ready (503), one with a model is.
 func TestHealthReadiness(t *testing.T) {

@@ -110,6 +110,35 @@ func counterSample(r *acquisition.Row, timeNs uint64) core.CounterSample {
 	return core.CounterSample{TimeNs: timeNs, FreqMHz: r.FreqMHz, VoltageV: r.VoltageV, Rates: rates}
 }
 
+// streamOracle is the arithmetic of a frozen estimate stream written
+// out in the test: Equation 1 by Model.Predict, the EWMA, and the
+// trapezoidal energy integral. The server is compared with it, not
+// with the code it runs.
+type streamOracle struct {
+	m      *core.Model
+	alpha  float64
+	n      uint64
+	lastNs uint64
+	// lastW is the previous instant, the trapezoid's left edge.
+	lastW, smoothed, joules float64
+}
+
+// push folds row r at timeNs into the oracle and returns the instant
+// and smoothed watts and the cumulative joules.
+func (o *streamOracle) push(r *acquisition.Row, timeNs uint64) (inst, smoothed, joules float64) {
+	inst = o.m.Predict(r)
+	if o.n == 0 {
+		o.smoothed = inst
+	} else {
+		o.smoothed = o.alpha*inst + (1-o.alpha)*o.smoothed
+		dt := float64(timeNs-o.lastNs) / 1e9
+		o.joules += dt * (inst + o.lastW) / 2
+	}
+	o.n++
+	o.lastNs, o.lastW = timeNs, inst
+	return inst, o.smoothed, o.joules
+}
+
 // streamEstimates POSTs the lines as one NDJSON request and decodes
 // every response line.
 func streamEstimates(t *testing.T, ts *httptest.Server, query string, lines []string) (int, []wireEstimate, []wireError) {
@@ -316,22 +345,15 @@ func TestPredictRejectsInvalidRows(t *testing.T) {
 // --- streaming estimation --------------------------------------------
 
 // TestEstimateStreamBitIdentical: one client streams 40 samples; every
-// served instant/smoothed watt and cumulative joule must equal driving
-// the OnlineEstimator and EnergyAccountant directly, bit for bit.
+// served instant/smoothed watt and cumulative joule must equal the
+// test's own Equation-1, EWMA and trapezoid arithmetic, bit for bit.
 func TestEstimateStreamBitIdentical(t *testing.T) {
 	m, rows := fixture(t)
 	_, ts := newTestServer(t, Config{})
 
 	const alpha = 0.3
 	var lines []string
-	est, err := core.NewOnlineEstimator(m, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct, err := core.NewEnergyAccountant(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := streamOracle{m: m, alpha: alpha}
 	type ref struct {
 		inst, smooth, joules float64
 	}
@@ -339,15 +361,8 @@ func TestEstimateStreamBitIdentical(t *testing.T) {
 	for i, r := range rows[:40] {
 		tns := uint64(i) * 50_000_000
 		lines = append(lines, sampleLine(t, r, tns))
-		e, err := est.Push(counterSample(r, tns))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := acct.Push(counterSample(r, tns))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, ref{inst: e.InstantW, smooth: e.SmoothedW, joules: j})
+		inst, smooth, j := oracle.push(r, tns)
+		want = append(want, ref{inst: inst, smooth: smooth, joules: j})
 	}
 
 	status, ests, errLines := streamEstimates(t, ts, "?model=m&session=c1&alpha=0.3", lines)
@@ -386,16 +401,7 @@ func TestEstimateConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			alpha := alphas[c]
 			// Each client walks a distinct slice of the dataset.
-			est, err := core.NewOnlineEstimator(m, alpha)
-			if err != nil {
-				errs <- err
-				return
-			}
-			acct, err := core.NewEnergyAccountant(m)
-			if err != nil {
-				errs <- err
-				return
-			}
+			oracle := streamOracle{m: m, alpha: alpha}
 			var lines []string
 			type ref struct{ inst, smooth, joules float64 }
 			var want []ref
@@ -403,17 +409,8 @@ func TestEstimateConcurrentClients(t *testing.T) {
 				r := rows[(c*perClient+i)%len(rows)]
 				tns := uint64(i) * 100_000_000
 				lines = append(lines, sampleLine(t, r, tns))
-				e, err := est.Push(counterSample(r, tns))
-				if err != nil {
-					errs <- err
-					return
-				}
-				j, err := acct.Push(counterSample(r, tns))
-				if err != nil {
-					errs <- err
-					return
-				}
-				want = append(want, ref{e.InstantW, e.SmoothedW, j})
+				inst, smooth, j := oracle.push(r, tns)
+				want = append(want, ref{inst, smooth, j})
 			}
 			q := fmt.Sprintf("?model=m&session=client%d&alpha=%v", c, alpha)
 			status, ests, errLines := streamEstimates(t, ts, q, lines)
@@ -515,15 +512,12 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 	if status != 200 || len(ests) != 1 {
 		t.Fatalf("resumed sample: %d, %d estimates", status, len(ests))
 	}
-	est, _ := core.NewOnlineEstimator(m, 0.5)
-	acct, _ := core.NewEnergyAccountant(m)
-	est.Push(counterSample(r0, 1000))
-	acct.Push(counterSample(r0, 1000))
-	e2, _ := est.Push(counterSample(r1, 2000))
-	j2, _ := acct.Push(counterSample(r1, 2000))
-	if ests[0].SmoothedW != e2.SmoothedW || ests[0].TotalJ != j2 || ests[0].Samples != 2 {
+	oracle := streamOracle{m: m, alpha: 0.5}
+	oracle.push(r0, 1000)
+	_, smooth2, j2 := oracle.push(r1, 2000)
+	if ests[0].SmoothedW != smooth2 || ests[0].TotalJ != j2 || ests[0].Samples != 2 {
 		t.Fatalf("session state poisoned: served (%v, %v, %d) direct (%v, %v, 2)",
-			ests[0].SmoothedW, ests[0].TotalJ, ests[0].Samples, e2.SmoothedW, j2)
+			ests[0].SmoothedW, ests[0].TotalJ, ests[0].Samples, smooth2, j2)
 	}
 
 	// Mid-stream rejection: valid, invalid, valid in one request →

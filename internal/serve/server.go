@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,11 +33,9 @@ type Config struct {
 	// batch prediction also see).
 	DefaultAlpha float64
 	// IdleTTL evicts sessions with no attached stream for this long.
-	// Default 5 minutes.
+	// Default 5 minutes. The janitor sweeps every IdleTTL/4, clamped to
+	// [1s, 30s].
 	IdleTTL time.Duration
-	// SweepInterval is the janitor period. Default IdleTTL/4,
-	// clamped to [1s, 30s].
-	SweepInterval time.Duration
 	// MaxSessions caps live sessions; further session creation gets
 	// HTTP 429. Default 1024.
 	MaxSessions int
@@ -120,16 +116,10 @@ type Config struct {
 	// with the recorder on or off — it is a pure observer.
 	DisableFlightRec bool
 	// FlightRecRetain caps the ring of fully retained traces. Default
-	// 64 (the obs package default).
+	// 64 (the obs package default). The recorder's other bounds keep
+	// the obs defaults: 128 recent request summaries, 64 events per
+	// trace, and slow meaning 4 × the rolling mean duration.
 	FlightRecRetain int
-	// FlightRecRecent caps the recently-completed request summary ring
-	// served at /debug/requests. Default 128.
-	FlightRecRecent int
-	// FlightRecEvents caps captured events per trace. Default 64.
-	FlightRecEvents int
-	// FlightRecSlowFactor: a request is retained as slow when its
-	// duration exceeds SlowFactor × the rolling mean. Default 4.
-	FlightRecSlowFactor float64
 	// FlightRecMinSlow is the absolute floor under which no request
 	// counts as slow. Default 1s.
 	FlightRecMinSlow time.Duration
@@ -154,15 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTTL == 0 {
 		c.IdleTTL = 5 * time.Minute
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = c.IdleTTL / 4
-		if c.SweepInterval < time.Second {
-			c.SweepInterval = time.Second
-		}
-		if c.SweepInterval > 30*time.Second {
-			c.SweepInterval = 30 * time.Second
-		}
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 1024
@@ -232,14 +213,11 @@ func New(cfg Config) *Server {
 	}
 	if !cfg.DisableFlightRec {
 		s.flightrec = obs.NewFlightRecorder(obs.FlightRecorderConfig{
-			Stages:     flightStages,
-			Retain:     cfg.FlightRecRetain,
-			Recent:     cfg.FlightRecRecent,
-			MaxEvents:  cfg.FlightRecEvents,
-			SlowFactor: cfg.FlightRecSlowFactor,
-			MinSlow:    cfg.FlightRecMinSlow,
-			Warmup:     cfg.FlightRecWarmup,
-			Now:        cfg.Now,
+			Stages:  flightStages,
+			Retain:  cfg.FlightRecRetain,
+			MinSlow: cfg.FlightRecMinSlow,
+			Warmup:  cfg.FlightRecWarmup,
+			Now:     cfg.Now,
 		})
 	}
 	qualityWindow := cfg.QualityWindow
@@ -285,18 +263,6 @@ func buildVersion() string {
 	}
 	return "dev"
 }
-
-// flightStages names the per-request stage timing slots the estimate
-// loop reports into the flight recorder; the stage* constants index
-// into it.
-var flightStages = []string{"parse", "push", "quality", "encode"}
-
-const (
-	stageParse = iota
-	stagePush
-	stageQuality
-	stageEncode
-)
 
 // Handler returns the root handler for an http.Server: the service
 // mux wrapped in the observability middleware. Every request gets a
@@ -416,40 +382,6 @@ func (s *Server) SessionQuality(model, id string) (quality.WindowSnapshot, bool)
 // clock.
 func (s *Server) SweepIdleSessions() int { return s.sessions.sweep(s.cfg.Now()) }
 
-// EstimateSample pushes one counter sample through a named session's
-// estimator exactly as one /v1/estimate NDJSON line would — admission
-// gate, registry resolution, session bookkeeping, and metrics are the
-// serving path's — but without HTTP framing or parsing. It exists for
-// in-process harnesses (the bench ladder's engine rung, the allocation
-// gate in tests) that drive the serving core without a socket; the
-// steady-state path allocates nothing.
-func (s *Server) EstimateSample(model, sessionID string, cs core.CounterSample) (core.StreamEstimate, error) {
-	if herr := s.gate.admit("/v1/estimate"); herr != nil {
-		return core.StreamEstimate{}, herr
-	}
-	ref, err := s.reg.Resolve(model)
-	if err != nil {
-		s.gate.leave()
-		return core.StreamEstimate{}, err
-	}
-	key := sessionKey{model: model, id: sessionID}
-	sess, herr := s.sessions.acquire(key, ref.Model, s.cfg.DefaultAlpha, s.cfg.RefitWindow)
-	if herr != nil {
-		s.gate.leave()
-		return core.StreamEstimate{}, herr
-	}
-	start := time.Now()
-	est, perr := sess.stream.Push(cs)
-	if perr == nil {
-		s.metrics.Estimate(s.sessions.shardIndex(key), time.Since(start))
-	} else {
-		s.metrics.Reject(classifyPushError(perr))
-	}
-	s.sessions.release(key)
-	s.gate.leave()
-	return est, perr
-}
-
 // Close stops the janitor. In-flight requests are the http.Server's
 // concern (use its Shutdown for request draining).
 func (s *Server) Close() {
@@ -459,7 +391,7 @@ func (s *Server) Close() {
 
 func (s *Server) runJanitor() {
 	defer s.janitor.Done()
-	t := time.NewTicker(s.cfg.SweepInterval)
+	t := time.NewTicker(min(max(s.cfg.IdleTTL/4, time.Second), 30*time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -697,286 +629,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Request("/v1/estimate")
-	tc, _ := obs.TraceFromContext(r.Context())
-	at := s.flightrec.Lookup(tc.TraceID)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, ReasonParse, errors.New("serve: POST required"))
-		return
-	}
-	if herr := s.gate.admit("/v1/estimate"); herr != nil {
-		at.Error(herr.err.Error())
-		s.gate.setRetryAfter(w.Header())
-		writeError(w, herr.status, herr.reason, herr.err)
-		return
-	}
-	defer s.gate.leave()
-	q := r.URL.Query()
-	ref, err := s.reg.Resolve(q.Get("model"))
-	if err != nil {
-		at.Error(err.Error())
-		writeError(w, http.StatusNotFound, ReasonParse, err)
-		return
-	}
-	at.SetModel(ref.Key())
-	m := ref.Model
-	alpha := s.cfg.DefaultAlpha
-	if a := q.Get("alpha"); a != "" {
-		alpha, err = strconv.ParseFloat(a, 64)
-		if err != nil || !(alpha > 0) || alpha > 1 {
-			s.metrics.Reject(ReasonParse)
-			writeError(w, http.StatusBadRequest, ReasonParse,
-				fmt.Errorf("serve: alpha %q outside (0,1]", a))
-			return
-		}
-	}
-	// ?refit=N opts the session into streaming refit over a sliding
-	// window of N labelled samples (?refit=0 forces frozen); absent, the
-	// server default applies. Window-size feasibility (N must exceed the
-	// model's design width) is core.NewRefitter's check, surfaced below
-	// as a 400.
-	refitWindow := s.cfg.RefitWindow
-	if rv := q.Get("refit"); rv != "" {
-		n, rerr := strconv.Atoi(rv)
-		if rerr != nil || n < 0 {
-			s.metrics.Reject(ReasonParse)
-			writeError(w, http.StatusBadRequest, ReasonParse,
-				fmt.Errorf("serve: refit %q is not a non-negative window size", rv))
-			return
-		}
-		refitWindow = n
-	}
-
-	// A named session persists across requests (and is subject to idle
-	// eviction and the one-stream backpressure limit); an anonymous
-	// stream gets a private estimator that dies with the request.
-	var stream *core.StreamSession
-	var qtrack *quality.Tracker // per-session residual window (named sessions)
-	stripe := 0                 // latency-histogram stripe = the session's shard
-	sessionID := q.Get("session")
-	if sessionID != "" {
-		at.SetSession(sessionID)
-		key := sessionKey{model: q.Get("model"), id: sessionID}
-		sess, herr := s.sessions.acquire(key, m, alpha, refitWindow)
-		if herr != nil {
-			at.Error(herr.err.Error())
-			writeError(w, herr.status, herr.reason, herr.err)
-			return
-		}
-		defer s.sessions.release(key)
-		stream = sess.stream
-		qtrack = sess.quality
-		stripe = s.sessions.shardIndex(key)
-	} else {
-		stream, err = core.NewStreamSessionRefit(m, alpha, refitWindow)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, ReasonParse, err)
-			return
-		}
-	}
-	// Quality tracking observes every labelled sample prequentially
-	// (the estimate is computed before the label is folded into any
-	// refit), aggregated per served model version. It is a pure
-	// observer: the estimate stream is bit-identical with it disabled.
-	var qmon *quality.Monitor
-	if s.quality != nil {
-		qmon = s.quality.monitor(ref.Key())
-	}
-
-	// NDJSON estimation reads the request body and writes the response
-	// concurrently; without full duplex the HTTP/1.x server closes the
-	// unread body at the first response write.
-	rc := http.NewResponseController(w)
-	rc.EnableFullDuplex()
-	// In full-duplex mode the server no longer discards an unread body
-	// on handler return, so an early exit (oversized line, rejected
-	// first sample) must drain what the client already sent — bounded,
-	// to keep a hostile stream from pinning the handler.
-	defer io.Copy(io.Discard, io.LimitReader(r.Body, int64(s.cfg.MaxLineBytes)))
-	// rejectEarly answers a stream refused before its 200 header and
-	// closes the connection. Body bytes may still be unread: net/http's
-	// post-handler close drains them to EOF, which in full-duplex mode
-	// starts the connection's background read, and on a kept-alive
-	// connection that read races the next request's (a recovered
-	// "invalid concurrent Body.Read call" panic that resets it).
-	rejectEarly := func(reason string, err error) {
-		w.Header().Set("Connection", "close")
-		writeError(w, http.StatusBadRequest, reason, err)
-	}
-
-	bufCap := 64 * 1024
-	if bufCap > s.cfg.MaxLineBytes {
-		bufCap = s.cfg.MaxLineBytes
-	}
-	if bufCap < 16 {
-		bufCap = 16
-	}
-	br := bufio.NewReaderSize(r.Body, bufCap)
-	// Responses are buffered and flushed when the input is drained
-	// (br.Buffered() == 0): an interactive client that sent one sample
-	// and is waiting gets its row immediately, while a batch upload
-	// gets one coalesced write per batch instead of one syscall and
-	// chunk frame per sample — the dominant per-sample cost at fleet
-	// scale.
-	bw := bufio.NewWriterSize(w, 32*1024)
-	defer bw.Flush()
-	enc := json.NewEncoder(bw)
-	streaming := false // true once the 200 header is out
-	// flushIfDrained is the one flush decision per record.
-	flushIfDrained := func() {
-		if streaming && br.Buffered() == 0 {
-			bw.Flush()
-			rc.Flush()
-		}
-	}
-	var ps parseScratch
-	var lineBuf []byte
-	var encBuf []byte // reusable fast-encode scratch (encode_fast.go)
-	// Per-sample stage timings exist for the flight recorder; when this
-	// request isn't being recorded, skip the clock reads (two per
-	// sample — measurable at fleet rates). The push is still timed
-	// unconditionally: its latency feeds the estimate histogram.
-	tracing := at != nil
-	// Refit bookkeeping: version/rebuild counters are cumulative on the
-	// session, so metric deltas are taken against the values seen at
-	// request start (correct across reconnects to a named session).
-	lastVersion := stream.ModelVersion()
-	lastRebuilds := stream.RefitRebuilds()
-	var readErr error
-	for readErr == nil {
-		var line []byte
-		line, readErr = readLine(br, s.cfg.MaxLineBytes, &lineBuf)
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			flushIfDrained()
-			continue
-		}
-		var stageStart time.Time
-		if tracing {
-			stageStart = time.Now()
-		}
-		cs, powerW, reason, err := parseSampleInto(line, &ps)
-		if tracing {
-			at.Stage(stageParse, time.Since(stageStart))
-		}
-		if err == nil {
-			start := time.Now()
-			var est core.StreamEstimate
-			var perr error
-			labelled := powerW != nil && stream.Refitting()
-			if labelled {
-				est, perr = stream.PushLabeled(cs, *powerW)
-			} else {
-				est, perr = stream.Push(cs)
-			}
-			if perr == nil {
-				pushD := time.Since(start)
-				s.metrics.Estimate(stripe, pushD)
-				if tracing {
-					at.Sample(stagePush, pushD)
-				}
-				if powerW != nil {
-					if tracing {
-						stageStart = time.Now()
-					}
-					if qmon != nil {
-						qmon.Observe(quality.Observation{
-							TimeNs:       cs.TimeNs,
-							Session:      sessionID,
-							ModelVersion: est.ModelVersion,
-							TraceID:      tc.TraceID,
-							FreqMHz:      cs.FreqMHz,
-							VoltageV:     cs.VoltageV,
-							Rates:        cs.Rates,
-							PredictedW:   est.InstantW,
-							ObservedW:    *powerW,
-						})
-					}
-					if qtrack != nil {
-						qtrack.Observe(est.InstantW, *powerW)
-					}
-					if tracing {
-						at.Stage(stageQuality, time.Since(stageStart))
-					}
-				}
-				if labelled {
-					s.metrics.RefitSample(math.Abs(est.InstantW - *powerW))
-					if v := stream.ModelVersion(); v > lastVersion {
-						s.metrics.Refits(v - lastVersion)
-						lastVersion = v
-					}
-					if rb := stream.RefitRebuilds(); rb > lastRebuilds {
-						s.metrics.RefitRebuilds(rb - lastRebuilds)
-						lastRebuilds = rb
-					}
-				}
-				if !streaming {
-					w.Header().Set("Content-Type", "application/x-ndjson")
-					streaming = true
-				}
-				if tracing {
-					stageStart = time.Now()
-				}
-				we := wireEstimate{
-					TimeNs:       est.TimeNs,
-					InstantW:     est.InstantW,
-					SmoothedW:    est.SmoothedW,
-					TotalJ:       est.TotalJoules,
-					Samples:      est.Samples,
-					ModelVersion: est.ModelVersion,
-					TraceID:      tc.TraceID,
-				}
-				if !writeEstimateFast(bw, &encBuf, we) {
-					enc.Encode(we)
-				}
-				flushIfDrained()
-				if tracing {
-					at.Stage(stageEncode, time.Since(stageStart))
-				}
-				continue
-			}
-			reason, err = classifyPushError(perr), perr
-		}
-		// Rejected sample: the estimator state is untouched (core
-		// validates before mutating). Before any output this is an
-		// HTTP-level rejection; mid-stream it becomes an NDJSON error
-		// record and the stream continues.
-		s.metrics.Reject(reason)
-		at.Event("reject", reason, 0)
-		if !streaming {
-			at.Error(err.Error())
-			rejectEarly(reason, err)
-			return
-		}
-		enc.Encode(wireError{Error: err.Error(), Reason: reason, TraceID: tc.TraceID})
-		flushIfDrained()
-	}
-	at.SetModelVersion(stream.ModelVersion())
-	if readErr != io.EOF {
-		reason := ReasonParse
-		if errors.Is(readErr, bufio.ErrTooLong) {
-			reason = ReasonOversized
-		}
-		s.metrics.Reject(reason)
-		at.Error(readErr.Error())
-		if !streaming {
-			rejectEarly(reason, fmt.Errorf("serve: reading stream: %w", readErr))
-			return
-		}
-		enc.Encode(wireError{Error: readErr.Error(), Reason: reason, TraceID: tc.TraceID})
-	}
-	if !streaming {
-		// Empty body: report the session totals (zero for a fresh
-		// session) rather than an empty 200 with no content type.
-		joules, samples := stream.Totals()
-		writeJSON(w, http.StatusOK, struct {
-			Samples uint64  `json:"samples"`
-			TotalJ  float64 `json:"total_j"`
-		}{Samples: samples, TotalJ: joules})
-	}
-}
-
 // --- conversion and validation ---------------------------------------
 
 // validFreqMHz converts a wire-side frequency to the integer MHz the
@@ -1045,9 +697,12 @@ type parseScratch struct {
 	rates map[pmu.EventID]float64
 	// Fast-path workspace (parse_fast.go): rate names borrowed from
 	// the line buffer, parallel to their values. Valid only until the
-	// next readLine call.
+	// next readLine call. The power_w label is kept by value, so a
+	// labelled line allocates no float.
 	rateNames [][]byte
 	rateVals  []float64
+	powerW    float64
+	labelled  bool
 	// Resolved-name cache: a stream sends the same rate keys on every
 	// line, so remember the previous line's names (copied out of the
 	// transient line buffer, 0xff-separated) and their resolved event
@@ -1079,7 +734,8 @@ func (ps *parseScratch) namesMatchCache() bool {
 
 // parseSampleInto decodes one NDJSON line and resolves event names
 // into a reusable workspace; the returned sample's Rates map is valid
-// only until the next call. Rate semantics (finite, non-negative,
+// only until the next call. labelled reports whether the line carries
+// a power_w label, powerW is its value. Rate semantics (finite, non-negative,
 // covering the model's events) are the estimator's to enforce; this
 // layer rejects what the estimator cannot see: unparseable JSON,
 // unknown event names, and a frequency that does not survive the
@@ -1087,10 +743,10 @@ func (ps *parseScratch) namesMatchCache() bool {
 // in parse_fast.go; anything it cannot prove identical to
 // encoding/json semantics falls through to decodeSample, which owns
 // every rejection message.
-func parseSampleInto(line []byte, ps *parseScratch) (core.CounterSample, *float64, string, error) {
+func parseSampleInto(line []byte, ps *parseScratch) (cs core.CounterSample, powerW float64, labelled bool, reason string, err error) {
 	if parseSampleFast(line, ps) {
-		if cs, powerW, ok := finishSampleFast(ps); ok {
-			return cs, powerW, "", nil
+		if cs, ok := finishSampleFast(ps); ok {
+			return cs, ps.powerW, ps.labelled, "", nil
 		}
 	}
 	return decodeSample(line, ps)
@@ -1098,7 +754,7 @@ func parseSampleInto(line []byte, ps *parseScratch) (core.CounterSample, *float6
 
 // decodeSample is the encoding/json route of parseSampleInto, and the
 // oracle the fast scanner is fuzzed against (FuzzParseSample).
-func decodeSample(line []byte, ps *parseScratch) (core.CounterSample, *float64, string, error) {
+func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW float64, labelled bool, reason string, err error) {
 	// Reset the wire struct but keep the decoded map's backing storage:
 	// json reuses a non-nil map (cleared below) and would leave absent
 	// fields stale otherwise.
@@ -1109,11 +765,11 @@ func decodeSample(line []byte, ps *parseScratch) (core.CounterSample, *float64, 
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ps.ws); err != nil {
-		return core.CounterSample{}, nil, ReasonParse, fmt.Errorf("serve: decoding sample: %w", err)
+		return core.CounterSample{}, 0, false, ReasonParse, fmt.Errorf("serve: decoding sample: %w", err)
 	}
 	freq, err := validFreqMHz(ps.ws.FreqMHz)
 	if err != nil {
-		return core.CounterSample{}, nil, ReasonBadOperPt, fmt.Errorf("serve: %w", err)
+		return core.CounterSample{}, 0, false, ReasonBadOperPt, fmt.Errorf("serve: %w", err)
 	}
 	// The decoder path is about to rewrite ps.rates with its own key
 	// set; the fast path's name cache no longer describes the map.
@@ -1126,16 +782,19 @@ func decodeSample(line []byte, ps *parseScratch) (core.CounterSample, *float64, 
 	for name, v := range ps.ws.Rates {
 		ev, err := pmu.ByName(name)
 		if err != nil {
-			return core.CounterSample{}, nil, ReasonUnknownEv, fmt.Errorf("serve: sample references unknown event %q", name)
+			return core.CounterSample{}, 0, false, ReasonUnknownEv, fmt.Errorf("serve: sample references unknown event %q", name)
 		}
 		ps.rates[ev.ID] = v
+	}
+	if ps.ws.PowerW != nil {
+		powerW, labelled = *ps.ws.PowerW, true
 	}
 	return core.CounterSample{
 		TimeNs:   ps.ws.TimeNs,
 		FreqMHz:  freq,
 		VoltageV: ps.ws.VoltageV,
 		Rates:    ps.rates,
-	}, ps.ws.PowerW, "", nil
+	}, powerW, labelled, "", nil
 }
 
 // convertRowInto maps a wire row into a caller-owned row whose rates
@@ -1172,7 +831,7 @@ func convertRowInto(wr wireRow, m *core.Model, row *acquisition.Row) (string, er
 	return "", nil
 }
 
-// classifyPushError maps a core.OnlineEstimator rejection to its
+// classifyPushError maps a core.StreamSession rejection to its
 // metrics reason.
 func classifyPushError(err error) string {
 	switch {
