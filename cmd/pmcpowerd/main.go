@@ -85,11 +85,9 @@ func main() {
 	qualityExemplars := flag.Int("quality-exemplars", 32, "worst-residual samples kept per model for /debug/exemplars")
 	warnMAPE := flag.Float64("quality-warn-mape", 10, "windowed MAPE %% that moves a model to drift warn (negative disables)")
 	alertMAPE := flag.Float64("quality-alert-mape", 20, "windowed MAPE %% that moves a model to drift alert (negative disables)")
-	noQuality := flag.Bool("no-quality", false, "disable model-quality tracking entirely")
 	flightRecDump := flag.String("flightrec-dump", "pmcpowerd-flightrec.json", "Chrome-trace file the flight recorder dumps to on SIGQUIT and drift-alert transitions (empty disables dumps)")
 	flightRecRetain := flag.Int("flightrec-retain", 0, "retained-trace ring size for slow/errored/flagged requests (0 = default 64)")
 	flightRecMinSlow := flag.Duration("flightrec-min-slow", 0, "absolute floor below which no request counts as slow (0 = default 1s)")
-	noFlightRec := flag.Bool("no-flightrec", false, "disable the tail-sampled flight recorder (/debug/requests, /debug/flightrec)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -122,11 +120,9 @@ func main() {
 		qualityExemplars: *qualityExemplars,
 		warnMAPE:         *warnMAPE,
 		alertMAPE:        *alertMAPE,
-		noQuality:        *noQuality,
 		flightRecDump:    *flightRecDump,
 		flightRecRetain:  *flightRecRetain,
 		flightRecMinSlow: *flightRecMinSlow,
-		noFlightRec:      *noFlightRec,
 	}
 	if err := run(logger, opts); err != nil {
 		logger.Error("fatal", "err", err.Error())
@@ -153,11 +149,9 @@ type options struct {
 	qualityExemplars int
 	warnMAPE         float64
 	alertMAPE        float64
-	noQuality        bool
 	flightRecDump    string
 	flightRecRetain  int
 	flightRecMinSlow time.Duration
-	noFlightRec      bool
 }
 
 func run(logger *slog.Logger, opts options) error {
@@ -205,8 +199,6 @@ func run(logger *slog.Logger, opts options) error {
 			WarnMAPEPct:  opts.warnMAPE,
 			AlertMAPEPct: opts.alertMAPE,
 		},
-		DisableQuality:    opts.noQuality,
-		DisableFlightRec:  opts.noFlightRec,
 		FlightRecRetain:   opts.flightRecRetain,
 		FlightRecMinSlow:  opts.flightRecMinSlow,
 		FlightRecDumpPath: opts.flightRecDump,
@@ -234,7 +226,7 @@ func run(logger *slog.Logger, opts options) error {
 	// SIGQUIT dumps the flight recorder without stopping the daemon —
 	// the "what just happened" escape hatch when the service misbehaves
 	// but must keep serving.
-	if opts.flightRecDump != "" && srv.FlightRecorder() != nil {
+	if opts.flightRecDump != "" {
 		quitc := make(chan os.Signal, 1)
 		signal.Notify(quitc, syscall.SIGQUIT)
 		defer signal.Stop(quitc)

@@ -205,9 +205,6 @@ func validateRequests(r serve.RequestsResponse) error {
 	if r.Service != "pmcpowerd" {
 		return fmt.Errorf("service = %q, want pmcpowerd", r.Service)
 	}
-	if !r.Enabled {
-		return nil // recorder disabled: empty document is the contract
-	}
 	if r.RetainedTotal < uint64(len(r.RetainedTraces)) {
 		return fmt.Errorf("retained_total = %d < %d retained traces listed",
 			r.RetainedTotal, len(r.RetainedTraces))
@@ -229,9 +226,6 @@ func validateRequests(r serve.RequestsResponse) error {
 // table: newest first, retained traces marked so an operator can pull
 // them from /debug/flightrec by trace id.
 func renderRequests(r serve.RequestsResponse) string {
-	if !r.Enabled {
-		return "\n(flight recorder disabled)\n"
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "\nrequests: %d total, %d retained", r.RequestsTotal, r.RetainedTotal)
 	if r.SlowThresholdS > 0 {

@@ -55,12 +55,6 @@ type Options struct {
 	// (keyed by a descriptive name) before post-processing — used by
 	// the trace-inspection tooling and tests.
 	TraceSink func(name string, data []byte)
-	// SharedPlanner uses the native-event-aware multiplex planner
-	// (pmu.PlanRunsShared), which co-schedules presets that share
-	// native registers and therefore needs fewer runs per workload.
-	// Off by default: the canonical experiments use the conservative
-	// per-preset plan.
-	SharedPlanner bool
 	// Parallelism bounds the workers running the independent
 	// (workload, frequency) campaign cells: 0 = GOMAXPROCS,
 	// 1 = serial. Every cell's noise streams are derived from stable
@@ -156,11 +150,7 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 	if len(wls) == 0 || len(freqsMHz) == 0 {
 		return nil, fmt.Errorf("acquisition: need at least one workload and one frequency")
 	}
-	planFn := pmu.PlanRuns
-	if o.SharedPlanner {
-		planFn = pmu.PlanRunsShared
-	}
-	plan, err := planFn(o.Events)
+	plan, err := pmu.PlanRuns(o.Events)
 	if err != nil {
 		return nil, err
 	}

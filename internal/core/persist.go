@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
@@ -68,7 +69,9 @@ func (m *Model) WriteJSON(w io.Writer) error {
 
 // ReadJSON deserializes a model written by WriteJSON. The returned
 // model predicts; its Fit carries only the stored diagnostics (R²,
-// Adj.R², standard errors), not residuals or leverages.
+// Adj.R², standard errors), not residuals or leverages. A document
+// that names an event twice is rejected: its design would carry two
+// identical columns, and a streaming refit over it never adapts.
 func ReadJSON(r io.Reader) (*Model, error) {
 	var doc modelJSON
 	dec := json.NewDecoder(r)
@@ -111,6 +114,9 @@ func ReadJSON(r io.Reader) (*Model, error) {
 		ev, err := pmu.ByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("core: model references unknown event %q", name)
+		}
+		if slices.Contains(m.Events, ev.ID) {
+			return nil, fmt.Errorf("core: model lists event %q twice", name)
 		}
 		m.Events = append(m.Events, ev.ID)
 	}

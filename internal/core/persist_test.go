@@ -72,6 +72,21 @@ func TestReadJSONRejectsBadDocuments(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsDuplicateEvents: a document naming one event
+// twice, by full or by short name, is rejected and the error names the
+// event.
+func TestReadJSONRejectsDuplicateEvents(t *testing.T) {
+	for _, doc := range []string{
+		`{"version":1,"events":["PAPI_TOT_CYC","PAPI_TOT_CYC"],"alpha":[1,2]}`,
+		`{"version":1,"events":["PAPI_TOT_CYC","PAPI_L3_TCM","TOT_CYC"],"alpha":[1,2,3]}`,
+	} {
+		_, err := ReadJSON(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), "TOT_CYC") || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("%s: err = %v, want a duplicate-event error naming TOT_CYC", doc, err)
+		}
+	}
+}
+
 func TestReadJSONRejectsNonFinite(t *testing.T) {
 	// JSON cannot encode NaN directly, but a crafted document with a
 	// huge exponent becomes +Inf on parse... it errors at the JSON

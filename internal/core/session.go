@@ -32,6 +32,11 @@ var (
 	ErrMissingEvent = errors.New("missing model event")
 	// ErrBadRate marks a NaN, infinite, or negative counter rate.
 	ErrBadRate = errors.New("invalid counter rate")
+	// ErrNonFinite marks a sample that passed validation but whose
+	// estimate overflows: the instant watts, the smoothed watts, or the
+	// energy total would be NaN or infinite (e.g. a finite voltage of
+	// 1e200, whose square overflows).
+	ErrNonFinite = errors.New("non-finite estimate")
 )
 
 // CounterSample is one streaming observation: counter rates over the
@@ -132,11 +137,12 @@ type StreamEstimate struct {
 }
 
 // Push consumes one sample under the session lock. Samples must
-// arrive in non-decreasing time order, carry every model event, and be
-// finite: an out-of-order sample, an invalid operating point, or a
-// missing or NaN/Inf/negative counter rate is rejected before any
-// state mutates, so an error here never poisons the EWMA, the energy
-// integral, or any later estimate.
+// arrive in non-decreasing time order, carry every model event, be
+// finite, and yield a finite estimate: an out-of-order sample, an
+// invalid operating point, a missing or NaN/Inf/negative counter rate,
+// or an estimate that overflows is rejected before any state mutates,
+// so an error here never poisons the EWMA, the energy integral, or any
+// later estimate.
 func (s *StreamSession) Push(cs CounterSample) (StreamEstimate, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -160,13 +166,16 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 		}
 	}
 	inst := s.model.Predict(&acquisition.Row{FreqMHz: cs.FreqMHz, VoltageV: cs.VoltageV, Rates: cs.Rates})
-	if s.samples == 0 {
-		s.smoothed = inst
-	} else {
-		s.smoothed = s.alpha*inst + (1-s.alpha)*s.smoothed
+	smoothed, totalJ := inst, s.totalJ
+	if s.samples > 0 {
+		smoothed = s.alpha*inst + (1-s.alpha)*s.smoothed
 		dt := float64(cs.TimeNs-s.lastNs) / 1e9
-		s.totalJ += dt * (inst + s.lastW) / 2
+		totalJ += dt * (inst + s.lastW) / 2
 	}
+	if !finite(inst) || !finite(smoothed) || !finite(totalJ) {
+		return StreamEstimate{}, fmt.Errorf("core: %w: instant %v W, smoothed %v W, energy %v J", ErrNonFinite, inst, smoothed, totalJ)
+	}
+	s.smoothed, s.totalJ = smoothed, totalJ
 	s.lastNs, s.lastW = cs.TimeNs, inst
 	s.samples++
 	version := uint64(0)
@@ -182,6 +191,9 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 		ModelVersion: version,
 	}, nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // PushLabeled is Push for a sample that also carries a measured power
 // reference (e.g. a RAPL reading). On a refitting session the sample

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -199,6 +200,60 @@ func TestOnlineEstimatorValidation(t *testing.T) {
 	s2.FreqMHz = 0
 	if _, err := est.Push(s2); err == nil {
 		t.Fatal("missing operating point must error")
+	}
+}
+
+// TestStreamSessionRejectsNonFiniteEstimate: a sample that passes
+// validation but whose estimate overflows (a finite voltage of 1e200
+// squares to +Inf) is rejected with ErrNonFinite before any state
+// changes, on a frozen and on a refitting session. The totals stay
+// put, and the next valid sample is served exactly as if the rejected
+// one had never arrived.
+func TestStreamSessionRejectsNonFiniteEstimate(t *testing.T) {
+	m := trainedModel(t)
+	_, full := fixtures(t)
+	for _, window := range []int{0, 16} {
+		got, err := NewStreamSessionRefit(m, 0.5, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewStreamSessionRefit(m, 0.5, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		push := func(s *StreamSession, i int) (StreamEstimate, error) {
+			return s.PushLabeled(sampleFromRow(i, uint64(i)*1e9, t), full.Rows[i].PowerW)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := push(got, i); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := push(want, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j0, n0 := got.Totals()
+		bad := sampleFromRow(20, 20e9, t)
+		bad.VoltageV = 1e200
+		if _, err := got.PushLabeled(bad, full.Rows[20].PowerW); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("window %d: overflowing estimate: err = %v, want ErrNonFinite", window, err)
+		}
+		if j, n := got.Totals(); j != j0 || n != n0 {
+			t.Fatalf("window %d: rejected sample moved the totals: (%v J, %d) -> (%v J, %d)", window, j0, n0, j, n)
+		}
+		for i := 21; i < 40; i++ {
+			g, err := push(got, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := push(want, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != w {
+				t.Fatalf("window %d, sample %d after the rejection: got %+v, want %+v", window, i, g, w)
+			}
+		}
 	}
 }
 

@@ -75,8 +75,6 @@ func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
 // ActiveTraces are recycled through a free list (not a sync.Pool, so
 // a GC cannot empty it), events append into preallocated storage, and
 // the recent ring overwrites in place.
-//
-// A nil *FlightRecorder is a valid no-op sink, like the nil *Tracer.
 type FlightRecorder struct {
 	cfg   FlightRecorderConfig
 	epoch time.Time
@@ -157,8 +155,9 @@ type RetainedTrace struct {
 // ActiveTrace is the recorder-side state of one in-flight request.
 // Its methods are goroutine-safe (the quality hub may flag or
 // annotate a trace from a transition callback while /debug/requests
-// snapshots it), and all of them no-op on nil, so instrumentation
-// needs no recorder-enabled branches.
+// snapshots it), and all of them no-op on nil, so code that runs
+// outside an HTTP request (serve's EstimateSample) needs no trace
+// branches.
 type ActiveTrace struct {
 	rec *FlightRecorder
 
@@ -186,9 +185,8 @@ type stageAgg struct {
 }
 
 // Begin registers an in-flight request under its trace context and
-// returns its ActiveTrace. A nil recorder returns a nil trace (whose
-// methods all no-op). Steady-state Begin reuses a trace buffer from
-// the free list and performs no allocations.
+// returns its ActiveTrace. Steady-state Begin reuses a trace buffer
+// from the free list and performs no allocations.
 //
 // A recycled buffer may still be held by a reader that looked it up
 // before it was finished (InFlight, Flag, Annotate), so its fields are
@@ -196,9 +194,6 @@ type stageAgg struct {
 // before r.mu (Finish's), so the buffer is taken off the free list,
 // initialized, and registered in three separate critical sections.
 func (r *FlightRecorder) Begin(tc TraceContext, method, path string) *ActiveTrace {
-	if r == nil {
-		return nil
-	}
 	var at *ActiveTrace
 	r.mu.Lock()
 	if n := len(r.free); n > 0 {
@@ -432,9 +427,6 @@ func (at *ActiveTrace) reset() {
 // not allocate: the summary without stages is written into a ring
 // slot in place and the buffer returns to the free list.
 func (r *FlightRecorder) Finish(at *ActiveTrace, status int) (retained bool) {
-	if r == nil || at == nil {
-		return false
-	}
 	now := r.cfg.Now()
 
 	at.mu.Lock()
@@ -496,12 +488,9 @@ func (r *FlightRecorder) Finish(at *ActiveTrace, status int) (retained bool) {
 }
 
 // Lookup returns the in-flight trace registered under traceID (nil
-// when absent or on a nil recorder) so a handler can annotate the
-// trace its middleware began.
+// when absent) so a handler can annotate the trace its middleware
+// began.
 func (r *FlightRecorder) Lookup(traceID string) *ActiveTrace {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inflight[traceID]
@@ -517,9 +506,6 @@ func (r *FlightRecorder) Flag(traceID, reason string) bool {
 // in-flight trace with the given trace id (e.g. "quality transition
 // warn→alert"); it reports whether the trace was found.
 func (r *FlightRecorder) Annotate(traceID, name, detail string) bool {
-	if r == nil {
-		return false
-	}
 	end := r.cfg.Now()
 	return r.withInFlight(traceID, func(at *ActiveTrace) { at.eventLocked(end, name, detail, 0) })
 }
@@ -529,9 +515,6 @@ func (r *FlightRecorder) Annotate(traceID, name, detail string) bool {
 // request between the lookup and the lock, so fn runs only if the
 // trace still carries traceID.
 func (r *FlightRecorder) withInFlight(traceID string, fn func(*ActiveTrace)) bool {
-	if r == nil {
-		return false
-	}
 	r.mu.Lock()
 	at := r.inflight[traceID]
 	r.mu.Unlock()
@@ -551,9 +534,6 @@ func (r *FlightRecorder) withInFlight(traceID string, fn func(*ActiveTrace)) boo
 // slower than this is retained. Before warmup it reports 0 (slow
 // detection disarmed).
 func (r *FlightRecorder) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.total <= uint64(r.cfg.Warmup) {
@@ -569,9 +549,6 @@ func (r *FlightRecorder) SlowThreshold() time.Duration {
 // Stats reports lifetime counters: completed requests and retained
 // traces.
 func (r *FlightRecorder) Stats() (total, retained uint64) {
-	if r == nil {
-		return 0, 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total, r.kept
@@ -580,9 +557,6 @@ func (r *FlightRecorder) Stats() (total, retained uint64) {
 // InFlight returns a summary of every in-flight request, ordered by
 // start time.
 func (r *FlightRecorder) InFlight() []RequestSummary {
-	if r == nil {
-		return nil
-	}
 	now := r.cfg.Now()
 	r.mu.Lock()
 	ats := make([]*ActiveTrace, 0, len(r.inflight))
@@ -615,9 +589,6 @@ func (r *FlightRecorder) InFlight() []RequestSummary {
 // Recent returns the recently-completed request summaries, newest
 // first.
 func (r *FlightRecorder) Recent() []RequestSummary {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]RequestSummary, 0, r.recentN)
@@ -637,9 +608,6 @@ func (r *FlightRecorder) Recent() []RequestSummary {
 
 // Retained returns copies of the retained traces, newest first.
 func (r *FlightRecorder) Retained() []RetainedTrace {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]RetainedTrace, 0, r.retainedN)
@@ -666,97 +634,95 @@ func (r *FlightRecorder) Retained() []RetainedTrace {
 func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 	var tr chromeTrace
 	tr.DisplayTimeUnit = "ms"
-	if r != nil {
-		kept := r.Retained()
-		// Retained() is newest-first; the timeline reads oldest-first.
-		sort.Slice(kept, func(i, j int) bool {
-			if kept[i].Summary.StartUnixNs != kept[j].Summary.StartUnixNs {
-				return kept[i].Summary.StartUnixNs < kept[j].Summary.StartUnixNs
-			}
-			return kept[i].Summary.TraceID < kept[j].Summary.TraceID
+	kept := r.Retained()
+	// Retained() is newest-first; the timeline reads oldest-first.
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].Summary.StartUnixNs != kept[j].Summary.StartUnixNs {
+			return kept[i].Summary.StartUnixNs < kept[j].Summary.StartUnixNs
+		}
+		return kept[i].Summary.TraceID < kept[j].Summary.TraceID
+	})
+	epochNs := r.epoch.UnixNano()
+	childSeq := 0
+	for lane, rt := range kept {
+		s := rt.Summary
+		tid := int64(lane + 1)
+		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+			Name:  "thread_name",
+			Phase: "M",
+			PID:   1,
+			TID:   tid,
+			Args:  map[string]any{"name": fmt.Sprintf("trace %s %s", shortID(s.TraceID), s.Path)},
 		})
-		epochNs := r.epoch.UnixNano()
-		childSeq := 0
-		for lane, rt := range kept {
-			s := rt.Summary
-			tid := int64(lane + 1)
+		rootTS := float64(s.StartUnixNs-epochNs) / 1e3
+		rootDur := float64(s.DurationNs) / 1e3
+		rootArgs := map[string]any{
+			"trace_id": s.TraceID,
+			"span_id":  s.SpanID,
+			"status":   s.Status,
+			"samples":  s.Samples,
+		}
+		if s.Session != "" {
+			rootArgs["session"] = s.Session
+		}
+		if s.Model != "" {
+			rootArgs["model"] = s.Model
+		}
+		if s.FlagReason != "" {
+			rootArgs["flag_reason"] = s.FlagReason
+		}
+		if s.Error != "" {
+			rootArgs["error"] = s.Error
+		}
+		if s.Slow {
+			rootArgs["slow"] = true
+		}
+		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+			Name:  s.Method + " " + s.Path,
+			Cat:   "flightrec",
+			Phase: "X",
+			TS:    rootTS,
+			Dur:   &rootDur,
+			PID:   1,
+			TID:   tid,
+			Args:  rootArgs,
+		})
+		child := func(name string, ts, dur float64, extra map[string]any) {
+			childSeq++
+			args := map[string]any{
+				"trace_id":       s.TraceID,
+				"span_id":        fmt.Sprintf("%016x", uint64(childSeq)),
+				"parent_span_id": s.SpanID,
+			}
+			for k, v := range extra {
+				args[k] = v
+			}
 			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name:  "thread_name",
-				Phase: "M",
-				PID:   1,
-				TID:   tid,
-				Args:  map[string]any{"name": fmt.Sprintf("trace %s %s", shortID(s.TraceID), s.Path)},
-			})
-			rootTS := float64(s.StartUnixNs-epochNs) / 1e3
-			rootDur := float64(s.DurationNs) / 1e3
-			rootArgs := map[string]any{
-				"trace_id": s.TraceID,
-				"span_id":  s.SpanID,
-				"status":   s.Status,
-				"samples":  s.Samples,
-			}
-			if s.Session != "" {
-				rootArgs["session"] = s.Session
-			}
-			if s.Model != "" {
-				rootArgs["model"] = s.Model
-			}
-			if s.FlagReason != "" {
-				rootArgs["flag_reason"] = s.FlagReason
-			}
-			if s.Error != "" {
-				rootArgs["error"] = s.Error
-			}
-			if s.Slow {
-				rootArgs["slow"] = true
-			}
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name:  s.Method + " " + s.Path,
+				Name:  name,
 				Cat:   "flightrec",
 				Phase: "X",
-				TS:    rootTS,
-				Dur:   &rootDur,
+				TS:    ts,
+				Dur:   &dur,
 				PID:   1,
 				TID:   tid,
-				Args:  rootArgs,
+				Args:  args,
 			})
-			child := func(name string, ts, dur float64, extra map[string]any) {
-				childSeq++
-				args := map[string]any{
-					"trace_id":       s.TraceID,
-					"span_id":        fmt.Sprintf("%016x", uint64(childSeq)),
-					"parent_span_id": s.SpanID,
-				}
-				for k, v := range extra {
-					args[k] = v
-				}
-				tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-					Name:  name,
-					Cat:   "flightrec",
-					Phase: "X",
-					TS:    ts,
-					Dur:   &dur,
-					PID:   1,
-					TID:   tid,
-					Args:  args,
-				})
+		}
+		for _, ev := range rt.Events {
+			extra := map[string]any(nil)
+			if ev.Detail != "" {
+				extra = map[string]any{"detail": ev.Detail}
 			}
-			for _, ev := range rt.Events {
-				extra := map[string]any(nil)
-				if ev.Detail != "" {
-					extra = map[string]any{"detail": ev.Detail}
-				}
-				child(ev.Name, rootTS+float64(ev.StartNs)/1e3, float64(ev.DurNs)/1e3, extra)
-			}
-			// Stage aggregates render as spans starting at the request
-			// start with the stage's total time — a duration budget view,
-			// not a timeline (the per-call times are folded, not stored).
-			for _, st := range s.Stages {
-				child("stage:"+st.Name, rootTS, float64(st.TotalNs)/1e3, map[string]any{
-					"count":  st.Count,
-					"max_ns": st.MaxNs,
-				})
-			}
+			child(ev.Name, rootTS+float64(ev.StartNs)/1e3, float64(ev.DurNs)/1e3, extra)
+		}
+		// Stage aggregates render as spans starting at the request
+		// start with the stage's total time — a duration budget view,
+		// not a timeline (the per-call times are folded, not stored).
+		for _, st := range s.Stages {
+			child("stage:"+st.Name, rootTS, float64(st.TotalNs)/1e3, map[string]any{
+				"count":  st.Count,
+				"max_ns": st.MaxNs,
+			})
 		}
 	}
 	return writeChromeJSON(w, tr)

@@ -197,13 +197,13 @@ func TestFlightRecorderSlowThresholdWarmup(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var r *FlightRecorder
-	at := r.Begin(TraceContext{TraceID: id(0)}, "GET", "/x")
-	if at != nil {
-		t.Fatal("nil recorder returned a trace")
-	}
+// TestFlightRecActiveTraceNilSafe: a nil *ActiveTrace, which is what a
+// push outside HTTP carries, accepts every instrumentation call.
+func TestFlightRecActiveTraceNilSafe(t *testing.T) {
+	var at *ActiveTrace
 	at.SetSession("s")
+	at.SetModel("m@1")
+	at.SetModelVersion(1)
 	at.Stage(0, time.Millisecond)
 	at.Sample(0, time.Millisecond)
 	at.Event("e", "", 0)
@@ -211,20 +211,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	at.Flag("r")
 	if at.TraceID() != "" {
 		t.Fatal("nil trace has an id")
-	}
-	if r.Finish(at, 200) || r.Flag("x", "r") || r.Annotate("x", "n", "d") {
-		t.Fatal("nil recorder retained something")
-	}
-	if r.InFlight() != nil || r.Recent() != nil || r.Retained() != nil || r.Lookup("x") != nil {
-		t.Fatal("nil recorder returned state")
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("nil WriteChromeTrace: %v", err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil dump is not JSON: %v", err)
 	}
 }
 

@@ -15,15 +15,9 @@ import (
 // run at the cost of one counter register — e.g. PAPI_BR_PRC
 // (correctly predicted conditionals) is derived from the same
 // BR_INST_RETIRED.CONDITIONAL register that PAPI_BR_CN uses, plus the
-// misprediction counter PAPI_BR_MSP needs anyway. PlanRunsShared
-// exploits this; the baseline PlanRuns conservatively charges every
-// preset its full native cost.
-
-// NativeEvent is one raw countable event of the simulated Haswell PMU.
-type NativeEvent struct {
-	Name string
-	Desc string
-}
+// misprediction counter PAPI_BR_MSP needs anyway. EventSet.Schedulable
+// charges a set its native union; the multiplex planner, PlanRuns,
+// conservatively charges every preset its full native cost.
 
 // presetNatives maps each programmable preset (by short name) to the
 // native events it is derived from. Fixed-counter presets have no
@@ -84,25 +78,7 @@ var presetNatives = map[string][]string{
 	"VEC_DP":  {"FP_ARITH_INST_RETIRED.PACKED_DOUBLE"},
 }
 
-var nativeDescs = map[string]string{
-	"L1D.REPLACEMENT":              "L1 data cache lines replaced",
-	"ICACHE.MISSES":                "instruction cache misses",
-	"LONGEST_LAT_CACHE.MISS":       "last-level cache misses",
-	"LONGEST_LAT_CACHE.REFERENCE":  "last-level cache references",
-	"BR_INST_RETIRED.ALL_BRANCHES": "retired branch instructions",
-	"BR_INST_RETIRED.CONDITIONAL":  "retired conditional branches",
-	"BR_INST_RETIRED.NOT_TAKEN":    "retired not-taken conditional branches",
-	"BR_MISP_RETIRED.CONDITIONAL":  "retired mispredicted conditional branches",
-	"MEM_UOPS_RETIRED.ALL_LOADS":   "retired load µops",
-	"MEM_UOPS_RETIRED.ALL_STORES":  "retired store µops",
-	"RESOURCE_STALLS.ANY":          "cycles stalled on any resource",
-}
-
-var nativeTable []NativeEvent
-var nativeIndex map[string]int
-
 func init() {
-	seen := map[string]bool{}
 	for _, e := range presets {
 		natives := presetNatives[e.Short]
 		switch e.Kind {
@@ -116,42 +92,8 @@ func init() {
 					e.Short, e.NativeSlots, len(natives)))
 			}
 		}
-		for _, n := range natives {
-			if !seen[n] {
-				seen[n] = true
-				nativeTable = append(nativeTable, NativeEvent{Name: n, Desc: nativeDescs[n]})
-			}
-		}
-	}
-	sort.Slice(nativeTable, func(i, j int) bool { return nativeTable[i].Name < nativeTable[j].Name })
-	nativeIndex = make(map[string]int, len(nativeTable))
-	for i, n := range nativeTable {
-		nativeIndex[n.Name] = i
 	}
 }
-
-// Natives returns the native events backing a preset (empty for fixed
-// presets).
-func Natives(id EventID) []NativeEvent {
-	e := Lookup(id)
-	names := presetNatives[e.Short]
-	out := make([]NativeEvent, len(names))
-	for i, n := range names {
-		out[i] = nativeTable[nativeIndex[n]]
-	}
-	return out
-}
-
-// AllNatives returns the full native event table, sorted by name.
-func AllNatives() []NativeEvent {
-	out := make([]NativeEvent, len(nativeTable))
-	copy(out, nativeTable)
-	return out
-}
-
-// NativeCount returns the number of distinct native events backing the
-// preset table.
-func NativeCount() int { return len(nativeTable) }
 
 // NativeUnion returns the distinct native event names a set of presets
 // needs — the true programmable-counter cost when presets share
@@ -169,91 +111,4 @@ func NativeUnion(ids []EventID) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// PlanRunsShared partitions the requested events into schedulable runs
-// like PlanRuns, but accounts for presets that share native events: a
-// run's programmable cost is the size of its native-event union, not
-// the sum of per-preset slot counts. Greedy best-fit: presets are
-// placed (largest first) into the run where they add the fewest new
-// native events.
-//
-// The plan is never longer than PlanRuns' and is typically shorter
-// (the branch and FP preset families collapse into shared registers).
-func PlanRunsShared(ids []EventID) ([]*EventSet, error) {
-	var fixed, prog []EventID
-	seen := make(map[EventID]bool, len(ids))
-	for _, id := range ids {
-		e, ok := LookupOK(id)
-		if !ok {
-			return nil, fmt.Errorf("pmu: unknown event id %d in plan request", id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("pmu: duplicate event %s in plan request", e.Name)
-		}
-		seen[id] = true
-		if e.Kind == Fixed {
-			fixed = append(fixed, id)
-		} else {
-			prog = append(prog, id)
-		}
-	}
-	if len(fixed) > FixedSlots {
-		return nil, fmt.Errorf("pmu: %d fixed events requested, platform has %d fixed counters", len(fixed), FixedSlots)
-	}
-	sort.Slice(prog, func(i, j int) bool {
-		ci, cj := Lookup(prog[i]).NativeSlots, Lookup(prog[j]).NativeSlots
-		if ci != cj {
-			return ci > cj
-		}
-		return prog[i] < prog[j]
-	})
-
-	type bin struct {
-		natives map[string]bool
-		ids     []EventID
-	}
-	var bins []*bin
-	for _, id := range prog {
-		needed := presetNatives[Lookup(id).Short]
-		bestBin := -1
-		bestNew := ProgrammableSlots + 1
-		for bi, b := range bins {
-			newCount := 0
-			for _, n := range needed {
-				if !b.natives[n] {
-					newCount++
-				}
-			}
-			if len(b.natives)+newCount <= ProgrammableSlots && newCount < bestNew {
-				bestBin, bestNew = bi, newCount
-			}
-		}
-		if bestBin < 0 {
-			b := &bin{natives: map[string]bool{}}
-			bins = append(bins, b)
-			bestBin = len(bins) - 1
-		}
-		b := bins[bestBin]
-		for _, n := range needed {
-			b.natives[n] = true
-		}
-		b.ids = append(b.ids, id)
-	}
-
-	if len(bins) == 0 && len(fixed) > 0 {
-		bins = append(bins, &bin{})
-	}
-	out := make([]*EventSet, 0, len(bins))
-	for _, b := range bins {
-		set, err := NewEventSet(append(append([]EventID(nil), b.ids...), fixed...)...)
-		if err != nil {
-			return nil, err
-		}
-		if len(NativeUnion(set.Events())) > ProgrammableSlots {
-			return nil, fmt.Errorf("pmu: internal error: shared plan overflows native slots for %v", set)
-		}
-		out = append(out, set)
-	}
-	return out, nil
 }

@@ -1,18 +1,13 @@
 package pmu
 
-import (
-	"testing"
-	"testing/quick"
-
-	"pmcpower/internal/rng"
-)
+import "testing"
 
 func TestNativeTableConsistency(t *testing.T) {
-	// Every programmable preset maps to exactly NativeSlots natives;
-	// fixed presets to none (init panics otherwise, but assert the
-	// public accessors agree).
+	// Every programmable preset maps to exactly NativeSlots named
+	// natives; fixed presets to none (init panics otherwise, but assert
+	// the table directly).
 	for _, e := range All() {
-		nat := Natives(e.ID)
+		nat := presetNatives[e.Short]
 		switch e.Kind {
 		case Fixed:
 			if len(nat) != 0 {
@@ -23,23 +18,20 @@ func TestNativeTableConsistency(t *testing.T) {
 				t.Fatalf("preset %s: %d natives for %d slots", e.Short, len(nat), e.NativeSlots)
 			}
 			for _, n := range nat {
-				if n.Name == "" {
+				if n == "" {
 					t.Fatalf("preset %s has unnamed native", e.Short)
 				}
 			}
 		}
 	}
-	if NativeCount() < 30 || NativeCount() > 80 {
-		t.Fatalf("native table has %d events — implausible", NativeCount())
-	}
-	if len(AllNatives()) != NativeCount() {
-		t.Fatal("AllNatives length mismatch")
+	if n := len(NativeUnion(AllIDs())); n < 30 || n > 80 {
+		t.Fatalf("native table has %d events — implausible", n)
 	}
 }
 
 func TestNativeSharingExists(t *testing.T) {
 	// The branch family must share BR_INST_RETIRED.CONDITIONAL — the
-	// structural fact PlanRunsShared exploits.
+	// structural fact EventSet.Schedulable accounts for.
 	cn := NativeUnion([]EventID{MustByName("BR_CN").ID})
 	prc := NativeUnion([]EventID{MustByName("BR_PRC").ID})
 	both := NativeUnion([]EventID{MustByName("BR_CN").ID, MustByName("BR_PRC").ID})
@@ -67,149 +59,5 @@ func TestNativeUnionDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("NativeUnion must be order-independent and sorted")
 		}
-	}
-}
-
-func TestPlanRunsSharedCoversAll(t *testing.T) {
-	plan, err := PlanRunsShared(AllIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := map[EventID]int{}
-	for _, set := range plan {
-		// The true hardware constraint: the native union fits the
-		// programmable registers.
-		if n := len(NativeUnion(set.Events())); n > ProgrammableSlots {
-			t.Fatalf("run %v needs %d native registers", set, n)
-		}
-		for _, id := range set.Events() {
-			covered[id]++
-		}
-	}
-	for _, e := range All() {
-		c := covered[e.ID]
-		switch e.Kind {
-		case Fixed:
-			if c != len(plan) {
-				t.Fatalf("fixed event %s in %d of %d runs", e.Short, c, len(plan))
-			}
-		case Programmable:
-			if c != 1 {
-				t.Fatalf("event %s covered %d times", e.Short, c)
-			}
-		}
-	}
-}
-
-func TestPlanRunsSharedBeatsBaseline(t *testing.T) {
-	shared, err := PlanRunsShared(AllIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := PlanRuns(AllIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shared) > len(baseline) {
-		t.Fatalf("shared plan uses %d runs, baseline %d — sharing must not hurt", len(shared), len(baseline))
-	}
-	if len(shared) == len(baseline) {
-		t.Fatalf("shared plan (%d runs) should beat the baseline (%d) on the full preset list", len(shared), len(baseline))
-	}
-}
-
-func TestPlanRunsSharedDeterministic(t *testing.T) {
-	a, err := PlanRunsShared(AllIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PlanRunsShared(AllIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatal("plan length not deterministic")
-	}
-	for i := range a {
-		ae, be := a[i].Events(), b[i].Events()
-		if len(ae) != len(be) {
-			t.Fatalf("run %d differs", i)
-		}
-		for j := range ae {
-			if ae[j] != be[j] {
-				t.Fatalf("run %d event %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestPlanRunsSharedErrors(t *testing.T) {
-	id := MustByName("PRF_DM").ID
-	if _, err := PlanRunsShared([]EventID{id, id}); err == nil {
-		t.Fatal("duplicate request must error")
-	}
-}
-
-func TestPlanRunsSharedBranchFamilyOneRun(t *testing.T) {
-	// All six conditional-branch presets fit one run via sharing
-	// (4 distinct natives), where the baseline would need 9 slots.
-	var ids []EventID
-	for _, n := range []string{"BR_CN", "BR_NTK", "BR_MSP", "BR_PRC", "BR_TKN", "BR_UCN", "BR_INS"} {
-		ids = append(ids, MustByName(n).ID)
-	}
-	plan, err := PlanRunsShared(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan) != 1 {
-		t.Fatalf("branch family needs %d runs with sharing, want 1", len(plan))
-	}
-	if n := len(NativeUnion(ids)); n != 4 {
-		t.Fatalf("branch family native union = %d, want 4", n)
-	}
-}
-
-func TestPlanRunsSharedSubsetsProperty(t *testing.T) {
-	// Property: for any random subset of presets, the shared plan
-	// covers every programmable event exactly once and never exceeds
-	// the native register capacity per run.
-	f := func(seed uint64, sizeRaw uint8) bool {
-		r := rng.New(seed)
-		size := int(sizeRaw)%40 + 2
-		perm := r.Perm(NumEvents())
-		var ids []EventID
-		fixedCount := 0
-		for _, i := range perm[:size] {
-			id := EventID(i)
-			if Lookup(id).Kind == Fixed {
-				fixedCount++
-			}
-			ids = append(ids, id)
-		}
-		if fixedCount > FixedSlots {
-			return true // cannot happen (only 3 fixed presets exist)
-		}
-		plan, err := PlanRunsShared(ids)
-		if err != nil {
-			return false
-		}
-		covered := map[EventID]int{}
-		for _, set := range plan {
-			if len(NativeUnion(set.Events())) > ProgrammableSlots {
-				return false
-			}
-			for _, id := range set.Events() {
-				covered[id]++
-			}
-		}
-		for _, id := range ids {
-			if Lookup(id).Kind == Programmable && covered[id] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -287,7 +287,4 @@ func TestInvalidIDsErrorNotPanic(t *testing.T) {
 	if _, err := PlanRuns([]EventID{bad}); err == nil || !strings.Contains(err.Error(), "unknown event id") {
 		t.Fatalf("PlanRuns(bad): err = %v", err)
 	}
-	if _, err := PlanRunsShared([]EventID{0, bad}); err == nil || !strings.Contains(err.Error(), "unknown event id") {
-		t.Fatalf("PlanRunsShared(bad): err = %v", err)
-	}
 }

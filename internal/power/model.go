@@ -341,9 +341,6 @@ func NewSensor(rnd *rng.Rand) *Sensor {
 	}
 }
 
-// RateHz returns the sensor sampling rate.
-func (s *Sensor) RateHz() float64 { return s.rateHz }
-
 // Sample returns one instantaneous reading of trueW.
 func (s *Sensor) Sample(trueW float64, rnd *rng.Rand) float64 {
 	noise := rnd.NormScaled(0, s.noiseAbsW+s.noiseRel*trueW)

@@ -55,7 +55,6 @@ type exemplarEntry struct {
 type Exemplars struct {
 	capacity int
 	heap     []exemplarEntry // min-heap by absResid
-	admitted uint64
 }
 
 // NewExemplars returns a buffer keeping the given number of worst
@@ -70,10 +69,6 @@ func NewExemplars(capacity int) *Exemplars {
 // Len returns the number of captured exemplars.
 func (e *Exemplars) Len() int { return len(e.heap) }
 
-// Admitted returns the lifetime count of admissions (captures plus
-// displacements), a cheap signal for tests and status.
-func (e *Exemplars) Admitted() uint64 { return e.admitted }
-
 // Consider offers one observation; it is captured iff the buffer has
 // room or the residual beats the current smallest captured residual.
 // now is the capture wall-clock timestamp.
@@ -86,7 +81,6 @@ func (e *Exemplars) Consider(o Observation, now time.Time) bool {
 		e.heap = append(e.heap, exemplarEntry{})
 		e.fill(&e.heap[len(e.heap)-1], o, now, absResid)
 		e.siftUp(len(e.heap) - 1)
-		e.admitted++
 		return true
 	}
 	if absResid <= e.heap[0].absResid {
@@ -94,7 +88,6 @@ func (e *Exemplars) Consider(o Observation, now time.Time) bool {
 	}
 	e.fill(&e.heap[0], o, now, absResid)
 	e.siftDown(0)
-	e.admitted++
 	return true
 }
 

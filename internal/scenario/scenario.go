@@ -13,7 +13,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"pmcpower/internal/stats"
@@ -164,20 +163,4 @@ func (m *Metrics) Summaries() map[string]MetricSummary {
 		out[name] = s
 	}
 	return out
-}
-
-// Names returns every metric name, sorted, counters first then
-// series; useful for stable console rendering.
-func (m *Metrics) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.counters)+len(m.series))
-	for n := range m.counters {
-		names = append(names, n)
-	}
-	for n := range m.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

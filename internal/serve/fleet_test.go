@@ -258,7 +258,7 @@ func TestSweepEvictsOutsideShardLock(t *testing.T) {
 	const ttl = 10 * time.Millisecond
 	// One shard: the evicted key and the live key share it by
 	// construction, which is the worst case the contract covers.
-	sm := newSessionManager(1, 64, ttl, clock.Now, NewMetrics(nil, 1), 0)
+	sm := newSessionManager(1, 64, ttl, clock.Now, NewMetrics(nil, 1))
 
 	hookEntered := make(chan struct{})
 	hookRelease := make(chan struct{})
@@ -486,6 +486,29 @@ func TestModelUploadBodyCap(t *testing.T) {
 	}
 	if got := s.Metrics().Rejected(ReasonOversized); got == 0 {
 		t.Fatal("oversized upload not counted under the oversized reason")
+	}
+}
+
+// TestModelUploadRejectsDuplicateEvents: a model document naming one
+// event twice is refused at upload with 400 and reason parse, and
+// nothing is registered under the name.
+func TestModelUploadRejectsDuplicateEvents(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	doc := `{"version":1,"events":["PAPI_TOT_CYC","PAPI_TOT_CYC"],"alpha":[1,2],"beta":0,"gamma":0,"delta":0}`
+	resp, err := http.Post(ts.URL+"/v1/models?name=dup", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var we wireError
+	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || we.Reason != ReasonParse || !strings.Contains(we.Error, "PAPI_TOT_CYC") {
+		t.Fatalf("duplicate-event upload: status %d %+v, want 400 %q naming PAPI_TOT_CYC", resp.StatusCode, we, ReasonParse)
+	}
+	if _, err := s.reg.Get("dup"); err == nil {
+		t.Fatal("rejected document was registered")
 	}
 }
 

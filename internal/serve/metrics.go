@@ -22,6 +22,9 @@ const (
 	ReasonSessionCap  = "session_limit"
 	ReasonSessionBusy = "session_busy"
 	ReasonBadPower    = "bad_power"
+	// ReasonNonFinite refuses a sample or predict row that passed
+	// validation but whose estimate overflows to NaN or ±Inf.
+	ReasonNonFinite = "non_finite_estimate"
 	// Admission-control rejections: the in-flight cap (429) and the
 	// p99 latency shed (503).
 	ReasonShedInflight = "shed_inflight"
@@ -134,12 +137,6 @@ func (m *Metrics) Request(path string) {
 	m.totalRequests.Add(1)
 	m.reg.Counter("pmcpowerd_requests_total", "HTTP requests by path.",
 		obs.Label{Key: "path", Value: path}).Inc()
-}
-
-// RequestLatency records one full-request duration for path.
-func (m *Metrics) RequestLatency(path string, d time.Duration) {
-	m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
-		nil, obs.Label{Key: "path", Value: path}).Observe(d.Seconds())
 }
 
 // RequestLatencyExemplar records one full-request duration for path

@@ -183,15 +183,6 @@ func TestQualityDriftEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The per-session tracker followed the same stream.
-	ss, ok := s.SessionQuality("m", "q1")
-	if !ok {
-		t.Fatal("SessionQuality(m, q1) not found")
-	}
-	if ss.Total != 48+driftSamples || ss.MAPEPct < 12 {
-		t.Errorf("session quality = %+v", ss)
-	}
-
 	// Metrics: the state gauge and transition counters are published.
 	rendered := s.Metrics().Render()
 	for _, want := range []string{
@@ -282,54 +273,6 @@ func TestHealthReadiness(t *testing.T) {
 	}
 }
 
-// TestQualityDisabledBitIdentical pins the pure-observer contract:
-// the NDJSON estimate stream is byte-for-byte identical with quality
-// tracking on and off, including on a refitting session.
-func TestQualityDisabledBitIdentical(t *testing.T) {
-	_, rows := fixture(t)
-	var lines []string
-	for i, r := range rows {
-		// Slightly perturbed labels exercise the refit path.
-		lines = append(lines, labeledLine(t, r, uint64(i+1)*1e6, r.PowerW*1.02))
-	}
-	body := strings.Join(lines, "\n") + "\n"
-
-	run := func(disable bool) string {
-		_, ts := newTestServer(t, Config{DisableQuality: disable})
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate?model=m&refit=32&session=bit",
-			strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
-		// A fixed inbound trace context pins the trace id both runs echo
-		// into their rows; minted ids would differ run to run.
-		req.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stream (disable=%v) = %d: %s", disable, resp.StatusCode, raw)
-		}
-		return string(raw)
-	}
-	withQuality := run(false)
-	withoutQuality := run(true)
-	if withQuality != withoutQuality {
-		t.Fatalf("estimate stream differs with quality tracking on vs off:\n--- on ---\n%s--- off ---\n%s",
-			withQuality, withoutQuality)
-	}
-	if !strings.Contains(withQuality, `"instant_w"`) {
-		t.Fatalf("stream carries no estimates: %s", withQuality)
-	}
-}
-
 // TestStatusSchema decodes /v1/status through a strict decoder against
 // the documented shape — the same validation pmcpowertop -validate and
 // the CI curl step run against a live daemon.
@@ -366,8 +309,7 @@ func TestStatusSchema(t *testing.T) {
 
 // TestQualityPathAllocs is the acceptance gate at the serving layer:
 // quality tracking adds zero allocations per labelled sample on the
-// warmed steady-state path (session push + model monitor + session
-// tracker).
+// warmed steady-state path (session push + model monitor).
 func TestQualityPathAllocs(t *testing.T) {
 	m, rows := fixture(t)
 	r := rows[0]
@@ -385,7 +327,6 @@ func TestQualityPathAllocs(t *testing.T) {
 	base := mkStream()
 	instr := mkStream()
 	qmon := quality.NewMonitor(quality.Config{Window: 64, Exemplars: 8})
-	qtrack := quality.NewTracker(64)
 
 	cs := counterSample(r, 0)
 	var baseNs, instrNs uint64
@@ -403,7 +344,6 @@ func TestQualityPathAllocs(t *testing.T) {
 					Rates: cs.Rates, ModelVersion: est.ModelVersion,
 					PredictedW: est.InstantW, ObservedW: label,
 				})
-				qtrack.Observe(est.InstantW, label)
 			}
 		}
 	}
@@ -429,7 +369,6 @@ func TestQualityPathAllocs(t *testing.T) {
 			Rates: cs.Rates, ModelVersion: est.ModelVersion,
 			PredictedW: est.InstantW, ObservedW: label,
 		})
-		qtrack.Observe(est.InstantW, label)
 	})
 	if instrumented > baseline {
 		t.Fatalf("quality tracking adds %.2f allocs/op (baseline %.2f, instrumented %.2f), want 0",

@@ -47,10 +47,11 @@ func interleaved(rows []*acquisition.Row, n int) []*acquisition.Row {
 // ?refit=N must serve exactly what a core.StreamSession in refit mode
 // produces — instant, smoothed, joules, and the stamped model version,
 // bit for bit — and the version must leave 0 once the window fills.
+// The oracle is a direct session, so the named case also pins the
+// pure-observer contract: with the session table, the quality monitor
+// and the flight recorder all in the loop, no row changes.
 func TestEstimateStreamRefitBitIdentical(t *testing.T) {
 	m, rows := fixture(t)
-	s, ts := newTestServer(t, Config{})
-
 	const alpha = 0.3
 	const window = 24
 	const n = 60
@@ -59,48 +60,80 @@ func TestEstimateStreamRefitBitIdentical(t *testing.T) {
 	for i, r := range streamRows {
 		lines[i] = labelledLine(t, r, uint64(i)*1e8)
 	}
-	status, ests, errs := streamEstimates(t, ts,
-		fmt.Sprintf("?model=m&alpha=%v&refit=%d", alpha, window), lines)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200", status)
-	}
-	if len(errs) != 0 {
-		t.Fatalf("unexpected error records: %+v", errs)
-	}
-	if len(ests) != n {
-		t.Fatalf("estimates = %d, want %d", len(ests), n)
-	}
+	query := fmt.Sprintf("?model=m&alpha=%v&refit=%d", alpha, window)
 
-	ref, err := core.NewStreamSessionRefit(m, alpha, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range streamRows {
-		want, err := ref.PushLabeled(counterSample(r, uint64(i)*1e8), r.PowerW)
-		if err != nil {
-			t.Fatalf("reference push %d: %v", i, err)
-		}
-		got := ests[i]
-		if got.InstantW != want.InstantW || got.SmoothedW != want.SmoothedW ||
-			got.TotalJ != want.TotalJoules || got.ModelVersion != want.ModelVersion {
-			t.Fatalf("estimate %d: got %+v, want %+v", i, got, want)
-		}
-	}
-	if ests[0].ModelVersion != 0 {
-		t.Fatalf("first estimate version = %d, want 0 (frozen until the window fills)", ests[0].ModelVersion)
-	}
-	if last := ests[n-1].ModelVersion; last == 0 {
-		t.Fatal("model version never left 0: streaming refit never refreshed")
-	}
+	for _, tc := range []struct {
+		name, session, traceparent string
+	}{
+		{name: "anonymous"},
+		{name: "named-traced", session: "oracle", traceparent: testTraceparent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			q := query
+			if tc.session != "" {
+				q += "&session=" + tc.session
+			}
+			status, ests, errs := streamEstimatesTraced(t, ts, q, tc.traceparent, lines)
+			if status != http.StatusOK {
+				t.Fatalf("status = %d, want 200", status)
+			}
+			if len(errs) != 0 {
+				t.Fatalf("unexpected error records: %+v", errs)
+			}
+			if len(ests) != n {
+				t.Fatalf("estimates = %d, want %d", len(ests), n)
+			}
 
-	if got := s.Metrics().RefitSamples(); got != n {
-		t.Fatalf("refit samples = %d, want %d", got, n)
-	}
-	if got := s.Metrics().RefitCount(); got == 0 {
-		t.Fatal("refits counter stayed 0")
-	}
-	if !strings.Contains(s.Metrics().Render(), "pmcpowerd_refit_drift_watts") {
-		t.Fatal("drift histogram missing from exposition")
+			ref, err := core.NewStreamSessionRefit(m, alpha, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range streamRows {
+				want, err := ref.PushLabeled(counterSample(r, uint64(i)*1e8), r.PowerW)
+				if err != nil {
+					t.Fatalf("reference push %d: %v", i, err)
+				}
+				got := ests[i]
+				if got.InstantW != want.InstantW || got.SmoothedW != want.SmoothedW ||
+					got.TotalJ != want.TotalJoules || got.Samples != want.Samples ||
+					got.ModelVersion != want.ModelVersion {
+					t.Fatalf("estimate %d: got %+v, want %+v", i, got, want)
+				}
+			}
+			if ests[0].ModelVersion != 0 {
+				t.Fatalf("first estimate version = %d, want 0 (frozen until the window fills)", ests[0].ModelVersion)
+			}
+			if last := ests[n-1].ModelVersion; last == 0 {
+				t.Fatal("model version never left 0: streaming refit never refreshed")
+			}
+
+			if got := s.Metrics().RefitSamples(); got != n {
+				t.Fatalf("refit samples = %d, want %d", got, n)
+			}
+			if got := s.Metrics().RefitCount(); got == 0 {
+				t.Fatal("refits counter stayed 0")
+			}
+			if !strings.Contains(s.Metrics().Render(), "pmcpowerd_refit_drift_watts") {
+				t.Fatal("drift histogram missing from exposition")
+			}
+			// The observers saw every sample they were handed.
+			if q := s.Status().Quality; len(q) != 1 || q[0].LabelledSamples != n {
+				t.Fatalf("quality ledger = %+v, want one model with %d labelled samples", q, n)
+			}
+			if tc.traceparent == "" {
+				return
+			}
+			for _, e := range ests {
+				if e.TraceID != testTraceID {
+					t.Fatalf("row trace_id = %q, want the pinned %q", e.TraceID, testTraceID)
+				}
+			}
+			recent := s.FlightRecorder().Recent()
+			if len(recent) != 1 || recent[0].TraceID != testTraceID || recent[0].Samples != n {
+				t.Fatalf("flight recorder summaries = %+v, want the pinned trace with %d samples", recent, n)
+			}
+		})
 	}
 }
 

@@ -16,9 +16,6 @@ import (
 // strict-decodes it against a live daemon.
 type RequestsResponse struct {
 	Service string `json:"service"`
-	// Enabled is false when the flight recorder is disabled; every
-	// other field is then empty.
-	Enabled bool `json:"enabled"`
 	// SlowThresholdS is the current slow-retention bound in seconds (0
 	// while slow detection is still warming up).
 	SlowThresholdS float64 `json:"slow_threshold_s"`
@@ -44,26 +41,13 @@ type PathExemplars struct {
 func (s *Server) Requests() RequestsResponse {
 	resp := RequestsResponse{
 		Service:          "pmcpowerd",
-		Enabled:          s.flightrec != nil,
-		InFlight:         []obs.RequestSummary{},
-		Recent:           []obs.RequestSummary{},
-		RetainedTraces:   []obs.RetainedTrace{},
+		SlowThresholdS:   s.flightrec.SlowThreshold().Seconds(),
+		InFlight:         s.flightrec.InFlight(),
+		Recent:           s.flightrec.Recent(),
+		RetainedTraces:   s.flightrec.Retained(),
 		LatencyExemplars: []PathExemplars{},
 	}
-	if s.flightrec == nil {
-		return resp
-	}
-	resp.SlowThresholdS = s.flightrec.SlowThreshold().Seconds()
 	resp.RequestsTotal, resp.RetainedTotal = s.flightrec.Stats()
-	if inflight := s.flightrec.InFlight(); inflight != nil {
-		resp.InFlight = inflight
-	}
-	if recent := s.flightrec.Recent(); recent != nil {
-		resp.Recent = recent
-	}
-	if kept := s.flightrec.Retained(); kept != nil {
-		resp.RetainedTraces = kept
-	}
 	for _, p := range []string{"/v1/estimate", "/v1/predict"} {
 		if ex := s.metrics.LatencyExemplars(p); len(ex) > 0 {
 			resp.LatencyExemplars = append(resp.LatencyExemplars, PathExemplars{Path: p, Exemplars: ex})
@@ -82,8 +66,8 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 
 // handleFlightRec serves the retained traces as a Chrome
 // trace_event JSON document (load it in chrome://tracing or
-// ui.perfetto.dev, or feed it to cmd/tracecheck). An empty recorder —
-// or a disabled one — yields a valid document with no events.
+// ui.perfetto.dev, or feed it to cmd/tracecheck). An empty recorder
+// yields a valid document with no events.
 func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("/debug/flightrec")
 	w.Header().Set("Content-Type", "application/json")

@@ -143,11 +143,14 @@ func (o *streamOracle) push(r *acquisition.Row, timeNs uint64) (inst, smoothed, 
 // every response line.
 func streamEstimates(t *testing.T, ts *httptest.Server, query string, lines []string) (int, []wireEstimate, []wireError) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/estimate"+query, "application/x-ndjson",
-		strings.NewReader(strings.Join(lines, "\n")+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return streamEstimatesTraced(t, ts, query, "", lines)
+}
+
+// streamEstimatesTraced is streamEstimates with an optional inbound
+// traceparent header.
+func streamEstimatesTraced(t *testing.T, ts *httptest.Server, query, traceparent string, lines []string) (int, []wireEstimate, []wireError) {
+	t.Helper()
+	resp := postTraced(t, ts.URL+"/v1/estimate"+query, traceparent, strings.Join(lines, "\n")+"\n")
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -554,6 +557,63 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestNonFiniteEstimateRejected: a sample that passes validation but
+// whose estimate overflows (voltage_v 1e200 squares to +Inf) gets an
+// error row with reason non_finite_estimate instead of vanishing, and
+// leaves the named session unpoisoned: the stream's later row and a
+// follow-up request match the oracle that never saw it. /v1/predict
+// answers such a row with 400 and the same reason.
+func TestNonFiniteEstimateRejected(t *testing.T) {
+	m, rows := fixture(t)
+	s, ts := newTestServer(t, Config{})
+	hot := *rows[1]
+	hot.VoltageV = 1e200
+
+	status, ests, errLines := streamEstimates(t, ts, "?model=m&session=v", []string{
+		sampleLine(t, rows[0], 1e6),
+		sampleLine(t, &hot, 2e6),
+		sampleLine(t, rows[2], 3e6),
+	})
+	if status != http.StatusOK || len(ests) != 2 || len(errLines) != 1 {
+		t.Fatalf("stream: status %d, %d estimates, %d errors; want 200, 2, 1", status, len(ests), len(errLines))
+	}
+	if errLines[0].Reason != ReasonNonFinite {
+		t.Fatalf("error row reason = %q, want %q", errLines[0].Reason, ReasonNonFinite)
+	}
+	status, follow, _ := streamEstimates(t, ts, "?model=m&session=v", []string{sampleLine(t, rows[3], 4e6)})
+	if status != http.StatusOK || len(follow) != 1 {
+		t.Fatalf("follow-up: status %d, %d estimates; want 200, 1", status, len(follow))
+	}
+	oracle := streamOracle{m: m, alpha: 1}
+	oracle.push(rows[0], 1e6)
+	oracle.push(rows[2], 3e6)
+	inst, smoothed, joules := oracle.push(rows[3], 4e6)
+	if got := follow[0]; got.Samples != 3 || got.InstantW != inst || got.SmoothedW != smoothed || got.TotalJ != joules {
+		t.Fatalf("follow-up row = %+v, want samples 3, instant %v, smoothed %v, total %v", got, inst, smoothed, joules)
+	}
+	if got := s.Metrics().Rejected(ReasonNonFinite); got != 1 {
+		t.Fatalf("non_finite_estimate rejects = %d, want 1", got)
+	}
+
+	row := rowToWire(&hot)
+	body, err := json.Marshal(predictRequest{Model: "m", Rows: []wireRow{row}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var we wireError
+	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || we.Reason != ReasonNonFinite {
+		t.Fatalf("predict: status %d reason %q, want 400 %q", resp.StatusCode, we.Reason, ReasonNonFinite)
 	}
 }
 

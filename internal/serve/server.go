@@ -94,8 +94,7 @@ type Config struct {
 	// recorder's bounded request traces.
 	Tracer *obs.Tracer
 	// QualityWindow is the sliding-window size (in labelled samples)
-	// for model-quality tracking, both per served model version and
-	// per session. Default 256.
+	// for model-quality tracking per served model version. Default 256.
 	QualityWindow int
 	// QualityExemplars is the per-model worst-residual buffer
 	// capacity served at /debug/exemplars. Default 32.
@@ -103,18 +102,6 @@ type Config struct {
 	// QualityThresholds configures the drift state machine (zero
 	// fields take the quality package defaults).
 	QualityThresholds quality.Thresholds
-	// DisableQuality turns model-quality tracking off entirely:
-	// labelled samples skip the quality path, /v1/status carries no
-	// quality block, and deep health degenerates to shallow health.
-	// Estimates are bit-identical either way — quality is a pure
-	// observer.
-	DisableQuality bool
-	// DisableFlightRec turns the tail-sampled flight recorder off:
-	// /debug/requests and /debug/flightrec serve empty documents and no
-	// per-request trace state is kept. Trace IDs still flow on the wire
-	// (headers, rows, logs) either way, and responses are bit-identical
-	// with the recorder on or off — it is a pure observer.
-	DisableFlightRec bool
 	// FlightRecRetain caps the ring of fully retained traces. Default
 	// 64 (the obs package default). The recorder's other bounds keep
 	// the obs defaults: 128 recent request summaries, 64 events per
@@ -185,8 +172,8 @@ type Server struct {
 	metrics   *Metrics
 	sessions  *sessionManager
 	gate      *admissionGate
-	quality   *qualityHub         // nil when cfg.DisableQuality
-	flightrec *obs.FlightRecorder // nil when cfg.DisableFlightRec
+	quality   *qualityHub
+	flightrec *obs.FlightRecorder
 	mux       *http.ServeMux
 
 	start     time.Time
@@ -211,22 +198,15 @@ func New(cfg Config) *Server {
 		goVersion: runtime.Version(),
 		stop:      make(chan struct{}),
 	}
-	if !cfg.DisableFlightRec {
-		s.flightrec = obs.NewFlightRecorder(obs.FlightRecorderConfig{
-			Stages:  flightStages,
-			Retain:  cfg.FlightRecRetain,
-			MinSlow: cfg.FlightRecMinSlow,
-			Warmup:  cfg.FlightRecWarmup,
-			Now:     cfg.Now,
-		})
-	}
-	qualityWindow := cfg.QualityWindow
-	if cfg.DisableQuality {
-		qualityWindow = 0
-	} else {
-		s.quality = newQualityHub(cfg, s.metrics, cfg.Logger, s.flightrec)
-	}
-	s.sessions = newSessionManager(cfg.Shards, cfg.MaxSessions, cfg.IdleTTL, cfg.Now, s.metrics, qualityWindow)
+	s.flightrec = obs.NewFlightRecorder(obs.FlightRecorderConfig{
+		Stages:  flightStages,
+		Retain:  cfg.FlightRecRetain,
+		MinSlow: cfg.FlightRecMinSlow,
+		Warmup:  cfg.FlightRecWarmup,
+		Now:     cfg.Now,
+	})
+	s.quality = newQualityHub(cfg, s.metrics, cfg.Logger, s.flightrec)
+	s.sessions = newSessionManager(cfg.Shards, cfg.MaxSessions, cfg.IdleTTL, cfg.Now, s.metrics)
 	s.gate = newAdmissionGate(cfg, s.metrics)
 	s.metrics.SetBuildInfo(s.version, s.goVersion)
 	// Gauges owned by other components, sampled at render time.
@@ -361,20 +341,12 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // Metrics exposes the server's counters (used by tests and embedders).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// FlightRecorder exposes the tail-sampled request recorder (nil when
-// disabled) — pmcpowerd dumps it on SIGQUIT, tests inspect it.
+// FlightRecorder exposes the tail-sampled request recorder —
+// pmcpowerd dumps it on SIGQUIT, tests inspect it.
 func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flightrec }
 
 // ActiveSessions returns the number of live estimator sessions.
 func (s *Server) ActiveSessions() int { return s.sessions.count() }
-
-// SessionQuality returns the residual-window snapshot of one named
-// session (the model key as passed by the client, plus the session
-// id). ok is false when the session does not exist or quality
-// tracking is disabled.
-func (s *Server) SessionQuality(model, id string) (quality.WindowSnapshot, bool) {
-	return s.sessions.qualitySnapshot(sessionKey{model: model, id: id})
-}
 
 // SweepIdleSessions runs one eviction pass at the server's current
 // clock and returns the number of sessions evicted. The janitor calls
@@ -491,12 +463,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 				s.gate.p99EwmaS()*1e3, s.cfg.ShedP99.Seconds()*1e3)
 			return
 		}
-		if s.quality != nil {
-			if alerting := s.quality.alerting(); len(alerting) > 0 {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintf(w, "alert: model quality degraded: %s\n", strings.Join(alerting, ", "))
-				return
-			}
+		if alerting := s.quality.alerting(); len(alerting) > 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintf(w, "alert: model quality degraded: %s\n", strings.Join(alerting, ", "))
+			return
 		}
 	}
 	fmt.Fprintln(w, "ok")
@@ -618,13 +588,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer predictPool.Put(sc)
 	for i := range req.Rows {
 		reason, err := convertRowInto(req.Rows[i], m, &sc.row)
+		var watts float64
+		if err == nil {
+			watts = m.Predict(&sc.row)
+			if math.IsNaN(watts) || math.IsInf(watts, 0) {
+				reason, err = ReasonNonFinite, fmt.Errorf("%w: %v W", core.ErrNonFinite, watts)
+			}
+		}
 		if err != nil {
 			s.metrics.Reject(reason)
 			writeError(w, http.StatusBadRequest, reason,
 				fmt.Errorf("serve: row %d: %w", i, err))
 			return
 		}
-		resp.Watts = append(resp.Watts, m.Predict(&sc.row))
+		resp.Watts = append(resp.Watts, watts)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -845,6 +822,8 @@ func classifyPushError(err error) string {
 		return ReasonBadOperPt
 	case errors.Is(err, core.ErrBadPower):
 		return ReasonBadPower
+	case errors.Is(err, core.ErrNonFinite):
+		return ReasonNonFinite
 	}
 	return ReasonParse
 }

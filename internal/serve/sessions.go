@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pmcpower/internal/core"
-	"pmcpower/internal/quality"
 )
 
 // httpError pairs an error with the HTTP status and metrics reason it
@@ -43,10 +42,6 @@ type session struct {
 	// cannot interleave one EWMA timeline.
 	busy    bool
 	lastUse time.Time
-	// quality tracks this session's own prequential residual window
-	// (nil when quality tracking is disabled). The Tracker has its own
-	// lock; the handler feeds it outside the shard's.
-	quality *quality.Tracker
 }
 
 // sessionShard is one independently locked slice of the session table.
@@ -77,9 +72,6 @@ type sessionManager struct {
 	// held so it never drifts from the sum of the shard maps.
 	active  atomic.Int64
 	metrics *Metrics
-	// qualityWindow sizes the per-session residual tracker attached to
-	// each new session; 0 disables per-session tracking.
-	qualityWindow int
 	// evictHook, when non-nil, runs once per evicted session after the
 	// owning shard's lock has been released — the test seam for the
 	// collect-then-close sweep contract (a slow teardown must not stall
@@ -99,16 +91,15 @@ func shardCount(n int) int {
 	return p
 }
 
-func newSessionManager(shards, max int, ttl time.Duration, now func() time.Time, m *Metrics, qualityWindow int) *sessionManager {
+func newSessionManager(shards, max int, ttl time.Duration, now func() time.Time, m *Metrics) *sessionManager {
 	shards = shardCount(shards)
 	sm := &sessionManager{
-		shards:        make([]sessionShard, shards),
-		mask:          uint64(shards - 1),
-		max:           max,
-		ttl:           ttl,
-		now:           now,
-		metrics:       m,
-		qualityWindow: qualityWindow,
+		shards:  make([]sessionShard, shards),
+		mask:    uint64(shards - 1),
+		max:     max,
+		ttl:     ttl,
+		now:     now,
+		metrics: m,
 	}
 	for i := range sm.shards {
 		sm.shards[i].sessions = make(map[sessionKey]*session)
@@ -167,9 +158,6 @@ func (sm *sessionManager) acquire(key sessionKey, m *core.Model, alpha float64, 
 			return nil, &httpError{status: http.StatusBadRequest, reason: ReasonParse, err: err}
 		}
 		s = &session{stream: stream, alpha: alpha, refitWindow: refitWindow}
-		if sm.qualityWindow > 0 {
-			s.quality = quality.NewTracker(sm.qualityWindow)
-		}
 		sh.sessions[key] = s
 		sm.metrics.SessionCreated()
 	} else {
@@ -268,19 +256,6 @@ func (sm *sessionManager) shardCounts() []int {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// qualitySnapshot returns the session's own residual-window snapshot.
-// ok is false when the session does not exist or tracking is disabled.
-func (sm *sessionManager) qualitySnapshot(key sessionKey) (quality.WindowSnapshot, bool) {
-	sh := sm.shard(key)
-	sh.mu.Lock()
-	s, exists := sh.sessions[key]
-	sh.mu.Unlock()
-	if !exists || s.quality == nil {
-		return quality.WindowSnapshot{}, false
-	}
-	return s.quality.Snapshot(), true
 }
 
 // lookup returns the live session for key (nil when absent) — test

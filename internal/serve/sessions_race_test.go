@@ -40,7 +40,7 @@ func TestSessionManagerStreamVsEvictionRace(t *testing.T) {
 	model, _ := fixture(t)
 	clock := newRaceClock()
 	const ttl = 10 * time.Millisecond
-	sm := newSessionManager(8, 64, ttl, clock.Now, NewMetrics(obs.NewRegistry(), 8), 0)
+	sm := newSessionManager(8, 64, ttl, clock.Now, NewMetrics(obs.NewRegistry(), 8))
 
 	const (
 		workers    = 8

@@ -24,8 +24,8 @@ type qualityHub struct {
 	cfg      Config
 	metrics  *Metrics
 	logger   *slog.Logger
-	recorder *obs.FlightRecorder // nil when flight recording is disabled
-	dumpPath string              // alert-transition dump target; "" disables
+	recorder *obs.FlightRecorder
+	dumpPath string // alert-transition dump target; "" disables
 
 	mu       sync.Mutex
 	monitors map[string]*quality.Monitor
@@ -81,7 +81,7 @@ func (h *qualityHub) monitor(key string) *quality.Monitor {
 				h.recorder.Flag(o.TraceID, reason)
 				h.recorder.Annotate(o.TraceID, "quality transition", key+": "+reason)
 			}
-			if to == quality.StateAlert && h.dumpPath != "" && h.recorder != nil {
+			if to == quality.StateAlert && h.dumpPath != "" {
 				// Synchronous by design: this runs once per alert
 				// transition (hysteresis-gated), and writing in the
 				// observing goroutine means the dump deterministically
@@ -105,16 +105,21 @@ func (h *qualityHub) monitor(key string) *quality.Monitor {
 	return mon
 }
 
-// snapshots returns every monitor's snapshot keyed by model, taken
-// without holding the hub lock across monitor locks longer than
-// needed.
-func (h *qualityHub) snapshots() map[string]quality.Snapshot {
+// monitorsByKey copies the monitor table, so callers read monitors
+// without holding the hub lock across monitor locks.
+func (h *qualityHub) monitorsByKey() map[string]*quality.Monitor {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	mons := make(map[string]*quality.Monitor, len(h.monitors))
 	for k, m := range h.monitors {
 		mons[k] = m
 	}
-	h.mu.Unlock()
+	return mons
+}
+
+// snapshots returns every monitor's snapshot keyed by model.
+func (h *qualityHub) snapshots() map[string]quality.Snapshot {
+	mons := h.monitorsByKey()
 	out := make(map[string]quality.Snapshot, len(mons))
 	for k, m := range mons {
 		out[k] = m.Snapshot()
@@ -254,9 +259,6 @@ func (s *Server) Status() StatusResponse {
 	if resp.Health.ServableModels == 0 {
 		resp.Health.Status = "unavailable"
 	}
-	if s.quality == nil {
-		return resp
-	}
 	snaps := s.quality.snapshots()
 	keys := make([]string, 0, len(snaps))
 	for k := range snaps {
@@ -302,28 +304,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExemplars(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("/debug/exemplars")
 	resp := exemplarsResponse{Exemplars: []ExemplarEntry{}}
-	if s.quality != nil {
-		s.quality.mu.Lock()
-		mons := make(map[string]*quality.Monitor, len(s.quality.monitors))
-		for k, m := range s.quality.monitors {
-			mons[k] = m
+	for k, m := range s.quality.monitorsByKey() {
+		for _, rec := range m.ExemplarRecords() {
+			resp.Exemplars = append(resp.Exemplars, ExemplarEntry{Model: k, ExemplarRecord: rec})
 		}
-		s.quality.mu.Unlock()
-		for k, m := range mons {
-			for _, rec := range m.ExemplarRecords() {
-				resp.Exemplars = append(resp.Exemplars, ExemplarEntry{Model: k, ExemplarRecord: rec})
-			}
-		}
-		// Worst first across models; ties broken by model key so the
-		// order is deterministic.
-		sort.Slice(resp.Exemplars, func(i, j int) bool {
-			ri := math.Abs(resp.Exemplars[i].ResidualW)
-			rj := math.Abs(resp.Exemplars[j].ResidualW)
-			if ri != rj {
-				return ri > rj
-			}
-			return resp.Exemplars[i].Model < resp.Exemplars[j].Model
-		})
 	}
+	// Worst first across models; ties broken by model key so the order
+	// is deterministic.
+	sort.Slice(resp.Exemplars, func(i, j int) bool {
+		ri := math.Abs(resp.Exemplars[i].ResidualW)
+		rj := math.Abs(resp.Exemplars[j].ResidualW)
+		if ri != rj {
+			return ri > rj
+		}
+		return resp.Exemplars[i].Model < resp.Exemplars[j].Model
+	})
 	writeJSON(w, http.StatusOK, resp)
 }

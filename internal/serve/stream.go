@@ -54,14 +54,11 @@ type estimateStream struct {
 	lastVersion, lastRebuilds uint64
 
 	// traceID stamps every row. at is the flight-recorder trace (nil
-	// with the recorder off and outside HTTP). qmon, the model
-	// version's quality monitor, is resolved at the stream's first
-	// labelled sample, and qtrack is the named session's own tracker;
-	// both stay nil with quality tracking off.
+	// outside HTTP). qmon, the model version's quality monitor, is
+	// resolved at the stream's first labelled sample.
 	traceID string
 	at      *obs.ActiveTrace
 	qmon    *quality.Monitor
-	qtrack  *quality.Tracker
 	// mark is the clock reading at the last stage boundary.
 	mark time.Time
 
@@ -183,7 +180,7 @@ func (st *estimateStream) open(model, sessionID, alphaParam, refitParam string) 
 			st.at.Error(aerr.err.Error())
 			return aerr
 		}
-		st.stream, st.qtrack = sess.stream, sess.quality
+		st.stream = sess.stream
 		st.stripe = s.sessions.shardIndex(st.key)
 	}
 	if st.stream.Refitting() { // a frozen session's refit counters stay 0
@@ -337,29 +334,23 @@ func (st *estimateStream) push(cs core.CounterSample, powerW float64, labelled b
 // observe is the observe stage: a labelled sample's estimate scored
 // against its label, prequentially (the estimate was computed before
 // the label reached any refit), by the model version's quality monitor
-// — created at the first labelled sample — and the named session's
-// tracker. Quality is a pure observer: the estimate stream is
-// bit-identical with it disabled.
+// — created at the first labelled sample. Quality is a pure observer:
+// it never changes a row.
 func (st *estimateStream) observe(cs core.CounterSample, powerW float64, est core.StreamEstimate) {
-	if st.qmon == nil && st.s.quality != nil {
+	if st.qmon == nil {
 		st.qmon = st.s.quality.monitor(st.ref.Key())
 	}
-	if st.qmon != nil {
-		st.qmon.Observe(quality.Observation{
-			TimeNs:       cs.TimeNs,
-			Session:      st.key.id,
-			ModelVersion: est.ModelVersion,
-			TraceID:      st.traceID,
-			FreqMHz:      cs.FreqMHz,
-			VoltageV:     cs.VoltageV,
-			Rates:        cs.Rates,
-			PredictedW:   est.InstantW,
-			ObservedW:    powerW,
-		})
-	}
-	if st.qtrack != nil {
-		st.qtrack.Observe(est.InstantW, powerW)
-	}
+	st.qmon.Observe(quality.Observation{
+		TimeNs:       cs.TimeNs,
+		Session:      st.key.id,
+		ModelVersion: est.ModelVersion,
+		TraceID:      st.traceID,
+		FreqMHz:      cs.FreqMHz,
+		VoltageV:     cs.VoltageV,
+		Rates:        cs.Rates,
+		PredictedW:   est.InstantW,
+		ObservedW:    powerW,
+	})
 }
 
 // encode is the encode stage: the estimate as one NDJSON row, the 200

@@ -117,42 +117,6 @@ func TestTraceContextOnWire(t *testing.T) {
 	}
 }
 
-// TestFlightRecDisabledBitIdentical pins the pure-observer contract
-// for the recorder: the NDJSON estimate stream is byte-for-byte
-// identical with the flight recorder on and off. A fixed inbound
-// traceparent pins the ids both runs echo.
-func TestFlightRecDisabledBitIdentical(t *testing.T) {
-	_, rows := fixture(t)
-	var lines []string
-	for i, r := range rows {
-		lines = append(lines, labeledLine(t, r, uint64(i+1)*1e6, r.PowerW*1.02))
-	}
-	body := strings.Join(lines, "\n") + "\n"
-
-	run := func(disable bool) string {
-		_, ts := newTestServer(t, Config{DisableFlightRec: disable})
-		resp := postTraced(t, ts.URL+"/v1/estimate?model=m&refit=32&session=bit", testTraceparent, body)
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stream (disable=%v) = %d: %s", disable, resp.StatusCode, raw)
-		}
-		return string(raw)
-	}
-	withRec := run(false)
-	withoutRec := run(true)
-	if withRec != withoutRec {
-		t.Fatalf("estimate stream differs with flight recorder on vs off:\n--- on ---\n%s--- off ---\n%s",
-			withRec, withoutRec)
-	}
-	if !strings.Contains(withRec, `"trace_id":"`+testTraceID+`"`) {
-		t.Fatalf("stream rows lack the adopted trace id: %s", withRec)
-	}
-}
-
 // TestRequestsEndpoint drives the recorder over HTTP and
 // strict-decodes /debug/requests: fast healthy requests land in the
 // recent ring unretained, an errored request is retained with its
@@ -188,7 +152,7 @@ func TestRequestsEndpoint(t *testing.T) {
 	if err := dec.Decode(&reqs); err != nil {
 		t.Fatalf("/debug/requests does not match the documented shape: %v\n%s", err, raw)
 	}
-	if !reqs.Enabled || reqs.Service != "pmcpowerd" {
+	if reqs.Service != "pmcpowerd" {
 		t.Fatalf("identity block = %+v", reqs)
 	}
 	if reqs.RequestsTotal < 4 {
