@@ -105,7 +105,7 @@ func main() {
 			Platform: platform,
 			Rand:     rnd.Split(uint64(1000 + pi)),
 		}
-		samples, err := sampler.Sample(iv)
+		samples, err := sampler.Sample(nil, iv)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,8 +3,9 @@
 //
 //	for every (workload, frequency): for every multiplexed event-set run:
 //	    execute the workload on the simulated node under tracing
-//	    (Score-P-style recorder + metric plugins) → trace archive
-//	→ phase profiles (internal/phaseprofile)
+//	    (Score-P-style recorder + metric plugins) → event stream
+//	    → phase profiles, folded as recorded (internal/phaseprofile)
+//	    [→ trace archive, encoded only for a TraceSink]
 //	→ combined across runs
 //	→ regression dataset rows (one per workload/frequency/thread-count)
 //
@@ -16,10 +17,8 @@ package acquisition
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"pmcpower/internal/cpusim"
@@ -45,15 +44,13 @@ type Options struct {
 	Seed uint64
 	// Events are the PMC events to collect; defaults to all presets.
 	Events []pmu.EventID
-	// PhaseDurationS is the simulated duration of each workload phase
-	// at each thread step. Default 1 s.
-	PhaseDurationS float64
 	// SampleRateHz is the async metric plugin sampling rate written to
 	// the trace. Default 20 Hz.
 	SampleRateHz float64
-	// TraceSink, when non-nil, receives every produced trace archive
-	// (keyed by a descriptive name) before post-processing — used by
-	// the trace-inspection tooling and tests.
+	// TraceSink, when non-nil, receives every run's trace archive
+	// (keyed by a descriptive name) — used by the trace-inspection
+	// tooling and tests. Without a sink no archive is encoded: each
+	// run's events are folded into phase profiles as they are recorded.
 	TraceSink func(name string, data []byte)
 	// Parallelism bounds the workers running the independent
 	// (workload, frequency) campaign cells: 0 = GOMAXPROCS,
@@ -74,9 +71,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if len(out.Events) == 0 {
 		out.Events = pmu.AllIDs()
-	}
-	if out.PhaseDurationS == 0 {
-		out.PhaseDurationS = 1.0
 	}
 	if out.SampleRateHz == 0 {
 		out.SampleRateHz = 20
@@ -211,7 +205,8 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 		runProfiles := make([][]*phaseprofile.Phase, 0, len(plan))
 		for runIdx, set := range plan {
 			seed := base.Split(rng.HashString(fmt.Sprintf("%s|%d|run%d", w.Name, f, runIdx)))
-			if err := recordRun(&o, exec, sensors, w, f, set, seed, sc); err != nil {
+			phases, err := recordRun(&o, exec, sensors, w, f, set, seed, sc)
+			if err != nil {
 				return cellResult{}, fmt.Errorf("acquisition: %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
 			if o.TraceSink != nil {
@@ -219,10 +214,6 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 					name: fmt.Sprintf("%s_%dMHz_run%d.trc", w.Name, f, runIdx),
 					data: bytes.Clone(sc.archive.Bytes()),
 				})
-			}
-			phases, err := phaseprofile.FromTrace(&sc.archive, w.Name)
-			if err != nil {
-				return cellResult{}, fmt.Errorf("acquisition: post-processing %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
 			runProfiles = append(runProfiles, phases)
 		}
@@ -256,32 +247,30 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 // reads from it was written earlier by that same run, so results do
 // not depend on which worker ran a cell.
 type scratch struct {
-	// archive receives one run's trace before post-processing.
+	// archive receives one run's trace when a TraceSink asks for it.
 	archive bytes.Buffer
-	// merged holds one step's plugin samples in chronological order.
-	merged []timedSample
+	// samples holds one step's plugin samples, each plugin's run
+	// after the previous plugin's.
+	samples []metricplugin.SampleValue
 }
 
-// timedSample is one plugin sample bound to its trace location and
-// metric.
-type timedSample struct {
-	t   uint64
-	loc trace.Ref
-	ref trace.Ref
-	v   float64
-}
+// phaseDurationS is the simulated duration of each workload phase at
+// each thread step.
+const phaseDurationS = 1
 
 // recordRun executes every (thread step × phase) of a workload at one
-// frequency with one event set, writing the Score-P-style trace to
-// sc.archive.
+// frequency with one event set and returns the run's phase profiles.
+// Each event is folded into the profiles as it is emitted; the
+// Score-P-style archive is encoded into sc.archive only when a
+// TraceSink asks for it.
 func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
-	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) error {
+	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) ([]*phaseprofile.Phase, error) {
 
 	sc.archive.Reset()
 	tw := trace.NewWriter(&sc.archive)
 	loc, err := tw.DefineLocation("master thread")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// One location per hardware core: the voltage reader and the PMC
 	// sampler are per-core instruments; their streams are attributed
@@ -290,7 +279,7 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 	for c := range coreLocs {
 		coreLocs[c], err = tw.DefineLocation(fmt.Sprintf("core %d", c))
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -321,7 +310,7 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		for pi, ph := range wl.Phases {
 			reg, err := tw.DefineRegion(fmt.Sprintf("%s@%d", ph.Name, n))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			steps = append(steps, step{phaseIdx: pi, threads: n, region: reg})
 		}
@@ -331,29 +320,32 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 	// then one metric per plugin-provided metric.
 	thrRef, err := tw.DefineMetric(phaseprofile.MetricThreads, "threads", trace.MetricSync)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	freqRef, err := tw.DefineMetric(phaseprofile.MetricFreq, "MHz", trace.MetricSync)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	apapi, err := metricplugin.NewApapiPlugin(set, o.SampleRateHz)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	powerPl, err := metricplugin.NewPowerPlugin(o.Model, sensors, o.SampleRateHz)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	voltPl, err := metricplugin.NewVoltagePlugin(o.SampleRateHz)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	plugins := []metricplugin.Plugin{powerPl, voltPl, apapi}
 	type pluginMetrics struct {
 		plugin metricplugin.Plugin
 		refs   []trace.Ref
+		// next and end bound the plugin's unmerged samples in
+		// sc.samples during a step.
+		next, end int
 	}
 	var pms []pluginMetrics
 	for _, pl := range plugins {
@@ -361,18 +353,31 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		for _, spec := range pl.Metrics() {
 			ref, err := tw.DefineMetric(spec.Name, spec.Unit, spec.Mode)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			pm.refs = append(pm.refs, ref)
 		}
 		pms = append(pms, pm)
 	}
 
+	// Every event goes to the profile builder, and to the archive when
+	// a sink wants one. Both check it the same way.
+	b := phaseprofile.NewBuilder(tw.Definitions(), wl.Name)
+	sink := o.TraceSink != nil
+	emit := func(ev trace.Event) error {
+		if err := b.Event(ev); err != nil {
+			return err
+		}
+		if sink {
+			return tw.WriteEvent(ev)
+		}
+		return nil
+	}
+
 	// Execute the steps back to back on a simulated timeline.
 	now := uint64(0)
 	for si, st := range steps {
-		durNs := uint64(o.PhaseDurationS * 1e9)
-		start, end := now, now+durNs
+		start, end := now, now+uint64(phaseDurationS*1e9)
 		stepSeed := seed.Split(rng.HashString(fmt.Sprintf("step%d", si)))
 
 		act, err := exec.Execute(cpusim.RunConfig{
@@ -380,61 +385,81 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 			PhaseIdx:  st.phaseIdx,
 			FreqMHz:   freqMHz,
 			Threads:   st.threads,
-			DurationS: o.PhaseDurationS,
+			DurationS: phaseDurationS,
 		}, stepSeed.Split(rng.HashString("exec")))
 		if err != nil {
-			return err
+			return nil, err
 		}
 
-		if err := tw.WriteEvent(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: start, Region: st.region}); err != nil {
-			return err
+		if err := emit(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: start, Region: st.region}); err != nil {
+			return nil, err
 		}
-		if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: thrRef, Value: float64(st.threads)}); err != nil {
-			return err
+		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: thrRef, Value: float64(st.threads)}); err != nil {
+			return nil, err
 		}
-		if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: freqRef, Value: float64(freqMHz)}); err != nil {
-			return err
+		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: freqRef, Value: float64(freqMHz)}); err != nil {
+			return nil, err
 		}
 
-		// Gather all plugin samples for the interval and write them in
-		// chronological order.
+		// Gather every plugin's samples for the interval into the
+		// reused buffer, one run per plugin.
 		iv := &metricplugin.Interval{
 			StartNs:  start,
 			EndNs:    end,
 			Activity: act,
 			Platform: o.Platform,
 		}
-		all := sc.merged[:0]
-		for pi, pm := range pms {
+		buf := sc.samples[:0]
+		for pi := range pms {
+			pm := &pms[pi]
 			iv.Rand = stepSeed.Split(rng.HashString(fmt.Sprintf("plugin%d", pi)))
-			samples, err := pm.plugin.Sample(iv)
-			if err != nil {
-				return err
+			pm.next = len(buf)
+			if buf, err = pm.plugin.Sample(buf, iv); err != nil {
+				return nil, err
 			}
-			for _, s := range samples {
-				sampleLoc := loc
-				if s.Core != metricplugin.NodeLevel {
-					if s.Core < 0 || s.Core >= len(coreLocs) {
-						return fmt.Errorf("acquisition: plugin %s emitted sample for invalid core %d", pm.plugin.Name(), s.Core)
-					}
-					sampleLoc = coreLocs[s.Core]
+			pm.end = len(buf)
+		}
+		sc.samples = buf
+
+		// Emit them in chronological order by merging the runs, each
+		// ascending in time by the Plugin.Sample contract. Ties go to
+		// the earlier plugin, then to its earlier sample: the order a
+		// stable sort by time would give. A run that breaks the
+		// contract fails emit's order check.
+		for {
+			var pm *pluginMetrics
+			for k := range pms {
+				if c := &pms[k]; c.next < c.end && (pm == nil || buf[c.next].TimeNs < buf[pm.next].TimeNs) {
+					pm = c
 				}
-				all = append(all, timedSample{t: s.TimeNs, loc: sampleLoc, ref: pm.refs[s.MetricIndex], v: s.Value})
+			}
+			if pm == nil {
+				break
+			}
+			s := &buf[pm.next]
+			pm.next++
+			sampleLoc := loc
+			if s.Core != metricplugin.NodeLevel {
+				if s.Core < 0 || s.Core >= len(coreLocs) {
+					return nil, fmt.Errorf("acquisition: plugin %s emitted sample for invalid core %d", pm.plugin.Name(), s.Core)
+				}
+				sampleLoc = coreLocs[s.Core]
+			}
+			if err := emit(trace.Event{Kind: trace.KindMetric, Location: sampleLoc, TimeNs: s.TimeNs, Metric: pm.refs[s.MetricIndex], Value: s.Value}); err != nil {
+				return nil, err
 			}
 		}
-		sc.merged = all
-		slices.SortStableFunc(all, func(a, b timedSample) int { return cmp.Compare(a.t, b.t) })
-		for _, s := range all {
-			if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: s.loc, TimeNs: s.t, Metric: s.ref, Value: s.v}); err != nil {
-				return err
-			}
-		}
-		if err := tw.WriteEvent(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: end, Region: st.region}); err != nil {
-			return err
+		if err := emit(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: end, Region: st.region}); err != nil {
+			return nil, err
 		}
 		now = end
 	}
-	return tw.Close()
+	if sink {
+		if err := tw.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return b.Phases()
 }
 
 // rowsFromPhases aggregates merged phase profiles into dataset rows:

@@ -2,12 +2,14 @@ package acquisition
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pmcpower/internal/cpusim"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/power"
 	"pmcpower/internal/rng"
+	"pmcpower/internal/trace"
 	"pmcpower/internal/workloads"
 )
 
@@ -346,5 +348,61 @@ func TestAcquireParallelTraceSinkOrder(t *testing.T) {
 		if ss[i] != ps[i] {
 			t.Fatalf("archive %d (%s) size differs: %d vs %d", i, sn[i], ss[i], ps[i])
 		}
+	}
+}
+
+// TestRecordRunAllocBytesPerSample gates the recorder's per-sample
+// path: plugins append into the worker's reused buffer, the merge
+// emits in place and, without a TraceSink, no archive is encoded. So a
+// warmed run allocates for its steps and phases, not for its samples:
+// under 4 bytes per emitted metric sample at 200 Hz, where a slice per
+// plugin per step costs 32.
+func TestRecordRunAllocBytesPerSample(t *testing.T) {
+	o := (&Options{Seed: 42, SampleRateHz: 200}).withDefaults()
+	plan, err := pmu.PlanRuns(o.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := cpusim.NewExecutor(o.Platform)
+	sensors := make([]*power.Sensor, o.Platform.Sockets)
+	for si := range sensors {
+		sensors[si] = power.NewSensor(rng.New(uint64(si)))
+	}
+	wl := workloads.MustByName("compute")
+	var sc scratch
+	run := func() {
+		if _, err := recordRun(&o, exec, sensors, wl, 2400, plan[0], rng.New(1), &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Count the run's metric samples in its archive.
+	o.TraceSink = func(string, []byte) {}
+	run()
+	rd, err := trace.NewReader(&sc.archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, ev := range events {
+		if ev.Kind == trace.KindMetric {
+			samples++
+		}
+	}
+
+	o.TraceSink = nil
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(samples)
+	t.Logf("%d bytes over %d metric samples: %.2f B/sample", after.TotalAlloc-before.TotalAlloc, samples, perSample)
+	if perSample >= 4 {
+		t.Fatalf("recordRun allocates %.2f bytes per metric sample, want under 4", perSample)
 	}
 }

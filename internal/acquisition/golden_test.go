@@ -1,15 +1,18 @@
 package acquisition
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
 
+	"pmcpower/internal/phaseprofile"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/workloads"
 )
@@ -27,9 +30,15 @@ const (
 
 // goldenWorkloads covers a multi-step roco2 kernel, a memory-bound
 // kernel and a multi-phase SPEC benchmark.
-var goldenWorkloads = []string{"compute", "memory_read", "md"}
+var (
+	goldenWorkloads = []string{"compute", "memory_read", "md"}
+	goldenFreqs     = []int{1200, 2400}
+)
 
-func TestCampaignGolden(t *testing.T) {
+// goldenCampaign returns the golden campaign's workloads, skipping the
+// test where the digests cannot hold.
+func goldenCampaign(t *testing.T) []*workloads.Workload {
+	t.Helper()
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		// The Go spec lets a compiler fuse x*y+z into one rounding on
 		// other targets (arm64, ppc64le, s390x, riscv64), which moves
@@ -41,26 +50,78 @@ func TestCampaignGolden(t *testing.T) {
 	for _, name := range goldenWorkloads {
 		wls = append(wls, workloads.MustByName(name))
 	}
+	return wls
+}
+
+// TestCampaignGolden runs the golden campaign serially and in
+// parallel, with and without a TraceSink: without one no archive is
+// encoded, and the dataset must not notice.
+func TestCampaignGolden(t *testing.T) {
+	wls := goldenCampaign(t)
 	for _, par := range []int{1, 2} {
-		archives := sha256.New()
-		opts := Options{
-			Seed:        42,
-			Parallelism: par,
-			TraceSink: func(name string, data []byte) {
-				hashBytes(archives, []byte(name))
-				hashBytes(archives, data)
-			},
+		for _, sunk := range []bool{true, false} {
+			archives := sha256.New()
+			opts := Options{Seed: 42, Parallelism: par}
+			if sunk {
+				opts.TraceSink = func(name string, data []byte) {
+					hashBytes(archives, []byte(name))
+					hashBytes(archives, data)
+				}
+			}
+			ds, err := Acquire(opts, wls, goldenFreqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := datasetDigest(ds); got != goldenDatasetSHA256 {
+				t.Errorf("Parallelism %d, sink %v: dataset digest %s, want %s", par, sunk, got, goldenDatasetSHA256)
+			}
+			if got := hex.EncodeToString(archives.Sum(nil)); sunk && got != goldenArchiveSHA256 {
+				t.Errorf("Parallelism %d: archive digest %s, want %s", par, got, goldenArchiveSHA256)
+			}
 		}
-		ds, err := Acquire(opts, wls, []int{1200, 2400})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestGoldenArchivesRebuildDataset: the archives the golden campaign
+// sinks say what the recorder folded. Post-processing them offline
+// (FromTrace, CombineRuns, rows) must reproduce the golden dataset.
+func TestGoldenArchivesRebuildDataset(t *testing.T) {
+	wls := goldenCampaign(t)
+	archives := map[string][]byte{}
+	opts := Options{Seed: 42, TraceSink: func(name string, data []byte) { archives[name] = data }}
+	if _, err := Acquire(opts, wls, goldenFreqs); err != nil {
+		t.Fatal(err)
+	}
+	ds := &Dataset{}
+	used := 0
+	for _, w := range wls {
+		for _, f := range goldenFreqs {
+			var runs [][]*phaseprofile.Phase
+			for run := 0; ; run++ {
+				data, ok := archives[fmt.Sprintf("%s_%dMHz_run%d.trc", w.Name, f, run)]
+				if !ok {
+					break
+				}
+				phases, err := phaseprofile.FromTrace(bytes.NewReader(data), w.Name)
+				if err != nil {
+					t.Fatalf("%s @ %d MHz run %d: %v", w.Name, f, run, err)
+				}
+				runs = append(runs, phases)
+			}
+			rows, err := rowsFromPhases(w, f, phaseprofile.CombineRuns(runs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Rows = append(ds.Rows, rows...)
+			used += len(runs)
 		}
-		if got := datasetDigest(ds); got != goldenDatasetSHA256 {
-			t.Errorf("Parallelism %d: dataset digest %s, want %s", par, got, goldenDatasetSHA256)
-		}
-		if got := hex.EncodeToString(archives.Sum(nil)); got != goldenArchiveSHA256 {
-			t.Errorf("Parallelism %d: archive digest %s, want %s", par, got, goldenArchiveSHA256)
-		}
+	}
+	if used != len(archives) {
+		t.Fatalf("rebuilt from %d of %d archives", used, len(archives))
+	}
+	sortRows(ds.Rows)
+	if got := datasetDigest(ds); got != goldenDatasetSHA256 {
+		t.Errorf("dataset rebuilt from archives: digest %s, want %s", got, goldenDatasetSHA256)
 	}
 }
 

@@ -25,7 +25,7 @@ func Counters(a *Activity, set *pmu.EventSet) map[pmu.EventID]float64 {
 }
 
 // AllCounters returns every preset's value for the activity; used by
-// tests and by the fast (trace-free) acquisition path.
+// tests and by cmd/simulate.
 func AllCounters(a *Activity) map[pmu.EventID]float64 {
 	out := make(map[pmu.EventID]float64, pmu.NumEvents())
 	for _, id := range pmu.AllIDs() {

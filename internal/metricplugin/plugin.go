@@ -106,9 +106,10 @@ type Plugin interface {
 	Name() string
 	// Metrics lists the metrics the plugin records.
 	Metrics() []MetricSpec
-	// Sample produces the plugin's samples for a steady-state
-	// interval, in ascending time order.
-	Sample(iv *Interval) ([]SampleValue, error)
+	// Sample appends the plugin's samples for a steady-state interval
+	// to dst, in ascending time order, and returns the extended slice.
+	// On error it returns dst unchanged.
+	Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error)
 }
 
 // validateInterval rejects malformed intervals up front so individual

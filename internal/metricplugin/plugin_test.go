@@ -2,6 +2,7 @@ package metricplugin
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pmcpower/internal/cpusim"
@@ -54,7 +55,7 @@ func TestPowerPlugin(t *testing.T) {
 		}
 	}
 	iv := testInterval(t, 1)
-	samples, err := pl.Sample(iv)
+	samples, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPowerPluginSocketMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Sample(testInterval(t, 2)); err == nil {
+	if _, err := pl.Sample(nil, testInterval(t, 2)); err == nil {
 		t.Fatal("sensor/socket mismatch must error")
 	}
 }
@@ -109,7 +110,7 @@ func TestVoltagePlugin(t *testing.T) {
 		t.Fatalf("plugin name = %s", pl.Name())
 	}
 	iv := testInterval(t, 2)
-	samples, err := pl.Sample(iv)
+	samples, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestVoltagePerCoreOffsetsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := testInterval(t, 21)
-	samples, err := pl.Sample(iv)
+	samples, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestApapiPlugin(t *testing.T) {
 		}
 	}
 	iv := testInterval(t, 3)
-	samples, err := pl.Sample(iv)
+	samples, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +223,44 @@ func TestApapiPlugin(t *testing.T) {
 			if math.Abs(sum-want)/math.Max(want, 1) > 0.1 {
 				t.Fatalf("tick %d metric %d: per-core sum %g far from node rate %g", tick, mi, sum, want)
 			}
+		}
+	}
+}
+
+// TestSampleAppends: every plugin appends to the caller's buffer,
+// leaving what it holds, and hands an error back with the buffer
+// unchanged.
+func TestSampleAppends(t *testing.T) {
+	powerPl, err := NewPowerPlugin(power.DefaultModel(), []*power.Sensor{power.NewSensor(rng.New(9)), power.NewSensor(rng.New(10))}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voltPl, err := NewVoltagePlugin(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apapiPl, err := NewApapiPlugin(pmu.MustEventSet(pmu.MustByName("TOT_CYC").ID, pmu.MustByName("L3_TCM").ID), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []SampleValue{{MetricIndex: 7, TimeNs: 1, Value: 2, Core: 3}}
+	for _, pl := range []Plugin{powerPl, voltPl, apapiPl} {
+		alone, err := pl.Sample(nil, testInterval(t, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := append(make([]SampleValue, 0, 1), prefix...)
+		got, err := pl.Sample(dst, testInterval(t, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], alone) {
+			t.Errorf("%s: appending to a buffer changed the samples or lost the buffer's contents", pl.Name())
+		}
+		bad := testInterval(t, 5)
+		bad.Rand = nil
+		if got, err := pl.Sample(dst, bad); err == nil || !slices.Equal(got, prefix) {
+			t.Errorf("%s: invalid interval returned %d samples, error %v; want the buffer unchanged and an error", pl.Name(), len(got), err)
 		}
 	}
 }
@@ -256,7 +295,7 @@ func TestIntervalValidation(t *testing.T) {
 	for i, mut := range cases {
 		iv := *good
 		mut(&iv)
-		if _, err := pl.Sample(&iv); err == nil {
+		if _, err := pl.Sample(nil, &iv); err == nil {
 			t.Fatalf("case %d: invalid interval must be rejected", i)
 		}
 	}

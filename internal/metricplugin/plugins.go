@@ -3,6 +3,7 @@ package metricplugin
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pmcpower/internal/cpusim"
 	"pmcpower/internal/pmu"
@@ -59,19 +60,19 @@ func (p *PowerPlugin) Metrics() []MetricSpec {
 }
 
 // Sample implements Plugin.
-func (p *PowerPlugin) Sample(iv *Interval) ([]SampleValue, error) {
+func (p *PowerPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
 	if err := validateInterval(iv); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(p.sensors) != iv.Platform.Sockets {
-		return nil, fmt.Errorf("metricplugin: %d power sensors for %d sockets", len(p.sensors), iv.Platform.Sockets)
+		return dst, fmt.Errorf("metricplugin: %d power sensors for %d sockets", len(p.sensors), iv.Platform.Sockets)
 	}
 	perSocket, err := p.model.SocketPowers(iv.Platform, iv.Activity)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
-	out := make([]SampleValue, 0, len(ts)*len(p.sensors))
+	out := slices.Grow(dst, len(ts)*len(p.sensors))
 	period := 1 / p.rateHz
 	for _, t := range ts {
 		for si, sensor := range p.sensors {
@@ -113,9 +114,9 @@ func (p *VoltagePlugin) Metrics() []MetricSpec {
 // active core separately ("scorep_x86_adapt supports per core
 // metrics"): each core's regulator sits at a slightly different point
 // of the load line.
-func (p *VoltagePlugin) Sample(iv *Interval) ([]SampleValue, error) {
+func (p *VoltagePlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
 	if err := validateInterval(iv); err != nil {
-		return nil, err
+		return dst, err
 	}
 	cores := iv.ActiveCores()
 	// Stable per-core offsets (process variation), ±0.4 %.
@@ -124,7 +125,7 @@ func (p *VoltagePlugin) Sample(iv *Interval) ([]SampleValue, error) {
 		offsets[i] = 1 + 0.004*math.Sin(float64(c)*2.39996)
 	}
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
-	out := make([]SampleValue, 0, len(ts)*len(cores))
+	out := slices.Grow(dst, len(ts)*len(cores))
 	for _, t := range ts {
 		for i, c := range cores {
 			// Register read-out granularity is ~1/8192 V on real parts.
@@ -176,9 +177,9 @@ func (p *ApapiPlugin) Metrics() []MetricSpec {
 // recovered in post-processing by summing across locations. A mild
 // deterministic load imbalance distributes the node aggregate over the
 // cores.
-func (p *ApapiPlugin) Sample(iv *Interval) ([]SampleValue, error) {
+func (p *ApapiPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
 	if err := validateInterval(iv); err != nil {
-		return nil, err
+		return dst, err
 	}
 	counts := cpusim.Counters(iv.Activity, p.set)
 	dur := iv.DurationS()
@@ -186,7 +187,7 @@ func (p *ApapiPlugin) Sample(iv *Interval) ([]SampleValue, error) {
 	cores := iv.ActiveCores()
 	shares := coreShares(iv)
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
-	out := make([]SampleValue, 0, len(ts)*len(ids)*len(cores))
+	out := slices.Grow(dst, len(ts)*len(ids)*len(cores))
 	for _, t := range ts {
 		for i, id := range ids {
 			nodeRate := counts[id] / dur

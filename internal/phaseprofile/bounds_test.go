@@ -236,7 +236,7 @@ func TestFromTraceFoldsInRefOrder(t *testing.T) {
 }
 
 // mustWrite writes ev or fails the test.
-func mustWrite(t *testing.T, w *trace.Writer, ev trace.Event) {
+func mustWrite(t testing.TB, w *trace.Writer, ev trace.Event) {
 	t.Helper()
 	if err := w.WriteEvent(ev); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func mustWrite(t *testing.T, w *trace.Writer, ev trace.Event) {
 //     tiny phases samples one of them.
 //
 // The benign twin uses a single location or channel throughout.
-func hostileShapes(t *testing.T, n int) map[string][2][]byte {
+func hostileShapes(t testing.TB, n int) map[string][2][]byte {
 	t.Helper()
 	// build writes a first phase with one power sample and n voltage
 	// samples, on location 1 or on locations n..1, then n phases with

@@ -81,80 +81,79 @@ func IsPowerMetric(name string) bool {
 	return strings.HasPrefix(name, "socket") && strings.HasSuffix(name, "_power")
 }
 
-// FromTrace extracts phase profiles from an archive. The recorder
-// writes Enter/Leave around every phase on the master location and
-// annotates each phase with active_threads and core_frequency sync
-// metrics; power, voltage and PAPI rates arrive as async samples.
-//
-// Aggregation state is reused across phases: once a (metric,
-// location) pair has been seen, its samples allocate nothing. Beyond
-// the definition section, work and memory grow with the samples an
-// archive carries, never with the number of locations or metrics it
-// declares.
+// FromTrace extracts phase profiles from an archive: it decodes the
+// events and folds them with a Builder.
 func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	defs := tr.Definitions()
+	b := NewBuilder(tr.Definitions(), app)
+	for {
+		ev, err := tr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := b.Event(ev); err != nil {
+			return nil, err
+		}
+	}
+	return b.Phases()
+}
+
+// metricClass is what a metric definition's name makes of its samples.
+type metricClass int
+
+const (
+	mcPower metricClass = iota
+	mcVoltage
+	mcThreads
+	mcFreq
+	mcPMC
+	mcOther
+)
+
+type agg struct {
+	sum     float64
+	weightS float64
+}
+
+// cell aggregates one (value slot, location) pair. Its key sorts
+// slot-major, then by ascending location ref.
+type cell struct {
+	key uint64 // slot<<32 | location ref
+	agg
+}
+
+// Builder folds one run's event stream into phase profiles as the
+// events arrive, from an archive (FromTrace) or straight from the
+// recorder. The recorder writes Enter/Leave around every phase on the
+// master location and annotates each phase with active_threads and
+// core_frequency sync metrics; power, voltage and PAPI rates arrive as
+// async samples.
+//
+// Aggregation state is reused across phases: once a (metric,
+// location) pair has been seen, its samples allocate nothing. Beyond
+// the definition table, work and memory grow with the samples a run
+// carries, never with the number of locations or metrics it declares.
+//
+// The first error from Event ends the run; the Builder must not be fed
+// further.
+type Builder struct {
+	defs trace.Definitions
+	app  string
 
 	// Metric classification by definition name. slotOf numbers each
 	// power metric's channel and each voltage or PMC metric's value
 	// slot: slot 0 is voltage, and every distinct PMC event gets one
 	// slot after it, whatever the number of metrics naming it.
-	type metricClass int
-	const (
-		mcPower metricClass = iota
-		mcVoltage
-		mcThreads
-		mcFreq
-		mcPMC
-		mcOther
-	)
-	classOf := make([]metricClass, len(defs.Metrics))
-	slotOf := make([]int, len(defs.Metrics))
-	eventSlot := make([]int, pmu.NumEvents()) // 0 = no slot yet
-	slotEvent := []pmu.EventID{-1}            // slot 0: voltage
-	nPower := 0
-	for i, m := range defs.Metrics {
-		switch {
-		case IsPowerMetric(m.Name):
-			classOf[i] = mcPower
-			slotOf[i] = nPower
-			nPower++
-			continue
-		}
-		switch m.Name {
-		case MetricVoltage:
-			classOf[i] = mcVoltage
-		case MetricThreads:
-			classOf[i] = mcThreads
-		case MetricFreq:
-			classOf[i] = mcFreq
-		default:
-			if ev, err := pmu.ByName(m.Name); err == nil {
-				classOf[i] = mcPMC
-				if eventSlot[ev.ID] == 0 {
-					eventSlot[ev.ID] = len(slotEvent)
-					slotEvent = append(slotEvent, ev.ID)
-				}
-				slotOf[i] = eventSlot[ev.ID]
-			} else {
-				classOf[i] = mcOther
-			}
-		}
-	}
+	classOf   []metricClass
+	slotOf    []int
+	slotEvent []pmu.EventID
 
-	type agg struct {
-		sum     float64
-		weightS float64
-	}
-	// cell aggregates one (value slot, location) pair. Its key sorts
-	// slot-major, then by ascending location ref.
-	type cell struct {
-		key uint64 // slot<<32 | location ref
-		agg
-	}
 	// Per-core instruments (voltage, PMCs) are aggregated per trace
 	// location first: a core's samples average to that core's mean,
 	// then cores combine — voltages by averaging (the node-level
@@ -170,140 +169,191 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 	// The recorder writes every tick's samples in the same order, so
 	// cells are created in that order and the cell after the last one
 	// used is checked before the map.
-	var (
-		phases   []*Phase
-		current  *Phase
-		powerA   = make([]agg, nPower) // one aggregate per power channel
-		powered  []int                 // channels sampled this phase
-		cellOf   = make(map[uint64]int)
-		cells    []cell
-		nextCell int
-		touched  []int // cells sampled this phase
-	)
-	flush := func(endNs uint64) error {
-		if current == nil {
-			return nil
-		}
-		current.EndNs = endNs
-		if current.EndNs <= current.StartNs {
-			return fmt.Errorf("phaseprofile: empty phase %q", current.Region)
-		}
-		// Node power = sum of the per-socket channel means. A phase
-		// that recorded power channels but caught no samples in its
-		// window must not silently become a 0 W observation — the
-		// regression would treat it as free power. Reject it instead.
-		if nPower > 0 && len(powered) == 0 {
-			return fmt.Errorf("phaseprofile: phase %q [%d, %d] ns has no power samples", current.Region, current.StartNs, current.EndNs)
-		}
-		slices.Sort(powered) // channels are numbered in metric ref order
-		var pw float64
-		for _, ch := range powered {
-			pw += powerA[ch].sum / powerA[ch].weightS
-			powerA[ch] = agg{}
-		}
-		powered = powered[:0]
-		current.PowerW = pw
+	powerA   []agg // one aggregate per power channel
+	powered  []int // channels sampled this phase
+	cellOf   map[uint64]int
+	cells    []cell
+	nextCell int
+	touched  []int // cells sampled this phase
 
-		slices.SortFunc(touched, func(a, b int) int { return cmp.Compare(cells[a].key, cells[b].key) })
-		slotAt := func(i int) uint64 { return cells[touched[i]].key >> 32 }
-		nRates := 0
-		for i := range touched {
-			if slotAt(i) > 0 && (i == 0 || slotAt(i-1) != slotAt(i)) {
-				nRates++
-			}
+	phases  []*Phase
+	current *Phase
+	lastNs  uint64
+}
+
+// NewBuilder starts a run whose events reference defs. It keeps its
+// own copy of the table's slice headers, so definitions added to defs
+// afterwards stay undefined to the Builder.
+func NewBuilder(defs *trace.Definitions, app string) *Builder {
+	b := &Builder{
+		defs:      *defs,
+		app:       app,
+		classOf:   make([]metricClass, len(defs.Metrics)),
+		slotOf:    make([]int, len(defs.Metrics)),
+		slotEvent: []pmu.EventID{-1}, // slot 0: voltage
+		cellOf:    make(map[uint64]int),
+	}
+	eventSlot := make([]int, pmu.NumEvents()) // 0 = no slot yet
+	nPower := 0
+	for i, m := range defs.Metrics {
+		switch {
+		case IsPowerMetric(m.Name):
+			b.classOf[i] = mcPower
+			b.slotOf[i] = nPower
+			nPower++
+			continue
 		}
-		current.Rates = make(map[pmu.EventID]float64, nRates)
-		for i := 0; i < len(touched); {
-			slot := slotAt(i)
-			var total float64
-			n := 0
-			for ; i < len(touched) && slotAt(i) == slot; i++ {
-				c := &cells[touched[i]]
-				total += c.sum / c.weightS
-				c.agg = agg{}
-				n++
-			}
-			if slot == 0 {
-				current.VoltageV = total / float64(n)
+		switch m.Name {
+		case MetricVoltage:
+			b.classOf[i] = mcVoltage
+		case MetricThreads:
+			b.classOf[i] = mcThreads
+		case MetricFreq:
+			b.classOf[i] = mcFreq
+		default:
+			if ev, err := pmu.ByName(m.Name); err == nil {
+				b.classOf[i] = mcPMC
+				if eventSlot[ev.ID] == 0 {
+					eventSlot[ev.ID] = len(b.slotEvent)
+					b.slotEvent = append(b.slotEvent, ev.ID)
+				}
+				b.slotOf[i] = eventSlot[ev.ID]
 			} else {
-				current.Rates[slotEvent[slot]] = total
+				b.classOf[i] = mcOther
 			}
 		}
-		touched = touched[:0]
+	}
+	b.powerA = make([]agg, nPower)
+	return b
+}
 
-		phases = append(phases, current)
-		current = nil
-		return nil
+// Event folds the next event of the run. It applies the same checks
+// as trace.Writer.WriteEvent, with the same errors, before the phase
+// structure's own.
+func (b *Builder) Event(ev trace.Event) error {
+	if err := b.defs.CheckEvent(ev, b.lastNs); err != nil {
+		return err
 	}
+	b.lastNs = ev.TimeNs
+	switch ev.Kind {
+	case trace.KindEnter:
+		if b.current != nil {
+			return fmt.Errorf("phaseprofile: nested Enter at %d ns (phases must not nest)", ev.TimeNs)
+		}
+		b.current = &Phase{
+			App:     b.app,
+			Region:  b.defs.Regions[ev.Region].Name,
+			StartNs: ev.TimeNs,
+		}
+	case trace.KindLeave:
+		if b.current == nil {
+			return fmt.Errorf("phaseprofile: Leave without Enter at %d ns", ev.TimeNs)
+		}
+		return b.flush(ev.TimeNs)
+	case trace.KindMetric:
+		if b.current == nil {
+			return nil // inter-phase samples are discarded
+		}
+		var a *agg
+		switch b.classOf[ev.Metric] {
+		case mcPower:
+			ch := b.slotOf[ev.Metric]
+			if b.powerA[ch].weightS == 0 {
+				b.powered = append(b.powered, ch)
+			}
+			a = &b.powerA[ch]
+		case mcVoltage, mcPMC:
+			key := uint64(b.slotOf[ev.Metric])<<32 | uint64(ev.Location)
+			ci := b.nextCell
+			if ci == len(b.cells) || b.cells[ci].key != key {
+				var ok bool
+				if ci, ok = b.cellOf[key]; !ok {
+					ci = len(b.cells)
+					b.cellOf[key] = ci
+					b.cells = append(b.cells, cell{key: key})
+				}
+			}
+			b.nextCell = ci + 1
+			if b.cells[ci].weightS == 0 {
+				b.touched = append(b.touched, ci)
+			}
+			a = &b.cells[ci].agg
+		case mcThreads:
+			b.current.Threads = int(ev.Value)
+		case mcFreq:
+			b.current.FreqMHz = int(ev.Value)
+		}
+		if a != nil {
+			a.sum += ev.Value
+			a.weightS++
+		}
+	}
+	return nil
+}
 
-	for {
-		ev, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case trace.KindEnter:
-			if current != nil {
-				return nil, fmt.Errorf("phaseprofile: nested Enter at %d ns (phases must not nest)", ev.TimeNs)
-			}
-			current = &Phase{
-				App:     app,
-				Region:  defs.Regions[ev.Region].Name,
-				StartNs: ev.TimeNs,
-			}
-		case trace.KindLeave:
-			if current == nil {
-				return nil, fmt.Errorf("phaseprofile: Leave without Enter at %d ns", ev.TimeNs)
-			}
-			if err := flush(ev.TimeNs); err != nil {
-				return nil, err
-			}
-		case trace.KindMetric:
-			if current == nil {
-				continue // inter-phase samples are discarded
-			}
-			var a *agg
-			switch classOf[ev.Metric] {
-			case mcPower:
-				ch := slotOf[ev.Metric]
-				if powerA[ch].weightS == 0 {
-					powered = append(powered, ch)
-				}
-				a = &powerA[ch]
-			case mcVoltage, mcPMC:
-				key := uint64(slotOf[ev.Metric])<<32 | uint64(ev.Location)
-				ci := nextCell
-				if ci == len(cells) || cells[ci].key != key {
-					var ok bool
-					if ci, ok = cellOf[key]; !ok {
-						ci = len(cells)
-						cellOf[key] = ci
-						cells = append(cells, cell{key: key})
-					}
-				}
-				nextCell = ci + 1
-				if cells[ci].weightS == 0 {
-					touched = append(touched, ci)
-				}
-				a = &cells[ci].agg
-			case mcThreads:
-				current.Threads = int(ev.Value)
-			case mcFreq:
-				current.FreqMHz = int(ev.Value)
-			}
-			if a != nil {
-				a.sum += ev.Value
-				a.weightS++
-			}
+// flush closes the current phase at endNs.
+func (b *Builder) flush(endNs uint64) error {
+	current := b.current
+	current.EndNs = endNs
+	if current.EndNs <= current.StartNs {
+		return fmt.Errorf("phaseprofile: empty phase %q", current.Region)
+	}
+	// Node power = sum of the per-socket channel means. A phase
+	// that recorded power channels but caught no samples in its
+	// window must not silently become a 0 W observation — the
+	// regression would treat it as free power. Reject it instead.
+	if len(b.powerA) > 0 && len(b.powered) == 0 {
+		return fmt.Errorf("phaseprofile: phase %q [%d, %d] ns has no power samples", current.Region, current.StartNs, current.EndNs)
+	}
+	slices.Sort(b.powered) // channels are numbered in metric ref order
+	var pw float64
+	for _, ch := range b.powered {
+		pw += b.powerA[ch].sum / b.powerA[ch].weightS
+		b.powerA[ch] = agg{}
+	}
+	b.powered = b.powered[:0]
+	current.PowerW = pw
+
+	cells, touched := b.cells, b.touched
+	slices.SortFunc(touched, func(x, y int) int { return cmp.Compare(cells[x].key, cells[y].key) })
+	slotAt := func(i int) uint64 { return cells[touched[i]].key >> 32 }
+	nRates := 0
+	for i := range touched {
+		if slotAt(i) > 0 && (i == 0 || slotAt(i-1) != slotAt(i)) {
+			nRates++
 		}
 	}
-	if current != nil {
-		return nil, fmt.Errorf("phaseprofile: trace ended inside phase %q", current.Region)
+	current.Rates = make(map[pmu.EventID]float64, nRates)
+	for i := 0; i < len(touched); {
+		slot := slotAt(i)
+		var total float64
+		n := 0
+		for ; i < len(touched) && slotAt(i) == slot; i++ {
+			c := &cells[touched[i]]
+			total += c.sum / c.weightS
+			c.agg = agg{}
+			n++
+		}
+		if slot == 0 {
+			current.VoltageV = total / float64(n)
+		} else {
+			current.Rates[b.slotEvent[slot]] = total
+		}
 	}
-	return phases, nil
+	b.touched = touched[:0]
+
+	b.phases = append(b.phases, current)
+	b.current = nil
+	return nil
+}
+
+// Phases ends the run and returns its phase profiles in the order they
+// closed.
+func (b *Builder) Phases() ([]*Phase, error) {
+	if b.current != nil {
+		return nil, fmt.Errorf("phaseprofile: trace ended inside phase %q", b.current.Region)
+	}
+	return b.phases, nil
 }
 
 // CombineRuns merges phase profiles from multiple runs of the same

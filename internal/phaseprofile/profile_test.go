@@ -2,6 +2,7 @@ package phaseprofile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -120,6 +121,39 @@ func TestFromTraceRejectsMalformed(t *testing.T) {
 	_ = w.Close()
 	if _, err := FromTrace(&buf, "x"); err == nil {
 		t.Fatal("trace ending inside a phase must be rejected")
+	}
+}
+
+// TestFromTraceRejectsTimeGoingBack: timestamps are delta-encoded per
+// location, so an archive can decode to events that go back in time
+// across locations. The Writer never writes one; FromTrace rejects it
+// with the Writer's order error.
+func TestFromTraceRejectsTimeGoingBack(t *testing.T) {
+	// Two locations, one region and one power metric.
+	header := append([]byte(trace.Magic), 2, 0, 0, 1, 0, 1)
+	header = append(header, byte(len("socket0_power")))
+	header = append(header, "socket0_power"...)
+	header = append(header, 0, byte(trace.MetricAsync))
+	archive := func(thirdDelta uint64) []byte {
+		b := append([]byte(nil), header...)
+		b = append(b, byte(trace.KindEnter), 0, 0, 0)
+		for _, s := range []struct{ loc, delta uint64 }{{1, 100}, {0, thirdDelta}} {
+			b = append(b, byte(trace.KindMetric))
+			b = binary.AppendUvarint(b, s.loc)
+			b = binary.AppendUvarint(b, s.delta)
+			b = append(b, 0)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		}
+		b = append(b, byte(trace.KindLeave), 0)
+		b = binary.AppendUvarint(b, 150)
+		return append(b, 0)
+	}
+	_, err := FromTrace(bytes.NewReader(archive(50)), "x")
+	if err == nil || !strings.Contains(err.Error(), "event at 50 ns violates chronological order (last 100 ns)") {
+		t.Fatalf("location 0 at 50 ns after location 1 at 100 ns: error %v, want the order error", err)
+	}
+	if phases, err := FromTrace(bytes.NewReader(archive(100)), "x"); err != nil || len(phases) != 1 {
+		t.Fatalf("the same archive in time order: %d phases, %v", len(phases), err)
 	}
 }
 

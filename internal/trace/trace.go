@@ -12,10 +12,10 @@
 // traces small.
 //
 // The package replaces Score-P/OTF2 in the reproduction: the simulated
-// runs are recorded through metric plugins into an archive, and the
-// phase-profile post-processing (internal/phaseprofile) consumes the
-// archive exactly as the paper's HAEC-SIM module and custom OTF2 tool
-// consume real traces.
+// runs are recorded through metric plugins as an event stream, and the
+// phase-profile post-processing (internal/phaseprofile) folds that
+// stream, as it is recorded or from an archive, just as the paper's
+// HAEC-SIM module and custom OTF2 tool consume real traces.
 package trace
 
 import "fmt"
@@ -114,6 +114,35 @@ type Definitions struct {
 	Locations []Location
 	Regions   []Region
 	Metrics   []Metric
+}
+
+// CheckEvent reports whether ev is a valid next event after one at
+// lastNs: its kind is known, its location and its region or metric are
+// defined, and it does not go back in time. Writer.WriteEvent and
+// phaseprofile.Builder.Event both apply it, so they reject the same
+// events with the same error.
+func (d *Definitions) CheckEvent(ev Event, lastNs uint64) error {
+	if ev.TimeNs < lastNs {
+		return fmt.Errorf("trace: event at %d ns violates chronological order (last %d ns)", ev.TimeNs, lastNs)
+	}
+	// Unsigned, so a Ref of 2^31 or more cannot turn negative on a
+	// 32-bit int and slip past the check.
+	if uint(ev.Location) >= uint(len(d.Locations)) {
+		return fmt.Errorf("trace: undefined location %d", ev.Location)
+	}
+	switch ev.Kind {
+	case KindEnter, KindLeave:
+		if uint(ev.Region) >= uint(len(d.Regions)) {
+			return fmt.Errorf("trace: undefined region %d", ev.Region)
+		}
+	case KindMetric:
+		if uint(ev.Metric) >= uint(len(d.Metrics)) {
+			return fmt.Errorf("trace: undefined metric %d", ev.Metric)
+		}
+	default:
+		return fmt.Errorf("trace: unknown event kind %d", ev.Kind)
+	}
+	return nil
 }
 
 // LocationByName finds a location definition by name.

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 )
@@ -115,25 +114,8 @@ func (w *Writer) WriteEvent(ev Event) error {
 			return err
 		}
 	}
-	if ev.TimeNs < w.lastGlobal {
-		return fmt.Errorf("trace: event at %d ns violates chronological order (last %d ns)", ev.TimeNs, w.lastGlobal)
-	}
-	// Unsigned, so a Ref of 2^31 or more cannot turn negative on a
-	// 32-bit int and slip past the check.
-	if uint(ev.Location) >= uint(len(w.defs.Locations)) {
-		return fmt.Errorf("trace: undefined location %d", ev.Location)
-	}
-	switch ev.Kind {
-	case KindEnter, KindLeave:
-		if uint(ev.Region) >= uint(len(w.defs.Regions)) {
-			return fmt.Errorf("trace: undefined region %d", ev.Region)
-		}
-	case KindMetric:
-		if uint(ev.Metric) >= uint(len(w.defs.Metrics)) {
-			return fmt.Errorf("trace: undefined metric %d", ev.Metric)
-		}
-	default:
-		return fmt.Errorf("trace: unknown event kind %d", ev.Kind)
+	if err := w.defs.CheckEvent(ev, w.lastGlobal); err != nil {
+		return err
 	}
 	// Per-location delta encoding of timestamps. The global order
 	// check above means a location's time never goes backwards.
@@ -161,6 +143,11 @@ func (w *Writer) WriteEvent(ev Event) error {
 	w.eventCount++
 	return nil
 }
+
+// Definitions returns the definitions registered so far. The table
+// is the writer's own: a consumer that folds the same events without
+// decoding them (phaseprofile.Builder) reads refs from it.
+func (w *Writer) Definitions() *Definitions { return &w.defs }
 
 // EventCount returns the number of events written so far.
 func (w *Writer) EventCount() uint64 { return w.eventCount }
