@@ -555,7 +555,9 @@ func BenchmarkQRAppend(b *testing.B) {
 	})
 	b.Run("fresh-decompose", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mat.DecomposeQR(x).Solve(y); err != nil {
+			u := mat.NewUpdQR(n, k)
+			u.AppendCols(x)
+			if _, err := u.Solve(y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -580,14 +582,14 @@ func BenchmarkFitKernels(b *testing.B) {
 	}
 	b.Run("FitR2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := stats.FitR2(x, y, stats.OLSOptions{Intercept: true}); err != nil {
+			if _, err := stats.FitR2(x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("FitOLS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: stats.CovHC3}); err != nil {
+			if _, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC3}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,10 +14,12 @@
 // the experiment fan-out (0 = all cores, 1 = serial). The output is
 // bit-identical at every setting.
 //
-// -trace writes a Chrome trace_event JSON timeline of the run — one
-// "exp:<id>" span per experiment in its worker's lane, with the
-// modeling pipeline's spans nested inside — loadable in
-// chrome://tracing or https://ui.perfetto.dev. Tracing does not
+// -trace writes a Chrome trace_event JSON timeline of the run — an
+// "expreport" root and one "exp:<id>" span per experiment in its
+// worker's lane — loadable in chrome://tracing or
+// https://ui.perfetto.dev. The experiments call the untraced pipeline
+// entry points, so no acquisition, selection, fit or CV spans appear
+// inside them; powermodel -trace records those. Tracing does not
 // change the printed reports.
 package main
 

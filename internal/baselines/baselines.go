@@ -76,7 +76,7 @@ func TrainRodrigues(rows []*acquisition.Row) (*Rodrigues, error) {
 		}
 		y[i] = r.PowerW
 	}
-	fit, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: stats.CovHC3})
+	fit, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC3})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: Rodrigues fit: %w", err)
 	}
@@ -154,7 +154,7 @@ func TrainPerFreqLinear(rows []*acquisition.Row, events []pmu.EventID) (*PerFreq
 			}
 			y[i] = r.PowerW
 		}
-		fit, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: stats.CovHC3})
+		fit, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC3})
 		if err != nil {
 			return nil, fmt.Errorf("baselines: per-frequency fit at %d MHz: %w", f, err)
 		}

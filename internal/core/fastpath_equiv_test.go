@@ -169,9 +169,9 @@ func TestRoundKernelEvalAllocFree(t *testing.T) {
 }
 
 func TestDesignSubsetMatchesDesignMatrix(t *testing.T) {
-	// DesignSubset must reproduce prependOnes∘DesignMatrix over the
-	// same rows entry for entry — that is what makes FitR2Design on it
-	// bit-identical to the legacy fold fit.
+	// DesignSubset must reproduce DesignMatrix over the same rows entry
+	// for entry — that is what makes a fold's FitR2 on it bit-identical
+	// to a fit of the freshly built design.
 	_, full := fixtures(t)
 	events := canonicalEvents()
 	cache := NewDatasetCache(full.Rows)
@@ -187,16 +187,13 @@ func TestDesignSubsetMatchesDesignMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Rows() != want.Rows() || x.Cols() != want.Cols()+1 {
-		t.Fatalf("shape %dx%d, want %dx%d plus intercept", x.Rows(), x.Cols(), want.Rows(), want.Cols())
+	if x.Rows() != want.Rows() || x.Cols() != want.Cols() {
+		t.Fatalf("shape %dx%d, want %dx%d", x.Rows(), x.Cols(), want.Rows(), want.Cols())
 	}
 	for i := 0; i < x.Rows(); i++ {
-		if x.At(i, 0) != 1 {
-			t.Fatalf("row %d: intercept column = %v", i, x.At(i, 0))
-		}
 		for j := 0; j < want.Cols(); j++ {
-			if x.At(i, j+1) != want.At(i, j) {
-				t.Fatalf("entry (%d,%d): subset %v, fresh %v", i, j, x.At(i, j+1), want.At(i, j))
+			if x.At(i, j) != want.At(i, j) {
+				t.Fatalf("entry (%d,%d): subset %v, fresh %v", i, j, x.At(i, j), want.At(i, j))
 			}
 		}
 		if y[i] != wantY[i] {
@@ -206,7 +203,7 @@ func TestDesignSubsetMatchesDesignMatrix(t *testing.T) {
 }
 
 func TestCrossValidationFoldsMatchFullFits(t *testing.T) {
-	// Each fold's lite fit (cached columns + FitR2Design) must agree
+	// Each fold's lite fit (cached columns + FitR2) must agree
 	// bitwise with a from-scratch Train (full FitOLS) over the same
 	// training rows — the fold is scored by an identical model.
 	_, full := fixtures(t)

@@ -123,16 +123,15 @@ func (c *DatasetCache) RateColumns(events []pmu.EventID) [][]float64 {
 }
 
 // DesignSubset assembles the Equation-1 design matrix and target for a
-// subset of the cached rows (idx into the row set), with the intercept
-// column in place: [1, E_0·V²f, …, E_{k−1}·V²f, V²f, V]. This is
-// exactly the matrix stats.FitOLS{,.FitR2} would build internally via
-// prependOnes from a DesignMatrix over the same rows, so handing it to
-// stats.FitR2Design yields bit-identical fits while skipping the
-// prepend copy. Cross-validation folds use it to gather per-fold
-// designs without re-deriving features per fit.
+// subset of the cached rows (idx into the row set), in DesignMatrix's
+// layout: [E_0·V²f, …, E_{k−1}·V²f, V²f, V]. The values are exactly
+// those DesignMatrix computes over the same rows, so fitting it is
+// bit-identical to fitting a fresh DesignMatrix. Cross-validation folds
+// use it to gather per-fold designs without re-deriving features per
+// fit.
 func (c *DatasetCache) DesignSubset(events []pmu.EventID, idx []int) (*mat.Matrix, []float64) {
 	k := len(events)
-	x := mat.New(len(idx), k+3)
+	x := mat.New(len(idx), k+2)
 	y := make([]float64, len(idx))
 	evCols := make([][]float64, k)
 	for j, id := range events {
@@ -140,12 +139,11 @@ func (c *DatasetCache) DesignSubset(events []pmu.EventID, idx []int) (*mat.Matri
 	}
 	for out, i := range idx {
 		row := x.RowView(out)
-		row[0] = 1
 		for j := 0; j < k; j++ {
-			row[j+1] = evCols[j][i]
+			row[j] = evCols[j][i]
 		}
-		row[k+1] = c.v2f[i]
-		row[k+2] = c.volt[i]
+		row[k] = c.v2f[i]
+		row[k+1] = c.volt[i]
 		y[out] = c.power[i]
 	}
 	return x, y

@@ -61,7 +61,7 @@ func TrainCtx(ctx context.Context, rows []*acquisition.Row, events []pmu.EventID
 	if est == stats.CovClassic {
 		est = stats.CovHC3
 	}
-	fit, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: est})
+	fit, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: est})
 	if err != nil {
 		return nil, fmt.Errorf("core: training failed for events %v: %w", pmu.ShortNames(events), err)
 	}

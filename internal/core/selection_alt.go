@@ -78,15 +78,8 @@ type StrategyOptions struct {
 	Parallelism int
 }
 
-// SelectWithStrategy selects count events from the candidates (default
-// all presets) using the given strategy, fitting candidates on all
-// available cores.
-func SelectWithStrategy(rows []*acquisition.Row, strategy Strategy, count int, candidates []pmu.EventID) ([]pmu.EventID, error) {
-	return SelectWithStrategyOpts(rows, strategy, StrategyOptions{Count: count, Candidates: candidates})
-}
-
-// SelectWithStrategyOpts selects opts.Count events using the given
-// strategy.
+// SelectWithStrategyOpts selects opts.Count events from the candidates
+// (default all presets) using the given strategy.
 func SelectWithStrategyOpts(rows []*acquisition.Row, strategy Strategy, opts StrategyOptions) ([]pmu.EventID, error) {
 	count, candidates := opts.Count, opts.Candidates
 	if count < 1 {
@@ -406,15 +399,9 @@ type StrategyComparison struct {
 	TransferMAPE float64
 }
 
-// CompareStrategies runs every strategy on the selection rows and
-// evaluates the resulting sets on the evaluation rows, using all
-// available cores for each strategy's candidate fits.
-func CompareStrategies(selRows, evalRows []*acquisition.Row, count int, cvSeed uint64) ([]StrategyComparison, error) {
-	return CompareStrategiesP(selRows, evalRows, count, cvSeed, 0)
-}
-
-// CompareStrategiesP is CompareStrategies with an explicit parallelism
-// level (0 = GOMAXPROCS, 1 = serial), threaded into each strategy's
+// CompareStrategiesP runs every strategy on the selection rows and
+// evaluates the resulting sets on the evaluation rows. parallelism
+// (0 = GOMAXPROCS, 1 = serial) is threaded into each strategy's
 // candidate evaluation, the VIF computation and the cross-validation.
 // The strategies themselves run sequentially: the greedy ones already
 // saturate the pool, and running them in order keeps the comparison's
@@ -433,7 +420,7 @@ func CompareStrategiesP(selRows, evalRows []*acquisition.Row, count int, cvSeed 
 			return nil, fmt.Errorf("core: strategy %v refit: %w", s, err)
 		}
 		cmp.R2 = m.R2()
-		vif, err := stats.MeanVIFP(RateMatrix(selRows, events), parallelism)
+		vif, err := stats.MeanVIF(RateMatrix(selRows, events), parallelism)
 		if err == nil {
 			cmp.MeanVIF = vif
 		} else {

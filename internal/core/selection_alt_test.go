@@ -21,24 +21,24 @@ func TestStrategyStrings(t *testing.T) {
 
 func TestSelectWithStrategyValidation(t *testing.T) {
 	sel, _ := fixtures(t)
-	if _, err := SelectWithStrategy(sel.Rows, StrategyGreedyR2, 0, nil); err == nil {
+	if _, err := SelectWithStrategyOpts(sel.Rows, StrategyGreedyR2, StrategyOptions{Count: 0}); err == nil {
 		t.Fatal("count 0 must error")
 	}
-	if _, err := SelectWithStrategy(nil, StrategyGreedyR2, 2, nil); err == nil {
+	if _, err := SelectWithStrategyOpts(nil, StrategyGreedyR2, StrategyOptions{Count: 2}); err == nil {
 		t.Fatal("empty rows must error")
 	}
-	if _, err := SelectWithStrategy(sel.Rows, Strategy(99), 2, nil); err == nil {
+	if _, err := SelectWithStrategyOpts(sel.Rows, Strategy(99), StrategyOptions{Count: 2}); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
 	few := []pmu.EventID{pmu.MustByName("TOT_CYC").ID}
-	if _, err := SelectWithStrategy(sel.Rows, StrategyPCC, 2, few); err == nil {
+	if _, err := SelectWithStrategyOpts(sel.Rows, StrategyPCC, StrategyOptions{Count: 2, Candidates: few}); err == nil {
 		t.Fatal("count > candidates must error")
 	}
 }
 
 func TestStrategyGreedyMatchesAlgorithm1(t *testing.T) {
 	sel, _ := fixtures(t)
-	viaStrategy, err := SelectWithStrategy(sel.Rows, StrategyGreedyR2, 6, nil)
+	viaStrategy, err := SelectWithStrategyOpts(sel.Rows, StrategyGreedyR2, StrategyOptions{Count: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStrategyGreedyMatchesAlgorithm1(t *testing.T) {
 func TestAllStrategiesProduceValidSets(t *testing.T) {
 	sel, _ := fixtures(t)
 	for _, s := range AllStrategies() {
-		events, err := SelectWithStrategy(sel.Rows, s, 6, nil)
+		events, err := SelectWithStrategyOpts(sel.Rows, s, StrategyOptions{Count: 6})
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}
@@ -84,7 +84,7 @@ func TestAllStrategiesProduceValidSets(t *testing.T) {
 
 func TestPCCStrategyPicksMostCorrelated(t *testing.T) {
 	sel, _ := fixtures(t)
-	events, err := SelectWithStrategy(sel.Rows, StrategyPCC, 3, nil)
+	events, err := SelectWithStrategyOpts(sel.Rows, StrategyPCC, StrategyOptions{Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestPCCStrategyPicksMostCorrelated(t *testing.T) {
 
 func TestBackwardEliminationIndependent(t *testing.T) {
 	sel, _ := fixtures(t)
-	events, err := SelectWithStrategy(sel.Rows, StrategyBackward, 6, nil)
+	events, err := SelectWithStrategyOpts(sel.Rows, StrategyBackward, StrategyOptions{Count: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The surviving set must have finite VIFs (linearly independent).
-	vif, err := stats.MeanVIF(RateMatrix(sel.Rows, events))
+	vif, err := stats.MeanVIF(RateMatrix(sel.Rows, events), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestBackwardEliminationIndependent(t *testing.T) {
 
 func TestLassoDeterministic(t *testing.T) {
 	sel, _ := fixtures(t)
-	a, err := SelectWithStrategy(sel.Rows, StrategyLasso, 6, nil)
+	a, err := SelectWithStrategyOpts(sel.Rows, StrategyLasso, StrategyOptions{Count: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectWithStrategy(sel.Rows, StrategyLasso, 6, nil)
+	b, err := SelectWithStrategyOpts(sel.Rows, StrategyLasso, StrategyOptions{Count: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLassoDeterministic(t *testing.T) {
 
 func TestCompareStrategies(t *testing.T) {
 	sel, full := fixtures(t)
-	cmps, err := CompareStrategies(sel.Rows, full.Rows[:0:0], 6, 7)
+	cmps, err := CompareStrategiesP(sel.Rows, full.Rows[:0:0], 6, 7, 0)
 	if err == nil && len(cmps) > 0 {
 		t.Fatal("empty eval rows must fail")
 	}
@@ -167,7 +167,7 @@ func TestCompareStrategies(t *testing.T) {
 	// strategy may pick others, so use the selection dataset (which
 	// has all counters) as the evaluation set too. Same-frequency CV
 	// is statistically weaker but exercises the full path.
-	cmps, err = CompareStrategies(sel.Rows, sel.Rows, 6, 7)
+	cmps, err = CompareStrategiesP(sel.Rows, sel.Rows, 6, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 	}
 	refIdx, tgtIdx := bestI, bestJ
 
-	vifBefore, err := stats.MeanVIF(RateMatrix(rows, selected))
+	vifBefore, err := stats.MeanVIF(RateMatrix(rows, selected), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 				rates.Set(i, j, src[i])
 			}
 		}
-		vifAfter, err := stats.MeanVIF(rates)
+		vifAfter, err := stats.MeanVIF(rates, 1)
 		if err != nil {
 			continue
 		}
@@ -150,7 +150,7 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 		for i := range rows {
 			x.Set(i, tgtIdx, transformed[i]*V2F(rows[i]))
 		}
-		fit, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: stats.CovHC3})
+		fit, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC3})
 		if err != nil {
 			continue
 		}

@@ -170,10 +170,9 @@ func CrossValidateCtx(ctx context.Context, rows []*acquisition.Row, events []pmu
 		test := subset(rows, fold.Test)
 		// Fold scoring only consumes coefficients and R²/Adj.R², so
 		// the fit runs on the R²-only kernel — bit-identical to the
-		// full FitOLS the fold used to pay for. DesignSubset places the
-		// intercept column itself, so the fit skips the prepend copy.
+		// full FitOLS the fold used to pay for.
 		x, ytr := cache.DesignSubset(events, fold.Train)
-		fit, err := stats.FitR2Design(x, ytr, true)
+		fit, err := stats.FitR2(x, ytr)
 		if err != nil {
 			return foldResult{}, fmt.Errorf("core: fold %d: core: training failed for events %v: %w", fi, pmu.ShortNames(events), err)
 		}
@@ -319,7 +318,7 @@ func holdout(name string, trainNames []string, trainRows, testRows []*acquisitio
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	fit, err := stats.FitR2(x, y, stats.OLSOptions{Intercept: true})
+	fit, err := stats.FitR2(x, y)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: core: training failed for events %v: %w", name, pmu.ShortNames(events), err)
 	}

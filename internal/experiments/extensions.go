@@ -73,11 +73,11 @@ func (c *Context) AblationRateNormalization() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	perCycle, err := stats.MeanVIFP(core.RateMatrix(ds.Rows, sel), c.cfg.Parallelism)
+	perCycle, err := stats.MeanVIF(core.RateMatrix(ds.Rows, sel), c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	perSecond, err := stats.MeanVIFP(core.RateMatrixPerSecond(ds.Rows, sel), c.cfg.Parallelism)
+	perSecond, err := stats.MeanVIF(core.RateMatrixPerSecond(ds.Rows, sel), c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (c *Context) AblationHCSE() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	classic, err := stats.FitOLS(x, y, stats.OLSOptions{Intercept: true, Estimator: stats.CovHC0})
+	classic, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC0})
 	if err != nil {
 		return nil, err
 	}

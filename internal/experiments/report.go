@@ -26,7 +26,7 @@ func fmtVIF(v float64) string {
 
 // fmtStat formats a diagnostic statistic, rendering non-finite values
 // as "n/a" instead of letting a NaN from a degenerate fit (see
-// stats.ChiSquareSF, stats.VIF) leak into report output verbatim.
+// stats.ChiSquareSF, stats.VIFColumns) leak into report output verbatim.
 func fmtStat(format string, v float64) string {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return "n/a"

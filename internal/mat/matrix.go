@@ -1,7 +1,8 @@
 // Package mat implements the dense linear algebra needed by the
 // regression machinery in internal/stats: a row-major float64 matrix,
-// Householder QR decomposition, least-squares solving, triangular
-// solves, and matrix inversion.
+// one Householder QR decomposition (UpdQR, built column by column) with
+// least-squares solving and the inverse of its triangular factor, and
+// the row-updatable triangular factor RowQR for streaming refits.
 //
 // The package is deliberately small. It is not a general-purpose BLAS;
 // it implements exactly the numerically careful primitives that

@@ -1,233 +1,7 @@
 package mat
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // ErrSingular is returned when a solve encounters an (effectively)
 // rank-deficient system.
 var ErrSingular = errors.New("mat: matrix is singular or rank-deficient")
-
-// QR holds the Householder QR decomposition of an m×n matrix A (m >= n)
-// such that A = Q·R, with Q m×n orthonormal (thin Q) and R n×n upper
-// triangular. It is the numerically stable backbone for least squares:
-// solving min ‖Ax−b‖ reduces to R·x = Qᵀ·b without ever forming the
-// ill-conditioned normal equations XᵀX.
-type QR struct {
-	m, n int
-	// qr stores R in the upper triangle and the Householder vectors
-	// below the diagonal (LAPACK-style compact storage).
-	qr   *Matrix
-	rdia []float64 // diagonal of R (before sign-compacting)
-}
-
-// DecomposeQR computes the Householder QR decomposition of a. It
-// panics if a has fewer rows than columns (an underdetermined least
-// squares problem is a caller bug in this codebase).
-func DecomposeQR(a *Matrix) *QR {
-	m, n := a.Rows(), a.Cols()
-	if m < n {
-		panic(fmt.Sprintf("mat: QR requires rows >= cols, got %dx%d", m, n))
-	}
-	qr := a.Clone()
-	rdia := make([]float64, n)
-	// The loops below index qr.data directly (entry (i,j) lives at
-	// i*n+j): the decomposition is the single hottest kernel in the
-	// selection and cross-validation paths, and the bounds-checked
-	// At/Set accessors dominate its runtime. The floating-point
-	// operations and their order are exactly those of the textbook
-	// formulation, so results are bit-identical to the accessor-based
-	// version.
-	d := qr.data
-	end := m * n
-
-	for k := 0; k < n; k++ {
-		kk := k*n + k
-		// Compute the 2-norm of column k below the diagonal, with
-		// scaling to avoid overflow.
-		var nrm float64
-		for idx := kk; idx < end; idx += n {
-			nrm = math.Hypot(nrm, d[idx])
-		}
-		if nrm != 0 {
-			// Choose sign to avoid cancellation.
-			if d[kk] < 0 {
-				nrm = -nrm
-			}
-			for idx := kk; idx < end; idx += n {
-				d[idx] /= nrm
-			}
-			d[kk]++
-
-			// Apply the Householder reflector to the remaining columns.
-			for j := k + 1; j < n; j++ {
-				var s float64
-				for u, v := kk, k*n+j; u < end; u, v = u+n, v+n {
-					s += d[u] * d[v]
-				}
-				s = -s / d[kk]
-				for u, v := kk, k*n+j; u < end; u, v = u+n, v+n {
-					d[v] += s * d[u]
-				}
-			}
-		}
-		rdia[k] = -nrm
-	}
-	return &QR{m: m, n: n, qr: qr, rdia: rdia}
-}
-
-// IsFullRank reports whether all diagonal entries of R are comfortably
-// above zero relative to the largest one, using tolerance tol
-// (a relative threshold; 1e-12 is a good default for double precision).
-func (d *QR) IsFullRank(tol float64) bool {
-	var maxd float64
-	for _, v := range d.rdia {
-		if a := math.Abs(v); a > maxd {
-			maxd = a
-		}
-	}
-	if maxd == 0 {
-		return false
-	}
-	for _, v := range d.rdia {
-		if math.Abs(v) <= tol*maxd {
-			return false
-		}
-	}
-	return true
-}
-
-// RCond returns a cheap reciprocal condition estimate of R:
-// min|diag R| / max|diag R|. It is an upper bound on the true rcond
-// but adequate to reject numerically useless regressor sets.
-func (d *QR) RCond() float64 {
-	mn, mx := math.Inf(1), 0.0
-	for _, v := range d.rdia {
-		a := math.Abs(v)
-		if a < mn {
-			mn = a
-		}
-		if a > mx {
-			mx = a
-		}
-	}
-	if mx == 0 {
-		return 0
-	}
-	return mn / mx
-}
-
-// Solve finds x minimizing ‖Ax − b‖₂ for the decomposed A. It returns
-// ErrSingular when A is rank-deficient at a relative tolerance of
-// 1e-12.
-func (d *QR) Solve(b []float64) ([]float64, error) {
-	if len(b) != d.m {
-		return nil, fmt.Errorf("mat: Solve length mismatch: matrix has %d rows, b has %d", d.m, len(b))
-	}
-	if !d.IsFullRank(1e-12) {
-		return nil, ErrSingular
-	}
-	y := make([]float64, d.m)
-	copy(y, b)
-	q := d.qr.data
-	n := d.n
-
-	// y = Qᵀ b, applying the stored reflectors in order. As in
-	// DecomposeQR, the reflector columns are walked via raw indices
-	// (stride n) with unchanged arithmetic.
-	for k := 0; k < n; k++ {
-		kk := k*n + k
-		var s float64
-		for i, idx := k, kk; i < d.m; i, idx = i+1, idx+n {
-			s += q[idx] * y[i]
-		}
-		s = -s / q[kk]
-		for i, idx := k, kk; i < d.m; i, idx = i+1, idx+n {
-			y[i] += s * q[idx]
-		}
-	}
-
-	// Back substitution: R x = y[:n].
-	x := make([]float64, n)
-	for k := n - 1; k >= 0; k-- {
-		s := y[k]
-		for j := k + 1; j < n; j++ {
-			s -= q[k*n+j] * x[j]
-		}
-		x[k] = s / d.rdia[k]
-	}
-	return x, nil
-}
-
-// RInverse returns R⁻¹ for the n×n upper-triangular factor. Together
-// with (XᵀX)⁻¹ = R⁻¹·R⁻ᵀ this gives the OLS covariance bread matrix
-// without forming XᵀX.
-func (d *QR) RInverse() (*Matrix, error) {
-	if !d.IsFullRank(1e-12) {
-		return nil, ErrSingular
-	}
-	n := d.n
-	inv := New(n, n)
-	// Solve R * col_j = e_j by back substitution for each j.
-	for j := 0; j < n; j++ {
-		for k := n - 1; k >= 0; k-- {
-			var s float64
-			if k == j {
-				s = 1
-			}
-			for l := k + 1; l < n; l++ {
-				s -= d.rAt(k, l) * inv.At(l, j)
-			}
-			inv.Set(k, j, s/d.rdia[k])
-		}
-	}
-	return inv, nil
-}
-
-// rAt reads entry (i,j) of R from compact storage (i <= j).
-func (d *QR) rAt(i, j int) float64 {
-	if i > j {
-		return 0
-	}
-	if i == j {
-		return d.rdia[i]
-	}
-	return d.qr.At(i, j)
-}
-
-// SolveLeastSquares is a convenience wrapper: decompose a and solve for
-// b in one call.
-func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	return DecomposeQR(a).Solve(b)
-}
-
-// Inverse returns the inverse of a square matrix via QR. It returns
-// ErrSingular for rank-deficient input.
-func Inverse(a *Matrix) (*Matrix, error) {
-	if a.Rows() != a.Cols() {
-		panic(fmt.Sprintf("mat: Inverse of non-square %dx%d matrix", a.Rows(), a.Cols()))
-	}
-	n := a.Rows()
-	d := DecomposeQR(a)
-	if !d.IsFullRank(1e-13) {
-		return nil, ErrSingular
-	}
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := d.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}

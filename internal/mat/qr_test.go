@@ -9,6 +9,117 @@ import (
 	"pmcpower/internal/rng"
 )
 
+// oracleQR is the textbook row-major Householder QR: the whole matrix
+// factored in one loop over its columns, with R in the upper triangle
+// and the Householder vectors on and below the diagonal. UpdQR must
+// reproduce it bit for bit however its columns arrive, so the tests
+// compare against it with ==.
+type oracleQR struct {
+	m, n int
+	qr   *Matrix
+	rdia []float64
+}
+
+func oracleDecompose(a *Matrix) *oracleQR {
+	m, n := a.Rows(), a.Cols()
+	qr := a.Clone()
+	rdia := make([]float64, n)
+	for k := 0; k < n; k++ {
+		var nrm float64
+		for i := k; i < m; i++ {
+			nrm = math.Hypot(nrm, qr.At(i, k))
+		}
+		if nrm != 0 {
+			if qr.At(k, k) < 0 {
+				nrm = -nrm
+			}
+			for i := k; i < m; i++ {
+				qr.Set(i, k, qr.At(i, k)/nrm)
+			}
+			qr.Set(k, k, qr.At(k, k)+1)
+			for j := k + 1; j < n; j++ {
+				var s float64
+				for i := k; i < m; i++ {
+					s += qr.At(i, k) * qr.At(i, j)
+				}
+				s = -s / qr.At(k, k)
+				for i := k; i < m; i++ {
+					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+				}
+			}
+		}
+		rdia[k] = -nrm
+	}
+	return &oracleQR{m: m, n: n, qr: qr, rdia: rdia}
+}
+
+// solve applies the reflectors to b, then back-substitutes R·x = Qᵀb,
+// under UpdQR's relative 1e-12 rank test.
+func (d *oracleQR) solve(b []float64) ([]float64, error) {
+	var maxd float64
+	for _, v := range d.rdia {
+		if a := math.Abs(v); a > maxd {
+			maxd = a
+		}
+	}
+	for _, v := range d.rdia {
+		if maxd == 0 || math.Abs(v) <= 1e-12*maxd {
+			return nil, ErrSingular
+		}
+	}
+	y := append([]float64(nil), b...)
+	for k := 0; k < d.n; k++ {
+		var s float64
+		for i := k; i < d.m; i++ {
+			s += d.qr.At(i, k) * y[i]
+		}
+		s = -s / d.qr.At(k, k)
+		for i := k; i < d.m; i++ {
+			y[i] += s * d.qr.At(i, k)
+		}
+	}
+	x := make([]float64, d.n)
+	for k := d.n - 1; k >= 0; k-- {
+		s := y[k]
+		for j := k + 1; j < d.n; j++ {
+			s -= d.qr.At(k, j) * x[j]
+		}
+		x[k] = s / d.rdia[k]
+	}
+	return x, nil
+}
+
+// sameFactor reports whether u holds the oracle's factorization: every
+// compact-storage entry and every diagonal entry of R, compared ==.
+func sameFactor(t *testing.T, u *UpdQR, d *oracleQR) bool {
+	t.Helper()
+	if u.Cols() != d.n || u.Rows() != d.m {
+		t.Logf("shape %dx%d, oracle %dx%d", u.Rows(), u.Cols(), d.m, d.n)
+		return false
+	}
+	for j := 0; j < d.n; j++ {
+		if u.rdia[j] != d.rdia[j] {
+			t.Logf("rdia[%d]: UpdQR %v, oracle %v", j, u.rdia[j], d.rdia[j])
+			return false
+		}
+		for i := 0; i < d.m; i++ {
+			if got, want := u.col[j*u.m+i], d.qr.At(i, j); got != want {
+				t.Logf("entry (%d,%d): UpdQR %v, oracle %v", i, j, got, want)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// factorAll is the batch factorization: every column of a in one
+// AppendCols.
+func factorAll(a *Matrix) *UpdQR {
+	u := NewUpdQR(a.Rows(), a.Cols())
+	u.AppendCols(a)
+	return u
+}
+
 func TestQRSolveExact(t *testing.T) {
 	// Square, well-conditioned system with a known solution.
 	a := FromRows([][]float64{
@@ -18,7 +129,7 @@ func TestQRSolveExact(t *testing.T) {
 	})
 	want := []float64{1, -2, 3}
 	b := a.MulVec(want)
-	got, err := SolveLeastSquares(a, b)
+	got, err := factorAll(a).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +153,7 @@ func TestQRLeastSquaresResidualOrthogonality(t *testing.T) {
 		}
 		y[i] = r.NormScaled(0, 2)
 	}
-	beta, err := SolveLeastSquares(x, y)
+	beta, err := factorAll(x).Solve(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,36 +179,25 @@ func TestQRSingularDetection(t *testing.T) {
 		{7, 8, 15},
 		{1, 0, 1},
 	})
-	_, err := SolveLeastSquares(a, []float64{1, 2, 3, 4})
+	_, err := factorAll(a).Solve([]float64{1, 2, 3, 4})
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
 
 func TestQRFullRankCheck(t *testing.T) {
-	good := DecomposeQR(FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}}))
+	good := factorAll(FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}}))
 	if !good.IsFullRank(1e-12) {
 		t.Fatal("well-conditioned matrix reported rank-deficient")
 	}
-	bad := DecomposeQR(FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}))
+	bad := factorAll(FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}))
 	if bad.IsFullRank(1e-12) {
 		t.Fatal("rank-1 matrix reported full rank")
 	}
 }
 
-func TestQRRCond(t *testing.T) {
-	id := DecomposeQR(Identity(4))
-	if rc := id.RCond(); math.Abs(rc-1) > 1e-12 {
-		t.Fatalf("RCond of identity = %v, want 1", rc)
-	}
-	ill := DecomposeQR(FromRows([][]float64{{1, 0}, {0, 1e-14}, {0, 0}}))
-	if rc := ill.RCond(); rc > 1e-10 {
-		t.Fatalf("RCond of near-singular matrix = %v, want tiny", rc)
-	}
-}
-
 func TestRInverse(t *testing.T) {
-	// Verify (XᵀX)⁻¹ = R⁻¹R⁻ᵀ against a direct inverse.
+	// R⁻¹R⁻ᵀ is (XᵀX)⁻¹, so multiplying it by XᵀX gives the identity.
 	x := FromRows([][]float64{
 		{1, 2, 1},
 		{1, -1, 0},
@@ -105,44 +205,17 @@ func TestRInverse(t *testing.T) {
 		{1, 4, -2},
 		{1, 1, 1},
 	})
-	qr := DecomposeQR(x)
-	rinv, err := qr.RInverse()
+	rinv, err := factorAll(x).RInverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaQR := Mul(rinv, rinv.T())
 	xtx := Mul(x.T(), x)
-	direct, err := Inverse(xtx)
-	if err != nil {
-		t.Fatal(err)
+	if got := Mul(xtx, Mul(rinv, rinv.T())); !Equal(got, Identity(3), 1e-8) {
+		t.Fatalf("(XᵀX)·R⁻¹R⁻ᵀ != I:\n%v", got)
 	}
-	if !Equal(viaQR, direct, 1e-8) {
-		t.Fatalf("R⁻¹R⁻ᵀ != (XᵀX)⁻¹:\n%v\nvs\n%v", viaQR, direct)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 7, 2},
-		{3, 6, 1},
-		{2, 5, 3},
-	})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(Mul(a, inv), Identity(3), 1e-10) {
-		t.Fatalf("A * A⁻¹ != I:\n%v", Mul(a, inv))
-	}
-	if !Equal(Mul(inv, a), Identity(3), 1e-10) {
-		t.Fatal("A⁻¹ * A != I")
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("want ErrSingular, got %v", err)
+	bad := factorAll(FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}))
+	if _, err := bad.RInverse(); !errors.Is(err, ErrSingular) {
+		t.Fatalf("rank-deficient RInverse: want ErrSingular, got %v", err)
 	}
 }
 
@@ -152,7 +225,7 @@ func TestQRUnderdeterminedPanics(t *testing.T) {
 			t.Fatal("rows < cols must panic")
 		}
 	}()
-	DecomposeQR(New(2, 3))
+	NewUpdQR(2, 3).AppendCols(New(2, 3))
 }
 
 func TestQRRecoversKnownCoefficientsProperty(t *testing.T) {
@@ -167,8 +240,8 @@ func TestQRRecoversKnownCoefficientsProperty(t *testing.T) {
 				x.Set(i, j, r.Norm())
 			}
 		}
-		qr := DecomposeQR(x)
-		if qr.RCond() < 1e-6 {
+		qr := factorAll(x)
+		if !qr.IsFullRank(1e-6) {
 			return true // skip pathologically conditioned draws
 		}
 		beta := make([]float64, k)
@@ -193,7 +266,7 @@ func TestQRRecoversKnownCoefficientsProperty(t *testing.T) {
 }
 
 func TestSolveLengthMismatch(t *testing.T) {
-	qr := DecomposeQR(Identity(3))
+	qr := factorAll(Identity(3))
 	if _, err := qr.Solve([]float64{1, 2}); err == nil {
 		t.Fatal("length mismatch must error")
 	}

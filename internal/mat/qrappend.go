@@ -5,34 +5,35 @@ import (
 	"math"
 )
 
-// UpdQR is an updatable Householder QR decomposition that supports
-// appending columns one at a time. It exists for the selection hot
-// path: Algorithm 1 refits the Equation-1 model once per candidate per
-// round, but all candidate designs of a round share the same leading
-// columns. Factoring the shared prefix once and appending the few
-// per-candidate columns turns each trial fit from O(n·k²) into O(n·k).
+// UpdQR is the package's Householder QR decomposition, built one
+// column at a time. Every least-squares fit in the modelling pipeline
+// factors through it: a batch fit appends its design's columns
+// (AppendCols), and the selection hot path factors the columns a
+// round's candidate designs share once, then appends the few
+// per-candidate columns to a copy. Algorithm 1 refits the Equation-1
+// model once per candidate per round, so the shared prefix turns each
+// trial fit from O(n·k²) into O(n·k).
 //
 // Householder QR processes columns strictly left to right: the
 // reflector of column j depends only on columns 0..j. Appending a
 // column therefore applies the stored reflectors to it in order and
-// then forms its own reflector — the exact per-column operation
-// sequence DecomposeQR performs — so the factorization obtained by
-// appends is bit-identical to DecomposeQR of the full matrix, and
-// Truncate can drop trailing columns in O(1) because an append never
-// writes outside its own column.
+// then forms its own reflector — the per-column step of the textbook
+// loop — so a factorization obtained by appends is bit-identical to a
+// one-shot decomposition of the full matrix (the test suite pins it
+// against a row-major textbook oracle), and Truncate can drop trailing
+// columns in O(1) because an append never writes outside its own
+// column.
 //
 // Storage is column-major (one contiguous slice per column position),
-// which keeps appends and solves cache-friendly; the arithmetic is
-// layout-independent, so bit-identity with the row-major DecomposeQR
-// holds regardless.
+// which keeps appends and solves cache-friendly; the arithmetic does
+// not depend on the layout.
 //
 // UpdQR is not safe for concurrent use; the selection path gives each
 // worker its own copy of the shared prefix (see CopyFrom).
 type UpdQR struct {
 	m, n, capCols int
 	// col[j*m : (j+1)*m] stores column j: R entries in rows < j, the
-	// Householder vector in rows >= j (LAPACK-style compact storage,
-	// same convention as QR.qr).
+	// Householder vector in rows >= j (LAPACK-style compact storage).
 	col  []float64
 	rdia []float64 // diagonal of R, -nrm of each reflector
 }
@@ -92,29 +93,57 @@ func (u *UpdQR) CopyFrom(src *UpdQR) {
 
 // AppendCol appends one column to the factorization: the stored
 // reflectors are applied to it in order, then its own reflector is
-// formed. The arithmetic is identical to what DecomposeQR performs on
-// that column, so the resulting factorization matches a fresh
-// decomposition bit for bit. Appending must leave at least one more
-// row than column for the decomposition to stay overdetermined; that
-// invariant is the caller's (checked in Solve via the rank test, and
-// by construction in the selection path).
+// formed. Appending must leave at least one more row than column for
+// the decomposition to stay overdetermined; that invariant is the
+// caller's (checked in Solve via the rank test, and by construction in
+// the selection path).
 func (u *UpdQR) AppendCol(c []float64) {
 	if len(c) != u.m {
 		panic(fmt.Sprintf("mat: AppendCol length %d, want %d rows", len(c), u.m))
 	}
-	if u.n >= u.capCols {
-		panic(fmt.Sprintf("mat: AppendCol beyond capacity %d", u.capCols))
+	u.checkAppend(1)
+	copy(u.col[u.n*u.m:(u.n+1)*u.m], c)
+	u.factorNext()
+}
+
+// AppendCols appends every column of a, left to right. The columns are
+// copied straight from a's row-major storage into the column store, so
+// a batch factorization is NewUpdQR(m, k) followed by one AppendCols,
+// with no column slices or transpose in between.
+func (u *UpdQR) AppendCols(a *Matrix) {
+	if a.rows != u.m {
+		panic(fmt.Sprintf("mat: AppendCols of a %dx%d matrix, want %d rows", a.rows, a.cols, u.m))
 	}
-	if u.n >= u.m {
-		panic(fmt.Sprintf("mat: AppendCol would make a %dx%d underdetermined system", u.m, u.n+1))
+	u.checkAppend(a.cols)
+	for j := 0; j < a.cols; j++ {
+		dst := u.col[u.n*u.m : (u.n+1)*u.m]
+		for i, idx := 0, j; i < u.m; i, idx = i+1, idx+a.cols {
+			dst[i] = a.data[idx]
+		}
+		u.factorNext()
 	}
+}
+
+// checkAppend panics unless cols more columns fit the capacity and
+// leave the system no wider than it is tall.
+func (u *UpdQR) checkAppend(cols int) {
+	if u.n+cols > u.capCols {
+		panic(fmt.Sprintf("mat: appending %d columns to %d exceeds capacity %d", cols, u.n, u.capCols))
+	}
+	if u.n+cols > u.m {
+		panic(fmt.Sprintf("mat: appending %d columns would make a %dx%d underdetermined system", cols, u.m, u.n+cols))
+	}
+}
+
+// factorNext factors column n, which the caller has already copied
+// into the column store, and advances n: the per-column step of
+// Householder QR.
+func (u *UpdQR) factorNext() {
 	m, j := u.m, u.n
 	dst := u.col[j*m : (j+1)*m]
-	copy(dst, c)
 
-	// Apply the existing reflectors in order. DecomposeQR skips the
-	// reflector of a zero column (nrm == 0, i.e. rdia == 0); match that
-	// exactly.
+	// Apply the existing reflectors in order, skipping the reflector
+	// of a zero column (nrm == 0, i.e. rdia == 0): it was never formed.
 	for k := 0; k < j; k++ {
 		if u.rdia[k] == 0 {
 			continue
@@ -130,8 +159,8 @@ func (u *UpdQR) AppendCol(c []float64) {
 		}
 	}
 
-	// Form the new reflector — the same scaled-Hypot norm and
-	// sign-to-avoid-cancellation choice as DecomposeQR.
+	// Form the new reflector: the 2-norm below the diagonal by scaled
+	// Hypot (no overflow), its sign chosen to avoid cancellation.
 	var nrm float64
 	for i := j; i < m; i++ {
 		nrm = math.Hypot(nrm, dst[i])
@@ -150,7 +179,8 @@ func (u *UpdQR) AppendCol(c []float64) {
 }
 
 // IsFullRank reports whether all diagonal entries of R are comfortably
-// above zero relative to the largest one (same criterion as QR).
+// above zero relative to the largest one, using tolerance tol (a
+// relative threshold; 1e-12 is the solves' criterion).
 func (u *UpdQR) IsFullRank(tol float64) bool {
 	var maxd float64
 	for _, v := range u.rdia[:u.n] {
@@ -172,10 +202,8 @@ func (u *UpdQR) IsFullRank(tol float64) bool {
 // SolveInto finds x minimizing ‖Ax − b‖₂ for the currently factored A,
 // writing the solution into x (length Cols) and using ybuf (length
 // Rows) as scratch — no allocation. b is not modified. It returns
-// ErrSingular under the same relative 1e-12 rank tolerance as
-// QR.Solve, and performs the identical reflector-application and
-// back-substitution arithmetic, so solutions are bit-identical to a
-// fresh decomposition's.
+// ErrSingular when A is rank-deficient at a relative tolerance of
+// 1e-12.
 func (u *UpdQR) SolveInto(x, ybuf, b []float64) error {
 	if len(b) != u.m {
 		return fmt.Errorf("mat: SolveInto length mismatch: matrix has %d rows, b has %d", u.m, len(b))
@@ -225,4 +253,31 @@ func (u *UpdQR) Solve(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// RInverse returns R⁻¹ for the Cols×Cols upper-triangular factor.
+// Together with (XᵀX)⁻¹ = R⁻¹·R⁻ᵀ this gives the OLS covariance bread
+// matrix without forming XᵀX. It returns ErrSingular under the solves'
+// rank test.
+func (u *UpdQR) RInverse() (*Matrix, error) {
+	if !u.IsFullRank(1e-12) {
+		return nil, ErrSingular
+	}
+	n, m := u.n, u.m
+	inv := New(n, n)
+	// Solve R * col_j = e_j by back substitution for each j. R's strict
+	// upper triangle lives in rows < l of column l: R[k][l] = col[l*m+k].
+	for j := 0; j < n; j++ {
+		for k := n - 1; k >= 0; k-- {
+			var s float64
+			if k == j {
+				s = 1
+			}
+			for l := k + 1; l < n; l++ {
+				s -= u.col[l*m+k] * inv.At(l, j)
+			}
+			inv.Set(k, j, s/u.rdia[k])
+		}
+	}
+	return inv, nil
 }

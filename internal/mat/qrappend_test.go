@@ -35,35 +35,44 @@ func appendAll(u *UpdQR, x *Matrix) {
 }
 
 func TestUpdQRMatchesFreshQRBitwise(t *testing.T) {
-	// Column-by-column appends must reproduce DecomposeQR of the full
-	// matrix exactly: same R diagonal, same least-squares solution, to
-	// the last bit — Householder QR touches columns strictly left to
-	// right, so the append order is the decomposition order.
+	// Column-by-column appends, one AppendCols of the whole matrix, and
+	// a column followed by AppendCols of the rest (the OLS fit's
+	// [1 | x]) must all reproduce the textbook oracle exactly: the same
+	// compact storage, the same R diagonal, the same least-squares
+	// solution, to the last bit. Householder QR touches columns strictly
+	// left to right, so the append order is the decomposition order.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m := 20 + int(seed%40)
 		n := 2 + int(seed%5)
 		x, b := randTall(r, m, n)
+		fresh := oracleDecompose(x)
+		want, errW := fresh.solve(b)
 
-		u := NewUpdQR(m, n)
-		appendAll(u, x)
+		one := NewUpdQR(m, n)
+		appendAll(one, x)
+		batch := factorAll(x)
+		split := NewUpdQR(m, n)
+		split.AppendCol(x.Col(0))
+		rest := New(m, n-1)
+		for i := 0; i < m; i++ {
+			copy(rest.RowView(i), x.RowView(i)[1:])
+		}
+		split.AppendCols(rest)
 
-		fresh := DecomposeQR(x)
-		for j := 0; j < n; j++ {
-			if u.rdia[j] != fresh.rdia[j] {
-				t.Logf("rdia[%d]: append %v, fresh %v", j, u.rdia[j], fresh.rdia[j])
+		for _, u := range []*UpdQR{one, batch, split} {
+			if !sameFactor(t, u, fresh) {
 				return false
 			}
-		}
-		want, err1 := fresh.Solve(b)
-		got, err2 := u.Solve(b)
-		if (err1 == nil) != (err2 == nil) {
-			return false
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Logf("coeff %d: append %v, fresh %v", j, got[j], want[j])
+			got, err := u.Solve(b)
+			if (errW == nil) != (err == nil) {
 				return false
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Logf("coeff %d: UpdQR %v, oracle %v", j, got[j], want[j])
+					return false
+				}
 			}
 		}
 		return true
@@ -88,14 +97,12 @@ func TestUpdQRNearCollinearMatchesFreshQR(t *testing.T) {
 
 	u := NewUpdQR(m, n)
 	appendAll(u, x)
-	fresh := DecomposeQR(x)
+	fresh := oracleDecompose(x)
 
-	for j := 0; j < n; j++ {
-		if u.rdia[j] != fresh.rdia[j] {
-			t.Fatalf("near-collinear rdia[%d]: append %v, fresh %v", j, u.rdia[j], fresh.rdia[j])
-		}
+	if !sameFactor(t, u, fresh) {
+		t.Fatal("near-collinear factorization differs from the oracle")
 	}
-	want, errW := fresh.Solve(b)
+	want, errW := fresh.solve(b)
 	got, errG := u.Solve(b)
 	if (errW == nil) != (errG == nil) {
 		t.Fatalf("solve error mismatch: fresh %v, append %v", errW, errG)
@@ -136,7 +143,7 @@ func TestUpdQRTruncateAndReappend(t *testing.T) {
 			}
 			full.Set(i, p, cand[i])
 		}
-		want, err := DecomposeQR(full).Solve(b)
+		want, err := oracleDecompose(full).solve(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,8 +220,8 @@ func TestUpdQRSolveIntoAllocFree(t *testing.T) {
 }
 
 func TestUpdQRRankDeficiency(t *testing.T) {
-	// A duplicated column must be flagged exactly like QR.Solve flags
-	// it: ErrSingular at the same relative tolerance.
+	// A duplicated column must be flagged: ErrSingular at the relative
+	// 1e-12 tolerance.
 	r := rng.New(11)
 	m := 25
 	c := make([]float64, m)
@@ -233,9 +240,9 @@ func TestUpdQRRankDeficiency(t *testing.T) {
 }
 
 func TestUpdQRZeroColumnMatchesDecomposeQR(t *testing.T) {
-	// DecomposeQR skips the reflector of an all-zero column (nrm == 0)
-	// and records rdia = 0; appends after it must still agree with the
-	// fresh factorization.
+	// The textbook loop skips the reflector of an all-zero column
+	// (nrm == 0) and records rdia = 0; appends after it must still
+	// agree with the oracle.
 	r := rng.New(13)
 	m := 20
 	x := New(m, 3)
@@ -246,11 +253,8 @@ func TestUpdQRZeroColumnMatchesDecomposeQR(t *testing.T) {
 	}
 	u := NewUpdQR(m, 3)
 	appendAll(u, x)
-	fresh := DecomposeQR(x)
-	for j := 0; j < 3; j++ {
-		if u.rdia[j] != fresh.rdia[j] {
-			t.Fatalf("rdia[%d]: append %v, fresh %v", j, u.rdia[j], fresh.rdia[j])
-		}
+	if !sameFactor(t, u, oracleDecompose(x)) {
+		t.Fatal("factorization with a zero column differs from the oracle")
 	}
 	if u.rdia[1] != 0 {
 		t.Fatalf("zero column rdia = %v, want 0", u.rdia[1])
@@ -285,7 +289,7 @@ func TestUpdQRCopyFromIndependence(t *testing.T) {
 	}
 	// The source must still solve its own (prefix-only) system exactly
 	// as a fresh decomposition would.
-	want, err := DecomposeQR(prefix).Solve(b)
+	want, err := oracleDecompose(prefix).solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestUpdQRResetReuse(t *testing.T) {
 	}
 	appendAll(u, x2)
 
-	want, err := DecomposeQR(x2).Solve(b)
+	want, err := oracleDecompose(x2).solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +357,14 @@ func TestUpdQRPanics(t *testing.T) {
 	tall.AppendCol([]float64{1, 0})
 	tall.AppendCol([]float64{0, 1})
 	expectPanic("AppendCol underdetermined", func() { tall.AppendCol([]float64{1, 1}) })
+
+	batch := NewUpdQR(3, 2)
+	expectPanic("AppendCols row mismatch", func() { batch.AppendCols(New(2, 1)) })
+	expectPanic("AppendCols beyond capacity", func() { batch.AppendCols(New(3, 3)) })
+	expectPanic("AppendCols underdetermined", func() { NewUpdQR(2, 3).AppendCols(New(2, 3)) })
+	if batch.Cols() != 0 {
+		t.Fatalf("a refused AppendCols left %d columns", batch.Cols())
+	}
 
 	other := NewUpdQR(4, 2)
 	expectPanic("CopyFrom row mismatch", func() { other.CopyFrom(u) })

@@ -29,12 +29,12 @@ var ErrDowndate = errors.New("mat: row downdate breakdown")
 // cost independent of how many rows have ever been seen — the property
 // stats.RLS needs on the live telemetry path.
 //
-// Unlike UpdQR's column append, which replays the exact Householder
-// reflector sequence and is therefore bit-identical to a fresh
-// DecomposeQR, Givens and Householder orderings differ, so RowQR
-// matches a batch refit only to rounding (see the equivalence tests
-// for the documented tolerance). What IS exact: replaying the same
-// rows through a fresh RowQR reproduces the state bit for bit.
+// UpdQR's factorization is the same bits whether its columns arrive
+// one at a time or all at once, but Givens and Householder orderings
+// differ, so RowQR matches a batch UpdQR refit only to rounding (see
+// the equivalence tests for the documented tolerance). What IS exact:
+// replaying the same rows through a fresh RowQR reproduces the state
+// bit for bit.
 type RowQR struct {
 	k int
 	n int // rows folded in minus rows removed
@@ -198,7 +198,7 @@ func (q *RowQR) IsFullRank(tol float64) bool {
 // SolveInto back-substitutes R·coef = z into coef (length k), the
 // least-squares coefficients of the current row set. No allocation.
 // Returns ErrSingular under the same relative 1e-12 rank tolerance as
-// QR.Solve — in particular whenever fewer than k rows are folded in.
+// UpdQR.Solve — in particular whenever fewer than k rows are folded in.
 func (q *RowQR) SolveInto(coef []float64) error {
 	if len(coef) != q.k {
 		panic("mat: RowQR.SolveInto coefficient length mismatch")

@@ -29,8 +29,7 @@ func randRows(r *rng.Rand, m, k int) (rows [][]float64, ys []float64) {
 // batchSolve fits the same rows with the batch Householder QR — the
 // reference the row-update factorization is measured against.
 func batchSolve(rows [][]float64, ys []float64) ([]float64, error) {
-	x := FromRows(rows)
-	return SolveLeastSquares(x, ys)
+	return factorAll(FromRows(rows)).Solve(ys)
 }
 
 // coefTol is the documented equivalence tolerance between a RowQR

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson correlation coefficient between x and y
@@ -31,54 +30,4 @@ func Pearson(x, y []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / den
-}
-
-// Spearman returns the Spearman rank correlation coefficient: the
-// Pearson correlation of the rank-transformed inputs, with ties
-// assigned their average rank.
-func Spearman(x, y []float64) float64 {
-	return Pearson(ranks(x), ranks(y))
-}
-
-// ranks converts values to average ranks (1-based).
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
-}
-
-// CorrelationMatrix returns the k×k Pearson correlation matrix of the
-// given columns (each a sample of equal length).
-func CorrelationMatrix(cols [][]float64) [][]float64 {
-	k := len(cols)
-	out := make([][]float64, k)
-	for i := range out {
-		out[i] = make([]float64, k)
-		out[i][i] = 1
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			c := Pearson(cols[i], cols[j])
-			out[i][j] = c
-			out[j][i] = c
-		}
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 // Package stats implements the statistical machinery the paper's
 // modeling workflow relies on: ordinary least squares regression with
-// R²/Adj.R² and heteroscedasticity-consistent (HC0–HC3) standard
-// errors, variance inflation factors, Pearson and Spearman correlation,
+// an intercept, R²/Adj.R² and heteroscedasticity-consistent (HC0–HC3)
+// standard errors, variance inflation factors, Pearson correlation,
 // k-fold cross-validation splitting, and error metrics (MAPE, RMSE, …).
 //
 // It replaces the python3 statsmodels/scipy stack used by the paper

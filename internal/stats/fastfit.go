@@ -7,19 +7,16 @@ import (
 // FitR2Result holds the outputs of the R²-only fast fit: everything a
 // scoring loop needs and nothing it discards.
 type FitR2Result struct {
-	// Coeffs are the fitted coefficients in design-matrix column order
-	// (Coeffs[0] is the intercept when the fit was made with one).
+	// Coeffs are the fitted coefficients: the intercept first, then
+	// one per column of x.
 	Coeffs []float64
 	// R2 and AdjR2 are the (adjusted) coefficient of determination.
 	R2, AdjR2 float64
 	// SSR is the residual sum of squares.
 	SSR float64
 	// N and K are the number of observations and regressors (including
-	// the intercept if present).
+	// the intercept).
 	N, K int
-	// Intercept records whether column 0 is an intercept added by the
-	// fit.
-	Intercept bool
 }
 
 // FitR2 is the R²-only fast path of FitOLS: the same Householder QR
@@ -27,54 +24,25 @@ type FitR2Result struct {
 // bit-identical to a full FitOLS of the same input — enforced by
 // property tests), skipping everything a scoring caller discards: the
 // O(n·k²) leverage loop, the HC sandwich covariance, R⁻¹, and the
-// t/p statistics. Candidate fits in greedy selection, VIF auxiliary
-// regressions and cross-validation scoring use it; final model
-// training keeps FitOLS for the inference outputs.
+// t/p statistics. VIF auxiliary regressions, cross-validation folds
+// and scenario holdouts use it; final model training keeps FitOLS for
+// the inference outputs.
 //
 // Error behaviour matches FitOLS exactly: ErrDegenerate for n <= k or
 // a rank-deficient design (same 1e-12 relative tolerance), and the
 // shared constant-y contract R² = Adj.R² = 0 when sst == 0 (see
 // fitOLSCore). An input rejected by one path is rejected by the other.
-func FitR2(x *mat.Matrix, y []float64, opts OLSOptions) (*FitR2Result, error) {
-	core, err := fitOLSCore(x, y, opts)
+func FitR2(x *mat.Matrix, y []float64) (*FitR2Result, error) {
+	core, err := fitOLSCore(x, y)
 	if err != nil {
 		return nil, err
 	}
 	return &FitR2Result{
-		Coeffs:    core.coeffs,
-		R2:        core.r2,
-		AdjR2:     core.adjR2,
-		SSR:       core.ssr,
-		N:         core.n,
-		K:         core.k,
-		Intercept: opts.Intercept,
-	}, nil
-}
-
-// FitOLSLite is an alias for FitR2, named for callers that think of it
-// as "FitOLS without the covariance apparatus".
-func FitOLSLite(x *mat.Matrix, y []float64, opts OLSOptions) (*FitR2Result, error) {
-	return FitR2(x, y, opts)
-}
-
-// FitR2Design is FitR2 on a caller-assembled design matrix: when
-// intercept is true, column 0 of design must already be the constant-1
-// column, and no prepend copy is made. It exists for hot loops that
-// build designs from cached feature columns (cross-validation folds)
-// where the extra n×k copy of prependOnes is measurable. Outputs are
-// identical to FitR2 on the same design values.
-func FitR2Design(design *mat.Matrix, y []float64, intercept bool) (*FitR2Result, error) {
-	core, err := fitDesignCore(design, y, intercept)
-	if err != nil {
-		return nil, err
-	}
-	return &FitR2Result{
-		Coeffs:    core.coeffs,
-		R2:        core.r2,
-		AdjR2:     core.adjR2,
-		SSR:       core.ssr,
-		N:         core.n,
-		K:         core.k,
-		Intercept: intercept,
+		Coeffs: core.coeffs,
+		R2:     core.r2,
+		AdjR2:  core.adjR2,
+		SSR:    core.ssr,
+		N:      core.n,
+		K:      core.k,
 	}, nil
 }

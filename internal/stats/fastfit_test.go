@@ -28,17 +28,17 @@ func randDesign(r *rng.Rand, n, k int) (*mat.Matrix, []float64) {
 func TestFitR2MatchesFitOLSBitwiseProperty(t *testing.T) {
 	// The fast path runs the same QR solve and goodness-of-fit
 	// arithmetic as FitOLS, so Coeffs, R², Adj.R² and SSR must agree
-	// exactly (==, not within tolerance) across random inputs, with and
-	// without an intercept.
-	f := func(seed uint64, intercept bool) bool {
+	// exactly (==, not within tolerance) across random inputs. The
+	// fitted values must be MulVec of the explicit design [1 | x] bit
+	// for bit, though the fit never builds it.
+	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 15 + int(seed%50)
 		k := 1 + int(seed%4)
 		x, y := randDesign(r, n, k)
-		opts := OLSOptions{Intercept: intercept}
 
-		full, err1 := FitOLS(x, y, opts)
-		fast, err2 := FitR2(x, y, opts)
+		full, err1 := FitOLS(x, y, OLSOptions{})
+		fast, err2 := FitR2(x, y)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("error mismatch: full %v, fast %v", err1, err2)
 			return false
@@ -55,48 +55,21 @@ func TestFitR2MatchesFitOLSBitwiseProperty(t *testing.T) {
 				return false
 			}
 		}
+		for i, v := range prependOnes(x).MulVec(full.Coeffs) {
+			if full.Fitted[i] != v {
+				t.Logf("fitted %d: %v, MulVec %v", i, full.Fitted[i], v)
+				return false
+			}
+		}
 		var ssr float64
 		for _, e := range full.Residuals {
 			ssr += e * e
 		}
 		return full.R2 == fast.R2 && full.AdjR2 == fast.AdjR2 &&
-			ssr == fast.SSR && full.N == fast.N && full.K == fast.K &&
-			fast.Intercept == intercept
+			ssr == fast.SSR && full.N == fast.N && full.K == fast.K && full.K == k+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFitR2DesignMatchesFitR2(t *testing.T) {
-	// Handing a design with the ones column already in place must be
-	// indistinguishable from letting the fit prepend it.
-	r := rng.New(41)
-	n, k := 80, 3
-	x, y := randDesign(r, n, k)
-	withOnes := mat.New(n, k+1)
-	for i := 0; i < n; i++ {
-		withOnes.Set(i, 0, 1)
-		for j := 0; j < k; j++ {
-			withOnes.Set(i, j+1, x.At(i, j))
-		}
-	}
-	want, err := FitR2(x, y, OLSOptions{Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := FitR2Design(withOnes, y, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want.Coeffs {
-		if got.Coeffs[j] != want.Coeffs[j] {
-			t.Fatalf("coeff %d: design %v, prepend %v", j, got.Coeffs[j], want.Coeffs[j])
-		}
-	}
-	if got.R2 != want.R2 || got.AdjR2 != want.AdjR2 || got.SSR != want.SSR {
-		t.Fatalf("fit quality differs: design (%v,%v,%v), prepend (%v,%v,%v)",
-			got.R2, got.AdjR2, got.SSR, want.R2, want.AdjR2, want.SSR)
 	}
 }
 
@@ -112,25 +85,24 @@ func TestFitR2DegenerateMatchesFitOLS(t *testing.T) {
 		x.Set(i, 1, 2*v) // exact collinearity
 		y[i] = v
 	}
-	if _, err := FitOLS(x, y, OLSOptions{Intercept: true}); !errors.Is(err, ErrDegenerate) {
+	if _, err := FitOLS(x, y, OLSOptions{}); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("FitOLS: want ErrDegenerate, got %v", err)
 	}
-	if _, err := FitR2(x, y, OLSOptions{Intercept: true}); !errors.Is(err, ErrDegenerate) {
+	if _, err := FitR2(x, y); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("FitR2: want ErrDegenerate, got %v", err)
 	}
-	if _, err := FitR2(mat.New(2, 3), []float64{1, 2}, OLSOptions{}); !errors.Is(err, ErrDegenerate) {
+	if _, err := FitR2(mat.New(2, 3), []float64{1, 2}); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("FitR2 n<=k: want ErrDegenerate, got %v", err)
 	}
-	if _, err := FitR2(mat.New(5, 2), []float64{1, 2}, OLSOptions{}); err == nil {
+	if _, err := FitR2(mat.New(5, 2), []float64{1, 2}); err == nil {
 		t.Fatal("FitR2 row mismatch must error")
 	}
 }
 
 func TestConstantTargetR2ContractAgrees(t *testing.T) {
-	// sst == 0 (constant y with an intercept) pins R² = Adj.R² = 0 on
-	// both paths — the documented degenerate contract. Before this
-	// contract the Adj.R² of a constant target underflowed to an
-	// arbitrary negative value.
+	// sst == 0 (constant y) pins R² = Adj.R² = 0 on both paths — the
+	// documented degenerate contract. Before this contract the Adj.R²
+	// of a constant target underflowed to an arbitrary negative value.
 	r := rng.New(43)
 	n := 30
 	x := mat.New(n, 2)
@@ -140,11 +112,11 @@ func TestConstantTargetR2ContractAgrees(t *testing.T) {
 		x.Set(i, 1, r.Norm())
 		y[i] = 7.25
 	}
-	full, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	full, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FitR2(x, y, OLSOptions{Intercept: true})
+	fast, err := FitR2(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,37 +126,21 @@ func TestConstantTargetR2ContractAgrees(t *testing.T) {
 	if fast.R2 != 0 || fast.AdjR2 != 0 {
 		t.Fatalf("FitR2 constant y: R²=%v Adj.R²=%v, want 0, 0", fast.R2, fast.AdjR2)
 	}
-	// All-zero y without an intercept is the uncentered sst == 0 case.
+	// An all-zero y is constant too.
 	zeroY := make([]float64, n)
-	fast0, err := FitR2(x, zeroY, OLSOptions{})
+	fast0, err := FitR2(x, zeroY)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast0.R2 != 0 || fast0.AdjR2 != 0 {
-		t.Fatalf("all-zero y uncentered: R²=%v Adj.R²=%v, want 0, 0", fast0.R2, fast0.AdjR2)
-	}
-}
-
-func TestFitOLSLiteIsFitR2(t *testing.T) {
-	x, y := makeLinearData(40, 0.5, 11)
-	a, err := FitR2(x, y, OLSOptions{Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FitOLSLite(x, y, OLSOptions{Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a.Coeffs {
-		if a.Coeffs[j] != b.Coeffs[j] {
-			t.Fatal("FitOLSLite diverges from FitR2")
-		}
+		t.Fatalf("all-zero y: R²=%v Adj.R²=%v, want 0, 0", fast0.R2, fast0.AdjR2)
 	}
 }
 
 func TestVIFColumnsMatchesVIFP(t *testing.T) {
-	// The column-store VIF entry point must agree with the matrix-based
-	// one at every parallelism level.
+	// The column-store VIF entry point must agree with itself at every
+	// parallelism level, and the matrix-based MeanVIF must be the mean
+	// of its VIFs.
 	r := rng.New(44)
 	n, k := 60, 4
 	x := mat.New(n, k)
@@ -196,16 +152,12 @@ func TestVIFColumnsMatchesVIFP(t *testing.T) {
 		x.Set(i, 2, r.Norm())
 		x.Set(i, 3, r.Norm())
 	}
-	want, err := VIF(x)
+	want, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		cols[j] = x.Col(j)
-	}
 	for _, p := range []int{1, 0} {
-		got, err := VIFColumns(cols, p)
+		got, err := VIFColumns(columns(x), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,6 +165,13 @@ func TestVIFColumnsMatchesVIFP(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("parallelism %d: VIF[%d] = %v, want %v", p, j, got[j], want[j])
 			}
+		}
+		mean, err := MeanVIF(x, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mean != Mean(want) {
+			t.Fatalf("parallelism %d: MeanVIF = %v, want %v", p, mean, Mean(want))
 		}
 	}
 }

@@ -26,7 +26,7 @@ type BPResult struct {
 // intercept column). The residuals come from an internal OLS fit, so
 // callers only need the raw data.
 func BreuschPagan(x *mat.Matrix, y []float64) (*BPResult, error) {
-	fit, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	fit, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("stats: BreuschPagan primary fit: %w", err)
 	}
@@ -35,7 +35,7 @@ func BreuschPagan(x *mat.Matrix, y []float64) (*BPResult, error) {
 	for i, e := range fit.Residuals {
 		e2[i] = e * e
 	}
-	aux, err := FitOLS(x, e2, OLSOptions{Intercept: true})
+	aux, err := FitOLS(x, e2, OLSOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("stats: BreuschPagan auxiliary fit: %w", err)
 	}

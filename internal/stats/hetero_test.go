@@ -130,14 +130,14 @@ func TestVIFSingleColumnNaNPropagation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		x.Set(i, 0, float64(i+1))
 	}
-	vs, err := VIF(x)
+	vs, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vs) != 1 || !math.IsNaN(vs[0]) {
 		t.Fatalf("VIF of single column = %v, want [NaN]", vs)
 	}
-	mv, err := MeanVIF(x)
+	mv, err := MeanVIF(x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,12 +54,3 @@ func KFold(n, k int, r *rng.Rand) ([]Fold, error) {
 	}
 	return folds, nil
 }
-
-// Subset gathers the elements of xs at the given indices.
-func Subset(xs []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = xs[j]
-	}
-	return out
-}

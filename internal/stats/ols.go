@@ -77,9 +77,8 @@ var ErrDegenerate = errors.New("stats: degenerate regression (rank-deficient des
 
 // OLSResult holds a fitted ordinary-least-squares model.
 type OLSResult struct {
-	// Coeffs are the fitted coefficients, in design-matrix column
-	// order. When the fit was made with an intercept, Coeffs[0] is the
-	// intercept.
+	// Coeffs are the fitted coefficients: the intercept first, then
+	// one per column of x.
 	Coeffs []float64
 	// StdErr holds the coefficient standard errors under the chosen
 	// covariance estimator, aligned with Coeffs.
@@ -109,18 +108,14 @@ type OLSResult struct {
 	Leverages []float64
 
 	// N and K are the number of observations and regressors (including
-	// the intercept if present).
+	// the intercept).
 	N, K int
 	// Estimator records which covariance estimator produced StdErr.
 	Estimator CovEstimator
-	// Intercept records whether column 0 is an intercept added by Fit.
-	Intercept bool
 }
 
 // OLSOptions configures an OLS fit.
 type OLSOptions struct {
-	// Intercept prepends a constant-1 column to the design matrix.
-	Intercept bool
 	// Estimator selects the covariance estimator for standard errors.
 	Estimator CovEstimator
 }
@@ -131,8 +126,7 @@ type OLSOptions struct {
 // fast path's coefficients, R² and Adj.R² are bit-identical to the
 // full fit's.
 type fitCore struct {
-	design         *mat.Matrix
-	qr             *mat.QR
+	qr             *mat.UpdQR
 	coeffs         []float64
 	fitted, resid  []float64
 	ssr, r2, adjR2 float64
@@ -140,82 +134,71 @@ type fitCore struct {
 }
 
 // fitOLSCore performs the shared QR solve and goodness-of-fit
-// arithmetic of an OLS fit.
+// arithmetic of an OLS fit of y on an intercept and the columns of x.
+// It factors the design [1 | x] without building it: the ones column
+// is appended first, then x's columns straight from its storage.
 //
 // Degenerate-input contract (shared by FitOLS and FitR2 so the two
 // paths agree exactly):
-//   - n <= k or a rank-deficient design returns ErrDegenerate.
-//   - sst == 0 (constant y — centered case — or all-zero y,
-//     uncentered) defines R² = 0 and Adj.R² = 0: a constant target has
-//     no variance to explain, so neither a reward nor the
-//     degrees-of-freedom penalty 1−(1−R²)·dfTotal/(n−k) is
-//     meaningful. The df ratio is never evaluated with a zero or
-//     negative denominator because n > k is enforced above.
-func fitOLSCore(x *mat.Matrix, y []float64, opts OLSOptions) (*fitCore, error) {
-	design := x
-	if opts.Intercept {
-		design = prependOnes(x)
+//   - n <= k (k counts the intercept) or a rank-deficient design
+//     returns ErrDegenerate.
+//   - sst == 0 (constant y) defines R² = 0 and Adj.R² = 0: a constant
+//     target has no variance to explain, so neither a reward nor the
+//     degrees-of-freedom penalty 1−(1−R²)·(n−1)/(n−k) is meaningful.
+//     The df ratio is never evaluated with a zero or negative
+//     denominator because n > k is enforced above.
+func fitOLSCore(x *mat.Matrix, y []float64) (*fitCore, error) {
+	if x.Rows() != len(y) {
+		return nil, fmt.Errorf("stats: FitOLS rows mismatch: x has %d, y has %d", x.Rows(), len(y))
 	}
-	return fitDesignCore(design, y, opts.Intercept)
-}
-
-// fitDesignCore is fitOLSCore on a ready-made design matrix: column 0
-// is already the intercept when intercept is true, so no copy is made.
-// Callers that assemble designs from cached columns (cross-validation
-// folds) use it to skip the prependOnes pass; the resulting matrix
-// values — and therefore every fitted output — are identical either
-// way.
-func fitDesignCore(design *mat.Matrix, y []float64, intercept bool) (*fitCore, error) {
-	if design.Rows() != len(y) {
-		return nil, fmt.Errorf("stats: FitOLS rows mismatch: x has %d, y has %d", design.Rows(), len(y))
-	}
-	n, k := design.Rows(), design.Cols()
+	n, k := x.Rows(), x.Cols()+1
 	if n <= k {
 		return nil, fmt.Errorf("%w: n=%d k=%d", ErrDegenerate, n, k)
 	}
 
-	qr := mat.DecomposeQR(design)
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	qr := mat.NewUpdQR(n, k)
+	qr.AppendCol(ones)
+	qr.AppendCols(x)
 	coeffs, err := qr.Solve(y)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
 
-	fitted := design.MulVec(coeffs)
+	// Fitted values in the order MulVec would sum a row of [1 | x]:
+	// the intercept term first, then x's columns left to right.
+	fitted := make([]float64, n)
 	resid := make([]float64, n)
 	var ssr float64
 	for i := range y {
-		resid[i] = y[i] - fitted[i]
+		var f float64
+		f += coeffs[0]
+		for j, v := range x.RowView(i) {
+			f += v * coeffs[j+1]
+		}
+		fitted[i] = f
+		resid[i] = y[i] - f
 		ssr += resid[i] * resid[i]
 	}
 
-	// Total sum of squares: centered iff an intercept is present.
+	ybar := Mean(y)
 	var sst float64
-	if intercept {
-		ybar := Mean(y)
-		for _, v := range y {
-			d := v - ybar
-			sst += d * d
-		}
-	} else {
-		for _, v := range y {
-			sst += v * v
-		}
+	for _, v := range y {
+		d := v - ybar
+		sst += d * d
 	}
-	// Adjusted R² with the standard dfs: for the centered case the
-	// total df is n−1; uncentered it is n. A zero sst (constant y)
-	// pins both measures to 0 — see the contract above.
+	// A zero sst (constant y) pins both measures to 0 — see the
+	// contract above.
 	r2, adjR2 := 0.0, 0.0
 	if sst > 0 {
 		r2 = 1 - ssr/sst
-		dfTotal := float64(n)
-		if intercept {
-			dfTotal = float64(n - 1)
-		}
-		adjR2 = 1 - (1-r2)*dfTotal/float64(n-k)
+		adjR2 = 1 - (1-r2)*float64(n-1)/float64(n-k)
 	}
 
 	return &fitCore{
-		design: design,
 		qr:     qr,
 		coeffs: coeffs,
 		fitted: fitted,
@@ -228,16 +211,14 @@ func fitDesignCore(design *mat.Matrix, y []float64, intercept bool) (*fitCore, e
 	}, nil
 }
 
-// FitOLS regresses y on the columns of x (n rows, k columns) by
-// ordinary least squares via Householder QR. It returns ErrDegenerate
-// for rank-deficient designs or n <= k.
+// FitOLS regresses y on an intercept and the columns of x (n rows)
+// by ordinary least squares via Householder QR. It returns
+// ErrDegenerate for rank-deficient designs or n <= k, where k counts
+// the intercept.
 //
-// When opts.Intercept is set, a leading constant column is added and
-// R² is computed against the mean-centered total sum of squares
-// (the standard definition); without an intercept, R² is uncentered,
-// matching statsmodels' behaviour. A constant-y input (sst == 0)
-// yields R² = Adj.R² = 0; see fitOLSCore for the degenerate-input
-// contract.
+// R² is computed against the mean-centered total sum of squares (the
+// standard definition). A constant-y input (sst == 0) yields
+// R² = Adj.R² = 0; see fitOLSCore for the degenerate-input contract.
 //
 // FitOLS pays for the full inference apparatus — leverages, the HC
 // sandwich covariance, t statistics and p-values. Callers that only
@@ -246,18 +227,19 @@ func fitDesignCore(design *mat.Matrix, y []float64, intercept bool) (*fitCore, e
 // returns bit-identical values for those fields at a fraction of the
 // cost.
 func FitOLS(x *mat.Matrix, y []float64, opts OLSOptions) (*OLSResult, error) {
-	core, err := fitOLSCore(x, y, opts)
+	core, err := fitOLSCore(x, y)
 	if err != nil {
 		return nil, err
 	}
-	design, qr := core.design, core.qr
+	// The leverages and the sandwich walk the rows of the full design.
+	design := prependOnes(x)
 	n, k := core.n, core.k
 	coeffs, resid := core.coeffs, core.resid
 
 	sigmaSq := core.ssr / float64(n-k)
 
 	// (XᵀX)⁻¹ = R⁻¹ R⁻ᵀ from the QR factor ("bread").
-	rinv, err := qr.RInverse()
+	rinv, err := core.qr.RInverse()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
@@ -317,7 +299,6 @@ func FitOLS(x *mat.Matrix, y []float64, opts OLSOptions) (*OLSResult, error) {
 		N:         n,
 		K:         k,
 		Estimator: opts.Estimator,
-		Intercept: opts.Intercept,
 	}, nil
 }
 
@@ -367,26 +348,6 @@ func covariance(design, bread *mat.Matrix, resid, lev []float64, sigmaSq float64
 	meat := mat.WeightedCross(design, w)
 	cov := mat.Mul(mat.Mul(bread, meat), bread)
 	return cov, nil
-}
-
-// Predict evaluates the fitted model on new rows (same column layout as
-// the design matrix given to FitOLS, excluding the intercept column —
-// it is re-added automatically when the model was fit with one).
-//
-// A column-count mismatch is an error, not a panic: prediction inputs
-// can originate from untrusted request bodies (pmcpowerd's
-// /v1/predict), and a malformed request must not take the process
-// down.
-func (r *OLSResult) Predict(x *mat.Matrix) ([]float64, error) {
-	design := x
-	if r.Intercept {
-		design = prependOnes(x)
-	}
-	if design.Cols() != len(r.Coeffs) {
-		return nil, fmt.Errorf("stats: Predict column mismatch: model has %d coefficients, input provides %d columns",
-			len(r.Coeffs), design.Cols())
-	}
-	return design.MulVec(r.Coeffs), nil
 }
 
 func prependOnes(x *mat.Matrix) *mat.Matrix {

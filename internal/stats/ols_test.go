@@ -26,7 +26,7 @@ func makeLinearData(n int, noise float64, seed uint64) (*mat.Matrix, []float64) 
 
 func TestFitOLSRecoversCoefficients(t *testing.T) {
 	x, y := makeLinearData(500, 0.01, 1)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	res, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFitOLSRecoversCoefficients(t *testing.T) {
 
 func TestFitOLSPerfectFit(t *testing.T) {
 	x, y := makeLinearData(50, 0, 2)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	res, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFitOLSPerfectFit(t *testing.T) {
 
 func TestAdjR2BelowR2(t *testing.T) {
 	x, y := makeLinearData(60, 2.0, 3)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	res, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAdjR2BelowR2(t *testing.T) {
 
 func TestResidualsSumToZeroWithIntercept(t *testing.T) {
 	x, y := makeLinearData(80, 1.0, 4)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	res, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,26 +86,6 @@ func TestResidualsSumToZeroWithIntercept(t *testing.T) {
 	}
 	if math.Abs(s) > 1e-8 {
 		t.Fatalf("residual sum = %v, want 0 with intercept", s)
-	}
-}
-
-func TestFitOLSNoIntercept(t *testing.T) {
-	// y = 4*x exactly; fit through the origin.
-	x := mat.New(10, 1)
-	y := make([]float64, 10)
-	for i := 0; i < 10; i++ {
-		x.Set(i, 0, float64(i+1))
-		y[i] = 4 * float64(i+1)
-	}
-	res, err := FitOLS(x, y, OLSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Coeffs) != 1 || math.Abs(res.Coeffs[0]-4) > 1e-10 {
-		t.Fatalf("coeffs = %v, want [4]", res.Coeffs)
-	}
-	if math.Abs(res.R2-1) > 1e-12 {
-		t.Fatalf("uncentered R² = %v, want 1", res.R2)
 	}
 }
 
@@ -120,7 +100,7 @@ func TestFitOLSDegenerate(t *testing.T) {
 		x.Set(i, 1, v)
 		y[i] = v
 	}
-	if _, err := FitOLS(x, y, OLSOptions{Intercept: true}); !errors.Is(err, ErrDegenerate) {
+	if _, err := FitOLS(x, y, OLSOptions{}); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("want ErrDegenerate, got %v", err)
 	}
 	// Too few observations.
@@ -135,41 +115,10 @@ func TestFitOLSRowMismatch(t *testing.T) {
 	}
 }
 
-func TestPredictMatchesFitted(t *testing.T) {
-	x, y := makeLinearData(40, 0.5, 6)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := res.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pred {
-		if math.Abs(pred[i]-res.Fitted[i]) > 1e-10 {
-			t.Fatalf("Predict on training data diverges from Fitted at %d", i)
-		}
-	}
-}
-
-func TestPredictColumnMismatchErrors(t *testing.T) {
-	// A malformed prediction input (wrong column count) must surface as
-	// an error, not a panic — prediction inputs can come from untrusted
-	// pmcpowerd request bodies.
-	x, y := makeLinearData(40, 0.5, 6)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Predict(mat.New(3, 5)); err == nil {
-		t.Fatal("Predict with mismatched columns must error")
-	}
-}
-
 func TestLeveragesSumToK(t *testing.T) {
 	// trace(H) = k for the hat matrix.
 	x, y := makeLinearData(50, 1, 7)
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true})
+	res, err := FitOLS(x, y, OLSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +150,7 @@ func TestHCSEOrdering(t *testing.T) {
 	}
 	se := map[CovEstimator][]float64{}
 	for _, est := range []CovEstimator{CovClassic, CovHC0, CovHC1, CovHC2, CovHC3} {
-		res, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: est})
+		res, err := FitOLS(x, y, OLSOptions{Estimator: est})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +171,11 @@ func TestHCSEOrdering(t *testing.T) {
 
 func TestHCSEDoesNotChangeCoefficients(t *testing.T) {
 	x, y := makeLinearData(60, 1, 9)
-	classic, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: CovClassic})
+	classic, err := FitOLS(x, y, OLSOptions{Estimator: CovClassic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc3, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: CovHC3})
+	hc3, err := FitOLS(x, y, OLSOptions{Estimator: CovHC3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +202,7 @@ func TestPValuesSignificance(t *testing.T) {
 		x.Set(i, 1, noiseCol)
 		y[i] = 5*signal + r.NormScaled(0, 1)
 	}
-	res, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: CovHC3})
+	res, err := FitOLS(x, y, OLSOptions{Estimator: CovHC3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,11 @@ func TestOLSScaleEquivarianceProperty(t *testing.T) {
 		for i, v := range y {
 			cy[i] = c * v
 		}
-		a, err := FitOLS(x, y, OLSOptions{Intercept: true})
+		a, err := FitOLS(x, y, OLSOptions{})
 		if err != nil {
 			return true // skip ill-conditioned draws
 		}
-		b, err := FitOLS(x, cy, OLSOptions{Intercept: true})
+		b, err := FitOLS(x, cy, OLSOptions{})
 		if err != nil {
 			return false
 		}
@@ -71,7 +71,7 @@ func TestOLSColumnScaleInvarianceProperty(t *testing.T) {
 	// normalization, not the fit.
 	f := func(seed uint64) bool {
 		x, y := randomRegression(seed, 40, 3)
-		a, err := FitOLS(x, y, OLSOptions{Intercept: true})
+		a, err := FitOLS(x, y, OLSOptions{})
 		if err != nil {
 			return true
 		}
@@ -80,7 +80,7 @@ func TestOLSColumnScaleInvarianceProperty(t *testing.T) {
 		for i := 0; i < xs.Rows(); i++ {
 			xs.Set(i, 1, xs.At(i, 1)*c)
 		}
-		b, err := FitOLS(xs, y, OLSOptions{Intercept: true})
+		b, err := FitOLS(xs, y, OLSOptions{})
 		if err != nil {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestVIFScaleInvarianceProperty(t *testing.T) {
 			x.Set(i, 1, 0.7*a+r.Norm())
 			x.Set(i, 2, r.Norm())
 		}
-		v1, err := VIF(x)
+		v1, err := VIFColumns(columns(x), 1)
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestVIFScaleInvarianceProperty(t *testing.T) {
 			scaled.Set(i, 0, scaled.At(i, 0)*1000)
 			scaled.Set(i, 2, scaled.At(i, 2)*1e-6)
 		}
-		v2, err := VIF(scaled)
+		v2, err := VIFColumns(columns(scaled), 1)
 		if err != nil {
 			return false
 		}
@@ -147,11 +147,11 @@ func TestR2BoundedByNestedModelsProperty(t *testing.T) {
 			small.Set(i, 0, x.At(i, 0))
 			small.Set(i, 1, x.At(i, 1))
 		}
-		a, err := FitOLS(small, y, OLSOptions{Intercept: true})
+		a, err := FitOLS(small, y, OLSOptions{})
 		if err != nil {
 			return true
 		}
-		b, err := FitOLS(x, y, OLSOptions{Intercept: true})
+		b, err := FitOLS(x, y, OLSOptions{})
 		if err != nil {
 			return true
 		}
@@ -200,11 +200,11 @@ func TestHCSandwichReducesToClassicProperty(t *testing.T) {
 	// HC0 uses Σe²/n per observation, classic uses SSR/(n−k).
 	f := func(seed uint64) bool {
 		x, y := randomRegression(seed, 30, 2)
-		classic, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: CovClassic})
+		classic, err := FitOLS(x, y, OLSOptions{Estimator: CovClassic})
 		if err != nil {
 			return true
 		}
-		hc0, err := FitOLS(x, y, OLSOptions{Intercept: true, Estimator: CovHC0})
+		hc0, err := FitOLS(x, y, OLSOptions{Estimator: CovHC0})
 		if err != nil {
 			return false
 		}

@@ -17,10 +17,10 @@ import (
 // telemetry rates.
 //
 // Equivalence contract: Coefficients matches a from-scratch batch
-// least-squares fit of the retained window (e.g. FitR2Design on the
-// same rows) to rounding — see TestRLSWindowMatchesBatchRefit for the
-// documented tolerance — and replaying the same stream through a fresh
-// RLS is bit-identical. When a downdate breaks down numerically (rare;
+// least-squares fit of the retained window (for rows that lead with an
+// intercept 1, FitR2 of the rest of each row) to rounding — see
+// TestRLSWindowMatchesBatchRefit for the documented tolerance — and
+// replaying the same stream through a fresh RLS is bit-identical. When a downdate breaks down numerically (rare;
 // possible after very long slides) the fitter rebuilds the
 // factorization from its retained window copy, still without
 // allocating; Rebuilds counts those events.

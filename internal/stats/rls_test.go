@@ -12,7 +12,7 @@ import (
 
 // rlsCoefTol is the documented full-window-refit tolerance: RLS
 // coefficients after a slide must match a from-scratch batch fit
-// (FitR2Design) of the identical window. Givens/hyperbolic rotations
+// (FitR2) of the identical window. Givens/hyperbolic rotations
 // and Householder reflections order the arithmetic differently, so
 // the match is to rounding, not bit-identical; 1e-7 relative leaves
 // headroom over the ~1e-10 typically observed on conditioned designs
@@ -32,15 +32,26 @@ func rlsRow(r *rng.Rand, k int, x []float64) (y float64) {
 }
 
 // batchRefit fits the fitter's retained window from scratch with the
-// batch kernel.
+// batch kernel. The window rows lead with the intercept's 1, which
+// FitR2 adds itself.
 func batchRefit(t *testing.T, r *RLS) []float64 {
 	t.Helper()
 	rows, ys := r.WindowRows()
-	res, err := FitR2Design(mat.FromRows(rows), ys, true)
+	res, err := FitR2(withoutIntercept(rows), ys)
 	if err != nil {
 		t.Fatalf("batch refit: %v", err)
 	}
 	return res.Coeffs
+}
+
+// withoutIntercept returns the rows, minus their leading 1, as a
+// matrix.
+func withoutIntercept(rows [][]float64) *mat.Matrix {
+	x := mat.New(len(rows), len(rows[0])-1)
+	for i, row := range rows {
+		copy(x.RowView(i), row[1:])
+	}
+	return x
 }
 
 func TestRLSWindowMatchesBatchRefit(t *testing.T) {
@@ -309,11 +320,11 @@ func BenchmarkRLSBatchRefit(b *testing.B) {
 		ys[i] = rlsRow(r, k, x)
 		rows[i] = x
 	}
-	design := mat.FromRows(rows)
+	x := withoutIntercept(rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitR2Design(design, ys, true); err != nil {
+		if _, err := FitR2(x, ys); err != nil {
 			b.Fatal(err)
 		}
 	}

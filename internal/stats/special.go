@@ -91,9 +91,3 @@ func studentTSF(t, df float64) float64 {
 	x := df / (df + t*t)
 	return 0.5 * regIncBeta(df/2, 0.5, x)
 }
-
-// NormalCDF returns the standard normal cumulative distribution
-// function Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

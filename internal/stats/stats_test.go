@@ -11,6 +11,15 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// columns returns x as a column store, the input VIFColumns takes.
+func columns(x *mat.Matrix) [][]float64 {
+	cols := make([][]float64, x.Cols())
+	for j := range cols {
+		cols[j] = x.Col(j)
+	}
+	return cols
+}
+
 func TestMeanVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -121,42 +130,6 @@ func TestPearsonSymmetryAndInvariance(t *testing.T) {
 	}
 	if !almost(Pearson(scaled, y), Pearson(x, y), 1e-10) {
 		t.Fatal("PCC must be invariant under positive affine maps")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone (even nonlinear) relation → rho = 1.
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v) // nonlinear but monotone
-	}
-	if rho := Spearman(x, y); !almost(rho, 1, 1e-12) {
-		t.Fatalf("Spearman of monotone relation = %v, want 1", rho)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	x := []float64{1, 2, 2, 3}
-	y := []float64{1, 2, 2, 3}
-	if rho := Spearman(x, y); !almost(rho, 1, 1e-12) {
-		t.Fatalf("Spearman with ties = %v, want 1", rho)
-	}
-}
-
-func TestCorrelationMatrix(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	c := []float64{4, 3, 2, 1}
-	m := CorrelationMatrix([][]float64{a, b, c})
-	if !almost(m[0][0], 1, 0) || !almost(m[1][1], 1, 0) {
-		t.Fatal("diagonal must be 1")
-	}
-	if !almost(m[0][1], 1, 1e-12) || !almost(m[0][2], -1, 1e-12) {
-		t.Fatalf("off-diagonals wrong: %v", m)
-	}
-	if m[0][1] != m[1][0] {
-		t.Fatal("correlation matrix must be symmetric")
 	}
 }
 
@@ -327,14 +300,6 @@ func TestKFoldRejectsInvalidK(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	got := Subset(xs, []int{3, 0})
-	if len(got) != 2 || got[0] != 40 || got[1] != 10 {
-		t.Fatalf("Subset = %v", got)
-	}
-}
-
 func TestVIFOrthogonal(t *testing.T) {
 	// Orthogonal-ish independent columns → VIF ≈ 1.
 	r := rng.New(44)
@@ -345,7 +310,7 @@ func TestVIFOrthogonal(t *testing.T) {
 			x.Set(i, j, r.Norm())
 		}
 	}
-	vifs, err := VIF(x)
+	vifs, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +333,14 @@ func TestVIFCollinear(t *testing.T) {
 		x.Set(i, 1, b)
 		x.Set(i, 2, a+b+r.NormScaled(0, 0.01))
 	}
-	vifs, err := VIF(x)
+	vifs, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vifs[2] < 10 {
 		t.Fatalf("VIF of collinear column = %v, want > 10", vifs[2])
 	}
-	mean, err := MeanVIF(x)
+	mean, err := MeanVIF(x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +354,7 @@ func TestVIFSingleColumnNaN(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		x.Set(i, 0, float64(i))
 	}
-	vifs, err := VIF(x)
+	vifs, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,15 +398,6 @@ func TestRegIncBeta(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	if v := NormalCDF(0); !almost(v, 0.5, 1e-12) {
-		t.Fatalf("Φ(0) = %v", v)
-	}
-	if v := NormalCDF(1.6448536269514722); !almost(v, 0.95, 1e-9) {
-		t.Fatalf("Φ(1.645) = %v", v)
-	}
-}
-
 func TestVIFParallelEquivalence(t *testing.T) {
 	// The auxiliary regressions are independent and collected in
 	// column order, so parallel VIF must be bit-identical to serial.
@@ -455,11 +411,11 @@ func TestVIFParallelEquivalence(t *testing.T) {
 		}
 		x.Set(i, 5, a+r.NormScaled(0, 0.05))
 	}
-	serial, err := VIFP(x, 1)
+	serial, err := VIFColumns(columns(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := VIFP(x, 4)
+	par, err := VIFColumns(columns(x), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,11 +424,11 @@ func TestVIFParallelEquivalence(t *testing.T) {
 			t.Fatalf("VIF[%d] differs: serial %v, parallel %v", j, serial[j], par[j])
 		}
 	}
-	ms, err := MeanVIFP(x, 1)
+	ms, err := MeanVIF(x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := MeanVIFP(x, 4)
+	mp, err := MeanVIF(x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

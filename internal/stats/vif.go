@@ -9,7 +9,8 @@ import (
 	"pmcpower/internal/parallel"
 )
 
-// VIF computes the variance inflation factor for every column of x.
+// VIFColumns computes the variance inflation factor of every column
+// of a column store: cols[j] is the j-th variable's observations.
 //
 // The VIF of column j is 1/(1−R²_j) where R²_j is the coefficient of
 // determination of an auxiliary OLS regression (with intercept)
@@ -18,32 +19,15 @@ import (
 // multicollinearity problems (Kutner 2004; Hair 2010), the threshold
 // the paper applies.
 //
-// A column perfectly explained by the others yields +Inf.
-// VIF requires at least two columns; for a single column the result is
-// a one-element slice containing NaN (matching the "n/a" entry in the
+// A column perfectly explained by the others yields +Inf. VIF needs
+// at least two columns; for a single column the result is a
+// one-element slice containing NaN (matching the "n/a" entry in the
 // paper's Tables I and IV for the first selected counter).
-func VIF(x *mat.Matrix) ([]float64, error) {
-	return VIFP(x, 1)
-}
-
-// VIFP is VIF with the auxiliary regressions fanned out over
-// parallelism workers (0 = GOMAXPROCS, 1 = serial). The k auxiliary
-// fits are independent; results are collected in column order, so the
-// output is bit-identical at every parallelism level.
-func VIFP(x *mat.Matrix, parallelism int) ([]float64, error) {
-	cols := make([][]float64, x.Cols())
-	for j := range cols {
-		cols[j] = x.Col(j)
-	}
-	return VIFColumns(cols, parallelism)
-}
-
-// VIFColumns is VIFP over a column store: cols[j] is the j-th
-// variable's observations. It lets callers that already cache feature
-// columns (the selection hot path's design cache) run VIF without
-// rebuilding a rate matrix from rows first. Each auxiliary regression
-// only needs its R², so the fits use the R²-only fast path — the
-// resulting VIFs are bit-identical to full FitOLS fits.
+//
+// The k auxiliary fits are independent and fan out over parallelism
+// workers (0 = GOMAXPROCS, 1 = serial); results are collected in
+// column order, so the output is bit-identical at every level. Each
+// auxiliary regression only needs its R², so the fits use FitR2.
 func VIFColumns(cols [][]float64, parallelism int) ([]float64, error) {
 	k := len(cols)
 	if k == 0 {
@@ -68,7 +52,7 @@ func VIFColumns(cols [][]float64, parallelism int) ([]float64, error) {
 				}
 				jj++
 			}
-			res, err := FitR2(aux, cols[j], OLSOptions{Intercept: true})
+			res, err := FitR2(aux, cols[j])
 			if err != nil {
 				return 0, fmt.Errorf("stats: VIF auxiliary regression for column %d: %w", j, err)
 			}
@@ -77,9 +61,9 @@ func VIFColumns(cols [][]float64, parallelism int) ([]float64, error) {
 				return math.Inf(1), nil
 			}
 			v := 1 / (1 - r2)
-			// Auxiliary R² can come out slightly negative for a column
-			// orthogonal to the rest (uncentered corner cases); clamp to
-			// the theoretical minimum of 1.
+			// Auxiliary R² can round slightly negative for a column
+			// orthogonal to the rest; clamp to the theoretical minimum
+			// of 1.
 			if v < 1 {
 				v = 1
 			}
@@ -91,16 +75,16 @@ func VIFColumns(cols [][]float64, parallelism int) ([]float64, error) {
 	return out, nil
 }
 
-// MeanVIF returns the mean variance inflation factor over all columns,
-// the stability indicator used by the paper. The NaN produced for a
+// MeanVIF returns the mean variance inflation factor over the columns
+// of x, the stability indicator used by the paper, with the auxiliary
+// regressions fanned out as in VIFColumns. The NaN produced for a
 // single-column input propagates; an Inf VIF yields +Inf.
-func MeanVIF(x *mat.Matrix) (float64, error) {
-	return MeanVIFP(x, 1)
-}
-
-// MeanVIFP is MeanVIF over VIFP's parallel auxiliary regressions.
-func MeanVIFP(x *mat.Matrix, parallelism int) (float64, error) {
-	vs, err := VIFP(x, parallelism)
+func MeanVIF(x *mat.Matrix, parallelism int) (float64, error) {
+	cols := make([][]float64, x.Cols())
+	for j := range cols {
+		cols[j] = x.Col(j)
+	}
+	vs, err := VIFColumns(cols, parallelism)
 	if err != nil {
 		return 0, err
 	}
