@@ -66,6 +66,38 @@ func TestParseTraceparent(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent checks the parser of the traceparent header,
+// which every HTTP request carries from outside: no input panics, and
+// an accepted header yields valid ids that come back unchanged through
+// Traceparent and a second parse.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-00000000000000000000000000000000-0000000000000000-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		" \t00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01 \n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid ids %+v", h, tc)
+		}
+		again, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || again != tc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its Traceparent %q parses to %+v (ok %v)",
+				h, tc, tc.Traceparent(), again, ok)
+		}
+	})
+}
+
 func TestContextPlumbing(t *testing.T) {
 	if _, ok := TraceFromContext(context.Background()); ok {
 		t.Fatal("empty context reports a trace")

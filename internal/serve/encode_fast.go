@@ -15,9 +15,10 @@ import (
 // encoding/json is load-bearing (the wire and shard equivalence tests
 // compare response bodies byte for byte against golden transcripts
 // captured from the encoding/json path), so anything the appender
-// cannot prove it reproduces exactly — a
-// non-finite float, a trace id needing escaping — returns false and
-// the caller falls back to json.Encoder.
+// cannot prove it reproduces exactly — a non-finite float — returns
+// false and the caller falls back to json.Encoder. The trace id is
+// checked once per stream, not per row: a stream whose id would need
+// escaping (jsonSafeString) writes every row through json.Encoder.
 
 // appendJSONFloat appends f exactly as encoding/json's floatEncoder
 // does: shortest representation, 'f' form within [1e-6, 1e21), 'e'
@@ -58,11 +59,9 @@ func jsonSafeString(s string) bool {
 
 // writeEstimateFast writes we's json.Encoder encoding (object plus
 // trailing newline) to bw through the reusable *buf, or returns false
-// leaving bw untouched so the caller can use the real encoder.
+// leaving bw untouched so the caller can use the real encoder. The
+// caller has checked we.TraceID with jsonSafeString.
 func writeEstimateFast(bw *bufio.Writer, buf *[]byte, we wireEstimate) bool {
-	if we.TraceID != "" && !jsonSafeString(we.TraceID) {
-		return false
-	}
 	b := append((*buf)[:0], `{"time_ns":`...)
 	b = strconv.AppendUint(b, we.TimeNs, 10)
 	b = append(b, `,"instant_w":`...)

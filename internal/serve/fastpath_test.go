@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pmcpower/internal/acquisition"
+	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
 )
 
@@ -296,10 +297,11 @@ func TestScanJSONNumberMatchesJSONGrammar(t *testing.T) {
 		"1..2", "1ee2", "", "1e-",
 	}
 	for _, c := range cases {
-		got := scanJSONNumber([]byte(c)) == len(c) && len(c) > 0
+		_, _, _, _, next, ok := scanNumber([]byte(c), 0)
+		got := ok && next == len(c)
 		want := json.Valid([]byte(c))
 		if got != want {
-			t.Errorf("scanJSONNumber(%q) accepts=%v, json.Valid=%v", c, got, want)
+			t.Errorf("scanNumber(%q) accepts=%v, json.Valid=%v", c, got, want)
 		}
 	}
 }
@@ -332,16 +334,28 @@ func TestWriteEstimateFastMatchesEncoder(t *testing.T) {
 		}
 	}
 
-	// A trace id the writer cannot prove HTML-safe must bail (the
-	// encoder escapes it) and leave the output stream untouched.
-	var out bytes.Buffer
-	bw := bufio.NewWriter(&out)
-	var scratch []byte
-	if writeEstimateFast(bw, &scratch, wireEstimate{TraceID: "a<b"}) {
-		t.Fatal("writeEstimateFast accepted a trace id needing escaping")
-	}
-	bw.Flush()
-	if out.Len() != 0 {
-		t.Fatalf("bailed write left %d bytes in the stream", out.Len())
+	// The trace id is checked once, when the stream opens: a stream
+	// whose id json.Encoder would escape writes its rows through the
+	// encoder, byte for byte as the encoder alone would.
+	s := New(Config{})
+	defer s.Close()
+	for _, id := range []string{"a<b", "4bf92f3577b34da6a3ce929d0e0e4736"} {
+		st := s.takeStream(id, nil)
+		if safe := id != "a<b"; st.fastRows != safe {
+			t.Fatalf("trace id %q: fastRows %v, want %v", id, st.fastRows, safe)
+		}
+		var out bytes.Buffer
+		st.w = &discardWriter{header: http.Header{}}
+		st.br = bufio.NewReader(strings.NewReader(""))
+		st.bw = bufio.NewWriter(&out)
+		we := cases[1]
+		we.TraceID = id
+		st.encode(core.StreamEstimate{TimeNs: we.TimeNs, InstantW: we.InstantW, SmoothedW: we.SmoothedW,
+			TotalJoules: we.TotalJ, Samples: we.Samples, ModelVersion: we.ModelVersion})
+		st.bw.Flush()
+		if want := encode(we); !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("trace id %q: stream row %q, encoder %q", id, out.Bytes(), want)
+		}
+		s.putStream(st)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -370,7 +371,10 @@ func (d *discardWriter) Flush() {}
 // ladder's serve.handler rung does, a warmed named session's body of
 // 8n lines must allocate at most one object more than a body of n
 // lines, labelled refit streams included. One allocation per sample
-// would show as 7n more.
+// would show as 7n more. It also gates the heap bytes per request at
+// maxRequestBytes for both body lengths: the stream's 64 KiB reader
+// and 32 KiB writer come from the server's free list, not from a new
+// allocation per request.
 func TestEstimateHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -386,6 +390,7 @@ func TestEstimateHandlerAllocs(t *testing.T) {
 	h := s.Handler()
 
 	const n, runs = 50, 10
+	const maxRequestBytes = 8 << 10
 	for _, tc := range []struct {
 		name, query string
 		line        func(*testing.T, *acquisition.Row, uint64) string
@@ -419,26 +424,37 @@ func TestEstimateHandlerAllocs(t *testing.T) {
 				}
 				return reqs, ws
 			}
-			measure := func(lines int) float64 {
+			// measure returns the objects and heap bytes one request of
+			// lines samples allocates.
+			measure := func(lines int) (allocs, bytes float64) {
 				reqs, ws := requests(runs+1, lines) // AllocsPerRun adds one warm-up call
 				k := 0
-				allocs := testing.AllocsPerRun(runs, func() {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs = testing.AllocsPerRun(runs, func() {
 					h.ServeHTTP(ws[k], reqs[k])
 					k++
 				})
+				runtime.ReadMemStats(&after)
 				for i, w := range ws {
 					if w.status != http.StatusOK || w.rows != lines || w.errors != 0 {
 						t.Fatalf("request %d of %d lines: status %d, %d rows, %d errors", i, lines, w.status, w.rows, w.errors)
 					}
 				}
-				return allocs
+				return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1)
 			}
 			measure(n) // open the session and its quality state outside the gate
-			small, large := measure(n), measure(8*n)
-			t.Logf("allocs per request: %.0f for %d lines, %.0f for %d lines", small, n, large, 8*n)
+			small, smallBytes := measure(n)
+			large, largeBytes := measure(8 * n)
+			t.Logf("per request: %.0f allocs and %.0f B for %d lines, %.0f allocs and %.0f B for %d lines",
+				small, smallBytes, n, large, largeBytes, 8*n)
 			if large > small+1 {
 				t.Fatalf("a body of %d lines allocates %.0f objects, of %d lines %.0f: %.2f allocs per extra sample, want 0",
 					8*n, large, n, small, (large-small)/(7*n))
+			}
+			if smallBytes > maxRequestBytes || largeBytes > maxRequestBytes {
+				t.Fatalf("a request allocates %.0f B for %d lines and %.0f B for %d lines, want at most %d",
+					smallBytes, n, largeBytes, 8*n, maxRequestBytes)
 			}
 		})
 	}

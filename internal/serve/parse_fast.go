@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strconv"
 
 	"pmcpower/internal/core"
@@ -40,50 +41,6 @@ func skipJSONWS(b []byte, i int) int {
 	return i
 }
 
-// scanJSONNumber returns the length of a valid JSON number literal at
-// the start of b (per the RFC 8259 grammar: no leading zeros, no bare
-// '.', no trailing junk inside the token), or 0 if b does not start
-// with one.
-func scanJSONNumber(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i++
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return 0
-		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return 0
-		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	return i
-}
-
 // scanSimpleString scans a JSON string starting at b[i] (which must
 // be '"') containing no escapes and no control characters, returning
 // the contents (borrowed from b) and the index just past the closing
@@ -105,19 +62,139 @@ func scanSimpleString(b []byte, i int) (contents []byte, next int, ok bool) {
 	return nil, 0, false
 }
 
-// parseNumber scans and converts one JSON number; !ok on grammar or
-// conversion failure (overflow etc. — encoding/json rejects those
-// with its own message, so the caller bails to the slow path).
+// isDigit reports an ASCII decimal digit.
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// maxMantDigits is the number of significant decimal digits a uint64
+// mantissa always holds exactly (10^19 < 2^64), strconv's limit too.
+const maxMantDigits = 19
+
+// scanNumber scans the JSON number at b[i:] in one pass. It checks the
+// RFC 8259 grammar (an optional minus, no leading zeros, at least one
+// digit after a '.', after an 'e' and its sign) while it folds the
+// first 19 significant digits into man and the decimal point's place
+// into exp10, so the value is ±man·10^exp10. trunc reports a nonzero
+// digit beyond the 19th, where man no longer holds the value exactly.
+// next is the index just past the number; ok is false when b[i:] does
+// not start with one. The digit accounting follows strconv's
+// readFloat, so the (man, exp10) pair is the one ParseFloat converts.
+func scanNumber(b []byte, i int) (man uint64, exp10 int, neg, trunc bool, next int, ok bool) {
+	if i < len(b) && b[i] == '-' {
+		neg = true
+		i++
+	}
+	// nMant counts the digits folded into man; dp is the decimal
+	// point's place counted from the first significant digit.
+	nMant, dp := 0, 0
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++ // a lone zero integer part: no significant digit
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			dp++
+			if nMant < maxMantDigits {
+				man = man*10 + uint64(b[i]-'0')
+				nMant++
+			} else if b[i] != '0' {
+				trunc = true
+			}
+		}
+	default:
+		return 0, 0, false, false, 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if i >= len(b) || !isDigit(b[i]) {
+			return 0, 0, false, false, 0, false
+		}
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			switch {
+			case man == 0 && b[i] == '0':
+				dp-- // a leading zero of the fraction
+			case nMant < maxMantDigits:
+				man = man*10 + uint64(b[i]-'0')
+				nMant++
+			case b[i] != '0':
+				trunc = true
+			}
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		if i >= len(b) || !isDigit(b[i]) {
+			return 0, 0, false, false, 0, false
+		}
+		// Past 10000 the exponent is out of every float's range either
+		// way; capping it keeps the sum from overflowing.
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if eneg {
+			e = -e
+		}
+		dp += e
+	}
+	if man != 0 {
+		exp10 = dp - nMant
+	}
+	return man, exp10, neg, trunc, i, true
+}
+
+// parseNumber scans and converts one JSON number in a single pass over
+// its bytes: scanNumber's mantissa and exponent go to Eisel–Lemire.
+// Only a nonzero digit past the 19th significant one, or a value the
+// algorithm declines (a halfway case, a subnormal, or out of range),
+// sends the token to strconv.ParseFloat. !ok on a grammar failure or a
+// ParseFloat error (1e400 overflows): encoding/json rejects those with
+// its own message, so the caller bails to the slow path.
 func parseNumber(b []byte, i int) (v float64, next int, ok bool) {
-	n := scanJSONNumber(b[i:])
-	if n == 0 {
+	man, exp10, neg, trunc, next, ok := scanNumber(b, i)
+	if !ok {
 		return 0, 0, false
 	}
-	v, err := strconv.ParseFloat(string(b[i:i+n]), 64)
+	if !trunc {
+		if v, ok := eiselLemire64(man, exp10, neg); ok {
+			return v, next, true
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[i:next]), 64)
 	if err != nil {
 		return 0, 0, false
 	}
-	return v, i + n, true
+	return v, next, true
+}
+
+// parseUint scans the unsigned JSON integer at b[i:] in one pass, as
+// encoding/json decodes a uint64 field. A sign, a fraction, an
+// exponent or a value past 2^64−1 fails it (!ok), and the caller
+// bails to the slow path, which owns those errors.
+func parseUint(b []byte, i int) (v uint64, next int, ok bool) {
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			d := uint64(b[i] - '0')
+			if v > math.MaxUint64/10 || v == math.MaxUint64/10 && d > math.MaxUint64%10 {
+				return 0, 0, false
+			}
+			v = v*10 + d
+		}
+	default:
+		return 0, 0, false
+	}
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0, 0, false
+	}
+	return v, i, true
 }
 
 // parseSampleFast scans one wireSample object out of line into ps,
@@ -157,23 +234,12 @@ func parseSampleFast(line []byte, ps *parseScratch) bool {
 		i = skipJSONWS(line, i+1)
 		switch string(key) {
 		case "time_ns":
-			// uint64 field: encoding/json accepts only an unsigned
-			// integer literal here (no sign, fraction, or exponent).
-			n := scanJSONNumber(line[i:])
-			if n == 0 {
-				return false
-			}
-			for _, c := range line[i : i+n] {
-				if c < '0' || c > '9' {
-					return false
-				}
-			}
-			v, err := strconv.ParseUint(string(line[i:i+n]), 10, 64)
-			if err != nil {
+			v, next, ok := parseUint(line, i)
+			if !ok {
 				return false
 			}
 			ps.ws.TimeNs = v
-			i += n
+			i = next
 		case "freq_mhz":
 			v, next, ok := parseNumber(line, i)
 			if !ok {

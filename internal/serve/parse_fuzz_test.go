@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 
 	"pmcpower/internal/pmu"
@@ -86,4 +87,41 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// FuzzParseNumber checks the one-pass number conversion against
+// encoding/json and strconv. On any input, scanNumber accepts the
+// whole input exactly when json.Valid sees a bare number; on an
+// accepted one, parseNumber returns strconv.ParseFloat's value bit for
+// bit, and no value where ParseFloat errors.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "2400", "1.05", "4.1e8", "0.4123456789012345", "9007199254740993",
+		"1234567890123456789012345", "10240000000000001024.5", "4.9406564584124654e-324", "2.2250738585072011e-308",
+		"1.7976931348623157e308", "1e400", "1e-400", "0.000000000000000000000000000000000123",
+		"01", "1.", ".5", "-", "1e", "1e+", "--1", "1 ",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _, _, next, ok := scanNumber(data, 0)
+		accepts := ok && next == len(data)
+		if want := jsonValidNumber(data); accepts != want {
+			t.Fatalf("scanNumber(%q) accepts=%v, json.Valid bare number=%v", data, accepts, want)
+		}
+		if !accepts {
+			return
+		}
+		got, next, ok := parseNumber(data, 0)
+		want, err := strconv.ParseFloat(string(data), 64)
+		if err != nil {
+			if ok {
+				t.Fatalf("parseNumber(%q) = %v, but strconv.ParseFloat errors: %v", data, got, err)
+			}
+			return
+		}
+		if !ok || next != len(data) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseNumber(%q) = %v (ok %v, next %d), strconv.ParseFloat = %v", data, got, ok, next, want)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -844,6 +845,124 @@ func TestEarlyRejectionClosesConnection(t *testing.T) {
 	}
 	if strings.Contains(serverLog.String(), "panic") {
 		t.Fatalf("server panicked:\n%s", serverLog.String())
+	}
+}
+
+// TestShutdownWithFreeStreams serves estimate streams over keep-alive
+// connections, so that finished streams sit on the server's free list,
+// and then shuts the HTTP server down while one more stream is still
+// open. Shutdown must wait for that stream and return nil within its
+// 2 s deadline: a free stream that still held a request's body or
+// ResponseWriter could keep a connection from going idle.
+func TestShutdownWithFreeStreams(t *testing.T) {
+	_, rows := fixture(t)
+	s, ts := newTestServer(t, Config{})
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 2, MaxIdleConnsPerHost: 2}}
+	defer client.CloseIdleConnections()
+
+	const clients, requests, lines = 4, 10, 20
+	bodies := make([][]string, clients)
+	for c := range bodies {
+		var timeNs uint64
+		for k := 0; k < requests; k++ {
+			var body strings.Builder
+			for j := 0; j < lines; j++ {
+				timeNs += 1e6
+				body.WriteString(sampleLine(t, rows[j%len(rows)], timeNs))
+				body.WriteByte('\n')
+			}
+			bodies[c] = append(bodies[c], body.String())
+		}
+	}
+	post := func(c int, body string) error {
+		resp, err := client.Post(fmt.Sprintf("%s/v1/estimate?model=m&session=c%d", ts.URL, c),
+			"application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK || bytes.Count(got, []byte("\n")) != lines {
+			return fmt.Errorf("client %d: status %d, body %q", c, resp.StatusCode, got)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for c := range bodies {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, body := range bodies[c] {
+				if err := post(c, body); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	s.freeMu.Lock()
+	free := len(s.freeStreams)
+	for _, st := range s.freeStreams {
+		if st.w != nil || st.stream != nil || st.at != nil || st.ref.Model != nil || st.traceID != "" {
+			t.Errorf("a free stream still holds request state: %+v", st)
+		}
+	}
+	s.freeMu.Unlock()
+	if free == 0 {
+		t.Fatal("no finished stream went back to the free list")
+	}
+
+	// One stream stays open across the start of Shutdown.
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate?model=m&session=open", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respc := make(chan *http.Response, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Error(err)
+			close(respc)
+			return
+		}
+		respc <- resp
+	}()
+	io.WriteString(pw, sampleLine(t, rows[0], 1e6)+"\n")
+	resp, ok := <-respc
+	if !ok {
+		t.Fatal("the open stream got no response")
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if row, err := br.ReadString('\n'); err != nil {
+		t.Fatalf("first row of the open stream: %q, %v", row, err)
+	}
+	started := make(chan struct{})
+	ts.Config.RegisterOnShutdown(func() { close(started) })
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		shutdown <- ts.Config.Shutdown(ctx)
+	}()
+	<-started
+	io.WriteString(pw, sampleLine(t, rows[1], 2e6)+"\n")
+	pw.Close()
+	rest, err := io.ReadAll(br)
+	if err != nil || bytes.Count(rest, []byte("\n")) != 1 {
+		t.Fatalf("rest of the open stream: %q, %v", rest, err)
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatalf("Shutdown with %d free streams: %v", free, err)
 	}
 }
 

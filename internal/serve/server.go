@@ -176,6 +176,12 @@ type Server struct {
 	flightrec *obs.FlightRecorder
 	mux       *http.ServeMux
 
+	// freeStreams holds finished estimate streams for reuse
+	// (takeStream, putStream): a mutex-guarded list, not a sync.Pool,
+	// so a GC never empties it and the allocation gates stay exact.
+	freeMu      sync.Mutex
+	freeStreams []*estimateStream
+
 	start     time.Time
 	version   string
 	goVersion string

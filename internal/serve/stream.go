@@ -36,8 +36,10 @@ const (
 // through four stages over the stream's reusable scratch: decode
 // (parseSampleInto), push (the session push with the estimate and
 // refit metrics), observe (quality tracking of a labelled sample) and
-// encode (the NDJSON row and the flush decision). EstimateSample opens
-// the same state for one decoded sample and runs only the push.
+// encode (the NDJSON row and the flush decision). A finished stream
+// goes back to the server's free list with its buffers and scratch
+// (takeStream, putStream). EstimateSample opens the same state on its
+// stack for one decoded sample and runs only the push.
 type estimateStream struct {
 	s *Server
 	// ref is the resolved model; stream is the session the samples
@@ -53,23 +55,74 @@ type estimateStream struct {
 	// reconnects to a named session).
 	lastVersion, lastRebuilds uint64
 
-	// traceID stamps every row. at is the flight-recorder trace (nil
+	// traceID stamps every row; fastRows, decided once when the stream
+	// opens, says it needs no JSON escaping, so rows can take the
+	// appender (writeEstimateFast). at is the flight-recorder trace (nil
 	// outside HTTP). qmon, the model version's quality monitor, is
 	// resolved at the stream's first labelled sample.
-	traceID string
-	at      *obs.ActiveTrace
-	qmon    *quality.Monitor
-	// mark is the clock reading at the last stage boundary.
-	mark time.Time
+	traceID  string
+	fastRows bool
+	at       *obs.ActiveTrace
+	qmon     *quality.Monitor
+	// base is the stream's one wall-clock reading, taken at its first
+	// stage boundary; mark is the monotonic time from base to the last
+	// boundary.
+	base time.Time
+	mark time.Duration
 
-	// Decode and encode state, reused across lines.
-	ps        parseScratch
-	lineBuf   []byte
-	encBuf    []byte
 	w         http.ResponseWriter
-	br        *bufio.Reader
-	bw        *bufio.Writer
 	streaming bool // true once the 200 header is out
+
+	// Decode and encode state, reused across lines and, through the
+	// free list, across requests.
+	ps      parseScratch
+	lineBuf []byte
+	encBuf  []byte
+	br      *bufio.Reader
+	bw      *bufio.Writer
+}
+
+// maxFreeStreams caps the server's free list of finished estimate
+// streams. Each holds its 64 KiB reader and 32 KiB writer buffers; the
+// list only has to cover the concurrent requests of the keep-alive
+// connections a client fleet holds open.
+const maxFreeStreams = 16
+
+// takeStream returns the stream for one /v1/estimate request: a free
+// one, which keeps its buffers and parse scratch, or a new one. Every
+// per-request field starts zero (putStream cleared it).
+func (s *Server) takeStream(traceID string, at *obs.ActiveTrace) *estimateStream {
+	var st *estimateStream
+	s.freeMu.Lock()
+	if n := len(s.freeStreams); n > 0 {
+		st = s.freeStreams[n-1]
+		s.freeStreams[n-1] = nil
+		s.freeStreams = s.freeStreams[:n-1]
+	}
+	s.freeMu.Unlock()
+	if st == nil {
+		st = new(estimateStream)
+	}
+	st.s, st.at = s, at
+	st.traceID, st.fastRows = traceID, jsonSafeString(traceID)
+	return st
+}
+
+// putStream clears a finished stream's per-request fields and puts it
+// on the free list, unless the list is full. The reader and writer are
+// reset to nil first, so a free stream holds no request's body,
+// ResponseWriter, session or trace.
+func (s *Server) putStream(st *estimateStream) {
+	if st.br != nil {
+		st.br.Reset(nil)
+		st.bw.Reset(nil)
+	}
+	*st = estimateStream{ps: st.ps, lineBuf: st.lineBuf, encBuf: st.encBuf, br: st.br, bw: st.bw}
+	s.freeMu.Lock()
+	if len(s.freeStreams) < maxFreeStreams {
+		s.freeStreams = append(s.freeStreams, st)
+	}
+	s.freeMu.Unlock()
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -79,7 +132,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tc, _ := obs.TraceFromContext(r.Context())
-	st := &estimateStream{s: s, traceID: tc.TraceID, at: s.flightrec.Lookup(tc.TraceID)}
+	st := s.takeStream(tc.TraceID, s.flightrec.Lookup(tc.TraceID))
+	defer s.putStream(st)
 	q := r.URL.Query()
 	if herr := st.open(q.Get("model"), q.Get("session"), q.Get("alpha"), q.Get("refit")); herr != nil {
 		if herr.reason == ReasonShedInflight || herr.reason == ReasonShedP99 {
@@ -213,13 +267,19 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 	// first sample) must drain what the client already sent — bounded,
 	// to keep a hostile stream from pinning the handler.
 	defer io.Copy(io.Discard, io.LimitReader(r.Body, int64(maxLine)))
-	st.br = bufio.NewReaderSize(r.Body, min(max(maxLine, 16), 64*1024))
 	// Responses are buffered and flushed when the input is drained
 	// (flushIfDrained): an interactive client that sent one sample and
 	// is waiting gets its row immediately, while a batch upload gets
 	// one coalesced write per batch instead of one syscall and chunk
 	// frame per sample — the dominant per-sample cost at fleet scale.
-	st.bw = bufio.NewWriterSize(w, 32*1024)
+	// A stream from the free list re-aims its buffers at this request.
+	if st.br == nil {
+		st.br = bufio.NewReaderSize(r.Body, min(max(maxLine, 16), 64*1024))
+		st.bw = bufio.NewWriterSize(w, 32*1024)
+	} else {
+		st.br.Reset(r.Body)
+		st.bw.Reset(w)
+	}
 	defer st.bw.Flush()
 	var readErr error
 	for readErr == nil {
@@ -284,13 +344,21 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 // the push stage records its own, for accepted samples only. Without a
 // trace only the push is timed — its duration feeds the estimate
 // latency histogram — so only its two boundaries, the ends of decode
-// and push, read the clock.
+// and push, read the clock. Only differences are needed: the stream's
+// first boundary reads the wall clock once into base (no stage ends
+// there that anything records), and every later one reads only the
+// monotonic clock, as time.Since(base).
 func (st *estimateStream) lap(ended int) time.Duration {
 	if st.at == nil && ended != stageParse && ended != stagePush {
 		return 0
 	}
-	now := time.Now()
-	d := now.Sub(st.mark)
+	var now time.Duration
+	if st.base.IsZero() {
+		st.base = time.Now()
+	} else {
+		now = time.Since(st.base)
+	}
+	d := now - st.mark
 	st.mark = now
 	if ended != stagePush && ended != stageRead {
 		st.at.Stage(ended, d)
@@ -369,7 +437,7 @@ func (st *estimateStream) encode(est core.StreamEstimate) {
 		ModelVersion: est.ModelVersion,
 		TraceID:      st.traceID,
 	}
-	if !writeEstimateFast(st.bw, &st.encBuf, we) {
+	if !st.fastRows || !writeEstimateFast(st.bw, &st.encBuf, we) {
 		json.NewEncoder(st.bw).Encode(we)
 	}
 	st.flushIfDrained()
