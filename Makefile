@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify scenarios bench bench-hotpath bench-rls report examples trace-demo clean
+.PHONY: all build vet test race verify bench bench-hotpath bench-rls report examples trace-demo clean
 
 all: build vet test
 
@@ -26,14 +26,9 @@ race:
 # order-of-magnitude regressions by inspection).
 verify: build vet test race bench-rls
 
-# The stress-scenario matrix (internal/scenario): every built-in
-# scenario against a freshly trained model, under the race detector,
-# with a JSON report left in scenarios.json. Non-zero exit on any
-# failed checkpoint — the same command gates CI.
-scenarios:
-	$(GO) run -race ./cmd/scenarios -json scenarios.json
-
-# Timed regeneration of every paper artifact (E1–E17).
+# Every benchmark with allocation counts: the pipeline stages and fit
+# kernels at the root, and each package's kernels. The experiment
+# reports are pinned by TestExperimentsGolden, not timed.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

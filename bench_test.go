@@ -1,17 +1,15 @@
 package pmcpower
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (experiment ids E1–E13, see DESIGN.md). Each benchmark
-// regenerates its artifact end to end; shared acquisition campaigns
-// are cached in a package-level experiment context so the timed body
-// measures the experiment itself rather than repeated acquisition.
+// Pipeline benchmarks: the substrate costs behind the paper's
+// experiments (acquisition, training, prediction), serial against
+// parallel selection and cross-validation, and the fit kernels. Shared
+// acquisition campaigns are cached in a package-level experiment
+// context, so a timed body measures its own stage. The experiment
+// reports are pinned by TestExperimentsGolden (internal/experiments),
+// not timed here.
 //
-// Run everything with:
-//
-//	go test -bench=. -benchmem
-//
-// The rendered rows/series (the paper-facing output) are emitted via
-// b.Log — visible with -v — and recorded in EXPERIMENTS.md.
+// `make bench-hotpath` runs the selection, cross-validation, training
+// and kernel benchmarks with allocation counts; `make bench` runs all.
 
 import (
 	"sync"
@@ -36,7 +34,7 @@ func sharedCtx(b *testing.B) *experiments.Context {
 	benchOnce.Do(func() {
 		benchCtx = experiments.NewContext(experiments.DefaultConfig())
 		// Warm the cached campaigns so individual benchmarks time
-		// their experiment, not the shared acquisition.
+		// their own stage, not the shared acquisition.
 		if _, err := benchCtx.SelectionDataset(); err != nil {
 			panic(err)
 		}
@@ -48,241 +46,6 @@ func sharedCtx(b *testing.B) *experiments.Context {
 		}
 	})
 	return benchCtx
-}
-
-func logOnce(b *testing.B, i int, render func() (string, error)) {
-	b.Helper()
-	if i != 0 {
-		return
-	}
-	out, err := render()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Log("\n" + out)
-}
-
-func BenchmarkE01_TableI_Selection(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.SelectionDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(steps) != 6 {
-			b.Fatal("wrong step count")
-		}
-		logOnce(b, i, ctx.RenderTableI)
-	}
-}
-
-func BenchmarkE02_Fig2_R2Progression(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := ctx.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != 6 {
-			b.Fatal("wrong point count")
-		}
-		logOnce(b, i, ctx.RenderFig2)
-	}
-}
-
-func BenchmarkE03_TableII_CV(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cv, err := core.CrossValidate(ds.Rows, events, 10, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(cv.Folds) != 10 {
-			b.Fatal("wrong fold count")
-		}
-		logOnce(b, i, ctx.RenderTableII)
-	}
-}
-
-func BenchmarkE04_Fig3_PerWorkloadMAPE(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bars, err := ctx.Fig3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(bars) != 16 {
-			b.Fatal("wrong bar count")
-		}
-		logOnce(b, i, ctx.RenderFig3)
-	}
-}
-
-func BenchmarkE05_Fig4_Scenarios(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := ctx.Config()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Scenario1(ds, events, cfg.Scenario1Seed); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.Scenario2(ds, events); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.Scenario3(ds, events, cfg.CVSeed); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.Scenario4(ds, events, cfg.CVSeed); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, ctx.RenderFig4)
-	}
-}
-
-func BenchmarkE06_Fig5a_Scatter(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preds, err := ctx.Fig5a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(preds) == 0 {
-			b.Fatal("no predictions")
-		}
-		logOnce(b, i, ctx.RenderFig5a)
-	}
-}
-
-func BenchmarkE07_Fig5b_Scatter(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preds, err := ctx.Fig5b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(preds) == 0 {
-			b.Fatal("no predictions")
-		}
-		logOnce(b, i, ctx.RenderFig5b)
-	}
-}
-
-func BenchmarkE08_TableIII_PCC(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := ctx.TableIII()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatal("wrong row count")
-		}
-		logOnce(b, i, ctx.RenderTableIII)
-	}
-}
-
-func BenchmarkE09_Fig6_AllPCC(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := ctx.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != pmu.NumEvents() {
-			b.Fatal("wrong row count")
-		}
-		logOnce(b, i, ctx.RenderFig6)
-	}
-}
-
-func BenchmarkE10_TableIV_SyntheticSelection(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := ctx.TableIV()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatal("wrong row count")
-		}
-		logOnce(b, i, ctx.RenderTableIV)
-	}
-}
-
-func BenchmarkE11_SeventhCounterVIF(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ext, err := ctx.ExtendedSelection(11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ext.ExplodeAt == 0 {
-			b.Fatal("VIF never exploded")
-		}
-		logOnce(b, i, func() (string, error) { return ctx.RenderSeventh(11) })
-	}
-}
-
-func BenchmarkE12_Ablations(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctx.AblationRateNormalization(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctx.AblationHCSE(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctx.AblationCycleInit(); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, ctx.RenderAblations)
-	}
-}
-
-func BenchmarkE13_Baselines(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := ctx.Baselines()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("wrong baseline count")
-		}
-		logOnce(b, i, ctx.RenderBaselines)
-	}
 }
 
 // --- pipeline micro-benchmarks: the substrate costs behind the
@@ -361,83 +124,6 @@ func BenchmarkModelPredict(b *testing.B) {
 		if p := m.Predict(row); p <= 0 {
 			b.Fatal("bad prediction")
 		}
-	}
-}
-
-func BenchmarkE14_StrategyComparison(b *testing.B) {
-	ctx := sharedCtx(b)
-	if _, err := ctx.FullAllCounterDataset(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := ctx.StrategyComparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("wrong strategy count")
-		}
-		logOnce(b, i, ctx.RenderStrategies)
-	}
-}
-
-func BenchmarkE15_TransformationSearch(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctx.TransformationSearch()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Candidates) == 0 {
-			b.Fatal("no candidates")
-		}
-		logOnce(b, i, ctx.RenderTransformations)
-	}
-}
-
-func BenchmarkBreuschPagan(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bp, err := ctx.HeteroscedasticityTest()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bp.LM <= 0 {
-			b.Fatal("bad LM")
-		}
-	}
-}
-
-func BenchmarkE16_BootstrapStability(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctx.BootstrapStability()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Full.Replicates < 100 {
-			b.Fatal("too few replicates")
-		}
-		logOnce(b, i, ctx.RenderStability)
-	}
-}
-
-func BenchmarkE17_CrossPlatform(b *testing.B) {
-	ctx := sharedCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctx.CrossPlatform()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.ARMMAPE <= 0 {
-			b.Fatal("bad ARM MAPE")
-		}
-		logOnce(b, i, ctx.RenderCrossPlatform)
 	}
 }
 

@@ -6,7 +6,12 @@ import (
 	"testing"
 
 	"pmcpower/internal/acquisition"
+	"pmcpower/internal/cpusim"
+	"pmcpower/internal/pmu"
+	"pmcpower/internal/power"
 	"pmcpower/internal/rng"
+	"pmcpower/internal/stats"
+	"pmcpower/internal/workloads"
 )
 
 // refitSample converts a dataset row to a streaming sample at the
@@ -243,6 +248,169 @@ func TestStreamSessionRefitVersionsAndAdapts(t *testing.T) {
 	}
 	if math.Abs(adaptBias) > frozenBias/2 {
 		t.Fatalf("adapting bias %.3f W not clearly below frozen bias %.3f W", adaptBias, frozenBias)
+	}
+}
+
+// TestStreamSessionRefitTracksDrift feeds a refitting session labelled
+// samples whose true power drifts to 15 % above the training fit, then
+// three windows of one repeated design row (a singular window, the
+// downdate-breakdown trigger), then recovery traffic. The sliding-window
+// refit must track the drift where the frozen fit cannot, serve finite
+// estimates through the degenerate window, and recover after it.
+func TestStreamSessionRefitTracksDrift(t *testing.T) {
+	_, full := fixtures(t)
+	rows := full.Rows
+	model, err := Train(rows, canonicalEvents(), TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		window = 48
+		nDrift = 600
+		drift  = 0.15
+	)
+	sess, err := NewStreamSessionRefit(model, 1, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(r *acquisition.Row, timeNs uint64, truth float64) float64 {
+		t.Helper()
+		est, err := sess.PushLabeled(refitSample(r, timeNs), truth)
+		if err != nil {
+			t.Fatalf("labelled push at %d ns: %v", timeNs, err)
+		}
+		if math.IsNaN(est.InstantW) || math.IsInf(est.InstantW, 0) {
+			t.Fatalf("non-finite estimate %v at %d ns", est.InstantW, timeNs)
+		}
+		return est.InstantW
+	}
+
+	// The campaign rows come grouped by workload and frequency; fed in
+	// that order a window covers one near-degenerate slice of the design
+	// space. Shuffle so every window spans operating points, as
+	// interleaved live traffic would.
+	order := rng.New(7).Perm(len(rows))
+	var lateTruth, latePred, lateFrozen []float64
+	for i := 0; i < nDrift; i++ {
+		r := rows[order[i%len(rows)]]
+		truth := r.PowerW * (1 + drift*float64(i)/nDrift)
+		w := push(r, uint64(i+1)*1e6, truth)
+		if i >= nDrift*2/3 {
+			lateTruth = append(lateTruth, truth)
+			latePred = append(latePred, w)
+			lateFrozen = append(lateFrozen, model.Predict(r))
+		}
+	}
+	if sess.ModelVersion() == 0 {
+		t.Fatal("model version still 0: streaming refit never refreshed")
+	}
+	refit, frozen := stats.MAPE(lateTruth, latePred), stats.MAPE(lateTruth, lateFrozen)
+	if refit >= frozen {
+		t.Fatalf("late refit MAPE %.2f%% not better than frozen %.2f%%", refit, frozen)
+	}
+	if refit >= 8 {
+		t.Fatalf("late refit MAPE %.2f%% >= 8%%", refit)
+	}
+
+	// One identical design row fills the window: the factorization goes
+	// singular, downdates of departing rows break down, and the refitter
+	// must keep serving the last solvable coefficients throughout.
+	for i := 0; i < 3*window; i++ {
+		push(rows[0], uint64(nDrift+i+1)*1e6, rows[0].PowerW*(1+drift))
+	}
+	if sess.RefitRebuilds() == 0 {
+		t.Fatal("the degenerate window forced no refactorization")
+	}
+
+	order = rng.New(11).Perm(len(rows))
+	base := nDrift + 3*window
+	var recTruth, recPred []float64
+	for i := 0; i < 150; i++ {
+		r := rows[order[i%len(rows)]]
+		truth := r.PowerW * (1 + drift)
+		w := push(r, uint64(base+i+1)*1e6, truth)
+		if i >= 50 { // let the window flush the degenerate rows
+			recTruth = append(recTruth, truth)
+			recPred = append(recPred, w)
+		}
+	}
+	if m := stats.MAPE(recTruth, recPred); m >= 8 {
+		t.Fatalf("post-breakdown MAPE %.2f%% >= 8%%", m)
+	}
+}
+
+// TestStreamSessionTracksGovernorFlap drives the acquisition → fit →
+// estimate chain through a thermal-throttle-shaped frequency ramp:
+// fresh workload executions at P-states flapping across all five,
+// counters projected to rates and streamed through a frozen session,
+// scored against the simulator's ground-truth node power.
+func TestStreamSessionTracksGovernorFlap(t *testing.T) {
+	_, full := fixtures(t)
+	events := canonicalEvents()
+	model, err := Train(full.Rows, events, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := pmu.NewEventSet(events...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform := cpusim.HaswellEP()
+	exec := cpusim.NewExecutor(platform)
+	groundTruth := power.DefaultModel()
+	sess, err := NewStreamSession(model, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaps := []int{1200, 2600, 1600, 2400, 1200, 2000, 2600, 1200}
+	specs := []struct {
+		wl      string
+		threads int
+	}{
+		{"compute", 24}, {"md", 24}, {"memory_read", 24}, {"idle", 1},
+	}
+	rnd := rng.New(7)
+	seen := map[int]bool{}
+	var truth, pred []float64
+	var timeNs uint64
+	for si, f := range flaps {
+		for wi, sp := range specs {
+			act, err := exec.Execute(cpusim.RunConfig{
+				Workload:  workloads.MustByName(sp.wl),
+				FreqMHz:   f,
+				Threads:   sp.threads,
+				DurationS: 0.25,
+			}, rnd.Split(uint64(si*len(specs)+wi)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gt, err := groundTruth.NodePower(platform, act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := cpusim.Counters(act, set)
+			rates := make(map[pmu.EventID]float64, len(counts))
+			for id, v := range counts {
+				rates[id] = v / act.DurationS
+			}
+			timeNs += 250e6
+			est, err := sess.Push(CounterSample{TimeNs: timeNs, FreqMHz: f, VoltageV: act.CoreVoltageV, Rates: rates})
+			if err != nil {
+				t.Fatalf("push at %d MHz (%s): %v", f, sp.wl, err)
+			}
+			if math.IsNaN(est.InstantW) || math.IsInf(est.InstantW, 0) {
+				t.Fatalf("non-finite estimate %v at %d MHz (%s)", est.InstantW, f, sp.wl)
+			}
+			seen[f] = true
+			truth = append(truth, gt.TotalW)
+			pred = append(pred, est.InstantW)
+		}
+	}
+	if len(seen) != 5 {
+		t.Fatalf("ramp visited %d distinct P-states, want 5", len(seen))
+	}
+	if m := stats.MAPE(truth, pred); m >= 15 {
+		t.Fatalf("ramp MAPE %.2f%% >= 15%%", m)
 	}
 }
 

@@ -269,9 +269,6 @@ func (h *StripedHistogram) Observe(i int, v float64) {
 	h.stripes[uint(i)%uint(len(h.stripes))].Observe(v)
 }
 
-// Stripes returns the stripe count.
-func (h *StripedHistogram) Stripes() int { return len(h.stripes) }
-
 // Snapshot returns a merged copy of all stripes. Stripes are locked
 // one at a time, so the merge is consistent per stripe but not across
 // stripes — the same guarantee a scrape of independent series gives.
@@ -287,15 +284,6 @@ func (h *StripedHistogram) Snapshot() HistogramSnapshot {
 		out.Count += snap.Count
 	}
 	return out
-}
-
-// Count returns the merged observation count.
-func (h *StripedHistogram) Count() uint64 { return h.Snapshot().Count }
-
-// Quantile estimates the q-quantile of the merged distribution; see
-// (*Histogram).Quantile.
-func (h *StripedHistogram) Quantile(q float64) (float64, bool) {
-	return h.Snapshot().Quantile(q)
 }
 
 // StripedHistogram returns the striped histogram registered under name

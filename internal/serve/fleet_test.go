@@ -39,17 +39,16 @@ func TestRegistryHotSwapUnderLiveTraffic(t *testing.T) {
 		samples   = 40
 		uploads   = 20
 	)
-	bodies := make([]string, streamers)
-	for c := 0; c < streamers; c++ {
-		var sb strings.Builder
-		for i := 0; i < samples; i++ {
-			sb.WriteString(sampleLine(t, rows[(c+i)%len(rows)], uint64(i+1)*1e6))
-			sb.WriteByte('\n')
+	clients := make([][]request, streamers)
+	for c := range clients {
+		lines := make([]string, samples)
+		for i := range lines {
+			lines[i] = sampleLine(t, rows[(c+i)%len(rows)], uint64(i+1)*1e6)
 		}
-		bodies[c] = sb.String()
+		clients[c] = []request{{fmt.Sprintf("?model=m&session=swap-%d", c), ndjson(lines)}}
 	}
 
-	errs := make(chan error, streamers+2)
+	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 
 	// Uploader: redeploy "m" continuously.
@@ -110,26 +109,21 @@ func TestRegistryHotSwapUnderLiveTraffic(t *testing.T) {
 
 	// Streamers: every sample must come back as an estimate — a deploy
 	// must never break a stream that resolved before it.
-	for c := 0; c < streamers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			est, errLines, err := racePost(ts, fmt.Sprintf("?model=m&session=swap-%d", c), bodies[c])
-			if err != nil {
-				errs <- fmt.Errorf("swap-%d: %w", c, err)
-				return
-			}
-			if errLines != 0 || est != samples {
-				errs <- fmt.Errorf("swap-%d: %d estimates, %d errors; want %d, 0", c, est, errLines, samples)
-			}
-		}(c)
-	}
-
+	replies, err := postConcurrently(ts, clients)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
 			t.Error(err)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, rs := range replies {
+		if r := rs[0]; r.status != http.StatusOK || len(r.errs) != 0 || len(r.ests) != samples {
+			t.Errorf("swap-%d: HTTP %d, %d estimates, %d errors; want 200, %d, 0",
+				c, r.status, len(r.ests), len(r.errs), samples)
 		}
 	}
 }
@@ -189,8 +183,8 @@ func shardSpecs(t *testing.T) []equivSpec {
 		t.Fatal(err)
 	}
 	return []equivSpec{
-		stream("a", sampleLine(t, rows[0], 1e6), labelledLine(t, rows[1], 2e6), sampleLine(t, rows[2], 3e6)),
-		stream("b", labelledLine(t, rows[3], 1e6), labelledLine(t, rows[4], 2e6)),
+		stream("a", sampleLine(t, rows[0], 1e6), labelledLine(t, rows[1], 2e6, rows[1].PowerW), sampleLine(t, rows[2], 3e6)),
+		stream("b", labelledLine(t, rows[3], 1e6, rows[3].PowerW), labelledLine(t, rows[4], 2e6, rows[4].PowerW)),
 		// Anonymous stream with a mid-stream rejection (unknown event).
 		stream("", sampleLine(t, rows[5], 1e6), `{"time_ns":2000000,"freq_mhz":2000,"voltage_v":1.1,"rates":{"NO_SUCH_EV":1}}`, sampleLine(t, rows[6], 3e6)),
 		// Out-of-order rejection on a named session's second request.
@@ -255,7 +249,7 @@ func rowToWire(r *acquisition.Row) wireRow {
 // traffic on the same shard.
 func TestSweepEvictsOutsideShardLock(t *testing.T) {
 	model, _ := fixture(t)
-	clock := newRaceClock()
+	clock := newFakeClock()
 	const ttl = 10 * time.Millisecond
 	// One shard: the evicted key and the live key share it by
 	// construction, which is the worst case the contract covers.
@@ -400,7 +394,9 @@ func TestEstimateHandlerAllocs(t *testing.T) {
 			// valid but left to the encoding/json route.
 			return strings.Replace(sampleLine(t, r, timeNs), `,"power_w":null`, "", 1)
 		}},
-		{"labelled", "?model=m&session=refit&refit=64", labelledLine},
+		{"labelled", "?model=m&session=refit&refit=64", func(t *testing.T, r *acquisition.Row, timeNs uint64) string {
+			return labelledLine(t, r, timeNs, r.PowerW)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var timeNs uint64
@@ -500,7 +496,7 @@ func TestModelUploadBodyCap(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized model upload: HTTP %d %q, want 413", resp.StatusCode, raw)
 	}
-	if got := s.Metrics().Rejected(ReasonOversized); got == 0 {
+	if got := metric(t, s, rejectedFamily, "reason", ReasonOversized); got == 0 {
 		t.Fatal("oversized upload not counted under the oversized reason")
 	}
 }
@@ -530,137 +526,158 @@ func TestModelUploadRejectsDuplicateEvents(t *testing.T) {
 
 // --- admission control ------------------------------------------------
 
-// TestAdmissionInFlightCap holds one estimate stream open and requires
-// the next gated request to shed with 429 + Retry-After, then pass
-// again once the stream completes.
+// TestAdmissionInFlightCap fills every admission slot with a held
+// estimate stream and requires the next gated requests, predict and
+// estimate, to shed with 429, reason shed_inflight and Retry-After,
+// counted on both metric surfaces; once the streams end, the same
+// requests are admitted again.
 func TestAdmissionInFlightCap(t *testing.T) {
-	m, rows := fixture(t)
-	reg := NewRegistry()
-	if _, err := reg.Add("m", m); err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Config{Registry: reg, MaxInFlight: 1, RetryAfter: 2 * time.Second})
-
-	pr, pw := io.Pipe()
-	type result struct {
-		status int
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/estimate?model=m&session=held", "application/x-ndjson", pr)
+	_, rows := fixture(t)
+	const inflightCap = 2
+	s, ts := newTestServer(t, Config{MaxInFlight: inflightCap, RetryAfter: 2 * time.Second})
+	predict := func() *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			strings.NewReader(`{"model":"m","rows":[{"freq_mhz":2000,"voltage_v":1.1,"rates":{}}]}`))
 		if err != nil {
-			done <- result{0, err}
-			return
+			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		done <- result{resp.StatusCode, nil}
-	}()
-	// First sample proves the stream is admitted and in flight.
-	if _, err := io.WriteString(pw, sampleLine(t, rows[0], 1e6)+"\n"); err != nil {
-		t.Fatal(err)
+		return resp
 	}
-	waitFor(t, func() bool { return s.gate.inFlight() == 1 })
-
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-		strings.NewReader(`{"model":"m","rows":[{"freq_mhz":2000,"voltage_v":1.1,"rates":{}}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-cap request: HTTP %d %q, want 429", resp.StatusCode, raw)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want %q", got, "2")
-	}
-	if got := s.Metrics().ShedCount("/v1/predict", ReasonShedInflight); got != 1 {
-		t.Fatalf("shed counter = %d, want 1", got)
+	estimate := func(timeNs uint64) estimateReply {
+		t.Helper()
+		r, err := postEstimate(ts, "?model=m&session=overflow", "", sampleLine(t, rows[inflightCap], timeNs)+"\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 
-	pw.Close()
-	if r := <-done; r.err != nil || r.status != http.StatusOK {
-		t.Fatalf("held stream: status %d err %v", r.status, r.err)
+	var held []*heldStream
+	for i := 0; i < inflightCap; i++ {
+		held = append(held, openHeldStream(t, http.DefaultClient,
+			fmt.Sprintf("%s/v1/estimate?model=m&session=hold-%d", ts.URL, i), "", sampleLine(t, rows[i], 1e6)))
+	}
+	var status StatusResponse
+	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK || status.Admission.InFlight != inflightCap {
+		t.Fatalf("/v1/status = %d with in_flight %d while saturated, want 200 and %d", code, status.Admission.InFlight, inflightCap)
+	}
+	if resp := predict(); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" {
+		t.Fatalf("over-cap predict: HTTP %d, Retry-After %q; want 429, 2", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if r := estimate(1e6); r.status != http.StatusTooManyRequests || r.retryAfter != "2" ||
+		len(r.errs) != 1 || r.errs[0].Reason != ReasonShedInflight {
+		t.Fatalf("over-cap stream: HTTP %d, Retry-After %q, %+v; want 429, 2, %s", r.status, r.retryAfter, r.errs, ReasonShedInflight)
+	}
+	for _, path := range []string{"/v1/predict", "/v1/estimate"} {
+		if got := metric(t, s, "pmcpowerd_shed_total", "path", path, "reason", ReasonShedInflight); got != 1 {
+			t.Fatalf("shed counter for %s = %v, want 1", path, got)
+		}
+	}
+	if got := metric(t, s, rejectedFamily, "reason", ReasonShedInflight); got != 2 {
+		t.Fatalf("shed_inflight rejects = %v, want 2", got)
+	}
+
+	for _, h := range held {
+		h.close(t)
 	}
 	waitFor(t, func() bool { return s.gate.inFlight() == 0 })
-
-	// Capacity restored: the same request is admitted now.
-	resp, err = http.Post(ts.URL+"/v1/predict", "application/json",
-		strings.NewReader(`{"model":"m","rows":[{"freq_mhz":2000,"voltage_v":1.1,"rates":{}}]}`))
-	if err != nil {
-		t.Fatal(err)
+	// Capacity restored: the same requests are admitted now.
+	if resp := predict(); resp.StatusCode == http.StatusTooManyRequests {
+		t.Fatal("predict shed after capacity was restored")
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		t.Fatal("request shed after capacity was restored")
+	if r := estimate(2e6); r.status != http.StatusOK || len(r.ests) != 1 {
+		t.Fatalf("stream after the drain: HTTP %d with %d estimates, want 200 with 1", r.status, len(r.ests))
 	}
 }
 
 // TestAdmissionP99Shed drives the latency EWMA over an absurdly low
-// threshold and requires 503 + Retry-After, the shedding gauge, a
-// failing deep health probe, and the status block to agree.
+// threshold and requires 503 + Retry-After as soon as it is primed,
+// whether the gate samples every completion or every second one, with
+// the shedding gauge, the shed counter, a failing deep health probe,
+// and the status block agreeing.
 func TestAdmissionP99Shed(t *testing.T) {
 	_, rows := fixture(t)
-	s, ts := newTestServer(t, Config{ShedP99: time.Nanosecond, ShedSampleEvery: 1})
+	for _, every := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sample-every-%d", every), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{ShedP99: time.Nanosecond, ShedSampleEvery: every, RetryAfter: time.Second})
 
-	// Prime the EWMA: any completed request's p99 exceeds 1ns.
-	code, _, _ := streamEstimates(t, ts, "?model=m", []string{sampleLine(t, rows[0], 1e6)})
-	if code != http.StatusOK {
-		t.Fatalf("priming request: HTTP %d", code)
-	}
-	waitFor(t, func() bool { return s.gate.sheddingNow() })
+			// Prime the EWMA: the gate folds in a p99 every `every`
+			// completions, and any request's p99 exceeds 1ns.
+			for i := 0; i < every; i++ {
+				q := fmt.Sprintf("?model=m&session=prime-%d", i)
+				if code, _, _ := streamEstimates(t, ts, q, []string{sampleLine(t, rows[i], 1e6)}); code != http.StatusOK {
+					t.Fatalf("priming request %d: HTTP %d", i, code)
+				}
+			}
+			waitFor(t, s.gate.sheddingNow)
 
-	resp, err := http.Post(ts.URL+"/v1/estimate?model=m", "application/x-ndjson",
-		strings.NewReader(sampleLine(t, rows[1], 1e6)+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("request under shed: HTTP %d %q, want 503", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	if !strings.Contains(string(raw), ReasonShedP99) {
-		t.Fatalf("shed body %q does not carry reason %q", raw, ReasonShedP99)
-	}
-
-	st := s.Status()
-	if !st.Admission.Enabled || !st.Admission.Shedding || st.Admission.ShedTotal == 0 {
-		t.Fatalf("status admission block %+v does not reflect active shedding", st.Admission)
-	}
-	if !strings.Contains(s.Metrics().Render(), "pmcpowerd_shedding 1") {
-		t.Fatal("pmcpowerd_shedding gauge not raised")
-	}
-
-	deep, err := http.Get(ts.URL + "/healthz?deep=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, deep.Body)
-	deep.Body.Close()
-	if deep.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("deep health under shed: HTTP %d, want 503", deep.StatusCode)
+			r, err := postEstimate(ts, "?model=m", "", sampleLine(t, rows[every], 1e6)+"\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.status != http.StatusServiceUnavailable || r.retryAfter != "1" || len(r.errs) != 1 || r.errs[0].Reason != ReasonShedP99 {
+				t.Fatalf("request under shed: HTTP %d, Retry-After %q, %+v; want 503, 1, %s", r.status, r.retryAfter, r.errs, ReasonShedP99)
+			}
+			var status StatusResponse
+			if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK ||
+				!status.Admission.Enabled || !status.Admission.Shedding || status.Admission.ShedTotal == 0 {
+				t.Fatalf("/v1/status = %d with admission block %+v, want active shedding", code, status.Admission)
+			}
+			if got := metric(t, s, "pmcpowerd_shed_total", "path", "/v1/estimate", "reason", ReasonShedP99); got != 1 {
+				t.Fatalf("shed counter = %v, want 1", got)
+			}
+			if got := metric(t, s, "pmcpowerd_shedding"); got != 1 {
+				t.Fatalf("pmcpowerd_shedding = %v, want 1", got)
+			}
+			if code := getJSON(t, ts.URL+"/healthz?deep=1", nil); code != http.StatusServiceUnavailable {
+				t.Fatalf("deep health under shed: HTTP %d, want 503", code)
+			}
+		})
 	}
 }
 
-// TestAdmissionDisabled pins the escape hatch: with both knobs at
-// zero, requests carry no Retry-After and the status block reports the
-// gate as disabled.
+// TestAdmissionDisabled pins the escape hatch: with both knobs at zero
+// the overload shape that sheds elsewhere — held streams plus a burst —
+// is admitted in full, without a Retry-After, a rejection or a shed,
+// and the status block reports the gate as disabled.
 func TestAdmissionDisabled(t *testing.T) {
 	_, rows := fixture(t)
 	s, ts := newTestServer(t, Config{})
-	code, ests, _ := streamEstimates(t, ts, "?model=m", []string{sampleLine(t, rows[0], 1e6)})
-	if code != http.StatusOK || len(ests) != 1 {
-		t.Fatalf("ungated request: HTTP %d, %d estimates", code, len(ests))
+	var held []*heldStream
+	for i := 0; i < 2; i++ {
+		held = append(held, openHeldStream(t, http.DefaultClient,
+			fmt.Sprintf("%s/v1/estimate?model=m&session=hold-%d", ts.URL, i), "", sampleLine(t, rows[i], 1e6)))
 	}
-	if st := s.Status(); st.Admission.Enabled || st.Admission.Shedding || st.Admission.ShedTotal != 0 {
-		t.Fatalf("admission block %+v, want disabled and idle", st.Admission)
+	for i := 0; i < 8; i++ {
+		lines := make([]string, 0, 16)
+		for j := 0; j < 16; j++ {
+			lines = append(lines, sampleLine(t, rows[(i*16+j)%len(rows)], uint64(j+1)*1e6))
+		}
+		r, err := postEstimate(ts, fmt.Sprintf("?model=m&session=open-%d", i), "", ndjson(lines))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.status != http.StatusOK || len(r.ests) != len(lines) || r.retryAfter != "" {
+			t.Fatalf("stream %d: HTTP %d with %d estimates, Retry-After %q; want 200 with %d, none",
+				i, r.status, len(r.ests), r.retryAfter, len(lines))
+		}
+	}
+	for _, h := range held {
+		h.close(t)
+	}
+	if n := metric(t, s, rejectedFamily); n != 0 {
+		t.Fatalf("%v samples rejected with the gate disabled", n)
+	}
+	var status StatusResponse
+	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK ||
+		status.Admission.Enabled || status.Admission.Shedding || status.Admission.ShedTotal != 0 {
+		t.Fatalf("/v1/status = %d with admission block %+v, want disabled and idle", code, status.Admission)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz = %d", code)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Golden wire transcripts. The files under testdata/*.golden record
@@ -40,7 +39,7 @@ type reply struct {
 func equivServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
 	m, _ := fixture(t)
-	cfg.Now = func() time.Time { return time.Unix(1_700_000_000, 0) }
+	cfg.Now = newFakeClock().Now
 	cfg.Registry = NewRegistry()
 	if _, err := cfg.Registry.Add("m", m); err != nil {
 		t.Fatal(err)

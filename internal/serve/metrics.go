@@ -160,24 +160,12 @@ func (m *Metrics) Reject(reason string) {
 		obs.Label{Key: "reason", Value: reason}).Inc()
 }
 
-// Rejected returns the current count for reason.
-func (m *Metrics) Rejected(reason string) uint64 {
-	return m.reg.Counter("pmcpowerd_samples_rejected_total", "Rejected samples and refused requests by reason.",
-		obs.Label{Key: "reason", Value: reason}).Value()
-}
-
 // Estimate records one accepted sample and its push latency on the
 // given histogram stripe (the observing session's shard index, so
 // streams on different shards never contend on one histogram lock).
 func (m *Metrics) Estimate(stripe int, d time.Duration) {
 	m.estimates.Inc()
 	m.estimateLatency.Observe(stripe, d.Seconds())
-}
-
-// EstimateLatencyQuantile estimates the q-quantile of the per-sample
-// push-latency distribution, merged across stripes.
-func (m *Metrics) EstimateLatencyQuantile(q float64) (float64, bool) {
-	return m.estimateLatency.Quantile(q)
 }
 
 // Shed counts one request shed by admission control on path for
@@ -187,14 +175,6 @@ func (m *Metrics) Shed(path, reason string) {
 		"Requests shed by admission control, by path and reason.",
 		obs.Label{Key: "path", Value: path},
 		obs.Label{Key: "reason", Value: reason}).Inc()
-}
-
-// ShedCount returns the shed counter for one (path, reason) pair.
-func (m *Metrics) ShedCount(path, reason string) uint64 {
-	return m.reg.Counter("pmcpowerd_shed_total",
-		"Requests shed by admission control, by path and reason.",
-		obs.Label{Key: "path", Value: path},
-		obs.Label{Key: "reason", Value: reason}).Value()
 }
 
 // SetShedState publishes the admission gate's latency EWMA and
@@ -229,12 +209,6 @@ func (m *Metrics) Refits(n uint64) { m.refits.Add(n) }
 
 // RefitRebuilds counts n downdate-breakdown refactorizations.
 func (m *Metrics) RefitRebuilds(n uint64) { m.refitRebuilds.Add(n) }
-
-// RefitSamples returns the labelled-sample count (for tests).
-func (m *Metrics) RefitSamples() uint64 { return m.refitSamples.Value() }
-
-// RefitCount returns the refresh count (for tests).
-func (m *Metrics) RefitCount() uint64 { return m.refits.Value() }
 
 // Eviction counts one idle-session eviction.
 func (m *Metrics) Eviction() { m.evictions.Inc() }

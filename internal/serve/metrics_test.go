@@ -19,8 +19,7 @@ import (
 func TestMetricsExpositionByteStable(t *testing.T) {
 	// Pin the clock: the uptime gauge samples Now at render time, and
 	// byte-stability is a fixed-values property.
-	frozen := time.Unix(1_700_000_000, 0)
-	s, ts := newTestServer(t, Config{Now: func() time.Time { return frozen }})
+	s, ts := newTestServer(t, Config{Now: newFakeClock().Now})
 
 	for _, path := range []string{"/healthz", "/v1/models", "/healthz"} {
 		resp, err := http.Get(ts.URL + path)

@@ -7,31 +7,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
 	"pmcpower/internal/quality"
+	"pmcpower/internal/rng"
 )
 
-// labeledLine renders row r with a measured-power label.
-func labeledLine(t *testing.T, r *acquisition.Row, timeNs uint64, powerW float64) string {
-	t.Helper()
-	line := sampleLine(t, r, timeNs)
-	var ws wireSample
-	if err := json.Unmarshal([]byte(line), &ws); err != nil {
-		t.Fatal(err)
-	}
-	ws.PowerW = &powerW
-	b, err := json.Marshal(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// getJSON fetches url and decodes the body into out, returning the
-// status code.
+// getJSON fetches url and strict-decodes the body into out, returning
+// the status code: a field the documented shape lacks fails the test.
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -40,7 +23,9 @@ func getJSON(t *testing.T, url string, out any) int {
 	}
 	defer resp.Body.Close()
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(out); err != nil {
 			t.Fatalf("decoding %s: %v", url, err)
 		}
 	} else {
@@ -49,8 +34,9 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// qualityTestThresholds trip on a +30% label drift: APE settles at
-// 0.3/1.3 ≈ 23%, comfortably past alert at 12%.
+// qualityTestThresholds trip on a label drift of +20 % or more: the
+// windowed MAPE settles at 0.2/1.2 ≈ 16.7 % or above, past alert at
+// 12 %.
 var qualityTestThresholds = quality.Thresholds{
 	WarnMAPEPct: 5, AlertMAPEPct: 12,
 	WarnBiasW: -1, AlertBiasW: -1, // isolate the MAPE trigger
@@ -59,142 +45,153 @@ var qualityTestThresholds = quality.Thresholds{
 
 // TestQualityDriftEndToEnd drives the whole observability surface over
 // HTTP: an accurate labelled stream holds the model at ok, a ramped
-// +30% label drift walks it through warn into alert, /v1/status
-// reports the degradation, shallow health stays green while deep
-// health flips 503, and /debug/exemplars holds the worst residuals.
+// label drift walks it through warn into alert, /v1/status reports the
+// degradation, shallow health stays green while deep health flips 503,
+// and /debug/exemplars holds the worst residuals. The labels are the
+// model's own prediction scaled up, which is what a decalibrating
+// power reference looks like to a frozen model.
 func TestQualityDriftEndToEnd(t *testing.T) {
-	m, rows := fixture(t)
-	s, ts := newTestServer(t, Config{
-		QualityWindow:     32,
-		QualityExemplars:  8,
-		QualityThresholds: qualityTestThresholds,
-	})
-
-	r := rows[0]
-	predicted := m.Predict(r)
-
-	// Healthy phase: labels equal the model's own prediction, so the
-	// windowed MAPE is exactly zero.
-	var lines []string
-	timeNs := uint64(0)
-	for i := 0; i < 48; i++ {
-		timeNs += 1e6
-		lines = append(lines, labeledLine(t, r, timeNs, predicted))
-	}
-	if st, _, errs := streamEstimates(t, ts, "?model=m&session=q1", lines); st != http.StatusOK || len(errs) != 0 {
-		t.Fatalf("healthy stream: status %d, %d error lines", st, len(errs))
-	}
-
-	var status StatusResponse
-	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
-		t.Fatalf("/v1/status = %d", code)
-	}
-	if len(status.Quality) != 1 || status.Quality[0].Model != "m@1" {
-		t.Fatalf("quality block = %+v", status.Quality)
-	}
-	if q := status.Quality[0]; q.State != "ok" || q.WindowMAPEPct > 0.01 || q.LabelledSamples != 48 {
-		t.Fatalf("healthy quality = %+v", q)
-	}
-	if status.Health.Status != "ok" {
-		t.Fatalf("healthy status = %q", status.Health.Status)
-	}
-	if code := getJSON(t, ts.URL+"/healthz?deep=1", nil); code != http.StatusOK {
-		t.Fatalf("healthy deep health = %d", code)
-	}
-
-	// Drift phase: the label walks away from the prediction, up to
-	// +30%. The tracker's window MAPE crosses warn (5%) and then alert
-	// (12%) as the ramp progresses.
-	lines = lines[:0]
-	const driftSamples = 120
-	for i := 0; i < driftSamples; i++ {
-		timeNs += 1e6
-		f := 0.30 * float64(i+1) / driftSamples
-		lines = append(lines, labeledLine(t, r, timeNs, predicted*(1+f)))
-	}
-	if st, _, errs := streamEstimates(t, ts, "?model=m&session=q1", lines); st != http.StatusOK || len(errs) != 0 {
-		t.Fatalf("drift stream: status %d, %d error lines", st, len(errs))
-	}
-
-	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
-		t.Fatalf("/v1/status = %d", code)
-	}
-	q := status.Quality[0]
-	if q.State != "alert" {
-		t.Fatalf("post-drift state = %q (%+v)", q.State, q)
-	}
-	if q.WindowMAPEPct < 12 {
-		t.Errorf("post-drift window MAPE = %v%%, want >= 12", q.WindowMAPEPct)
-	}
-	if q.WarnTransitions < 1 || q.AlertTransitions < 1 {
-		t.Errorf("transitions warn=%d alert=%d, want >= 1 each", q.WarnTransitions, q.AlertTransitions)
-	}
-	if q.LabelledSamples != 48+driftSamples {
-		t.Errorf("labelled samples = %d, want %d", q.LabelledSamples, 48+driftSamples)
-	}
-	if q.ErrP99W <= 0 || q.ErrP50W > q.ErrP99W {
-		t.Errorf("error quantiles p50=%v p99=%v", q.ErrP50W, q.ErrP99W)
-	}
-	if status.Health.Status != "alert" || len(status.Health.AlertingModels) != 1 || status.Health.AlertingModels[0] != "m@1" {
-		t.Errorf("health block = %+v", status.Health)
-	}
-
-	// Shallow health keeps passing — the daemon can still serve — but
-	// deep health drains the node.
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Errorf("shallow health = %d, want 200", code)
-	}
-	resp, err := http.Get(ts.URL + "/healthz?deep=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("deep health = %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "m@1") {
-		t.Errorf("deep health body %q does not name the alerting model", body)
-	}
-
-	// Exemplars: the worst residuals were captured, worst first, with
-	// the full sample context. The drift labels sit above the
-	// prediction, so residuals are negative (underestimation).
-	var ex exemplarsResponse
-	if code := getJSON(t, ts.URL+"/debug/exemplars", &ex); code != http.StatusOK {
-		t.Fatalf("/debug/exemplars = %d", code)
-	}
-	if len(ex.Exemplars) != 8 {
-		t.Fatalf("exemplar count = %d, want 8", len(ex.Exemplars))
-	}
-	worst := ex.Exemplars[0]
-	if worst.Model != "m@1" || worst.Session != "q1" {
-		t.Errorf("worst exemplar context = %+v", worst)
-	}
-	if worst.ResidualW >= 0 {
-		t.Errorf("drift residual = %v, want negative (underestimation)", worst.ResidualW)
-	}
-	if len(worst.Rates) == 0 {
-		t.Errorf("exemplar carries no rates")
-	}
-	for i := 1; i < len(ex.Exemplars); i++ {
-		if abs(ex.Exemplars[i].ResidualW) > abs(ex.Exemplars[i-1].ResidualW) {
-			t.Errorf("exemplars not sorted worst-first at %d", i)
-		}
-	}
-
-	// Metrics: the state gauge and transition counters are published.
-	rendered := s.Metrics().Render()
-	for _, want := range []string{
-		`pmcpowerd_quality_state{model="m@1"} 2`,
-		`pmcpowerd_quality_transitions_total{model="m@1",to="warn"} 1`,
-		`pmcpowerd_quality_transitions_total{model="m@1",to="alert"} 1`,
-		`pmcpowerd_build_info{goversion="go`,
-		"pmcpowerd_uptime_seconds",
+	for _, tc := range []struct {
+		name string
+		// campaign streams the five-P-state model's rows, shuffled; the
+		// other case streams the fixture's first row only.
+		campaign                      bool
+		window, exemplars, minSamples int
+		healthy, drifting             int
+		drift                         float64
+	}{
+		{name: "one-row", window: 32, exemplars: 8, minSamples: 8, healthy: 48, drifting: 120, drift: 0.30},
+		{name: "campaign", campaign: true, window: 64, exemplars: 16, minSamples: 16, healthy: 128, drifting: 300, drift: 0.20},
 	} {
-		if !strings.Contains(rendered, want) {
-			t.Errorf("/metrics lacks %q", want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			m, rows := fixture(t)
+			cfg := Config{QualityWindow: tc.window, QualityExemplars: tc.exemplars, QualityThresholds: qualityTestThresholds}
+			cfg.QualityThresholds.MinSamples = tc.minSamples
+			order := []int{0}
+			if tc.campaign {
+				m, rows = campaignFixture(t)
+				cfg.Registry = campaignRegistry(t)
+				order = rng.New(7).Perm(len(rows))
+			}
+			s, ts := newTestServer(t, cfg)
+			var timeNs uint64
+			stream := func(n int, scale func(i int) float64) {
+				t.Helper()
+				lines := make([]string, n)
+				for i := range lines {
+					r := rows[order[i%len(order)]]
+					timeNs += 1e6
+					lines[i] = labelledLine(t, r, timeNs, m.Predict(r)*scale(i))
+				}
+				if st, ests, errs := streamEstimates(t, ts, "?model=m&session=q1", lines); st != http.StatusOK || len(errs) != 0 || len(ests) != n {
+					t.Fatalf("stream: status %d, %d estimates, %d error lines; want 200, %d, 0", st, len(ests), len(errs), n)
+				}
+			}
+
+			// Healthy phase: labels equal the prediction, so the windowed
+			// MAPE is exactly zero.
+			stream(tc.healthy, func(int) float64 { return 1 })
+			var status StatusResponse
+			if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
+				t.Fatalf("/v1/status = %d", code)
+			}
+			if len(status.Quality) != 1 || status.Quality[0].Model != "m@1" {
+				t.Fatalf("quality block = %+v", status.Quality)
+			}
+			if q := status.Quality[0]; q.State != "ok" || q.WindowMAPEPct > 0.01 || q.LabelledSamples != uint64(tc.healthy) {
+				t.Fatalf("healthy quality = %+v", q)
+			}
+			if status.Health.Status != "ok" {
+				t.Fatalf("healthy status = %q", status.Health.Status)
+			}
+			if code := getJSON(t, ts.URL+"/healthz?deep=1", nil); code != http.StatusOK {
+				t.Fatalf("healthy deep health = %d", code)
+			}
+
+			// Drift phase: the label walks away from the prediction. The
+			// windowed MAPE crosses warn (5%) and then alert (12%).
+			stream(tc.drifting, func(i int) float64 { return 1 + tc.drift*float64(i+1)/float64(tc.drifting) })
+			if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
+				t.Fatalf("/v1/status = %d", code)
+			}
+			q := status.Quality[0]
+			if q.State != "alert" {
+				t.Fatalf("post-drift state = %q (%+v)", q.State, q)
+			}
+			if q.WindowMAPEPct < 12 {
+				t.Errorf("post-drift window MAPE = %v%%, want >= 12", q.WindowMAPEPct)
+			}
+			if q.WarnTransitions < 1 || q.AlertTransitions < 1 {
+				t.Errorf("transitions warn=%d alert=%d, want >= 1 each", q.WarnTransitions, q.AlertTransitions)
+			}
+			if q.LabelledSamples != uint64(tc.healthy+tc.drifting) {
+				t.Errorf("labelled samples = %d, want %d", q.LabelledSamples, tc.healthy+tc.drifting)
+			}
+			if q.ErrP99W <= 0 || q.ErrP50W > q.ErrP99W {
+				t.Errorf("error quantiles p50=%v p99=%v", q.ErrP50W, q.ErrP99W)
+			}
+			if status.Health.Status != "alert" || len(status.Health.AlertingModels) != 1 || status.Health.AlertingModels[0] != "m@1" {
+				t.Errorf("health block = %+v", status.Health)
+			}
+
+			// Shallow health keeps passing — the daemon can still serve —
+			// but deep health drains the node.
+			if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+				t.Errorf("shallow health = %d, want 200", code)
+			}
+			resp, err := http.Get(ts.URL + "/healthz?deep=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("deep health = %d, want 503", resp.StatusCode)
+			}
+			if !strings.Contains(string(body), "m@1") {
+				t.Errorf("deep health body %q does not name the alerting model", body)
+			}
+
+			// Exemplars: the worst residuals were captured, worst first,
+			// with the full sample context. The drift labels sit above the
+			// prediction, so residuals are negative (underestimation), and
+			// the frozen model's version is 0.
+			var ex exemplarsResponse
+			if code := getJSON(t, ts.URL+"/debug/exemplars", &ex); code != http.StatusOK {
+				t.Fatalf("/debug/exemplars = %d", code)
+			}
+			if len(ex.Exemplars) != tc.exemplars {
+				t.Fatalf("exemplar count = %d, want %d", len(ex.Exemplars), tc.exemplars)
+			}
+			if worst := ex.Exemplars[0]; worst.Session != "q1" || len(worst.Rates) == 0 {
+				t.Errorf("worst exemplar context = %+v", worst)
+			}
+			for i, e := range ex.Exemplars {
+				if e.Model != "m@1" || e.ResidualW >= 0 || e.ModelVersion != 0 {
+					t.Errorf("exemplar %d: model %q, residual %v, version %d; want m@1, negative, 0", i, e.Model, e.ResidualW, e.ModelVersion)
+				}
+				if i > 0 && abs(e.ResidualW) > abs(ex.Exemplars[i-1].ResidualW) {
+					t.Errorf("exemplars not sorted worst-first at %d", i)
+				}
+			}
+
+			// Metrics: the state gauge and transition counters are published.
+			rendered := s.Metrics().Render()
+			for _, want := range []string{
+				`pmcpowerd_quality_state{model="m@1"} 2`,
+				`pmcpowerd_quality_transitions_total{model="m@1",to="warn"} 1`,
+				`pmcpowerd_quality_transitions_total{model="m@1",to="alert"} 1`,
+				`pmcpowerd_build_info{goversion="go`,
+				"pmcpowerd_uptime_seconds",
+			} {
+				if !strings.Contains(rendered, want) {
+					t.Errorf("/metrics lacks %q", want)
+				}
+			}
+			if n := metric(t, s, rejectedFamily); n != 0 {
+				t.Errorf("%v samples rejected", n)
+			}
+		})
 	}
 }
 
@@ -229,7 +226,7 @@ func TestQualityLedgerStartsAtFirstLabel(t *testing.T) {
 		t.Fatalf("after an unlabelled sample: quality %+v, %d quality_state series; want none", q, series)
 	}
 
-	if code, ests, _ := streamEstimates(t, ts, "?model=m&session=q", []string{labelledLine(t, rows[1], 2e6)}); code != http.StatusOK || len(ests) != 1 {
+	if code, ests, _ := streamEstimates(t, ts, "?model=m&session=q", []string{labelledLine(t, rows[1], 2e6, rows[1].PowerW)}); code != http.StatusOK || len(ests) != 1 {
 		t.Fatalf("labelled stream: status %d, %d estimates", code, len(ests))
 	}
 	if q, series := ledger(); len(q) != 1 || q[0].Model != "m@1" || q[0].LabelledSamples != 1 || series != 1 {
@@ -277,21 +274,10 @@ func TestHealthReadiness(t *testing.T) {
 // the documented shape — the same validation pmcpowertop -validate and
 // the CI curl step run against a live daemon.
 func TestStatusSchema(t *testing.T) {
-	frozen := time.Unix(1_700_000_000, 0)
-	clock := frozen
-	_, ts := newTestServer(t, Config{Now: func() time.Time { return clock }})
-	resp, err := http.Get(ts.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
+	_, ts := newTestServer(t, Config{Now: newFakeClock().Now})
 	var status StatusResponse
-	if err := dec.Decode(&status); err != nil {
-		t.Fatalf("status does not match the documented shape: %v\n%s", err, raw)
+	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
+		t.Fatalf("/v1/status = %d", code)
 	}
 	if status.Service != "pmcpowerd" || status.Version == "" || !strings.HasPrefix(status.GoVersion, "go") {
 		t.Fatalf("identity block = %+v", status)

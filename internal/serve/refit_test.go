@@ -12,23 +12,6 @@ import (
 	"pmcpower/internal/pmu"
 )
 
-// labelledLine renders row r as an NDJSON estimate line carrying its
-// measured power as the refit label.
-func labelledLine(t *testing.T, r *acquisition.Row, timeNs uint64) string {
-	t.Helper()
-	rates := make(map[string]float64, len(r.Rates))
-	for id, v := range r.Rates {
-		rates[pmu.Lookup(id).Name] = v
-	}
-	p := r.PowerW
-	b, err := json.Marshal(wireSample{TimeNs: timeNs, FreqMHz: float64(r.FreqMHz),
-		VoltageV: r.VoltageV, Rates: rates, PowerW: &p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // interleaved mixes the fixture's two frequency blocks so that any
 // refit window spans both operating points.
 func interleaved(rows []*acquisition.Row, n int) []*acquisition.Row {
@@ -58,7 +41,7 @@ func TestEstimateStreamRefitBitIdentical(t *testing.T) {
 	streamRows := interleaved(rows, n)
 	lines := make([]string, n)
 	for i, r := range streamRows {
-		lines[i] = labelledLine(t, r, uint64(i)*1e8)
+		lines[i] = labelledLine(t, r, uint64(i)*1e8, r.PowerW)
 	}
 	query := fmt.Sprintf("?model=m&alpha=%v&refit=%d", alpha, window)
 
@@ -108,10 +91,10 @@ func TestEstimateStreamRefitBitIdentical(t *testing.T) {
 				t.Fatal("model version never left 0: streaming refit never refreshed")
 			}
 
-			if got := s.Metrics().RefitSamples(); got != n {
-				t.Fatalf("refit samples = %d, want %d", got, n)
+			if got := metric(t, s, "pmcpowerd_refit_samples_total"); got != n {
+				t.Fatalf("refit samples = %v, want %d", got, n)
 			}
-			if got := s.Metrics().RefitCount(); got == 0 {
+			if got := metric(t, s, "pmcpowerd_refits_total"); got == 0 {
 				t.Fatal("refits counter stayed 0")
 			}
 			if !strings.Contains(s.Metrics().Render(), "pmcpowerd_refit_drift_watts") {
@@ -144,7 +127,7 @@ func TestEstimateFrozenIgnoresPowerLabels(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	lines := make([]string, 10)
 	for i := 0; i < 10; i++ {
-		lines[i] = labelledLine(t, rows[i], uint64(i)*1e8)
+		lines[i] = labelledLine(t, rows[i], uint64(i)*1e8, rows[i].PowerW)
 	}
 	status, ests, errs := streamEstimates(t, ts, "?model=m", lines)
 	if status != http.StatusOK || len(errs) != 0 {
@@ -155,8 +138,8 @@ func TestEstimateFrozenIgnoresPowerLabels(t *testing.T) {
 			t.Fatalf("estimate %d version = %d, want 0 on a frozen session", i, e.ModelVersion)
 		}
 	}
-	if got := s.Metrics().RefitSamples(); got != 0 {
-		t.Fatalf("refit samples = %d, want 0 (no refit session)", got)
+	if got := metric(t, s, "pmcpowerd_refit_samples_total"); got != 0 {
+		t.Fatalf("refit samples = %v, want 0 (no refit session)", got)
 	}
 }
 
@@ -169,7 +152,7 @@ func TestEstimateServerDefaultRefitWindow(t *testing.T) {
 	streamRows := interleaved(rows, n)
 	lines := make([]string, n)
 	for i, r := range streamRows {
-		lines[i] = labelledLine(t, r, uint64(i)*1e8)
+		lines[i] = labelledLine(t, r, uint64(i)*1e8, r.PowerW)
 	}
 	status, ests, _ := streamEstimates(t, ts, "?model=m", lines)
 	if status != http.StatusOK {
@@ -217,7 +200,7 @@ func TestEstimateRefitParamValidation(t *testing.T) {
 	}
 
 	// A bad power label rejects the sample with bad_power.
-	bad := strings.Replace(labelledLine(t, rows[0], 0), `"power_w":`, `"power_w":-`, 1)
+	bad := strings.Replace(labelledLine(t, rows[0], 0, rows[0].PowerW), `"power_w":`, `"power_w":-`, 1)
 	resp, err := http.Post(ts.URL+"/v1/estimate?model=m&refit=24", "application/x-ndjson", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +269,7 @@ func TestEstimateRejectsBadFrequency(t *testing.T) {
 			t.Fatalf("freq %s: status = %d, want 400", tc.freq, status)
 		}
 	}
-	if got := s.Metrics().Rejected(ReasonBadOperPt); got < 4 {
-		t.Fatalf("bad_operating_point rejects = %d, want >= 4", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonBadOperPt); got < 4 {
+		t.Fatalf("bad_operating_point rejects = %v, want >= 4", got)
 	}
 }

@@ -5,19 +5,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
+	"pmcpower/internal/stats"
 	"pmcpower/internal/workloads"
 )
 
@@ -28,6 +33,11 @@ var (
 	fixModel *core.Model
 	fixRows  []*acquisition.Row
 	fixErr   error
+
+	campaignOnce  sync.Once
+	campaignModel *core.Model
+	campaignRows  []*acquisition.Row
+	campaignErr   error
 )
 
 func testEvents() []pmu.EventID {
@@ -38,52 +48,161 @@ func testEvents() []pmu.EventID {
 	return out
 }
 
+// train acquires the seed-42 campaign over the six test events at the
+// given frequencies and fits one model on it.
+func train(freqs []int) (*core.Model, []*acquisition.Row, error) {
+	ds, err := acquisition.Acquire(acquisition.Options{Seed: 42, Events: testEvents()},
+		workloads.Active(), freqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := core.Train(ds.Rows, testEvents(), core.TrainOptions{})
+	return m, ds.Rows, err
+}
+
 // fixture trains one model on a two-frequency campaign — enough rows
-// for a stable fit, cheap enough to share across all serve tests.
+// for a stable fit, cheap enough to share across all serve tests. The
+// golden transcripts under testdata depend on it.
 func fixture(t *testing.T) (*core.Model, []*acquisition.Row) {
 	t.Helper()
-	fixOnce.Do(func() {
-		ds, err := acquisition.Acquire(acquisition.Options{Seed: 42, Events: testEvents()},
-			workloads.Active(), []int{2000, 2400})
-		if err != nil {
-			fixErr = err
-			return
-		}
-		fixRows = ds.Rows
-		fixModel, fixErr = core.Train(ds.Rows, testEvents(), core.TrainOptions{})
-	})
+	fixOnce.Do(func() { fixModel, fixRows, fixErr = train([]int{2000, 2400}) })
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
 	return fixModel, fixRows
 }
 
+// campaignFixture trains on every Haswell P-state, 1200–2600 MHz: the
+// campaign the stress tests' accuracy, latency and drift bounds were
+// set on.
+func campaignFixture(t *testing.T) (*core.Model, []*acquisition.Row) {
+	t.Helper()
+	campaignOnce.Do(func() {
+		campaignModel, campaignRows, campaignErr = train([]int{1200, 1600, 2000, 2400, 2600})
+	})
+	if campaignErr != nil {
+		t.Fatal(campaignErr)
+	}
+	return campaignModel, campaignRows
+}
+
+// campaignRegistry serves the campaign model as "m".
+func campaignRegistry(t *testing.T) *Registry {
+	t.Helper()
+	m, _ := campaignFixture(t)
+	reg := NewRegistry()
+	if _, err := reg.Add("m", m); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 // newTestServer builds a Server over one registered model named "m"
-// plus an httptest front end.
+// (the fixture's, unless cfg brings a registry) plus an httptest front
+// end. net/http recovers a handler panic and reports it on the
+// server's error log, so the log is captured and a panic fails the
+// test at cleanup, even one no client noticed.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	m, _ := fixture(t)
 	if cfg.Registry == nil {
+		m, _ := fixture(t)
 		cfg.Registry = NewRegistry()
 		if _, err := cfg.Registry.Add("m", m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	var errLog syncBuffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+		if logged := errLog.String(); strings.Contains(logged, "panic") {
+			t.Errorf("net/http recovered a handler panic:\n%s", logged)
+		}
+	})
 	return s, ts
+}
+
+// fakeClock is an injectable Config.Now that moves only when the test
+// advances it; it is safe for concurrent use.
+type fakeClock struct{ ns atomic.Int64 }
+
+func newFakeClock() *fakeClock {
+	c := &fakeClock{}
+	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	return c
+}
+
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// rejectedFamily counts rejected samples and refused requests, one
+// series per reason.
+const rejectedFamily = "pmcpowerd_samples_rejected_total"
+
+// metric sums the samples of one family in s's metrics exposition whose
+// label sets carry every given key/value pair. With no pairs it sums
+// the whole family, so a zero check on rejectedFamily covers every
+// reason, present or future.
+func metric(t *testing.T, s *Server, family string, kv ...string) float64 {
+	t.Helper()
+	var want []string
+	for i := 0; i+1 < len(kv); i += 2 {
+		want = append(want, fmt.Sprintf("%s=%q", kv[i], kv[i+1]))
+	}
+	var sum float64
+	for _, line := range strings.Split(s.Metrics().Render(), "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
+			continue
+		}
+		sp := strings.LastIndexByte(rest, ' ')
+		labels, value := rest[:sp], rest[sp+1:]
+		match := true
+		for _, w := range want {
+			match = match && strings.Contains(labels, w)
+		}
+		if !match {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // sampleLine renders row r as one NDJSON input line at the given
 // timestamp.
 func sampleLine(t *testing.T, r *acquisition.Row, timeNs uint64) string {
 	t.Helper()
+	return wireLine(t, r, timeNs, nil)
+}
+
+// labelledLine is sampleLine carrying a measured-power label.
+func labelledLine(t *testing.T, r *acquisition.Row, timeNs uint64, powerW float64) string {
+	t.Helper()
+	return wireLine(t, r, timeNs, func(w *wireSample) { w.PowerW = &powerW })
+}
+
+// wireLine renders row r at timeNs after an optional edit of its wire
+// form, the way a broken client would send it.
+func wireLine(t *testing.T, r *acquisition.Row, timeNs uint64, edit func(*wireSample)) string {
+	t.Helper()
 	rates := make(map[string]float64, len(r.Rates))
 	for id, v := range r.Rates {
 		rates[pmu.Lookup(id).Name] = v
 	}
-	b, err := json.Marshal(wireSample{TimeNs: timeNs, FreqMHz: float64(r.FreqMHz), VoltageV: r.VoltageV, Rates: rates})
+	w := wireSample{TimeNs: timeNs, FreqMHz: float64(r.FreqMHz), VoltageV: r.VoltageV, Rates: rates}
+	if edit != nil {
+		edit(&w)
+	}
+	b, err := json.Marshal(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +259,98 @@ func (o *streamOracle) push(r *acquisition.Row, timeNs uint64) (inst, smoothed, 
 	return inst, o.smoothed, o.joules
 }
 
+// newPost builds a POST of body to url with the NDJSON content type
+// and, when traceparent is non-empty, an inbound W3C trace context.
+func newPost(url, traceparent string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequest(http.MethodPost, url, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
+	}
+	return req, nil
+}
+
+// postTraced POSTs body with an optional inbound traceparent header
+// and returns the response.
+func postTraced(t *testing.T, url, traceparent, body string) *http.Response {
+	t.Helper()
+	req, err := newPost(url, traceparent, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// ndjson joins lines into one request body.
+func ndjson(lines []string) string {
+	if len(lines) == 0 {
+		return ""
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// estimateReply is one /v1/estimate exchange, decoded: the status, the
+// Retry-After hint, the estimate rows and the error records, a refused
+// stream's rejection document included.
+type estimateReply struct {
+	status     int
+	retryAfter string
+	ests       []wireEstimate
+	errs       []wireError
+}
+
+// postEstimate POSTs body to ts's /v1/estimate with query and an
+// optional inbound traceparent, and decodes the reply. It does not
+// touch testing.T, so spawned goroutines may call it.
+func postEstimate(ts *httptest.Server, query, traceparent, body string) (estimateReply, error) {
+	req, err := newPost(ts.URL+"/v1/estimate"+query, traceparent, strings.NewReader(body))
+	if err != nil {
+		return estimateReply{}, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return estimateReply{}, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return estimateReply{}, err
+	}
+	out := estimateReply{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+	// A refusal, and the totals of an empty body, come back as one
+	// indented JSON document; a stream is NDJSON, one row per line.
+	docs := [][]byte{raw}
+	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+		docs = bytes.Split(raw, []byte("\n"))
+	}
+	for _, doc := range docs {
+		if len(bytes.TrimSpace(doc)) == 0 {
+			continue
+		}
+		if bytes.Contains(doc, []byte(`"error"`)) {
+			var we wireError
+			if err := json.Unmarshal(doc, &we); err != nil {
+				return out, fmt.Errorf("bad error record %q: %w", doc, err)
+			}
+			out.errs = append(out.errs, we)
+			continue
+		}
+		var e wireEstimate
+		if err := json.Unmarshal(doc, &e); err != nil {
+			return out, fmt.Errorf("bad estimate row %q: %w", doc, err)
+		}
+		out.ests = append(out.ests, e)
+	}
+	return out, nil
+}
+
 // streamEstimates POSTs the lines as one NDJSON request and decodes
 // every response line.
 func streamEstimates(t *testing.T, ts *httptest.Server, query string, lines []string) (int, []wireEstimate, []wireError) {
@@ -151,37 +362,82 @@ func streamEstimates(t *testing.T, ts *httptest.Server, query string, lines []st
 // traceparent header.
 func streamEstimatesTraced(t *testing.T, ts *httptest.Server, query, traceparent string, lines []string) (int, []wireEstimate, []wireError) {
 	t.Helper()
-	resp := postTraced(t, ts.URL+"/v1/estimate"+query, traceparent, strings.Join(lines, "\n")+"\n")
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	r, err := postEstimate(ts, query, traceparent, ndjson(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ests []wireEstimate
-	var errs []wireError
-	if resp.StatusCode != http.StatusOK {
-		// Error responses are indented JSON documents, not NDJSON.
-		return resp.StatusCode, nil, nil
+	return r.status, r.ests, r.errs
+}
+
+// heldStream is an estimate stream kept open on purpose: until close,
+// its session stays busy and it holds an admission slot.
+type heldStream struct {
+	in   *io.PipeWriter
+	resp *http.Response
+	rows *bufio.Reader
+}
+
+// openHeldStream starts a stream to url through client, with an
+// optional inbound traceparent, sends firstLine and reads its row back:
+// when it returns, the request is admitted, traced and attached to its
+// session.
+func openHeldStream(t *testing.T, client *http.Client, url, traceparent, firstLine string) *heldStream {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := newPost(url, traceparent, pr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	respc := make(chan *http.Response, 1)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err != nil {
+			errc <- err
+			return
 		}
-		if bytes.Contains(line, []byte(`"error"`)) {
-			var we wireError
-			if err := json.Unmarshal(line, &we); err != nil {
-				t.Fatalf("bad error line %q: %v", line, err)
-			}
-			errs = append(errs, we)
-			continue
-		}
-		var e wireEstimate
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("bad estimate line %q: %v", line, err)
-		}
-		ests = append(ests, e)
+		respc <- resp
+	}()
+	// Ending the input lets the handler return, so the server's cleanup
+	// does not wait on this stream when the test stops early.
+	t.Cleanup(func() { pw.Close() })
+	h := &heldStream{in: pw}
+	h.send(t, firstLine)
+	select {
+	case h.resp = <-respc:
+	case err := <-errc:
+		t.Fatalf("held stream: %v", err)
 	}
-	return resp.StatusCode, ests, errs
+	h.rows = bufio.NewReader(h.resp.Body)
+	if h.resp.StatusCode != http.StatusOK {
+		t.Fatalf("held stream: HTTP %d", h.resp.StatusCode)
+	}
+	if row, err := h.rows.ReadString('\n'); err != nil {
+		t.Fatalf("held stream's first row: %q, %v", row, err)
+	}
+	return h
+}
+
+// send writes one more line to the stream.
+func (h *heldStream) send(t *testing.T, line string) {
+	t.Helper()
+	if _, err := io.WriteString(h.in, line+"\n"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// close ends the stream's input and reads its reply to the end: the
+// server has finished the request when it returns. It returns the rows
+// after the first.
+func (h *heldStream) close(t *testing.T) []byte {
+	t.Helper()
+	h.in.Close()
+	rest, err := io.ReadAll(h.rows)
+	h.resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rest
 }
 
 // --- plumbing endpoints ----------------------------------------------
@@ -341,8 +597,8 @@ func TestPredictRejectsInvalidRows(t *testing.T) {
 	check(post(rawFreq("2400.5")), 400, ReasonBadOperPt)
 	check(post(rawFreq("0")), 400, ReasonBadOperPt)
 
-	if got := s.Metrics().Rejected(ReasonBadRate); got != 1 {
-		t.Fatalf("bad_rate rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonBadRate); got != 1 {
+		t.Fatalf("bad_rate rejects = %v, want 1", got)
 	}
 }
 
@@ -387,9 +643,40 @@ func TestEstimateStreamBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrentClients drives 10 sessions at once (run under
-// -race): each client's stream must match its own direct reference
-// exactly — no cross-session state bleed, no torn EWMA updates.
+// request is one POST to /v1/estimate: its query and NDJSON body.
+type request struct{ query, body string }
+
+// postConcurrently runs one goroutine per client, all at once: client i
+// posts its requests in order and stops at its first transport error.
+func postConcurrently(ts *httptest.Server, clients [][]request) ([][]estimateReply, error) {
+	replies := make([][]estimateReply, len(clients))
+	errs := make([]error, len(clients))
+	var wg sync.WaitGroup
+	for i, reqs := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, req := range reqs {
+				r, err := postEstimate(ts, req.query, "", req.body)
+				if err != nil {
+					errs[i] = fmt.Errorf("client %d, %s: %w", i, req.query, err)
+					return
+				}
+				replies[i] = append(replies[i], r)
+			}
+		}()
+	}
+	wg.Wait()
+	return replies, errors.Join(errs...)
+}
+
+// TestEstimateConcurrentClients drives concurrent clients (run under
+// -race). Ten named sessions at once must each match their own direct
+// reference exactly: no cross-session state bleed, no torn EWMA
+// updates. Then, on the five-P-state model, bursts of short anonymous
+// streams and tenants that reconnect to their named sessions round
+// after round must all be served without a rejection, within the
+// accuracy and push-latency bounds, with one session per tenant.
 func TestEstimateConcurrentClients(t *testing.T) {
 	m, rows := fixture(t)
 	s, ts := newTestServer(t, Config{})
@@ -397,62 +684,153 @@ func TestEstimateConcurrentClients(t *testing.T) {
 	const clients = 10
 	const perClient = 30
 	alphas := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
+	type ref struct{ inst, smooth, joules float64 }
+	reqs := make([][]request, clients)
+	want := make([][]ref, clients)
 	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			alpha := alphas[c]
-			// Each client walks a distinct slice of the dataset.
-			oracle := streamOracle{m: m, alpha: alpha}
-			var lines []string
-			type ref struct{ inst, smooth, joules float64 }
-			var want []ref
-			for i := 0; i < perClient; i++ {
-				r := rows[(c*perClient+i)%len(rows)]
-				tns := uint64(i) * 100_000_000
-				lines = append(lines, sampleLine(t, r, tns))
-				inst, smooth, j := oracle.push(r, tns)
-				want = append(want, ref{inst, smooth, j})
-			}
-			q := fmt.Sprintf("?model=m&session=client%d&alpha=%v", c, alpha)
-			status, ests, errLines := streamEstimates(t, ts, q, lines)
-			if status != 200 || len(errLines) != 0 {
-				errs <- fmt.Errorf("client %d: status %d, errors %v", c, status, errLines)
-				return
-			}
-			if len(ests) != len(want) {
-				errs <- fmt.Errorf("client %d: %d estimates for %d samples", c, len(ests), len(want))
-				return
-			}
-			for i, e := range ests {
-				if e.InstantW != want[i].inst || e.SmoothedW != want[i].smooth || e.TotalJ != want[i].joules {
-					errs <- fmt.Errorf("client %d sample %d: served (%v,%v,%v) direct (%v,%v,%v)",
-						c, i, e.InstantW, e.SmoothedW, e.TotalJ, want[i].inst, want[i].smooth, want[i].joules)
-					return
-				}
-			}
-		}(c)
+		// Each client walks a distinct slice of the dataset.
+		oracle := streamOracle{m: m, alpha: alphas[c]}
+		var lines []string
+		for i := 0; i < perClient; i++ {
+			r := rows[(c*perClient+i)%len(rows)]
+			tns := uint64(i) * 100_000_000
+			lines = append(lines, sampleLine(t, r, tns))
+			inst, smooth, j := oracle.push(r, tns)
+			want[c] = append(want[c], ref{inst, smooth, j})
+		}
+		reqs[c] = []request{{fmt.Sprintf("?model=m&session=client%d&alpha=%v", c, alphas[c]), ndjson(lines)}}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	replies, err := postConcurrently(ts, reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.ActiveSessions(); got != clients {
+	for c, rs := range replies {
+		r := rs[0]
+		if r.status != 200 || len(r.errs) != 0 || len(r.ests) != perClient {
+			t.Fatalf("client %d: status %d, %d estimates, errors %v", c, r.status, len(r.ests), r.errs)
+		}
+		for i, e := range r.ests {
+			if w := want[c][i]; e.InstantW != w.inst || e.SmoothedW != w.smooth || e.TotalJ != w.joules {
+				t.Fatalf("client %d sample %d: served (%v,%v,%v) direct (%v,%v,%v)",
+					c, i, e.InstantW, e.SmoothedW, e.TotalJ, w.inst, w.smooth, w.joules)
+			}
+		}
+	}
+	if got := s.sessions.count(); got != clients {
 		t.Fatalf("active sessions = %d, want %d", got, clients)
+	}
+
+	// Bursts of interactive clients on the five-P-state model.
+	_, crows := campaignFixture(t)
+	cs, cts := newTestServer(t, Config{Registry: campaignRegistry(t)})
+	const bursts, burstClients, perBurst = 3, 8, 40
+	var truth, served []float64
+	for b := 0; b < bursts; b++ {
+		reqs := make([][]request, burstClients)
+		var want []float64
+		for c := range reqs {
+			lines := make([]string, 0, perBurst)
+			for i := 0; i < perBurst; i++ {
+				r := crows[(b*burstClients*perBurst+c*perBurst+i)%len(crows)]
+				lines = append(lines, sampleLine(t, r, uint64(i+1)*1e6))
+				want = append(want, r.PowerW)
+			}
+			reqs[c] = []request{{"?model=m", ndjson(lines)}}
+		}
+		replies, err := postConcurrently(cts, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, rs := range replies {
+			if r := rs[0]; r.status != 200 || len(r.ests) != perBurst {
+				t.Fatalf("burst %d client %d: HTTP %d, %d estimates, errors %v", b, c, r.status, len(r.ests), r.errs)
+			}
+			for _, e := range rs[0].ests {
+				if math.IsNaN(e.InstantW) || math.IsInf(e.InstantW, 0) {
+					t.Fatalf("burst %d client %d: non-finite estimate %v", b, c, e.InstantW)
+				}
+				served = append(served, e.InstantW)
+			}
+		}
+		truth = append(truth, want...)
+	}
+	if got := metric(t, cs, "pmcpowerd_estimates_total"); got != bursts*burstClients*perBurst {
+		t.Fatalf("served %v estimates, want %d", got, bursts*burstClients*perBurst)
+	}
+	if n := metric(t, cs, rejectedFamily); n != 0 {
+		t.Fatalf("%v samples rejected", n)
+	}
+	if p99, ok := cs.metrics.estimateLatency.Snapshot().Quantile(0.99); !ok || p99 >= 0.05 {
+		t.Fatalf("p99 push latency %.1f ms (ok %v), want under 50 ms", p99*1e3, ok)
+	}
+	if mape := stats.MAPE(truth, served); mape >= 10 {
+		t.Fatalf("served MAPE %.2f%% >= 10%%", mape)
+	}
+	if code := getJSON(t, cts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after the bursts = %d", code)
+	}
+
+	// Tenants: tenant k streams every row j with j%tenants == k, three
+	// reconnect rounds on its named session, all tenants at once.
+	const tenants, rounds = 6, 3
+	reqs = make([][]request, tenants)
+	tenantTruth := make([][]float64, tenants)
+	for k := range reqs {
+		var timeNs uint64
+		for round := 0; round < rounds; round++ {
+			var lines []string
+			for j := k; j < len(crows); j += tenants {
+				timeNs += 1e6
+				lines = append(lines, sampleLine(t, crows[j], timeNs))
+				tenantTruth[k] = append(tenantTruth[k], crows[j].PowerW)
+			}
+			reqs[k] = append(reqs[k], request{fmt.Sprintf("?model=m&session=tenant-%d", k), ndjson(lines)})
+		}
+	}
+	if replies, err = postConcurrently(cts, reqs); err != nil {
+		t.Fatal(err)
+	}
+	for k, rs := range replies {
+		var pred []float64
+		for round, r := range rs {
+			if r.status != 200 || len(r.errs) != 0 {
+				t.Fatalf("tenant %d round %d: HTTP %d, %d error records", k, round, r.status, len(r.errs))
+			}
+			for _, e := range r.ests {
+				pred = append(pred, e.InstantW)
+			}
+		}
+		if mape := stats.MAPE(tenantTruth[k], pred); mape >= 12 {
+			t.Fatalf("tenant %d MAPE %.2f%% >= 12%%", k, mape)
+		}
+	}
+	if n := cs.sessions.count(); n != tenants {
+		t.Fatalf("%d live sessions, want %d", n, tenants)
+	}
+	if n := metric(t, cs, "pmcpowerd_sessions_created_total"); n != tenants {
+		t.Fatalf("%v sessions created, want %d (reconnects must reuse)", n, tenants)
+	}
+	if n := metric(t, cs, rejectedFamily); n != 0 {
+		t.Fatalf("%v samples rejected", n)
+	}
+	if code := getJSON(t, cts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after the tenants = %d", code)
 	}
 }
 
 // TestEstimateRejectsMalformedSamples: invalid samples are refused at
 // the HTTP boundary with 4xx and a per-reason metrics increment, and
 // the session state is not poisoned — later valid samples produce the
-// same estimates as if the bad ones had never been sent.
+// same estimates as if the bad ones had never been sent. Every
+// malformed shape a hostile or broken client can send is classified,
+// alone, mid-stream and in a concurrent flood; counters that drop out
+// of a stream cost only their own samples; and no rejected line ever
+// counts as a served estimate.
 func TestEstimateRejectsMalformedSamples(t *testing.T) {
 	m, rows := fixture(t)
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{MaxLineBytes: 4096})
 	r0, r1 := rows[0], rows[1]
+	served := 0 // estimate rows received, to check pmcpowerd_estimates_total
 
 	post := func(query, line string) int {
 		t.Helper()
@@ -483,8 +861,8 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 	if got := post("?model=m&session=bad2", neg); got != 400 {
 		t.Fatalf("negative rate = %d, want 400", got)
 	}
-	if got := s.Metrics().Rejected(ReasonBadRate); got != 1 {
-		t.Fatalf("bad_rate rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonBadRate); got != 1 {
+		t.Fatalf("bad_rate rejects = %v, want 1", got)
 	}
 
 	// Missing model event.
@@ -493,8 +871,8 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 	if got := post("?model=m&session=bad3", missing); got != 400 {
 		t.Fatalf("missing event = %d, want 400", got)
 	}
-	if got := s.Metrics().Rejected(ReasonMissingEv); got != 1 {
-		t.Fatalf("missing_event rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonMissingEv); got != 1 {
+		t.Fatalf("missing_event rejects = %v, want 1", got)
 	}
 
 	// Out-of-order: a named session accepts t=1000, then a second
@@ -503,16 +881,18 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 	// saw only the valid samples.
 	const sid = "?model=m&session=ooo&alpha=0.5"
 	status, ests, _ := streamEstimates(t, ts, sid, []string{sampleLine(t, r0, 1000)})
+	served += len(ests)
 	if status != 200 || len(ests) != 1 {
 		t.Fatalf("first sample: %d, %d estimates", status, len(ests))
 	}
 	if got := post(sid, sampleLine(t, r1, 10)); got != 400 {
 		t.Fatalf("out-of-order = %d, want 400", got)
 	}
-	if got := s.Metrics().Rejected(ReasonOutOfOrder); got != 1 {
-		t.Fatalf("out_of_order rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonOutOfOrder); got != 1 {
+		t.Fatalf("out_of_order rejects = %v, want 1", got)
 	}
 	status, ests, _ = streamEstimates(t, ts, sid, []string{sampleLine(t, r1, 2000)})
+	served += len(ests)
 	if status != 200 || len(ests) != 1 {
 		t.Fatalf("resumed sample: %d, %d estimates", status, len(ests))
 	}
@@ -531,6 +911,7 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 		mutatedLine(t, r0, 150, "TOT_CYC", -1),
 		sampleLine(t, r1, 200),
 	})
+	served += len(ests)
 	if status != 200 || len(ests) != 2 || len(errLines) != 1 {
 		t.Fatalf("mid-stream: %d, %d estimates, %d errors", status, len(ests), len(errLines))
 	}
@@ -558,6 +939,142 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, body)
 		}
+	}
+
+	// Each malformed shape alone: HTTP 400 naming its reason, and one
+	// increment of that reason's counter.
+	negPower := -5.0
+	probes := []struct {
+		name, line, query, reason string
+		midStream                 bool // also sent as a mid-stream line
+	}{
+		{"truncated-json", `{"time_ns":1,`, "", ReasonParse, true},
+		{"not-json", `!!! not json at all`, "", ReasonParse, true},
+		{"unknown-field", `{"bogus_field":1}`, "", ReasonParse, true},
+		{"string-frequency", `{"time_ns":1,"freq_mhz":"NaN","voltage_v":1,"rates":{}}`, "", ReasonParse, true},
+		{"huge-frequency", wireLine(t, r0, 1, func(w *wireSample) { w.FreqMHz = 1e308 }), "", ReasonBadOperPt, true},
+		{"fractional-frequency", wireLine(t, r0, 1, func(w *wireSample) { w.FreqMHz = 2400.5 }), "", ReasonBadOperPt, true},
+		{"negative-frequency", wireLine(t, r0, 1, func(w *wireSample) { w.FreqMHz = -2000 }), "", ReasonBadOperPt, true},
+		{"negative-voltage", wireLine(t, r0, 1, func(w *wireSample) { w.VoltageV = -1 }), "", ReasonBadOperPt, true},
+		{"unknown-event", wireLine(t, r0, 1, func(w *wireSample) { w.Rates["NOT_AN_EVENT"] = 1 }), "", ReasonUnknownEv, true},
+		{"no-rates", wireLine(t, r0, 1, func(w *wireSample) { w.Rates = map[string]float64{} }), "", ReasonMissingEv, true},
+		{"negative-rate", wireLine(t, r0, 1, func(w *wireSample) {
+			for k := range w.Rates {
+				w.Rates[k] = -1
+			}
+		}), "", ReasonBadRate, true},
+		{"overflowing-rate", strings.Replace(sampleLine(t, r0, 1), `"voltage_v"`, `"x":1e999,"voltage_v"`, 1), "", ReasonParse, true},
+		{"negative-power-label", wireLine(t, r0, 1, func(w *wireSample) { w.PowerW = &negPower }), "&refit=64", ReasonBadPower, true},
+		// Past MaxLineBytes, but the whole body stays within the
+		// handler's early-exit drain budget (reader buffer plus
+		// deferred drain, MaxLineBytes each), so the connection stays
+		// reusable after the rejection.
+		{"oversized-line", sampleLine(t, r0, 1) + strings.Repeat(" ", 4300), "", ReasonOversized, false},
+	}
+	for _, p := range probes {
+		before := metric(t, s, rejectedFamily, "reason", p.reason)
+		r, err := postEstimate(ts, "?model=m"+p.query, "", p.line+"\n")
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if r.status != 400 || len(r.errs) != 1 || r.errs[0].Reason != p.reason {
+			t.Fatalf("%s: HTTP %d %+v, want 400 with reason %q", p.name, r.status, r.errs, p.reason)
+		}
+		if got := metric(t, s, rejectedFamily, "reason", p.reason) - before; got != 1 {
+			t.Fatalf("%s: %s counted %v times, want 1", p.name, p.reason, got)
+		}
+	}
+
+	// All of them mid-stream on a refitting session, behind a stale
+	// sample: one error record per bad line, the stale one first, and
+	// only the two good lines estimated.
+	lines := []string{sampleLine(t, r0, 1e9), sampleLine(t, r1, 5)}
+	for _, p := range probes {
+		if p.midStream {
+			lines = append(lines, p.line)
+		}
+	}
+	lines = append(lines, sampleLine(t, r1, 2e9))
+	status, ests, errLines = streamEstimates(t, ts, "?model=m&session=flood&refit=64", lines)
+	served += len(ests)
+	if status != 200 || len(ests) != 2 || len(errLines) != len(lines)-2 {
+		t.Fatalf("garbage stream: %d, %d estimates, %d errors; want 200, 2, %d", status, len(ests), len(errLines), len(lines)-2)
+	}
+	if errLines[0].Reason != ReasonOutOfOrder {
+		t.Fatalf("stale sample rejected as %q, want %q", errLines[0].Reason, ReasonOutOfOrder)
+	}
+
+	// Twelve clients flood every shape twice over at once: each request
+	// is refused in the 4xx band and none dies at the transport.
+	const floodClients, floodRounds = 12, 2
+	flood := make([][]request, floodClients)
+	for c := range flood {
+		for round := 0; round < floodRounds; round++ {
+			for _, p := range probes {
+				flood[c] = append(flood[c], request{"?model=m" + p.query, p.line + "\n"})
+			}
+		}
+	}
+	replies, err := postConcurrently(ts, flood)
+	if err != nil {
+		t.Fatalf("flood request died at the transport (crashed handler?): %v", err)
+	}
+	for c, rs := range replies {
+		for i, r := range rs {
+			if r.status < 400 || r.status >= 500 {
+				t.Fatalf("flood client %d: %s got HTTP %d, want 4xx", c, probes[i%len(probes)].name, r.status)
+			}
+		}
+	}
+
+	// Counter dropout: every third sample of a named stream loses one of
+	// the model's events, as a counter does that drops out between
+	// reads. Each incomplete sample is a missing_event record; the
+	// complete ones, and the session, keep flowing.
+	before := metric(t, s, rejectedFamily, "reason", ReasonMissingEv)
+	lines, dropped := lines[:0], 0
+	for i := 0; i < 60; i++ {
+		r, timeNs := rows[i%len(rows)], uint64(i+1)*1e6
+		if i%3 != 2 {
+			lines = append(lines, sampleLine(t, r, timeNs))
+			continue
+		}
+		drop := pmu.Lookup(m.Events[i%len(m.Events)]).Name
+		lines = append(lines, wireLine(t, r, timeNs, func(w *wireSample) { delete(w.Rates, drop) }))
+		dropped++
+	}
+	status, ests, errLines = streamEstimates(t, ts, "?model=m&session=drop", lines)
+	served += len(ests)
+	if status != 200 || len(ests) != len(lines)-dropped || len(errLines) != dropped {
+		t.Fatalf("dropout stream: %d, %d estimates, %d errors; want 200, %d, %d",
+			status, len(ests), len(errLines), len(lines)-dropped, dropped)
+	}
+	for _, e := range errLines {
+		if e.Reason != ReasonMissingEv {
+			t.Fatalf("dropout rejected as %q, want %q", e.Reason, ReasonMissingEv)
+		}
+	}
+	if got := metric(t, s, rejectedFamily, "reason", ReasonMissingEv) - before; got != float64(dropped) {
+		t.Fatalf("missing_event counted %v times for %d dropouts", got, dropped)
+	}
+	lines = lines[:0]
+	for i := 0; i < 5; i++ {
+		lines = append(lines, sampleLine(t, rows[i%len(rows)], uint64(61+i)*1e6))
+	}
+	status, ests, _ = streamEstimates(t, ts, "?model=m&session=drop", lines)
+	served += len(ests)
+	if status != 200 || len(ests) != 5 {
+		t.Fatalf("stream after the dropouts: %d, %d of 5 estimates", status, len(ests))
+	}
+	if got := ests[4].Samples; got != 60-uint64(dropped)+5 {
+		t.Fatalf("session counts %d samples after the dropouts, want %d: it did not survive", got, 60-dropped+5)
+	}
+
+	if got := metric(t, s, "pmcpowerd_estimates_total"); got != float64(served) {
+		t.Fatalf("pmcpowerd_estimates_total = %v, but clients received %d estimate rows", got, served)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after the flood = %d", code)
 	}
 }
 
@@ -595,8 +1112,8 @@ func TestNonFiniteEstimateRejected(t *testing.T) {
 	if got := follow[0]; got.Samples != 3 || got.InstantW != inst || got.SmoothedW != smoothed || got.TotalJ != joules {
 		t.Fatalf("follow-up row = %+v, want samples 3, instant %v, smoothed %v, total %v", got, inst, smoothed, joules)
 	}
-	if got := s.Metrics().Rejected(ReasonNonFinite); got != 1 {
-		t.Fatalf("non_finite_estimate rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonNonFinite); got != 1 {
+		t.Fatalf("non_finite_estimate rejects = %v, want 1", got)
 	}
 
 	row := rowToWire(&hot)
@@ -618,34 +1135,89 @@ func TestNonFiniteEstimateRejected(t *testing.T) {
 	}
 }
 
-// TestSessionEviction: idle sessions die after the TTL; a re-used id
-// then starts from fresh state.
+// TestSessionEviction: idle sessions die after the TTL, busy ones
+// never. With the table churned to its cap, a sweep past the TTL evicts
+// every idle session and spares the one with an open stream, which
+// goes at the first sweep after the stream ends; rounds of fresh
+// sessions are swept clean, and the eviction counter accounts for each
+// session. A re-used id then starts from fresh state.
 func TestSessionEviction(t *testing.T) {
 	_, rows := fixture(t)
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	clock := newFakeClock()
+	const maxSessions = 8
+	s, ts := newTestServer(t, Config{MaxSessions: maxSessions, IdleTTL: time.Minute, Now: clock.Now})
+	open := func(id string) estimateReply {
+		t.Helper()
+		r, err := postEstimate(ts, "?model=m&session="+id, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	fill := func(prefix string) {
+		t.Helper()
+		for i := 0; i < maxSessions; i++ {
+			if r := open(fmt.Sprintf("%s-%d", prefix, i)); r.status != 200 {
+				t.Fatalf("session %s-%d refused: HTTP %d", prefix, i, r.status)
+			}
+		}
+	}
 
-	s, ts := newTestServer(t, Config{IdleTTL: time.Minute, Now: clock})
+	fill("churn")
+	if n := s.sessions.count(); n != maxSessions {
+		t.Fatalf("%d live sessions after the fill, want %d", n, maxSessions)
+	}
+	if r := open("overflow"); r.status != 429 || len(r.errs) != 1 || r.errs[0].Reason != ReasonSessionCap {
+		t.Fatalf("session over the cap: HTTP %d %+v, want 429 %s", r.status, r.errs, ReasonSessionCap)
+	}
+	held := openHeldStream(t, http.DefaultClient, ts.URL+"/v1/estimate?model=m&session=churn-0", "", sampleLine(t, rows[0], 1e6))
+	clock.Advance(2 * time.Minute)
+	evicted, live := s.SweepIdleSessions(), s.sessions.count()
+	held.close(t)
+	if evicted != maxSessions-1 || live != 1 {
+		t.Fatalf("sweep with churn-0 streaming evicted %d and left %d, want %d and 1", evicted, live, maxSessions-1)
+	}
+	clock.Advance(2 * time.Minute)
+	if n := s.SweepIdleSessions(); n != 1 || s.sessions.count() != 0 {
+		t.Fatalf("sweep after the stream ended evicted %d and left %d, want 1 and 0", n, s.sessions.count())
+	}
+	for round := 0; round < 4; round++ {
+		fill(fmt.Sprintf("r%d", round))
+		clock.Advance(2 * time.Minute)
+		if n := s.SweepIdleSessions(); n != maxSessions {
+			t.Fatalf("round %d sweep evicted %d, want %d", round, n, maxSessions)
+		}
+	}
+	if n := s.sessions.count(); n != 0 {
+		t.Fatalf("%d sessions left after the churn, want 0", n)
+	}
+	if got := metric(t, s, rejectedFamily, "reason", ReasonSessionCap); got != 1 {
+		t.Fatalf("session_limit rejects = %v, want 1", got)
+	}
+	if got := metric(t, s, "pmcpowerd_sessions_evicted_total"); got != (maxSessions-1)+1+4*maxSessions {
+		t.Fatalf("evictions = %v, want %d", got, (maxSessions-1)+1+4*maxSessions)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after the churn = %d", code)
+	}
 
 	status, ests, _ := streamEstimates(t, ts, "?model=m&session=ev", []string{sampleLine(t, rows[0], 5000)})
 	if status != 200 || len(ests) != 1 {
 		t.Fatalf("seed sample: %d", status)
 	}
-	if s.ActiveSessions() != 1 {
-		t.Fatalf("active = %d, want 1", s.ActiveSessions())
+	if s.sessions.count() != 1 {
+		t.Fatalf("active = %d, want 1", s.sessions.count())
 	}
 
 	// Under the TTL nothing is evicted.
-	advance(30 * time.Second)
-	if n := s.SweepIdleSessions(); n != 0 || s.ActiveSessions() != 1 {
+	clock.Advance(30 * time.Second)
+	if n := s.SweepIdleSessions(); n != 0 || s.sessions.count() != 1 {
 		t.Fatalf("early sweep evicted %d", n)
 	}
 	// Past the TTL the session goes away.
-	advance(45 * time.Second)
-	if n := s.SweepIdleSessions(); n != 1 || s.ActiveSessions() != 0 {
-		t.Fatalf("sweep evicted %d, active %d", n, s.ActiveSessions())
+	clock.Advance(45 * time.Second)
+	if n := s.SweepIdleSessions(); n != 1 || s.sessions.count() != 0 {
+		t.Fatalf("sweep evicted %d, active %d", n, s.sessions.count())
 	}
 
 	// Same id now starts fresh: an older timestamp is accepted and the
@@ -661,86 +1233,46 @@ func TestSessionEviction(t *testing.T) {
 
 // TestSessionBackpressure: the session cap returns 429; a second
 // stream on a busy session returns 409; an alpha mismatch on reopen
-// returns 400.
+// returns 400. Each refusal names its reason.
 func TestSessionBackpressure(t *testing.T) {
 	_, rows := fixture(t)
 	s, ts := newTestServer(t, Config{MaxSessions: 2})
-	line := sampleLine(t, rows[0], 0)
-
-	open := func(id string) int {
+	line := sampleLine(t, rows[0], 0) + "\n"
+	open := func(query string) estimateReply {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/estimate?model=m&session="+id, "application/x-ndjson",
-			strings.NewReader(line+"\n"))
+		r, err := postEstimate(ts, "?model=m&session="+query, "", line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
+		return r
 	}
-	if got := open("s1"); got != 200 {
-		t.Fatalf("s1 = %d", got)
+	refused := func(r estimateReply, status int, reason string) {
+		t.Helper()
+		if r.status != status || len(r.errs) != 1 || r.errs[0].Reason != reason {
+			t.Fatalf("HTTP %d %+v, want %d %s", r.status, r.errs, status, reason)
+		}
 	}
-	if got := open("s2"); got != 200 {
-		t.Fatalf("s2 = %d", got)
+	if r := open("s1"); r.status != 200 {
+		t.Fatalf("s1 = %d", r.status)
 	}
-	if got := open("s3"); got != 429 {
-		t.Fatalf("session over cap = %d, want 429", got)
+	if r := open("s2"); r.status != 200 {
+		t.Fatalf("s2 = %d", r.status)
 	}
-	if got := s.Metrics().Rejected(ReasonSessionCap); got != 1 {
-		t.Fatalf("session_limit rejects = %d, want 1", got)
+	refused(open("s3"), 429, ReasonSessionCap)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonSessionCap); got != 1 {
+		t.Fatalf("session_limit rejects = %v, want 1", got)
 	}
 
 	// Alpha mismatch on an existing session.
-	resp, err := http.Post(ts.URL+"/v1/estimate?model=m&session=s1&alpha=0.25", "application/x-ndjson",
-		strings.NewReader(line+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("alpha mismatch = %d, want 400", resp.StatusCode)
-	}
+	refused(open("s1&alpha=0.25"), 400, ReasonParse)
 
-	// A second concurrent stream on a busy session: hold s1 open with
-	// a pipe, then try to attach again.
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate?model=m&session=s1", pr)
-	if err != nil {
-		t.Fatal(err)
+	// A second concurrent stream on a busy session.
+	held := openHeldStream(t, http.DefaultClient, ts.URL+"/v1/estimate?model=m&session=s1", "", sampleLine(t, rows[1], 1_000_000_000))
+	refused(open("s1"), 409, ReasonSessionBusy)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonSessionBusy); got != 1 {
+		t.Fatalf("session_busy rejects = %v, want 1", got)
 	}
-	respc := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Error(err)
-			respc <- nil
-			return
-		}
-		respc <- resp
-	}()
-	if _, err := io.WriteString(pw, sampleLine(t, rows[1], 1_000_000_000)+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	held := <-respc
-	if held == nil {
-		t.Fatal("held stream failed")
-	}
-	// The first estimate line proves the stream is attached.
-	br := bufio.NewReader(held.Body)
-	if _, err := br.ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	if got := open("s1"); got != 409 {
-		t.Fatalf("busy session = %d, want 409", got)
-	}
-	if got := s.Metrics().Rejected(ReasonSessionBusy); got != 1 {
-		t.Fatalf("session_busy rejects = %d, want 1", got)
-	}
-	pw.Close()
-	io.Copy(io.Discard, br)
-	held.Body.Close()
+	held.close(t)
 }
 
 // TestAnonymousStreamAndLimits: sessionless streams work and leave no
@@ -756,8 +1288,8 @@ func TestAnonymousStreamAndLimits(t *testing.T) {
 	if status != 400 {
 		t.Fatalf("oversized line = %d (%d estimates), want 400", status, len(ests))
 	}
-	if got := s.Metrics().Rejected(ReasonOversized); got != 1 {
-		t.Fatalf("oversized rejects = %d, want 1", got)
+	if got := metric(t, s, rejectedFamily, "reason", ReasonOversized); got != 1 {
+		t.Fatalf("oversized rejects = %v, want 1", got)
 	}
 
 	// A compact synthetic sample fits the cap and streams fine without
@@ -775,7 +1307,7 @@ func TestAnonymousStreamAndLimits(t *testing.T) {
 	if status != 200 || len(ests) != 1 || len(errLines) != 0 {
 		t.Fatalf("anonymous stream: %d, %d estimates, %v", status, len(ests), errLines)
 	}
-	if got := s.ActiveSessions(); got != 0 {
+	if got := s.sessions.count(); got != 0 {
 		t.Fatalf("anonymous stream left %d sessions", got)
 	}
 
@@ -800,19 +1332,9 @@ func TestAnonymousStreamAndLimits(t *testing.T) {
 // concurrent Body.Read call", recovered by net/http, connection reset).
 // Early rejections now close the connection, so a keep-alive client
 // alternating rejected and valid streams never sees a reset and the
-// server never logs a panic.
+// server never logs a panic (newTestServer fails the test on one).
 func TestEarlyRejectionClosesConnection(t *testing.T) {
-	m, _ := fixture(t)
-	reg := NewRegistry()
-	if _, err := reg.Add("m", m); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Registry: reg, MaxLineBytes: 256})
-	var serverLog syncBuffer
-	ts := httptest.NewUnstartedServer(s.Handler())
-	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
-	ts.Start()
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	_, ts := newTestServer(t, Config{MaxLineBytes: 256})
 
 	small := &acquisition.Row{FreqMHz: 2400, VoltageV: 1.0, Rates: map[pmu.EventID]float64{}}
 	for _, id := range testEvents() {
@@ -842,9 +1364,6 @@ func TestEarlyRejectionClosesConnection(t *testing.T) {
 		if resp, body = post(valid); resp.StatusCode != http.StatusOK {
 			t.Fatalf("round %d: valid stream after a rejection = %d %s", i, resp.StatusCode, body)
 		}
-	}
-	if strings.Contains(serverLog.String(), "panic") {
-		t.Fatalf("server panicked:\n%s", serverLog.String())
 	}
 }
 
@@ -920,32 +1439,7 @@ func TestShutdownWithFreeStreams(t *testing.T) {
 	}
 
 	// One stream stays open across the start of Shutdown.
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate?model=m&session=open", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	respc := make(chan *http.Response, 1)
-	go func() {
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Error(err)
-			close(respc)
-			return
-		}
-		respc <- resp
-	}()
-	io.WriteString(pw, sampleLine(t, rows[0], 1e6)+"\n")
-	resp, ok := <-respc
-	if !ok {
-		t.Fatal("the open stream got no response")
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	if row, err := br.ReadString('\n'); err != nil {
-		t.Fatalf("first row of the open stream: %q, %v", row, err)
-	}
+	held := openHeldStream(t, client, ts.URL+"/v1/estimate?model=m&session=open", "", sampleLine(t, rows[0], 1e6))
 	started := make(chan struct{})
 	ts.Config.RegisterOnShutdown(func() { close(started) })
 	shutdown := make(chan error, 1)
@@ -955,11 +1449,9 @@ func TestShutdownWithFreeStreams(t *testing.T) {
 		shutdown <- ts.Config.Shutdown(ctx)
 	}()
 	<-started
-	io.WriteString(pw, sampleLine(t, rows[1], 2e6)+"\n")
-	pw.Close()
-	rest, err := io.ReadAll(br)
-	if err != nil || bytes.Count(rest, []byte("\n")) != 1 {
-		t.Fatalf("rest of the open stream: %q, %v", rest, err)
+	held.send(t, sampleLine(t, rows[1], 2e6))
+	if rest := held.close(t); bytes.Count(rest, []byte("\n")) != 1 {
+		t.Fatalf("rest of the open stream: %q", rest)
 	}
 	if err := <-shutdown; err != nil {
 		t.Fatalf("Shutdown with %d free streams: %v", free, err)

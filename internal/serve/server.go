@@ -351,9 +351,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // pmcpowerd dumps it on SIGQUIT, tests inspect it.
 func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flightrec }
 
-// ActiveSessions returns the number of live estimator sessions.
-func (s *Server) ActiveSessions() int { return s.sessions.count() }
-
 // SweepIdleSessions runs one eviction pass at the server's current
 // clock and returns the number of sessions evicted. The janitor calls
 // this periodically; tests call it directly with an advanced fake

@@ -1,13 +1,8 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,21 +11,6 @@ import (
 	"pmcpower/internal/obs"
 )
 
-// raceClock is a goroutine-safe fake clock for driving the idle TTL
-// from the test while streams run concurrently.
-type raceClock struct {
-	ns atomic.Int64
-}
-
-func newRaceClock() *raceClock {
-	c := &raceClock{}
-	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
-	return c
-}
-
-func (c *raceClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
-func (c *raceClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
-
 // TestSessionManagerStreamVsEvictionRace races live acquire/release
 // traffic against a continuously running idle sweeper, with the clock
 // jumping past the TTL the whole time. Run under -race it pins two
@@ -38,7 +18,7 @@ func (c *raceClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 // is never evicted out from under its stream.
 func TestSessionManagerStreamVsEvictionRace(t *testing.T) {
 	model, _ := fixture(t)
-	clock := newRaceClock()
+	clock := newFakeClock()
 	const ttl = 10 * time.Millisecond
 	sm := newSessionManager(8, 64, ttl, clock.Now, NewMetrics(obs.NewRegistry(), 8))
 
@@ -107,64 +87,26 @@ func TestSessionManagerStreamVsEvictionRace(t *testing.T) {
 	}
 }
 
-// racePost streams a prebuilt NDJSON body and decodes the response
-// without touching testing.T, so it is safe from spawned goroutines.
-func racePost(ts *httptest.Server, query, body string) (estimates, errLines int, err error) {
-	resp, err := http.Post(ts.URL+"/v1/estimate"+query, "application/x-ndjson", strings.NewReader(body))
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
-	}
-	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var out struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &out); err != nil {
-			return estimates, errLines, fmt.Errorf("bad response line %q: %w", line, err)
-		}
-		if out.Error != "" {
-			errLines++
-		} else {
-			estimates++
-		}
-	}
-	return estimates, errLines, nil
-}
-
 // TestServerStreamVsSweepRace is the same race at the HTTP layer:
 // NDJSON streams pushing live samples while SweepIdleSessions runs
 // concurrently with the idle TTL already expired. Every sample must
 // come back as an estimate — a mid-stream eviction would break the
 // stream — and the table must drain completely once traffic stops.
 func TestServerStreamVsSweepRace(t *testing.T) {
-	clock := newRaceClock()
+	clock := newFakeClock()
 	const ttl = 10 * time.Millisecond
 	srv, ts := newTestServer(t, Config{IdleTTL: ttl, Now: clock.Now})
 	_, rows := fixture(t)
 
-	// Pre-bake each streamer's body in the test goroutine; the spawned
-	// goroutines only do transport work.
 	const streamers = 4
 	const samples = 50
-	bodies := make([]string, streamers)
-	for c := 0; c < streamers; c++ {
-		var sb strings.Builder
-		for i := 0; i < samples; i++ {
-			r := rows[(c*samples+i)%len(rows)]
-			sb.WriteString(sampleLine(t, r, uint64(i+1)*1e6))
-			sb.WriteByte('\n')
+	clients := make([][]request, streamers)
+	for c := range clients {
+		lines := make([]string, samples)
+		for i := range lines {
+			lines[i] = sampleLine(t, rows[(c*samples+i)%len(rows)], uint64(i+1)*1e6)
 		}
-		bodies[c] = sb.String()
+		clients[c] = []request{{fmt.Sprintf("?model=m&session=live-%d", c), ndjson(lines)}}
 	}
 
 	var sweepWG sync.WaitGroup
@@ -177,31 +119,16 @@ func TestServerStreamVsSweepRace(t *testing.T) {
 			srv.SweepIdleSessions()
 		}
 	}()
-
-	var streamWG sync.WaitGroup
-	errs := make(chan error, streamers)
-	for c := 0; c < streamers; c++ {
-		streamWG.Add(1)
-		go func(c int) {
-			defer streamWG.Done()
-			est, errLines, err := racePost(ts, fmt.Sprintf("?model=m&session=live-%d", c), bodies[c])
-			if err != nil {
-				errs <- fmt.Errorf("live-%d: %w", c, err)
-				return
-			}
-			if errLines != 0 || est != samples {
-				errs <- fmt.Errorf("live-%d: %d estimates, %d errors; want %d, 0", c, est, errLines, samples)
-				return
-			}
-			errs <- nil
-		}(c)
-	}
-	streamWG.Wait()
+	replies, err := postConcurrently(ts, clients)
 	stop.Store(true)
 	sweepWG.Wait()
-	for c := 0; c < streamers; c++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, rs := range replies {
+		if r := rs[0]; r.status != http.StatusOK || len(r.errs) != 0 || len(r.ests) != samples {
+			t.Errorf("live-%d: HTTP %d, %d estimates, %d errors; want 200, %d, 0",
+				c, r.status, len(r.ests), len(r.errs), samples)
 		}
 	}
 
@@ -209,7 +136,7 @@ func TestServerStreamVsSweepRace(t *testing.T) {
 	// must clear the whole table.
 	clock.Advance(2 * ttl)
 	srv.SweepIdleSessions()
-	if n := srv.ActiveSessions(); n != 0 {
+	if n := srv.sessions.count(); n != 0 {
 		t.Fatalf("%d sessions survive the final sweep, want 0", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,25 +18,6 @@ import (
 
 const testTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 const testTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-
-// postTraced POSTs body with an optional inbound traceparent header
-// and returns the response.
-func postTraced(t *testing.T, url, traceparent, body string) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
 
 // TestTraceContextOnWire pins the wire contract: a minted trace
 // context is echoed in the Traceparent response header and stamped on
@@ -69,7 +52,7 @@ func TestTraceContextOnWire(t *testing.T) {
 	// server-side span id. The labelled sample feeds the quality
 	// monitor, so its exemplar carries the trace id too.
 	resp = postTraced(t, ts.URL+"/v1/estimate?model=m&session=tw", testTraceparent,
-		labeledLine(t, r, 1e6, m.Predict(r)*1.2)+"\n")
+		labelledLine(t, r, 1e6, m.Predict(r)*1.2)+"\n")
 	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	tc, ok = obs.ParseTraceparent(resp.Header.Get("Traceparent"))
@@ -140,17 +123,9 @@ func TestRequestsEndpoint(t *testing.T) {
 		t.Fatalf("unknown model = %d", resp.StatusCode)
 	}
 
-	httpResp, err := http.Get(ts.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(httpResp.Body)
-	httpResp.Body.Close()
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
 	var reqs RequestsResponse
-	if err := dec.Decode(&reqs); err != nil {
-		t.Fatalf("/debug/requests does not match the documented shape: %v\n%s", err, raw)
+	if code := getJSON(t, ts.URL+"/debug/requests", &reqs); code != http.StatusOK {
+		t.Fatalf("/debug/requests = %d", code)
 	}
 	if reqs.Service != "pmcpowerd" {
 		t.Fatalf("identity block = %+v", reqs)
@@ -189,116 +164,143 @@ func TestRequestsEndpoint(t *testing.T) {
 
 	// /debug/flightrec serves the same retained trace as a Chrome
 	// trace document with id-linked spans.
-	httpResp, err = http.Get(ts.URL + "/debug/flightrec")
+	httpResp, err := http.Get(ts.URL + "/debug/flightrec")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ = io.ReadAll(httpResp.Body)
+	raw, _ := io.ReadAll(httpResp.Body)
 	httpResp.Body.Close()
+	if !chromeTraceHas(t, raw, testTraceID) {
+		t.Fatalf("dump lacks the retained trace %s: %s", testTraceID, raw)
+	}
+}
+
+// chromeTraceHas decodes a Chrome trace document and reports whether it
+// holds a complete span of the given trace.
+func chromeTraceHas(t *testing.T, raw []byte, traceID string) bool {
+	t.Helper()
 	var doc struct {
 		TraceEvents []struct {
 			Phase string         `json:"ph"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("/debug/flightrec is not a trace document: %v", err)
+		t.Fatalf("not a Chrome trace document: %v", err)
 	}
-	found := false
 	for _, ev := range doc.TraceEvents {
-		if ev.Phase == "X" && ev.Args["trace_id"] == testTraceID {
-			found = true
+		if ev.Phase == "X" && ev.Args["trace_id"] == traceID {
+			return true
 		}
 	}
-	if !found {
-		t.Fatalf("dump lacks the retained trace %s: %s", testTraceID, raw)
-	}
+	return false
 }
 
-// TestFlightRecSlowRetention exercises the rolling-threshold retention
-// through the server's injected clock: fast requests warm the mean,
-// then one request that straddles a clock jump is retained as slow.
+// TestFlightRecSlowRetention drives the tail-sampled flight recorder
+// end to end on the injected clock: fast requests past the warmup set
+// the latency baseline and are all dropped; one held stream straddling
+// a 2 s clock jump is the outlier, retained in full; a labelled stream
+// whose drift trips the quality alert is retained flagged, and the
+// alert dumps the recorder to disk. Both traces resolve by their
+// client-pinned ids through a strict decode of /debug/requests.
 func TestFlightRecSlowRetention(t *testing.T) {
-	_, rows := fixture(t)
-	clock := struct {
-		mu  chan struct{}
-		now time.Time
-	}{mu: make(chan struct{}, 1), now: time.Unix(1_700_000_000, 0)}
-	clock.mu <- struct{}{}
-	now := func() time.Time {
-		<-clock.mu
-		defer func() { clock.mu <- struct{}{} }()
-		return clock.now
-	}
-	advance := func(d time.Duration) {
-		<-clock.mu
-		clock.now = clock.now.Add(d)
-		clock.mu <- struct{}{}
-	}
-
+	m, rows := campaignFixture(t)
+	clock := newFakeClock()
+	dumpPath := filepath.Join(t.TempDir(), "flightrec-alert.json")
 	s, ts := newTestServer(t, Config{
-		Now:              now,
-		FlightRecWarmup:  4,
-		FlightRecMinSlow: 50 * time.Millisecond,
+		Registry:          campaignRegistry(t),
+		Now:               clock.Now,
+		FlightRecWarmup:   8,
+		FlightRecMinSlow:  100 * time.Millisecond,
+		FlightRecDumpPath: dumpPath,
+		QualityWindow:     64,
+		QualityThresholds: quality.Thresholds{
+			WarnMAPEPct: 5, AlertMAPEPct: 12,
+			WarnBiasW: -1, AlertBiasW: -1,
+			MinSamples: 16,
+		},
 	})
-	r := rows[0]
-	for i := 0; i < 8; i++ {
-		resp := postTraced(t, ts.URL+"/v1/estimate?model=m", "", sampleLine(t, r, 1e6)+"\n")
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	const flaggedTraceID = "deadbeefdeadbeefdeadbeefdeadbeef"
+	var timeNs uint64
+
+	// The clock stands still during these streams, so each completes
+	// in zero recorder time: the fastest baseline, none of it worth
+	// keeping. Sixteen is past the warmup, so slow detection is armed.
+	for i := 0; i < 16; i++ {
+		timeNs += 1e6
+		if code, _, _ := streamEstimates(t, ts, "?model=m", []string{sampleLine(t, rows[i%len(rows)], timeNs)}); code != http.StatusOK {
+			t.Fatalf("fast stream %d: HTTP %d", i, code)
+		}
 	}
-	if _, kept := s.FlightRecorder().Stats(); kept != 0 {
-		t.Fatalf("fast warmup retained %d traces", kept)
+	if total, kept := s.FlightRecorder().Stats(); kept != 0 {
+		t.Fatalf("recorder retained %d of %d fast requests, want 0", kept, total)
 	}
 
-	// One slow request: hold the stream open across a clock advance.
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate?model=m", pr)
+	// The outlier: a stream held open across a 2 s clock jump.
+	timeNs += 1e6
+	held := openHeldStream(t, http.DefaultClient, ts.URL+"/v1/estimate?model=m&session=outlier", testTraceparent,
+		sampleLine(t, rows[0], timeNs))
+	clock.Advance(2 * time.Second)
+	held.close(t)
+	if s.FlightRecorder().Lookup(testTraceID) != nil {
+		t.Fatal("outlier still in flight after its stream ended")
+	}
+
+	// A labelled stream drifting +20 % against the frozen model walks
+	// ok → warn → alert mid-request; the transition flags this
+	// request's trace and dumps the recorder.
+	lines := make([]string, 300)
+	for i := range lines {
+		r := rows[i%len(rows)]
+		timeNs += 1e6
+		lines[i] = labelledLine(t, r, timeNs, m.Predict(r)*(1+0.20*float64(i+1)/300))
+	}
+	flaggedTP := "00-" + flaggedTraceID + "-deadbeefdeadbeef-01"
+	if code, _, errs := streamEstimatesTraced(t, ts, "?model=m&session=drifter", flaggedTP, lines); code != http.StatusOK || len(errs) != 0 {
+		t.Fatalf("drift stream: status %d, %d error lines", code, len(errs))
+	}
+
+	if _, kept := s.FlightRecorder().Stats(); kept != 2 {
+		t.Fatalf("recorder retained %d traces, want exactly 2 (outlier + flagged)", kept)
+	}
+	retained := map[string]obs.RequestSummary{}
+	for _, rt := range s.FlightRecorder().Retained() {
+		retained[rt.Summary.TraceID] = rt.Summary
+	}
+	if sum, ok := retained[testTraceID]; !ok || !sum.Slow || sum.DurationNs < int64(2*time.Second) ||
+		len(sum.Stages) == 0 || sum.Samples != 1 {
+		t.Fatalf("outlier summary = %+v (retained %v), want slow, >= 2 s, staged, 1 sample", sum, ok)
+	}
+	if sum, ok := retained[flaggedTraceID]; !ok || !strings.Contains(sum.FlagReason, "quality") {
+		t.Fatalf("flagged summary = %+v (retained %v), want a flag naming the quality transition", sum, ok)
+	}
+
+	var reqs RequestsResponse
+	if code := getJSON(t, ts.URL+"/debug/requests", &reqs); code != http.StatusOK {
+		t.Fatalf("/debug/requests = %d", code)
+	}
+	resolvable := map[string]bool{}
+	for _, rt := range reqs.RetainedTraces {
+		resolvable[rt.Summary.TraceID] = true
+	}
+	if !resolvable[testTraceID] || !resolvable[flaggedTraceID] {
+		t.Fatalf("/debug/requests resolves %v, want both retained traces", resolvable)
+	}
+	if len(reqs.LatencyExemplars) == 0 {
+		t.Fatal("latency histogram carries no trace-id exemplars")
+	}
+
+	// The dump fires inside the alerting request, so it holds the traces
+	// retained before it: the outlier.
+	raw, err := os.ReadFile(dumpPath)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("alert dump not written: %v", err)
 	}
-	req.Header.Set("traceparent", testTraceparent)
-	done := make(chan *http.Response, 1)
-	go func() {
-		resp, derr := http.DefaultClient.Do(req)
-		if derr == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		done <- resp
-	}()
-	if _, err := io.WriteString(pw, sampleLine(t, r, 1e6)+"\n"); err != nil {
-		t.Fatal(err)
+	if !chromeTraceHas(t, raw, testTraceID) {
+		t.Fatalf("alert dump lacks the retained outlier %s", testTraceID)
 	}
-	// Only advance once the middleware has stamped the request's start
-	// time — the client transport may buffer the body write before the
-	// server has even seen the headers.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if len(s.FlightRecorder().InFlight()) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("held stream never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	advance(time.Second)
-	if _, err := io.WriteString(pw, sampleLine(t, r, 2e6)+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	pw.Close()
-	if resp := <-done; resp == nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("slow stream response = %+v", resp)
-	}
-
-	kept := s.FlightRecorder().Retained()
-	if len(kept) != 1 {
-		t.Fatalf("retained %d traces, want 1 (the slow one)", len(kept))
-	}
-	sum := kept[0].Summary
-	if !sum.Slow || sum.TraceID != testTraceID || sum.DurationNs < int64(time.Second) {
-		t.Fatalf("slow summary = %+v", sum)
+	if n := metric(t, s, rejectedFamily); n != 0 {
+		t.Fatalf("%v samples rejected", n)
 	}
 }
 

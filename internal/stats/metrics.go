@@ -136,13 +136,3 @@ func checkPair(name string, a, b []float64) {
 		panic(fmt.Sprintf("stats: %s of empty input", name))
 	}
 }
-
-// MAPEOK is MAPE that reports ok=false on a mismatched or empty pair
-// instead of panicking, for paths comparing externally collected
-// series (the scenario harness) whose lengths are not invariants.
-func MAPEOK(actual, predicted []float64) (float64, bool) {
-	if len(actual) != len(predicted) || len(actual) == 0 {
-		return 0, false
-	}
-	return MAPE(actual, predicted), true
-}

@@ -436,23 +436,3 @@ func TestVIFParallelEquivalence(t *testing.T) {
 		t.Fatalf("mean VIF differs: serial %v, parallel %v", ms, mp)
 	}
 }
-
-func TestPairOKVariantsDegrade(t *testing.T) {
-	// Mismatched or empty pairs must report ok=false, never panic —
-	// MAPEOK guards the scenario harness's comparisons of externally
-	// collected series.
-	if _, ok := MAPEOK([]float64{1, 2}, []float64{1, 2, 3}); ok {
-		t.Error("MAPEOK accepted mismatched lengths")
-	}
-	if _, ok := MAPEOK(nil, nil); ok {
-		t.Error("MAPEOK accepted an empty pair")
-	}
-}
-
-func TestPairOKVariantsAgreeWithPanicking(t *testing.T) {
-	a := []float64{230, 245, 260, 251, 240}
-	b := []float64{228, 249, 255, 252, 244}
-	if m, ok := MAPEOK(a, b); !ok || m != MAPE(a, b) {
-		t.Fatalf("MAPEOK = %v,%v", m, ok)
-	}
-}
