@@ -28,9 +28,13 @@
 // state) regardless of whether streaming refit is enabled.
 //
 // Observability: logs are structured JSON on stderr (-log-level
-// debug|info|warn|error). With -debug-addr a second, private listener
-// serves net/http/pprof under /debug/pprof/ and the metrics exposition
-// under /debug/metrics — profiling never shares the public port.
+// debug|info|warn|error). The request log writes a failed request
+// (status 400 and up) at info and a successful one at debug, so at the
+// default level it holds failures only; -log-level debug adds one
+// record per successful request. With -debug-addr a second, private
+// listener serves net/http/pprof under /debug/pprof/ and the metrics
+// exposition under /debug/metrics — profiling never shares the public
+// port.
 //
 // Request tracing: every request carries a W3C trace context (adopted
 // from an inbound `traceparent` header or minted) that appears in the

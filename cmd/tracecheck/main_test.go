@@ -78,7 +78,7 @@ func TestCheckAcceptsFlightRecorderDump(t *testing.T) {
 	rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Stages: []string{"parse", "push"}})
 	tc, _ := obs.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	at := rec.Begin(tc, "POST", "/v1/estimate")
-	at.Stage(0, 1e6)
+	at.AddStages([]obs.StageSums{{Count: 1, TotalNs: 1e6, MaxNs: 1e6}}, 0)
 	at.Event("reject", "bad line", 1e3)
 	at.Error("boom")
 	rec.Finish(at, 400)

@@ -14,8 +14,8 @@ import (
 type FlightRecorderConfig struct {
 	// Stages names the per-request stage timing slots (e.g. "parse",
 	// "push", "encode"). Every ActiveTrace carries one aggregate
-	// counter per stage; Stage(i, d) indexes into this list. Default:
-	// no stages.
+	// counter per stage; AddStages' sums index into this list.
+	// Default: no stages.
 	Stages []string
 	// Retain caps the ring of fully retained traces. Default 64.
 	Retain int
@@ -170,7 +170,7 @@ type ActiveTrace struct {
 	modelV  uint64
 	start   time.Time
 	samples uint64
-	stages  []stageAgg    // len(cfg.Stages), reused
+	stages  []StageSums   // len(cfg.Stages), reused
 	events  []FlightEvent // cap cfg.MaxEvents, reused
 	dropped int
 	flagged bool
@@ -178,10 +178,19 @@ type ActiveTrace struct {
 	errMsg  string
 }
 
-type stageAgg struct {
-	count   uint64
-	totalNs int64
-	maxNs   int64
+// StageSums is the timing aggregate of one stage slot: how many
+// durations were folded in, their total and the longest of them.
+type StageSums struct {
+	Count   uint64
+	TotalNs int64
+	MaxNs   int64
+}
+
+// Add folds one duration into the sums.
+func (s *StageSums) Add(d time.Duration) {
+	s.Count++
+	s.TotalNs += int64(d)
+	s.MaxNs = max(s.MaxNs, int64(d))
 }
 
 // Begin registers an in-flight request under its trace context and
@@ -205,7 +214,7 @@ func (r *FlightRecorder) Begin(tc TraceContext, method, path string) *ActiveTrac
 	if at == nil {
 		at = &ActiveTrace{
 			rec:    r,
-			stages: make([]stageAgg, len(r.cfg.Stages)),
+			stages: make([]StageSums, len(r.cfg.Stages)),
 			events: make([]FlightEvent, 0, r.cfg.MaxEvents),
 		}
 	}
@@ -254,40 +263,25 @@ func (at *ActiveTrace) SetModelVersion(v uint64) {
 	at.mu.Unlock()
 }
 
-// Stage folds one duration into stage slot i. It is the per-sample
-// hot-path call: one uncontended lock, no allocation.
-func (at *ActiveTrace) Stage(i int, d time.Duration) {
+// AddStages folds sums gathered by the caller into the trace's stage
+// slots — sums[i] into slot i; sums past the configured stages are
+// dropped — and adds samples to its accepted-sample count, under one
+// lock. A caller that times many samples keeps its own StageSums and
+// hands them over once per batch: counts and totals add up, and the
+// maximum of the batch maxima is the maximum over every duration, so
+// the slots read as if each duration had been folded in by itself.
+// It does not allocate.
+func (at *ActiveTrace) AddStages(sums []StageSums, samples uint64) {
 	if at == nil {
 		return
 	}
 	at.mu.Lock()
-	if i >= 0 && i < len(at.stages) {
+	at.samples += samples
+	for i := range min(len(sums), len(at.stages)) {
 		s := &at.stages[i]
-		s.count++
-		s.totalNs += int64(d)
-		if int64(d) > s.maxNs {
-			s.maxNs = int64(d)
-		}
-	}
-	at.mu.Unlock()
-}
-
-// Sample folds one accepted-sample duration into stage slot i and
-// counts the sample — one lock for the two bookkeeping updates the
-// estimate loop does per row.
-func (at *ActiveTrace) Sample(i int, d time.Duration) {
-	if at == nil {
-		return
-	}
-	at.mu.Lock()
-	at.samples++
-	if i >= 0 && i < len(at.stages) {
-		s := &at.stages[i]
-		s.count++
-		s.totalNs += int64(d)
-		if int64(d) > s.maxNs {
-			s.maxNs = int64(d)
-		}
+		s.Count += sums[i].Count
+		s.TotalNs += sums[i].TotalNs
+		s.MaxNs = max(s.MaxNs, sums[i].MaxNs)
 	}
 	at.mu.Unlock()
 }
@@ -368,15 +362,15 @@ func (at *ActiveTrace) TraceID() string {
 // at.mu.
 func (at *ActiveTrace) summarizeInto(dst *RequestSummary, now time.Time, inflight bool) {
 	stages := dst.Stages[:0]
-	for i := range at.stages {
-		if at.stages[i].count == 0 {
+	for i, sum := range at.stages {
+		if sum.Count == 0 {
 			continue
 		}
 		stages = append(stages, StageSummary{
 			Name:    at.rec.cfg.Stages[i],
-			Count:   at.stages[i].count,
-			TotalNs: at.stages[i].totalNs,
-			MaxNs:   at.stages[i].maxNs,
+			Count:   sum.Count,
+			TotalNs: sum.TotalNs,
+			MaxNs:   sum.MaxNs,
 		})
 	}
 	*dst = RequestSummary{
@@ -407,9 +401,7 @@ func (at *ActiveTrace) reset() {
 	at.method, at.path, at.session, at.model = "", "", "", ""
 	at.modelV = 0
 	at.samples = 0
-	for i := range at.stages {
-		at.stages[i] = stageAgg{}
-	}
+	clear(at.stages)
 	for i := range at.events {
 		at.events[i] = FlightEvent{}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,18 @@ func run(r *FlightRecorder, clock *fakeClock, traceID string, dur time.Duration,
 }
 
 func id(i int) string { return fmt.Sprintf("%032x", i+1) }
+
+// stageSums folds each duration into the slot its index in ds names:
+// ds[i] lists slot i's durations.
+func stageSums(ds ...[]time.Duration) []StageSums {
+	sums := make([]StageSums, len(ds))
+	for i, slot := range ds {
+		for _, d := range slot {
+			sums[i].Add(d)
+		}
+	}
+	return sums
+}
 
 func TestFlightRecorderTailSampling(t *testing.T) {
 	clock := newFakeClock()
@@ -123,9 +136,9 @@ func TestFlightRecorderStagesEventsAndInFlight(t *testing.T) {
 	at.SetSession("s1")
 	at.SetModel("m@1")
 	at.SetModelVersion(3)
-	at.Stage(0, 2*time.Millisecond)
-	at.Stage(0, 4*time.Millisecond)
-	at.Sample(1, 5*time.Millisecond)
+	at.AddStages(stageSums(
+		[]time.Duration{2 * time.Millisecond, 4 * time.Millisecond},
+		[]time.Duration{5 * time.Millisecond}), 1)
 	clock.Advance(10 * time.Millisecond)
 	at.Event("reject", "parse", 0)
 
@@ -204,8 +217,7 @@ func TestFlightRecActiveTraceNilSafe(t *testing.T) {
 	at.SetSession("s")
 	at.SetModel("m@1")
 	at.SetModelVersion(1)
-	at.Stage(0, time.Millisecond)
-	at.Sample(0, time.Millisecond)
+	at.AddStages(stageSums([]time.Duration{time.Millisecond}), 1)
 	at.Event("e", "", 0)
 	at.Error("x")
 	at.Flag("r")
@@ -219,7 +231,7 @@ func TestFlightRecorderChromeExportLinkage(t *testing.T) {
 	r := testRecorder(clock)
 	at := r.Begin(TraceContext{TraceID: id(0), SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
 	at.SetSession("s1")
-	at.Stage(1, 3*time.Millisecond)
+	at.AddStages(stageSums(nil, []time.Duration{3 * time.Millisecond}), 0)
 	at.Event("reject", "parse", 0)
 	clock.Advance(time.Second)
 	at.Error("bad sample")
@@ -271,8 +283,8 @@ func TestFlightRecorderChromeExportLinkage(t *testing.T) {
 
 // TestFlightRecorderSteadyStateAllocs is the acceptance gate: a
 // healthy fast request costs zero allocations end to end once the
-// free list is primed, and the per-sample hot-path calls (Stage,
-// Sample) are allocation-free always.
+// free list is primed, and the stage hand-off (AddStages) is
+// allocation-free always.
 func TestFlightRecorderSteadyStateAllocs(t *testing.T) {
 	clock := newFakeClock()
 	r := testRecorder(clock)
@@ -282,11 +294,11 @@ func TestFlightRecorderSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		run(r, clock, id(0), 0, 200)
 	}
+	sums := stageSums([]time.Duration{time.Millisecond}, []time.Duration{time.Millisecond})
 
 	if allocs := testing.AllocsPerRun(500, func() {
 		at := r.Begin(tc, "POST", "/v1/estimate")
-		at.Stage(0, time.Millisecond)
-		at.Sample(1, time.Millisecond)
+		at.AddStages(sums, 1)
 		r.Finish(at, 200)
 	}); allocs > 0 {
 		t.Fatalf("steady-state request path allocates %.2f allocs/op, want 0", allocs)
@@ -294,12 +306,66 @@ func TestFlightRecorderSteadyStateAllocs(t *testing.T) {
 
 	at := r.Begin(tc, "POST", "/v1/estimate")
 	if allocs := testing.AllocsPerRun(500, func() {
-		at.Stage(0, time.Millisecond)
-		at.Sample(1, time.Millisecond)
+		at.AddStages(sums, 1)
 	}); allocs > 0 {
-		t.Fatalf("per-sample path allocates %.2f allocs/op, want 0", allocs)
+		t.Fatalf("stage hand-off allocates %.2f allocs/op, want 0", allocs)
 	}
 	r.Finish(at, 200)
+}
+
+// TestFlightRecorderStageHandOffMatchesPerDuration: a caller that sums
+// its stage timings and hands them over in batches leaves the same
+// per-slot count, total and max as one that hands over every duration
+// by itself, and both equal the counts, sums and maxima of the
+// durations; sums past the configured slots are dropped.
+func TestFlightRecorderStageHandOffMatchesPerDuration(t *testing.T) {
+	clock := newFakeClock()
+	r := testRecorder(clock)
+	rng := rand.New(rand.NewSource(3))
+	const n = 500
+	slots := make([]int, n)
+	ds := make([]time.Duration, n)
+	for k := range ds {
+		slots[k] = rng.Intn(3) // slot 2 is past the recorder's two stages
+		ds[k] = time.Duration(rng.Int63n(int64(time.Millisecond)))
+	}
+
+	single := r.Begin(TraceContext{TraceID: id(0), SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
+	for k, d := range ds {
+		one := make([]StageSums, 3)
+		one[slots[k]].Add(d)
+		single.AddStages(one, 1)
+	}
+	batched := r.Begin(TraceContext{TraceID: id(1), SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
+	sums := make([]StageSums, 3)
+	var samples uint64
+	for k, d := range ds {
+		sums[slots[k]].Add(d)
+		samples++
+		if rng.Intn(40) == 0 || k == n-1 { // batches of 1 to about 100
+			batched.AddStages(sums, samples)
+			clear(sums)
+			samples = 0
+		}
+	}
+
+	var want [2]StageSummary
+	for k, d := range ds {
+		if s := slots[k]; s < len(want) {
+			want[s].Name = []string{"parse", "push"}[s]
+			want[s].Count++
+			want[s].TotalNs += int64(d)
+			want[s].MaxNs = max(want[s].MaxNs, int64(d))
+		}
+	}
+	for _, got := range r.InFlight() {
+		if got.Samples != n || len(got.Stages) != 2 || got.Stages[0] != want[0] || got.Stages[1] != want[1] {
+			t.Fatalf("trace %s: %d samples, stages %+v; want %d samples, stages %+v",
+				got.TraceID, got.Samples, got.Stages, n, want)
+		}
+	}
+	r.Finish(single, 200)
+	r.Finish(batched, 200)
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
@@ -313,8 +379,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				traceID := fmt.Sprintf("%031x%01d", i+1, g)
 				at := r.Begin(TraceContext{TraceID: traceID, SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
-				at.Stage(0, time.Millisecond)
-				at.Sample(1, time.Millisecond)
+				at.AddStages(stageSums([]time.Duration{time.Millisecond}, []time.Duration{time.Millisecond}), 1)
 				at.Event("e", "", 0)
 				if i%10 == 0 {
 					r.Flag(traceID, "test")

@@ -163,20 +163,6 @@ func (h *Histogram) Exemplars() []BucketExemplar {
 	return out
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // HistogramSnapshot is a consistent point-in-time copy of a
 // histogram's state, taken under one lock acquisition so the bucket
 // counts, sum, and total agree with each other.
@@ -203,18 +189,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the recorded
+// Quantile estimates the q-quantile (0 <= q <= 1) of the snapshot's
 // distribution by linear interpolation within the bucket holding the
 // target rank — the same estimate a Prometheus histogram_quantile
 // produces. ok is false for an empty histogram or q outside [0,1]. If
 // the rank lands in the +Inf overflow bucket the highest finite bound
 // is returned: the true value is only known to be at least that large.
-func (h *Histogram) Quantile(q float64) (float64, bool) {
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantile estimates the q-quantile from the snapshot; see
-// (*Histogram).Quantile.
 func (s HistogramSnapshot) Quantile(q float64) (float64, bool) {
 	if s.Count == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return 0, false

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
+
+// Quantile estimates the q-quantile of the recorded distribution; see
+// HistogramSnapshot.Quantile.
+func (h *Histogram) Quantile(q float64) (float64, bool) { return h.Snapshot().Quantile(q) }
+
 func TestRegistryRenderCanonicalAndByteStable(t *testing.T) {
 	reg := NewRegistry()
 	// Register out of order, with labels in non-sorted key order: the

@@ -46,8 +46,7 @@ type admissionGate struct {
 	completed atomic.Uint64
 
 	mu       sync.Mutex
-	paths    []string
-	prev     []obs.HistogramSnapshot
+	prev     [len(gatedPaths)]obs.HistogramSnapshot
 	ewmaS    float64
 	primed   bool
 	p99Bits  atomic.Uint64 // float64 bits of the current EWMA, for status
@@ -56,20 +55,28 @@ type admissionGate struct {
 
 // gatedPaths are the endpoints the admission gate protects and whose
 // request-latency histograms feed the p99 shed signal.
-var gatedPaths = []string{"/v1/estimate", "/v1/predict"}
+var gatedPaths = [...]string{"/v1/estimate", "/v1/predict"}
+
+// gatedIndex returns path's index in gatedPaths, -1 for any other
+// path.
+func gatedIndex(path string) int {
+	for i, p := range gatedPaths {
+		if p == path {
+			return i
+		}
+	}
+	return -1
+}
 
 func newAdmissionGate(cfg Config, m *Metrics) *admissionGate {
-	g := &admissionGate{
+	return &admissionGate{
 		maxInFlight: int64(cfg.MaxInFlight),
 		shedP99S:    cfg.ShedP99.Seconds(),
 		retryAfter:  strconv.Itoa(retryAfterSeconds(cfg.RetryAfter)),
 		sampleEvery: uint64(cfg.ShedSampleEvery),
 		ewmaAlpha:   0.3,
 		metrics:     m,
-		paths:       gatedPaths,
 	}
-	g.prev = make([]obs.HistogramSnapshot, len(g.paths))
-	return g
 }
 
 // retryAfterSeconds rounds a Retry-After hint up to whole seconds
@@ -148,8 +155,8 @@ func (g *admissionGate) recompute() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var delta obs.HistogramSnapshot
-	for i, path := range g.paths {
-		cur := g.metrics.requestLatencySnapshot(path)
+	for i, h := range g.metrics.gatedLatency {
+		cur := h.Snapshot()
 		if delta.Bounds == nil {
 			delta.Bounds = cur.Bounds
 			delta.Counts = make([]uint64, len(cur.Counts))

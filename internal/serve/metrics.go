@@ -59,6 +59,12 @@ type Metrics struct {
 	refitRebuilds   *obs.Counter
 	refitDrift      *obs.Histogram
 	totalRequests   atomic.Uint64
+	// The request counters and latency histograms of the estimation
+	// endpoints, indexed like gatedPaths and resolved once: a registry
+	// lookup copies and sorts the labels, formats a signature and takes
+	// the registry lock, too much to pay twice per estimate request.
+	gatedRequests [len(gatedPaths)]*obs.Counter
+	gatedLatency  [len(gatedPaths)]*obs.Histogram
 }
 
 // NewMetrics returns the instrument set registered on reg (the
@@ -73,7 +79,7 @@ func NewMetrics(reg *obs.Registry, stripes int) *Metrics {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	return &Metrics{
+	m := &Metrics{
 		reg: reg,
 		estimates: reg.Counter("pmcpowerd_estimates_total",
 			"Accepted streaming samples across all sessions."),
@@ -93,6 +99,34 @@ func NewMetrics(reg *obs.Registry, stripes int) *Metrics {
 			"Absolute error of the estimate against the measured power reference, in watts.",
 			driftBuckets),
 	}
+	for i, path := range gatedPaths {
+		m.gatedRequests[i] = reg.Counter("pmcpowerd_requests_total", "HTTP requests by path.",
+			obs.Label{Key: "path", Value: path})
+		m.gatedLatency[i] = reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
+			nil, obs.Label{Key: "path", Value: path})
+	}
+	return m
+}
+
+// requestCounter returns path's request counter: resolved by
+// NewMetrics for an estimation endpoint, looked up in the registry
+// (and registered on first use) for any other path.
+func (m *Metrics) requestCounter(path string) *obs.Counter {
+	if i := gatedIndex(path); i >= 0 {
+		return m.gatedRequests[i]
+	}
+	return m.reg.Counter("pmcpowerd_requests_total", "HTTP requests by path.",
+		obs.Label{Key: "path", Value: path})
+}
+
+// requestLatency returns path's request-latency histogram the same
+// way.
+func (m *Metrics) requestLatency(path string) *obs.Histogram {
+	if i := gatedIndex(path); i >= 0 {
+		return m.gatedLatency[i]
+	}
+	return m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
+		nil, obs.Label{Key: "path", Value: path})
 }
 
 // Registry exposes the backing registry (for GaugeFunc attachment and
@@ -135,23 +169,20 @@ func (m *Metrics) Evictions() uint64 { return m.evictions.Value() }
 // Request counts one HTTP request to path.
 func (m *Metrics) Request(path string) {
 	m.totalRequests.Add(1)
-	m.reg.Counter("pmcpowerd_requests_total", "HTTP requests by path.",
-		obs.Label{Key: "path", Value: path}).Inc()
+	m.requestCounter(path).Inc()
 }
 
 // RequestLatencyExemplar records one full-request duration for path
 // and stamps the request's trace id as the landing bucket's exemplar,
 // so a latency bucket on /debug/requests links to a concrete trace.
 func (m *Metrics) RequestLatencyExemplar(path string, d time.Duration, traceID string) {
-	m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
-		nil, obs.Label{Key: "path", Value: path}).ObserveExemplar(d.Seconds(), traceID)
+	m.requestLatency(path).ObserveExemplar(d.Seconds(), traceID)
 }
 
 // LatencyExemplars returns the trace-id exemplars currently attached
 // to path's request-latency histogram buckets.
 func (m *Metrics) LatencyExemplars(path string) []obs.BucketExemplar {
-	return m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
-		nil, obs.Label{Key: "path", Value: path}).Exemplars()
+	return m.requestLatency(path).Exemplars()
 }
 
 // Reject counts one rejected sample or refused request under reason.
@@ -188,13 +219,6 @@ func (m *Metrics) SetShedState(p99EwmaS float64, shedding bool) {
 	}
 	m.reg.Gauge("pmcpowerd_shedding",
 		"1 while p99 load shedding is active, else 0.").Set(v)
-}
-
-// requestLatencySnapshot returns a consistent snapshot of path's
-// request-latency histogram — the admission gate's p99 feed.
-func (m *Metrics) requestLatencySnapshot(path string) obs.HistogramSnapshot {
-	return m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
-		nil, obs.Label{Key: "path", Value: path}).Snapshot()
 }
 
 // RefitSample records one labelled sample folded into a refit window,

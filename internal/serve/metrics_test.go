@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -109,35 +112,80 @@ func (b *syncBuffer) String() string {
 	return b.sb.String()
 }
 
-// TestRequestLogging asserts the middleware writes one structured
-// JSON record per request with method, path, status and session id.
+// TestRequestLogging asserts the middleware's request records: one
+// structured JSON record per request with method, path, status,
+// session id and an integer duration_us, written at info for a failed
+// request and at debug for a successful one — so the default info
+// level logs the 4xx request and not the 2xx one.
 func TestRequestLogging(t *testing.T) {
-	var logBuf syncBuffer
-	logger := obs.NewLogger(&logBuf, 0)
-	_, ts := newTestServer(t, Config{Logger: logger})
-
-	resp, err := http.Get(ts.URL + "/healthz?session=abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	var logged string
-	for {
-		logged = logBuf.String()
-		if strings.Contains(logged, `"msg":"request"`) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, want := range []string{
-		`"msg":"request"`, `"method":"GET"`, `"path":"/healthz"`, `"status":200`, `"session":"abc"`, `"duration_ms":`,
+	for _, tc := range []struct {
+		level     slog.Level
+		wantOK    bool   // whether the 2xx request is logged
+		wantLevel string // the 2xx record's level
+	}{
+		{slog.LevelInfo, false, ""},
+		{slog.LevelDebug, true, "DEBUG"},
 	} {
-		if !strings.Contains(logged, want) {
-			t.Errorf("request log lacks %s:\n%s", want, logged)
-		}
+		t.Run(tc.level.String(), func(t *testing.T) {
+			var logBuf syncBuffer
+			_, ts := newTestServer(t, Config{Logger: obs.NewLogger(&logBuf, tc.level)})
+			for _, req := range []struct{ method, path, body string }{
+				{"GET", "/healthz?session=abc", ""},
+				{"POST", "/v1/predict?session=abc", "{"}, // 400: malformed body
+			} {
+				r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			// The failed request comes last, so once its record is out
+			// every record this test can cause is.
+			records := func() map[string]map[string]any {
+				byPath := map[string]map[string]any{}
+				for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+					dec := json.NewDecoder(strings.NewReader(line))
+					dec.UseNumber()
+					var rec map[string]any
+					if dec.Decode(&rec) == nil && rec["msg"] == "request" {
+						byPath[rec["path"].(string)] = rec
+					}
+				}
+				return byPath
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for records()["/v1/predict"] == nil && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			got := records()
+			check := func(path, level string, status int) {
+				t.Helper()
+				rec := got[path]
+				if rec == nil {
+					t.Fatalf("no request record for %s:\n%s", path, logBuf.String())
+				}
+				if rec["level"] != level || rec["status"] != json.Number(strconv.Itoa(status)) || rec["session"] != "abc" {
+					t.Errorf("%s record = %v, want level %s, status %d, session abc", path, rec, level, status)
+				}
+				if us, ok := rec["duration_us"].(json.Number); !ok || strings.ContainsAny(string(us), ".eE") {
+					t.Errorf("%s record duration_us = %v, want an integer", path, rec["duration_us"])
+				}
+				if _, ok := rec["duration_ms"]; ok {
+					t.Errorf("%s record still carries duration_ms: %v", path, rec)
+				}
+			}
+			check("/v1/predict", "INFO", http.StatusBadRequest)
+			if tc.wantOK {
+				check("/healthz", tc.wantLevel, http.StatusOK)
+			} else if rec := got["/healthz"]; rec != nil {
+				t.Errorf("a %v logger logged the 2xx request: %v", tc.level, rec)
+			}
+		})
 	}
 }
 

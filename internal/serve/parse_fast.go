@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 
@@ -197,32 +198,145 @@ func parseUint(b []byte, i int) (v uint64, next int, ok bool) {
 	return v, i, true
 }
 
-// parseSampleFast scans one wireSample object out of line into ps,
-// filling ps.ws (except Rates and PowerW), the label fields and the
-// borrowed ps.rateNames / ps.rateVals pairs. It returns false whenever the input strays from
-// the common shape; the caller must then re-parse via encoding/json.
-// Mirrored semantics worth noting: trailing bytes after the closing
-// brace are ignored (json.Decoder.Decode reads one value and stops),
-// and a repeated key overwrites — or for "rates", merges into — the
-// previous one, exactly as encoding/json does when decoding into a
-// struct and a non-nil map.
-func parseSampleFast(line []byte, ps *parseScratch) bool {
-	ps.rateNames = ps.rateNames[:0]
-	ps.rateVals = ps.rateVals[:0]
-	ps.powerW, ps.labelled = 0, false
+// The line-shape cache. A stream's lines differ from each other only
+// in their numbers: a client renders every sample with the same keys,
+// in the same order, with the same whitespace (bench/traffic.go and
+// json.Marshal both do). So the scratch keeps the shape of the last
+// line the fast scan accepted and resolved, and a later line is first
+// matched against it: the byte runs between number tokens must be
+// equal, and then only the numbers are scanned, by the same parseUint
+// and parseNumber the full scan uses, straight into the slots the
+// shape recorded. At the first difference the full scan takes over
+// from the last matched number, so a line whose layout changes is
+// scanned once, not twice. Because the full scan would read the same
+// keys from the same bytes, a matched line yields exactly what the
+// full scan yields on it.
+
+// Number-token slots: what one number token of a line feeds.
+const (
+	slotTime uint8 = iota
+	slotFreq
+	slotVolt
+	slotPower
+	slotRate
+)
+
+type numSlot struct {
+	kind uint8
+	id   pmu.EventID // the event a slotRate token feeds
+}
+
+// lineShape is one line's layout: its bytes with the number tokens cut
+// out (skel), where each token was cut (cuts[k] is token k's offset in
+// skel) and what each token feeds (slots[k]). The run before token k is
+// skel[cuts[k-1]:cuts[k]], from 0 for the first; the run after the last
+// token reaches the object's closing brace.
+type lineShape struct {
+	skel  []byte
+	cuts  []int
+	slots []numSlot
+}
+
+// parseSampleFast scans one wireSample object out of line into ps: the
+// ws fields TimeNs, FreqMHz and VoltageV, the power label and the
+// rates as (event, value) pairs in line order (rateIDs, rateVals).
+// hit reports that the line had the cached shape; otherwise the full
+// scan recorded the line's own shape in ps.next. ok is false whenever
+// the input strays from the common form (escapes, null, unknown keys
+// or events, numbers outside the grammar); the caller must then
+// re-parse via encoding/json. Mirrored semantics worth noting:
+// trailing bytes after the closing brace are ignored
+// (json.Decoder.Decode reads one value and stops), and a repeated key
+// overwrites — or for "rates", merges into — the previous one, exactly
+// as encoding/json does when decoding into a struct and a non-nil map.
+func parseSampleFast(line []byte, ps *parseScratch) (hit, ok bool) {
 	// Keep the slow path's reusable decoded map across a bailout; the
 	// fast path itself never touches ws.Rates.
 	ps.ws = wireSample{Rates: ps.ws.Rates}
+	ps.powerW, ps.labelled = 0, false
+	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
+	i, k := 0, 0
+	if ps.shapeOK {
+		if i, k, hit = ps.matchShape(line); hit {
+			return true, true
+		}
+	}
+	nx := &ps.next
+	nx.skel, nx.cuts, nx.slots = nx.skel[:0], nx.cuts[:0], nx.slots[:0]
+	if k == 0 {
+		return false, ps.scan(line, 0, true, false)
+	}
+	// The line left the shape after token k-1: keep what matched and
+	// scan on from there, inside the rates object if that was a rate.
+	sh := &ps.shape
+	nx.skel = append(nx.skel, sh.skel[:sh.cuts[k-1]]...)
+	nx.cuts = append(nx.cuts, sh.cuts[:k]...)
+	nx.slots = append(nx.slots, sh.slots[:k]...)
+	return false, ps.scan(line, i, false, sh.slots[k-1].kind == slotRate)
+}
 
-	i := skipJSONWS(line, 0)
-	if i >= len(line) || line[i] != '{' {
-		return false
+// matchShape matches line against the cached shape up to the first
+// difference. hit reports that the whole line matched, through the
+// closing brace. Otherwise k is the number of tokens matched (each
+// one's preceding run byte for byte, then the token itself, stored)
+// and i the index just past the k-th of them.
+func (ps *parseScratch) matchShape(line []byte) (i, k int, hit bool) {
+	sh := &ps.shape
+	from := 0
+	for ; k < len(sh.slots); k++ {
+		run := sh.skel[from:sh.cuts[k]]
+		if !bytes.HasPrefix(line[i:], run) {
+			return i, k, false
+		}
+		next, ok := ps.token(line, i+len(run), sh.slots[k])
+		if !ok {
+			return i, k, false
+		}
+		i, from = next, sh.cuts[k]
 	}
-	i = skipJSONWS(line, i+1)
-	if i < len(line) && line[i] == '}' {
-		return true // empty object: zero-valued sample, like json
+	return i, k, bytes.HasPrefix(line[i:], sh.skel[from:])
+}
+
+// scan is the full fast scan of line from index i: at the object's
+// start, or (start false) just past a number token, inside the rates
+// object when inRates. It appends the layout it reads to ps.next.
+func (ps *parseScratch) scan(line []byte, i int, start, inRates bool) bool {
+	nx := &ps.next
+	prev := i // the end of the last token, where the next run starts
+	if start {
+		i = skipJSONWS(line, i)
+		if i >= len(line) || line[i] != '{' {
+			return false
+		}
+		i = skipJSONWS(line, i+1)
+		if i < len(line) && line[i] == '}' {
+			nx.skel = append(nx.skel, line[prev:i+1]...)
+			return true // empty object: zero-valued sample, like json
+		}
 	}
+	afterValue := !start
 	for {
+		if afterValue {
+			i = skipJSONWS(line, i)
+			if i >= len(line) {
+				return false
+			}
+			switch line[i] {
+			case ',':
+				i = skipJSONWS(line, i+1)
+			case '}':
+				i++
+				if inRates {
+					inRates = false
+					continue
+				}
+				nx.skel = append(nx.skel, line[prev:i]...)
+				return true
+			default:
+				return false
+			}
+		}
+		afterValue = true
 		key, next, ok := scanSimpleString(line, i)
 		if !ok {
 			return false
@@ -232,128 +346,117 @@ func parseSampleFast(line []byte, ps *parseScratch) bool {
 			return false
 		}
 		i = skipJSONWS(line, i+1)
-		switch string(key) {
-		case "time_ns":
-			v, next, ok := parseUint(line, i)
+		var slot numSlot
+		if inRates {
+			id, ok := rateEvents[string(key)]
 			if !ok {
-				return false
+				return false // the slow path owns the unknown-event error
 			}
-			ps.ws.TimeNs = v
-			i = next
-		case "freq_mhz":
-			v, next, ok := parseNumber(line, i)
-			if !ok {
-				return false
-			}
-			ps.ws.FreqMHz = v
-			i = next
-		case "voltage_v":
-			v, next, ok := parseNumber(line, i)
-			if !ok {
-				return false
-			}
-			ps.ws.VoltageV = v
-			i = next
-		case "power_w":
-			v, next, ok := parseNumber(line, i)
-			if !ok {
-				return false
-			}
-			ps.powerW, ps.labelled = v, true
-			i = next
-		case "rates":
-			if i >= len(line) || line[i] != '{' {
-				return false
-			}
-			i = skipJSONWS(line, i+1)
-			if i < len(line) && line[i] == '}' {
-				i++
-				break
-			}
-			for {
-				name, next, ok := scanSimpleString(line, i)
-				if !ok {
-					return false
-				}
-				i = skipJSONWS(line, next)
-				if i >= len(line) || line[i] != ':' {
+			slot = numSlot{kind: slotRate, id: id}
+		} else {
+			switch string(key) {
+			case "time_ns":
+				slot.kind = slotTime
+			case "freq_mhz":
+				slot.kind = slotFreq
+			case "voltage_v":
+				slot.kind = slotVolt
+			case "power_w":
+				slot.kind = slotPower
+			case "rates":
+				if i >= len(line) || line[i] != '{' {
 					return false
 				}
 				i = skipJSONWS(line, i+1)
-				v, next2, ok := parseNumber(line, i)
-				if !ok {
-					return false
-				}
-				ps.rateNames = append(ps.rateNames, name)
-				ps.rateVals = append(ps.rateVals, v)
-				i = skipJSONWS(line, next2)
-				if i >= len(line) {
-					return false
-				}
-				if line[i] == ',' {
-					i = skipJSONWS(line, i+1)
-					continue
-				}
-				if line[i] == '}' {
+				if i < len(line) && line[i] == '}' {
 					i++
-					break
+				} else {
+					inRates, afterValue = true, false
 				}
+				continue
+			default:
+				// Unknown key: the slow path owns the
+				// DisallowUnknownFields error.
 				return false
 			}
-		default:
-			// Unknown key: the slow path owns the
-			// DisallowUnknownFields error.
+		}
+		nx.skel = append(nx.skel, line[prev:i]...)
+		nx.cuts = append(nx.cuts, len(nx.skel))
+		nx.slots = append(nx.slots, slot)
+		if i, ok = ps.token(line, i, slot); !ok {
 			return false
 		}
-		i = skipJSONWS(line, i)
-		if i >= len(line) {
-			return false
-		}
-		if line[i] == ',' {
-			i = skipJSONWS(line, i+1)
-			continue
-		}
-		if line[i] == '}' {
-			return true
-		}
-		return false
+		prev = i
 	}
 }
 
+// rateEvents resolves a rate name as pmu.ByName does: a full PAPI
+// name, or a short one under the "PAPI_" prefix. The scan indexes it
+// with the name's bytes, which converts no string and allocates
+// nothing.
+var rateEvents = func() map[string]pmu.EventID {
+	m := make(map[string]pmu.EventID, 2*pmu.NumEvents())
+	for _, ev := range pmu.All() {
+		m[ev.Short] = ev.ID
+	}
+	for _, ev := range pmu.All() { // a full name wins over a short one
+		m[ev.Name] = ev.ID
+	}
+	return m
+}()
+
+// token scans the number token at line[i:] the way slot's key is
+// decoded (time_ns as a uint64, the rest as float64) and stores it.
+func (ps *parseScratch) token(line []byte, i int, slot numSlot) (next int, ok bool) {
+	if slot.kind == slotTime {
+		var v uint64
+		if v, next, ok = parseUint(line, i); ok {
+			ps.ws.TimeNs = v
+		}
+		return next, ok
+	}
+	var v float64
+	if v, next, ok = parseNumber(line, i); !ok {
+		return 0, false
+	}
+	switch slot.kind {
+	case slotFreq:
+		ps.ws.FreqMHz = v
+	case slotVolt:
+		ps.ws.VoltageV = v
+	case slotPower:
+		ps.powerW, ps.labelled = v, true
+	default:
+		ps.rateIDs = append(ps.rateIDs, slot.id)
+		ps.rateVals = append(ps.rateVals, v)
+	}
+	return next, true
+}
+
 // finishSampleFast resolves a fast-parsed sample into core types. !ok
-// on any rejection (invalid operating point, unknown event): the slow
-// path re-parses and produces the identical error in the identical
-// order, so rejected lines cost a second parse but behave exactly as
-// before.
-func finishSampleFast(ps *parseScratch) (core.CounterSample, bool) {
+// when the operating point is invalid: the slow path re-parses and
+// produces the identical error, so a rejected line costs a second
+// parse but behaves exactly as before. Nothing is written before that
+// check, so a rejected line leaves the rates map and the cached shape
+// as they were. A line with the cached shape has the map's key set
+// already and overwrites its values in place; any other line rebuilds
+// the map and becomes the cached shape.
+func finishSampleFast(ps *parseScratch, hit bool) (core.CounterSample, bool) {
 	freq, err := validFreqMHz(ps.ws.FreqMHz)
 	if err != nil {
 		return core.CounterSample{}, false
 	}
-	if ps.namesMatchCache() {
-		// Same key set as the previous line: overwrite values in place.
-		for k, id := range ps.idCache {
-			ps.rates[id] = ps.rateVals[k]
-		}
-	} else {
-		ps.cacheValid = false
+	if !hit {
 		if ps.rates == nil {
-			ps.rates = make(map[pmu.EventID]float64, len(ps.rateNames))
+			ps.rates = make(map[pmu.EventID]float64, len(ps.rateIDs))
 		} else {
 			clear(ps.rates)
 		}
-		ps.keyCache = ps.keyCache[:0]
-		ps.idCache = ps.idCache[:0]
-		for k, name := range ps.rateNames {
-			ev, err := pmu.ByName(string(name))
-			if err != nil {
-				return core.CounterSample{}, false
-			}
-			ps.rates[ev.ID] = ps.rateVals[k]
-			ps.keyCache = append(append(ps.keyCache, name...), 0xff)
-			ps.idCache = append(ps.idCache, ev.ID)
-		}
-		ps.cacheValid = true
+		ps.shape, ps.next = ps.next, ps.shape
+		ps.shapeOK = true
+	}
+	for k, id := range ps.rateIDs {
+		ps.rates[id] = ps.rateVals[k]
 	}
 	return core.CounterSample{
 		TimeNs:   ps.ws.TimeNs,

@@ -2,22 +2,24 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
 
+	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
 )
 
 // FuzzParseSample is the differential oracle of the NDJSON sample
 // parser. The input is split into lines the way the estimate handler
 // splits a stream. Every line goes through parseSampleInto with one
-// workspace shared across the input, so the resolved-name cache
-// carries over from line to line as it does on a stream, and through
+// workspace shared across the input, so the line-shape cache carries
+// over from line to line as it does on a stream, and through
 // decodeSample (plain encoding/json) with a fresh workspace. Both must
 // agree on the sample, the power label, the rejection reason and the
 // error text. The seed corpus in testdata/fuzz/FuzzParseSample holds
-// the wire gauntlet's streams.
+// the wire gauntlet's streams and TestParseSampleShapeFallback's.
 func FuzzParseSample(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var shared parseScratch
@@ -26,38 +28,75 @@ func FuzzParseSample(f *testing.F) {
 			if len(line) == 0 {
 				continue
 			}
-			var fresh parseScratch
-			want, wantPower, wantLabelled, wantReason, wantErr := decodeSample(line, &fresh)
-			if ambiguousRates(fresh.ws.Rates) {
+			want, ok := decodeFresh(line)
+			if !ok {
 				continue
 			}
-			got, gotPower, gotLabelled, gotReason, gotErr := parseSampleInto(line, &shared)
-			if gotReason != wantReason || errText(gotErr) != errText(wantErr) {
-				t.Fatalf("line %q: parser rejects (%q, %q), decoder (%q, %q)",
-					line, gotReason, errText(gotErr), wantReason, errText(wantErr))
-			}
-			if wantErr != nil {
-				continue
-			}
-			if got.TimeNs != want.TimeNs || got.FreqMHz != want.FreqMHz ||
-				math.Float64bits(got.VoltageV) != math.Float64bits(want.VoltageV) {
-				t.Fatalf("line %q: parser sample (%d, %d, %v), decoder (%d, %d, %v)", line,
-					got.TimeNs, got.FreqMHz, got.VoltageV, want.TimeNs, want.FreqMHz, want.VoltageV)
-			}
-			if len(got.Rates) != len(want.Rates) {
-				t.Fatalf("line %q: parser rates %v, decoder %v", line, got.Rates, want.Rates)
-			}
-			for id, v := range want.Rates {
-				if g, ok := got.Rates[id]; !ok || math.Float64bits(g) != math.Float64bits(v) {
-					t.Fatalf("line %q: parser rates %v, decoder %v", line, got.Rates, want.Rates)
-				}
-			}
-			if gotLabelled != wantLabelled || math.Float64bits(gotPower) != math.Float64bits(wantPower) {
-				t.Fatalf("line %q: parser power_w (%v, %v), decoder (%v, %v)",
-					line, gotPower, gotLabelled, wantPower, wantLabelled)
+			var got parsed
+			got.cs, got.powerW, got.labelled, got.reason, got.err = parseSampleInto(line, &shared)
+			if diff := diffParse(got, want); diff != "" {
+				t.Fatalf("line %q: %s", line, diff)
 			}
 		}
 	})
+}
+
+// parsed is the outcome of parsing one line.
+type parsed struct {
+	cs       core.CounterSample
+	powerW   float64
+	labelled bool
+	reason   string
+	err      error
+}
+
+// decodeFresh parses line through decodeSample, the encoding/json
+// route, with a workspace of its own. ok is false when the decoder's
+// outcome depends on map iteration order (ambiguousRates).
+func decodeFresh(line []byte) (want parsed, ok bool) {
+	var fresh parseScratch
+	want.cs, want.powerW, want.labelled, want.reason, want.err = decodeSample(line, &fresh)
+	return want, !ambiguousRates(fresh.ws.Rates)
+}
+
+// diffParse describes how got differs from want: the rejection reason
+// and error text, and for an accepted line the sample bit for bit and
+// the power label. It returns "" when they agree.
+func diffParse(got, want parsed) string {
+	if got.reason != want.reason || errText(got.err) != errText(want.err) {
+		return fmt.Sprintf("parser rejects (%q, %q), decoder (%q, %q)",
+			got.reason, errText(got.err), want.reason, errText(want.err))
+	}
+	if want.err != nil {
+		return ""
+	}
+	g, w := got.cs, want.cs
+	if g.TimeNs != w.TimeNs || g.FreqMHz != w.FreqMHz || math.Float64bits(g.VoltageV) != math.Float64bits(w.VoltageV) {
+		return fmt.Sprintf("parser sample (%d, %d, %v), decoder (%d, %d, %v)",
+			g.TimeNs, g.FreqMHz, g.VoltageV, w.TimeNs, w.FreqMHz, w.VoltageV)
+	}
+	if !sameRates(g.Rates, w.Rates) {
+		return fmt.Sprintf("parser rates %v, decoder %v", g.Rates, w.Rates)
+	}
+	if got.labelled != want.labelled || math.Float64bits(got.powerW) != math.Float64bits(want.powerW) {
+		return fmt.Sprintf("parser power_w (%v, %v), decoder (%v, %v)",
+			got.powerW, got.labelled, want.powerW, want.labelled)
+	}
+	return ""
+}
+
+// sameRates reports whether a and b hold the same events with the same
+// value bits.
+func sameRates(a, b map[pmu.EventID]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, v := range b {
+		if g, ok := a[id]; !ok || math.Float64bits(g) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // ambiguousRates reports whether the decoder resolves a rates object

@@ -84,8 +84,10 @@ type Config struct {
 	// parallel engine's task counters) share the /metrics exposition.
 	Obs *obs.Registry
 	// Logger, when non-nil, receives one structured record per HTTP
-	// request (method, path, status, duration, session id) plus
-	// lifecycle events. Nil disables request logging.
+	// request (method, path, status, duration_us, session id) plus
+	// lifecycle events: at info for a failed request (status 400 and
+	// up), at debug for any other, so the default info level logs only
+	// failures. Nil disables request logging.
 	Logger *slog.Logger
 	// Tracer, when non-nil, records one span per HTTP request; the
 	// span context is threaded into the handler. The tracer keeps
@@ -205,7 +207,7 @@ func New(cfg Config) *Server {
 		stop:      make(chan struct{}),
 	}
 	s.flightrec = obs.NewFlightRecorder(obs.FlightRecorderConfig{
-		Stages:  flightStages,
+		Stages:  flightStages[:],
 		Retain:  cfg.FlightRecRetain,
 		MinSlow: cfg.FlightRecMinSlow,
 		Warmup:  cfg.FlightRecWarmup,
@@ -259,8 +261,9 @@ func buildVersion() string {
 // observations, and the flight recorder all carry the same IDs. The
 // middleware also records per-request latency histograms for the
 // estimation endpoints (with the trace id as bucket exemplar), an
-// optional span per request, an optional structured request log, and
-// the flight-recorder begin/finish bracket.
+// optional span per request, an optional structured request log
+// (failures at info, the rest at debug), and the flight-recorder
+// begin/finish bracket.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -293,19 +296,26 @@ func (s *Server) Handler() http.Handler {
 			// and admission reopen under sustained overload.
 			s.gate.observe()
 		}
-		if s.cfg.Logger != nil {
+		// A failure is worth a record at the default level; a success
+		// is routine, one per request, and costs a JSON record and a
+		// write only when debug logging asks for it.
+		level := slog.LevelDebug
+		if status >= 400 {
+			level = slog.LevelInfo
+		}
+		if lg := s.cfg.Logger; lg != nil && lg.Enabled(ctx, level) {
 			attrs := []any{
 				"method", r.Method,
 				"path", r.URL.Path,
 				"status", status,
-				"duration_ms", float64(d.Nanoseconds()) / 1e6,
+				"duration_us", d.Microseconds(),
 				"trace_id", tc.TraceID,
 				"span_id", tc.SpanID,
 			}
 			if id := r.URL.Query().Get("session"); id != "" {
 				attrs = append(attrs, "session", id)
 			}
-			s.cfg.Logger.Info("request", attrs...)
+			lg.Log(ctx, level, "request", attrs...)
 		}
 	})
 }
@@ -675,41 +685,22 @@ func readLine(br *bufio.Reader, max int, lineBuf *[]byte) ([]byte, error) {
 type parseScratch struct {
 	ws    wireSample
 	rates map[pmu.EventID]float64
-	// Fast-path workspace (parse_fast.go): rate names borrowed from
-	// the line buffer, parallel to their values. Valid only until the
-	// next readLine call. The power_w label is kept by value, so a
-	// labelled line allocates no float.
-	rateNames [][]byte
-	rateVals  []float64
-	powerW    float64
-	labelled  bool
-	// Resolved-name cache: a stream sends the same rate keys on every
-	// line, so remember the previous line's names (copied out of the
-	// transient line buffer, 0xff-separated) and their resolved event
-	// ids. On a hit the per-line work drops to value stores into the
-	// already-keyed rates map — no name lookups, no map rebuild.
-	// cacheValid is the invariant flag: true only while ps.rates'
-	// key set equals idCache (the slow path and failed rebuilds break
-	// that and must clear it).
-	keyCache   []byte
-	idCache    []pmu.EventID
-	cacheValid bool
-}
-
-// namesMatchCache reports whether the just-parsed rate names are
-// byte-identical (count, order, spelling) to the cached previous line.
-func (ps *parseScratch) namesMatchCache() bool {
-	if !ps.cacheValid || len(ps.idCache) != len(ps.rateNames) {
-		return false
-	}
-	k := ps.keyCache
-	for _, nb := range ps.rateNames {
-		if len(k) < len(nb)+1 || !bytes.Equal(k[:len(nb)], nb) || k[len(nb)] != 0xff {
-			return false
-		}
-		k = k[len(nb)+1:]
-	}
-	return len(k) == 0
+	// The fast path's per-line results (parse_fast.go): the rates as
+	// resolved (event, value) pairs in line order, and the power_w
+	// label, kept by value so a labelled line allocates no float.
+	rateIDs  []pmu.EventID
+	rateVals []float64
+	powerW   float64
+	labelled bool
+	// The line-shape cache: shape is the layout of the last line the
+	// fast path accepted and resolved, and next the layout of the line
+	// being scanned, swapped in once it is accepted. shapeOK is the
+	// invariant flag: true only while rates' key set is the events of
+	// shape's rate tokens, so a line of that shape only overwrites
+	// values. A rejected line changes neither rates nor shape; a line
+	// only the decoder accepts rewrites rates and clears the flag.
+	shape, next lineShape
+	shapeOK     bool
 }
 
 // parseSampleInto decodes one NDJSON line and resolves event names
@@ -724,8 +715,8 @@ func (ps *parseScratch) namesMatchCache() bool {
 // encoding/json semantics falls through to decodeSample, which owns
 // every rejection message.
 func parseSampleInto(line []byte, ps *parseScratch) (cs core.CounterSample, powerW float64, labelled bool, reason string, err error) {
-	if parseSampleFast(line, ps) {
-		if cs, ok := finishSampleFast(ps); ok {
+	if hit, ok := parseSampleFast(line, ps); ok {
+		if cs, ok := finishSampleFast(ps, hit); ok {
 			return cs, ps.powerW, ps.labelled, "", nil
 		}
 	}
@@ -733,7 +724,10 @@ func parseSampleInto(line []byte, ps *parseScratch) (cs core.CounterSample, powe
 }
 
 // decodeSample is the encoding/json route of parseSampleInto, and the
-// oracle the fast scanner is fuzzed against (FuzzParseSample).
+// oracle the fast scanner is fuzzed against (FuzzParseSample). It
+// resolves every event name before it writes ps.rates, so a rejected
+// line leaves the map, and the shape cache that describes it, as they
+// were.
 func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW float64, labelled bool, reason string, err error) {
 	// Reset the wire struct but keep the decoded map's backing storage:
 	// json reuses a non-nil map (cleared below) and would leave absent
@@ -751,20 +745,25 @@ func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW 
 	if err != nil {
 		return core.CounterSample{}, 0, false, ReasonBadOperPt, fmt.Errorf("serve: %w", err)
 	}
-	// The decoder path is about to rewrite ps.rates with its own key
-	// set; the fast path's name cache no longer describes the map.
-	ps.cacheValid = false
-	if ps.rates == nil {
-		ps.rates = make(map[pmu.EventID]float64, len(ps.ws.Rates))
-	} else {
-		clear(ps.rates)
-	}
+	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
 	for name, v := range ps.ws.Rates {
 		ev, err := pmu.ByName(name)
 		if err != nil {
 			return core.CounterSample{}, 0, false, ReasonUnknownEv, fmt.Errorf("serve: sample references unknown event %q", name)
 		}
-		ps.rates[ev.ID] = v
+		ps.rateIDs = append(ps.rateIDs, ev.ID)
+		ps.rateVals = append(ps.rateVals, v)
+	}
+	// The line is accepted: its rates replace the map's, whose key set
+	// the cached shape no longer describes.
+	ps.shapeOK = false
+	if ps.rates == nil {
+		ps.rates = make(map[pmu.EventID]float64, len(ps.rateIDs))
+	} else {
+		clear(ps.rates)
+	}
+	for k, id := range ps.rateIDs {
+		ps.rates[id] = ps.rateVals[k]
 	}
 	if ps.ws.PowerW != nil {
 		powerW, labelled = *ps.ws.PowerW, true

@@ -257,12 +257,3 @@ func (sm *sessionManager) shardCounts() []int {
 	}
 	return out
 }
-
-// lookup returns the live session for key (nil when absent) — test
-// seam for race tests that need to poke a session's stream directly.
-func (sm *sessionManager) lookup(key sessionKey) *session {
-	sh := sm.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sessions[key]
-}

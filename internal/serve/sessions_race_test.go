@@ -11,6 +11,15 @@ import (
 	"pmcpower/internal/obs"
 )
 
+// lookup returns the live session for key (nil when absent), so a race
+// test can poke a session's stream directly.
+func (sm *sessionManager) lookup(key sessionKey) *session {
+	sh := sm.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.sessions[key]
+}
+
 // TestSessionManagerStreamVsEvictionRace races live acquire/release
 // traffic against a continuously running idle sweeper, with the clock
 // jumping past the TTL the whole time. Run under -race it pins two

@@ -20,15 +20,15 @@ import (
 // flightStages names the per-request stage timing slots the estimate
 // stream reports into the flight recorder; the stage* constants index
 // into it.
-var flightStages = []string{"parse", "push", "quality", "encode"}
+var flightStages = [...]string{"parse", "push", "quality", "encode"}
 
 const (
 	stageParse = iota
 	stagePush
 	stageQuality
 	stageEncode
-	// stageRead is the wait for a line's bytes. Its end is a stage
-	// boundary, but it has no flight-recorder slot.
+	// stageRead ends time that no slot records: the wait for a line the
+	// reader had to fetch, or a rejected line's error row.
 	stageRead
 )
 
@@ -69,6 +69,10 @@ type estimateStream struct {
 	// boundary.
 	base time.Time
 	mark time.Duration
+	// sums gathers each stage slot's timings, and samples counts the
+	// accepted samples, since the last hand-off to at (handOff).
+	sums    [len(flightStages)]obs.StageSums
+	samples uint64
 
 	w         http.ResponseWriter
 	streaming bool // true once the 200 header is out
@@ -281,16 +285,32 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 		st.bw.Reset(w)
 	}
 	defer st.bw.Flush()
+	defer st.handOff() // before the final flush, early exits included
+	// idle says the time since the last stage boundary is no stage's:
+	// a wait for bytes the reader had to fetch, or a rejected line's
+	// error row. The next line's read ends it (stageRead). A line that
+	// was already buffered cost no wait, so its read joins its parse
+	// and saves a clock read.
+	idle := true
 	var readErr error
 	for readErr == nil {
 		var line []byte
+		buffered := st.br.Buffered()
 		line, readErr = readLine(st.br, maxLine, &st.lineBuf)
+		// Without a fill the reader only moved past the line and its
+		// newline.
+		if readErr != nil || st.br.Buffered() != buffered-len(line)-1 {
+			idle = true
+		}
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			st.flushIfDrained()
 			continue
 		}
-		st.lap(stageRead)
+		if idle {
+			st.lap(stageRead)
+			idle = false
+		}
 		cs, powerW, labelled, reason, err := parseSampleInto(line, &st.ps)
 		st.lap(stageParse)
 		var est core.StreamEstimate
@@ -303,6 +323,7 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 				st.at.Error(err.Error())
 				return
 			}
+			idle = true
 			continue
 		}
 		if labelled {
@@ -340,8 +361,8 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 
 // lap marks a stage boundary: it ends stage ended with one clock read
 // and returns the time since the previous boundary. The decode,
-// observe and encode durations go to their flight-recorder slots here;
-// the push stage records its own, for accepted samples only. Without a
+// observe and encode durations go to their slots in sums here; the
+// push stage records its own, for accepted samples only. Without a
 // trace only the push is timed — its duration feeds the estimate
 // latency histogram — so only its two boundaries, the ends of decode
 // and push, read the clock. Only differences are needed: the stream's
@@ -361,9 +382,20 @@ func (st *estimateStream) lap(ended int) time.Duration {
 	d := now - st.mark
 	st.mark = now
 	if ended != stagePush && ended != stageRead {
-		st.at.Stage(ended, d)
+		st.sums[ended].Add(d)
 	}
 	return d
+}
+
+// handOff passes the stage sums and the sample count gathered since
+// the last hand-off to the flight-recorder trace, under its lock once,
+// and starts new sums. The stream hands off when its input drains,
+// before the flush, and when it ends, so /debug/requests sees an
+// in-flight stream's stages at most one batch late.
+func (st *estimateStream) handOff() {
+	st.at.AddStages(st.sums[:], st.samples)
+	st.sums = [len(flightStages)]obs.StageSums{}
+	st.samples = 0
 }
 
 // push is the push stage: one decoded sample through the session
@@ -384,7 +416,8 @@ func (st *estimateStream) push(cs core.CounterSample, powerW float64, labelled b
 		return core.StreamEstimate{}, classifyPushError(err), err
 	}
 	st.s.metrics.Estimate(st.stripe, d)
-	st.at.Sample(stagePush, d)
+	st.sums[stagePush].Add(d)
+	st.samples++
 	if refit {
 		st.s.metrics.RefitSample(math.Abs(est.InstantW - powerW))
 		if v := st.stream.ModelVersion(); v > st.lastVersion {
@@ -466,9 +499,12 @@ func (st *estimateStream) reject(reason string, err error) bool {
 }
 
 // flushIfDrained is the one flush decision per record: once rows are
-// flowing, flush when no more input is buffered.
+// flowing, flush when no more input is buffered. The stage sums go to
+// the trace first, so a flush that blocks on a slow client does not
+// hold them back.
 func (st *estimateStream) flushIfDrained() {
 	if st.streaming && st.br.Buffered() == 0 {
+		st.handOff()
 		st.bw.Flush()
 		http.NewResponseController(st.w).Flush()
 	}

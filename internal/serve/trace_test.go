@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -304,10 +305,117 @@ func TestFlightRecSlowRetention(t *testing.T) {
 	}
 }
 
+// TestEstimateStageHandOff checks the stream's stage sums as
+// /debug/requests shows them. The stream sums each stage slot and
+// hands the sums to its trace when its input drains and when it ends,
+// early exits included, so the finished summaries count every line: an
+// N-line stream shows N parses, pushes and encodes (and N quality
+// observations when labelled) and N samples; a mid-stream reject shows
+// its parse but no push or encode; a stream refused at its first line
+// still shows that line's parse. A held stream whose first row is back
+// shows its first line's parse and push while still in flight.
+func TestEstimateStageHandOff(t *testing.T) {
+	m, rows := fixture(t)
+	_, ts := newTestServer(t, Config{})
+	const n = 40
+	var timeNs uint64
+	lines := func(labelled bool) []string {
+		out := make([]string, n)
+		for i := range out {
+			timeNs += 1e6
+			r := rows[i%len(rows)]
+			out[i] = sampleLine(t, r, timeNs)
+			if labelled {
+				out[i] = labelledLine(t, r, timeNs, m.Predict(r))
+			}
+		}
+		return out
+	}
+	midReject := lines(false)
+	midReject[n/2] = `{"time_ns":`
+	traceparent := func(i int) string { return fmt.Sprintf("00-%032x-00f067aa0ba902b7-01", i+1) }
+
+	for i, tc := range []struct {
+		name, query string
+		lines       []string
+		status      int
+		// the stage counts and samples the finished summary shows
+		parse, push, quality, encode, samples uint64
+	}{
+		{"accepted", "?model=m&session=handoff", lines(false), http.StatusOK, n, n, 0, n, n},
+		{"labelled", "?model=m&session=handoff-labelled", lines(true), http.StatusOK, n, n, n, n, n},
+		{"mid-stream-reject", "?model=m&session=handoff-mid", midReject, http.StatusOK, n, n - 1, 0, n - 1, n - 1},
+		{"first-line-reject", "?model=m&session=handoff", []string{`{"time_ns":`, sampleLine(t, rows[0], 1e12)},
+			http.StatusBadRequest, 1, 0, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, _ := streamEstimatesTraced(t, ts, tc.query, traceparent(i), tc.lines); code != tc.status {
+				t.Fatalf("status %d, want %d", code, tc.status)
+			}
+			var reqs RequestsResponse
+			if code := getJSON(t, ts.URL+"/debug/requests", &reqs); code != http.StatusOK {
+				t.Fatalf("/debug/requests = %d", code)
+			}
+			var sum *obs.RequestSummary
+			for k := range reqs.Recent {
+				if reqs.Recent[k].TraceID == fmt.Sprintf("%032x", i+1) {
+					sum = &reqs.Recent[k]
+				}
+			}
+			if sum == nil {
+				t.Fatalf("trace %d not among the recent requests: %+v", i+1, reqs.Recent)
+			}
+			got := map[string]obs.StageSummary{}
+			for _, st := range sum.Stages {
+				if st.Count == 0 || st.MaxNs < 0 || st.MaxNs > st.TotalNs {
+					t.Errorf("stage %+v: want a count and 0 <= max <= total", st)
+				}
+				got[st.Name] = st
+			}
+			for name, want := range map[string]uint64{
+				"parse": tc.parse, "push": tc.push, "quality": tc.quality, "encode": tc.encode,
+			} {
+				if got[name].Count != want {
+					t.Errorf("stage %s count %d, want %d (stages %+v)", name, got[name].Count, want, sum.Stages)
+				}
+			}
+			if sum.Samples != tc.samples {
+				t.Errorf("samples %d, want %d", sum.Samples, tc.samples)
+			}
+		})
+	}
+
+	t.Run("in-flight", func(t *testing.T) {
+		held := openHeldStream(t, http.DefaultClient, ts.URL+"/v1/estimate?model=m&session=handoff-held",
+			testTraceparent, sampleLine(t, rows[0], 1e13))
+		defer held.close(t)
+		var reqs RequestsResponse
+		if code := getJSON(t, ts.URL+"/debug/requests", &reqs); code != http.StatusOK {
+			t.Fatalf("/debug/requests = %d", code)
+		}
+		for _, sum := range reqs.InFlight {
+			if sum.TraceID != testTraceID {
+				continue
+			}
+			counts := map[string]uint64{}
+			for _, st := range sum.Stages {
+				counts[st.Name] = st.Count
+			}
+			if sum.Samples != 1 || counts["parse"] != 1 || counts["push"] != 1 {
+				t.Fatalf("in-flight summary = %+v, want 1 sample, 1 parse and 1 push", sum)
+			}
+			return
+		}
+		t.Fatalf("held stream not in flight: %+v", reqs.InFlight)
+	})
+}
+
 // TestTracePathAllocs is the serving-layer acceptance gate: flight
 // recording adds zero allocations per labelled sample on the warmed
-// steady-state path (session push + quality monitor + recorder stage
-// accounting), with the recorder otherwise idle.
+// steady-state path (session push + quality monitor + the stream's
+// stage sums and their hand-off to the recorder, here once per sample,
+// the most often a stream hands off), with the recorder otherwise
+// idle.
 func TestTracePathAllocs(t *testing.T) {
 	m, rows := fixture(t)
 	r := rows[0]
@@ -323,11 +431,19 @@ func TestTracePathAllocs(t *testing.T) {
 	base := mkStream()
 	instr := mkStream()
 	qmon := quality.NewMonitor(quality.Config{Window: 64, Exemplars: 8})
-	rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Stages: flightStages})
+	rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Stages: flightStages[:]})
 	at := rec.Begin(obs.TraceContext{TraceID: testTraceID, SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
 	defer rec.Finish(at, 200)
 
 	cs := counterSample(r, 0)
+	var sums [len(flightStages)]obs.StageSums
+	record := func() {
+		for _, stage := range []int{stageParse, stagePush, stageQuality, stageEncode} {
+			sums[stage].Add(time.Microsecond)
+		}
+		at.AddStages(sums[:], 1)
+		sums = [len(flightStages)]obs.StageSums{}
+	}
 	var baseNs, instrNs uint64
 	warm := func(st *core.StreamSession, ns *uint64, withRec bool) {
 		for i := 0; i < 200; i++ {
@@ -343,10 +459,7 @@ func TestTracePathAllocs(t *testing.T) {
 				PredictedW: est.InstantW, ObservedW: label,
 			})
 			if withRec {
-				at.Stage(stageParse, time.Microsecond)
-				at.Sample(stagePush, time.Microsecond)
-				at.Stage(stageQuality, time.Microsecond)
-				at.Stage(stageEncode, time.Microsecond)
+				record()
 			}
 		}
 	}
@@ -378,10 +491,7 @@ func TestTracePathAllocs(t *testing.T) {
 			Rates: cs.Rates, ModelVersion: est.ModelVersion, TraceID: testTraceID,
 			PredictedW: est.InstantW, ObservedW: label,
 		})
-		at.Stage(stageParse, time.Microsecond)
-		at.Sample(stagePush, time.Microsecond)
-		at.Stage(stageQuality, time.Microsecond)
-		at.Stage(stageEncode, time.Microsecond)
+		record()
 	})
 	if instrumented > baseline {
 		t.Fatalf("flight recording adds %.2f allocs/op (baseline %.2f, instrumented %.2f), want 0",
