@@ -117,10 +117,12 @@ var presets = []Event{
 	{Name: "PAPI_REF_CYC", Desc: "Reference clock cycles", Kind: Fixed, NativeSlots: 0},
 }
 
+// byName maps every full and every short preset name to its event; a
+// full name wins over a short one.
 var byName map[string]EventID
 
 func init() {
-	byName = make(map[string]EventID, len(presets))
+	byName = make(map[string]EventID, 2*len(presets))
 	for i := range presets {
 		presets[i].ID = EventID(i)
 		presets[i].Short = strings.TrimPrefix(presets[i].Name, "PAPI_")
@@ -128,6 +130,11 @@ func init() {
 			panic("pmu: duplicate preset name " + presets[i].Name)
 		}
 		byName[presets[i].Name] = EventID(i)
+	}
+	for i := range presets {
+		if _, full := byName[presets[i].Short]; !full {
+			byName[presets[i].Short] = EventID(i)
+		}
 	}
 }
 
@@ -179,10 +186,15 @@ func ByName(name string) (Event, error) {
 	if id, ok := byName[name]; ok {
 		return presets[id], nil
 	}
-	if id, ok := byName["PAPI_"+name]; ok {
-		return presets[id], nil
-	}
 	return Event{}, fmt.Errorf("pmu: unknown event %q", name)
+}
+
+// IDByName resolves a name given as bytes, as ByName does. It converts
+// no string and allocates nothing, for parsers that read event names
+// off the wire.
+func IDByName(name []byte) (EventID, bool) {
+	id, ok := byName[string(name)]
+	return id, ok
 }
 
 // MustByName is ByName that panics on unknown names; for use with

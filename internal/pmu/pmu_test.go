@@ -43,6 +43,27 @@ func TestLookupRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIDByName: the byte-keyed lookup resolves what ByName resolves,
+// full and short names, and allocates nothing doing it.
+func TestIDByName(t *testing.T) {
+	for _, e := range All() {
+		for _, name := range []string{e.Name, e.Short} {
+			if id, ok := IDByName([]byte(name)); !ok || id != e.ID {
+				t.Fatalf("IDByName(%s) = %v, %v; want %v", name, id, ok, e.ID)
+			}
+		}
+	}
+	for _, name := range []string{"", "PAPI_", "tot_cyc", "PAPI_PAPI_TOT_CYC"} {
+		if id, ok := IDByName([]byte(name)); ok {
+			t.Fatalf("IDByName(%q) = %v, want unknown", name, id)
+		}
+	}
+	name := []byte("TOT_CYC")
+	if n := testing.AllocsPerRun(100, func() { IDByName(name) }); n != 0 {
+		t.Fatalf("IDByName allocates %v times", n)
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("PAPI_NOPE"); err == nil {
 		t.Fatal("unknown event must error")

@@ -54,7 +54,9 @@ type admissionGate struct {
 }
 
 // gatedPaths are the endpoints the admission gate protects and whose
-// request-latency histograms feed the p99 shed signal.
+// request-latency histograms feed the p99 shed signal, the only paths
+// with a latency histogram. They are in sorted order, the order of
+// /debug/requests' latency exemplars.
 var gatedPaths = [...]string{"/v1/estimate", "/v1/predict"}
 
 // gatedIndex returns path's index in gatedPaths, -1 for any other

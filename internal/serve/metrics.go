@@ -119,16 +119,6 @@ func (m *Metrics) requestCounter(path string) *obs.Counter {
 		obs.Label{Key: "path", Value: path})
 }
 
-// requestLatency returns path's request-latency histogram the same
-// way.
-func (m *Metrics) requestLatency(path string) *obs.Histogram {
-	if i := gatedIndex(path); i >= 0 {
-		return m.gatedLatency[i]
-	}
-	return m.reg.Histogram("pmcpowerd_request_seconds", "HTTP request latency by path.",
-		nil, obs.Label{Key: "path", Value: path})
-}
-
 // Registry exposes the backing registry (for GaugeFunc attachment and
 // the /metrics handler).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
@@ -170,19 +160,6 @@ func (m *Metrics) Evictions() uint64 { return m.evictions.Value() }
 func (m *Metrics) Request(path string) {
 	m.totalRequests.Add(1)
 	m.requestCounter(path).Inc()
-}
-
-// RequestLatencyExemplar records one full-request duration for path
-// and stamps the request's trace id as the landing bucket's exemplar,
-// so a latency bucket on /debug/requests links to a concrete trace.
-func (m *Metrics) RequestLatencyExemplar(path string, d time.Duration, traceID string) {
-	m.requestLatency(path).ObserveExemplar(d.Seconds(), traceID)
-}
-
-// LatencyExemplars returns the trace-id exemplars currently attached
-// to path's request-latency histogram buckets.
-func (m *Metrics) LatencyExemplars(path string) []obs.BucketExemplar {
-	return m.requestLatency(path).Exemplars()
 }
 
 // Reject counts one rejected sample or refused request under reason.

@@ -348,7 +348,7 @@ func (ps *parseScratch) scan(line []byte, i int, start, inRates bool) bool {
 		i = skipJSONWS(line, i+1)
 		var slot numSlot
 		if inRates {
-			id, ok := rateEvents[string(key)]
+			id, ok := pmu.IDByName(key)
 			if !ok {
 				return false // the slow path owns the unknown-event error
 			}
@@ -389,21 +389,6 @@ func (ps *parseScratch) scan(line []byte, i int, start, inRates bool) bool {
 		prev = i
 	}
 }
-
-// rateEvents resolves a rate name as pmu.ByName does: a full PAPI
-// name, or a short one under the "PAPI_" prefix. The scan indexes it
-// with the name's bytes, which converts no string and allocates
-// nothing.
-var rateEvents = func() map[string]pmu.EventID {
-	m := make(map[string]pmu.EventID, 2*pmu.NumEvents())
-	for _, ev := range pmu.All() {
-		m[ev.Short] = ev.ID
-	}
-	for _, ev := range pmu.All() { // a full name wins over a short one
-		m[ev.Name] = ev.ID
-	}
-	return m
-}()
 
 // token scans the number token at line[i:] the way slot's key is
 // decoded (time_ns as a uint64, the rest as float64) and stores it.

@@ -5,8 +5,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-
-	"pmcpower/internal/pmu"
 )
 
 // shapeLine is one bench-shaped NDJSON line at time t with the
@@ -104,22 +102,5 @@ func TestParseSampleShapeFallback(t *testing.T) {
 			check(t, &ps, lines[2], false)
 			check(t, &ps, lines[3], true)
 		})
-	}
-}
-
-// TestRateEventsMatchByName: the fast scan's name table resolves
-// every full and short event name, and nothing else, as pmu.ByName
-// does.
-func TestRateEventsMatchByName(t *testing.T) {
-	names := []string{"", "PAPI_", "papi_tot_cyc", "PAPI_NO_SUCH_EV", "PAPI_PAPI_TOT_CYC"}
-	for _, ev := range pmu.All() {
-		names = append(names, ev.Name, ev.Short, "PAPI_"+ev.Name)
-	}
-	for _, name := range names {
-		id, ok := rateEvents[name]
-		ev, err := pmu.ByName(name)
-		if ok != (err == nil) || ok && id != ev.ID {
-			t.Errorf("rateEvents[%q] = %v, %v; pmu.ByName = %v, %v", name, id, ok, ev.ID, err)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 
 	"pmcpower/internal/obs"
 )
@@ -48,14 +47,11 @@ func (s *Server) Requests() RequestsResponse {
 		LatencyExemplars: []PathExemplars{},
 	}
 	resp.RequestsTotal, resp.RetainedTotal = s.flightrec.Stats()
-	for _, p := range []string{"/v1/estimate", "/v1/predict"} {
-		if ex := s.metrics.LatencyExemplars(p); len(ex) > 0 {
+	for i, p := range gatedPaths {
+		if ex := s.metrics.gatedLatency[i].Exemplars(); len(ex) > 0 {
 			resp.LatencyExemplars = append(resp.LatencyExemplars, PathExemplars{Path: p, Exemplars: ex})
 		}
 	}
-	sort.Slice(resp.LatencyExemplars, func(i, j int) bool {
-		return resp.LatencyExemplars[i].Path < resp.LatencyExemplars[j].Path
-	})
 	return resp
 }
 

@@ -289,8 +289,11 @@ func (s *Server) Handler() http.Handler {
 		span.SetAttr(obs.Int("status", status))
 		span.End()
 		s.flightrec.Finish(at, status)
-		if p := r.URL.Path; p == "/v1/estimate" || p == "/v1/predict" {
-			s.metrics.RequestLatencyExemplar(p, d, tc.TraceID)
+		if i := gatedIndex(r.URL.Path); i >= 0 {
+			// The request's trace id becomes the landing bucket's
+			// exemplar, so a latency bucket on /debug/requests links to
+			// a concrete trace.
+			s.metrics.gatedLatency[i].ObserveExemplar(d.Seconds(), tc.TraceID)
 			// Feed the admission gate's p99 signal. Shed responses count
 			// too — their small latencies are what lets the EWMA decay
 			// and admission reopen under sustained overload.
