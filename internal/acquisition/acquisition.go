@@ -260,9 +260,10 @@ const phaseDurationS = 1
 
 // recordRun executes every (thread step × phase) of a workload at one
 // frequency with one event set and returns the run's phase profiles.
-// Each event is folded into the profiles as it is emitted; the
-// Score-P-style archive is encoded into sc.archive only when a
-// TraceSink asks for it.
+// The recorder's own events go through Builder.Event, and each step's
+// plugin samples are folded plugin by plugin (runFold) as they are
+// gathered; the Score-P-style archive is encoded into sc.archive only
+// when a TraceSink asks for it.
 func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) ([]*phaseprofile.Phase, error) {
 
@@ -343,8 +344,9 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 	type pluginMetrics struct {
 		plugin metricplugin.Plugin
 		refs   []trace.Ref
-		// next and end bound the plugin's unmerged samples in
-		// sc.samples during a step.
+		runFold
+		// next and end bound the plugin's samples in sc.samples
+		// during a step; the sink's merge advances next.
 		next, end int
 	}
 	var pms []pluginMetrics
@@ -360,9 +362,16 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		pms = append(pms, pm)
 	}
 
-	// Every event goes to the profile builder, and to the archive when
-	// a sink wants one. Both check it the same way.
+	// The recorder's own events go to the profile builder, and to the
+	// archive when a sink wants one. Both check them the same way.
+	// Plugin samples fold through each plugin's runFold.
 	b := phaseprofile.NewBuilder(tw.Definitions(), wl.Name)
+	for pi := range pms {
+		pm := &pms[pi]
+		if pm.runFold, err = newRunFold(b, pm.plugin.Name(), pm.refs, loc, coreLocs); err != nil {
+			return nil, err
+		}
+	}
 	sink := o.TraceSink != nil
 	emit := func(ev trace.Event) error {
 		if err := b.Event(ev); err != nil {
@@ -402,7 +411,13 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		}
 
 		// Gather every plugin's samples for the interval into the
-		// reused buffer, one run per plugin.
+		// reused buffer, one run per plugin, and fold each run into
+		// the step's phase in the plugin's own order. The plugins'
+		// metrics are of distinct kinds (power channels, voltage, PMC
+		// events), so each power channel's or cell's samples come from
+		// one plugin, in tick order; the phase's flush fixes the order
+		// across them. So every float addition happens as it would over
+		// the time-merged stream.
 		iv := &metricplugin.Interval{
 			StartNs:  start,
 			EndNs:    end,
@@ -418,35 +433,36 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 				return nil, err
 			}
 			pm.end = len(buf)
+			if err := pm.fold(b, buf[pm.next:pm.end], start, end); err != nil {
+				return nil, err
+			}
 		}
 		sc.samples = buf
 
-		// Emit them in chronological order by merging the runs, each
-		// ascending in time by the Plugin.Sample contract. Ties go to
-		// the earlier plugin, then to its earlier sample: the order a
-		// stable sort by time would give. A run that breaks the
-		// contract fails emit's order check.
-		for {
-			var pm *pluginMetrics
-			for k := range pms {
-				if c := &pms[k]; c.next < c.end && (pm == nil || buf[c.next].TimeNs < buf[pm.next].TimeNs) {
-					pm = c
+		// The archive holds the samples in chronological order: a
+		// merge of the runs, which the folds have checked to ascend
+		// within the step. Ties go to the earlier plugin, then to its
+		// earlier sample: the order a stable sort by time would give.
+		if sink {
+			for {
+				var pm *pluginMetrics
+				for k := range pms {
+					if c := &pms[k]; c.next < c.end && (pm == nil || buf[c.next].TimeNs < buf[pm.next].TimeNs) {
+						pm = c
+					}
 				}
-			}
-			if pm == nil {
-				break
-			}
-			s := &buf[pm.next]
-			pm.next++
-			sampleLoc := loc
-			if s.Core != metricplugin.NodeLevel {
-				if s.Core < 0 || s.Core >= len(coreLocs) {
-					return nil, fmt.Errorf("acquisition: plugin %s emitted sample for invalid core %d", pm.plugin.Name(), s.Core)
+				if pm == nil {
+					break
 				}
-				sampleLoc = coreLocs[s.Core]
-			}
-			if err := emit(trace.Event{Kind: trace.KindMetric, Location: sampleLoc, TimeNs: s.TimeNs, Metric: pm.refs[s.MetricIndex], Value: s.Value}); err != nil {
-				return nil, err
+				s := &buf[pm.next]
+				pm.next++
+				sampleLoc := loc
+				if s.Core != metricplugin.NodeLevel {
+					sampleLoc = coreLocs[s.Core]
+				}
+				if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: sampleLoc, TimeNs: s.TimeNs, Metric: pm.refs[s.MetricIndex], Value: s.Value}); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if err := emit(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: end, Region: st.region}); err != nil {
@@ -460,6 +476,82 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		}
 	}
 	return b.Phases()
+}
+
+// runFold folds one plugin's samples into a run's phase profiles. Its
+// table holds the phaseprofile.Target of every (metric index, core)
+// pair the plugin can emit, resolved once per run: entry
+// mi*stride + core+1, where a node-level sample (core
+// metricplugin.NodeLevel) takes entry mi*stride.
+type runFold struct {
+	name    string // the plugin's, for errors
+	stride  int    // cores + 1
+	targets []phaseprofile.Target
+}
+
+// newRunFold resolves each of a plugin's metrics (refs, by metric
+// index) at the node location and at every core location.
+func newRunFold(b *phaseprofile.Builder, plugin string, refs []trace.Ref, node trace.Ref, cores []trace.Ref) (runFold, error) {
+	f := runFold{name: plugin, stride: len(cores) + 1}
+	f.targets = make([]phaseprofile.Target, 0, len(refs)*f.stride)
+	for _, ref := range refs {
+		for c := -1; c < len(cores); c++ {
+			loc := node
+			if c >= 0 {
+				loc = cores[c]
+			}
+			t, err := b.Resolve(ref, loc)
+			if err != nil {
+				return runFold{}, err
+			}
+			f.targets = append(f.targets, t)
+		}
+	}
+	return f, nil
+}
+
+// fold checks run, one plugin's samples for the step [startNs, endNs],
+// and folds it into b in the plugin's own order. It checks what
+// Builder.Event's order check would on the time-merged stream: the
+// samples ascend in time within the step. And each metric index and
+// core must be one of the plugin's, each checked on its own so no
+// out-of-range index can alias a neighbouring table entry. A run that
+// fails a check folds nothing.
+func (f *runFold) fold(b *phaseprofile.Builder, run []metricplugin.SampleValue, startNs, endNs uint64) error {
+	// Starting from startNs, the order check also catches a run that
+	// starts before the step; once the run ascends, only its last
+	// sample can end after the step. Core+1 is 0 for NodeLevel.
+	nMetrics := len(f.targets) / f.stride
+	last := startNs
+	for i := range run {
+		s := &run[i]
+		if s.TimeNs < last || uint(s.MetricIndex) >= uint(nMetrics) || uint(s.Core+1) >= uint(f.stride) {
+			return f.reject(s, last, startNs, endNs)
+		}
+		last = s.TimeNs
+	}
+	if last > endNs {
+		return fmt.Errorf("acquisition: plugin %s sample at %d ns after its step [%d, %d] ns", f.name, last, startNs, endNs)
+	}
+	for i := range run {
+		s := &run[i]
+		b.Add(f.targets[s.MetricIndex*f.stride+s.Core+1], s.Value)
+	}
+	return nil
+}
+
+// reject names what is wrong with s, the first sample fold refused;
+// last is the time of the sample before it, or the step's start.
+func (f *runFold) reject(s *metricplugin.SampleValue, last, startNs, endNs uint64) error {
+	switch {
+	case s.TimeNs < startNs:
+		return fmt.Errorf("acquisition: plugin %s sample at %d ns before its step [%d, %d] ns", f.name, s.TimeNs, startNs, endNs)
+	case s.TimeNs < last:
+		return fmt.Errorf("acquisition: plugin %s sample at %d ns goes back in time (last %d ns)", f.name, s.TimeNs, last)
+	case uint(s.MetricIndex) >= uint(len(f.targets)/f.stride):
+		return fmt.Errorf("acquisition: plugin %s emitted sample for invalid metric index %d", f.name, s.MetricIndex)
+	}
+	return fmt.Errorf("acquisition: plugin %s emitted sample for invalid core %d", f.name, s.Core)
 }
 
 // rowsFromPhases aggregates merged phase profiles into dataset rows:

@@ -63,7 +63,7 @@ type Interval struct {
 // during the interval, derived from the activity's compact pinning
 // (socket 0 fills first).
 func (iv *Interval) ActiveCores() []int {
-	var cores []int
+	cores := make([]int, 0, max(iv.Activity.ActiveCores[0]+iv.Activity.ActiveCores[1], iv.Activity.Threads))
 	for c := 0; c < iv.Activity.ActiveCores[0]; c++ {
 		cores = append(cores, c)
 	}
@@ -79,11 +79,11 @@ func (iv *Interval) ActiveCores() []int {
 	return cores
 }
 
-// coreShares returns per-core work shares summing to 1: a mild,
-// deterministic load imbalance drawn from the interval's noise stream.
-func coreShares(iv *Interval) []float64 {
-	cores := iv.ActiveCores()
-	shares := make([]float64, len(cores))
+// coreShares returns the work shares of n active cores, summing to 1:
+// a mild, deterministic load imbalance drawn from the interval's noise
+// stream.
+func coreShares(iv *Interval, n int) []float64 {
+	shares := make([]float64, n)
 	var sum float64
 	for i := range shares {
 		shares[i] = iv.Rand.Jitter(0.04)

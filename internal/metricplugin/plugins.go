@@ -184,13 +184,16 @@ func (p *ApapiPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 	counts := cpusim.Counters(iv.Activity, p.set)
 	dur := iv.DurationS()
 	ids := p.set.Events()
+	nodeRates := make([]float64, len(ids))
+	for i, id := range ids {
+		nodeRates[i] = counts[id] / dur
+	}
 	cores := iv.ActiveCores()
-	shares := coreShares(iv)
+	shares := coreShares(iv, len(cores))
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
 	out := slices.Grow(dst, len(ts)*len(ids)*len(cores))
 	for _, t := range ts {
-		for i, id := range ids {
-			nodeRate := counts[id] / dur
+		for i, nodeRate := range nodeRates {
 			// Common-mode read-out error (sampling-window alignment
 			// hits every core's read of this event alike) plus an
 			// independent per-core component.

@@ -105,15 +105,16 @@ func FromTrace(r io.Reader, app string) ([]*Phase, error) {
 }
 
 // metricClass is what a metric definition's name makes of its samples.
-type metricClass int
+// The zero class folds nowhere, so the zero Target is inert.
+type metricClass uint8
 
 const (
-	mcPower metricClass = iota
+	mcOther metricClass = iota
+	mcPower
 	mcVoltage
 	mcThreads
 	mcFreq
 	mcPMC
-	mcOther
 )
 
 type agg struct {
@@ -128,12 +129,14 @@ type cell struct {
 	agg
 }
 
-// Builder folds one run's event stream into phase profiles as the
-// events arrive, from an archive (FromTrace) or straight from the
-// recorder. The recorder writes Enter/Leave around every phase on the
-// master location and annotates each phase with active_threads and
+// Builder folds one run into phase profiles as its events arrive,
+// from an archive (FromTrace) or straight from the recorder. The
+// recorder writes Enter/Leave around every phase on the master
+// location and annotates each phase with active_threads and
 // core_frequency sync metrics; power, voltage and PAPI rates arrive as
-// async samples.
+// async samples. Event folds one event; a metric sample's fold is
+// Resolve (once per metric and location) and Add (per sample), which
+// the recorder calls directly on its plugins' samples.
 //
 // Aggregation state is reused across phases: once a (metric,
 // location) pair has been seen, its samples allocate nothing. Beyond
@@ -160,15 +163,16 @@ type Builder struct {
 	// reading), counter rates by summing (per-core counters add up to
 	// the node total).
 	//
-	// A (slot, location) pair gets a cell on its first sample. Each
-	// phase lists the power channels and cells it touched; flush folds
+	// A (slot, location) pair gets a cell when it is first resolved:
+	// on its first sample through Event, or by Resolve. Each phase
+	// lists the power channels and cells it touched; flush folds
 	// just those in ascending ref order — float addition is not
 	// associative, and reproducibility is non-negotiable — and zeroes
 	// them for the next phase.
 	//
-	// The recorder writes every tick's samples in the same order, so
-	// cells are created in that order and the cell after the last one
-	// used is checked before the map.
+	// A recorder archive holds every tick's samples in the same order,
+	// so Event creates cells in that order, and the cell after the last
+	// one used is checked before the map.
 	powerA   []agg // one aggregate per power channel
 	powered  []int // channels sampled this phase
 	cellOf   map[uint64]int
@@ -254,41 +258,89 @@ func (b *Builder) Event(ev trace.Event) error {
 		if b.current == nil {
 			return nil // inter-phase samples are discarded
 		}
-		var a *agg
-		switch b.classOf[ev.Metric] {
-		case mcPower:
-			ch := b.slotOf[ev.Metric]
-			if b.powerA[ch].weightS == 0 {
-				b.powered = append(b.powered, ch)
-			}
-			a = &b.powerA[ch]
-		case mcVoltage, mcPMC:
-			key := uint64(b.slotOf[ev.Metric])<<32 | uint64(ev.Location)
-			ci := b.nextCell
-			if ci == len(b.cells) || b.cells[ci].key != key {
-				var ok bool
-				if ci, ok = b.cellOf[key]; !ok {
-					ci = len(b.cells)
-					b.cellOf[key] = ci
-					b.cells = append(b.cells, cell{key: key})
-				}
-			}
-			b.nextCell = ci + 1
-			if b.cells[ci].weightS == 0 {
-				b.touched = append(b.touched, ci)
-			}
-			a = &b.cells[ci].agg
-		case mcThreads:
-			b.current.Threads = int(ev.Value)
-		case mcFreq:
-			b.current.FreqMHz = int(ev.Value)
-		}
-		if a != nil {
-			a.sum += ev.Value
-			a.weightS++
-		}
+		b.Add(b.target(ev.Metric, ev.Location), ev.Value)
 	}
 	return nil
+}
+
+// A Target is where one metric's samples at one location fold: a
+// power channel, a (value slot, location) cell, a phase annotation
+// (threads, frequency), or nowhere, as the zero Target does. Resolve
+// finds it once; Add folds each sample into it.
+type Target struct {
+	class metricClass
+	i     int32 // power channel or cell index
+}
+
+// Resolve returns where samples of metric at location fold, after the
+// definition checks Event applies to a metric event (with the same
+// errors). It is how a recorder that holds its samples outside
+// trace.Event folds them: resolve each (metric, location) pair of a
+// run once, then Add every sample. A pair's Target stays valid for the
+// Builder's whole run.
+func (b *Builder) Resolve(metric, location trace.Ref) (Target, error) {
+	// Time 0 after 0 passes the order check; the rest is the
+	// definition checks.
+	if err := b.defs.CheckEvent(trace.Event{Kind: trace.KindMetric, Location: location, Metric: metric}, 0); err != nil {
+		return Target{}, err
+	}
+	return b.target(metric, location), nil
+}
+
+// target resolves a defined (metric, location) pair. A value cell is
+// created on the pair's first resolution.
+func (b *Builder) target(metric, location trace.Ref) Target {
+	class := b.classOf[metric]
+	switch class {
+	case mcPower:
+		return Target{class: class, i: int32(b.slotOf[metric])}
+	case mcVoltage, mcPMC:
+		key := uint64(b.slotOf[metric])<<32 | uint64(location)
+		ci := b.nextCell
+		if ci == len(b.cells) || b.cells[ci].key != key {
+			var ok bool
+			if ci, ok = b.cellOf[key]; !ok {
+				ci = len(b.cells)
+				b.cellOf[key] = ci
+				b.cells = append(b.cells, cell{key: key})
+			}
+		}
+		b.nextCell = ci + 1
+		return Target{class: class, i: int32(ci)}
+	}
+	return Target{class: class}
+}
+
+// Add folds one sample into t in the current phase. Outside a phase it
+// is discarded, as Event discards inter-phase samples. Samples of one
+// Target must arrive in the order an archive would hold them; flush
+// fixes the order across Targets.
+func (b *Builder) Add(t Target, value float64) {
+	if b.current == nil {
+		return
+	}
+	var a *agg
+	switch t.class {
+	case mcPower:
+		if b.powerA[t.i].weightS == 0 {
+			b.powered = append(b.powered, int(t.i))
+		}
+		a = &b.powerA[t.i]
+	case mcVoltage, mcPMC:
+		c := &b.cells[t.i]
+		if c.weightS == 0 {
+			b.touched = append(b.touched, int(t.i))
+		}
+		a = &c.agg
+	case mcThreads:
+		b.current.Threads = int(value)
+	case mcFreq:
+		b.current.FreqMHz = int(value)
+	}
+	if a != nil {
+		a.sum += value
+		a.weightS++
+	}
 }
 
 // flush closes the current phase at endNs.

@@ -82,7 +82,8 @@ func (r *Rand) Intn(n int) int {
 // Norm returns a normally distributed value with mean 0 and standard
 // deviation 1, using the Box–Muller transform. Two uniforms are drawn
 // per call; the second variate is intentionally discarded to keep the
-// generator stateless beyond its seed counter.
+// generator stateless beyond its seed counter. The cosine is cosTurn,
+// which has math.Cos(2*math.Pi*u2)'s bits without its octant branches.
 func (r *Rand) Norm() float64 {
 	// Guard against u1 == 0 (log(0) = -Inf).
 	u1 := r.Float64()
@@ -90,7 +91,7 @@ func (r *Rand) Norm() float64 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return math.Sqrt(-2*math.Log(u1)) * cosTurn(u2)
 }
 
 // NormScaled returns a normal variate with the given mean and standard

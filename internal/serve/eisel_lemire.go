@@ -8,9 +8,10 @@ package serve
 // the Go standard library (src/strconv/eisel_lemire.go), the algorithm
 // strconv.ParseFloat itself runs on a mantissa of at most 19 digits.
 // It is described at https://nigeltao.github.io/blog/2020/eisel-lemire.html.
-// eiselLemire64 is copied unchanged apart from the table access; the
-// table is computed on first use instead of being listed (see
-// detailedPowersOfTen).
+// eiselLemire64 is copied unchanged apart from the table access: it is
+// a method on the table, which is computed on first use instead of
+// being listed (see detailedPowersOfTen), so a caller fetches the table
+// once rather than per number.
 
 import (
 	"encoding/binary"
@@ -25,7 +26,7 @@ import (
 // table, a result outside the normal float64 range, or a product too
 // close to a halfway point to round from 128 bits. The caller then
 // converts the token with strconv.ParseFloat.
-func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+func (tens *powersOfTen) eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	// The terse comments in this function body refer to sections of the
 	// https://nigeltao.github.io/blog/2020/eisel-lemire.html blog post.
 
@@ -39,7 +40,7 @@ func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if exp10 < detailedPowersOfTenMinExp10 || detailedPowersOfTenMaxExp10 < exp10 {
 		return 0, false
 	}
-	pow := &detailedPowersOfTen()[exp10-detailedPowersOfTenMinExp10]
+	pow := &tens[exp10-detailedPowersOfTenMinExp10]
 
 	// Normalization.
 	clz := bits.LeadingZeros64(man)
@@ -102,6 +103,9 @@ const (
 	detailedPowersOfTenMaxExp10 = +347
 )
 
+// powersOfTen is the table detailedPowersOfTen returns.
+type powersOfTen [detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64
+
 // detailedPowersOfTen returns the 128-bit mantissas of 10^q for q in
 // [-348, 347], rounded down and normalised so the top bit is set, as
 // {low 64 bits, high 64 bits} pairs. For example:
@@ -114,8 +118,8 @@ const (
 // 696 rows; here they are computed exactly with math/big on the first
 // call (under a millisecond), not at package init, so a program that
 // imports serve but never parses a sample does not pay for them.
-var detailedPowersOfTen = sync.OnceValue(func() *[detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64 {
-	var table [detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64
+var detailedPowersOfTen = sync.OnceValue(func() *powersOfTen {
+	var table powersOfTen
 	var buf [16]byte
 	store := func(q int, m *big.Int) {
 		m.FillBytes(buf[:])

@@ -150,19 +150,20 @@ func scanNumber(b []byte, i int) (man uint64, exp10 int, neg, trunc bool, next i
 }
 
 // parseNumber scans and converts one JSON number in a single pass over
-// its bytes: scanNumber's mantissa and exponent go to Eisel–Lemire.
+// its bytes: scanNumber's mantissa and exponent go to Eisel–Lemire
+// with the table tens.
 // Only a nonzero digit past the 19th significant one, or a value the
 // algorithm declines (a halfway case, a subnormal, or out of range),
 // sends the token to strconv.ParseFloat. !ok on a grammar failure or a
 // ParseFloat error (1e400 overflows): encoding/json rejects those with
 // its own message, so the caller bails to the slow path.
-func parseNumber(b []byte, i int) (v float64, next int, ok bool) {
+func (tens *powersOfTen) parseNumber(b []byte, i int) (v float64, next int, ok bool) {
 	man, exp10, neg, trunc, next, ok := scanNumber(b, i)
 	if !ok {
 		return 0, 0, false
 	}
 	if !trunc {
-		if v, ok := eiselLemire64(man, exp10, neg); ok {
+		if v, ok := tens.eiselLemire64(man, exp10, neg); ok {
 			return v, next, true
 		}
 	}
@@ -255,6 +256,9 @@ func parseSampleFast(line []byte, ps *parseScratch) (hit, ok bool) {
 	ps.ws = wireSample{Rates: ps.ws.Rates}
 	ps.powerW, ps.labelled = 0, false
 	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
+	if ps.tens == nil {
+		ps.tens = detailedPowersOfTen()
+	}
 	i, k := 0, 0
 	if ps.shapeOK {
 		if i, k, hit = ps.matchShape(line); hit {
@@ -401,7 +405,7 @@ func (ps *parseScratch) token(line []byte, i int, slot numSlot) (next int, ok bo
 		return next, ok
 	}
 	var v float64
-	if v, next, ok = parseNumber(line, i); !ok {
+	if v, next, ok = ps.tens.parseNumber(line, i); !ok {
 		return 0, false
 	}
 	switch slot.kind {

@@ -704,6 +704,9 @@ type parseScratch struct {
 	// only the decoder accepts rewrites rates and clears the flag.
 	shape, next lineShape
 	shapeOK     bool
+	// tens is the Eisel–Lemire table, fetched on the scratch's first
+	// line rather than per number.
+	tens *powersOfTen
 }
 
 // parseSampleInto decodes one NDJSON line and resolves event names
