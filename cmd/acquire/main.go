@@ -5,7 +5,9 @@
 // Usage:
 //
 //	acquire [-seed n] [-freqs 1200,2400] [-workloads compute,md]
-//	        [-events LST_INS,TOT_CYC | -all-events] [-o dataset.csv]
+//	        [-events LST_INS,TOT_CYC] [-o dataset.csv]
+//
+// Without -events the campaign records all 54 presets.
 package main
 
 import (

@@ -26,6 +26,8 @@
 //   - internal/baselines: the related-work comparison models.
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for the paper-vs-measured comparison. The
-// benchmarks in bench_test.go regenerate every table and figure.
+// and EXPERIMENTS.md for the paper-vs-measured comparison. The root
+// package holds only tests: the end-to-end pipeline test, the
+// pipeline-stage and fit-kernel benchmarks (bench_test.go) and the API
+// gate (api_test.go).
 package pmcpower

@@ -99,11 +99,6 @@ type Row struct {
 	Rates map[pmu.EventID]float64
 }
 
-// CyclesPerSec returns the TOT_CYC rate of the row.
-func (r *Row) CyclesPerSec() float64 {
-	return r.Rates[pmu.MustByName("TOT_CYC").ID]
-}
-
 // RatePerCycle returns the event's rate per CPU clock cycle at the
 // fixed operating frequency (events/s divided by f_clk) — the E_n of
 // the paper's Equation 1 ("since the value of the PMC events are

@@ -59,9 +59,6 @@ func NewDatasetCache(rows []*acquisition.Row) *DatasetCache {
 // Len returns the number of rows backing the cache.
 func (c *DatasetCache) Len() int { return c.n }
 
-// Rows returns the backing row set (not a copy).
-func (c *DatasetCache) Rows() []*acquisition.Row { return c.rows }
-
 // Ones returns the intercept column. Callers must not modify returned
 // columns; they are shared.
 func (c *DatasetCache) Ones() []float64 { return c.ones }

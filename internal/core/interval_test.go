@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"pmcpower/internal/acquisition"
+	"pmcpower/internal/stats"
+	"pmcpower/internal/workloads"
 )
 
 func TestPredictWithCI(t *testing.T) {
@@ -54,31 +59,50 @@ func TestPredictWithCICoverage(t *testing.T) {
 }
 
 func TestPredictWithCIWiderWhereDataIsSparse(t *testing.T) {
-	// A model trained on a narrow slice must report wider intervals on
-	// out-of-envelope rows than on in-envelope rows.
+	// A model's relative standard error must grow away from its
+	// training data: on a row outside the training slice's envelope,
+	// and over a workload class the fit never saw (paper scenario 2).
 	_, full := fixtures(t)
+	relSE := func(m *Model, r *acquisition.Row) float64 {
+		t.Helper()
+		iv, err := m.PredictWithCI(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(iv.SE > 0) || math.IsInf(iv.SE, 0) {
+			t.Fatalf("%s: SE %v, want positive and finite", r.Workload, iv.SE)
+		}
+		return iv.SE / iv.Estimate
+	}
+
 	syn := full.Rows[:200] // synthetic-heavy slice (sorted by name: addpd, applu…)
 	m, err := Train(syn, canonicalEvents(), TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivIn, err := m.PredictWithCI(syn[10])
+	// The last row (swim) lies far outside the slice. The margins keep
+	// a rounding difference from passing for a wider interval.
+	out := full.Rows[len(full.Rows)-1]
+	if in, far := relSE(m, syn[10]), relSE(m, out); far < 2*in {
+		t.Errorf("SE/estimate %.2f %% on %s outside the training slice, %.2f %% on %s inside; want at least twice as large outside",
+			100*far, out.Workload, 100*in, syn[10].Workload)
+	}
+
+	train, test := full.ByClass(workloads.Synthetic).Rows, full.ByClass(workloads.SPEC).Rows
+	m, err = Train(train, canonicalEvents(), TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the row with the most extreme L3_TCM rate — far from the
-	// training slice's envelope.
-	var extreme = full.Rows[len(full.Rows)-1]
-	ivOut, err := m.PredictWithCI(extreme)
-	if err != nil {
-		t.Fatal(err)
+	median := func(rows []*acquisition.Row) float64 {
+		rel := make([]float64, len(rows))
+		for i, r := range rows {
+			rel[i] = relSE(m, r)
+		}
+		return stats.Quantile(rel, 0.5)
 	}
-	_ = ivIn
-	_ = ivOut
-	// Not all extremes are guaranteed wider, but SEs must be positive
-	// and finite everywhere.
-	if ivOut.SE <= 0 || ivIn.SE <= 0 {
-		t.Fatal("non-positive SE")
+	if spec, seen := median(test), median(train); spec < 1.25*seen {
+		t.Errorf("median SE/estimate %.2f %% on %d SPEC rows, %.2f %% on the %d synthetic training rows; want a quarter larger on SPEC",
+			100*spec, len(test), 100*seen, len(train))
 	}
 }
 

@@ -91,10 +91,6 @@ func (rf *Refitter) Model() *Model { return rf.adapted }
 // refresh, then incrementing per refresh.
 func (rf *Refitter) Version() uint64 { return rf.version }
 
-// WindowFill returns how many labelled samples the window currently
-// holds and its capacity.
-func (rf *Refitter) WindowFill() (n, window int) { return rf.rls.N(), rf.rls.Window() }
-
 // Rebuilds reports how many downdate breakdowns forced a from-window
 // refactorization (a numerical event counter, surfaced in metrics).
 func (rf *Refitter) Rebuilds() uint64 { return rf.rls.Rebuilds() }

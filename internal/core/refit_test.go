@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"pmcpower/internal/acquisition"
@@ -117,8 +118,23 @@ func TestRefitterRejectsBadPower(t *testing.T) {
 			t.Fatalf("power %v: got %v, want ErrBadPower", bad, err)
 		}
 	}
-	if n, _ := rf.WindowFill(); n != 0 {
-		t.Fatalf("rejected labels reached the window: fill %d", n)
+	// Fed the same labels afterwards, the refitter must match a fresh
+	// one bit for bit: no rejected label reached its window.
+	fresh, err := NewRefitter(base, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range full.Rows[:16] {
+		for _, f := range []*Refitter{rf, fresh} {
+			if err := f.Observe(refitSample(r, uint64(i)), r.PowerW); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, want := rf.Model(), fresh.Model()
+	if fresh.Version() == 0 || rf.Version() != fresh.Version() || got.Delta != want.Delta ||
+		got.Beta != want.Beta || got.Gamma != want.Gamma || !slices.Equal(got.Alpha, want.Alpha) {
+		t.Fatalf("rejected labels reached the window: refit %+v, fresh %+v", got, want)
 	}
 }
 

@@ -268,7 +268,10 @@ func TestCounterHierarchies(t *testing.T) {
 
 func TestCountersSubsetOnly(t *testing.T) {
 	a := run(t, "compute", 2400, 4, 10)
-	set := pmu.MustEventSet(pmu.MustByName("TOT_CYC").ID, pmu.MustByName("BR_MSP").ID)
+	set, err := pmu.NewEventSet(pmu.MustByName("TOT_CYC").ID, pmu.MustByName("BR_MSP").ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := Counters(a, set)
 	if len(c) != 2 {
 		t.Fatalf("Counters returned %d entries, want 2", len(c))

@@ -34,7 +34,6 @@ import (
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
-	"pmcpower/internal/cpusim"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 	"pmcpower/internal/workloads"
@@ -60,7 +59,7 @@ type Config struct {
 	Scenario1Seed uint64
 	// Parallelism bounds the workers used inside each experiment
 	// (acquisition cells, candidate fits, VIF auxiliary regressions,
-	// CV folds) and by the RunAll experiment fan-out: 0 = GOMAXPROCS,
+	// CV folds) and by the RunAllCtx experiment fan-out: 0 = GOMAXPROCS,
 	// 1 = serial. Every experiment's numbers are bit-identical at
 	// every level — enforced by the equivalence tests.
 	Parallelism int
@@ -97,9 +96,6 @@ type Context struct {
 func NewContext(cfg Config) *Context {
 	return &Context{cfg: cfg}
 }
-
-// Config returns the context's configuration.
-func (c *Context) Config() Config { return c.cfg }
 
 // SelectionDataset acquires (once) the all-counter dataset at the
 // selection frequency over all active workloads.
@@ -214,9 +210,6 @@ func (c *Context) CrossValidation() (*core.CVResult, error) {
 	c.cv = cv
 	return cv, nil
 }
-
-// Platform returns the simulated platform of the experiments.
-func (c *Context) Platform() *cpusim.Platform { return cpusim.HaswellEP() }
 
 // --- E1 / E10: Tables I and IV -------------------------------------
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -41,7 +42,7 @@ func TestExperimentsGolden(t *testing.T) {
 		// x*y+z into one rounding, which moves the last digits.
 		t.Skipf("golden digests are captured on linux/amd64; %s/%s may fuse multiply-adds", runtime.GOOS, runtime.GOARCH)
 	}
-	reports, err := testCtx(t).RunAll(0)
+	reports, err := testCtx(t).RunAllCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

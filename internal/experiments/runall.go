@@ -48,22 +48,17 @@ type RenderedExperiment struct {
 	Output string
 }
 
-// RunAll renders every registered experiment and returns the reports
-// in canonical order regardless of completion order. parallelism
-// bounds the concurrent renders (0 = GOMAXPROCS, 1 = serial); each
-// render additionally uses the context's Config.Parallelism
-// internally. The shared Context caches the underlying campaigns, so
-// concurrent renders serialize on the first computation of each
-// shared dataset and reuse it afterwards — the reports are
-// bit-identical to a serial run.
-func (c *Context) RunAll(parallelism int) ([]RenderedExperiment, error) {
-	return c.RunAllCtx(context.Background(), parallelism)
-}
-
-// RunAllCtx is RunAll under a caller context: when ctx carries an
+// RunAllCtx renders every registered experiment and returns the
+// reports in canonical order regardless of completion order.
+// parallelism bounds the concurrent renders (0 = GOMAXPROCS, 1 =
+// serial); each render additionally uses the context's
+// Config.Parallelism internally. The shared Context caches the
+// underlying campaigns, so concurrent renders serialize on the first
+// computation of each shared dataset and reuse it afterwards — the
+// reports are bit-identical to a serial run. When ctx carries an
 // obs.Tracer, every experiment render emits an "exp:<id>" span in the
 // lane of the worker that ran it, so the fan-out's load balance is
-// visible in the exported timeline. The reports are bit-identical
+// visible in the exported timeline; the reports are bit-identical
 // with or without a tracer.
 func (c *Context) RunAllCtx(ctx context.Context, parallelism int) ([]RenderedExperiment, error) {
 	regs := c.Renderers()

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Constructors and comparisons only the tests use.
+// Constructors, accessors and comparisons only the tests use.
 
 // FromColumns builds a matrix whose j-th column is cols[j]. All columns
 // must have equal, non-zero length.
@@ -57,4 +57,60 @@ func Equal(a, b *Matrix, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// FromRows builds a matrix from a slice of equally long rows. It panics
+// on an empty input or ragged rows.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("mat: FromRows requires a non-empty rectangular input")
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			panic(fmt.Sprintf("mat: ragged row %d: got %d values, want %d", i, len(r), m.cols))
+		}
+		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+	}
+	return m
+}
+
+// Row returns a copy of row i.
+func (m *Matrix) Row(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mat: row %d out of range", i))
+	}
+	out := make([]float64, m.cols)
+	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	return out
+}
+
+// ScaleRows multiplies each row i of m by w[i] in place and returns m:
+// the reference product WeightedCross reproduces.
+func (m *Matrix) ScaleRows(w []float64) *Matrix {
+	if len(w) != m.rows {
+		panic("mat: ScaleRows weight length mismatch")
+	}
+	for i, wi := range w {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j := range row {
+			row[j] *= wi
+		}
+	}
+	return m
+}
+
+// Rows returns the row count of the decomposed matrix.
+func (u *UpdQR) Rows() int { return u.m }
+
+// Cols returns the number of columns currently factored.
+func (u *UpdQR) Cols() int { return u.n }
+
+// Solve is SolveInto with a freshly allocated coefficient slice.
+func (q *RowQR) Solve() ([]float64, error) {
+	coef := make([]float64, q.k)
+	if err := q.SolveInto(coef); err != nil {
+		return nil, err
+	}
+	return coef, nil
 }

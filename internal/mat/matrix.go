@@ -30,22 +30,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equally long rows. It panics
-// on an empty input or ragged rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows requires a non-empty rectangular input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("mat: ragged row %d: got %d values, want %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -68,16 +52,6 @@ func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
 }
 
 // Col returns a copy of column j.
@@ -186,7 +160,7 @@ func (m *Matrix) MulVecInto(dst, x []float64) {
 // materializing the scaled copy or the transpose. It reproduces the
 // exact floating-point result of
 //
-//	Mul(x.T(), x.Clone().ScaleRows(w))
+//	Mul(x.T(), s)  where s is x with each row i scaled by w[i]
 //
 // — each output entry accumulates the terms x[i][j1]·(x[i][j2]·w[i])
 // over rows i in ascending order with the same zero-skip Mul applies —
@@ -213,22 +187,6 @@ func WeightedCross(x *Matrix, w []float64) *Matrix {
 		}
 	}
 	return out
-}
-
-// ScaleRows multiplies each row i of m by w[i] in place and returns m.
-// It is the building block for weighted least squares and the HC
-// covariance "meat" matrices.
-func (m *Matrix) ScaleRows(w []float64) *Matrix {
-	if len(w) != m.rows {
-		panic("mat: ScaleRows weight length mismatch")
-	}
-	for i, wi := range w {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j := range row {
-			row[j] *= wi
-		}
-	}
-	return m
 }
 
 // String renders the matrix for debugging.

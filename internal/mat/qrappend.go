@@ -52,12 +52,6 @@ func NewUpdQR(m, capCols int) *UpdQR {
 	}
 }
 
-// Rows returns the row count of the decomposed matrix.
-func (u *UpdQR) Rows() int { return u.m }
-
-// Cols returns the number of columns currently factored.
-func (u *UpdQR) Cols() int { return u.n }
-
 // Cap returns the column capacity.
 func (u *UpdQR) Cap() int { return u.capCols }
 

@@ -37,16 +37,11 @@ var ErrDowndate = errors.New("mat: row downdate breakdown")
 // bit for bit.
 type RowQR struct {
 	k int
-	n int // rows folded in minus rows removed
 	// r is the k×k upper triangle, row-major: r[i*k+j] for i ≤ j. The
 	// strict lower triangle is never touched.
 	r []float64
 	// z is the rotated target (the leading k entries of Qᵀy).
 	z []float64
-	// rss is the residual sum of squares of the current row set —
-	// maintained incrementally from the annihilated component of each
-	// appended/removed row.
-	rss float64
 	// xbuf holds the working copy of the row being rotated in or out.
 	xbuf []float64
 }
@@ -64,17 +59,6 @@ func NewRowQR(k int) *RowQR {
 	}
 }
 
-// Cols returns the feature count k.
-func (q *RowQR) Cols() int { return q.k }
-
-// Rows returns the number of rows currently folded in.
-func (q *RowQR) Rows() int { return q.n }
-
-// RSS returns the residual sum of squares of the current row set
-// (clamped at zero: downdates can push the incremental value a
-// rounding error negative).
-func (q *RowQR) RSS() float64 { return q.rss }
-
 // Reset empties the factorization without releasing its buffers.
 func (q *RowQR) Reset() {
 	for i := range q.r {
@@ -83,8 +67,6 @@ func (q *RowQR) Reset() {
 	for i := range q.z {
 		q.z[i] = 0
 	}
-	q.rss = 0
-	q.n = 0
 }
 
 // AppendRow folds one observation (x, y) into the factorization with
@@ -118,10 +100,6 @@ func (q *RowQR) AppendRow(x []float64, y float64) {
 		q.z[j] = c*zj + s*t
 		t = c*t - s*zj
 	}
-	// After the sweep the row is fully rotated into R; what is left of
-	// y is orthogonal to the column space and joins the residual.
-	q.rss += t * t
-	q.n++
 }
 
 // DowndateRow removes one previously appended observation (x, y) with
@@ -165,11 +143,6 @@ func (q *RowQR) DowndateRow(x []float64, y float64) error {
 		q.z[j] = zj
 		t = c*t - s*zj
 	}
-	q.rss -= t * t
-	if q.rss < 0 {
-		q.rss = 0
-	}
-	q.n--
 	return nil
 }
 
@@ -215,13 +188,4 @@ func (q *RowQR) SolveInto(coef []float64) error {
 		coef[i] = s / q.r[i*k+i]
 	}
 	return nil
-}
-
-// Solve is SolveInto with a freshly allocated coefficient slice.
-func (q *RowQR) Solve() ([]float64, error) {
-	coef := make([]float64, q.k)
-	if err := q.SolveInto(coef); err != nil {
-		return nil, err
-	}
-	return coef, nil
 }

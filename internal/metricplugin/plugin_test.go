@@ -168,8 +168,18 @@ func TestVoltagePerCoreOffsetsStable(t *testing.T) {
 	}
 }
 
+// eventSet builds an event set the test knows to be valid.
+func eventSet(t *testing.T, ids ...pmu.EventID) *pmu.EventSet {
+	t.Helper()
+	s, err := pmu.NewEventSet(ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestApapiPlugin(t *testing.T) {
-	set := pmu.MustEventSet(
+	set := eventSet(t,
 		pmu.MustByName("TOT_CYC").ID,
 		pmu.MustByName("BR_MSP").ID,
 		pmu.MustByName("L3_TCM").ID,
@@ -239,7 +249,7 @@ func TestSampleAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apapiPl, err := NewApapiPlugin(pmu.MustEventSet(pmu.MustByName("TOT_CYC").ID, pmu.MustByName("L3_TCM").ID), 20)
+	apapiPl, err := NewApapiPlugin(eventSet(t, pmu.MustByName("TOT_CYC").ID, pmu.MustByName("L3_TCM").ID), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,15 +277,15 @@ func TestSampleAppends(t *testing.T) {
 
 func TestApapiRejectsUnschedulableSet(t *testing.T) {
 	var ids []pmu.EventID
-	for _, e := range pmu.All() {
-		if e.Kind == pmu.Programmable && e.NativeSlots == 1 {
+	for _, id := range pmu.AllIDs() {
+		if e := pmu.Lookup(id); e.Kind == pmu.Programmable && e.NativeSlots == 1 {
 			ids = append(ids, e.ID)
 		}
 		if len(ids) == pmu.ProgrammableSlots+1 {
 			break
 		}
 	}
-	if _, err := NewApapiPlugin(pmu.MustEventSet(ids...), 10); err == nil {
+	if _, err := NewApapiPlugin(eventSet(t, ids...), 10); err == nil {
 		t.Fatal("unschedulable set must be rejected")
 	}
 }
@@ -337,7 +347,7 @@ func TestInvalidPluginConfigErrors(t *testing.T) {
 			return err
 		}},
 		{"apapi zero rate", func() error {
-			_, err := NewApapiPlugin(pmu.MustEventSet(pmu.MustByName("TOT_CYC").ID), 0)
+			_, err := NewApapiPlugin(eventSet(t, pmu.MustByName("TOT_CYC").ID), 0)
 			return err
 		}},
 	}

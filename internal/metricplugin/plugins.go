@@ -159,9 +159,6 @@ func NewApapiPlugin(set *pmu.EventSet, rateHz float64) (*ApapiPlugin, error) {
 // Name implements Plugin.
 func (p *ApapiPlugin) Name() string { return "scorep_plugin_apapi" }
 
-// EventSet returns the set this plugin instance measures.
-func (p *ApapiPlugin) EventSet() *pmu.EventSet { return p.set }
-
 // Metrics implements Plugin. Metric names are the PAPI event names.
 func (p *ApapiPlugin) Metrics() []MetricSpec {
 	ids := p.set.Events()

@@ -326,34 +326,14 @@ func (at *ActiveTrace) Error(msg string) {
 	at.mu.Unlock()
 }
 
-// Flag marks the trace for retention regardless of latency or status
-// (e.g. it coincided with a quality drift transition). The first
-// reason wins.
-func (at *ActiveTrace) Flag(reason string) {
-	if at == nil {
-		return
-	}
-	at.mu.Lock()
-	at.flagLocked(reason)
-	at.mu.Unlock()
-}
-
+// flagLocked marks the trace for retention regardless of latency or
+// status (e.g. it coincided with a quality drift transition). The
+// first reason wins.
 func (at *ActiveTrace) flagLocked(reason string) {
 	if !at.flagged {
 		at.flagged = true
 		at.flagWhy = reason
 	}
-}
-
-// TraceID returns the trace id the ActiveTrace was begun with ("" on
-// nil).
-func (at *ActiveTrace) TraceID() string {
-	if at == nil {
-		return ""
-	}
-	at.mu.Lock()
-	defer at.mu.Unlock()
-	return at.tc.TraceID
 }
 
 // summarizeInto renders the trace as a RequestSummary into dst,

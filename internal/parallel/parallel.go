@@ -4,9 +4,9 @@
 // selection, VIF auxiliary regressions, cross-validation folds, and
 // the experiment suite.
 //
-// The determinism contract is strict: for a fixed input, Map and
-// ForEach produce results that are bit-identical to a serial loop
-// over [0, n), regardless of the parallelism level or goroutine
+// The determinism contract is strict: for a fixed input, Map
+// produces results that are bit-identical to a serial loop over
+// [0, n), regardless of the parallelism level or goroutine
 // scheduling. Two rules make this hold:
 //
 //  1. Results are collected into a slice indexed by task number, so
@@ -48,7 +48,7 @@ var (
 // Workers resolves a Parallelism knob to a concrete worker count:
 // p <= 0 means GOMAXPROCS (the conventional "use the machine"
 // setting), any positive value is taken literally. Callers clamp to
-// the task count themselves where it matters; Map and ForEach do it
+// the task count themselves where it matters; Map does it
 // internally.
 func Workers(p int) int {
 	if p <= 0 {
@@ -183,14 +183,4 @@ func MapWorkers[S, T any](ctx context.Context, n, parallelism int, newState func
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEach is Map without a result value: it runs fn(i) for every i in
-// [0, n) under the same bounded-worker, fail-fast, deterministic-error
-// rules.
-func ForEach(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	_, err := Map(ctx, n, parallelism, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

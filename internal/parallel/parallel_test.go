@@ -141,28 +141,6 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	const n = 40
-	out := make([]int32, n)
-	if err := ForEach(context.Background(), n, 4, func(i int) error {
-		atomic.StoreInt32(&out[i], int32(i+1))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != int32(i+1) {
-			t.Fatalf("slot %d = %d", i, v)
-		}
-	}
-	sentinel := errors.New("nope")
-	if err := ForEach(context.Background(), n, 4, func(i int) error {
-		return sentinel
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("ForEach error = %v", err)
-	}
-}
-
 func TestMapCtxWorkerSpans(t *testing.T) {
 	tracer := obs.NewTracer()
 	ctx := obs.ContextWithTracer(context.Background(), tracer)

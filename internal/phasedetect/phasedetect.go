@@ -29,9 +29,6 @@ type Segment struct {
 	N int
 }
 
-// DurationS returns the segment length in seconds.
-func (s Segment) DurationS() float64 { return float64(s.EndNs-s.StartNs) / 1e9 }
-
 // Options tunes the detector.
 type Options struct {
 	// Window is the number of recent samples whose mean is compared

@@ -342,8 +342,8 @@ func TestFromTraceMemoryBoundedBySamples(t *testing.T) {
 	reg, _ := w.DefineRegion("p")
 	pow, _ := w.DefineMetric("socket0_power", "W", trace.MetricAsync)
 	var events []trace.Ref
-	for _, e := range pmu.All() {
-		m, _ := w.DefineMetric(e.Name, "events/s", trace.MetricAsync)
+	for _, id := range pmu.AllIDs() {
+		m, _ := w.DefineMetric(pmu.Lookup(id).Name, "events/s", trace.MetricAsync)
 		events = append(events, m)
 	}
 	mustWrite(t, w, trace.Event{Kind: trace.KindEnter, TimeNs: 1, Region: reg})

@@ -141,13 +141,6 @@ func init() {
 // NumEvents is the number of available preset events on the platform.
 func NumEvents() int { return len(presets) }
 
-// All returns all preset events in ID order.
-func All() []Event {
-	out := make([]Event, len(presets))
-	copy(out, presets)
-	return out
-}
-
 // AllIDs returns every preset EventID in order.
 func AllIDs() []EventID {
 	out := make([]EventID, len(presets))

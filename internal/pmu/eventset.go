@@ -43,15 +43,6 @@ func NewEventSet(ids ...EventID) (*EventSet, error) {
 	return s, nil
 }
 
-// MustEventSet is NewEventSet that panics on error.
-func MustEventSet(ids ...EventID) *EventSet {
-	s, err := NewEventSet(ids...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Events returns the event IDs in the set, sorted.
 func (s *EventSet) Events() []EventID {
 	return append([]EventID(nil), s.ids...)
@@ -59,12 +50,6 @@ func (s *EventSet) Events() []EventID {
 
 // Len returns the number of events in the set.
 func (s *EventSet) Len() int { return len(s.ids) }
-
-// Contains reports whether the set includes id.
-func (s *EventSet) Contains(id EventID) bool {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id })
-	return i < len(s.ids) && s.ids[i] == id
-}
 
 // SlotsUsed returns the number of programmable and fixed counter slots
 // the set needs.

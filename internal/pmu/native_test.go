@@ -6,7 +6,7 @@ func TestNativeTableConsistency(t *testing.T) {
 	// Every programmable preset maps to exactly NativeSlots named
 	// natives; fixed presets to none (init panics otherwise, but assert
 	// the table directly).
-	for _, e := range All() {
+	for _, e := range presets {
 		nat := presetNatives[e.Short]
 		switch e.Kind {
 		case Fixed:

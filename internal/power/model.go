@@ -341,12 +341,6 @@ func NewSensor(rnd *rng.Rand) *Sensor {
 	}
 }
 
-// Sample returns one instantaneous reading of trueW.
-func (s *Sensor) Sample(trueW float64, rnd *rng.Rand) float64 {
-	noise := rnd.NormScaled(0, s.noiseAbsW+s.noiseRel*trueW)
-	return trueW*s.gain + s.offsetW + noise
-}
-
 // PhaseAverage returns the average measured power over a phase of the
 // given duration: the mean of duration×rate samples, with the noise
 // variance reduced accordingly.

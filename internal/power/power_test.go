@@ -178,7 +178,8 @@ func TestSensorCalibrationAndNoise(t *testing.T) {
 	var sum, sumsq float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		v := sensor.Sample(trueW, r)
+		// A phase shorter than one sample period reads one sample.
+		v := sensor.PhaseAverage(trueW, 0, r)
 		sum += v
 		sumsq += v * v
 	}
@@ -202,7 +203,7 @@ func TestSensorNoiseIsHeteroscedastic(t *testing.T) {
 		var sum, sumsq float64
 		const n = 20000
 		for i := 0; i < n; i++ {
-			v := sensor.Sample(trueW, r)
+			v := sensor.PhaseAverage(trueW, 0, r)
 			sum += v
 			sumsq += v * v
 		}

@@ -94,9 +94,6 @@ func NewMachine(th Thresholds) *Machine {
 	return &Machine{th: th.withDefaults()}
 }
 
-// Thresholds returns the effective (defaulted) thresholds.
-func (m *Machine) Thresholds() Thresholds { return m.th }
-
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 

@@ -63,7 +63,7 @@ func TestMachineEscalationAndHysteresis(t *testing.T) {
 
 func TestMachineBiasTrigger(t *testing.T) {
 	m := NewMachine(Thresholds{MinSamples: 1})
-	th := m.Thresholds()
+	th := m.th
 	// Defaults applied.
 	if th.WarnMAPEPct != 10 || th.AlertMAPEPct != 20 || th.WarnBiasW != 5 || th.AlertBiasW != 15 {
 		t.Fatalf("defaults = %+v", th)

@@ -85,13 +85,6 @@ func (m *Monitor) Observe(o Observation) bool {
 	return true
 }
 
-// State returns the current drift state.
-func (m *Monitor) State() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.machine.State()
-}
-
 // Snapshot is a consistent point-in-time view of a Monitor for the
 // status endpoint.
 type Snapshot struct {

@@ -87,8 +87,8 @@ func TestMonitorDriftLifecycle(t *testing.T) {
 			t.Fatalf("healthy observe %d rejected", i)
 		}
 	}
-	if mon.State() != StateOK {
-		t.Fatalf("healthy state = %v", mon.State())
+	if mon.Snapshot().State != StateOK {
+		t.Fatalf("healthy state = %v", mon.Snapshot().State)
 	}
 
 	// Ramp the error through warn (>5%) into alert (>12%).
@@ -96,8 +96,8 @@ func TestMonitorDriftLifecycle(t *testing.T) {
 		errPct := 2 + 18*float64(i)/63 // 2% → 20%
 		mon.Observe(obsAt(32+i, 100*(1+errPct/100), 100))
 	}
-	if mon.State() != StateAlert {
-		t.Fatalf("post-ramp state = %v", mon.State())
+	if mon.Snapshot().State != StateAlert {
+		t.Fatalf("post-ramp state = %v", mon.Snapshot().State)
 	}
 	if len(seen) < 2 || seen[0] != (transition{StateOK, StateWarn}) ||
 		seen[len(seen)-1].to != StateAlert {

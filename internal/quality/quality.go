@@ -71,9 +71,6 @@ func NewTracker(window int) *Tracker {
 	return t
 }
 
-// Window returns the configured window size.
-func (t *Tracker) Window() int { return t.window }
-
 // Observe folds one (predicted, observed) pair into the window and
 // the quantile estimators. Pairs with a non-finite prediction or an
 // unusable label (NaN, ±Inf, or a non-positive power that would make

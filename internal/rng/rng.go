@@ -129,15 +129,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of the first n elements using
-// the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // HashString maps a string to a stable 64-bit value (FNV-1a followed by
 // a finalizing mix). Used to derive per-workload seeds from names.
 func HashString(s string) uint64 {

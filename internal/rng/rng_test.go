@@ -189,23 +189,6 @@ func TestHashStringStable(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle altered elements: %v", xs)
-	}
-}
-
 func TestStreamDeterministicPerTask(t *testing.T) {
 	a := Stream(42, 3)
 	b := Stream(42, 3)

@@ -14,19 +14,18 @@ import (
 // omitempty, trailing newline — without reflection. Identity with
 // encoding/json is load-bearing (the wire and shard equivalence tests
 // compare response bodies byte for byte against golden transcripts
-// captured from the encoding/json path), so anything the appender
-// cannot prove it reproduces exactly — a non-finite float — returns
-// false and the caller falls back to json.Encoder. The trace id is
-// checked once per stream, not per row: a stream whose id would need
-// escaping (jsonSafeString) writes every row through json.Encoder.
+// captured from the encoding/json path), and it holds for every row a
+// stream can write: core refuses a sample whose instant watts,
+// smoothed watts or energy would be non-finite (ErrNonFinite), and a
+// row's trace id is empty or a lowercase-hex id that
+// obs.ParseTraceparent validated or NewTraceContext minted, which
+// needs no escaping.
 
-// appendJSONFloat appends f exactly as encoding/json's floatEncoder
-// does: shortest representation, 'f' form within [1e-6, 1e21), 'e'
-// form outside it with a single-digit exponent unpadded.
-func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, false // json.Encoder errors on these; let it
-	}
+// appendJSONFloat appends the finite f exactly as encoding/json's
+// floatEncoder does: shortest representation, 'f' form within
+// [1e-6, 1e21), 'e' form outside it with a single-digit exponent
+// unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -40,45 +39,20 @@ func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
 			b = b[:n-1]
 		}
 	}
-	return b, true
-}
-
-// jsonSafeString reports whether s encodes as itself between quotes
-// under json.Encoder's default HTML-escaping rules (no control
-// characters, quotes, backslashes, angle brackets, ampersands, or
-// non-ASCII bytes).
-func jsonSafeString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
+	return b
 }
 
 // writeEstimateFast writes we's json.Encoder encoding (object plus
-// trailing newline) to bw through the reusable *buf, or returns false
-// leaving bw untouched so the caller can use the real encoder. The
-// caller has checked we.TraceID with jsonSafeString.
-func writeEstimateFast(bw *bufio.Writer, buf *[]byte, we wireEstimate) bool {
+// trailing newline) to bw through the reusable *buf.
+func writeEstimateFast(bw *bufio.Writer, buf *[]byte, we wireEstimate) {
 	b := append((*buf)[:0], `{"time_ns":`...)
 	b = strconv.AppendUint(b, we.TimeNs, 10)
 	b = append(b, `,"instant_w":`...)
-	b, ok := appendJSONFloat(b, we.InstantW)
-	if !ok {
-		return false
-	}
+	b = appendJSONFloat(b, we.InstantW)
 	b = append(b, `,"smoothed_w":`...)
-	b, ok = appendJSONFloat(b, we.SmoothedW)
-	if !ok {
-		return false
-	}
+	b = appendJSONFloat(b, we.SmoothedW)
 	b = append(b, `,"total_j":`...)
-	b, ok = appendJSONFloat(b, we.TotalJ)
-	if !ok {
-		return false
-	}
+	b = appendJSONFloat(b, we.TotalJ)
 	b = append(b, `,"samples":`...)
 	b = strconv.AppendUint(b, we.Samples, 10)
 	b = append(b, `,"model_version":`...)
@@ -91,5 +65,4 @@ func writeEstimateFast(bw *bufio.Writer, buf *[]byte, we wireEstimate) bool {
 	b = append(b, '}', '\n')
 	*buf = b
 	bw.Write(b)
-	return true
 }

@@ -119,10 +119,6 @@ func (m *Metrics) requestCounter(path string) *obs.Counter {
 		obs.Label{Key: "path", Value: path})
 }
 
-// Registry exposes the backing registry (for GaugeFunc attachment and
-// the /metrics handler).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // SetBuildInfo publishes the constant pmcpowerd_build_info gauge: the
 // value is always 1, the payload is the label set (service version and
 // Go runtime), following the Prometheus build-info convention.

@@ -55,15 +55,12 @@ type estimateStream struct {
 	// reconnects to a named session).
 	lastVersion, lastRebuilds uint64
 
-	// traceID stamps every row; fastRows, decided once when the stream
-	// opens, says it needs no JSON escaping, so rows can take the
-	// appender (writeEstimateFast). at is the flight-recorder trace (nil
+	// traceID stamps every row. at is the flight-recorder trace (nil
 	// outside HTTP). qmon, the model version's quality monitor, is
 	// resolved at the stream's first labelled sample.
-	traceID  string
-	fastRows bool
-	at       *obs.ActiveTrace
-	qmon     *quality.Monitor
+	traceID string
+	at      *obs.ActiveTrace
+	qmon    *quality.Monitor
 	// base is the stream's one wall-clock reading, taken at its first
 	// stage boundary; mark is the monotonic time from base to the last
 	// boundary.
@@ -107,8 +104,7 @@ func (s *Server) takeStream(traceID string, at *obs.ActiveTrace) *estimateStream
 	if st == nil {
 		st = new(estimateStream)
 	}
-	st.s, st.at = s, at
-	st.traceID, st.fastRows = traceID, jsonSafeString(traceID)
+	st.s, st.at, st.traceID = s, at, traceID
 	return st
 }
 
@@ -461,7 +457,7 @@ func (st *estimateStream) encode(est core.StreamEstimate) {
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
 		st.streaming = true
 	}
-	we := wireEstimate{
+	writeEstimateFast(st.bw, &st.encBuf, wireEstimate{
 		TimeNs:       est.TimeNs,
 		InstantW:     est.InstantW,
 		SmoothedW:    est.SmoothedW,
@@ -469,10 +465,7 @@ func (st *estimateStream) encode(est core.StreamEstimate) {
 		Samples:      est.Samples,
 		ModelVersion: est.ModelVersion,
 		TraceID:      st.traceID,
-	}
-	if !st.fastRows || !writeEstimateFast(st.bw, &st.encBuf, we) {
-		json.NewEncoder(st.bw).Encode(we)
-	}
+	})
 	st.flushIfDrained()
 }
 

@@ -49,6 +49,26 @@ func TestTraceContextOnWire(t *testing.T) {
 		t.Fatalf("row trace_id %q != header trace id %q", est.TraceID, tc.TraceID)
 	}
 
+	// Refused: an inbound id that is not lowercase hex is replaced by a
+	// minted one in the header and the rows.
+	for _, h := range []string{
+		"00-" + strings.ToUpper(testTraceID) + "-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e<&>-00f067aa0ba902b7-01",
+	} {
+		resp := postTraced(t, ts.URL+"/v1/estimate?model=m", h, sampleLine(t, r, 1e6)+"\n")
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var est wireEstimate
+		if err := json.Unmarshal(raw, &est); err != nil {
+			t.Fatalf("traceparent %q: %v: %s", h, err, raw)
+		}
+		tc, ok := obs.ParseTraceparent(resp.Header.Get("Traceparent"))
+		if !ok || strings.EqualFold(tc.TraceID, testTraceID) || est.TraceID != tc.TraceID {
+			t.Fatalf("traceparent %q: header %q, row trace_id %q; want one minted id in both",
+				h, resp.Header.Get("Traceparent"), est.TraceID)
+		}
+	}
+
 	// Adopted: inbound traceparent keeps the trace id, gets a fresh
 	// server-side span id. The labelled sample feeds the quality
 	// monitor, so its exemplar carries the trace id too.

@@ -67,35 +67,6 @@ func MAPE(actual, predicted []float64) float64 {
 	return st.MAPE
 }
 
-// MaxAPE returns the largest absolute percentage error, in percent.
-// Near-zero actuals are skipped as in MAPE; the all-skipped case is
-// NaN.
-func MaxAPE(actual, predicted []float64) float64 {
-	st, _ := APEDetail(actual, predicted)
-	return st.MaxAPE
-}
-
-// RMSE returns the root mean square error.
-func RMSE(actual, predicted []float64) float64 {
-	checkPair("RMSE", actual, predicted)
-	var ss float64
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(actual)))
-}
-
-// MAE returns the mean absolute error.
-func MAE(actual, predicted []float64) float64 {
-	checkPair("MAE", actual, predicted)
-	var s float64
-	for i := range actual {
-		s += math.Abs(actual[i] - predicted[i])
-	}
-	return s / float64(len(actual))
-}
-
 // MeanBias returns mean(predicted − actual); positive values indicate
 // systematic overestimation (the paper discusses per-workload bias in
 // Figure 5a).
@@ -106,26 +77,6 @@ func MeanBias(actual, predicted []float64) float64 {
 		s += predicted[i] - actual[i]
 	}
 	return s / float64(len(actual))
-}
-
-// R2Score returns the out-of-sample coefficient of determination
-// 1 − SSR/SST with SST centered on the actual mean. Unlike the in-fit
-// R² of an OLSResult this can be negative for predictions worse than
-// the mean.
-func R2Score(actual, predicted []float64) float64 {
-	checkPair("R2Score", actual, predicted)
-	ybar := Mean(actual)
-	var ssr, sst float64
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		ssr += d * d
-		t := actual[i] - ybar
-		sst += t * t
-	}
-	if sst == 0 {
-		return math.NaN()
-	}
-	return 1 - ssr/sst
 }
 
 func checkPair(name string, a, b []float64) {

@@ -343,8 +343,8 @@ func covariance(design, bread *mat.Matrix, resid, lev []float64, sigmaSq float64
 	}
 
 	// meat = Xᵀ diag(w) X, computed in place — WeightedCross reproduces
-	// Mul(design.T(), design.Clone().ScaleRows(w)) bit for bit without
-	// the two n×k temporaries.
+	// Mul(design.T(), design with each row i scaled by w[i]) bit for bit
+	// without the two n×k temporaries.
 	meat := mat.WeightedCross(design, w)
 	cov := mat.Mul(mat.Mul(bread, meat), bread)
 	return cov, nil

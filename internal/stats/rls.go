@@ -41,7 +41,6 @@ type RLS struct {
 	head int
 	n    int
 
-	total    uint64
 	rebuilds uint64
 }
 
@@ -62,29 +61,9 @@ func NewRLS(k, window int) (*RLS, error) {
 	}, nil
 }
 
-// Features returns the feature count k.
-func (r *RLS) Features() int { return r.k }
-
-// Window returns the configured window size.
-func (r *RLS) Window() int { return r.window }
-
-// N returns the number of rows currently in the window.
-func (r *RLS) N() int { return r.n }
-
-// Total returns the number of rows ever pushed.
-func (r *RLS) Total() uint64 { return r.total }
-
 // Rebuilds returns how many times a downdate breakdown forced a
 // from-ring refactorization.
 func (r *RLS) Rebuilds() uint64 { return r.rebuilds }
-
-// Ready reports whether enough rows have arrived for the fit to be
-// overdetermined. Coefficients can still fail on a Ready fitter if the
-// window's rows are collinear.
-func (r *RLS) Ready() bool { return r.n > r.k }
-
-// RSS returns the residual sum of squares over the current window.
-func (r *RLS) RSS() float64 { return r.qr.RSS() }
 
 // Push folds one observation into the window, evicting the oldest row
 // once the window is full. x must have exactly k entries; it is copied,
@@ -110,7 +89,6 @@ func (r *RLS) Push(x []float64, y float64) error {
 	r.qr.AppendRow(x, y)
 	r.head = (r.head + 1) % r.window
 	r.n++
-	r.total++
 	return nil
 }
 
@@ -139,25 +117,4 @@ func (r *RLS) Coefficients(dst []float64) error {
 		return fmt.Errorf("stats: RLS coefficient buffer has %d entries, want %d", len(dst), r.k)
 	}
 	return r.qr.SolveInto(dst)
-}
-
-// WindowRows copies the retained window, oldest first, into freshly
-// allocated row/target slices — the batch-refit view of the fitter's
-// state, used by the equivalence tests and diagnostics. Not part of
-// the zero-alloc path.
-func (r *RLS) WindowRows() (rows [][]float64, ys []float64) {
-	stride := r.k + 1
-	rows = make([][]float64, 0, r.n)
-	ys = make([]float64, 0, r.n)
-	start := 0
-	if r.n == r.window {
-		start = r.head
-	}
-	for i := 0; i < r.n; i++ {
-		idx := (start + i) % r.window
-		row := r.ring[idx*stride : idx*stride+stride]
-		rows = append(rows, append([]float64(nil), row[:r.k]...))
-		ys = append(ys, row[r.k])
-	}
-	return rows, ys
 }

@@ -31,12 +31,23 @@ func rlsRow(r *rng.Rand, k int, x []float64) (y float64) {
 	return y + r.NormScaled(0, 0.1)
 }
 
-// batchRefit fits the fitter's retained window from scratch with the
-// batch kernel. The window rows lead with the intercept's 1, which
-// FitR2 adds itself.
+// batchRefit fits the fitter's retained window, copied from its ring
+// oldest first, from scratch with the batch kernel. The window rows
+// lead with the intercept's 1, which FitR2 adds itself.
 func batchRefit(t *testing.T, r *RLS) []float64 {
 	t.Helper()
-	rows, ys := r.WindowRows()
+	stride := r.k + 1
+	start := 0
+	if r.n == r.window {
+		start = r.head
+	}
+	var rows [][]float64
+	var ys []float64
+	for i := 0; i < r.n; i++ {
+		row := r.ring[(start+i)%r.window*stride:][:stride]
+		rows = append(rows, row[:r.k])
+		ys = append(ys, row[r.k])
+	}
 	res, err := FitR2(withoutIntercept(rows), ys)
 	if err != nil {
 		t.Fatalf("batch refit: %v", err)
@@ -131,9 +142,6 @@ func TestRLSNotReadyIsSingular(t *testing.T) {
 	if err := rls.Push(x, 1); err != nil {
 		t.Fatal(err)
 	}
-	if rls.Ready() {
-		t.Fatal("Ready after 1 of 3+1 required rows")
-	}
 	dst := make([]float64, 3)
 	if err := rls.Coefficients(dst); !errors.Is(err, mat.ErrSingular) {
 		t.Fatalf("underdetermined coefficients: got %v, want ErrSingular", err)
@@ -181,8 +189,8 @@ func TestRLSRecoversFromBreakdownRebuild(t *testing.T) {
 	// Rebuild unconditionally (as Push does on ErrDowndate) and verify
 	// the surviving window still matches its batch refit.
 	rls.rebuildWithoutOldest()
-	if rls.N() != rls.Window()-1 {
-		t.Fatalf("rows after rebuild: %d, want %d", rls.N(), rls.Window()-1)
+	if rls.n != rls.window-1 {
+		t.Fatalf("rows after rebuild: %d, want %d", rls.n, rls.window-1)
 	}
 	if rls.Rebuilds() != 1 {
 		t.Fatalf("rebuilds: %d, want 1", rls.Rebuilds())

@@ -152,12 +152,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestMaxAPE(t *testing.T) {
-	if m := MaxAPE([]float64{100, 200}, []float64{90, 190}); !almost(m, 10, 1e-12) {
-		t.Fatalf("MaxAPE = %v, want 10", m)
-	}
-}
-
 func TestAPEDetail(t *testing.T) {
 	// Mixed input: one near-zero actual is skipped, two enter.
 	st, err := APEDetail([]float64{0, 100, 200}, []float64{5, 90, 240})
@@ -187,38 +181,16 @@ func TestAPEDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MAPE(a, p) != st.MAPE || MaxAPE(a, p) != st.MaxAPE {
-		t.Fatal("MAPE/MaxAPE wrappers disagree with APEDetail")
+	if MAPE(a, p) != st.MAPE {
+		t.Fatal("MAPE wrapper disagrees with APEDetail")
 	}
 }
 
-func TestRMSEAndMAE(t *testing.T) {
+func TestMeanBias(t *testing.T) {
 	a := []float64{1, 2, 3}
 	p := []float64{2, 2, 5}
-	if v := RMSE(a, p); !almost(v, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Fatalf("RMSE = %v", v)
-	}
-	if v := MAE(a, p); !almost(v, 1, 1e-12) {
-		t.Fatalf("MAE = %v", v)
-	}
 	if v := MeanBias(a, p); !almost(v, 1, 1e-12) {
 		t.Fatalf("MeanBias = %v", v)
-	}
-}
-
-func TestR2Score(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if v := R2Score(a, a); !almost(v, 1, 1e-12) {
-		t.Fatalf("perfect R2Score = %v", v)
-	}
-	// Predicting the mean gives 0.
-	mean := []float64{2.5, 2.5, 2.5, 2.5}
-	if v := R2Score(a, mean); !almost(v, 0, 1e-12) {
-		t.Fatalf("mean-prediction R2Score = %v", v)
-	}
-	// Worse than the mean → negative.
-	if v := R2Score(a, []float64{4, 3, 2, 1}); v >= 0 {
-		t.Fatalf("anti-prediction R2Score = %v, want negative", v)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestReadAllAfterEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.ReadAll(); err != nil {
+	if _, err := readAll(rd); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -154,21 +154,6 @@ func (r *Reader) Next() (Event, error) {
 	return ev, nil
 }
 
-// ReadAll drains the remaining events.
-func (r *Reader) ReadAll() ([]Event, error) {
-	var out []Event
-	for {
-		ev, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
-
 // noEOF converts a bare io.EOF seen in the middle of an event record
 // into io.ErrUnexpectedEOF, so that only a clean end-of-stream (EOF at
 // an event boundary) reads as normal termination.

@@ -144,33 +144,3 @@ func (d *Definitions) CheckEvent(ev Event, lastNs uint64) error {
 	}
 	return nil
 }
-
-// LocationByName finds a location definition by name.
-func (d *Definitions) LocationByName(name string) (Location, bool) {
-	for _, l := range d.Locations {
-		if l.Name == name {
-			return l, true
-		}
-	}
-	return Location{}, false
-}
-
-// RegionByName finds a region definition by name.
-func (d *Definitions) RegionByName(name string) (Region, bool) {
-	for _, r := range d.Regions {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
-// MetricByName finds a metric definition by name.
-func (d *Definitions) MetricByName(name string) (Metric, bool) {
-	for _, m := range d.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}

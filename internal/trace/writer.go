@@ -16,7 +16,6 @@ type Writer struct {
 	defs Definitions
 
 	defsWritten bool
-	eventCount  uint64
 	lastGlobal  uint64
 	closed      bool
 
@@ -137,20 +136,14 @@ func (w *Writer) WriteEvent(ev Event) error {
 	} else {
 		buf = binary.AppendUvarint(buf, uint64(ev.Region))
 	}
-	if _, err := w.enc.w.Write(buf); err != nil {
-		return err
-	}
-	w.eventCount++
-	return nil
+	_, err = w.enc.w.Write(buf)
+	return err
 }
 
 // Definitions returns the definitions registered so far. The table
 // is the writer's own: a consumer that folds the same events without
 // decoding them (phaseprofile.Builder) reads refs from it.
 func (w *Writer) Definitions() *Definitions { return &w.defs }
-
-// EventCount returns the number of events written so far.
-func (w *Writer) EventCount() uint64 { return w.eventCount }
 
 // Close flushes the archive. The writer cannot be used afterwards.
 func (w *Writer) Close() error {

@@ -11,8 +11,8 @@ package workloads
 // on the 24-core node.
 var roco2Sweep = []int{1, 2, 4, 8, 12, 16, 20, 24}
 
-// Idle sits in deep C-states with only housekeeping activity.
-var Idle = register(&Workload{
+// idle sits in deep C-states with only housekeeping activity.
+var idle = register(&Workload{
 	Name:        "idle",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -34,11 +34,11 @@ var Idle = register(&Workload{
 	}},
 })
 
-// Compute is a register-resident integer ALU loop with a
+// compute is a register-resident integer ALU loop with a
 // data-dependent conditional, giving it the highest branch
 // misprediction rate of the synthetic kernels (the paper notes BR_MSP
 // "has relatively high values" for compute and md).
-var Compute = register(&Workload{
+var compute = register(&Workload{
 	Name:        "compute",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -59,10 +59,10 @@ var Compute = register(&Workload{
 	}},
 })
 
-// Sqrt chains scalar double-precision square roots; the divider unit
+// sqrt chains scalar double-precision square roots; the divider unit
 // serializes the pipeline, so IPC — and power — is low. The paper
 // observes the minimum model error on this kernel.
-var Sqrt = register(&Workload{
+var sqrt = register(&Workload{
 	Name:        "sqrt",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -84,8 +84,8 @@ var Sqrt = register(&Workload{
 	}},
 })
 
-// Matmul is a blocked DGEMM: AVX-heavy with good cache blocking.
-var Matmul = register(&Workload{
+// matmul is a blocked DGEMM: AVX-heavy with good cache blocking.
+var matmul = register(&Workload{
 	Name:        "matmul",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -107,8 +107,8 @@ var Matmul = register(&Workload{
 	}},
 })
 
-// Sinus evaluates sin(x) in a loop — a libm-style polynomial kernel.
-var Sinus = register(&Workload{
+// sinus evaluates sin(x) in a loop — a libm-style polynomial kernel.
+var sinus = register(&Workload{
 	Name:        "sinus",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -130,8 +130,8 @@ var Sinus = register(&Workload{
 	}},
 })
 
-// MemoryRead streams reads over a working set far beyond the LLC.
-var MemoryRead = register(&Workload{
+// memoryRead streams reads over a working set far beyond the LLC.
+var memoryRead = register(&Workload{
 	Name:        "memory_read",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -152,11 +152,11 @@ var MemoryRead = register(&Workload{
 	}},
 })
 
-// MemoryReadL3 streams reads over a working set that fits the shared
+// memoryReadL3 streams reads over a working set that fits the shared
 // L3 but not L2: heavy L2-miss traffic that is satisfied on-chip, with
 // almost no DRAM accesses. Separates ring/L3 activity from memory
 // controller activity.
-var MemoryReadL3 = register(&Workload{
+var memoryReadL3 = register(&Workload{
 	Name:        "memory_read_l3",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -177,8 +177,8 @@ var MemoryReadL3 = register(&Workload{
 	}},
 })
 
-// MemoryWrite streams non-temporal-free stores (RFO traffic).
-var MemoryWrite = register(&Workload{
+// memoryWrite streams non-temporal-free stores (RFO traffic).
+var memoryWrite = register(&Workload{
 	Name:        "memory_write",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -201,8 +201,8 @@ var MemoryWrite = register(&Workload{
 	}},
 })
 
-// MemoryCopy combines the two streams.
-var MemoryCopy = register(&Workload{
+// memoryCopy combines the two streams.
+var memoryCopy = register(&Workload{
 	Name:        "memory_copy",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -225,8 +225,8 @@ var MemoryCopy = register(&Workload{
 	}},
 })
 
-// Addpd saturates the AVX add pipes from L1-resident data.
-var Addpd = register(&Workload{
+// addpd saturates the AVX add pipes from L1-resident data.
+var addpd = register(&Workload{
 	Name:        "addpd",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,
@@ -248,8 +248,8 @@ var Addpd = register(&Workload{
 	}},
 })
 
-// Mulpd saturates the AVX multiply pipes; slightly hotter than addpd.
-var Mulpd = register(&Workload{
+// mulpd saturates the AVX multiply pipes; slightly hotter than addpd.
+var mulpd = register(&Workload{
 	Name:        "mulpd",
 	Class:       Synthetic,
 	ThreadSweep: roco2Sweep,

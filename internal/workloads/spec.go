@@ -16,11 +16,11 @@ package workloads
 // specThreads: SPEC OMP2012 runs use all cores of the node.
 var specThreads = []int{24}
 
-// MD — 350.md, molecular dynamics (Fortran). Compute-dominated with
+// md — 350.md, molecular dynamics (Fortran). Compute-dominated with
 // data-dependent neighbor-list branches; the paper singles out md (with
 // compute) as a kernel where BR_MSP carries real information, and notes
 // md is consistently overestimated by a synthetic-only model.
-var MD = register(&Workload{
+var md = register(&Workload{
 	Name:        "md",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -57,9 +57,9 @@ var MD = register(&Workload{
 	},
 })
 
-// Bwaves — 351.bwaves, blast-wave CFD. Stencil sweeps over large grids:
+// bwaves — 351.bwaves, blast-wave CFD. Stencil sweeps over large grids:
 // bandwidth-bound, prefetch-friendly.
-var Bwaves = register(&Workload{
+var bwaves = register(&Workload{
 	Name:        "bwaves",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -96,10 +96,10 @@ var Bwaves = register(&Workload{
 	},
 })
 
-// Nab — 352.nab, molecular modeling in C. Mixed compute with pointer
+// nab — 352.nab, molecular modeling in C. Mixed compute with pointer
 // chasing; the paper notes nab (with md) is overestimated by
 // synthetic-only training.
-var Nab = register(&Workload{
+var nab = register(&Workload{
 	Name:        "nab",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -136,8 +136,8 @@ var Nab = register(&Workload{
 	},
 })
 
-// Bt331 — 357.bt331, NAS BT block-tridiagonal solver.
-var Bt331 = register(&Workload{
+// bt331 — 357.bt331, NAS BT block-tridiagonal solver.
+var bt331 = register(&Workload{
 	Name:        "bt331",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -174,9 +174,9 @@ var Bt331 = register(&Workload{
 	},
 })
 
-// Botsalgn — 358.botsalgn, protein alignment with OpenMP tasks.
+// botsalgn — 358.botsalgn, protein alignment with OpenMP tasks.
 // Integer- and branch-heavy with significant instruction footprint.
-var Botsalgn = register(&Workload{
+var botsalgn = register(&Workload{
 	Name:        "botsalgn",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -197,11 +197,11 @@ var Botsalgn = register(&Workload{
 	}},
 })
 
-// Ilbdc — 360.ilbdc, lattice-Boltzmann flow solver. The most
+// ilbdc — 360.ilbdc, lattice-Boltzmann flow solver. The most
 // bandwidth-hungry SPEC workload with irregular (list-based) access —
 // high data TLB pressure. The paper observes its *maximum* model error
 // on ilbdc.
-var Ilbdc = register(&Workload{
+var ilbdc = register(&Workload{
 	Name:        "ilbdc",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -224,10 +224,10 @@ var Ilbdc = register(&Workload{
 	}},
 })
 
-// Fma3d — 362.fma3d, finite-element crash simulation. Enormous code
+// fma3d — 362.fma3d, finite-element crash simulation. Enormous code
 // footprint: the instruction-side caches and iTLB dominate its
 // character.
-var Fma3d = register(&Workload{
+var fma3d = register(&Workload{
 	Name:        "fma3d",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -264,9 +264,9 @@ var Fma3d = register(&Workload{
 	},
 })
 
-// Swim — 363.swim, shallow-water modeling. Classic streaming triad
+// swim — 363.swim, shallow-water modeling. Classic streaming triad
 // style loops: second most bandwidth-bound after ilbdc.
-var Swim = register(&Workload{
+var swim = register(&Workload{
 	Name:        "swim",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -289,9 +289,9 @@ var Swim = register(&Workload{
 	}},
 })
 
-// Mgrid331 — 370.mgrid331, multigrid solver. Alternates between
+// mgrid331 — 370.mgrid331, multigrid solver. Alternates between
 // bandwidth-bound fine grids and cache-resident coarse grids.
-var Mgrid331 = register(&Workload{
+var mgrid331 = register(&Workload{
 	Name:        "mgrid331",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -328,8 +328,8 @@ var Mgrid331 = register(&Workload{
 	},
 })
 
-// Applu331 — 371.applu331, SSOR solver with wavefront parallelism.
-var Applu331 = register(&Workload{
+// applu331 — 371.applu331, SSOR solver with wavefront parallelism.
+var applu331 = register(&Workload{
 	Name:        "applu331",
 	Class:       SPEC,
 	ThreadSweep: specThreads,
@@ -368,8 +368,8 @@ var Applu331 = register(&Workload{
 
 // --- Excluded applications (paper §IV: failed to build or crashed) ---
 
-// Kdtree — 376.kdtree, excluded by the paper.
-var Kdtree = register(&Workload{
+// kdtree — 376.kdtree, excluded by the paper.
+var kdtree = register(&Workload{
 	Name:        "kdtree",
 	Class:       SPEC,
 	Excluded:    true,
@@ -390,8 +390,8 @@ var Kdtree = register(&Workload{
 	}},
 })
 
-// Imagick — 367.imagick, excluded by the paper.
-var Imagick = register(&Workload{
+// imagick — 367.imagick, excluded by the paper.
+var imagick = register(&Workload{
 	Name:        "imagick",
 	Class:       SPEC,
 	Excluded:    true,
@@ -413,8 +413,8 @@ var Imagick = register(&Workload{
 	}},
 })
 
-// Smithwa — 372.smithwa, excluded by the paper.
-var Smithwa = register(&Workload{
+// smithwa — 372.smithwa, excluded by the paper.
+var smithwa = register(&Workload{
 	Name:        "smithwa",
 	Class:       SPEC,
 	Excluded:    true,
@@ -435,8 +435,8 @@ var Smithwa = register(&Workload{
 	}},
 })
 
-// Botsspar — 359.botsspar, excluded by the paper.
-var Botsspar = register(&Workload{
+// botsspar — 359.botsspar, excluded by the paper.
+var botsspar = register(&Workload{
 	Name:        "botsspar",
 	Class:       SPEC,
 	Excluded:    true,
