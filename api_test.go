@@ -3,9 +3,10 @@ package pmcpower
 // The API gate. Every exported identifier of internal/ must have a user
 // that is not a test: a non-test file of this module (cmd/, examples/,
 // internal/) or any Go file of the benchmark module under bench/, its
-// tests included. The same test checks that every -run and -fuzz
-// pattern of a go test command in CI names a test of the packages that
-// command lists.
+// tests included. Every exported field of a config type of internal/
+// must have a setter outside its own package among the same files. The
+// same test checks that every -run and -fuzz pattern of a go test
+// command in CI names a test of the packages that command lists.
 
 import (
 	"bytes"
@@ -28,11 +29,17 @@ import (
 )
 
 // apiAllow holds the exported identifiers of internal/ that stay without
-// a user outside tests, each with a reason that names the planned user.
+// a user outside tests and the config fields that stay without a setter
+// outside their package, each with a checkable reason.
 var apiAllow = map[string]string{
 	"core.Model.PredictWithCI": "ROADMAP item 10 serves its HC3 standard error per sample",
 	"core.Model.Attribute":     "ROADMAP item 10 serves its Equation-1 term breakdown with exemplars",
+	"serve.Config.Now":         "the fake clock the serve tests inject; production takes time.Now",
 }
+
+// configType matches the names of the config types whose exported
+// fields the knobs subtest checks.
+var configType = regexp.MustCompile(`(Config|Options|Thresholds)$`)
 
 type listedPackage struct {
 	ImportPath   string
@@ -71,8 +78,18 @@ func TestAPIGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	module := goList(t, root)
+	unused, unset := scanAPI(t, root, module, goList(t, filepath.Join(root, "bench")))
 	t.Run("exports", func(t *testing.T) {
-		checkExportsHaveUsers(t, root, module, goList(t, filepath.Join(root, "bench")))
+		if len(unused) > 0 {
+			t.Errorf("exported identifiers of internal/ with no user outside tests (%d); delete or unexport each, or move it into a _test.go file:\n%s",
+				len(unused), strings.Join(unused, "\n"))
+		}
+	})
+	t.Run("knobs", func(t *testing.T) {
+		if len(unset) > 0 {
+			t.Errorf("config fields of internal/ that nothing outside their package sets (%d); make each a constant at the value in use:\n%s",
+				len(unset), strings.Join(unset, "\n"))
+		}
 	})
 	t.Run("ci", func(t *testing.T) { checkCIPatterns(t, root, module) })
 }
@@ -81,7 +98,12 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listedPackage) {
+// scanAPI type-checks the module and the benchmark. It returns, each as
+// "file:line: id" and leaving out apiAllow's entries, the exported
+// identifiers of internal/ without a user and the config fields without
+// a setter outside their package. It fails t on an allow-list entry that
+// names neither.
+func scanAPI(t *testing.T, root string, module, benchmark []listedPackage) (unused, unset []string) {
 	fset := token.NewFileSet()
 	// The standard library is checked from its pure-Go files: its cgo
 	// files would need a C toolchain, and the module's use of the
@@ -102,6 +124,7 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
 	used := map[types.Object]bool{}
+	set := map[types.Object]bool{} // fields written outside their package
 	var interfaces []*types.Interface
 	check := func(path, dir string, names []string) *types.Package {
 		var files []*ast.File
@@ -127,6 +150,52 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 					interfaces = append(interfaces, iface)
 				}
 			}
+		}
+		setField := func(id *ast.Ident) {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+				set[origin(v)] = true
+			}
+		}
+		// written marks the fields selected along a written expression,
+		// so cfg.A.B = v sets both A and B.
+		written := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.Ident:
+					setField(x)
+					return
+				case *ast.SelectorExpr:
+					setField(x.Sel)
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					written(n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written(lhs)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
+					}
+				}
+				return true
+			})
 		}
 		return pkg
 	}
@@ -154,10 +223,9 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 		}
 	}
 
-	var unused []string
-	allowed := map[string]bool{} // allow-list entries that are still unused subjects
-	subject := func(id string, obj types.Object, isUsed bool) {
-		if isUsed {
+	allowed := map[string]bool{} // allow-list entries that are still subjects
+	subject := func(list *[]string, id string, obj types.Object, ok bool) {
+		if ok {
 			return
 		}
 		if _, ok := apiAllow[id]; ok {
@@ -169,8 +237,9 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 		if err != nil {
 			file = pos.Filename
 		}
-		unused = append(unused, fmt.Sprintf("%s:%d: %s", file, pos.Line, id))
+		*list = append(*list, fmt.Sprintf("%s:%d: %s", file, pos.Line, id))
 	}
+	fields, configs := 0, 0
 	for _, pkg := range internal {
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
@@ -178,7 +247,7 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 				continue
 			}
 			id := pkg.Name() + "." + name
-			subject(id, obj, used[obj])
+			subject(&unused, id, obj, used[obj])
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -186,24 +255,32 @@ func checkExportsHaveUsers(t *testing.T, root string, module, benchmark []listed
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
-					subject(id+"."+m.Name(), m, used[m] || reachedThroughInterface(named, m, interfaces))
+					subject(&unused, id+"."+m.Name(), m, used[m] || reachedThroughInterface(named, m, interfaces))
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok && configType.MatchString(name) {
+				configs++
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						fields++
+						subject(&unset, id+"."+f.Name(), f, set[f])
+					}
 				}
 			}
 		}
 	}
+	t.Logf("%d config fields in %d config types", fields, configs)
 	for id, reason := range apiAllow {
 		switch {
 		case reason == "":
 			t.Errorf("apiAllow entry %s gives no reason", id)
 		case !allowed[id]:
-			t.Errorf("apiAllow names %s, which is not an exported identifier of internal/ without a user; drop the entry", id)
+			t.Errorf("apiAllow names %s, which is neither an exported identifier of internal/ without a user nor a config field without a setter; drop the entry", id)
 		}
 	}
-	if len(unused) > 0 {
-		sort.Strings(unused)
-		t.Errorf("exported identifiers of internal/ with no user outside tests (%d); delete or unexport each, or move it into a _test.go file:\n%s",
-			len(unused), strings.Join(unused, "\n"))
-	}
+	sort.Strings(unused)
+	sort.Strings(unset)
+	return unused, unset
 }
 
 // origin maps a use of an instantiated generic function, method or field

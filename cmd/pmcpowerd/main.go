@@ -62,116 +62,110 @@ import (
 	"pmcpower/internal/core"
 	"pmcpower/internal/obs"
 	"pmcpower/internal/pmu"
-	"pmcpower/internal/quality"
 	"pmcpower/internal/serve"
 	"pmcpower/internal/workloads"
 )
 
 func main() {
-	var modelPaths []string
-	flag.Func("model", "trained model JSON to serve (repeatable; registered under its base name)",
-		func(p string) error { modelPaths = append(modelPaths, p); return nil })
-	addr := flag.String("addr", ":9120", "listen address")
-	debugAddr := flag.String("debug-addr", "", "private listener for pprof and /debug/metrics (empty = disabled)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	selfcal := flag.Bool("selfcal", false, "calibrate a model on the simulated platform at startup (registered as \"default\")")
-	seed := flag.Uint64("seed", 42, "calibration seed for -selfcal")
-	alpha := flag.Float64("alpha", 1, "default EWMA smoothing factor for streams that do not pass ?alpha=")
-	refitWindow := flag.Int("refit-window", 0, "default streaming-refit window (rows) for labelled estimate streams; 0 serves frozen models (per-stream ?refit= overrides)")
-	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict estimator sessions idle this long")
-	maxSessions := flag.Int("max-sessions", 1024, "cap on concurrent estimator sessions")
-	shards := flag.Int("shards", 8, "session-table shard count (rounded up to a power of two); 1 restores the single-lock table")
-	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently admitted estimate/predict requests; beyond it requests are shed with 429 (0 disables)")
-	shedP99MS := flag.Float64("shed-p99-ms", 0, "shed estimate/predict requests with 503 while the p99 latency EWMA exceeds this many milliseconds (0 disables)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After backoff hint stamped on shed (429/503) responses")
-	maxBodyBytes := flag.Int64("max-body-bytes", 8<<20, "cap on /v1/predict and model-upload request bodies (413 beyond)")
-	qualityWindow := flag.Int("quality-window", 256, "sliding-window size (labelled samples) for model-quality tracking")
-	qualityExemplars := flag.Int("quality-exemplars", 32, "worst-residual samples kept per model for /debug/exemplars")
-	warnMAPE := flag.Float64("quality-warn-mape", 10, "windowed MAPE %% that moves a model to drift warn (negative disables)")
-	alertMAPE := flag.Float64("quality-alert-mape", 20, "windowed MAPE %% that moves a model to drift alert (negative disables)")
-	flightRecDump := flag.String("flightrec-dump", "pmcpowerd-flightrec.json", "Chrome-trace file the flight recorder dumps to on SIGQUIT and drift-alert transitions (empty disables dumps)")
-	flightRecRetain := flag.Int("flightrec-retain", 0, "retained-trace ring size for slow/errored/flagged requests (0 = default 64)")
-	flightRecMinSlow := flag.Duration("flightrec-min-slow", 0, "absolute floor below which no request counts as slow (0 = default 1s)")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
+	d, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pmcpowerd:", err)
+		os.Exit(2)
+	}
+	if d.version {
 		fmt.Println(buildinfo.Format("pmcpowerd"))
 		return
 	}
-
-	level, err := obs.ParseLevel(*logLevel)
+	level, err := obs.ParseLevel(d.logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmcpowerd:", err)
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level)
-	opts := options{
-		modelPaths:       modelPaths,
-		addr:             *addr,
-		debugAddr:        *debugAddr,
-		selfcal:          *selfcal,
-		seed:             *seed,
-		alpha:            *alpha,
-		refitWindow:      *refitWindow,
-		idleTTL:          *idleTTL,
-		maxSessions:      *maxSessions,
-		shards:           *shards,
-		maxInflight:      *maxInflight,
-		shedP99:          time.Duration(*shedP99MS * float64(time.Millisecond)),
-		retryAfter:       *retryAfter,
-		maxBodyBytes:     *maxBodyBytes,
-		qualityWindow:    *qualityWindow,
-		qualityExemplars: *qualityExemplars,
-		warnMAPE:         *warnMAPE,
-		alertMAPE:        *alertMAPE,
-		flightRecDump:    *flightRecDump,
-		flightRecRetain:  *flightRecRetain,
-		flightRecMinSlow: *flightRecMinSlow,
-	}
-	if err := run(logger, opts); err != nil {
+	if err := run(logger, d); err != nil {
 		logger.Error("fatal", "err", err.Error())
 		os.Exit(1)
 	}
 }
 
-// options is the parsed flag set.
-type options struct {
-	modelPaths       []string
-	addr, debugAddr  string
-	selfcal          bool
-	seed             uint64
-	alpha            float64
-	refitWindow      int
-	idleTTL          time.Duration
-	maxSessions      int
-	shards           int
-	maxInflight      int
-	shedP99          time.Duration
-	retryAfter       time.Duration
-	maxBodyBytes     int64
-	qualityWindow    int
-	qualityExemplars int
-	warnMAPE         float64
-	alertMAPE        float64
-	flightRecDump    string
-	flightRecRetain  int
-	flightRecMinSlow time.Duration
+// daemonFlags is the parsed command line: the serve.Config the serving
+// flags bind into, and the settings main keeps for itself.
+type daemonFlags struct {
+	cfg             serve.Config
+	modelPaths      []string
+	addr, debugAddr string
+	logLevel        string
+	selfcal         bool
+	seed            uint64
+	version         bool
 }
 
-func run(logger *slog.Logger, opts options) error {
-	modelPaths, addr, debugAddr := opts.modelPaths, opts.addr, opts.debugAddr
-	selfcal, seed := opts.selfcal, opts.seed
+// parseFlags defines pmcpowerd's flags on fs and parses args. It
+// refuses a value that would make every request fail, naming the flag.
+func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
+	d := &daemonFlags{}
+	cfg := &d.cfg
+	fs.Func("model", "trained model JSON to serve (repeatable; registered under its base name)",
+		func(p string) error { d.modelPaths = append(d.modelPaths, p); return nil })
+	fs.StringVar(&d.addr, "addr", ":9120", "listen address")
+	fs.StringVar(&d.debugAddr, "debug-addr", "", "private listener for pprof and /debug/metrics (empty = disabled)")
+	fs.StringVar(&d.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.BoolVar(&d.selfcal, "selfcal", false, "calibrate a model on the simulated platform at startup (registered as \"default\")")
+	fs.Uint64Var(&d.seed, "seed", 42, "calibration seed for -selfcal")
+	fs.Float64Var(&cfg.DefaultAlpha, "alpha", 1, "default EWMA smoothing factor for streams that do not pass ?alpha=")
+	fs.IntVar(&cfg.RefitWindow, "refit-window", 0, "default streaming-refit window (rows) for labelled estimate streams; 0 serves frozen models (per-stream ?refit= overrides)")
+	fs.DurationVar(&cfg.IdleTTL, "idle-ttl", 5*time.Minute, "evict estimator sessions idle this long")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 1024, "cap on concurrent estimator sessions")
+	fs.IntVar(&cfg.Shards, "shards", 8, "session-table shard count (rounded up to a power of two); 1 restores the single-lock table")
+	fs.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "cap on concurrently admitted estimate/predict requests; beyond it requests are shed with 429 (0 disables)")
+	shedP99MS := fs.Float64("shed-p99-ms", 0, "shed estimate/predict requests with 503 while the p99 latency EWMA exceeds this many milliseconds (0 disables)")
+	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After backoff hint stamped on shed (429/503) responses")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", 8<<20, "cap on /v1/predict and model-upload request bodies (413 beyond)")
+	fs.IntVar(&cfg.QualityWindow, "quality-window", 256, "sliding-window size (labelled samples) for model-quality tracking")
+	fs.IntVar(&cfg.QualityExemplars, "quality-exemplars", 32, "worst-residual samples kept per model for /debug/exemplars")
+	fs.Float64Var(&cfg.QualityThresholds.WarnMAPEPct, "quality-warn-mape", 10, "windowed MAPE %% that moves a model to drift warn (negative disables)")
+	fs.Float64Var(&cfg.QualityThresholds.AlertMAPEPct, "quality-alert-mape", 20, "windowed MAPE %% that moves a model to drift alert (negative disables)")
+	fs.StringVar(&cfg.FlightRecDumpPath, "flightrec-dump", "pmcpowerd-flightrec.json", "Chrome-trace file the flight recorder dumps to on SIGQUIT and drift-alert transitions (empty disables dumps)")
+	fs.IntVar(&cfg.FlightRecRetain, "flightrec-retain", 64, "retained-trace ring size for slow/errored/flagged requests")
+	fs.DurationVar(&cfg.FlightRecMinSlow, "flightrec-min-slow", time.Second, "absolute floor below which no request counts as slow")
+	fs.BoolVar(&d.version, "version", false, "print build information and exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	cfg.ShedP99 = time.Duration(*shedP99MS * float64(time.Millisecond))
+
+	// The same check ?alpha= gets.
+	if a := cfg.DefaultAlpha; !(a > 0) || a > 1 {
+		return nil, fmt.Errorf("-alpha %v outside (0,1]", a)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"max-sessions", int64(cfg.MaxSessions)},
+		{"max-body-bytes", cfg.MaxBodyBytes},
+		{"idle-ttl", int64(cfg.IdleTTL)},
+		{"refit-window", int64(cfg.RefitWindow)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("-%s %s is negative", f.name, fs.Lookup(f.name).Value)
+		}
+	}
+	return d, nil
+}
+
+func run(logger *slog.Logger, d *daemonFlags) error {
 	start := time.Now()
 	reg := serve.NewRegistry()
-	for _, p := range modelPaths {
+	for _, p := range d.modelPaths {
 		name, version, err := reg.LoadFile(p)
 		if err != nil {
 			return err
 		}
 		logger.Info("model loaded", "path", p, "name", name, "version", version)
 	}
-	if selfcal {
-		m, err := calibrate(logger, seed)
+	if d.selfcal {
+		m, err := calibrate(logger, d.seed)
 		if err != nil {
 			return fmt.Errorf("self-calibration: %w", err)
 		}
@@ -184,31 +178,14 @@ func run(logger *slog.Logger, opts options) error {
 		return errors.New("no models: pass -model model.json (train one with `estimate -train model.json`) or -selfcal")
 	}
 
-	srv := serve.New(serve.Config{
-		Registry:         reg,
-		DefaultAlpha:     opts.alpha,
-		RefitWindow:      opts.refitWindow,
-		IdleTTL:          opts.idleTTL,
-		MaxSessions:      opts.maxSessions,
-		Shards:           opts.shards,
-		MaxInFlight:      opts.maxInflight,
-		ShedP99:          opts.shedP99,
-		RetryAfter:       opts.retryAfter,
-		MaxBodyBytes:     opts.maxBodyBytes,
-		Obs:              obs.Default(),
-		Logger:           logger,
-		QualityWindow:    opts.qualityWindow,
-		QualityExemplars: opts.qualityExemplars,
-		QualityThresholds: quality.Thresholds{
-			WarnMAPEPct:  opts.warnMAPE,
-			AlertMAPEPct: opts.alertMAPE,
-		},
-		FlightRecRetain:   opts.flightRecRetain,
-		FlightRecMinSlow:  opts.flightRecMinSlow,
-		FlightRecDumpPath: opts.flightRecDump,
-	})
+	cfg := d.cfg
+	cfg.Registry = reg
+	cfg.Obs = obs.Default()
+	cfg.Logger = logger
+	srv := serve.New(cfg)
 	defer srv.Close()
 
+	addr, debugAddr := d.addr, d.debugAddr
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errc := make(chan error, 2)
 	go func() {
@@ -230,19 +207,19 @@ func run(logger *slog.Logger, opts options) error {
 	// SIGQUIT dumps the flight recorder without stopping the daemon —
 	// the "what just happened" escape hatch when the service misbehaves
 	// but must keep serving.
-	if opts.flightRecDump != "" {
+	if dump := cfg.FlightRecDumpPath; dump != "" {
 		quitc := make(chan os.Signal, 1)
 		signal.Notify(quitc, syscall.SIGQUIT)
 		defer signal.Stop(quitc)
 		go func() {
 			for range quitc {
-				if err := srv.FlightRecorder().WriteFile(opts.flightRecDump); err != nil {
-					logger.Error("flight-recorder dump failed", "path", opts.flightRecDump, "err", err.Error())
+				if err := srv.FlightRecorder().WriteFile(dump); err != nil {
+					logger.Error("flight-recorder dump failed", "path", dump, "err", err.Error())
 					continue
 				}
 				total, kept := srv.FlightRecorder().Stats()
 				logger.Info("flight-recorder dump written",
-					"path", opts.flightRecDump, "requests_total", total, "retained_total", kept)
+					"path", dump, "requests_total", total, "retained_total", kept)
 			}
 		}()
 	}

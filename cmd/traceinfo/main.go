@@ -111,7 +111,7 @@ func detectPhases(path string) error {
 	for _, tNs := range order {
 		samples = append(samples, phasedetect.Sample{TimeNs: tNs, Value: sums[tNs]})
 	}
-	segs, err := phasedetect.Detect(samples, phasedetect.Options{RelThreshold: 0.03})
+	segs, err := phasedetect.Detect(samples)
 	if err != nil {
 		return err
 	}

@@ -44,9 +44,6 @@ type Options struct {
 	Seed uint64
 	// Events are the PMC events to collect; defaults to all presets.
 	Events []pmu.EventID
-	// SampleRateHz is the async metric plugin sampling rate written to
-	// the trace. Default 20 Hz.
-	SampleRateHz float64
 	// TraceSink, when non-nil, receives every run's trace archive
 	// (keyed by a descriptive name) — used by the trace-inspection
 	// tooling and tests. Without a sink no archive is encoded: each
@@ -71,9 +68,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if len(out.Events) == 0 {
 		out.Events = pmu.AllIDs()
-	}
-	if out.SampleRateHz == 0 {
-		out.SampleRateHz = 20
 	}
 	return out
 }
@@ -200,7 +194,7 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 		runProfiles := make([][]*phaseprofile.Phase, 0, len(plan))
 		for runIdx, set := range plan {
 			seed := base.Split(rng.HashString(fmt.Sprintf("%s|%d|run%d", w.Name, f, runIdx)))
-			phases, err := recordRun(&o, exec, sensors, w, f, set, seed, sc)
+			phases, err := recordRun(&o, sampleRateHz, exec, sensors, w, f, set, seed, sc)
 			if err != nil {
 				return cellResult{}, fmt.Errorf("acquisition: %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
@@ -253,13 +247,18 @@ type scratch struct {
 // each thread step.
 const phaseDurationS = 1
 
+// sampleRateHz is the async metric plugins' sampling rate written to
+// the trace.
+const sampleRateHz = 20
+
 // recordRun executes every (thread step × phase) of a workload at one
-// frequency with one event set and returns the run's phase profiles.
+// frequency with one event set, its metric plugins sampling at rateHz,
+// and returns the run's phase profiles.
 // The recorder's own events go through Builder.Event, and each step's
 // plugin samples are folded plugin by plugin (runFold) as they are
 // gathered; the Score-P-style archive is encoded into sc.archive only
 // when a TraceSink asks for it.
-func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
+func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*power.Sensor,
 	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) ([]*phaseprofile.Phase, error) {
 
 	sc.archive.Reset()
@@ -323,15 +322,15 @@ func recordRun(o *Options, exec *cpusim.Executor, sensors []*power.Sensor,
 		return nil, err
 	}
 
-	apapi, err := metricplugin.NewApapiPlugin(set, o.SampleRateHz)
+	apapi, err := metricplugin.NewApapiPlugin(set, rateHz)
 	if err != nil {
 		return nil, err
 	}
-	powerPl, err := metricplugin.NewPowerPlugin(o.Model, sensors, o.SampleRateHz)
+	powerPl, err := metricplugin.NewPowerPlugin(o.Model, sensors, rateHz)
 	if err != nil {
 		return nil, err
 	}
-	voltPl, err := metricplugin.NewVoltagePlugin(o.SampleRateHz)
+	voltPl, err := metricplugin.NewVoltagePlugin(rateHz)
 	if err != nil {
 		return nil, err
 	}

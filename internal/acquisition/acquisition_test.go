@@ -360,7 +360,7 @@ func TestAcquireParallelTraceSinkOrder(t *testing.T) {
 // under 4 bytes per emitted metric sample at 200 Hz, where a slice per
 // plugin per step costs 32.
 func TestRecordRunAllocBytesPerSample(t *testing.T) {
-	o := (&Options{Seed: 42, SampleRateHz: 200}).withDefaults()
+	o := (&Options{Seed: 42}).withDefaults()
 	plan, err := pmu.PlanRuns(o.Events)
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestRecordRunAllocBytesPerSample(t *testing.T) {
 	wl := workloads.MustByName("compute")
 	var sc scratch
 	run := func() {
-		if _, err := recordRun(&o, exec, sensors, wl, 2400, plan[0], rng.New(1), &sc); err != nil {
+		if _, err := recordRun(&o, 200, exec, sensors, wl, 2400, plan[0], rng.New(1), &sc); err != nil {
 			t.Fatal(err)
 		}
 	}

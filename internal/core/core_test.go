@@ -225,31 +225,8 @@ func TestSelectEventsValidation(t *testing.T) {
 	if _, err := SelectEvents(nil, SelectOptions{Count: 2}); err == nil {
 		t.Fatal("empty dataset must error")
 	}
-	few := []pmu.EventID{pmu.MustByName("TOT_CYC").ID}
-	if _, err := SelectEvents(sel.Rows, SelectOptions{Count: 2, Candidates: few}); err == nil {
-		t.Fatal("Count > candidates must error")
-	}
-}
-
-func TestSelectEventsRestrictedCandidates(t *testing.T) {
-	sel, _ := fixtures(t)
-	cands := []pmu.EventID{
-		pmu.MustByName("TOT_CYC").ID,
-		pmu.MustByName("BR_MSP").ID,
-		pmu.MustByName("L3_TCM").ID,
-	}
-	steps, err := SelectEvents(sel.Rows, SelectOptions{Count: 2, Candidates: cands})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allowed := map[pmu.EventID]bool{}
-	for _, id := range cands {
-		allowed[id] = true
-	}
-	for _, s := range steps {
-		if !allowed[s.Event] {
-			t.Fatalf("selected %s outside candidate pool", pmu.Lookup(s.Event).Short)
-		}
+	if _, err := SelectEvents(sel.Rows, SelectOptions{Count: 55}); err == nil {
+		t.Fatal("Count > the 54 presets must error")
 	}
 }
 

@@ -26,12 +26,9 @@ func selectWithFullFits(rows []*acquisition.Row, opts SelectOptions) ([]Selectio
 		rows:        rows,
 		cache:       NewDatasetCache(rows),
 		opts:        opts,
-		candidates:  opts.Candidates,
+		candidates:  pmu.AllIDs(),
 		inSelected:  make(map[pmu.EventID]bool),
 		parallelism: opts.Parallelism,
-	}
-	if len(run.candidates) == 0 {
-		run.candidates = pmu.AllIDs()
 	}
 	if opts.InitWithCycles {
 		if err := run.seedWithCycles(ctx); err != nil {

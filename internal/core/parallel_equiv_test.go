@@ -54,11 +54,11 @@ func TestSelectEventsParallelEquivalence(t *testing.T) {
 func TestSelectWithStrategyParallelEquivalence(t *testing.T) {
 	sel, _ := fixtures(t)
 	for _, strategy := range AllStrategies() {
-		serial, err := SelectWithStrategyOpts(sel.Rows, strategy, StrategyOptions{Count: 4, Parallelism: 1})
+		serial, err := selectWithStrategy(sel.Rows, strategy, 4, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", strategy, err)
 		}
-		par, err := SelectWithStrategyOpts(sel.Rows, strategy, StrategyOptions{Count: 4, Parallelism: 4})
+		par, err := selectWithStrategy(sel.Rows, strategy, 4, 4)
 		if err != nil {
 			t.Fatalf("%v: %v", strategy, err)
 		}

@@ -31,12 +31,9 @@ type SelectionStep struct {
 
 // SelectOptions configures Algorithm 1.
 type SelectOptions struct {
-	// Count is the number of events to select (the paper uses 6, and
-	// examines the consequences of a 7th).
+	// Count is the number of events to select from the 54 presets (the
+	// paper uses 6, and examines the consequences of a 7th).
 	Count int
-	// Candidates restricts the candidate pool; defaults to all 54
-	// presets.
-	Candidates []pmu.EventID
 	// InitWithCycles seeds selectedEvents with the cycle counter, as
 	// Walker et al. do on ARM. The paper drops this initialization
 	// ("Preliminary tests have shown, that initializing the events
@@ -82,10 +79,7 @@ func SelectEventsCtx(ctx context.Context, rows []*acquisition.Row, opts SelectOp
 	if opts.Count < 1 {
 		return nil, fmt.Errorf("core: SelectEvents needs Count >= 1, got %d", opts.Count)
 	}
-	candidates := opts.Candidates
-	if len(candidates) == 0 {
-		candidates = pmu.AllIDs()
-	}
+	candidates := pmu.AllIDs()
 	if opts.Count > len(candidates) {
 		return nil, fmt.Errorf("core: cannot select %d events from %d candidates", opts.Count, len(candidates))
 	}

@@ -64,30 +64,17 @@ func AllStrategies() []Strategy {
 	return []Strategy{StrategyGreedyR2, StrategyBackward, StrategyPCC, StrategyAIC, StrategyLasso}
 }
 
-// StrategyOptions configures SelectWithStrategyOpts.
-type StrategyOptions struct {
-	// Count is the size of the selected set.
-	Count int
-	// Candidates restricts the candidate pool; defaults to all presets.
-	Candidates []pmu.EventID
-	// Parallelism bounds the workers used for the independent
-	// candidate fits of the greedy strategies (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical at every level; the
-	// inherently sequential strategies (backward elimination, LASSO
-	// coordinate descent) ignore it.
-	Parallelism int
-}
-
-// SelectWithStrategyOpts selects opts.Count events from the candidates
-// (default all presets) using the given strategy.
-func SelectWithStrategyOpts(rows []*acquisition.Row, strategy Strategy, opts StrategyOptions) ([]pmu.EventID, error) {
-	count, candidates := opts.Count, opts.Candidates
+// selectWithStrategy selects count of the 54 presets using the given
+// strategy. parallelism bounds the workers used for the independent
+// candidate fits of the greedy strategies (0 = GOMAXPROCS,
+// 1 = serial). Results are bit-identical at every level; the
+// inherently sequential strategies (backward elimination, LASSO
+// coordinate descent) ignore it.
+func selectWithStrategy(rows []*acquisition.Row, strategy Strategy, count, parallelism int) ([]pmu.EventID, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("core: need count >= 1, got %d", count)
 	}
-	if len(candidates) == 0 {
-		candidates = pmu.AllIDs()
-	}
+	candidates := pmu.AllIDs()
 	if count > len(candidates) {
 		return nil, fmt.Errorf("core: cannot select %d from %d candidates", count, len(candidates))
 	}
@@ -96,7 +83,7 @@ func SelectWithStrategyOpts(rows []*acquisition.Row, strategy Strategy, opts Str
 	}
 	switch strategy {
 	case StrategyGreedyR2:
-		steps, err := SelectEvents(rows, SelectOptions{Count: count, Candidates: candidates, Parallelism: opts.Parallelism})
+		steps, err := SelectEvents(rows, SelectOptions{Count: count, Parallelism: parallelism})
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +93,7 @@ func SelectWithStrategyOpts(rows []*acquisition.Row, strategy Strategy, opts Str
 	case StrategyPCC:
 		return pccRank(rows, count, candidates), nil
 	case StrategyAIC:
-		return aicForward(rows, count, candidates, opts.Parallelism)
+		return aicForward(rows, count, candidates, parallelism)
 	case StrategyLasso:
 		return lassoPath(rows, count, candidates)
 	default:
@@ -409,7 +396,7 @@ type StrategyComparison struct {
 func CompareStrategiesP(selRows, evalRows []*acquisition.Row, count int, cvSeed uint64, parallelism int) ([]StrategyComparison, error) {
 	var out []StrategyComparison
 	for _, s := range AllStrategies() {
-		events, err := SelectWithStrategyOpts(selRows, s, StrategyOptions{Count: count, Parallelism: parallelism})
+		events, err := selectWithStrategy(selRows, s, count, parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("core: strategy %v: %w", s, err)
 		}

@@ -21,24 +21,23 @@ func TestStrategyStrings(t *testing.T) {
 
 func TestSelectWithStrategyValidation(t *testing.T) {
 	sel, _ := fixtures(t)
-	if _, err := SelectWithStrategyOpts(sel.Rows, StrategyGreedyR2, StrategyOptions{Count: 0}); err == nil {
+	if _, err := selectWithStrategy(sel.Rows, StrategyGreedyR2, 0, 0); err == nil {
 		t.Fatal("count 0 must error")
 	}
-	if _, err := SelectWithStrategyOpts(nil, StrategyGreedyR2, StrategyOptions{Count: 2}); err == nil {
+	if _, err := selectWithStrategy(nil, StrategyGreedyR2, 2, 0); err == nil {
 		t.Fatal("empty rows must error")
 	}
-	if _, err := SelectWithStrategyOpts(sel.Rows, Strategy(99), StrategyOptions{Count: 2}); err == nil {
+	if _, err := selectWithStrategy(sel.Rows, Strategy(99), 2, 0); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
-	few := []pmu.EventID{pmu.MustByName("TOT_CYC").ID}
-	if _, err := SelectWithStrategyOpts(sel.Rows, StrategyPCC, StrategyOptions{Count: 2, Candidates: few}); err == nil {
-		t.Fatal("count > candidates must error")
+	if _, err := selectWithStrategy(sel.Rows, StrategyPCC, 55, 0); err == nil {
+		t.Fatal("count > the 54 presets must error")
 	}
 }
 
 func TestStrategyGreedyMatchesAlgorithm1(t *testing.T) {
 	sel, _ := fixtures(t)
-	viaStrategy, err := SelectWithStrategyOpts(sel.Rows, StrategyGreedyR2, StrategyOptions{Count: 6})
+	viaStrategy, err := selectWithStrategy(sel.Rows, StrategyGreedyR2, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestStrategyGreedyMatchesAlgorithm1(t *testing.T) {
 func TestAllStrategiesProduceValidSets(t *testing.T) {
 	sel, _ := fixtures(t)
 	for _, s := range AllStrategies() {
-		events, err := SelectWithStrategyOpts(sel.Rows, s, StrategyOptions{Count: 6})
+		events, err := selectWithStrategy(sel.Rows, s, 6, 0)
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}
@@ -84,7 +83,7 @@ func TestAllStrategiesProduceValidSets(t *testing.T) {
 
 func TestPCCStrategyPicksMostCorrelated(t *testing.T) {
 	sel, _ := fixtures(t)
-	events, err := SelectWithStrategyOpts(sel.Rows, StrategyPCC, StrategyOptions{Count: 3})
+	events, err := selectWithStrategy(sel.Rows, StrategyPCC, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestPCCStrategyPicksMostCorrelated(t *testing.T) {
 
 func TestBackwardEliminationIndependent(t *testing.T) {
 	sel, _ := fixtures(t)
-	events, err := SelectWithStrategyOpts(sel.Rows, StrategyBackward, StrategyOptions{Count: 6})
+	events, err := selectWithStrategy(sel.Rows, StrategyBackward, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +141,11 @@ func TestBackwardEliminationIndependent(t *testing.T) {
 
 func TestLassoDeterministic(t *testing.T) {
 	sel, _ := fixtures(t)
-	a, err := SelectWithStrategyOpts(sel.Rows, StrategyLasso, StrategyOptions{Count: 6})
+	a, err := selectWithStrategy(sel.Rows, StrategyLasso, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectWithStrategyOpts(sel.Rows, StrategyLasso, StrategyOptions{Count: 6})
+	b, err := selectWithStrategy(sel.Rows, StrategyLasso, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (c *Context) CrossPlatform() (*CrossPlatformReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ARM selection acquisition: %w", err)
 	}
-	steps, err := core.SelectEvents(armSelDS.Rows, core.SelectOptions{Count: c.cfg.NumEvents, Parallelism: c.cfg.Parallelism})
+	steps, err := core.SelectEvents(armSelDS.Rows, core.SelectOptions{Count: numEvents, Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ARM selection: %w", err)
 	}
@@ -99,7 +99,7 @@ func (c *Context) CrossPlatform() (*CrossPlatformReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ARM full acquisition: %w", err)
 	}
-	armCV, err := core.CrossValidateP(armFull.Rows, armEvents, c.cfg.CVFolds, c.cfg.CVSeed, c.cfg.Parallelism)
+	armCV, err := core.CrossValidateP(armFull.Rows, armEvents, cvFolds, cvSeed, c.cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ARM cross validation: %w", err)
 	}

@@ -39,24 +39,10 @@ import (
 	"pmcpower/internal/workloads"
 )
 
-// Config holds the canonical experiment parameters.
+// Config holds the experiment parameters a caller chooses.
 type Config struct {
 	// Seed drives all acquisition noise.
 	Seed uint64
-	// FreqsMHz are the DVFS states of the evaluation ("5 distinct
-	// operating frequencies between 1200 and 2600 MHz").
-	FreqsMHz []int
-	// SelectionFreqMHz is the frequency at which counter selection
-	// runs ("we run all roco2 and SPEC benchmarks at a fixed operating
-	// frequency of 2400 MHz with all available counters").
-	SelectionFreqMHz int
-	// NumEvents is the size of the selected counter set (6).
-	NumEvents int
-	// CVFolds and CVSeed parameterize cross-validation.
-	CVFolds int
-	CVSeed  uint64
-	// Scenario1Seed fixes the random four-workload draw of scenario 1.
-	Scenario1Seed uint64
 	// Parallelism bounds the workers used inside each experiment
 	// (acquisition cells, candidate fits, VIF auxiliary regressions,
 	// CV folds) and by the RunAllCtx experiment fan-out: 0 = GOMAXPROCS,
@@ -68,16 +54,27 @@ type Config struct {
 // DefaultConfig returns the canonical parameters used by all tables,
 // figures and benchmarks in EXPERIMENTS.md.
 func DefaultConfig() Config {
-	return Config{
-		Seed:             42,
-		FreqsMHz:         []int{1200, 1600, 2000, 2400, 2600},
-		SelectionFreqMHz: 2400,
-		NumEvents:        6,
-		CVFolds:          10,
-		CVSeed:           7,
-		Scenario1Seed:    34,
-	}
+	return Config{Seed: 42}
 }
+
+// The paper's fixed method. freqsMHz are the DVFS states of the
+// evaluation ("5 distinct operating frequencies between 1200 and 2600
+// MHz").
+var freqsMHz = []int{1200, 1600, 2000, 2400, 2600}
+
+const (
+	// selectionFreqMHz is the frequency at which counter selection
+	// runs ("we run all roco2 and SPEC benchmarks at a fixed operating
+	// frequency of 2400 MHz with all available counters").
+	selectionFreqMHz = 2400
+	// numEvents is the size of the selected counter set.
+	numEvents = 6
+	// cvFolds and cvSeed parameterize cross-validation.
+	cvFolds = 10
+	cvSeed  = 7
+	// scenario1Seed fixes the random four-workload draw of scenario 1.
+	scenario1Seed = 34
+)
 
 // Context caches the acquisition campaigns and derived results shared
 // between experiments. Safe for concurrent use.
@@ -106,7 +103,7 @@ func (c *Context) SelectionDataset() (*acquisition.Dataset, error) {
 		return c.selectionDS, nil
 	}
 	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), []int{c.cfg.SelectionFreqMHz})
+		workloads.Active(), []int{selectionFreqMHz})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: selection acquisition: %w", err)
 	}
@@ -125,7 +122,7 @@ func (c *Context) SelectionSteps() ([]core.SelectionStep, error) {
 	if c.steps != nil {
 		return c.steps, nil
 	}
-	steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: c.cfg.NumEvents, Parallelism: c.cfg.Parallelism})
+	steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: numEvents, Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: counter selection: %w", err)
 	}
@@ -179,7 +176,7 @@ func (c *Context) FullDataset() (*acquisition.Dataset, error) {
 		return c.fullDS, nil
 	}
 	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Events: events, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), c.cfg.FreqsMHz)
+		workloads.Active(), freqsMHz)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: full acquisition: %w", err)
 	}
@@ -203,7 +200,7 @@ func (c *Context) CrossValidation() (*core.CVResult, error) {
 	if c.cv != nil {
 		return c.cv, nil
 	}
-	cv, err := core.CrossValidateP(ds.Rows, sel, c.cfg.CVFolds, c.cfg.CVSeed, c.cfg.Parallelism)
+	cv, err := core.CrossValidateP(ds.Rows, sel, cvFolds, cvSeed, c.cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cross validation: %w", err)
 	}
@@ -252,7 +249,7 @@ func (c *Context) TableIV() ([]SelectionRow, error) {
 		return nil, err
 	}
 	syn := ds.ByClass(workloads.Synthetic)
-	steps, err := core.SelectEvents(syn.Rows, core.SelectOptions{Count: c.cfg.NumEvents, Parallelism: c.cfg.Parallelism})
+	steps, err := core.SelectEvents(syn.Rows, core.SelectOptions{Count: numEvents, Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -393,16 +390,16 @@ func (c *Context) Scenarios() (s1, s2, s3, s4 *core.ScenarioResult, err error) {
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if s1, err = core.Scenario1(ds, sel, c.cfg.Scenario1Seed); err != nil {
+	if s1, err = core.Scenario1(ds, sel, scenario1Seed); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if s2, err = core.Scenario2(ds, sel); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if s3, err = core.Scenario3(ds, sel, c.cfg.CVSeed); err != nil {
+	if s3, err = core.Scenario3(ds, sel, cvSeed); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if s4, err = core.Scenario4(ds, sel, c.cfg.CVSeed); err != nil {
+	if s4, err = core.Scenario4(ds, sel, cvSeed); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return s1, s2, s3, s4, nil

@@ -22,16 +22,6 @@ func testCtx(t *testing.T) *Context {
 	return ctx
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if len(cfg.FreqsMHz) != 5 || cfg.FreqsMHz[0] != 1200 || cfg.FreqsMHz[4] != 2600 {
-		t.Fatalf("frequencies = %v", cfg.FreqsMHz)
-	}
-	if cfg.SelectionFreqMHz != 2400 || cfg.NumEvents != 6 || cfg.CVFolds != 10 {
-		t.Fatalf("canonical parameters wrong: %+v", cfg)
-	}
-}
-
 func TestE1TableI(t *testing.T) {
 	rows, err := testCtx(t).TableI()
 	if err != nil {

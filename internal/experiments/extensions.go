@@ -142,7 +142,7 @@ func (c *Context) AblationCycleInit() (*AblationResult, error) {
 		return nil, err
 	}
 	seeded, err := core.SelectEvents(ds.Rows, core.SelectOptions{
-		Count:          c.cfg.NumEvents,
+		Count:          numEvents,
 		InitWithCycles: true,
 		Parallelism:    c.cfg.Parallelism,
 	})
@@ -226,7 +226,7 @@ func (c *Context) Baselines() ([]BaselineRow, error) {
 	// Cross-DVFS transfer: train at three spread P-states (the
 	// minimum that identifies the three DVFS terms of Equation 1),
 	// test on the two unseen ones.
-	trainF := map[int]bool{c.cfg.FreqsMHz[0]: true, c.cfg.FreqsMHz[2]: true, c.cfg.FreqsMHz[4]: true}
+	trainF := map[int]bool{freqsMHz[0]: true, freqsMHz[2]: true, freqsMHz[4]: true}
 	atSel := ds.Filter(func(row *acquisition.Row) bool { return trainF[row.FreqMHz] }).Rows
 	others := ds.Filter(func(row *acquisition.Row) bool { return !trainF[row.FreqMHz] }).Rows
 

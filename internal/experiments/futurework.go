@@ -29,7 +29,7 @@ func (c *Context) FullAllCounterDataset() (*acquisition.Dataset, error) {
 		return c.fullAllDS, nil
 	}
 	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), c.cfg.FreqsMHz)
+		workloads.Active(), freqsMHz)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: all-counter acquisition: %w", err)
 	}
@@ -63,7 +63,7 @@ func (c *Context) StrategyComparison() ([]StrategyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	cmps, err := core.CompareStrategiesP(sel.Rows, full.Rows, c.cfg.NumEvents, c.cfg.CVSeed, c.cfg.Parallelism)
+	cmps, err := core.CompareStrategiesP(sel.Rows, full.Rows, numEvents, cvSeed, c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -19,45 +19,34 @@ type FlightRecorderConfig struct {
 	Stages []string
 	// Retain caps the ring of fully retained traces. Default 64.
 	Retain int
-	// Recent caps the ring of recently-completed request summaries
-	// served by /debug/requests. Default 128.
-	Recent int
-	// MaxEvents caps the discrete span/log events captured per trace;
-	// further events are counted as dropped, never allocated. Default 64.
-	MaxEvents int
-	// SlowFactor flags a request as slow when its duration exceeds
-	// SlowFactor × the rolling mean duration. Default 4.
-	SlowFactor float64
 	// MinSlow is the absolute floor for slow detection: a request
 	// faster than this is never "slow" no matter what the rolling mean
 	// says. Default 1s.
 	MinSlow time.Duration
-	// Warmup is the number of completed requests required before slow
-	// detection arms (the rolling mean is meaningless on an empty
-	// recorder). Default 32.
-	Warmup int
 	// Now is the clock, injectable for tests. Default time.Now.
 	Now func() time.Time
 }
+
+const (
+	// recentRequests caps the ring of recently-completed request
+	// summaries served by /debug/requests.
+	recentRequests = 128
+	// maxTraceEvents caps the discrete span/log events captured per
+	// trace; further events are counted as dropped, never allocated.
+	maxTraceEvents = 64
+	// A request is slow when its duration exceeds slowFactor × the
+	// rolling mean duration, once slowWarmup requests have completed
+	// (the rolling mean is meaningless on an empty recorder).
+	slowFactor = 4
+	slowWarmup = 32
+)
 
 func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
 	if c.Retain <= 0 {
 		c.Retain = 64
 	}
-	if c.Recent <= 0 {
-		c.Recent = 128
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 64
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 4
-	}
 	if c.MinSlow <= 0 {
 		c.MinSlow = time.Second
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 32
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -100,7 +89,7 @@ func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 		cfg:      cfg,
 		epoch:    cfg.Now(),
 		inflight: make(map[string]*ActiveTrace),
-		recent:   make([]RequestSummary, cfg.Recent),
+		recent:   make([]RequestSummary, recentRequests),
 		retained: make([]RetainedTrace, cfg.Retain),
 	}
 }
@@ -171,7 +160,7 @@ type ActiveTrace struct {
 	start   time.Time
 	samples uint64
 	stages  []StageSums   // len(cfg.Stages), reused
-	events  []FlightEvent // cap cfg.MaxEvents, reused
+	events  []FlightEvent // cap maxTraceEvents, reused
 	dropped int
 	flagged bool
 	flagWhy string
@@ -215,7 +204,7 @@ func (r *FlightRecorder) Begin(tc TraceContext, method, path string) *ActiveTrac
 		at = &ActiveTrace{
 			rec:    r,
 			stages: make([]StageSums, len(r.cfg.Stages)),
-			events: make([]FlightEvent, 0, r.cfg.MaxEvents),
+			events: make([]FlightEvent, 0, maxTraceEvents),
 		}
 	}
 	start := r.cfg.Now()
@@ -288,9 +277,9 @@ func (at *ActiveTrace) AddStages(sums []StageSums, samples uint64) {
 
 // Event captures one discrete sub-span ending now on the recorder's
 // clock with the given duration (0 for a marker). The per-trace event
-// storage is bounded: past MaxEvents the event is counted as dropped,
-// not stored — the recorder never grows without bound on a hostile or
-// enormous stream.
+// storage is bounded: past maxTraceEvents the event is counted as
+// dropped, not stored — the recorder never grows without bound on a
+// hostile or enormous stream.
 func (at *ActiveTrace) Event(name, detail string, d time.Duration) {
 	if at == nil {
 		return
@@ -409,8 +398,8 @@ func (r *FlightRecorder) Finish(at *ActiveTrace, status int) (retained bool) {
 	r.mu.Lock()
 	delete(r.inflight, at.tc.TraceID)
 	r.total++
-	slow := r.total > uint64(r.cfg.Warmup) &&
-		float64(dur) > r.cfg.SlowFactor*r.ewmaNs &&
+	slow := r.total > slowWarmup &&
+		float64(dur) > slowFactor*r.ewmaNs &&
 		dur >= r.cfg.MinSlow
 	// The rolling mean folds every request in, including the outliers:
 	// a sustained regression raises the threshold so the recorder
@@ -451,7 +440,7 @@ func (r *FlightRecorder) Finish(at *ActiveTrace, status int) (retained bool) {
 		}
 	}
 	at.reset()
-	if len(r.free) < cap(r.free) || len(r.free) < r.cfg.Recent {
+	if len(r.free) < cap(r.free) || len(r.free) < recentRequests {
 		r.free = append(r.free, at)
 	}
 	r.mu.Unlock()
@@ -508,10 +497,10 @@ func (r *FlightRecorder) withInFlight(traceID string, fn func(*ActiveTrace)) boo
 func (r *FlightRecorder) SlowThreshold() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(r.cfg.Warmup) {
+	if r.total <= slowWarmup {
 		return 0
 	}
-	th := time.Duration(r.cfg.SlowFactor * r.ewmaNs)
+	th := time.Duration(slowFactor * r.ewmaNs)
 	if th < r.cfg.MinSlow {
 		th = r.cfg.MinSlow
 	}

@@ -35,14 +35,10 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func testRecorder(clock *fakeClock) *FlightRecorder {
 	return NewFlightRecorder(FlightRecorderConfig{
-		Stages:     []string{"parse", "push"},
-		Retain:     4,
-		Recent:     8,
-		MaxEvents:  4,
-		SlowFactor: 4,
-		MinSlow:    100 * time.Millisecond,
-		Warmup:     4,
-		Now:        clock.Now,
+		Stages:  []string{"parse", "push"},
+		Retain:  4,
+		MinSlow: 100 * time.Millisecond,
+		Now:     clock.Now,
 	})
 }
 
@@ -73,27 +69,29 @@ func TestFlightRecorderTailSampling(t *testing.T) {
 	r := testRecorder(clock)
 
 	// Warmup + steady state: fast, healthy requests are not retained.
-	for i := 0; i < 10; i++ {
+	// There are enough of them to wrap the recent ring.
+	const fast = recentRequests
+	for i := 0; i < fast; i++ {
 		if run(r, clock, id(i), time.Millisecond, 200) {
 			t.Fatalf("fast healthy request %d retained", i)
 		}
 	}
-	if total, kept := r.Stats(); total != 10 || kept != 0 {
-		t.Fatalf("stats = %d/%d, want 10/0", total, kept)
+	if total, kept := r.Stats(); total != fast || kept != 0 {
+		t.Fatalf("stats = %d/%d, want %d/0", total, kept, fast)
 	}
 
 	// A slow outlier (far beyond 4× the ~1ms rolling mean and above
 	// MinSlow) is retained.
-	if !run(r, clock, id(10), time.Second, 200) {
+	if !run(r, clock, id(fast), time.Second, 200) {
 		t.Fatal("slow outlier not retained")
 	}
 	// An errored request is retained regardless of speed.
-	if !run(r, clock, id(11), time.Millisecond, 400) {
+	if !run(r, clock, id(fast+1), time.Millisecond, 400) {
 		t.Fatal("errored request not retained")
 	}
 	// A flagged request is retained regardless of speed and status.
-	at := r.Begin(TraceContext{TraceID: id(12), SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
-	if !r.Flag(id(12), "quality ok->warn") {
+	at := r.Begin(TraceContext{TraceID: id(fast + 2), SpanID: "00f067aa0ba902b7"}, "POST", "/v1/estimate")
+	if !r.Flag(id(fast+2), "quality ok->warn") {
 		t.Fatal("Flag did not find the in-flight trace")
 	}
 	if !r.Finish(at, 200) {
@@ -105,7 +103,7 @@ func TestFlightRecorderTailSampling(t *testing.T) {
 		t.Fatalf("retained %d traces, want 3", len(kept))
 	}
 	// Newest first: flagged, errored, slow.
-	if kept[0].Summary.FlagReason != "quality ok->warn" || kept[0].Summary.TraceID != id(12) {
+	if kept[0].Summary.FlagReason != "quality ok->warn" || kept[0].Summary.TraceID != id(fast+2) {
 		t.Fatalf("kept[0] = %+v", kept[0].Summary)
 	}
 	if kept[1].Summary.Status != 400 {
@@ -115,12 +113,12 @@ func TestFlightRecorderTailSampling(t *testing.T) {
 		t.Fatalf("kept[2] = %+v", kept[2].Summary)
 	}
 
-	// The recent ring saw everything (bounded at 8, newest first).
+	// The recent ring saw everything (bounded, newest first).
 	recent := r.Recent()
-	if len(recent) != 8 {
-		t.Fatalf("recent = %d, want 8 (ring bound)", len(recent))
+	if len(recent) != recentRequests {
+		t.Fatalf("recent = %d, want %d (ring bound)", len(recent), recentRequests)
 	}
-	if recent[0].TraceID != id(12) || recent[0].InFlight {
+	if recent[0].TraceID != id(fast+2) || recent[0].InFlight {
 		t.Fatalf("recent[0] = %+v", recent[0])
 	}
 	if !recent[0].Retained || recent[3].Retained {
@@ -164,8 +162,8 @@ func TestFlightRecorderStagesEventsAndInFlight(t *testing.T) {
 		t.Fatal("Lookup did not find the in-flight trace")
 	}
 
-	// Event cap: only MaxEvents are stored, the rest counted.
-	for i := 0; i < 10; i++ {
+	// Event cap: only maxTraceEvents are stored, the rest counted.
+	for i := 0; i < maxTraceEvents+6; i++ {
 		at.Event("extra", "", 0)
 	}
 	at.Error("boom")
@@ -183,8 +181,8 @@ func TestFlightRecorderStagesEventsAndInFlight(t *testing.T) {
 	if tr.Summary.Error != "boom" || tr.Summary.EventsDropped != 7 {
 		t.Fatalf("summary = %+v", tr.Summary)
 	}
-	if len(tr.Events) != 4 {
-		t.Fatalf("events = %d, want MaxEvents=4", len(tr.Events))
+	if len(tr.Events) != maxTraceEvents {
+		t.Fatalf("events = %d, want maxTraceEvents=%d", len(tr.Events), maxTraceEvents)
 	}
 	if tr.Events[0].Name != "reject" || tr.Events[0].StartNs != int64(10*time.Millisecond) {
 		t.Fatalf("events[0] = %+v", tr.Events[0])
@@ -201,9 +199,13 @@ func TestFlightRecorderSlowThresholdWarmup(t *testing.T) {
 	if run(r, clock, id(0), time.Hour, 200) {
 		t.Fatal("warmup request retained as slow")
 	}
-	for i := 1; i < 8; i++ {
+	for i := 1; i < slowWarmup; i++ {
 		run(r, clock, id(i), time.Millisecond, 200)
 	}
+	if th := r.SlowThreshold(); th != 0 {
+		t.Fatalf("threshold after %d requests = %v, want 0 (still warming up)", slowWarmup, th)
+	}
+	run(r, clock, id(slowWarmup), time.Millisecond, 200)
 	th := r.SlowThreshold()
 	if th < 100*time.Millisecond {
 		t.Fatalf("armed threshold = %v, want >= MinSlow", th)

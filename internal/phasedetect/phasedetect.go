@@ -29,47 +29,28 @@ type Segment struct {
 	N int
 }
 
-// Options tunes the detector.
-type Options struct {
-	// Window is the number of recent samples whose mean is compared
-	// against the current segment mean. Default 4.
-	Window int
-	// RelThreshold is the relative mean shift that opens a new
-	// segment: |window mean − segment mean| > RelThreshold·|segment
-	// mean|. Default 0.05 (5 %).
-	RelThreshold float64
-	// SigmaThreshold additionally requires the shift to exceed this
+// The detector's fixed parameters.
+const (
+	// window is the number of recent samples whose mean is compared
+	// against the current segment mean; it is also the minimum number
+	// of samples per segment (shorter candidate segments are merged
+	// into their successor).
+	window = 4
+	// relThreshold is the relative mean shift that opens a new
+	// segment: |window mean − segment mean| > relThreshold·|segment
+	// mean|.
+	relThreshold = 0.03
+	// sigmaThreshold additionally requires the shift to exceed this
 	// many segment standard deviations (guards against triggering on
-	// a quiet signal's noise floor). Default 3.
-	SigmaThreshold float64
-	// MinSegment is the minimum number of samples per segment; shorter
-	// candidate segments are merged into their successor. Default =
-	// Window.
-	MinSegment int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	if o.RelThreshold <= 0 {
-		o.RelThreshold = 0.05
-	}
-	if o.SigmaThreshold <= 0 {
-		o.SigmaThreshold = 3
-	}
-	if o.MinSegment <= 0 {
-		o.MinSegment = o.Window
-	}
-	return o
-}
+	// a quiet signal's noise floor).
+	sigmaThreshold = 3
+)
 
 // Detect segments the samples into steady-state phases. Samples must
 // be in ascending time order.
-func Detect(samples []Sample, opts Options) ([]Segment, error) {
-	o := opts.withDefaults()
-	if len(samples) < 2*o.Window {
-		return nil, fmt.Errorf("phasedetect: need at least %d samples, have %d", 2*o.Window, len(samples))
+func Detect(samples []Sample) ([]Segment, error) {
+	if len(samples) < 2*window {
+		return nil, fmt.Errorf("phasedetect: need at least %d samples, have %d", 2*window, len(samples))
 	}
 	for i := 1; i < len(samples); i++ {
 		if samples[i].TimeNs < samples[i-1].TimeNs {
@@ -113,26 +94,26 @@ func Detect(samples []Sample, opts Options) ([]Segment, error) {
 
 	for i, s := range samples {
 		inSegment := i - segStart
-		if inSegment < o.MinSegment {
+		if inSegment < window {
 			push(s.Value)
 			continue
 		}
 		// Mean of the trailing window.
 		var wsum float64
-		for j := i - o.Window + 1; j <= i; j++ {
+		for j := i - window + 1; j <= i; j++ {
 			wsum += samples[j].Value
 		}
-		wmean := wsum / float64(o.Window)
+		wmean := wsum / window
 		shift := math.Abs(wmean - mean)
-		trigger := shift > o.RelThreshold*math.Abs(mean) &&
-			shift > o.SigmaThreshold*std()/math.Sqrt(float64(o.Window))
+		trigger := shift > relThreshold*math.Abs(mean) &&
+			shift > sigmaThreshold*std()/math.Sqrt(window)
 		if trigger {
 			// Boundary at the first sample of the window that actually
 			// deviates from the segment level — the window mean lags
-			// the true change point by up to Window−1 samples.
+			// the true change point by up to window−1 samples.
 			boundary := i
-			for j := i - o.Window + 1; j <= i; j++ {
-				if math.Abs(samples[j].Value-mean) > o.RelThreshold*math.Abs(mean) {
+			for j := i - window + 1; j <= i; j++ {
+				if math.Abs(samples[j].Value-mean) > relThreshold*math.Abs(mean) {
 					boundary = j
 					break
 				}

@@ -33,7 +33,7 @@ func synth(levels []float64, stepLen int, noise float64, seed uint64) []Sample {
 func TestDetectCleanSteps(t *testing.T) {
 	levels := []float64{60, 120, 90, 200}
 	samples := synth(levels, 40, 0.5, 1)
-	segs, err := Detect(samples, Options{})
+	segs, err := Detect(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestDetectCleanSteps(t *testing.T) {
 
 func TestDetectConstantSignal(t *testing.T) {
 	samples := synth([]float64{100}, 200, 0.8, 2)
-	segs, err := Detect(samples, Options{})
+	segs, err := Detect(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestDetectConstantSignal(t *testing.T) {
 }
 
 func TestDetectIgnoresSmallWiggles(t *testing.T) {
-	// 2 % steps below the 5 % default threshold must not trigger.
+	// 2 % steps below the 3 % threshold must not trigger.
 	samples := synth([]float64{100, 102, 100, 98}, 50, 0.3, 3)
-	segs, err := Detect(samples, Options{})
+	segs, err := Detect(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,32 +81,20 @@ func TestDetectIgnoresSmallWiggles(t *testing.T) {
 	}
 }
 
-func TestDetectSensitivityOption(t *testing.T) {
-	// The same 2 % steps are found with a tighter threshold.
-	samples := synth([]float64{100, 102}, 60, 0.05, 4)
-	segs, err := Detect(samples, Options{RelThreshold: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 2 {
-		t.Fatalf("tight threshold found %d segments, want 2", len(segs))
-	}
-}
-
 func TestDetectValidation(t *testing.T) {
-	if _, err := Detect(synth([]float64{1}, 3, 0, 5), Options{}); err == nil {
+	if _, err := Detect(synth([]float64{1}, 3, 0, 5)); err == nil {
 		t.Fatal("too few samples must error")
 	}
 	bad := synth([]float64{1}, 20, 0, 6)
 	bad[5].TimeNs = bad[4].TimeNs - 1
-	if _, err := Detect(bad, Options{}); err == nil {
+	if _, err := Detect(bad); err == nil {
 		t.Fatal("out-of-order samples must error")
 	}
 }
 
 func TestDetectCoversFullSpan(t *testing.T) {
 	samples := synth([]float64{50, 150}, 30, 0.5, 7)
-	segs, err := Detect(samples, Options{})
+	segs, err := Detect(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +118,8 @@ func TestDetectCoversFullSpan(t *testing.T) {
 func TestDetectOnSimulatedPowerTrace(t *testing.T) {
 	var archive []byte
 	_, err := acquisition.Acquire(acquisition.Options{
-		Seed:         3,
-		Events:       []pmu.EventID{cycID()},
-		SampleRateHz: 50,
+		Seed:   3,
+		Events: []pmu.EventID{cycID()},
 		TraceSink: func(name string, data []byte) {
 			if archive == nil {
 				archive = append([]byte(nil), data...)
@@ -179,7 +166,7 @@ func TestDetectOnSimulatedPowerTrace(t *testing.T) {
 	for _, tNs := range order {
 		samples = append(samples, Sample{TimeNs: tNs, Value: sums[tNs]})
 	}
-	segs, err := Detect(samples, Options{RelThreshold: 0.03})
+	segs, err := Detect(samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Thresholds configures the drift state machine. The zero value gets
-// production defaults from withDefaults; a field set to a negative
-// value disables that trigger entirely.
+// Thresholds configures the drift state machine's MAPE triggers. The
+// zero value gets production defaults from withDefaults; a field set
+// to a negative value disables that trigger entirely.
 type Thresholds struct {
 	// WarnMAPEPct and AlertMAPEPct are windowed-MAPE bounds in
 	// percent. The paper's Table III/IV fits sit in the 1–5% band, so
@@ -35,21 +35,22 @@ type Thresholds struct {
 	// accuracy without tripping on workload noise.
 	WarnMAPEPct  float64
 	AlertMAPEPct float64
-	// WarnBiasW and AlertBiasW bound |windowed mean signed error| in
-	// watts — a systematic offset signal that MAPE alone can hide on
-	// high-power nodes. Defaults 5 and 15.
-	WarnBiasW  float64
-	AlertBiasW float64
-	// Hysteresis is the de-escalation ratio in (0, 1]: to leave a
-	// state, every metric must drop below threshold×Hysteresis, so a
-	// value oscillating around a threshold cannot flap the state.
-	// Default 0.8.
-	Hysteresis float64
-	// MinSamples is the minimum window fill before the machine
-	// evaluates at all — a two-sample window must not page anyone.
-	// Default 32.
-	MinSamples int
 }
+
+const (
+	// warnBiasW and alertBiasW bound |windowed mean signed error| in
+	// watts — a systematic offset signal that MAPE alone can hide on
+	// high-power nodes.
+	warnBiasW  = 5
+	alertBiasW = 15
+	// hysteresis is the de-escalation ratio: to leave a state, every
+	// metric must drop below threshold×hysteresis, so a value
+	// oscillating around a threshold cannot flap the state.
+	hysteresis = 0.8
+	// minSamples is the minimum window fill before the machine
+	// evaluates at all — a two-sample window must not page anyone.
+	minSamples = 32
+)
 
 func (t Thresholds) withDefaults() Thresholds {
 	if t.WarnMAPEPct == 0 {
@@ -58,25 +59,13 @@ func (t Thresholds) withDefaults() Thresholds {
 	if t.AlertMAPEPct == 0 {
 		t.AlertMAPEPct = 20
 	}
-	if t.WarnBiasW == 0 {
-		t.WarnBiasW = 5
-	}
-	if t.AlertBiasW == 0 {
-		t.AlertBiasW = 15
-	}
-	if t.Hysteresis <= 0 || t.Hysteresis > 1 {
-		t.Hysteresis = 0.8
-	}
-	if t.MinSamples == 0 {
-		t.MinSamples = 32
-	}
 	return t
 }
 
 // Machine is the ok → warn → alert drift state machine. Escalation is
 // immediate when a windowed metric crosses its threshold;
 // de-escalation requires the metrics to fall below the hysteresis
-// band (threshold × Hysteresis), and steps down one level per
+// band (threshold × hysteresis), and steps down one level per
 // evaluation at most as far as the plain classification allows.
 //
 // Machine is not goroutine-safe; Monitor drives it under its lock.
@@ -102,16 +91,14 @@ func (m *Machine) Transitions(s State) uint64 { return m.transitions[s] }
 
 // classify maps windowed metrics to the severity they plainly
 // indicate, with thresholds scaled by the given factor (1 for entry,
-// Hysteresis for the hold test). Disabled triggers (negative
+// hysteresis for the hold test). Disabled MAPE triggers (negative
 // thresholds) never fire.
 func (m *Machine) classify(mapePct, absBiasW, scale float64) State {
 	t := m.th
-	if (t.AlertMAPEPct > 0 && mapePct >= t.AlertMAPEPct*scale) ||
-		(t.AlertBiasW > 0 && absBiasW >= t.AlertBiasW*scale) {
+	if (t.AlertMAPEPct > 0 && mapePct >= t.AlertMAPEPct*scale) || absBiasW >= alertBiasW*scale {
 		return StateAlert
 	}
-	if (t.WarnMAPEPct > 0 && mapePct >= t.WarnMAPEPct*scale) ||
-		(t.WarnBiasW > 0 && absBiasW >= t.WarnBiasW*scale) {
+	if (t.WarnMAPEPct > 0 && mapePct >= t.WarnMAPEPct*scale) || absBiasW >= warnBiasW*scale {
 		return StateWarn
 	}
 	return StateOK
@@ -119,10 +106,10 @@ func (m *Machine) classify(mapePct, absBiasW, scale float64) State {
 
 // Update evaluates the machine against a window snapshot and returns
 // the transition it took (changed is false, and from == to, when the
-// state held). Windows below MinSamples never change the state.
+// state held). Windows below minSamples never change the state.
 func (m *Machine) Update(snap WindowSnapshot) (from, to State, changed bool) {
 	from, to = m.state, m.state
-	if snap.N < m.th.MinSamples {
+	if snap.N < minSamples {
 		return from, to, false
 	}
 	absBias := snap.BiasW
@@ -137,7 +124,7 @@ func (m *Machine) Update(snap WindowSnapshot) (from, to State, changed bool) {
 		// Leaving the current state needs the metrics clear of the
 		// hysteresis band; classify with scaled-down thresholds says
 		// which severity still holds.
-		hold := m.classify(snap.MAPEPct, absBias, m.th.Hysteresis)
+		hold := m.classify(snap.MAPEPct, absBias, hysteresis)
 		if hold < m.state {
 			to = hold
 		}

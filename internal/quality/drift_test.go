@@ -8,32 +8,28 @@ func snap(n int, mapePct, biasW float64) WindowSnapshot {
 }
 
 func TestMachineEscalationAndHysteresis(t *testing.T) {
-	m := NewMachine(Thresholds{
-		WarnMAPEPct: 10, AlertMAPEPct: 20,
-		WarnBiasW: 5, AlertBiasW: 15,
-		Hysteresis: 0.8, MinSamples: 4,
-	})
+	m := NewMachine(Thresholds{WarnMAPEPct: 10, AlertMAPEPct: 20})
 	if m.State() != StateOK {
 		t.Fatalf("initial state %v", m.State())
 	}
 
-	// Below MinSamples nothing moves, however bad the window looks.
-	if _, _, changed := m.Update(snap(3, 99, 99)); changed || m.State() != StateOK {
+	// Below 32 samples nothing moves, however bad the window looks.
+	if _, _, changed := m.Update(snap(31, 99, 99)); changed || m.State() != StateOK {
 		t.Fatalf("state moved on an underfilled window: %v", m.State())
 	}
 
 	// Healthy window: ok.
-	m.Update(snap(10, 3, 0.5))
+	m.Update(snap(32, 3, 0.5))
 	if m.State() != StateOK {
 		t.Fatalf("healthy window: %v", m.State())
 	}
 
 	// MAPE crosses warn.
-	if from, to, changed := m.Update(snap(10, 12, 0.5)); !changed || from != StateOK || to != StateWarn {
+	if from, to, changed := m.Update(snap(32, 12, 0.5)); !changed || from != StateOK || to != StateWarn {
 		t.Fatalf("warn escalation = %v->%v changed=%v", from, to, changed)
 	}
 	// ... then alert.
-	if _, to, changed := m.Update(snap(10, 25, 0.5)); !changed || to != StateAlert {
+	if _, to, changed := m.Update(snap(32, 25, 0.5)); !changed || to != StateAlert {
 		t.Fatalf("alert escalation failed: %v", to)
 	}
 	if m.Transitions(StateWarn) != 1 || m.Transitions(StateAlert) != 1 {
@@ -41,19 +37,19 @@ func TestMachineEscalationAndHysteresis(t *testing.T) {
 	}
 
 	// Inside the hysteresis band (alert×0.8 = 16): alert holds.
-	if _, _, changed := m.Update(snap(10, 17, 0.5)); changed || m.State() != StateAlert {
+	if _, _, changed := m.Update(snap(32, 17, 0.5)); changed || m.State() != StateAlert {
 		t.Fatalf("hysteresis band did not hold alert: %v", m.State())
 	}
 	// Clear of the band but above warn×0.8: steps down to warn only.
-	if from, to, changed := m.Update(snap(10, 12, 0.5)); !changed || from != StateAlert || to != StateWarn {
+	if from, to, changed := m.Update(snap(32, 12, 0.5)); !changed || from != StateAlert || to != StateWarn {
 		t.Fatalf("de-escalation = %v->%v changed=%v", from, to, changed)
 	}
 	// Warn holds inside its own band (warn×0.8 = 8).
-	if _, _, changed := m.Update(snap(10, 9, 0.5)); changed || m.State() != StateWarn {
+	if _, _, changed := m.Update(snap(32, 9, 0.5)); changed || m.State() != StateWarn {
 		t.Fatalf("hysteresis band did not hold warn: %v", m.State())
 	}
 	// Fully recovered.
-	if _, to, changed := m.Update(snap(10, 3, 0.5)); !changed || to != StateOK {
+	if _, to, changed := m.Update(snap(32, 3, 0.5)); !changed || to != StateOK {
 		t.Fatalf("recovery failed: %v", to)
 	}
 	if m.Transitions(StateOK) != 1 {
@@ -62,28 +58,24 @@ func TestMachineEscalationAndHysteresis(t *testing.T) {
 }
 
 func TestMachineBiasTrigger(t *testing.T) {
-	m := NewMachine(Thresholds{MinSamples: 1})
-	th := m.th
+	m := NewMachine(Thresholds{})
 	// Defaults applied.
-	if th.WarnMAPEPct != 10 || th.AlertMAPEPct != 20 || th.WarnBiasW != 5 || th.AlertBiasW != 15 {
+	if th := m.th; th.WarnMAPEPct != 10 || th.AlertMAPEPct != 20 {
 		t.Fatalf("defaults = %+v", th)
 	}
-	// A negative bias beyond the alert bound trips alert even with a
-	// tiny MAPE (systematic underestimation on a high-power node).
-	if _, to, changed := m.Update(snap(8, 1, -16)); !changed || to != StateAlert {
+	// A negative bias beyond the 15 W alert bound trips alert even with
+	// a tiny MAPE (systematic underestimation on a high-power node).
+	if _, to, changed := m.Update(snap(32, 1, -16)); !changed || to != StateAlert {
 		t.Fatalf("bias alert = %v changed=%v", to, changed)
 	}
 }
 
 func TestMachineDisabledTrigger(t *testing.T) {
-	m := NewMachine(Thresholds{
-		WarnMAPEPct: -1, AlertMAPEPct: -1, // MAPE triggers off
-		WarnBiasW: 5, AlertBiasW: 15, MinSamples: 1,
-	})
-	if _, _, changed := m.Update(snap(8, 99, 0)); changed {
+	m := NewMachine(Thresholds{WarnMAPEPct: -1, AlertMAPEPct: -1}) // MAPE triggers off
+	if _, _, changed := m.Update(snap(32, 99, 0)); changed {
 		t.Fatalf("disabled MAPE trigger fired")
 	}
-	if _, to, _ := m.Update(snap(8, 99, 6)); to != StateWarn {
+	if _, to, _ := m.Update(snap(32, 99, 6)); to != StateWarn {
 		t.Fatalf("bias trigger should still fire: %v", to)
 	}
 }

@@ -13,8 +13,8 @@ type Config struct {
 	Window int
 	// Exemplars is the worst-residual buffer capacity. Default 32.
 	Exemplars int
-	// Thresholds configures the drift state machine (zero fields
-	// defaulted; see Thresholds).
+	// Thresholds configures the drift state machine's MAPE triggers
+	// (zero fields defaulted; see Thresholds).
 	Thresholds Thresholds
 	// OnTransition, when non-nil, is invoked for every drift state
 	// change with the observation that triggered it (its TraceID links
@@ -91,10 +91,9 @@ type Snapshot struct {
 	State  State
 	Window WindowSnapshot
 	// WarnTransitions and AlertTransitions count entries into the
-	// respective states; OKTransitions counts recoveries to ok.
+	// respective states.
 	WarnTransitions  uint64
 	AlertTransitions uint64
-	OKTransitions    uint64
 	// ExemplarCount is the number of captured worst-residual samples.
 	ExemplarCount int
 }
@@ -108,7 +107,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		Window:           m.tracker.Snapshot(),
 		WarnTransitions:  m.machine.Transitions(StateWarn),
 		AlertTransitions: m.machine.Transitions(StateAlert),
-		OKTransitions:    m.machine.Transitions(StateOK),
 		ExemplarCount:    m.exemplars.Len(),
 	}
 }

@@ -68,22 +68,21 @@ func TestMonitorDriftLifecycle(t *testing.T) {
 	type transition struct{ from, to State }
 	var seen []transition
 	mon := NewMonitor(Config{
-		Window:    16,
-		Exemplars: 4,
-		Thresholds: Thresholds{
-			WarnMAPEPct: 5, AlertMAPEPct: 12,
-			WarnBiasW: -1, AlertBiasW: -1, // isolate the MAPE trigger
-			MinSamples: 8,
-		},
+		Window:     32,
+		Exemplars:  4,
+		Thresholds: Thresholds{WarnMAPEPct: 5, AlertMAPEPct: 12},
 		OnTransition: func(from, to State, o Observation, snap WindowSnapshot) {
 			seen = append(seen, transition{from, to})
 		},
 		Now: func() time.Time { return time.Unix(1_700_000_000, 0) },
 	})
+	// The errors alternate in sign, so the windowed bias stays near 0 W
+	// and only the MAPE trigger moves the state.
+	sign := func(i int) float64 { return float64(1 - 2*(i%2)) }
 
 	// Healthy phase: 2% error.
-	for i := 0; i < 32; i++ {
-		if !mon.Observe(obsAt(i, 102, 100)) {
+	for i := 0; i < 64; i++ {
+		if !mon.Observe(obsAt(i, 100+2*sign(i), 100)) {
 			t.Fatalf("healthy observe %d rejected", i)
 		}
 	}
@@ -92,9 +91,9 @@ func TestMonitorDriftLifecycle(t *testing.T) {
 	}
 
 	// Ramp the error through warn (>5%) into alert (>12%).
-	for i := 0; i < 64; i++ {
-		errPct := 2 + 18*float64(i)/63 // 2% → 20%
-		mon.Observe(obsAt(32+i, 100*(1+errPct/100), 100))
+	for i := 0; i < 128; i++ {
+		errPct := 2 + 18*float64(i)/127 // 2% → 20%
+		mon.Observe(obsAt(64+i, 100+errPct*sign(i), 100))
 	}
 	if mon.Snapshot().State != StateAlert {
 		t.Fatalf("post-ramp state = %v", mon.Snapshot().State)
@@ -108,17 +107,17 @@ func TestMonitorDriftLifecycle(t *testing.T) {
 	if s.State != StateAlert || s.WarnTransitions < 1 || s.AlertTransitions < 1 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if s.Window.N != 16 || s.Window.MAPEPct < 12 {
+	if s.Window.N != 32 || s.Window.MAPEPct < 12 || math.Abs(s.Window.BiasW) > 1 {
 		t.Fatalf("window stats = %+v", s.Window)
 	}
-	if s.Window.Total != 96 {
-		t.Fatalf("lifetime total = %d, want 96", s.Window.Total)
+	if s.Window.Total != 192 {
+		t.Fatalf("lifetime total = %d, want 192", s.Window.Total)
 	}
 	if s.ExemplarCount != 4 {
 		t.Fatalf("exemplar count = %d, want 4", s.ExemplarCount)
 	}
 	recs := mon.ExemplarRecords()
-	if len(recs) != 4 || math.Abs(recs[0].ResidualW-20) > 0.5 {
+	if len(recs) != 4 || math.Abs(math.Abs(recs[0].ResidualW)-20) > 0.5 {
 		t.Fatalf("worst exemplar = %+v", recs[0])
 	}
 }

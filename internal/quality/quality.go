@@ -45,7 +45,7 @@ type Tracker struct {
 	next   int
 	n      int // samples currently in the window, <= window
 	// Running window sums, updated incrementally on insert/evict.
-	sumSigned, sumAbs, sumAPE float64
+	sumSigned, sumAPE float64
 	// Lifetime accounting.
 	total   uint64 // usable observations
 	skipped uint64 // dropped: non-finite prediction or unusable label
@@ -91,7 +91,6 @@ func (t *Tracker) Observe(predictedW, observedW float64) bool {
 		// Evict the slot we are about to overwrite.
 		old := t.signed[t.next]
 		t.sumSigned -= old
-		t.sumAbs -= math.Abs(old)
 		t.sumAPE -= t.ape[t.next]
 	} else {
 		t.n++
@@ -103,7 +102,6 @@ func (t *Tracker) Observe(predictedW, observedW float64) bool {
 		t.next = 0
 	}
 	t.sumSigned += err
-	t.sumAbs += absErr
 	t.sumAPE += ape
 	t.total++
 	t.p50.observe(absErr)
@@ -122,8 +120,6 @@ type WindowSnapshot struct {
 	// BiasW is the windowed mean signed error (predicted − observed)
 	// in watts: negative means the model underestimates.
 	BiasW float64
-	// MeanAbsW is the windowed mean absolute error in watts.
-	MeanAbsW float64
 	// P50W, P95W, P99W are lifetime absolute-error quantile estimates
 	// in watts (0 before the first observation).
 	P50W, P95W, P99W float64
@@ -145,7 +141,6 @@ func (t *Tracker) snapshotLocked() WindowSnapshot {
 		inv := 1 / float64(t.n)
 		s.MAPEPct = t.sumAPE * inv
 		s.BiasW = t.sumSigned * inv
-		s.MeanAbsW = t.sumAbs * inv
 	}
 	s.P50W, _ = t.p50.value()
 	s.P95W, _ = t.p95.value()

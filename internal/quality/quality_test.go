@@ -26,9 +26,6 @@ func TestTrackerWindowStats(t *testing.T) {
 	if math.Abs(s.BiasW) > 1e-12 {
 		t.Errorf("bias = %v, want 0", s.BiasW)
 	}
-	if want := 1.5; math.Abs(s.MeanAbsW-want) > 1e-12 {
-		t.Errorf("mean abs = %v, want %v", s.MeanAbsW, want)
-	}
 	if want := 1.5; math.Abs(s.MAPEPct-want) > 1e-12 {
 		t.Errorf("MAPE = %v, want %v%%", s.MAPEPct, want)
 	}

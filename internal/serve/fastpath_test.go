@@ -54,7 +54,7 @@ func wireSpecs(t *testing.T) []equivSpec {
 	labelled := func(timeNs uint64, powerW string) string {
 		return fmt.Sprintf(`{"time_ns":%d,"freq_mhz":2000,"voltage_v":1.05,"power_w":%s,"rates":%s}`, timeNs, powerW, rj)
 	}
-	// One line just over the default MaxLineBytes.
+	// One line just over maxLineBytes.
 	oversized := `{"pad":"` + strings.Repeat("x", 1<<20) + `"}`
 	// Each stream is one NDJSON request on its own named session, so
 	// cross-request state like last-time_ns carries over only where a

@@ -37,11 +37,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // qualityTestThresholds trip on a label drift of +20 % or more: the
 // windowed MAPE settles at 0.2/1.2 ≈ 16.7 % or above, past alert at
 // 12 %.
-var qualityTestThresholds = quality.Thresholds{
-	WarnMAPEPct: 5, AlertMAPEPct: 12,
-	WarnBiasW: -1, AlertBiasW: -1, // isolate the MAPE trigger
-	MinSamples: 8,
-}
+var qualityTestThresholds = quality.Thresholds{WarnMAPEPct: 5, AlertMAPEPct: 12}
 
 // TestQualityDriftEndToEnd drives the whole observability surface over
 // HTTP: an accurate labelled stream holds the model at ok, a ramped
@@ -55,18 +51,17 @@ func TestQualityDriftEndToEnd(t *testing.T) {
 		name string
 		// campaign streams the five-P-state model's rows, shuffled; the
 		// other case streams the fixture's first row only.
-		campaign                      bool
-		window, exemplars, minSamples int
-		healthy, drifting             int
-		drift                         float64
+		campaign          bool
+		window, exemplars int
+		healthy, drifting int
+		drift             float64
 	}{
-		{name: "one-row", window: 32, exemplars: 8, minSamples: 8, healthy: 48, drifting: 120, drift: 0.30},
-		{name: "campaign", campaign: true, window: 64, exemplars: 16, minSamples: 16, healthy: 128, drifting: 300, drift: 0.20},
+		{name: "one-row", window: 32, exemplars: 8, healthy: 48, drifting: 120, drift: 0.30},
+		{name: "campaign", campaign: true, window: 64, exemplars: 16, healthy: 128, drifting: 300, drift: 0.20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, rows := fixture(t)
 			cfg := Config{QualityWindow: tc.window, QualityExemplars: tc.exemplars, QualityThresholds: qualityTestThresholds}
-			cfg.QualityThresholds.MinSamples = tc.minSamples
 			order := []int{0}
 			if tc.campaign {
 				m, rows = campaignFixture(t)

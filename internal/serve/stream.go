@@ -256,7 +256,6 @@ func (st *estimateStream) close() {
 // body ends. On return it flushes the writer and drains the body;
 // close then releases the session and the admission token.
 func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
-	maxLine := st.s.cfg.MaxLineBytes
 	st.w = w
 	// NDJSON estimation reads the request body and writes the response
 	// concurrently; without full duplex the HTTP/1.x server closes the
@@ -266,7 +265,7 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 	// on handler return, so an early exit (oversized line, rejected
 	// first sample) must drain what the client already sent — bounded,
 	// to keep a hostile stream from pinning the handler.
-	defer io.Copy(io.Discard, io.LimitReader(r.Body, int64(maxLine)))
+	defer io.Copy(io.Discard, io.LimitReader(r.Body, maxLineBytes))
 	// Responses are buffered and flushed when the input is drained
 	// (flushIfDrained): an interactive client that sent one sample and
 	// is waiting gets its row immediately, while a batch upload gets
@@ -274,7 +273,7 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 	// frame per sample — the dominant per-sample cost at fleet scale.
 	// A stream from the free list re-aims its buffers at this request.
 	if st.br == nil {
-		st.br = bufio.NewReaderSize(r.Body, min(max(maxLine, 16), 64*1024))
+		st.br = bufio.NewReaderSize(r.Body, 64<<10)
 		st.bw = bufio.NewWriterSize(w, 32*1024)
 	} else {
 		st.br.Reset(r.Body)
@@ -292,7 +291,7 @@ func (st *estimateStream) serve(w http.ResponseWriter, r *http.Request) {
 	for readErr == nil {
 		var line []byte
 		buffered := st.br.Buffered()
-		line, readErr = readLine(st.br, maxLine, &st.lineBuf)
+		line, readErr = readLine(st.br, &st.lineBuf)
 		// Without a fill the reader only moved past the line and its
 		// newline.
 		if readErr != nil || st.br.Buffered() != buffered-len(line)-1 {

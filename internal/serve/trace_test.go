@@ -231,23 +231,19 @@ func TestFlightRecSlowRetention(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Registry:          campaignRegistry(t),
 		Now:               clock.Now,
-		FlightRecWarmup:   8,
 		FlightRecMinSlow:  100 * time.Millisecond,
 		FlightRecDumpPath: dumpPath,
 		QualityWindow:     64,
-		QualityThresholds: quality.Thresholds{
-			WarnMAPEPct: 5, AlertMAPEPct: 12,
-			WarnBiasW: -1, AlertBiasW: -1,
-			MinSamples: 16,
-		},
+		QualityThresholds: quality.Thresholds{WarnMAPEPct: 5, AlertMAPEPct: 12},
 	})
 	const flaggedTraceID = "deadbeefdeadbeefdeadbeefdeadbeef"
 	var timeNs uint64
 
 	// The clock stands still during these streams, so each completes
 	// in zero recorder time: the fastest baseline, none of it worth
-	// keeping. Sixteen is past the warmup, so slow detection is armed.
-	for i := 0; i < 16; i++ {
+	// keeping. Forty is past the recorder's 32-request warm-up, so slow
+	// detection is armed.
+	for i := 0; i < 40; i++ {
 		timeNs += 1e6
 		if code, _, _ := streamEstimates(t, ts, "?model=m", []string{sampleLine(t, rows[i%len(rows)], timeNs)}); code != http.StatusOK {
 			t.Fatalf("fast stream %d: HTTP %d", i, code)
