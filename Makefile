@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-hotpath bench-rls report examples trace-demo clean
+.PHONY: all build vet test race verify bench bench-hotpath bench-rls report trace-demo clean
 
 all: build vet test
 
@@ -48,24 +48,11 @@ bench-rls:
 report:
 	$(GO) run ./cmd/expreport
 
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/counter_selection
-	$(GO) run ./examples/dvfs_sweep
-	$(GO) run ./examples/unseen_workloads
-	$(GO) run ./examples/online_monitor
-	$(GO) run ./examples/percore_power
-
 # Run the full pipeline with span tracing enabled and validate the
 # exported Chrome trace JSON (open trace-demo.json in Perfetto).
 trace-demo:
 	$(GO) run ./cmd/powermodel -counters 3 -folds 5 -j 2 -trace trace-demo.json
 	$(GO) run ./cmd/tracecheck -require powermodel,acquire,selection,fit,cv,cv-fold,parallel.worker trace-demo.json
-
-# The outputs recorded in the repository.
-outputs:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,11 @@
 // The CSV must contain freq_mhz and voltage_v columns plus one column
 // per model event (PAPI names, rates in events/second) — exactly what
 // cmd/acquire emits. A power_w column, when present, is used to report
-// the estimation error.
+// the estimation error. A row the daemon would refuse as a sample (a
+// frequency that is not a positive integer, a voltage that is not
+// finite and positive, a model event rate that is negative or not
+// finite), or whose estimate is not finite, stops estimate with the
+// row's CSV line and exit status 1.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -26,7 +31,6 @@ import (
 	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
-	"pmcpower/internal/workloads"
 )
 
 func main() {
@@ -59,26 +63,11 @@ func run(trainPath, modelPath string, seed uint64, args []string) error {
 func calibrate(outPath string, seed uint64) error {
 	// Counter selection followed by full-range training — the
 	// expensive, once-per-platform step.
-	selDS, err := acquisition.Acquire(acquisition.Options{Seed: seed}, workloads.Active(), []int{2400})
+	m, err := core.Calibrate(seed)
 	if err != nil {
 		return err
 	}
-	steps, err := core.SelectEvents(selDS.Rows, core.SelectOptions{Count: 6})
-	if err != nil {
-		return err
-	}
-	events := core.Events(steps)
-	fmt.Fprintf(os.Stderr, "selected counters: %v\n", pmu.ShortNames(events))
-
-	full, err := acquisition.Acquire(acquisition.Options{Seed: seed, Events: events},
-		workloads.Active(), []int{1200, 1600, 2000, 2400, 2600})
-	if err != nil {
-		return err
-	}
-	m, err := core.Train(full.Rows, events, core.TrainOptions{})
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(os.Stderr, "selected counters: %v\n", pmu.ShortNames(m.Events))
 	f, err := os.Create(outPath)
 	if err != nil {
 		return err
@@ -87,7 +76,7 @@ func calibrate(outPath string, seed uint64) error {
 	if err := m.WriteJSON(f); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "model written to %s (R²=%.4f on %d experiments)\n", outPath, m.R2(), len(full.Rows))
+	fmt.Fprintf(os.Stderr, "model written to %s (R²=%.4f on %d experiments)\n", outPath, m.R2(), m.Fit.N)
 	return nil
 }
 
@@ -151,32 +140,36 @@ func estimate(modelPath, csvPath string) error {
 			}
 			return v, nil
 		}
-		freq, err := get("freq_mhz")
+		freq, err := strconv.Atoi(rec[col["freq_mhz"]])
 		if err != nil {
-			return err
+			return fmt.Errorf("CSV line %d, column freq_mhz: %w", line, err)
 		}
 		volt, err := get("voltage_v")
 		if err != nil {
 			return err
 		}
-		row := &acquisition.Row{
-			FreqMHz:  int(freq),
-			VoltageV: volt,
-			Rates:    map[pmu.EventID]float64{},
-		}
+		cs := core.CounterSample{FreqMHz: freq, VoltageV: volt, Rates: map[pmu.EventID]float64{}}
 		for _, id := range m.Events {
 			v, err := get(pmu.Lookup(id).Name)
 			if err != nil {
 				return err
 			}
-			row.Rates[id] = v
+			cs.Rates[id] = v
 		}
-		est := m.Predict(row)
+		// The daemon's sample checks, then its refusal of an estimate
+		// that overflows.
+		if err := m.CheckSample(cs); err != nil {
+			return fmt.Errorf("CSV line %d: %w", line, err)
+		}
+		est := m.Predict(&acquisition.Row{FreqMHz: freq, VoltageV: volt, Rates: cs.Rates})
+		if math.IsNaN(est) || math.IsInf(est, 0) {
+			return fmt.Errorf("CSV line %d: %w: %v W", line, core.ErrNonFinite, est)
+		}
 		name := "-"
 		if hasWorkload {
 			name = rec[wlCol]
 		}
-		fmt.Printf("%-16s %9.0f %9.1f", name, freq, est)
+		fmt.Printf("%-16s %9d %9.1f", name, freq, est)
 		if hasPower {
 			act, err := get("power_w")
 			if err != nil {

@@ -57,13 +57,12 @@ import (
 	"syscall"
 	"time"
 
-	"pmcpower/internal/acquisition"
 	"pmcpower/internal/buildinfo"
 	"pmcpower/internal/core"
 	"pmcpower/internal/obs"
 	"pmcpower/internal/pmu"
+	"pmcpower/internal/quality"
 	"pmcpower/internal/serve"
-	"pmcpower/internal/workloads"
 )
 
 func main() {
@@ -101,7 +100,10 @@ type daemonFlags struct {
 }
 
 // parseFlags defines pmcpowerd's flags on fs and parses args. It
-// refuses a value that would make every request fail, naming the flag.
+// refuses, naming the flag, a value that would make every request
+// fail, and a -quality-window between 1 and quality.MinSamples−1,
+// which never holds the samples drift detection needs, so a model
+// would stay ok however wrong it is. A window of 0 takes the default.
 func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
 	d := &daemonFlags{}
 	cfg := &d.cfg
@@ -146,10 +148,14 @@ func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
 		{"max-body-bytes", cfg.MaxBodyBytes},
 		{"idle-ttl", int64(cfg.IdleTTL)},
 		{"refit-window", int64(cfg.RefitWindow)},
+		{"quality-window", int64(cfg.QualityWindow)},
 	} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("-%s %s is negative", f.name, fs.Lookup(f.name).Value)
 		}
+	}
+	if w := cfg.QualityWindow; w > 0 && w < quality.MinSamples {
+		return nil, fmt.Errorf("-quality-window %d holds fewer than the %d samples drift detection needs", w, quality.MinSamples)
 	}
 	return d, nil
 }
@@ -165,10 +171,11 @@ func run(logger *slog.Logger, d *daemonFlags) error {
 		logger.Info("model loaded", "path", p, "name", name, "version", version)
 	}
 	if d.selfcal {
-		m, err := calibrate(logger, d.seed)
+		m, err := core.Calibrate(d.seed)
 		if err != nil {
 			return fmt.Errorf("self-calibration: %w", err)
 		}
+		logger.Info("selected counters", "events", pmu.ShortNames(m.Events))
 		if _, err := reg.Add("default", m); err != nil {
 			return err
 		}
@@ -244,26 +251,4 @@ func run(logger *slog.Logger, d *daemonFlags) error {
 		"uptime_s", time.Since(start).Seconds(),
 		"requests_served", srv.Metrics().TotalRequests())
 	return nil
-}
-
-// calibrate trains a six-counter model on the simulated platform —
-// the same selection-then-training flow as `estimate -train`, for
-// serving without a pre-trained document.
-func calibrate(logger *slog.Logger, seed uint64) (*core.Model, error) {
-	selDS, err := acquisition.Acquire(acquisition.Options{Seed: seed}, workloads.Active(), []int{2400})
-	if err != nil {
-		return nil, err
-	}
-	steps, err := core.SelectEvents(selDS.Rows, core.SelectOptions{Count: 6})
-	if err != nil {
-		return nil, err
-	}
-	events := core.Events(steps)
-	logger.Info("selected counters", "events", pmu.ShortNames(events))
-	full, err := acquisition.Acquire(acquisition.Options{Seed: seed, Events: events},
-		workloads.Active(), []int{1200, 1600, 2000, 2400, 2600})
-	if err != nil {
-		return nil, err
-	}
-	return core.Train(full.Rows, events, core.TrainOptions{})
 }

@@ -70,9 +70,10 @@ func TestParseFlagsDefaults(t *testing.T) {
 }
 
 // TestParseFlagsRefusesValuesEveryRequestFails: a default alpha outside
-// (0,1] fails every estimate stream without ?alpha=, and a negative
+// (0,1] fails every estimate stream without ?alpha=, a negative
 // session cap, body cap, idle TTL or refit window fails the requests
-// that reach it; each is refused at startup with an error naming the
+// that reach it, and a quality window below quality.MinSamples never
+// evaluates drift; each is refused at startup with an error naming the
 // flag.
 func TestParseFlagsRefusesValuesEveryRequestFails(t *testing.T) {
 	for _, args := range [][]string{
@@ -84,6 +85,9 @@ func TestParseFlagsRefusesValuesEveryRequestFails(t *testing.T) {
 		{"-max-body-bytes", "-1"},
 		{"-idle-ttl", "-1s"},
 		{"-refit-window", "-1"},
+		{"-quality-window", "-1"},
+		{"-quality-window", "1"},
+		{"-quality-window", "31"},
 	} {
 		_, _, err := parse(args...)
 		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
@@ -91,14 +95,18 @@ func TestParseFlagsRefusesValuesEveryRequestFails(t *testing.T) {
 		}
 	}
 
-	// The edges stay accepted: alpha 1, and 0 for the counts, which
-	// takes the server's default.
+	// The edges stay accepted: alpha 1, 0 for the counts, which takes
+	// the server's default, and a quality window of exactly
+	// quality.MinSamples.
 	d, _, err := parse("-alpha", "1", "-max-sessions", "0", "-max-body-bytes", "0", "-idle-ttl", "0s", "-refit-window", "0",
-		"-shed-p99-ms", "2.5", "-model", "a.json", "-model", "b.json")
+		"-quality-window", "0", "-shed-p99-ms", "2.5", "-model", "a.json", "-model", "b.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cfg.ShedP99 != 2500*time.Microsecond || len(d.modelPaths) != 2 {
+	if d.cfg.ShedP99 != 2500*time.Microsecond || len(d.modelPaths) != 2 || d.cfg.QualityWindow != 0 {
 		t.Errorf("parsed %+v", d)
+	}
+	if d, _, err := parse("-quality-window", "32"); err != nil || d.cfg.QualityWindow != quality.MinSamples {
+		t.Errorf("-quality-window 32: %v, %+v", err, d)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// The counters of the paper's methodology: selected once by
-	// Algorithm 1 (see examples/counter_selection), then reused.
+	// Algorithm 1 (see `expreport -exp table1`), then reused.
 	var events []pmu.EventID
 	for _, name := range []string{"LST_INS", "STL_CCY", "L3_TCM", "TOT_CYC", "BR_UCN", "BR_TKN"} {
 		events = append(events, pmu.MustByName(name).ID)

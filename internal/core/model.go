@@ -9,6 +9,7 @@ import (
 	"pmcpower/internal/obs"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
+	"pmcpower/internal/workloads"
 )
 
 // Model is a trained Equation-1 power model.
@@ -67,6 +68,29 @@ func TrainCtx(ctx context.Context, rows []*acquisition.Row, events []pmu.EventID
 	}
 	span.SetAttr(obs.Float("r2", fit.R2))
 	return modelFromCoeffs(events, fit.Coeffs, fit), nil
+}
+
+// Calibrate runs the once-per-platform workflow on the simulated
+// Haswell-EP node: an all-counter campaign over the active workloads
+// at the 2400 MHz selection frequency, Algorithm 1 for six counters, a
+// campaign with those counters over the five P-states, and Train.
+// `estimate -train` and `pmcpowerd -selfcal` both calibrate through it.
+func Calibrate(seed uint64) (*Model, error) {
+	selDS, err := acquisition.Acquire(acquisition.Options{Seed: seed}, workloads.Active(), []int{2400})
+	if err != nil {
+		return nil, err
+	}
+	steps, err := SelectEvents(selDS.Rows, SelectOptions{Count: 6})
+	if err != nil {
+		return nil, err
+	}
+	events := Events(steps)
+	full, err := acquisition.Acquire(acquisition.Options{Seed: seed, Events: events},
+		workloads.Active(), []int{1200, 1600, 2000, 2400, 2600})
+	if err != nil {
+		return nil, err
+	}
+	return Train(full.Rows, events, TrainOptions{})
 }
 
 // modelFromCoeffs maps Equation-1 design coefficients (intercept

@@ -153,17 +153,8 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 	if s.samples > 0 && cs.TimeNs < s.lastNs {
 		return StreamEstimate{}, fmt.Errorf("core: %w: sample at %d ns (last %d ns)", ErrOutOfOrder, cs.TimeNs, s.lastNs)
 	}
-	if cs.FreqMHz <= 0 || !(cs.VoltageV > 0) || math.IsInf(cs.VoltageV, 0) {
-		return StreamEstimate{}, fmt.Errorf("core: %w: freq %d MHz, voltage %v V", ErrBadOperatingPoint, cs.FreqMHz, cs.VoltageV)
-	}
-	for _, id := range s.model.Events {
-		r, ok := cs.Rates[id]
-		if !ok {
-			return StreamEstimate{}, fmt.Errorf("core: %w: %s", ErrMissingEvent, pmu.Lookup(id).Name)
-		}
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return StreamEstimate{}, fmt.Errorf("core: %w: %v for event %s", ErrBadRate, r, pmu.Lookup(id).Name)
-		}
+	if err := s.model.CheckSample(cs); err != nil {
+		return StreamEstimate{}, err
 	}
 	inst := s.model.Predict(&acquisition.Row{FreqMHz: cs.FreqMHz, VoltageV: cs.VoltageV, Rates: cs.Rates})
 	smoothed, totalJ := inst, s.totalJ
@@ -190,6 +181,27 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 		Samples:      s.samples,
 		ModelVersion: version,
 	}, nil
+}
+
+// CheckSample applies the row checks an estimate of m needs: a
+// positive frequency, a finite positive voltage, and for each of m's
+// events a rate that is present, finite and not negative. It returns
+// the first failure, wrapping ErrBadOperatingPoint, ErrMissingEvent or
+// ErrBadRate. StreamSession.Push and cmd/estimate both apply it.
+func (m *Model) CheckSample(cs CounterSample) error {
+	if cs.FreqMHz <= 0 || !(cs.VoltageV > 0) || math.IsInf(cs.VoltageV, 0) {
+		return fmt.Errorf("core: %w: freq %d MHz, voltage %v V", ErrBadOperatingPoint, cs.FreqMHz, cs.VoltageV)
+	}
+	for _, id := range m.Events {
+		r, ok := cs.Rates[id]
+		if !ok {
+			return fmt.Errorf("core: %w: %s", ErrMissingEvent, pmu.Lookup(id).Name)
+		}
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return fmt.Errorf("core: %w: %v for event %s", ErrBadRate, r, pmu.Lookup(id).Name)
+		}
+	}
+	return nil
 }
 
 // finite reports whether v is neither NaN nor infinite.

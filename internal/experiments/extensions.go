@@ -91,10 +91,11 @@ func (c *Context) AblationRateNormalization() (*AblationResult, error) {
 }
 
 // AblationHCSE quantifies the HC3 choice: the mean coefficient
-// standard error of the trained model under HC3 versus the classic
-// homoscedastic estimator. Because the residuals are heteroscedastic
-// (absolute error grows with power), the classic SEs are misleadingly
-// small.
+// standard error of the trained model under HC3 versus HC0, White's
+// original heteroscedasticity-consistent estimator. Both allow for the
+// heteroscedastic residuals (absolute error grows with power); HC3
+// also divides each squared residual by (1−h)², so high-leverage
+// observations widen its standard errors where HC0's stay smaller.
 func (c *Context) AblationHCSE() (*AblationResult, error) {
 	ds, err := c.FullDataset()
 	if err != nil {
@@ -108,20 +109,14 @@ func (c *Context) AblationHCSE() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Train remaps CovClassic to HC3 (the paper's default), so build
-	// the homoscedastic fit directly on the same design matrix.
-	x, y, err := core.DesignMatrix(ds.Rows, sel)
-	if err != nil {
-		return nil, err
-	}
-	classic, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC0})
+	hc0, err := core.Train(ds.Rows, sel, core.TrainOptions{Estimator: stats.CovHC0})
 	if err != nil {
 		return nil, err
 	}
 	return &AblationResult{
 		Name:    "HCSE estimator (HC3 vs HC0)",
 		Default: stats.Mean(hc3.Fit.StdErr),
-		Variant: stats.Mean(classic.StdErr),
+		Variant: stats.Mean(hc0.Fit.StdErr),
 		Unit:    "mean coefficient SE",
 		Note:    "HC3 inflates standard errors under heteroscedasticity; point estimates are identical",
 	}, nil

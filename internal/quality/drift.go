@@ -47,10 +47,12 @@ const (
 	// metric must drop below threshold×hysteresis, so a value
 	// oscillating around a threshold cannot flap the state.
 	hysteresis = 0.8
-	// minSamples is the minimum window fill before the machine
-	// evaluates at all — a two-sample window must not page anyone.
-	minSamples = 32
 )
+
+// MinSamples is the minimum window fill before the machine evaluates
+// at all — a two-sample window must not page anyone. A quality window
+// smaller than this never evaluates, so pmcpowerd refuses one.
+const MinSamples = 32
 
 func (t Thresholds) withDefaults() Thresholds {
 	if t.WarnMAPEPct == 0 {
@@ -106,10 +108,10 @@ func (m *Machine) classify(mapePct, absBiasW, scale float64) State {
 
 // Update evaluates the machine against a window snapshot and returns
 // the transition it took (changed is false, and from == to, when the
-// state held). Windows below minSamples never change the state.
+// state held). Windows below MinSamples never change the state.
 func (m *Machine) Update(snap WindowSnapshot) (from, to State, changed bool) {
 	from, to = m.state, m.state
-	if snap.N < minSamples {
+	if snap.N < MinSamples {
 		return from, to, false
 	}
 	absBias := snap.BiasW

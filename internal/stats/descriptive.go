@@ -2,8 +2,7 @@
 // modeling workflow relies on: ordinary least squares regression with
 // an intercept, R²/Adj.R² and heteroscedasticity-consistent (HC0–HC3)
 // standard errors, variance inflation factors, Pearson correlation,
-// k-fold cross-validation splitting, and error metrics (MAPE, MaxAPE,
-// mean bias).
+// k-fold cross-validation splitting, and error metrics (MAPE, MaxAPE).
 //
 // It replaces the python3 statsmodels/scipy stack used by the paper
 // with a stdlib-only Go implementation built on internal/mat.

@@ -67,18 +67,6 @@ func MAPE(actual, predicted []float64) float64 {
 	return st.MAPE
 }
 
-// MeanBias returns mean(predicted − actual); positive values indicate
-// systematic overestimation (the paper discusses per-workload bias in
-// Figure 5a).
-func MeanBias(actual, predicted []float64) float64 {
-	checkPair("MeanBias", actual, predicted)
-	var s float64
-	for i := range actual {
-		s += predicted[i] - actual[i]
-	}
-	return s / float64(len(actual))
-}
-
 func checkPair(name string, a, b []float64) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("stats: %s length mismatch %d vs %d", name, len(a), len(b)))

@@ -186,14 +186,6 @@ func TestAPEDetail(t *testing.T) {
 	}
 }
 
-func TestMeanBias(t *testing.T) {
-	a := []float64{1, 2, 3}
-	p := []float64{2, 2, 5}
-	if v := MeanBias(a, p); !almost(v, 1, 1e-12) {
-		t.Fatalf("MeanBias = %v", v)
-	}
-}
-
 func TestKFoldPartition(t *testing.T) {
 	r := rng.New(33)
 	n, k := 47, 10
