@@ -172,6 +172,17 @@ func wireSpecs(t *testing.T) []equivSpec {
 		equivSpec{method: "POST", path: "/v1/predict", body: `{"model":"m","rows":[]}`},
 		predict("ghost"),
 	)
+
+	// A refitting session whose window fills and refreshes: the
+	// stream of TestEstimateStreamRefitBitIdentical, so the later rows
+	// carry model_version ≥ 1 and pin the refit arithmetic.
+	var refit []string
+	for i, r := range interleaved(rows, 60) {
+		refit = append(refit, labelledLine(t, r, uint64(i)*1e8, r.PowerW))
+	}
+	specs = append(specs, equivSpec{method: "POST",
+		path: "/v1/estimate?model=m&alpha=0.3&refit=24&session=refit-primes",
+		body: strings.Join(refit, "\n") + "\n"})
 	return specs
 }
 
