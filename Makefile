@@ -37,12 +37,12 @@ bench-hotpath:
 	$(GO) test -run XXX -benchmem -benchtime=20x \
 		-bench 'BenchmarkModelTraining$$|BenchmarkSelectionSerial$$|BenchmarkSelectionParallel$$|BenchmarkCrossValidationSerial$$|BenchmarkCrossValidationParallel$$|BenchmarkQRAppend|BenchmarkFitKernels' .
 
-# The streaming-refit path: per-sample RLS update vs batch window
-# refit.
+# The streaming-refit path: the row update kernel, and one labelled
+# sample through a primed refitting session.
 bench-rls:
 	$(GO) test -run XXX -benchmem -benchtime=20x \
-		-bench 'BenchmarkRowQRAppendRow|BenchmarkRLSPush$$|BenchmarkRLSPushSolve$$|BenchmarkRLSBatchRefit$$' \
-		./internal/mat ./internal/stats
+		-bench 'BenchmarkRowQRAppendRow|BenchmarkStreamSessionPushLabeledRefit$$' \
+		./internal/mat ./internal/core
 
 # Text report of every table and figure.
 report:

@@ -13,7 +13,8 @@
 // the estimation error. A row the daemon would refuse as a sample (a
 // frequency that is not a positive integer, a voltage that is not
 // finite and positive, a model event rate that is negative or not
-// finite), or whose estimate is not finite, stops estimate with the
+// finite) or as a power label (a power_w that is not finite and
+// positive), or whose estimate is not finite, stops estimate with the
 // row's CSV line and exit status 1.
 package main
 
@@ -165,16 +166,21 @@ func estimate(modelPath, csvPath string) error {
 		if math.IsNaN(est) || math.IsInf(est, 0) {
 			return fmt.Errorf("CSV line %d: %w: %v W", line, core.ErrNonFinite, est)
 		}
+		var act float64
+		if hasPower {
+			if act, err = get("power_w"); err != nil {
+				return err
+			}
+			if err := core.CheckPower(act); err != nil {
+				return fmt.Errorf("CSV line %d: %w", line, err)
+			}
+		}
 		name := "-"
 		if hasWorkload {
 			name = rec[wlCol]
 		}
 		fmt.Printf("%-16s %9d %9.1f", name, freq, est)
 		if hasPower {
-			act, err := get("power_w")
-			if err != nil {
-				return err
-			}
 			actual = append(actual, act)
 			predicted = append(predicted, est)
 			fmt.Printf(" %9.1f %+7.1f%%", act, (est-act)/act*100)

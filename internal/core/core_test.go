@@ -30,7 +30,7 @@ func canonicalEvents() []pmu.EventID {
 	return out
 }
 
-func fixtures(t *testing.T) (*acquisition.Dataset, *acquisition.Dataset) {
+func fixtures(t testing.TB) (*acquisition.Dataset, *acquisition.Dataset) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		selDS, fixtureErr = acquisition.Acquire(acquisition.Options{Seed: 42},

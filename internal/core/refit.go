@@ -1,136 +1,132 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
+	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
-	"pmcpower/internal/stats"
 )
 
-// ErrBadPower marks a measured-power reference that is NaN, infinite,
-// or non-positive — the label side of a refit observation is validated
-// like the counter side, before any state mutates.
-var ErrBadPower = errors.New("invalid power reference")
-
-// validatePower rejects NaN, infinite, and non-positive power labels.
-func validatePower(powerW float64) error {
-	if math.IsNaN(powerW) || math.IsInf(powerW, 0) || powerW <= 0 {
-		return fmt.Errorf("core: %w: %v W", ErrBadPower, powerW)
-	}
-	return nil
+// refitter is a refitting StreamSession's sliding window: it adapts a
+// trained Equation-1 model to a live stream. Each labelled sample
+// (counter rates plus a measured power reference, e.g. RAPL) becomes
+// one row of the offline trainer's design, and the rows of the last
+// `size` samples stay least-squares factorized in a mat.RowQR: once
+// the window is full the oldest row is rotated out before the new one
+// is rotated in. Every solvable window overwrites the adapted model's
+// coefficients in place. Per-sample cost is O(k²) in the k design
+// columns, independent of the stream length, and allocation-free after
+// construction.
+//
+// Equivalence contract: the adapted coefficients match Train on the
+// rows left in the window to rounding (Givens against Householder
+// order; TestRefitterMatchesBatchTrainOnWindow, also after a rebuild),
+// and the same stream through a fresh session refreshes them bit for
+// bit (TestRefitterRejectsBadPower, and exchange 49 of
+// internal/serve/testdata/fastpath_wire.golden pins the served bytes).
+//
+// version numbers the coefficient generations: 0 is the frozen offline
+// fit, and every refresh increments it. The session stamps it on each
+// estimate. The session lock serializes every call.
+type refitter struct {
+	// model is the adapted copy of the base model the session serves.
+	model *Model
+	qr    *mat.RowQR
+	// ring holds the window's rows, each the k design columns
+	// [1, E_n·V²f …, V²f, V] then the label. When the window is full,
+	// head is the oldest row, which is also where the next row lands.
+	ring []float64
+	head int
+	n    int
+	size int
+	// coef receives the window's solve.
+	coef     []float64
+	version  uint64
+	rebuilds uint64
 }
 
-// Refitter adapts a trained Equation-1 model to a live stream: each
-// labelled sample (counter rates plus a measured power reference, e.g.
-// RAPL) is folded into a sliding-window recursive least-squares fit of
-// the same design the offline trainer uses, and the refreshed
-// coefficients overwrite an adapted copy of the model in place. The
-// base model is never mutated; the adapted copy is allocated once at
-// construction and its coefficient slices are reused across refits, so
-// the steady-state per-sample cost is stats.RLS's O(k²) with zero
-// allocations.
-//
-// Version numbers the coefficient generations: 0 is the frozen offline
-// fit the Refitter started from, and every successful refresh
-// increments it. Serving layers stamp the version on each estimate so
-// clients can tell frozen output from adapting output.
-//
-// Refitter is not safe for concurrent use; StreamSession drives it
-// under its session lock.
-type Refitter struct {
-	adapted *Model
-	rls     *stats.RLS
-	version uint64
-	// xbuf is the Equation-1 design row [1, E_n·V²f …, V²f, V] reused
-	// across observations; coefbuf receives the RLS solve.
-	xbuf    []float64
-	coefbuf []float64
-}
-
-// NewRefitter builds a refitter over base with the given sliding
-// window (in samples). The design has k = len(base.Events)+3 columns
-// (intercept, k events, V²f, V), and the window must keep the fit
-// overdetermined: window > k+3.
-func NewRefitter(base *Model, window int) (*Refitter, error) {
-	if base == nil {
-		return nil, fmt.Errorf("core: nil model")
-	}
+// newRefitter builds a window of size samples over base. The design
+// has len(base.Events)+3 columns, and the window must keep the fit
+// overdetermined.
+func newRefitter(base *Model, size int) (*refitter, error) {
 	cols := len(base.Events) + 3
-	rls, err := stats.NewRLS(cols, window)
-	if err != nil {
-		return nil, fmt.Errorf("core: refit window: %w", err)
+	if size <= cols {
+		return nil, fmt.Errorf("core: refit window %d must exceed the %d design columns", size, cols)
 	}
-	// The adapted model starts as a coefficient-level copy of the base:
-	// until the window is primed, predictions are exactly the frozen
-	// fit's. Fit (the offline inference apparatus) stays attached for
-	// reporting; it describes version 0.
-	adapted := &Model{
-		Events: append([]pmu.EventID(nil), base.Events...),
-		Alpha:  append([]float64(nil), base.Alpha...),
-		Beta:   base.Beta,
-		Gamma:  base.Gamma,
-		Delta:  base.Delta,
-		Fit:    base.Fit,
-	}
-	return &Refitter{
-		adapted: adapted,
-		rls:     rls,
-		xbuf:    make([]float64, cols),
-		coefbuf: make([]float64, cols),
+	// Until the window first solves, the adapted model serves exactly
+	// the frozen fit's coefficients. Fit, the offline inference
+	// apparatus, stays attached for reporting and describes version 0.
+	return &refitter{
+		model: &Model{
+			Events: append([]pmu.EventID(nil), base.Events...),
+			Alpha:  append([]float64(nil), base.Alpha...),
+			Beta:   base.Beta,
+			Gamma:  base.Gamma,
+			Delta:  base.Delta,
+			Fit:    base.Fit,
+		},
+		qr:   mat.NewRowQR(cols),
+		ring: make([]float64, size*(cols+1)),
+		size: size,
+		coef: make([]float64, cols),
 	}, nil
 }
 
-// Model returns the adapted model. The pointer is stable for the
-// refitter's lifetime — estimators hold it and see refreshed
-// coefficients in place.
-func (rf *Refitter) Model() *Model { return rf.adapted }
-
-// Version returns the coefficient generation: 0 until the first
-// refresh, then incrementing per refresh.
-func (rf *Refitter) Version() uint64 { return rf.version }
-
-// Rebuilds reports how many downdate breakdowns forced a from-window
-// refactorization (a numerical event counter, surfaced in metrics).
-func (rf *Refitter) Rebuilds() uint64 { return rf.rls.Rebuilds() }
-
-// Observe folds one labelled sample into the window and refreshes the
-// adapted coefficients when the windowed fit is solvable. The power
-// reference is validated first (ErrBadPower) so a rejected observation
-// leaves all state untouched; the counter side must already have
-// passed the estimator's validation. A window that is momentarily
-// underdetermined or collinear is not an error — the previous
-// coefficients simply keep serving.
-func (rf *Refitter) Observe(s CounterSample, powerW float64) error {
-	if err := validatePower(powerW); err != nil {
-		return err
-	}
-	m := rf.adapted
+// observe folds one labelled sample into the window and refreshes the
+// adapted coefficients when the window solves. The caller has checked
+// the sample and the label. A window that is underdetermined or
+// collinear keeps the previous coefficients serving.
+func (rf *refitter) observe(s CounterSample, powerW float64) {
+	m := rf.model
 	k := len(m.Events)
+	cols := k + 3
+	if rf.n == rf.size {
+		old := rf.ring[rf.head*(cols+1):][:cols+1]
+		if rf.qr.DowndateRow(old[:cols], old[cols]) != nil {
+			rf.rebuildWithoutOldest()
+		} else {
+			rf.n--
+		}
+	}
+	// The row takes the oldest row's slot. Its V²f is V·V·(f/1000),
+	// which differs from V2F's (V·V·f)/1000 in the last bit on about a
+	// quarter of operating points; the served refit bytes pin this one.
+	row := rf.ring[rf.head*(cols+1):][:cols+1]
 	fGHz := float64(s.FreqMHz) / 1000
 	fHz := float64(s.FreqMHz) * 1e6
 	v2f := s.VoltageV * s.VoltageV * fGHz
-	// Same column layout and arithmetic as DesignMatrix + prependOnes:
-	// intercept, E_n·V²f per event, V²f, V — so a full window refit
-	// here matches Train on the same rows.
-	rf.xbuf[0] = 1
+	row[0] = 1
 	for j, id := range m.Events {
-		rf.xbuf[1+j] = s.Rates[id] / fHz * v2f
+		row[1+j] = s.Rates[id] / fHz * v2f
 	}
-	rf.xbuf[1+k] = v2f
-	rf.xbuf[2+k] = s.VoltageV
-	if err := rf.rls.Push(rf.xbuf, powerW); err != nil {
-		return err
-	}
-	if err := rf.rls.Coefficients(rf.coefbuf); err != nil {
-		return nil // underdetermined/collinear window: keep serving the old fit
+	row[1+k] = v2f
+	row[2+k] = s.VoltageV
+	row[cols] = powerW
+	rf.qr.AppendRow(row[:cols], powerW)
+	rf.head = (rf.head + 1) % rf.size
+	rf.n++
+	if rf.qr.SolveInto(rf.coef) != nil {
+		return
 	}
 	// modelFromCoeffs' mapping, applied in place.
-	m.Delta = rf.coefbuf[0]
-	copy(m.Alpha, rf.coefbuf[1:1+k])
-	m.Beta = rf.coefbuf[1+k]
-	m.Gamma = rf.coefbuf[2+k]
+	m.Delta = rf.coef[0]
+	copy(m.Alpha, rf.coef[1:1+k])
+	m.Beta = rf.coef[1+k]
+	m.Gamma = rf.coef[2+k]
 	rf.version++
-	return nil
+}
+
+// rebuildWithoutOldest refactorizes from the ring, skipping the oldest
+// row, whose downdate just broke down (mat.ErrDowndate). O(size·k²),
+// allocation-free: the retained rows replay through the existing
+// factorization buffers.
+func (rf *refitter) rebuildWithoutOldest() {
+	stride := len(rf.coef) + 1
+	rf.qr.Reset()
+	for i := 1; i < rf.n; i++ {
+		row := rf.ring[(rf.head+i)%rf.size*stride:][:stride]
+		rf.qr.AppendRow(row[:stride-1], row[stride-1])
+	}
+	rf.n--
+	rf.rebuilds++
 }

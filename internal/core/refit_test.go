@@ -23,11 +23,13 @@ func refitSample(r *acquisition.Row, t uint64) CounterSample {
 
 func TestRefitterMatchesBatchTrainOnWindow(t *testing.T) {
 	// The serving-layer equivalence contract, end to end: after sliding
-	// a Refitter across labelled dataset rows, its adapted coefficients
-	// must match Train (the offline batch fit) on exactly the rows left
-	// in the window. The design construction is shared arithmetic, so
-	// the only divergence is Givens-vs-Householder rounding — the same
-	// documented tolerance as the stats-level test.
+	// a refitting session across labelled dataset rows, its adapted
+	// coefficients must match Train (the offline batch fit) on exactly
+	// the rows left in the window — and again after a breakdown rebuild
+	// has refactorized the window from its retained rows. The refit row
+	// computes V²f as V·V·(f/1000) where DesignMatrix's V2F computes
+	// (V·V·f)/1000, so the two designs can differ in the last bit; the
+	// rest is Givens-against-Householder rounding, within tol.
 	_, full := fixtures(t)
 	events := canonicalEvents()
 	base, err := Train(full.Rows, events, TrainOptions{})
@@ -35,41 +37,65 @@ func TestRefitterMatchesBatchTrainOnWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 48
-	rf, err := NewRefitter(base, window)
+	s, err := NewStreamSessionRefit(base, 1, window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := window + 37 // slide well past one window
-	if total > len(full.Rows) {
+	if total+1 > len(full.Rows) {
 		t.Fatalf("fixture too small: %d rows", len(full.Rows))
 	}
-	for i := 0; i < total; i++ {
-		if err := rf.Observe(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
-			t.Fatalf("observe row %d: %v", i, err)
+	push := func(i int) {
+		t.Helper()
+		if _, err := s.PushLabeled(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
+			t.Fatalf("push row %d: %v", i, err)
 		}
 	}
-	if rf.Version() == 0 {
+	// 6 events + 3 → 9 design columns: with fewer rows the window is
+	// underdetermined and the frozen fit keeps serving.
+	for i := 0; i < 8; i++ {
+		push(i)
+	}
+	if v := s.ModelVersion(); v != 0 || s.model.Delta != base.Delta || !slices.Equal(s.model.Alpha, base.Alpha) {
+		t.Fatalf("underdetermined window: version %d, adapted %+v, want version 0 and the frozen fit", v, s.model)
+	}
+	for i := 8; i < total; i++ {
+		push(i)
+	}
+	if s.ModelVersion() == 0 {
 		t.Fatal("no refresh after a full window of labelled samples")
 	}
-	windowRows := full.Rows[total-window : total]
-	want, err := Train(windowRows, events, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rf.Model()
-	const tol = 1e-7
-	close := func(name string, g, w float64) {
+	matchTrain := func(stage string, rows []*acquisition.Row) {
 		t.Helper()
-		if math.Abs(g-w) > tol*(math.Abs(w)+1) {
-			t.Errorf("%s: refit %v, batch %v", name, g, w)
+		want, err := Train(rows, events, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.model
+		const tol = 1e-7
+		close := func(name string, g, w float64) {
+			t.Helper()
+			if math.Abs(g-w) > tol*(math.Abs(w)+1) {
+				t.Errorf("%s: %s: refit %v, batch %v", stage, name, g, w)
+			}
+		}
+		close("delta", got.Delta, want.Delta)
+		close("beta", got.Beta, want.Beta)
+		close("gamma", got.Gamma, want.Gamma)
+		for i := range want.Alpha {
+			close("alpha", got.Alpha[i], want.Alpha[i])
 		}
 	}
-	close("delta", got.Delta, want.Delta)
-	close("beta", got.Beta, want.Beta)
-	close("gamma", got.Gamma, want.Gamma)
-	for i := range want.Alpha {
-		close("alpha", got.Alpha[i], want.Alpha[i])
+	matchTrain("slide", full.Rows[total-window:total])
+
+	// The rebuild a downdate breakdown triggers, run directly: the
+	// window drops its oldest row, and the next push fills the slot.
+	s.refit.rebuildWithoutOldest()
+	if rb := s.RefitRebuilds(); rb != 1 {
+		t.Fatalf("rebuilds = %d, want 1", rb)
 	}
+	push(total)
+	matchTrain("rebuild", full.Rows[total+1-window:total+1])
 }
 
 func TestRefitterKeepsBaseModelUntouched(t *testing.T) {
@@ -80,12 +106,12 @@ func TestRefitterKeepsBaseModelUntouched(t *testing.T) {
 	}
 	delta, beta, gamma := base.Delta, base.Beta, base.Gamma
 	alpha := append([]float64(nil), base.Alpha...)
-	rf, err := NewRefitter(base, 64)
+	s, err := NewStreamSessionRefit(base, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := rf.Observe(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
+		if _, err := s.PushLabeled(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +123,7 @@ func TestRefitterKeepsBaseModelUntouched(t *testing.T) {
 			t.Fatal("refit mutated the base model's alpha")
 		}
 	}
-	if rf.Model() == base {
+	if s.model == base || &s.model.Alpha[0] == &base.Alpha[0] {
 		t.Fatal("adapted model aliases the base model")
 	}
 }
@@ -108,31 +134,32 @@ func TestRefitterRejectsBadPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := NewRefitter(base, 64)
+	s, err := NewStreamSessionRefit(base, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := refitSample(full.Rows[0], 1)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -3} {
-		if err := rf.Observe(cs, bad); !errors.Is(err, ErrBadPower) {
+		if _, err := s.PushLabeled(cs, bad); !errors.Is(err, ErrBadPower) {
 			t.Fatalf("power %v: got %v, want ErrBadPower", bad, err)
 		}
 	}
-	// Fed the same labels afterwards, the refitter must match a fresh
-	// one bit for bit: no rejected label reached its window.
-	fresh, err := NewRefitter(base, 64)
+	// Fed the same labels afterwards, the session must match a fresh
+	// one bit for bit: no rejected label reached its window, and a
+	// replay of one stream refreshes the same coefficients.
+	fresh, err := NewStreamSessionRefit(base, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range full.Rows[:16] {
-		for _, f := range []*Refitter{rf, fresh} {
-			if err := f.Observe(refitSample(r, uint64(i)), r.PowerW); err != nil {
+		for _, f := range []*StreamSession{s, fresh} {
+			if _, err := f.PushLabeled(refitSample(r, uint64(i)), r.PowerW); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	got, want := rf.Model(), fresh.Model()
-	if fresh.Version() == 0 || rf.Version() != fresh.Version() || got.Delta != want.Delta ||
+	got, want := s.model, fresh.model
+	if fresh.ModelVersion() == 0 || s.ModelVersion() != fresh.ModelVersion() || got.Delta != want.Delta ||
 		got.Beta != want.Beta || got.Gamma != want.Gamma || !slices.Equal(got.Alpha, want.Alpha) {
 		t.Fatalf("rejected labels reached the window: refit %+v, fresh %+v", got, want)
 	}
@@ -145,42 +172,51 @@ func TestRefitterWindowTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 6 events + 3 → 9 columns: any window ≤ 9 is underdetermined.
-	if _, err := NewRefitter(base, 9); err == nil {
-		t.Fatal("NewRefitter accepted a window equal to the column count")
+	for _, window := range []int{9, 1, -1} {
+		if _, err := NewStreamSessionRefit(base, 1, window); err == nil {
+			t.Fatalf("NewStreamSessionRefit accepted window %d for 9 design columns", window)
+		}
 	}
-	if _, err := NewRefitter(nil, 64); err == nil {
-		t.Fatal("NewRefitter accepted a nil model")
+	if _, err := NewStreamSessionRefit(base, 1, 10); err != nil {
+		t.Fatalf("window 10 for 9 design columns: %v", err)
+	}
+	if _, err := NewStreamSessionRefit(nil, 1, 64); err == nil {
+		t.Fatal("NewStreamSessionRefit accepted a nil model")
 	}
 }
 
 func TestRefitterObserveAllocFree(t *testing.T) {
-	// The per-sample refit cost on the serving path: design-row build,
-	// RLS push, solve, in-place coefficient refresh — all allocation
-	// free once the window is primed.
+	// The per-sample refit cost on the serving path: estimate, design
+	// row, downdate and append, solve, in-place coefficient refresh —
+	// all allocation free on a primed refitting session.
 	_, full := fixtures(t)
 	base, err := Train(full.Rows, canonicalEvents(), TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := NewRefitter(base, 48)
+	s, err := NewStreamSessionRefit(base, 1, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 96; i++ {
-		if err := rf.Observe(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
+		if _, err := s.PushLabeled(refitSample(full.Rows[i], uint64(i)), full.Rows[i].PowerW); err != nil {
 			t.Fatal(err)
 		}
 	}
+	v0 := s.ModelVersion()
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		row := full.Rows[96+i%32]
-		if err := rf.Observe(refitSample(row, uint64(1000+i)), row.PowerW); err != nil {
+		if _, err := s.PushLabeled(refitSample(row, uint64(1000+i)), row.PowerW); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Observe allocated %v times per run, want 0", allocs)
+		t.Fatalf("steady-state PushLabeled allocated %v times per run, want 0", allocs)
+	}
+	if s.ModelVersion() == v0 {
+		t.Fatal("the gated pushes refreshed no coefficients")
 	}
 }
 
@@ -468,5 +504,37 @@ func TestStreamSessionRefitZeroWindowIsFrozen(t *testing.T) {
 	}
 	if s.Refitting() {
 		t.Fatal("window 0 produced a refitting session")
+	}
+}
+
+// BenchmarkStreamSessionPushLabeledRefit measures what one labelled
+// sample costs a primed refitting session at the serving shape (6
+// events, so 9 design columns, and a 256-sample window): the estimate,
+// then the window's downdate, append, solve and coefficient refresh.
+func BenchmarkStreamSessionPushLabeledRefit(b *testing.B) {
+	_, full := fixtures(b)
+	base, err := Train(full.Rows, canonicalEvents(), TrainOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewStreamSessionRefit(base, 1, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Shuffled, so every window spans the operating points.
+	order := rng.New(1).Perm(len(full.Rows))
+	push := func(i int) {
+		r := full.Rows[order[i%len(order)]]
+		if _, err := s.PushLabeled(refitSample(r, uint64(i)), r.PowerW); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 512; i++ {
+		push(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push(512 + i)
 	}
 }

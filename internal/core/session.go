@@ -37,6 +37,9 @@ var (
 	// energy total would be NaN or infinite (e.g. a finite voltage of
 	// 1e200, whose square overflows).
 	ErrNonFinite = errors.New("non-finite estimate")
+	// ErrBadPower marks a measured-power label that is NaN, infinite
+	// or not positive.
+	ErrBadPower = errors.New("invalid power reference")
 )
 
 // CounterSample is one streaming observation: counter rates over the
@@ -64,13 +67,13 @@ type CounterSample struct {
 // the EWMA and trapezoid state.
 //
 // A session opened with NewStreamSessionRefit additionally carries a
-// Refitter: labelled samples (PushLabeled) slide the model's
+// refit window: labelled samples (PushLabeled) slide the model's
 // coefficients toward the live counters-to-power relationship, and
 // every estimate is stamped with the model version that produced it.
 type StreamSession struct {
 	mu sync.Mutex
-	// model serves the estimates: the frozen fit, or the refitter's
-	// adapted copy whose coefficients refresh in place.
+	// model serves the estimates: the frozen fit, or the refit
+	// window's adapted copy whose coefficients refresh in place.
 	model *Model
 	// alpha is the EWMA smoothing factor in (0,1]; 1 disables
 	// smoothing.
@@ -84,7 +87,7 @@ type StreamSession struct {
 	totalJ  float64
 	samples uint64
 	// refit is nil for frozen sessions.
-	refit *Refitter
+	refit *refitter
 }
 
 // NewStreamSession wraps a trained model. alpha is the EWMA factor:
@@ -102,23 +105,20 @@ func NewStreamSession(m *Model, alpha float64) (*StreamSession, error) {
 
 // NewStreamSessionRefit is NewStreamSession with streaming refit over
 // a sliding window of refitWindow labelled samples (window == 0 means
-// frozen, identical to NewStreamSession). The session serves the
-// refitter's adapted model, so coefficient refreshes take effect on
-// the very next sample; until the first refresh the adapted model is
-// coefficient-identical to m.
+// frozen, identical to NewStreamSession). The window must exceed the
+// design's len(m.Events)+3 columns. The session serves an adapted copy
+// of m, so coefficient refreshes take effect on the very next sample;
+// until the first refresh the copy is coefficient-identical to m, and
+// m itself is never mutated.
 func NewStreamSessionRefit(m *Model, alpha float64, refitWindow int) (*StreamSession, error) {
-	if refitWindow == 0 {
-		return NewStreamSession(m, alpha)
+	s, err := NewStreamSession(m, alpha)
+	if err != nil || refitWindow == 0 {
+		return s, err
 	}
-	rf, err := NewRefitter(m, refitWindow)
-	if err != nil {
+	if s.refit, err = newRefitter(m, refitWindow); err != nil {
 		return nil, err
 	}
-	s, err := NewStreamSession(rf.Model(), alpha)
-	if err != nil {
-		return nil, err
-	}
-	s.refit = rf
+	s.model = s.refit.model
 	return s, nil
 }
 
@@ -171,7 +171,7 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 	s.samples++
 	version := uint64(0)
 	if s.refit != nil {
-		version = s.refit.Version()
+		version = s.refit.version
 	}
 	return StreamEstimate{
 		TimeNs:       cs.TimeNs,
@@ -204,6 +204,16 @@ func (m *Model) CheckSample(cs CounterSample) error {
 	return nil
 }
 
+// CheckPower applies the label rule to a measured-power reference: it
+// must be finite and positive, or the error wraps ErrBadPower.
+// StreamSession.PushLabeled and cmd/estimate both apply it.
+func CheckPower(powerW float64) error {
+	if !(powerW > 0) || math.IsInf(powerW, 0) {
+		return fmt.Errorf("core: %w: %v W", ErrBadPower, powerW)
+	}
+	return nil
+}
+
 // finite reports whether v is neither NaN nor infinite.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -222,19 +232,14 @@ func (s *StreamSession) PushLabeled(cs CounterSample, powerW float64) (StreamEst
 	if s.refit == nil {
 		return s.push(cs)
 	}
-	if err := validatePower(powerW); err != nil {
+	if err := CheckPower(powerW); err != nil {
 		return StreamEstimate{}, err
 	}
 	est, err := s.push(cs)
-	if err != nil {
-		return StreamEstimate{}, err
+	if err == nil {
+		s.refit.observe(cs, powerW)
 	}
-	// push accepted the sample and the label is valid, so Observe
-	// cannot reject it.
-	if err := s.refit.Observe(cs, powerW); err != nil {
-		return StreamEstimate{}, err
-	}
-	return est, nil
+	return est, err
 }
 
 // ModelVersion returns the current coefficient generation (0 for a
@@ -245,22 +250,23 @@ func (s *StreamSession) ModelVersion() uint64 {
 	if s.refit == nil {
 		return 0
 	}
-	return s.refit.Version()
+	return s.refit.version
 }
 
 // Refitting reports whether the session adapts its model from
 // labelled samples.
 func (s *StreamSession) Refitting() bool { return s.refit != nil }
 
-// RefitRebuilds returns the refitter's downdate-breakdown rebuild
-// count (0 for frozen sessions).
+// RefitRebuilds returns how many downdate breakdowns forced the refit
+// window to refactorize from its retained rows (0 for frozen
+// sessions).
 func (s *StreamSession) RefitRebuilds() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.refit == nil {
 		return 0
 	}
-	return s.refit.Rebuilds()
+	return s.refit.rebuilds
 }
 
 // Totals returns the cumulative joules and accepted-sample count

@@ -292,7 +292,8 @@ func TestEnergyAccountant(t *testing.T) {
 }
 
 // TestEnergyAccountantTrapezoid: between two samples a StreamSession
-// adds the trapezoid of their instantaneous watts.
+// adds the trapezoid of their instantaneous watts; a sample at the
+// same time is accepted and adds 0 J.
 func TestEnergyAccountantTrapezoid(t *testing.T) {
 	m := trainedModel(t)
 	_, full := fixtures(t)
@@ -313,5 +314,12 @@ func TestEnergyAccountantTrapezoid(t *testing.T) {
 	want := 2 * (pA + pB) / 2
 	if math.Abs(j-want) > 1e-9*want {
 		t.Fatalf("trapezoid energy = %.4f, want %.4f", j, want)
+	}
+	out, err = acc.Push(CounterSample{TimeNs: 2e9, Rates: rA.Rates, VoltageV: rA.VoltageV, FreqMHz: rA.FreqMHz})
+	if err != nil {
+		t.Fatalf("sample at the previous sample's time: %v", err)
+	}
+	if out.TotalJoules != j || out.Samples != 3 {
+		t.Fatalf("equal-time sample: %v J after %d samples, want %v J after 3", out.TotalJoules, out.Samples, j)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // would destroy positive definiteness of the implied normal equations
 // — numerically, when a hyperbolic rotation would need |s| ≥ 1. After
 // this error the factorization state is unspecified; callers must
-// Reset and rebuild from their retained rows (stats.RLS does exactly
-// that from its window ring).
+// Reset and rebuild from their retained rows (a refitting
+// core.StreamSession does exactly that from its window ring).
 var ErrDowndate = errors.New("mat: row downdate breakdown")
 
 // RowQR maintains the triangular factor of a least-squares problem
@@ -27,7 +27,7 @@ var ErrDowndate = errors.New("mat: row downdate breakdown")
 // rotations against R (O(k²), no allocation), and a row removal is the
 // mirrored sweep of hyperbolic rotations. That makes the per-sample
 // cost independent of how many rows have ever been seen — the property
-// stats.RLS needs on the live telemetry path.
+// a refitting core.StreamSession needs on the live telemetry path.
 //
 // UpdQR's factorization is the same bits whether its columns arrive
 // one at a time or all at once, but Givens and Householder orderings

@@ -121,7 +121,7 @@ func TestRowQRReplayBitIdentical(t *testing.T) {
 func TestRowQRDowndateMatchesBatchOfRemainder(t *testing.T) {
 	// Append a window, downdate a prefix of it, and the solution must
 	// match a batch fit of the surviving rows — the sliding-window
-	// invariant stats.RLS depends on.
+	// invariant a refitting core.StreamSession depends on.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m := 30 + int(seed%30)
@@ -185,7 +185,7 @@ func TestRowQRDowndateBreakdown(t *testing.T) {
 
 func TestRowQRAppendDowndateAllocFree(t *testing.T) {
 	// The per-sample operations must be allocation-free: this is the
-	// kernel under stats.RLS's zero-alloc steady-state contract.
+	// kernel under the refit window's zero-alloc steady-state contract.
 	r := rng.New(3)
 	rows, ys := randRows(r, 40, 5)
 	q := NewRowQR(5)

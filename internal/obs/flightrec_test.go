@@ -210,6 +210,23 @@ func TestFlightRecorderSlowThresholdWarmup(t *testing.T) {
 	if th < 100*time.Millisecond {
 		t.Fatalf("armed threshold = %v, want >= MinSlow", th)
 	}
+
+	// Armed, a request is slow past slowFactor (4) × the rolling mean.
+	// Each outlier moves the mean, so each gets a fresh recorder warmed
+	// at a steady d, with 3.5·d above MinSlow.
+	const d = 100 * time.Millisecond
+	for _, tc := range []struct {
+		factor float64
+		slow   bool
+	}{{3.5, false}, {4.5, true}} {
+		r := testRecorder(clock)
+		for i := 0; i < slowWarmup; i++ {
+			run(r, clock, id(i), d, 200)
+		}
+		if got := run(r, clock, id(slowWarmup), time.Duration(tc.factor*float64(d)), 200); got != tc.slow {
+			t.Errorf("%.1f× the rolling mean: retained %v, want %v", tc.factor, got, tc.slow)
+		}
+	}
 }
 
 // TestFlightRecActiveTraceNilSafe: a nil *ActiveTrace, which is what a

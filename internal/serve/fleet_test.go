@@ -534,7 +534,8 @@ func TestModelUploadRejectsDuplicateEvents(t *testing.T) {
 func TestAdmissionInFlightCap(t *testing.T) {
 	_, rows := fixture(t)
 	const inflightCap = 2
-	s, ts := newTestServer(t, Config{MaxInFlight: inflightCap, RetryAfter: 2 * time.Second})
+	// The hint rounds up to the header's whole seconds: 1.5 s is "2".
+	s, ts := newTestServer(t, Config{MaxInFlight: inflightCap, RetryAfter: 1500 * time.Millisecond})
 	predict := func() *http.Response {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",

@@ -34,8 +34,8 @@ type session struct {
 	stream *core.StreamSession
 	alpha  float64
 	// refitWindow is the streaming-refit window the session was opened
-	// with (0 = frozen). Like alpha it is fixed at creation: the RLS
-	// window state cannot be resized, so a reopen must match.
+	// with (0 = frozen). Like alpha it is fixed at creation: the refit
+	// window cannot be resized, so a reopen must match.
 	refitWindow int
 	// busy marks an NDJSON stream currently attached — the per-session
 	// backpressure limit is one concurrent stream, so two clients

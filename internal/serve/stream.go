@@ -206,8 +206,8 @@ func (st *estimateStream) open(model, sessionID, alphaParam, refitParam string) 
 	// ?refit=N opts the session into streaming refit over a sliding
 	// window of N labelled samples (?refit=0 forces frozen); absent, the
 	// server default applies. Window-size feasibility (N must exceed the
-	// model's design width) is core.NewRefitter's check, surfaced as a
-	// 400.
+	// model's design width) is core.NewStreamSessionRefit's check,
+	// surfaced as a 400.
 	refitWindow := s.cfg.RefitWindow
 	if refitParam != "" {
 		n, err := strconv.Atoi(refitParam)

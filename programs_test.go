@@ -74,6 +74,11 @@ var programRuns = []programRun{
 		args: []string{"estimate", "-model", "model.json", "rate-negative.csv"}},
 	{name: "estimate-non-finite", setup: editCSV("voltage-overflow.csv", 10, "voltage_v", "1e200"),
 		args: []string{"estimate", "-model", "model.json", "voltage-overflow.csv"}},
+	// So does a power label the daemon refuses.
+	{name: "estimate-power-nan", setup: editCSV("power-nan.csv", 6, "power_w", "NaN"),
+		args: []string{"estimate", "-model", "model.json", "power-nan.csv"}},
+	{name: "estimate-power-negative", setup: editCSV("power-negative.csv", 7, "power_w", "-70"),
+		args: []string{"estimate", "-model", "model.json", "power-negative.csv"}},
 
 	{name: "traceinfo-gen", args: []string{"traceinfo", "-gen", "demo.trc"}},
 	{name: "traceinfo", args: []string{"traceinfo", "demo.trc"}},
