@@ -23,11 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 
-	"pmcpower/internal/acquisition"
 	"pmcpower/internal/buildinfo"
 	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
@@ -157,14 +155,10 @@ func estimate(modelPath, csvPath string) error {
 			}
 			cs.Rates[id] = v
 		}
-		// The daemon's sample checks, then its refusal of an estimate
-		// that overflows.
-		if err := m.CheckSample(cs); err != nil {
+		// The daemon's sample rule.
+		est, err := m.Estimate(cs)
+		if err != nil {
 			return fmt.Errorf("CSV line %d: %w", line, err)
-		}
-		est := m.Predict(&acquisition.Row{FreqMHz: freq, VoltageV: volt, Rates: cs.Rates})
-		if math.IsNaN(est) || math.IsInf(est, 0) {
-			return fmt.Errorf("CSV line %d: %w: %v W", line, core.ErrNonFinite, est)
 		}
 		var act float64
 		if hasPower {

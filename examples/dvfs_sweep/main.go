@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// Cross-validated accuracy per DVFS state.
-	cv, err := core.CrossValidate(ds.Rows, events, 10, 7)
+	cv, err := core.CrossValidateP(ds.Rows, events, 10, 7, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

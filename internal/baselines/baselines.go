@@ -48,9 +48,9 @@ func MAPE(m Model, rows []*acquisition.Row) float64 {
 // namespace: fetched instructions → TOT_INS, L1 hits → LST_INS −
 // L1_DCM, dispatch stalls → RES_STL. Features are rates per cycle.
 func rodriguesFeatures(r *acquisition.Row) []float64 {
-	ins := core.EventRate(r, pmu.MustByName("TOT_INS").ID)
-	l1hit := core.EventRate(r, pmu.MustByName("LST_INS").ID) - core.EventRate(r, pmu.MustByName("L1_DCM").ID)
-	stl := core.EventRate(r, pmu.MustByName("RES_STL").ID)
+	ins := r.RatePerCycle(pmu.MustByName("TOT_INS").ID)
+	l1hit := r.RatePerCycle(pmu.MustByName("LST_INS").ID) - r.RatePerCycle(pmu.MustByName("L1_DCM").ID)
+	stl := r.RatePerCycle(pmu.MustByName("RES_STL").ID)
 	return []float64{ins, l1hit, stl}
 }
 
@@ -150,7 +150,7 @@ func TrainPerFreqLinear(rows []*acquisition.Row, events []pmu.EventID) (*PerFreq
 		y := make([]float64, len(group))
 		for i, r := range group {
 			for j, id := range events {
-				x.Set(i, j, core.EventRate(r, id))
+				x.Set(i, j, r.RatePerCycle(id))
 			}
 			y[i] = r.PowerW
 		}
@@ -187,7 +187,7 @@ func (m *PerFreqLinear) Predict(r *acquisition.Row) float64 {
 	}
 	p := coeffs[0]
 	for j, id := range m.events {
-		p += coeffs[j+1] * core.EventRate(r, id)
+		p += coeffs[j+1] * r.RatePerCycle(id)
 	}
 	return p
 }

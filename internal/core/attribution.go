@@ -46,7 +46,7 @@ func (m *Model) Attribute(r *acquisition.Row) Attribution {
 	for i, id := range m.Events {
 		out.Terms = append(out.Terms, TermShare{
 			Term:  pmu.Lookup(id).Short,
-			Watts: m.Alpha[i] * EventRate(r, id) * v2f,
+			Watts: m.Alpha[i] * r.RatePerCycle(id) * v2f,
 		})
 	}
 	for _, t := range out.Terms {
@@ -70,37 +70,31 @@ type CorePower struct {
 // split either.
 //
 // The per-core estimates sum to the node estimate of a row whose rates
-// are the column sums of coreRates.
+// are the column sums of coreRates. Each core's rates must pass
+// Estimate at the shared operating point; the first core, in core
+// order, that fails is named in the error.
 func (m *Model) AttributePerCore(coreRates map[int]map[pmu.EventID]float64, voltageV float64, freqMHz int) ([]CorePower, error) {
 	if len(coreRates) == 0 {
 		return nil, fmt.Errorf("core: no per-core rates")
 	}
-	if voltageV <= 0 || freqMHz <= 0 {
-		return nil, fmt.Errorf("core: invalid operating point (V=%v, f=%d)", voltageV, freqMHz)
-	}
-	for c, rates := range coreRates {
-		for _, id := range m.Events {
-			if _, ok := rates[id]; !ok {
-				return nil, fmt.Errorf("core: core %d missing model event %s", c, pmu.Lookup(id).Name)
-			}
-		}
-	}
-
-	v2f := voltageV * voltageV * float64(freqMHz) / 1000
-	fHz := float64(freqMHz) * 1e6
-	shared := (m.Delta + m.Gamma*voltageV + m.Beta*v2f) / float64(len(coreRates))
-
 	cores := make([]int, 0, len(coreRates))
 	for c := range coreRates {
 		cores = append(cores, c)
 	}
 	sort.Ints(cores)
 
+	row := acquisition.Row{FreqMHz: freqMHz, VoltageV: voltageV}
+	v2f := V2F(&row)
+	shared := (m.Delta + m.Gamma*voltageV + m.Beta*v2f) / float64(len(coreRates))
 	out := make([]CorePower, 0, len(cores))
 	for _, c := range cores {
+		row.Rates = coreRates[c]
+		if _, err := m.Estimate(CounterSample{FreqMHz: freqMHz, VoltageV: voltageV, Rates: row.Rates}); err != nil {
+			return nil, fmt.Errorf("%w (core %d)", err, c)
+		}
 		w := shared
 		for i, id := range m.Events {
-			w += m.Alpha[i] * (coreRates[c][id] / fHz) * v2f
+			w += m.Alpha[i] * row.RatePerCycle(id) * v2f
 		}
 		out = append(out, CorePower{Core: c, Watts: w})
 	}

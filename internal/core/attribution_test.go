@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"pmcpower/internal/pmu"
@@ -91,5 +95,32 @@ func TestAttributePerCoreValidation(t *testing.T) {
 	}
 	if _, err := m.AttributePerCore(good, 1.0, 0); err == nil {
 		t.Fatal("zero frequency must error")
+	}
+
+	// Each core's rates pass Estimate's rule at the shared operating
+	// point; the refusal wraps its sentinel and names the first core
+	// that fails.
+	tot := pmu.MustByName("TOT_CYC").ID
+	withRate := func(v float64) map[int]map[pmu.EventID]float64 {
+		bad := maps.Clone(r.Rates)
+		bad[tot] = v
+		return map[int]map[pmu.EventID]float64{0: r.Rates, 3: bad}
+	}
+	for _, c := range []struct {
+		name      string
+		coreRates map[int]map[pmu.EventID]float64
+		voltageV  float64
+		want      error
+		core      int
+	}{
+		{"NaN voltage", good, math.NaN(), ErrBadOperatingPoint, 0},
+		{"+Inf voltage", good, math.Inf(1), ErrBadOperatingPoint, 0},
+		{"NaN rate", withRate(math.NaN()), r.VoltageV, ErrBadRate, 3},
+		{"negative rate", withRate(-5), r.VoltageV, ErrBadRate, 3},
+	} {
+		per, err := m.AttributePerCore(c.coreRates, c.voltageV, r.FreqMHz)
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), fmt.Sprintf("(core %d)", c.core)) {
+			t.Fatalf("%s: got %v, %v; want an error wrapping %v naming core %d", c.name, per, err, c.want, c.core)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func TestEventRateAndV2F(t *testing.T) {
 	_, full := fixtures(t)
 	r := full.Rows[0]
 	cyc := pmu.MustByName("TOT_CYC").ID
-	e := EventRate(r, cyc)
+	e := r.RatePerCycle(cyc)
 	if e <= 0 {
 		t.Fatal("cycle rate must be positive")
 	}
@@ -132,7 +132,7 @@ func TestModelDecomposition(t *testing.T) {
 	v2f := V2F(r)
 	p := m.Delta + m.Gamma*r.VoltageV + m.Beta*v2f
 	for i, id := range events {
-		p += m.Alpha[i] * EventRate(r, id) * v2f
+		p += m.Alpha[i] * r.RatePerCycle(id) * v2f
 	}
 	if math.Abs(p-m.Predict(r)) > 1e-9 {
 		t.Fatalf("manual reconstruction %.4f != Predict %.4f", p, m.Predict(r))
@@ -240,7 +240,7 @@ func TestEventsHelper(t *testing.T) {
 
 func TestCrossValidate(t *testing.T) {
 	_, full := fixtures(t)
-	cv, err := CrossValidate(full.Rows, canonicalEvents(), 10, 7)
+	cv, err := CrossValidateP(full.Rows, canonicalEvents(), 10, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateDeterministic(t *testing.T) {
 	_, full := fixtures(t)
-	a, err := CrossValidate(full.Rows, canonicalEvents(), 5, 3)
+	a, err := CrossValidateP(full.Rows, canonicalEvents(), 5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CrossValidate(full.Rows, canonicalEvents(), 5, 3)
+	b, err := CrossValidateP(full.Rows, canonicalEvents(), 5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCrossValidateDeterministic(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	_, full := fixtures(t)
-	if _, err := CrossValidate(full.Rows[:5], canonicalEvents(), 10, 1); err == nil {
+	if _, err := CrossValidateP(full.Rows[:5], canonicalEvents(), 10, 1, 0); err == nil {
 		t.Fatal("too few rows for folds must error")
 	}
 }
@@ -300,7 +300,7 @@ func TestHeteroscedasticResiduals(t *testing.T) {
 	// The paper: "the absolute error grows with increasing power
 	// values". Verify on out-of-fold residuals.
 	_, full := fixtures(t)
-	cv, err := CrossValidate(full.Rows, canonicalEvents(), 10, 7)
+	cv, err := CrossValidateP(full.Rows, canonicalEvents(), 10, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

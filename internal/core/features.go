@@ -14,21 +14,6 @@ import (
 	"pmcpower/internal/pmu"
 )
 
-// EventRate returns E_n for one dataset row: the event's rate per CPU
-// clock cycle at the fixed operating frequency (events/s divided by
-// f_clk). The paper: "since the value of the PMC events are related to
-// the operating frequency f_clk, the PMC event rate E_n, i.e., the
-// number of events per cpu cycle, is used" — this normalization is
-// what keeps the model's VIF low (see the AblationRateNormalization
-// experiment for the counterfactual).
-//
-// Note that under this normalization the rate of TOT_CYC itself is the
-// average number of unhalted cores — the utilization signal that makes
-// it such an informative counter in Table I.
-func EventRate(r *acquisition.Row, id pmu.EventID) float64 {
-	return r.RatePerCycle(id)
-}
-
 // V2F returns V_DD² · f_clk for a row, with f in GHz (the scale keeps
 // coefficients in comfortable ranges).
 func V2F(r *acquisition.Row) float64 {
@@ -40,8 +25,9 @@ func V2F(r *acquisition.Row) float64 {
 //
 //	P = Σ_n α_n·E_n·V²f  +  β·V²f  +  γ·V  (+ δ·Z as intercept)
 //
-// Columns are [E_0·V²f, …, E_{k−1}·V²f, V²f, V]; the constant δ·Z term
-// is the intercept added by the OLS fit. The returned target vector is
+// Columns are [E_0·V²f, …, E_{k−1}·V²f, V²f, V], with E_n the event's
+// rate per cpu cycle (acquisition.Row.RatePerCycle); the constant δ·Z
+// term is the intercept added by the OLS fit. The returned target vector is
 // measured power in watts.
 func DesignMatrix(rows []*acquisition.Row, events []pmu.EventID) (*mat.Matrix, []float64, error) {
 	if len(rows) == 0 {
@@ -53,7 +39,7 @@ func DesignMatrix(rows []*acquisition.Row, events []pmu.EventID) (*mat.Matrix, [
 	for i, r := range rows {
 		v2f := V2F(r)
 		for j, id := range events {
-			x.Set(i, j, EventRate(r, id)*v2f)
+			x.Set(i, j, r.RatePerCycle(id)*v2f)
 		}
 		x.Set(i, k, v2f)
 		x.Set(i, k+1, r.VoltageV)
@@ -69,7 +55,7 @@ func RateMatrix(rows []*acquisition.Row, events []pmu.EventID) *mat.Matrix {
 	x := mat.New(len(rows), len(events))
 	for i, r := range rows {
 		for j, id := range events {
-			x.Set(i, j, EventRate(r, id))
+			x.Set(i, j, r.RatePerCycle(id))
 		}
 	}
 	return x

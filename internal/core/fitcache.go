@@ -88,7 +88,7 @@ func (c *DatasetCache) RateCol(id pmu.EventID) []float64 {
 	}
 	col := make([]float64, c.n)
 	for i, r := range c.rows {
-		col[i] = EventRate(r, id)
+		col[i] = r.RatePerCycle(id)
 	}
 	c.rate[id] = col
 	return col

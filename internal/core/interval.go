@@ -38,7 +38,7 @@ func (m *Model) PredictWithCI(r *acquisition.Row) (Interval, error) {
 	x := make([]float64, len(m.Events)+3)
 	x[0] = 1
 	for i, id := range m.Events {
-		x[i+1] = EventRate(r, id) * v2f
+		x[i+1] = r.RatePerCycle(id) * v2f
 	}
 	x[len(m.Events)+1] = v2f
 	x[len(m.Events)+2] = r.VoltageV

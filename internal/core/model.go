@@ -121,7 +121,7 @@ func (m *Model) Predict(r *acquisition.Row) float64 {
 	v2f := V2F(r)
 	p := m.Delta + m.Gamma*r.VoltageV + m.Beta*v2f
 	for i, id := range m.Events {
-		p += m.Alpha[i] * EventRate(r, id) * v2f
+		p += m.Alpha[i] * r.RatePerCycle(id) * v2f
 	}
 	return p
 }

@@ -106,7 +106,7 @@ func TestCrossValidateParallelEquivalence(t *testing.T) {
 func TestCrossValidateRejectsInvalidFoldCount(t *testing.T) {
 	_, full := fixtures(t)
 	for _, k := range []int{1, 0, -3, len(full.Rows) + 1} {
-		if _, err := CrossValidate(full.Rows, canonicalEvents(), k, 7); err == nil {
+		if _, err := CrossValidateP(full.Rows, canonicalEvents(), k, 7, 0); err == nil {
 			t.Fatalf("k=%d must be rejected", k)
 		}
 	}

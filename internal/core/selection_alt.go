@@ -157,7 +157,7 @@ func pccRank(rows []*acquisition.Row, count int, candidates []pmu.EventID) []pmu
 	for _, id := range candidates {
 		rates := make([]float64, len(rows))
 		for i, r := range rows {
-			rates[i] = EventRate(r, id)
+			rates[i] = r.RatePerCycle(id)
 		}
 		pcc := stats.Pearson(rates, power)
 		if math.IsNaN(pcc) {
@@ -205,7 +205,7 @@ func aicForward(rows []*acquisition.Row, count int, candidates []pmu.EventID, pa
 		// The per-round candidate fits are independent; evaluate them
 		// on the worker pool and reduce in candidate order (strict <
 		// keeps the first minimum, matching the serial loop).
-		fits, err := parallel.Map(context.Background(), len(candidates), parallelism, func(ci int) (candFit, error) {
+		fits, err := parallel.MapCtx(context.Background(), len(candidates), parallelism, func(_ context.Context, ci int) (candFit, error) {
 			cand := candidates[ci]
 			if in[cand] {
 				return candFit{}, nil
@@ -246,7 +246,7 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 	for _, id := range candidates {
 		var lo, hi float64 = math.Inf(1), math.Inf(-1)
 		for _, r := range rows {
-			v := EventRate(r, id)
+			v := r.RatePerCycle(id)
 			if v < lo {
 				lo = v
 			}

@@ -95,7 +95,7 @@ func TestPCCStrategyPicksMostCorrelated(t *testing.T) {
 	absPCC := func(id pmu.EventID) float64 {
 		rates := make([]float64, len(sel.Rows))
 		for i, r := range sel.Rows {
-			rates[i] = EventRate(r, id)
+			rates[i] = r.RatePerCycle(id)
 		}
 		return math.Abs(stats.Pearson(rates, power))
 	}

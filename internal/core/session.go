@@ -18,10 +18,10 @@ import (
 // and smoothed power estimates plus the integrated energy, in the
 // spirit of Bellosa's Joule Watcher [8].
 
-// Sentinel rejection kinds for StreamSession.Push. Deployment
-// surfaces (internal/serve) classify rejected samples by these with
-// errors.Is, so the mapping from validation failure to client-visible
-// reason is typed rather than string-matched.
+// Sentinel rejection kinds for Model.Estimate and StreamSession.Push.
+// Deployment surfaces (internal/serve) classify rejected samples by
+// these with errors.Is, so the mapping from validation failure to
+// client-visible reason is typed rather than string-matched.
 var (
 	// ErrOutOfOrder marks a sample older than the last accepted one.
 	ErrOutOfOrder = errors.New("sample out of order")
@@ -153,17 +153,19 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 	if s.samples > 0 && cs.TimeNs < s.lastNs {
 		return StreamEstimate{}, fmt.Errorf("core: %w: sample at %d ns (last %d ns)", ErrOutOfOrder, cs.TimeNs, s.lastNs)
 	}
-	if err := s.model.CheckSample(cs); err != nil {
+	inst, err := s.model.Estimate(cs)
+	if err != nil {
 		return StreamEstimate{}, err
 	}
-	inst := s.model.Predict(&acquisition.Row{FreqMHz: cs.FreqMHz, VoltageV: cs.VoltageV, Rates: cs.Rates})
 	smoothed, totalJ := inst, s.totalJ
 	if s.samples > 0 {
 		smoothed = s.alpha*inst + (1-s.alpha)*s.smoothed
 		dt := float64(cs.TimeNs-s.lastNs) / 1e9
 		totalJ += dt * (inst + s.lastW) / 2
 	}
-	if !finite(inst) || !finite(smoothed) || !finite(totalJ) {
+	// The sample is sound; what can still overflow is the session's
+	// running state.
+	if !finite(smoothed) || !finite(totalJ) {
 		return StreamEstimate{}, fmt.Errorf("core: %w: instant %v W, smoothed %v W, energy %v J", ErrNonFinite, inst, smoothed, totalJ)
 	}
 	s.smoothed, s.totalJ = smoothed, totalJ
@@ -183,12 +185,32 @@ func (s *StreamSession) push(cs CounterSample) (StreamEstimate, error) {
 	}, nil
 }
 
-// CheckSample applies the row checks an estimate of m needs: a
-// positive frequency, a finite positive voltage, and for each of m's
-// events a rate that is present, finite and not negative. It returns
-// the first failure, wrapping ErrBadOperatingPoint, ErrMissingEvent or
-// ErrBadRate. StreamSession.Push and cmd/estimate both apply it.
-func (m *Model) CheckSample(cs CounterSample) error {
+// Estimate evaluates Equation 1 for one counter sample, and is the one
+// rule that decides whether a sample can be estimated at all: it needs
+// a positive frequency, a finite positive voltage, each of m's events,
+// and a finite, non-negative rate for every event it carries, the
+// model's or not; and the estimate itself must be finite. A refusal
+// wraps ErrBadOperatingPoint, ErrMissingEvent, ErrBadRate or
+// ErrNonFinite; an accepted sample's watts are Predict's, bit for bit.
+// StreamSession.Push, the daemon's /v1/predict, cmd/estimate and
+// AttributePerCore all apply it.
+func (m *Model) Estimate(cs CounterSample) (float64, error) {
+	if err := m.checkSample(cs); err != nil {
+		return 0, err
+	}
+	p := m.Predict(&acquisition.Row{FreqMHz: cs.FreqMHz, VoltageV: cs.VoltageV, Rates: cs.Rates})
+	if !finite(p) {
+		return 0, fmt.Errorf("core: %w: %v W", ErrNonFinite, p)
+	}
+	return p, nil
+}
+
+// checkSample returns Estimate's first refusal of cs: the operating
+// point, then m's events in design order, then the lowest-numbered
+// other event with a bad rate. m's events are distinct (Train and
+// ReadJSON refuse duplicates), so a sample that carries no more rates
+// than m has events carries only m's, and skips that last scan.
+func (m *Model) checkSample(cs CounterSample) error {
 	if cs.FreqMHz <= 0 || !(cs.VoltageV > 0) || math.IsInf(cs.VoltageV, 0) {
 		return fmt.Errorf("core: %w: freq %d MHz, voltage %v V", ErrBadOperatingPoint, cs.FreqMHz, cs.VoltageV)
 	}
@@ -197,12 +219,27 @@ func (m *Model) CheckSample(cs CounterSample) error {
 		if !ok {
 			return fmt.Errorf("core: %w: %s", ErrMissingEvent, pmu.Lookup(id).Name)
 		}
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+		if badRate(r) {
 			return fmt.Errorf("core: %w: %v for event %s", ErrBadRate, r, pmu.Lookup(id).Name)
 		}
 	}
+	if len(cs.Rates) == len(m.Events) {
+		return nil
+	}
+	bad := pmu.EventID(-1)
+	for id, r := range cs.Rates {
+		if badRate(r) && (bad < 0 || id < bad) {
+			bad = id
+		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("core: %w: %v for event %s", ErrBadRate, cs.Rates[bad], pmu.Lookup(bad).Name)
+	}
 	return nil
 }
+
+// badRate reports whether a counter rate is NaN, infinite or negative.
+func badRate(r float64) bool { return math.IsNaN(r) || math.IsInf(r, 0) || r < 0 }
 
 // CheckPower applies the label rule to a measured-power reference: it
 // must be finite and positive, or the error wraps ErrBadPower.

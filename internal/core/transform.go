@@ -82,7 +82,7 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 	for j, id := range selected {
 		cols[j] = make([]float64, len(rows))
 		for i, r := range rows {
-			cols[j][i] = EventRate(r, id)
+			cols[j][i] = r.RatePerCycle(id)
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 
@@ -105,6 +106,40 @@ func sampleFromRow(rowIdx int, timeNs uint64, t *testing.T) CounterSample {
 		Rates:    r.Rates,
 		VoltageV: r.VoltageV,
 		FreqMHz:  r.FreqMHz,
+	}
+}
+
+// TestEstimateIsPredictOrRefusal: Estimate returns Predict's bits for
+// a sound sample, rates of other events included, and refuses a bad
+// rate on any event the sample carries: the model's events first, in
+// design order, then the lowest-numbered other event, whatever order
+// the rates map ranges in.
+func TestEstimateIsPredictOrRefusal(t *testing.T) {
+	m := trainedModel(t)
+	_, full := fixtures(t)
+	l1, l2 := pmu.MustByName("L1_DCM").ID, pmu.MustByName("L2_DCM").ID
+	for _, r := range full.Rows[:20] {
+		rates := maps.Clone(r.Rates)
+		rates[l1], rates[l2] = 1e6, 2e6
+		got, err := m.Estimate(CounterSample{FreqMHz: r.FreqMHz, VoltageV: r.VoltageV, Rates: rates})
+		if want := m.Predict(r); err != nil || got != want {
+			t.Fatalf("Estimate = %v, %v; want Predict's %v", got, err, want)
+		}
+	}
+	r := full.Rows[0]
+	cs := CounterSample{FreqMHz: r.FreqMHz, VoltageV: r.VoltageV, Rates: maps.Clone(r.Rates)}
+	lo, hi := min(l1, l2), max(l1, l2)
+	cs.Rates[lo], cs.Rates[hi] = -1, math.NaN()
+	want := "core: invalid counter rate: -1 for event " + pmu.Lookup(lo).Name
+	for i := 0; i < 20; i++ {
+		if _, err := m.Estimate(cs); !errors.Is(err, ErrBadRate) || err.Error() != want {
+			t.Fatalf("two bad other rates: err = %v, want %q", err, want)
+		}
+	}
+	cs.Rates[m.Events[2]] = math.Inf(1)
+	want = "core: invalid counter rate: +Inf for event " + pmu.Lookup(m.Events[2]).Name
+	if _, err := m.Estimate(cs); err == nil || err.Error() != want {
+		t.Fatalf("bad model rate beside bad other rates: err = %v, want %q", err, want)
 	}
 }
 

@@ -116,20 +116,13 @@ func (c *CVResult) PerWorkloadMAPE() map[string]float64 {
 	return out
 }
 
-// CrossValidate performs k-fold cross validation of the Equation-1
+// CrossValidateP performs k-fold cross validation of the Equation-1
 // model with the given events over the rows, shuffling with the
-// supplied seed ("10-fold cross validation with random indexing").
-// The folds are fitted on all available cores; use CrossValidateP to
-// control the worker count.
-func CrossValidate(rows []*acquisition.Row, events []pmu.EventID, k int, seed uint64) (*CVResult, error) {
-	return CrossValidateP(rows, events, k, seed, 0)
-}
-
-// CrossValidateP is CrossValidate with an explicit parallelism level
-// (0 = GOMAXPROCS, 1 = serial). The k fold fits are independent given
-// the precomputed index shuffle; per-fold results and out-of-fold
-// predictions are reduced in fold order, so the result is bit-identical
-// at every parallelism level.
+// supplied seed ("10-fold cross validation with random indexing"), on
+// parallelism workers (0 = GOMAXPROCS, 1 = serial). The k fold fits
+// are independent given the precomputed index shuffle; per-fold
+// results and out-of-fold predictions are reduced in fold order, so
+// the result is bit-identical at every parallelism level.
 func CrossValidateP(rows []*acquisition.Row, events []pmu.EventID, k int, seed uint64, parallelism int) (*CVResult, error) {
 	return CrossValidateCtx(context.Background(), rows, events, k, seed, parallelism)
 }
@@ -275,7 +268,7 @@ func Scenario2(ds *acquisition.Dataset, events []pmu.EventID) (*ScenarioResult, 
 
 // Scenario3 is 10-fold cross validation over all experiments.
 func Scenario3(ds *acquisition.Dataset, events []pmu.EventID, seed uint64) (*ScenarioResult, error) {
-	cv, err := CrossValidate(ds.Rows, events, 10, seed)
+	cv, err := CrossValidateP(ds.Rows, events, 10, seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +287,7 @@ func Scenario3(ds *acquisition.Dataset, events []pmu.EventID, seed uint64) (*Sce
 // case.
 func Scenario4(ds *acquisition.Dataset, events []pmu.EventID, seed uint64) (*ScenarioResult, error) {
 	syn := ds.ByClass(workloads.Synthetic)
-	cv, err := CrossValidate(syn.Rows, events, 10, seed)
+	cv, err := CrossValidateP(syn.Rows, events, 10, seed, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 )
@@ -32,7 +31,7 @@ func (c *Context) pccAll() (map[pmu.EventID]float64, error) {
 	for _, id := range pmu.AllIDs() {
 		rates := make([]float64, len(ds.Rows))
 		for i, r := range ds.Rows {
-			rates[i] = core.EventRate(r, id)
+			rates[i] = r.RatePerCycle(id)
 		}
 		out[id] = stats.Pearson(rates, power)
 	}

@@ -4,7 +4,7 @@
 // selection, VIF auxiliary regressions, cross-validation folds, and
 // the experiment suite.
 //
-// The determinism contract is strict: for a fixed input, Map
+// The determinism contract is strict: for a fixed input, MapCtx
 // produces results that are bit-identical to a serial loop over
 // [0, n), regardless of the parallelism level or goroutine
 // scheduling. Two rules make this hold:
@@ -48,7 +48,7 @@ var (
 // Workers resolves a Parallelism knob to a concrete worker count:
 // p <= 0 means GOMAXPROCS (the conventional "use the machine"
 // setting), any positive value is taken literally. Callers clamp to
-// the task count themselves where it matters; Map does it
+// the task count themselves where it matters; MapCtx does it
 // internally.
 func Workers(p int) int {
 	if p <= 0 {
@@ -57,28 +57,21 @@ func Workers(p int) int {
 	return p
 }
 
-// Map runs fn(i) for every i in [0, n) on at most Workers(parallelism)
-// goroutines and returns the results in index order. With
-// parallelism == 1 it degenerates to a plain serial loop (no
-// goroutines, immediate return on first error), which is the
+// MapCtx runs fn(ctx, i) for every i in [0, n) on at most
+// Workers(parallelism) goroutines and returns the results in index
+// order. With parallelism == 1 it degenerates to a plain serial loop
+// (no goroutines, immediate return on first error), which is the
 // reference behavior the parallel path must reproduce bit-for-bit.
 //
 // A non-nil context error (cancellation, deadline) stops the sweep;
 // tasks observe it between dispatches, and fn may also watch
-// ctx.Done() itself for long-running bodies.
-func Map[T any](ctx context.Context, n, parallelism int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(ctx, n, parallelism, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is Map for task bodies that want the per-worker context: fn
-// receives a context derived from ctx that carries the worker's span
-// when ctx is traced (see internal/obs), so spans the task opens land
-// in that worker's lane of the timeline — worker utilization and load
-// imbalance become visible in the exported trace. Tracing writes to a
-// side buffer only; results remain bit-identical to the serial loop
-// whether or not a tracer is attached.
+// ctx.Done() itself for long-running bodies. fn receives a context
+// derived from ctx that carries the worker's span when ctx is traced
+// (see internal/obs), so spans the task opens land in that worker's
+// lane of the timeline — worker utilization and load imbalance become
+// visible in the exported trace. Tracing writes to a side buffer only;
+// results remain bit-identical to the serial loop whether or not a
+// tracer is attached.
 func MapCtx[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return MapWorkers(ctx, n, parallelism,
 		func(int) struct{} { return struct{}{} },

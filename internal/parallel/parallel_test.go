@@ -27,7 +27,7 @@ func TestWorkers(t *testing.T) {
 func TestMapIndexOrder(t *testing.T) {
 	const n = 100
 	for _, p := range []int{1, 2, 4, 16} {
-		got, err := Map(context.Background(), n, p, func(i int) (int, error) {
+		got, err := MapCtx(context.Background(), n, p, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -45,12 +45,12 @@ func TestMapIndexOrder(t *testing.T) {
 }
 
 func TestMapEmptyRange(t *testing.T) {
-	got, err := Map(context.Background(), 0, 4, func(i int) (int, error) {
+	got, err := MapCtx(context.Background(), 0, 4, func(_ context.Context, i int) (int, error) {
 		t.Fatal("fn must not be called for n=0")
 		return 0, nil
 	})
 	if err != nil || got != nil {
-		t.Fatalf("Map over empty range: got %v, %v", got, err)
+		t.Fatalf("MapCtx over empty range: got %v, %v", got, err)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	// must be the lowest-indexed failure among the tasks that ran —
 	// with a serial reference, exactly index 10.
 	for _, p := range []int{1, 4} {
-		_, err := Map(context.Background(), 50, p, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), 50, p, func(_ context.Context, i int) (int, error) {
 			if i >= 10 {
 				return 0, fmt.Errorf("task %d failed", i)
 			}
@@ -77,7 +77,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 func TestMapSerialStopsAtFirstError(t *testing.T) {
 	var calls int32
 	sentinel := errors.New("boom")
-	_, err := Map(context.Background(), 20, 1, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 20, 1, func(_ context.Context, i int) (int, error) {
 		atomic.AddInt32(&calls, 1)
 		if i == 3 {
 			return 0, sentinel
@@ -98,7 +98,7 @@ func TestMapCancellation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Map(ctx, 1000, 2, func(i int) (int, error) {
+		_, err := MapCtx(ctx, 1000, 2, func(_ context.Context, i int) (int, error) {
 			if atomic.AddInt32(&started, 1) == 1 {
 				cancel()
 			}
@@ -111,7 +111,7 @@ func TestMapCancellation(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Map did not observe cancellation")
+		t.Fatal("MapCtx did not observe cancellation")
 	}
 	if atomic.LoadInt32(&started) == 1000 {
 		t.Fatal("cancellation did not stop the sweep early")
@@ -121,7 +121,7 @@ func TestMapCancellation(t *testing.T) {
 func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, maxSeen int32
-	_, err := Map(context.Background(), 64, workers, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 64, workers, func(_ context.Context, i int) (int, error) {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			prev := atomic.LoadInt32(&maxSeen)
@@ -197,14 +197,14 @@ func TestEngineCounters(t *testing.T) {
 	before := tasksTotal.Value()
 	failBefore := taskFailures.Value()
 	const n = 10
-	if _, err := Map(context.Background(), n, 2, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), n, 2, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := tasksTotal.Value() - before; got != n {
 		t.Fatalf("tasksTotal moved by %d, want %d", got, n)
 	}
 	sentinel := errors.New("boom")
-	Map(context.Background(), 1, 1, func(i int) (int, error) { return 0, sentinel })
+	MapCtx(context.Background(), 1, 1, func(_ context.Context, i int) (int, error) { return 0, sentinel })
 	if got := taskFailures.Value() - failBefore; got != 1 {
 		t.Fatalf("taskFailures moved by %d, want 1", got)
 	}

@@ -55,6 +55,10 @@ func TestMachineEscalationAndHysteresis(t *testing.T) {
 	if m.Transitions(StateOK) != 1 {
 		t.Fatalf("ok entries = %d, want 1", m.Transitions(StateOK))
 	}
+	// A full window exactly at the alert MAPE enters alert.
+	if _, to, changed := m.Update(snap(MinSamples, 20, 0.5)); !changed || to != StateAlert {
+		t.Fatalf("MAPE at the alert threshold: %v changed=%v, want alert", to, changed)
+	}
 }
 
 func TestMachineBiasTrigger(t *testing.T) {
@@ -74,6 +78,10 @@ func TestMachineDisabledTrigger(t *testing.T) {
 	m := NewMachine(Thresholds{WarnMAPEPct: -1, AlertMAPEPct: -1}) // MAPE triggers off
 	if _, _, changed := m.Update(snap(32, 99, 0)); changed {
 		t.Fatalf("disabled MAPE trigger fired")
+	}
+	// Exactly the 5 W warn bias enters warn.
+	if _, to, _ := m.Update(snap(MinSamples, 99, -5)); to != StateWarn {
+		t.Fatalf("|bias| at the warn threshold: %v, want warn", to)
 	}
 	if _, to, _ := m.Update(snap(32, 99, 6)); to != StateWarn {
 		t.Fatalf("bias trigger should still fire: %v", to)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pmcpower/internal/acquisition"
+	"pmcpower/internal/obs"
 	"pmcpower/internal/pmu"
 )
 
@@ -519,7 +520,7 @@ func TestModelUploadRejectsDuplicateEvents(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || we.Reason != ReasonParse || !strings.Contains(we.Error, "PAPI_TOT_CYC") {
 		t.Fatalf("duplicate-event upload: status %d %+v, want 400 %q naming PAPI_TOT_CYC", resp.StatusCode, we, ReasonParse)
 	}
-	if _, err := s.reg.Get("dup"); err == nil {
+	if _, err := s.reg.Resolve("dup"); err == nil {
 		t.Fatal("rejected document was registered")
 	}
 }
@@ -653,6 +654,21 @@ func TestAdmissionP99Shed(t *testing.T) {
 			}
 		})
 	}
+	// An EWMA equal to the threshold is not above it: 99 requests
+	// inside the 5 ms bucket and one slower put the p99 on that
+	// bucket's upper edge, and the gate keeps admitting.
+	t.Run("ewma-at-threshold", func(t *testing.T) {
+		g := newAdmissionGate(Config{ShedP99: 5 * time.Millisecond}, NewMetrics(obs.NewRegistry(), 1))
+		for i := 0; i < 99; i++ {
+			g.metrics.gatedLatency[0].Observe(0.004)
+		}
+		g.metrics.gatedLatency[0].Observe(1)
+		g.recompute()
+		if g.p99EwmaS() != g.shedP99S || g.sheddingNow() {
+			t.Fatalf("EWMA %v s against threshold %v s: shedding %v, want an equal EWMA and no shedding",
+				g.p99EwmaS(), g.shedP99S, g.sheddingNow())
+		}
+	})
 }
 
 // TestAdmissionDisabled pins the escape hatch: with both knobs at zero

@@ -162,21 +162,12 @@ type ModelRef struct {
 // Key renders the canonical "name@version" registry key.
 func (r ModelRef) Key() string { return r.Name + "@" + strconv.Itoa(r.Version) }
 
-// Get resolves key — "name" for the latest version or "name@N" for a
-// pinned one. The empty key resolves only when exactly one model name
-// is registered (the unambiguous default).
-func (r *Registry) Get(key string) (*core.Model, error) {
-	ref, err := r.Resolve(key)
-	if err != nil {
-		return nil, err
-	}
-	return ref.Model, nil
-}
-
-// Resolve is Get with the resolved name and concrete version attached.
-// It reads one atomic snapshot and allocates nothing on success, so
-// per-request (and EstimateSample's per-sample) resolution is
-// contention-free.
+// Resolve resolves key — "name" for the latest version or "name@N"
+// for a pinned one — to its name, concrete version and model. The
+// empty key resolves only when exactly one model name is registered
+// (the unambiguous default). It reads one atomic snapshot and
+// allocates nothing on success, so per-request (and EstimateSample's
+// per-sample) resolution is contention-free.
 func (r *Registry) Resolve(key string) (ModelRef, error) {
 	snap := r.snap.Load()
 	name, version := key, 0

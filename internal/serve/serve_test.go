@@ -487,14 +487,14 @@ func TestHealthAndModels(t *testing.T) {
 
 	// Version pinning resolves distinct keys.
 	for _, key := range []string{"m", "m@1", "m@2"} {
-		if _, err := reg.Get(key); err != nil {
-			t.Fatalf("Get(%q): %v", key, err)
+		if _, err := reg.Resolve(key); err != nil {
+			t.Fatalf("Resolve(%q): %v", key, err)
 		}
 	}
-	if _, err := reg.Get("m@3"); err == nil {
+	if _, err := reg.Resolve("m@3"); err == nil {
 		t.Fatal("absent version must not resolve")
 	}
-	if _, err := reg.Get("nope"); err == nil {
+	if _, err := reg.Resolve("nope"); err == nil {
 		t.Fatal("unknown name must not resolve")
 	}
 }
@@ -602,6 +602,46 @@ func TestPredictRejectsInvalidRows(t *testing.T) {
 
 	if got := metric(t, s, rejectedFamily, "reason", ReasonBadRate); got != 1 {
 		t.Fatalf("bad_rate rejects = %v, want 1", got)
+	}
+
+	// One verdict for both endpoints: each fault core.Model.Estimate
+	// owns, sent as a stream's first line and as predict's row 1, gets
+	// 400 with one reason, and predict's error is the stream's behind
+	// the row number.
+	for _, f := range []struct {
+		name, reason string
+		edit         func(*wireRow)
+	}{
+		{"missing-model-event", ReasonMissingEv, func(w *wireRow) { delete(w.Rates, "PAPI_STL_CCY") }},
+		{"negative-model-rate", ReasonBadRate, func(w *wireRow) { w.Rates["PAPI_LST_INS"] = -1 }},
+		{"negative-other-rate", ReasonBadRate, func(w *wireRow) { w.Rates["PAPI_L1_DCM"] = -1 }},
+		{"zero-voltage", ReasonBadOperPt, func(w *wireRow) { w.VoltageV = 0 }},
+		{"overflowing-voltage", ReasonNonFinite, func(w *wireRow) { w.VoltageV = 1e200 }},
+	} {
+		row := rowToWire(rows[1])
+		f.edit(&row)
+		line, err := json.Marshal(wireSample{TimeNs: 1, FreqMHz: row.FreqMHz, VoltageV: row.VoltageV, Rates: row.Rates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := postEstimate(ts, "?model=m", "", string(line)+"\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream.status != http.StatusBadRequest || len(stream.errs) != 1 || stream.errs[0].Reason != f.reason {
+			t.Fatalf("%s: stream answered HTTP %d %+v, want 400 %q", f.name, stream.status, stream.errs, f.reason)
+		}
+		b, _ := json.Marshal(predictRequest{Model: "m", Rows: []wireRow{rowToWire(rows[0]), row}})
+		resp := post(string(b))
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "serve: row 1: " + stream.errs[0].Error; resp.StatusCode != http.StatusBadRequest || we.Reason != f.reason || we.Error != want {
+			t.Fatalf("%s: predict answered HTTP %d %+v, want 400 %q %q", f.name, resp.StatusCode, we, f.reason, want)
+		}
 	}
 }
 
@@ -966,6 +1006,7 @@ func TestEstimateRejectsMalformedSamples(t *testing.T) {
 				w.Rates[k] = -1
 			}
 		}), "", ReasonBadRate, true},
+		{"negative-other-rate", wireLine(t, r0, 1, func(w *wireSample) { w.Rates["PAPI_L1_DCM"] = -1 }), "", ReasonBadRate, true},
 		{"overflowing-rate", strings.Replace(sampleLine(t, r0, 1), `"voltage_v"`, `"x":1e999,"voltage_v"`, 1), "", ReasonParse, true},
 		{"negative-power-label", wireLine(t, r0, 1, func(w *wireSample) { w.PowerW = &negPower }), "&refit=64", ReasonBadPower, true},
 		// Past maxLineBytes, but the whole body stays within the

@@ -9,13 +9,11 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
 
-	"pmcpower/internal/acquisition"
+	"pmcpower/internal/buildinfo"
 	"pmcpower/internal/core"
 	"pmcpower/internal/obs"
 	"pmcpower/internal/pmu"
@@ -170,9 +168,8 @@ type Server struct {
 	freeMu      sync.Mutex
 	freeStreams []*estimateStream
 
-	start     time.Time
-	version   string
-	goVersion string
+	start time.Time
+	build buildinfo.Info
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -184,13 +181,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		reg:       cfg.Registry,
-		metrics:   NewMetrics(cfg.Obs, cfg.Shards),
-		start:     cfg.Now(),
-		version:   buildVersion(),
-		goVersion: runtime.Version(),
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		metrics: NewMetrics(cfg.Obs, cfg.Shards),
+		start:   cfg.Now(),
+		build:   buildinfo.Read(),
+		stop:    make(chan struct{}),
 	}
 	s.flightrec = obs.NewFlightRecorder(obs.FlightRecorderConfig{
 		Stages:  flightStages[:],
@@ -201,7 +197,7 @@ func New(cfg Config) *Server {
 	s.quality = newQualityHub(cfg, s.metrics, cfg.Logger, s.flightrec)
 	s.sessions = newSessionManager(cfg.Shards, cfg.MaxSessions, cfg.IdleTTL, cfg.Now, s.metrics)
 	s.gate = newAdmissionGate(cfg, s.metrics)
-	s.metrics.SetBuildInfo(s.version, s.goVersion)
+	s.metrics.SetBuildInfo(s.build.Version, s.build.GoVersion)
 	// Gauges owned by other components, sampled at render time.
 	cfg.Obs.GaugeFunc("pmcpowerd_sessions_active",
 		"Live estimator sessions.", func() float64 { return float64(s.sessions.count()) })
@@ -226,15 +222,6 @@ func New(cfg Config) *Server {
 	s.janitor.Add(1)
 	go s.runJanitor()
 	return s
-}
-
-// buildVersion reports the main module's version from the embedded
-// build info ("dev" for an unstamped build, e.g. `go test`).
-func buildVersion() string {
-	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
-		return bi.Main.Version
-	}
-	return "dev"
 }
 
 // Handler returns the root handler for an http.Server: the service
@@ -529,20 +516,6 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	}{Name: name, Version: version})
 }
 
-// predictScratch is the pooled per-request workspace of the batch
-// predict path: one reusable design row (its rates map cleared per
-// row) so a large batch resolves the model once and allocates no
-// per-row state.
-type predictScratch struct {
-	row acquisition.Row
-}
-
-var predictPool = sync.Pool{
-	New: func() any {
-		return &predictScratch{row: acquisition.Row{Rates: make(map[pmu.EventID]float64, 8)}}
-	},
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Request("/v1/predict")
 	if r.Method != http.MethodPost {
@@ -571,7 +544,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One registry snapshot, resolved once for the whole batch.
-	m, err := s.reg.Get(req.Model)
+	ref, err := s.reg.Resolve(req.Model)
 	if err != nil {
 		writeError(w, http.StatusNotFound, ReasonParse, err)
 		return
@@ -585,24 +558,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if tc, ok := obs.TraceFromContext(r.Context()); ok {
 		resp.TraceID = tc.TraceID
 	}
-	sc := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(sc)
-	for i := range req.Rows {
-		reason, err := convertRowInto(req.Rows[i], m, &sc.row)
-		var watts float64
+	rates := make(map[pmu.EventID]float64, len(ref.Model.Events))
+	for i, row := range req.Rows {
+		cs, reason, err := row.sample(rates)
 		if err == nil {
-			watts = m.Predict(&sc.row)
-			if math.IsNaN(watts) || math.IsInf(watts, 0) {
-				reason, err = ReasonNonFinite, fmt.Errorf("%w: %v W", core.ErrNonFinite, watts)
+			var watts float64
+			if watts, err = ref.Model.Estimate(cs); err == nil {
+				resp.Watts = append(resp.Watts, watts)
+				continue
 			}
+			reason = classifyPushError(err)
 		}
-		if err != nil {
-			s.metrics.Reject(reason)
-			writeError(w, http.StatusBadRequest, reason,
-				fmt.Errorf("serve: row %d: %w", i, err))
-			return
-		}
-		resp.Watts = append(resp.Watts, watts)
+		s.metrics.Reject(reason)
+		writeError(w, http.StatusBadRequest, reason, fmt.Errorf("serve: row %d: %w", i, err))
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -771,42 +740,27 @@ func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW 
 	}, powerW, labelled, "", nil
 }
 
-// convertRowInto maps a wire row into a caller-owned row whose rates
-// map is reused (the batch-predict scratch), enforcing the same
-// validity rules the streaming path gets from the estimator: a large
-// batch resolves the model once and allocates no per-row state.
-func convertRowInto(wr wireRow, m *core.Model, row *acquisition.Row) (string, error) {
-	freq, ferr := validFreqMHz(wr.FreqMHz)
-	if ferr != nil || !(wr.VoltageV > 0) || math.IsInf(wr.VoltageV, 0) {
-		return ReasonBadOperPt, fmt.Errorf("invalid operating point (freq %v MHz, voltage %v V)", wr.FreqMHz, wr.VoltageV)
+// sample converts a predict row to the sample core.Model.Estimate
+// judges: the frequency through validFreqMHz and the event names to
+// IDs, into rates (cleared first, so one map serves a whole batch).
+func (wr wireRow) sample(rates map[pmu.EventID]float64) (core.CounterSample, string, error) {
+	freq, err := validFreqMHz(wr.FreqMHz)
+	if err != nil {
+		return core.CounterSample{}, ReasonBadOperPt, err
 	}
-	if row.Rates == nil {
-		row.Rates = make(map[pmu.EventID]float64, len(wr.Rates))
-	} else {
-		clear(row.Rates)
-	}
+	clear(rates)
 	for name, v := range wr.Rates {
 		ev, err := pmu.ByName(name)
 		if err != nil {
-			return ReasonUnknownEv, fmt.Errorf("unknown event %q", name)
+			return core.CounterSample{}, ReasonUnknownEv, fmt.Errorf("unknown event %q", name)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return ReasonBadRate, fmt.Errorf("invalid rate %v for event %s", v, name)
-		}
-		row.Rates[ev.ID] = v
+		rates[ev.ID] = v
 	}
-	for _, id := range m.Events {
-		if _, ok := row.Rates[id]; !ok {
-			return ReasonMissingEv, fmt.Errorf("missing model event %s", pmu.Lookup(id).Name)
-		}
-	}
-	row.FreqMHz = freq
-	row.VoltageV = wr.VoltageV
-	return "", nil
+	return core.CounterSample{FreqMHz: freq, VoltageV: wr.VoltageV, Rates: rates}, "", nil
 }
 
-// classifyPushError maps a core.StreamSession rejection to its
-// metrics reason.
+// classifyPushError maps a core rejection (Model.Estimate, or
+// StreamSession.Push) to its metrics reason.
 func classifyPushError(err error) string {
 	switch {
 	case errors.Is(err, core.ErrOutOfOrder):

@@ -231,8 +231,8 @@ type exemplarsResponse struct {
 func (s *Server) Status() StatusResponse {
 	resp := StatusResponse{
 		Service:   "pmcpowerd",
-		Version:   s.version,
-		GoVersion: s.goVersion,
+		Version:   s.build.Version,
+		GoVersion: s.build.GoVersion,
 		UptimeS:   s.cfg.Now().Sub(s.start).Seconds(),
 		Health: StatusHealth{
 			Status:         "ok",
