@@ -2,11 +2,11 @@ package pmcpower
 
 // Pipeline benchmarks: the substrate costs behind the paper's
 // experiments (acquisition, training, prediction), serial against
-// parallel selection and cross-validation, and the fit kernels. Shared
-// acquisition campaigns are cached in a package-level experiment
-// context, so a timed body measures its own stage. The experiment
-// reports are pinned by TestExperimentsGolden (internal/experiments),
-// not timed here.
+// parallel selection and cross-validation, and the fit kernels. The
+// campaigns they share are acquired once per test binary (benchData),
+// so a timed body measures its own stage. The experiment reports are
+// pinned by TestExperimentsGolden (internal/experiments), not timed
+// here.
 //
 // `make bench-hotpath` runs the selection, cross-validation, training
 // and kernel benchmarks with allocation counts; `make bench` runs all.
@@ -17,35 +17,47 @@ import (
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
-	"pmcpower/internal/experiments"
 	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 	"pmcpower/internal/workloads"
 )
 
-var (
-	benchOnce sync.Once
-	benchCtx  *experiments.Context
-)
+// pipelineData is the paper's pipeline up to its fits, at the
+// canonical seed: all counters at the selection frequency, Algorithm
+// 1's six events, and those events over the five DVFS states.
+type pipelineData struct {
+	selection *acquisition.Dataset
+	events    []pmu.EventID
+	full      *acquisition.Dataset
+}
 
-func sharedCtx(b *testing.B) *experiments.Context {
+var benchPipeline = sync.OnceValues(func() (*pipelineData, error) {
+	const seed = 42
+	sel, err := acquisition.Acquire(acquisition.Options{Seed: seed}, workloads.Active(), []int{2400})
+	if err != nil {
+		return nil, err
+	}
+	steps, err := core.SelectEvents(sel.Rows, core.SelectOptions{Count: 6})
+	if err != nil {
+		return nil, err
+	}
+	events := core.Events(steps)
+	full, err := acquisition.Acquire(acquisition.Options{Seed: seed, Events: events},
+		workloads.Active(), []int{1200, 1600, 2000, 2400, 2600})
+	if err != nil {
+		return nil, err
+	}
+	return &pipelineData{selection: sel, events: events, full: full}, nil
+})
+
+func benchData(b *testing.B) *pipelineData {
 	b.Helper()
-	benchOnce.Do(func() {
-		benchCtx = experiments.NewContext(experiments.DefaultConfig())
-		// Warm the cached campaigns so individual benchmarks time
-		// their own stage, not the shared acquisition.
-		if _, err := benchCtx.SelectionDataset(); err != nil {
-			panic(err)
-		}
-		if _, err := benchCtx.FullDataset(); err != nil {
-			panic(err)
-		}
-		if _, err := benchCtx.SelectedEvents(); err != nil {
-			panic(err)
-		}
-	})
-	return benchCtx
+	d, err := benchPipeline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // --- pipeline micro-benchmarks: the substrate costs behind the
@@ -87,38 +99,22 @@ func BenchmarkFullCampaign54Counters(b *testing.B) {
 }
 
 func BenchmarkModelTraining(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Train(ds.Rows, events, core.TrainOptions{}); err != nil {
+		if _, err := core.Train(d.full.Rows, d.events, core.TrainOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkModelPredict(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
+	d := benchData(b)
+	m, err := core.Train(d.full.Rows, d.events, core.TrainOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Train(ds.Rows, events, core.TrainOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := ds.Rows[0]
+	row := d.full.Rows[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if p := m.Predict(row); p <= 0 {
@@ -154,14 +150,10 @@ func BenchmarkCampaignParallel(b *testing.B) { benchCampaign(b, 0) }
 
 func benchSelection(b *testing.B, parallelism int) {
 	b.Helper()
-	ctx := sharedCtx(b)
-	ds, err := ctx.SelectionDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: 6, Parallelism: parallelism})
+		steps, err := core.SelectEvents(d.selection.Rows, core.SelectOptions{Count: 6, Parallelism: parallelism})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,18 +168,10 @@ func BenchmarkSelectionParallel(b *testing.B) { benchSelection(b, 0) }
 
 func benchCrossValidation(b *testing.B, parallelism int) {
 	b.Helper()
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv, err := core.CrossValidateP(ds.Rows, events, 10, 7, parallelism)
+		cv, err := core.CrossValidateP(d.full.Rows, d.events, 10, 7, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,16 +188,8 @@ func BenchmarkCrossValidationParallel(b *testing.B) { benchCrossValidation(b, 0)
 // against a from-scratch O(n·k²) decomposition of the same design —
 // the per-candidate cost inside one selection round.
 func BenchmarkQRAppend(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.SelectionDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, y, err := core.DesignMatrix(ds.Rows, events)
+	d := benchData(b)
+	x, y, err := core.DesignMatrix(d.selection.Rows, d.events)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,16 +229,8 @@ func BenchmarkQRAppend(b *testing.B) {
 // BenchmarkFitKernels contrasts the R²-only fast fit against the full
 // inference fit on the training design.
 func BenchmarkFitKernels(b *testing.B) {
-	ctx := sharedCtx(b)
-	ds, err := ctx.FullDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := ctx.SelectedEvents()
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, y, err := core.DesignMatrix(ds.Rows, events)
+	d := benchData(b)
+	x, y, err := core.DesignMatrix(d.full.Rows, d.events)
 	if err != nil {
 		b.Fatal(err)
 	}

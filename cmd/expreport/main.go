@@ -14,12 +14,14 @@
 // the experiment fan-out (0 = all cores, 1 = serial). The output is
 // bit-identical at every setting.
 //
-// -trace writes a Chrome trace_event JSON timeline of the run — an
-// "expreport" root and one "exp:<id>" span per experiment in its
-// worker's lane — loadable in chrome://tracing or
-// https://ui.perfetto.dev. The experiments call the untraced pipeline
-// entry points, so no acquisition, selection, fit or CV spans appear
-// inside them; powermodel -trace records those. Tracing does not
+// -trace writes a Chrome trace_event JSON timeline of the run —
+// loadable in chrome://tracing or https://ui.perfetto.dev. Under the
+// "expreport" root it holds the shared pipeline every experiment
+// reads (the acquire, selection and cv spans with their children),
+// then one "exp:<id>" span per experiment in its worker's lane. The
+// work one experiment does alone (Table IV's selection, the scenario
+// fits, the all-counter campaign of the strategy comparison, the
+// bootstrap and the ARM campaigns) records no spans. Tracing does not
 // change the printed reports.
 package main
 
@@ -60,7 +62,6 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Parallelism = *par
-	ctx := experiments.NewContext(cfg)
 
 	var tracer *obs.Tracer
 	if *tracePath != "" {
@@ -68,6 +69,11 @@ func main() {
 	}
 	runCtx := obs.ContextWithTracer(context.Background(), tracer)
 	runCtx, rootSpan := tracer.StartSpan(runCtx, "expreport", obs.String("exp", *exp))
+	ctx, err := experiments.NewContext(runCtx, cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expreport: %v\n", err)
+		os.Exit(1)
+	}
 
 	writeTrace := func() {
 		rootSpan.End()

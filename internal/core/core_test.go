@@ -333,11 +333,13 @@ func TestScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Scenario3(full, events, 7)
+	// Scenario 3 is 10-fold CV over all experiments.
+	cv3, err := CrossValidateP(full.Rows, events, 10, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := Scenario4(full, events, 7)
+	s3 := cv3.MAPESummary().Mean
+	s4, err := Scenario4(full, events, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,18 +365,18 @@ func TestScenarios(t *testing.T) {
 
 	// The paper's Figure-4 ordering: training on synthetic only is the
 	// worst; mixed CV is good; synthetic-only CV is best.
-	if !(s2.MAPE > s3.MAPE) {
-		t.Fatalf("scenario 2 (%.2f%%) must exceed scenario 3 (%.2f%%)", s2.MAPE, s3.MAPE)
+	if !(s2.MAPE > s3) {
+		t.Fatalf("scenario 2 (%.2f%%) must exceed scenario 3 (%.2f%%)", s2.MAPE, s3)
 	}
-	if !(s4.MAPE < s3.MAPE) {
-		t.Fatalf("scenario 4 (%.2f%%) must beat scenario 3 (%.2f%%)", s4.MAPE, s3.MAPE)
+	if !(s4.MAPE < s3) {
+		t.Fatalf("scenario 4 (%.2f%%) must beat scenario 3 (%.2f%%)", s4.MAPE, s3)
 	}
-	if s1.MAPE < s3.MAPE {
-		t.Fatalf("scenario 1 (%.2f%%) should not beat full CV (%.2f%%)", s1.MAPE, s3.MAPE)
+	if s1.MAPE < s3 {
+		t.Fatalf("scenario 1 (%.2f%%) should not beat full CV (%.2f%%)", s1.MAPE, s3)
 	}
 	// And the degradation factor stays in the paper's ballpark
 	// (2× in the paper; allow 1.2–4×).
-	ratio := s2.MAPE / s3.MAPE
+	ratio := s2.MAPE / s3
 	if ratio < 1.2 || ratio > 4 {
 		t.Fatalf("scenario2/scenario3 ratio = %.2f, want within [1.2, 4]", ratio)
 	}

@@ -33,19 +33,31 @@ func DesignMatrix(rows []*acquisition.Row, events []pmu.EventID) (*mat.Matrix, [
 	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("core: empty dataset")
 	}
-	k := len(events)
-	x := mat.New(len(rows), k+2)
+	x := mat.New(len(rows), len(events)+2)
 	y := make([]float64, len(rows))
+	row := make([]float64, len(events)+2)
 	for i, r := range rows {
-		v2f := V2F(r)
-		for j, id := range events {
-			x.Set(i, j, r.RatePerCycle(id)*v2f)
+		designRow(row, r, events)
+		for j, v := range row {
+			x.Set(i, j, v)
 		}
-		x.Set(i, k, v2f)
-		x.Set(i, k+1, r.VoltageV)
 		y[i] = r.PowerW
 	}
 	return x, y, nil
+}
+
+// designRow writes r's Equation-1 features into row:
+// [E_0·V²f, …, E_{k−1}·V²f, V²f, V], with V²f from V2F and each E_n
+// from RatePerCycle. DesignMatrix, the refit window and PredictWithCI
+// all build their rows here, so the window refits exactly the rows
+// Train fits.
+func designRow(row []float64, r *acquisition.Row, events []pmu.EventID) {
+	v2f := V2F(r)
+	for j, id := range events {
+		row[j] = r.RatePerCycle(id) * v2f
+	}
+	row[len(events)] = v2f
+	row[len(events)+1] = r.VoltageV
 }
 
 // RateMatrix builds the matrix of raw E_n event rates (events per cpu

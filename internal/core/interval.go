@@ -33,15 +33,10 @@ func (m *Model) PredictWithCI(r *acquisition.Row) (Interval, error) {
 	if m.Fit == nil || m.Fit.Cov == nil {
 		return Interval{}, fmt.Errorf("core: model carries no coefficient covariance (trained in-process required)")
 	}
-	// Feature vector in fit order: intercept, events, V²f, V.
-	v2f := V2F(r)
+	// Feature vector in fit order: the intercept, then the design row.
 	x := make([]float64, len(m.Events)+3)
 	x[0] = 1
-	for i, id := range m.Events {
-		x[i+1] = r.RatePerCycle(id) * v2f
-	}
-	x[len(m.Events)+1] = v2f
-	x[len(m.Events)+2] = r.VoltageV
+	designRow(x[1:], r, m.Events)
 
 	if m.Fit.Cov.Rows() != len(x) {
 		return Interval{}, fmt.Errorf("core: covariance is %dx%d for %d features",

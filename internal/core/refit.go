@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pmcpower/internal/acquisition"
 	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
 )
@@ -88,19 +89,11 @@ func (rf *refitter) observe(s CounterSample, powerW float64) {
 			rf.n--
 		}
 	}
-	// The row takes the oldest row's slot. Its V²f is V·V·(f/1000),
-	// which differs from V2F's (V·V·f)/1000 in the last bit on about a
-	// quarter of operating points; the served refit bytes pin this one.
+	// The row takes the oldest row's slot: the intercept, then the
+	// design row Train fits for the same sample.
 	row := rf.ring[rf.head*(cols+1):][:cols+1]
-	fGHz := float64(s.FreqMHz) / 1000
-	fHz := float64(s.FreqMHz) * 1e6
-	v2f := s.VoltageV * s.VoltageV * fGHz
 	row[0] = 1
-	for j, id := range m.Events {
-		row[1+j] = s.Rates[id] / fHz * v2f
-	}
-	row[1+k] = v2f
-	row[2+k] = s.VoltageV
+	designRow(row[1:cols], &acquisition.Row{FreqMHz: s.FreqMHz, VoltageV: s.VoltageV, Rates: s.Rates}, m.Events)
 	row[cols] = powerW
 	rf.qr.AppendRow(row[:cols], powerW)
 	rf.head = (rf.head + 1) % rf.size

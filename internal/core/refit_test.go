@@ -26,10 +26,10 @@ func TestRefitterMatchesBatchTrainOnWindow(t *testing.T) {
 	// a refitting session across labelled dataset rows, its adapted
 	// coefficients must match Train (the offline batch fit) on exactly
 	// the rows left in the window — and again after a breakdown rebuild
-	// has refactorized the window from its retained rows. The refit row
-	// computes V²f as V·V·(f/1000) where DesignMatrix's V2F computes
-	// (V·V·f)/1000, so the two designs can differ in the last bit; the
-	// rest is Givens-against-Householder rounding, within tol.
+	// has refactorized the window from its retained rows. The two
+	// designs are the same rows bit for bit
+	// (TestRefitterRowsAreDesignRows); the rest is
+	// Givens-against-Householder rounding, within tol.
 	_, full := fixtures(t)
 	events := canonicalEvents()
 	base, err := Train(full.Rows, events, TrainOptions{})
@@ -96,6 +96,45 @@ func TestRefitterMatchesBatchTrainOnWindow(t *testing.T) {
 	}
 	push(total)
 	matchTrain("rebuild", full.Rows[total+1-window:total+1])
+}
+
+// TestRefitterRowsAreDesignRows streams every row of the five-P-state
+// campaign into a window that holds them all and checks each ring row:
+// after its leading 1 it is DesignMatrix's row for the same sample, bit
+// for bit, then the label. So the window refits exactly the rows Train
+// fits; a V²f computed another way differs in the last bit on about a
+// quarter of operating points.
+func TestRefitterRowsAreDesignRows(t *testing.T) {
+	_, full := fixtures(t)
+	events := canonicalEvents()
+	base, err := Train(full.Rows, events, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := newRefitter(base, len(full.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range full.Rows {
+		rf.observe(refitSample(r, uint64(i)), r.PowerW)
+	}
+	x, y, err := DesignMatrix(full.Rows, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := len(events) + 3
+	for i := range full.Rows {
+		ring := rf.ring[i*(cols+1):][:cols+1]
+		if ring[0] != 1 || ring[cols] != y[i] {
+			t.Fatalf("row %d: intercept %v, label %v; want 1, %v", i, ring[0], ring[cols], y[i])
+		}
+		for j := 0; j < cols-1; j++ {
+			if got, want := ring[1+j], x.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d (%d MHz, %v V), column %d: window %v, DesignMatrix %v",
+					i, full.Rows[i].FreqMHz, full.Rows[i].VoltageV, j, got, want)
+			}
+		}
+	}
 }
 
 func TestRefitterKeepsBaseModelUntouched(t *testing.T) {

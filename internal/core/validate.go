@@ -266,28 +266,13 @@ func Scenario2(ds *acquisition.Dataset, events []pmu.EventID) (*ScenarioResult, 
 	return holdout("scenario 2: train synthetic, validate SPEC", trainDS.Workloads(), trainDS.Rows, testDS.Rows, events)
 }
 
-// Scenario3 is 10-fold cross validation over all experiments.
-func Scenario3(ds *acquisition.Dataset, events []pmu.EventID, seed uint64) (*ScenarioResult, error) {
-	cv, err := CrossValidateP(ds.Rows, events, 10, seed, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioResult{
-		Name:        "scenario 3: 10-fold CV on all experiments",
-		TrainRows:   len(ds.Rows),
-		TestRows:    len(ds.Rows),
-		MAPE:        cv.MAPESummary().Mean,
-		Skipped:     cv.SkippedObservations(),
-		Predictions: cv.Predictions,
-	}, nil
-}
-
 // Scenario4 is 10-fold cross validation over the synthetic workload
 // experiments only — the paper's most accurate but least realistic
-// case.
-func Scenario4(ds *acquisition.Dataset, events []pmu.EventID, seed uint64) (*ScenarioResult, error) {
+// case — on parallelism workers (0 = GOMAXPROCS, 1 = serial).
+// Scenario 3, the same over all experiments, is CrossValidateP itself.
+func Scenario4(ds *acquisition.Dataset, events []pmu.EventID, seed uint64, parallelism int) (*ScenarioResult, error) {
 	syn := ds.ByClass(workloads.Synthetic)
-	cv, err := CrossValidateP(syn.Rows, events, 10, seed, 0)
+	cv, err := CrossValidateP(syn.Rows, events, 10, seed, parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -41,18 +41,10 @@ type CrossPlatformReport struct {
 // platform and pairs the result with the canonical x86 numbers.
 func (c *Context) CrossPlatform() (*CrossPlatformReport, error) {
 	// x86 side: reuse the canonical campaign.
-	cv, err := c.CrossValidation()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
 	rep := &CrossPlatformReport{
-		X86MAPE:    cv.MAPESummary().Mean,
-		X86R2:      cv.R2Summary().Mean,
-		X86Sel:     pmu.ShortNames(sel),
+		X86MAPE:    c.cv.MAPESummary().Mean,
+		X86R2:      c.cv.R2Summary().Mean,
+		X86Sel:     pmu.ShortNames(c.selected),
 		WalkerMAPE: [2]float64{2.8, 3.8},
 	}
 

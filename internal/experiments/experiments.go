@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section IV/V) plus the ablations and baseline
-// comparisons called out in DESIGN.md. Each experiment is a function
-// on a shared Context that caches the acquisition campaigns, so cmds,
-// tests and benchmarks all reproduce identical numbers.
+// comparisons called out in DESIGN.md. Each experiment is a method on
+// a shared Context that holds the paper's pipeline, run once, so cmds
+// and tests all reproduce identical numbers.
 //
 // Experiment index (ids match DESIGN.md):
 //
@@ -29,6 +29,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -76,79 +77,66 @@ const (
 	scenario1Seed = 34
 )
 
-// Context caches the acquisition campaigns and derived results shared
-// between experiments. Safe for concurrent use.
+// Context holds the paper's shared pipeline, which NewContext runs
+// once: the all-counter selection campaign, Algorithm 1's steps, the
+// evaluation campaign over the five DVFS states and its 10-fold cross
+// validation. Experiments only read these fields, so a Context is safe
+// for concurrent use.
 type Context struct {
 	cfg Config
 
-	mu          sync.Mutex
 	selectionDS *acquisition.Dataset // all counters, selection frequency
-	fullDS      *acquisition.Dataset // evaluation counters, all frequencies
-	fullAllDS   *acquisition.Dataset // all counters, all frequencies
 	steps       []core.SelectionStep
+	selected    []pmu.EventID        // the events of steps, in selection order
+	fullDS      *acquisition.Dataset // evaluation counters, all frequencies
 	cv          *core.CVResult
+
+	// fullAllDS is all counters over all frequencies. Only E14 reads
+	// it, so it is acquired on first use.
+	fullAllDS func() (*acquisition.Dataset, error)
 }
 
-// NewContext creates an experiment context with the given config.
-func NewContext(cfg Config) *Context {
-	return &Context{cfg: cfg}
-}
-
-// SelectionDataset acquires (once) the all-counter dataset at the
-// selection frequency over all active workloads.
-func (c *Context) SelectionDataset() (*acquisition.Dataset, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.selectionDS != nil {
-		return c.selectionDS, nil
-	}
-	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), []int{selectionFreqMHz})
-	if err != nil {
+// NewContext runs the shared pipeline under ctx, in order: the
+// acquisition of all counters at the selection frequency, Algorithm 1,
+// the acquisition of the evaluation counters over all five DVFS states,
+// and the canonical 10-fold cross validation. When ctx carries an
+// obs.Tracer, each stage records its spans (acquire, selection, cv)
+// beneath the caller's.
+func NewContext(ctx context.Context, cfg Config) (*Context, error) {
+	c := &Context{cfg: cfg}
+	opts := acquisition.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism}
+	var err error
+	if c.selectionDS, err = acquisition.AcquireCtx(ctx, opts, workloads.Active(), []int{selectionFreqMHz}); err != nil {
 		return nil, fmt.Errorf("experiments: selection acquisition: %w", err)
 	}
-	c.selectionDS = ds
-	return ds, nil
-}
-
-// SelectionSteps runs (once) Algorithm 1 on the selection dataset.
-func (c *Context) SelectionSteps() ([]core.SelectionStep, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.steps != nil {
-		return c.steps, nil
-	}
-	steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: numEvents, Parallelism: c.cfg.Parallelism})
-	if err != nil {
+	if c.steps, err = core.SelectEventsCtx(ctx, c.selectionDS.Rows, core.SelectOptions{Count: numEvents, Parallelism: cfg.Parallelism}); err != nil {
 		return nil, fmt.Errorf("experiments: counter selection: %w", err)
 	}
-	c.steps = steps
-	return steps, nil
-}
-
-// SelectedEvents returns the canonical six selected counters.
-func (c *Context) SelectedEvents() ([]pmu.EventID, error) {
-	steps, err := c.SelectionSteps()
-	if err != nil {
-		return nil, err
+	c.selected = core.Events(c.steps)
+	evalOpts := opts
+	evalOpts.Events = evaluationEvents(c.selected)
+	if c.fullDS, err = acquisition.AcquireCtx(ctx, evalOpts, workloads.Active(), freqsMHz); err != nil {
+		return nil, fmt.Errorf("experiments: full acquisition: %w", err)
 	}
-	return core.Events(steps), nil
+	if c.cv, err = core.CrossValidateCtx(ctx, c.fullDS.Rows, c.selected, cvFolds, cvSeed, cfg.Parallelism); err != nil {
+		return nil, fmt.Errorf("experiments: cross validation: %w", err)
+	}
+	c.fullAllDS = sync.OnceValues(func() (*acquisition.Dataset, error) {
+		ds, err := acquisition.Acquire(opts, workloads.Active(), freqsMHz)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: all-counter acquisition: %w", err)
+		}
+		return ds, nil
+	})
+	return c, nil
 }
 
 // evaluationEvents returns the counters acquired in the full campaign:
 // the selected set plus the fixed counters and the events the
 // baselines need.
-func (c *Context) evaluationEvents() ([]pmu.EventID, error) {
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
+func evaluationEvents(selected []pmu.EventID) []pmu.EventID {
 	want := map[pmu.EventID]bool{}
-	for _, id := range sel {
+	for _, id := range selected {
 		want[id] = true
 	}
 	for _, name := range []string{"TOT_CYC", "TOT_INS", "REF_CYC", "LST_INS", "L1_DCM", "RES_STL"} {
@@ -160,52 +148,7 @@ func (c *Context) evaluationEvents() ([]pmu.EventID, error) {
 			out = append(out, id)
 		}
 	}
-	return out, nil
-}
-
-// FullDataset acquires (once) the evaluation dataset: selected and
-// baseline counters over all workloads and all five DVFS states.
-func (c *Context) FullDataset() (*acquisition.Dataset, error) {
-	events, err := c.evaluationEvents()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fullDS != nil {
-		return c.fullDS, nil
-	}
-	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Events: events, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), freqsMHz)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: full acquisition: %w", err)
-	}
-	c.fullDS = ds
-	return ds, nil
-}
-
-// CrossValidation runs (once) the canonical k-fold cross validation of
-// the Equation-1 model over the full dataset.
-func (c *Context) CrossValidation() (*core.CVResult, error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cv != nil {
-		return c.cv, nil
-	}
-	cv, err := core.CrossValidateP(ds.Rows, sel, cvFolds, cvSeed, c.cfg.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cross validation: %w", err)
-	}
-	c.cv = cv
-	return cv, nil
+	return out
 }
 
 // --- E1 / E10: Tables I and IV -------------------------------------
@@ -233,22 +176,14 @@ func rowsFromSteps(steps []core.SelectionStep) []SelectionRow {
 
 // TableI reproduces Table I: the counters selected by Algorithm 1 on
 // all workloads, in selection order, with R², Adj.R² and mean VIF.
-func (c *Context) TableI() ([]SelectionRow, error) {
-	steps, err := c.SelectionSteps()
-	if err != nil {
-		return nil, err
-	}
-	return rowsFromSteps(steps), nil
+func (c *Context) TableI() []SelectionRow {
+	return rowsFromSteps(c.steps)
 }
 
 // TableIV reproduces Table IV: counter selection performed on the
 // synthetic (roco2) workloads only.
 func (c *Context) TableIV() ([]SelectionRow, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
-	syn := ds.ByClass(workloads.Synthetic)
+	syn := c.selectionDS.ByClass(workloads.Synthetic)
 	steps, err := core.SelectEvents(syn.Rows, core.SelectOptions{Count: numEvents, Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, err
@@ -269,13 +204,9 @@ type Fig2Point struct {
 
 // Fig2 reproduces Figure 2: the R² and Adj.R² trajectory of the greedy
 // selection.
-func (c *Context) Fig2() ([]Fig2Point, error) {
-	steps, err := c.SelectionSteps()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig2Point, len(steps))
-	for i, s := range steps {
+func (c *Context) Fig2() []Fig2Point {
+	out := make([]Fig2Point, len(c.steps))
+	for i, s := range c.steps {
 		out[i] = Fig2Point{
 			NumCounters: i + 1,
 			Counter:     pmu.Lookup(s.Event).Short,
@@ -283,7 +214,7 @@ func (c *Context) Fig2() ([]Fig2Point, error) {
 			AdjR2:       s.AdjR2,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // --- E3: Table II ----------------------------------------------------
@@ -300,17 +231,13 @@ type TableII struct {
 }
 
 // TableIIResult reproduces Table II.
-func (c *Context) TableIIResult() (*TableII, error) {
-	cv, err := c.CrossValidation()
-	if err != nil {
-		return nil, err
-	}
+func (c *Context) TableIIResult() *TableII {
 	return &TableII{
-		R2:         cv.R2Summary(),
-		AdjR2:      cv.AdjR2Summary(),
-		MAPE:       cv.MAPESummary(),
-		SkippedObs: cv.SkippedObservations(),
-	}, nil
+		R2:         c.cv.R2Summary(),
+		AdjR2:      c.cv.AdjR2Summary(),
+		MAPE:       c.cv.MAPESummary(),
+		SkippedObs: c.cv.SkippedObservations(),
+	}
 }
 
 // --- E4: Figure 3 ----------------------------------------------------
@@ -327,11 +254,7 @@ type Fig3Bar struct {
 // states for the 16 evaluated workloads (all 10 SPEC applications plus
 // the six roco2 kernels the paper shows).
 func (c *Context) Fig3() ([]Fig3Bar, error) {
-	cv, err := c.CrossValidation()
-	if err != nil {
-		return nil, err
-	}
-	perWL := cv.PerWorkloadMAPE()
+	perWL := c.cv.PerWorkloadMAPE()
 
 	// The paper's figure shows 16 workloads: the SPEC applications and
 	// a subset of the synthetic kernels.
@@ -365,44 +288,29 @@ type Fig4Bar struct {
 	Skipped int
 }
 
-// Fig4 reproduces Figure 4: the MAPE of the four train/test scenarios.
+// Fig4 reproduces Figure 4: the MAPE of the paper's four train/test
+// scenarios on the full dataset with the canonical seeds. Scenario 3,
+// 10-fold CV over all experiments, is the context's cross validation.
 func (c *Context) Fig4() ([]Fig4Bar, error) {
-	s1, s2, s3, s4, err := c.Scenarios()
+	s1, err := core.Scenario1(c.fullDS, c.selected, scenario1Seed)
+	if err != nil {
+		return nil, err
+	}
+	s2, err := core.Scenario2(c.fullDS, c.selected)
+	if err != nil {
+		return nil, err
+	}
+	s4, err := core.Scenario4(c.fullDS, c.selected, cvSeed, c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	return []Fig4Bar{
 		{Scenario: 1, Name: s1.Name, MAPE: s1.MAPE, Skipped: s1.Skipped},
 		{Scenario: 2, Name: s2.Name, MAPE: s2.MAPE, Skipped: s2.Skipped},
-		{Scenario: 3, Name: s3.Name, MAPE: s3.MAPE, Skipped: s3.Skipped},
+		{Scenario: 3, Name: "scenario 3: 10-fold CV on all experiments",
+			MAPE: c.cv.MAPESummary().Mean, Skipped: c.cv.SkippedObservations()},
 		{Scenario: 4, Name: s4.Name, MAPE: s4.MAPE, Skipped: s4.Skipped},
 	}, nil
-}
-
-// Scenarios runs the paper's four validation scenarios on the full
-// dataset with the canonical seeds.
-func (c *Context) Scenarios() (s1, s2, s3, s4 *core.ScenarioResult, err error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s1, err = core.Scenario1(ds, sel, scenario1Seed); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s2, err = core.Scenario2(ds, sel); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s3, err = core.Scenario3(ds, sel, cvSeed); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s4, err = core.Scenario4(ds, sel, cvSeed); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return s1, s2, s3, s4, nil
 }
 
 // --- E6 / E7: Figure 5 ------------------------------------------------
@@ -410,15 +318,7 @@ func (c *Context) Scenarios() (s1, s2, s3, s4 *core.ScenarioResult, err error) {
 // Fig5a reproduces Figure 5a: actual vs estimated average power when
 // training on synthetic workloads and validating on SPEC (scenario 2).
 func (c *Context) Fig5a() ([]core.Prediction, error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	s2, err := core.Scenario2(ds, sel)
+	s2, err := core.Scenario2(c.fullDS, c.selected)
 	if err != nil {
 		return nil, err
 	}
@@ -427,10 +327,6 @@ func (c *Context) Fig5a() ([]core.Prediction, error) {
 
 // Fig5b reproduces Figure 5b: actual vs estimated power from the
 // out-of-fold predictions of the 10-fold cross validation (scenario 3).
-func (c *Context) Fig5b() ([]core.Prediction, error) {
-	cv, err := c.CrossValidation()
-	if err != nil {
-		return nil, err
-	}
-	return cv.Predictions, nil
+func (c *Context) Fig5b() []core.Prediction {
+	return c.cv.Predictions
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -9,24 +10,23 @@ import (
 	"pmcpower/internal/workloads"
 )
 
-// One shared context per test binary: the acquisitions dominate the
+// One shared context per test binary: the pipeline dominates the
 // runtime and every experiment is deterministic.
-var (
-	ctxOnce sync.Once
-	ctx     *Context
-)
+var sharedCtx = sync.OnceValues(func() (*Context, error) {
+	return NewContext(context.Background(), DefaultConfig())
+})
 
 func testCtx(t *testing.T) *Context {
 	t.Helper()
-	ctxOnce.Do(func() { ctx = NewContext(DefaultConfig()) })
-	return ctx
-}
-
-func TestE1TableI(t *testing.T) {
-	rows, err := testCtx(t).TableI()
+	c, err := sharedCtx()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func TestE1TableI(t *testing.T) {
+	rows := testCtx(t).TableI()
 	if len(rows) != 6 {
 		t.Fatalf("Table I has %d rows, want 6", len(rows))
 	}
@@ -59,10 +59,7 @@ func TestE1TableI(t *testing.T) {
 }
 
 func TestE2Fig2(t *testing.T) {
-	pts, err := testCtx(t).Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := testCtx(t).Fig2()
 	if len(pts) != 6 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -80,10 +77,7 @@ func TestE2Fig2(t *testing.T) {
 }
 
 func TestE3TableII(t *testing.T) {
-	tab, err := testCtx(t).TableIIResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := testCtx(t).TableIIResult()
 	// Paper regime: R² high and tight across folds, MAPE mid single
 	// digits.
 	if tab.R2.Mean < 0.9 || tab.R2.Max > 1 {
@@ -170,21 +164,14 @@ func TestE6E7Fig5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Fig5b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := c.Fig5b()
 	// 5a: SPEC rows only (10 workloads × 5 freqs).
 	if len(a) != 50 {
 		t.Fatalf("Fig 5a has %d points, want 50", len(a))
 	}
 	// 5b: every experiment once.
-	ds, err := c.FullDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != len(ds.Rows) {
-		t.Fatalf("Fig 5b has %d points, want %d", len(b), len(ds.Rows))
+	if len(b) != len(c.fullDS.Rows) {
+		t.Fatalf("Fig 5b has %d points, want %d", len(b), len(c.fullDS.Rows))
 	}
 	// Figure 5a must show larger scatter than 5b on the same rows.
 	mapeOf := func(preds []struct{ a, p float64 }) float64 {
@@ -209,10 +196,7 @@ func TestE6E7Fig5(t *testing.T) {
 }
 
 func TestE8TableIII(t *testing.T) {
-	rows, err := testCtx(t).TableIII()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := testCtx(t).TableIII()
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -235,10 +219,7 @@ func TestE8TableIII(t *testing.T) {
 }
 
 func TestE9Fig6(t *testing.T) {
-	rows, err := testCtx(t).Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := testCtx(t).Fig6()
 	if len(rows) != 54 {
 		t.Fatalf("Figure 6 has %d bars, want 54", len(rows))
 	}
@@ -278,10 +259,7 @@ func TestE10TableIV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := c.TableI()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := c.TableI()
 	if len(t4) != 6 {
 		t.Fatalf("%d rows", len(t4))
 	}
@@ -447,37 +425,10 @@ func TestRenderersProduceOutput(t *testing.T) {
 	}
 }
 
-func TestContextCaching(t *testing.T) {
-	c := testCtx(t)
-	a, err := c.SelectionDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.SelectionDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("selection dataset must be cached")
-	}
-	s1, err := c.SelectedEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.SelectedEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatal("selected events must be stable")
-		}
-	}
-}
-
 func TestContextConcurrentAccess(t *testing.T) {
 	// The context documents itself as safe for concurrent use; hammer
-	// the cached accessors from several goroutines.
+	// the experiments that read its shared pipeline from several
+	// goroutines, under the race detector in CI.
 	c := testCtx(t)
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -485,13 +436,13 @@ func TestContextConcurrentAccess(t *testing.T) {
 			var err error
 			switch i % 4 {
 			case 0:
-				_, err = c.TableI()
+				_ = c.TableI()
 			case 1:
-				_, err = c.TableIII()
+				_ = c.TableIII()
 			case 2:
-				_, err = c.Fig2()
+				_, err = c.Fig3()
 			case 3:
-				_, err = c.SelectedEvents()
+				_, err = c.Fig5a()
 			}
 			done <- err
 		}(i)

@@ -25,11 +25,7 @@ type VIFExtension struct {
 // ExtendedSelection runs Algorithm 1 beyond the canonical six counters
 // and reports where multicollinearity blows up.
 func (c *Context) ExtendedSelection(count int) (*VIFExtension, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
-	steps, err := core.SelectEvents(ds.Rows, core.SelectOptions{Count: count, Parallelism: c.cfg.Parallelism})
+	steps, err := core.SelectEvents(c.selectionDS.Rows, core.SelectOptions{Count: count, Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -65,19 +61,11 @@ type AblationResult struct {
 // rates inherit a common frequency-driven component that inflates
 // their mutual correlation.
 func (c *Context) AblationRateNormalization() (*AblationResult, error) {
-	ds, err := c.FullDataset()
+	perCycle, err := stats.MeanVIF(core.RateMatrix(c.fullDS.Rows, c.selected), c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	perCycle, err := stats.MeanVIF(core.RateMatrix(ds.Rows, sel), c.cfg.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	perSecond, err := stats.MeanVIF(core.RateMatrixPerSecond(ds.Rows, sel), c.cfg.Parallelism)
+	perSecond, err := stats.MeanVIF(core.RateMatrixPerSecond(c.fullDS.Rows, c.selected), c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -97,19 +85,11 @@ func (c *Context) AblationRateNormalization() (*AblationResult, error) {
 // also divides each squared residual by (1−h)², so high-leverage
 // observations widen its standard errors where HC0's stay smaller.
 func (c *Context) AblationHCSE() (*AblationResult, error) {
-	ds, err := c.FullDataset()
+	hc3, err := core.Train(c.fullDS.Rows, c.selected, core.TrainOptions{Estimator: stats.CovHC3})
 	if err != nil {
 		return nil, err
 	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	hc3, err := core.Train(ds.Rows, sel, core.TrainOptions{Estimator: stats.CovHC3})
-	if err != nil {
-		return nil, err
-	}
-	hc0, err := core.Train(ds.Rows, sel, core.TrainOptions{Estimator: stats.CovHC0})
+	hc0, err := core.Train(c.fullDS.Rows, c.selected, core.TrainOptions{Estimator: stats.CovHC0})
 	if err != nil {
 		return nil, err
 	}
@@ -128,15 +108,7 @@ func (c *Context) AblationHCSE() (*AblationResult, error) {
 // significantly" [18]. Returns the final R² with and without the
 // initialization.
 func (c *Context) AblationCycleInit() (*AblationResult, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
-	plain, err := c.SelectionSteps()
-	if err != nil {
-		return nil, err
-	}
-	seeded, err := core.SelectEvents(ds.Rows, core.SelectOptions{
+	seeded, err := core.SelectEvents(c.selectionDS.Rows, core.SelectOptions{
 		Count:          numEvents,
 		InitWithCycles: true,
 		Parallelism:    c.cfg.Parallelism,
@@ -146,7 +118,7 @@ func (c *Context) AblationCycleInit() (*AblationResult, error) {
 	}
 	return &AblationResult{
 		Name:    "Algorithm 1 cycle-counter initialization",
-		Default: plain[len(plain)-1].R2,
+		Default: c.steps[len(c.steps)-1].R2,
 		Variant: seeded[len(seeded)-1].R2,
 		Unit:    "final R² after 6 counters",
 		Note:    "Walker et al. seed the selection with the cycle counter; the paper drops this",
@@ -159,18 +131,10 @@ func (c *Context) AblationCycleInit() (*AblationResult, error) {
 // finding in its own right: with only four training workloads the
 // model quality varies enormously with the draw.
 func (c *Context) Scenario1Spread(draws int) (stats.Summary, error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return stats.Summary{}, err
-	}
 	base := rng.New(c.cfg.Seed)
 	mapes := make([]float64, 0, draws)
 	for i := 0; i < draws; i++ {
-		res, err := core.Scenario1(ds, sel, base.Split(uint64(1000+i)).Uint64())
+		res, err := core.Scenario1(c.fullDS, c.selected, base.Split(uint64(1000+i)).Uint64())
 		if err != nil {
 			return stats.Summary{}, err
 		}
@@ -202,14 +166,7 @@ type BaselineRow struct {
 // Baselines reproduces the baseline comparison: the Equation-1 model
 // with the selected counters versus the related-work approaches.
 func (c *Context) Baselines() ([]BaselineRow, error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
+	ds, sel := c.fullDS, c.selected
 
 	// Random 80/20 split for the holdout protocol.
 	r := rng.New(c.cfg.Seed + 99)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"pmcpower/internal/acquisition"
 	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
@@ -18,24 +17,6 @@ import (
 // selecting PMC events") and checkable versions of claims the paper
 // makes in passing (the stage-2 transformation being inapplicable;
 // the residuals being heteroscedastic).
-
-// FullAllCounterDataset acquires (once) all 54 counters across all
-// five DVFS states — needed by experiments that evaluate arbitrary
-// counter sets.
-func (c *Context) FullAllCounterDataset() (*acquisition.Dataset, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fullAllDS != nil {
-		return c.fullAllDS, nil
-	}
-	ds, err := acquisition.Acquire(acquisition.Options{Seed: c.cfg.Seed, Parallelism: c.cfg.Parallelism},
-		workloads.Active(), freqsMHz)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: all-counter acquisition: %w", err)
-	}
-	c.fullAllDS = ds
-	return ds, nil
-}
 
 // --- E14: selection-strategy comparison --------------------------------
 
@@ -55,15 +36,11 @@ type StrategyRow struct {
 // six-counter sets on accuracy (10-fold CV) and stability
 // (synthetic→SPEC transfer).
 func (c *Context) StrategyComparison() ([]StrategyRow, error) {
-	sel, err := c.SelectionDataset()
+	full, err := c.fullAllDS()
 	if err != nil {
 		return nil, err
 	}
-	full, err := c.FullAllCounterDataset()
-	if err != nil {
-		return nil, err
-	}
-	cmps, err := core.CompareStrategiesP(sel.Rows, full.Rows, numEvents, cvSeed, c.cfg.Parallelism)
+	cmps, err := core.CompareStrategiesP(c.selectionDS.Rows, full.Rows, numEvents, cvSeed, c.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -110,15 +87,7 @@ type TransformationReport struct {
 // TransformationSearch runs Walker et al.'s stage 2 on the canonical
 // selected set.
 func (c *Context) TransformationSearch() (*TransformationReport, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	cands, err := core.TransformationSearch(ds.Rows, sel)
+	cands, err := core.TransformationSearch(c.selectionDS.Rows, c.selected)
 	if err != nil {
 		return nil, err
 	}
@@ -167,19 +136,11 @@ type StabilityReport struct {
 
 // BootstrapStability runs the analysis with 200 replicates.
 func (c *Context) BootstrapStability() (*StabilityReport, error) {
-	ds, err := c.FullDataset()
+	full, err := core.Bootstrap(c.fullDS.Rows, c.selected, 200, c.cfg.Seed+5)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	full, err := core.Bootstrap(ds.Rows, sel, 200, c.cfg.Seed+5)
-	if err != nil {
-		return nil, err
-	}
-	syn, err := core.Bootstrap(ds.ByClass(workloads.Synthetic).Rows, sel, 200, c.cfg.Seed+5)
+	syn, err := core.Bootstrap(c.fullDS.ByClass(workloads.Synthetic).Rows, c.selected, 200, c.cfg.Seed+5)
 	if err != nil {
 		return nil, err
 	}
@@ -218,15 +179,7 @@ func (c *Context) RenderStability() (string, error) {
 // HeteroscedasticityTest runs the Breusch–Pagan test on the canonical
 // Equation-1 fit over the full dataset.
 func (c *Context) HeteroscedasticityTest() (*stats.BPResult, error) {
-	ds, err := c.FullDataset()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	x, y, err := core.DesignMatrix(ds.Rows, sel)
+	x, y, err := core.DesignMatrix(c.fullDS.Rows, c.selected)
 	if err != nil {
 		return nil, err
 	}

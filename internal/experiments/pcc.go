@@ -18,11 +18,8 @@ type PCCRow struct {
 
 // pccAll computes the PCC of every counter's E_n rate with power over
 // the selection dataset.
-func (c *Context) pccAll() (map[pmu.EventID]float64, error) {
-	ds, err := c.SelectionDataset()
-	if err != nil {
-		return nil, err
-	}
+func (c *Context) pccAll() map[pmu.EventID]float64 {
+	ds := c.selectionDS
 	power := make([]float64, len(ds.Rows))
 	for i, r := range ds.Rows {
 		power[i] = r.PowerW
@@ -35,36 +32,26 @@ func (c *Context) pccAll() (map[pmu.EventID]float64, error) {
 		}
 		out[id] = stats.Pearson(rates, power)
 	}
-	return out, nil
+	return out
 }
 
 // TableIII reproduces Table III: the PCC of each *selected* counter
 // with power, in selection order. The paper's headline observation —
 // statistically chosen counters are mostly NOT the ones most
 // correlated with power — should be visible here.
-func (c *Context) TableIII() ([]PCCRow, error) {
-	sel, err := c.SelectedEvents()
-	if err != nil {
-		return nil, err
-	}
-	pcc, err := c.pccAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PCCRow, len(sel))
-	for i, id := range sel {
+func (c *Context) TableIII() []PCCRow {
+	pcc := c.pccAll()
+	out := make([]PCCRow, len(c.selected))
+	for i, id := range c.selected {
 		out[i] = PCCRow{Counter: pmu.Lookup(id).Short, PCC: pcc[id]}
 	}
-	return out, nil
+	return out
 }
 
 // Fig6 reproduces Figure 6: the PCC of all supported PAPI counters
 // with power, sorted descending (NaNs — zero-variance counters — last).
-func (c *Context) Fig6() ([]PCCRow, error) {
-	pcc, err := c.pccAll()
-	if err != nil {
-		return nil, err
-	}
+func (c *Context) Fig6() []PCCRow {
+	pcc := c.pccAll()
 	out := make([]PCCRow, 0, len(pcc))
 	for _, id := range pmu.AllIDs() {
 		out = append(out, PCCRow{Counter: pmu.Lookup(id).Short, PCC: pcc[id]})
@@ -80,5 +67,5 @@ func (c *Context) Fig6() ([]PCCRow, error) {
 			return a > b
 		}
 	})
-	return out, nil
+	return out
 }

@@ -34,7 +34,7 @@ func fmtStat(format string, v float64) string {
 	return fmt.Sprintf(format, v)
 }
 
-// RenderTableI renders Table I (or Table IV, given its rows).
+// RenderSelectionTable renders Table I (or Table IV, given its rows).
 func RenderSelectionTable(title string, rows []SelectionRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", title)
@@ -47,11 +47,7 @@ func RenderSelectionTable(title string, rows []SelectionRow) string {
 
 // RenderTableI renders experiment E1.
 func (c *Context) RenderTableI() (string, error) {
-	rows, err := c.TableI()
-	if err != nil {
-		return "", err
-	}
-	return RenderSelectionTable("Table I: selected performance counters (all workloads)", rows), nil
+	return RenderSelectionTable("Table I: selected performance counters (all workloads)", c.TableI()), nil
 }
 
 // RenderTableIV renders experiment E10.
@@ -65,14 +61,10 @@ func (c *Context) RenderTableIV() (string, error) {
 
 // RenderFig2 renders experiment E2 as a two-series table.
 func (c *Context) RenderFig2() (string, error) {
-	pts, err := c.Fig2()
-	if err != nil {
-		return "", err
-	}
 	var sb strings.Builder
 	sb.WriteString("Figure 2: R² and Adj.R² vs number of selected counters\n")
 	fmt.Fprintf(&sb, "%-3s %-10s %8s %8s\n", "#", "counter", "R²", "Adj.R²")
-	for _, p := range pts {
+	for _, p := range c.Fig2() {
 		fmt.Fprintf(&sb, "%-3d %-10s %8.3f %8.3f\n", p.NumCounters, p.Counter, p.R2, p.AdjR2)
 	}
 	return sb.String(), nil
@@ -80,10 +72,7 @@ func (c *Context) RenderFig2() (string, error) {
 
 // RenderTableII renders experiment E3.
 func (c *Context) RenderTableII() (string, error) {
-	t, err := c.TableIIResult()
-	if err != nil {
-		return "", err
-	}
+	t := c.TableIIResult()
 	var sb strings.Builder
 	sb.WriteString("Table II: summary of results for 10-fold cross validation\n")
 	fmt.Fprintf(&sb, "%-8s %8s %8s %8s\n", "Metric", "Min", "Max", "Mean")
@@ -174,23 +163,15 @@ func (c *Context) RenderFig5a() (string, error) {
 
 // RenderFig5b renders experiment E7.
 func (c *Context) RenderFig5b() (string, error) {
-	preds, err := c.Fig5b()
-	if err != nil {
-		return "", err
-	}
-	return renderScatter("Figure 5b: actual vs estimated power (scenario 3: 10-fold CV)", preds), nil
+	return renderScatter("Figure 5b: actual vs estimated power (scenario 3: 10-fold CV)", c.Fig5b()), nil
 }
 
 // RenderTableIII renders experiment E8.
 func (c *Context) RenderTableIII() (string, error) {
-	rows, err := c.TableIII()
-	if err != nil {
-		return "", err
-	}
 	var sb strings.Builder
 	sb.WriteString("Table III: Pearson correlation of selected counters with power\n")
 	fmt.Fprintf(&sb, "%-10s %6s\n", "Counter", "PCC")
-	for _, r := range rows {
+	for _, r := range c.TableIII() {
 		fmt.Fprintf(&sb, "%-10s %+6.2f\n", r.Counter, r.PCC)
 	}
 	return sb.String(), nil
@@ -198,13 +179,9 @@ func (c *Context) RenderTableIII() (string, error) {
 
 // RenderFig6 renders experiment E9.
 func (c *Context) RenderFig6() (string, error) {
-	rows, err := c.Fig6()
-	if err != nil {
-		return "", err
-	}
 	var sb strings.Builder
 	sb.WriteString("Figure 6: PCC of all PAPI counters with power\n")
-	for _, r := range rows {
+	for _, r := range c.Fig6() {
 		bar := ""
 		if !math.IsNaN(r.PCC) {
 			bar = strings.Repeat("#", int(math.Abs(r.PCC)*40+0.5))

@@ -52,14 +52,12 @@ type RenderedExperiment struct {
 // reports in canonical order regardless of completion order.
 // parallelism bounds the concurrent renders (0 = GOMAXPROCS, 1 =
 // serial); each render additionally uses the context's
-// Config.Parallelism internally. The shared Context caches the
-// underlying campaigns, so concurrent renders serialize on the first
-// computation of each shared dataset and reuse it afterwards — the
-// reports are bit-identical to a serial run. When ctx carries an
-// obs.Tracer, every experiment render emits an "exp:<id>" span in the
-// lane of the worker that ran it, so the fan-out's load balance is
-// visible in the exported timeline; the reports are bit-identical
-// with or without a tracer.
+// Config.Parallelism internally. Every render reads the pipeline
+// NewContext ran, so the reports are bit-identical to a serial run.
+// When ctx carries an obs.Tracer, every experiment render emits an
+// "exp:<id>" span in the lane of the worker that ran it, so the
+// fan-out's load balance is visible in the exported timeline; the
+// reports are bit-identical with or without a tracer.
 func (c *Context) RunAllCtx(ctx context.Context, parallelism int) ([]RenderedExperiment, error) {
 	regs := c.Renderers()
 	return parallel.MapCtx(ctx, len(regs), parallelism, func(ctx context.Context, i int) (RenderedExperiment, error) {

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
 func TestRenderersRegistry(t *testing.T) {
-	ctx := NewContext(DefaultConfig())
-	regs := ctx.Renderers()
+	regs := testCtx(t).Renderers()
 	if len(regs) != 18 {
 		t.Fatalf("registry has %d entries, want 18 (E1–E17 + hetero)", len(regs))
 	}
@@ -37,11 +37,16 @@ func TestExperimentsParallelismEquivalence(t *testing.T) {
 	serialCfg.Parallelism = 1
 	parCfg := DefaultConfig()
 	parCfg.Parallelism = 4
-	serial := NewContext(serialCfg)
-	par := NewContext(parCfg)
+	serial, err := NewContext(context.Background(), serialCfg)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	par, err := NewContext(context.Background(), parCfg)
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
 	for _, id := range []string{"table1", "table2", "table4"} {
 		var sOut, pOut string
-		var err error
 		for _, r := range serial.Renderers() {
 			if r.ID == id {
 				sOut, err = r.Render()

@@ -42,7 +42,7 @@ var (
 	taskFailures = obs.Default().Counter("pmcpower_parallel_task_failures_total",
 		"Tasks that returned an error.")
 	sweepsTotal = obs.Default().Counter("pmcpower_parallel_sweeps_total",
-		"Map/ForEach sweeps dispatched.")
+		"MapCtx and MapWorkers sweeps dispatched.")
 )
 
 // Workers resolves a Parallelism knob to a concrete worker count:

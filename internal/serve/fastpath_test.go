@@ -72,12 +72,10 @@ func wireSpecs(t *testing.T) []equivSpec {
 		stream("g02", `{"time_\u006es":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":`+rj+`}`),
 		// Duplicate scalar key: last one wins.
 		stream("g03", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":900,"freq_mhz":2000,"voltage_v":1.05,"rates":%s}`, rj)),
-		// Duplicate rates objects merge key-by-key. The overriding key
-		// must reuse the exact spelling from the first object: an alias
-		// (bare name vs PAPI_ prefix) resolves to the same event on both
-		// paths, but which alias wins depends on map iteration order in
-		// the decoder's resolver — nondeterministic, so not equivalence
-		// material.
+		// Duplicate rates objects merge key-by-key: the overriding key
+		// reuses the first object's spelling, so the last value wins.
+		// An event named under both spellings is refused instead (the
+		// exchanges appended at the end).
 		stream("g04", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"rates":%s,"rates":{"PAPI_LST_INS":0.33}}`, rj)),
 		// Unknown top-level field: DisallowUnknownFields error.
 		stream("g05", fmt.Sprintf(`{"time_ns":1000000,"freq_mhz":2000,"voltage_v":1.05,"label":"x","rates":%s}`, rj)),
@@ -183,7 +181,18 @@ func wireSpecs(t *testing.T) []equivSpec {
 	specs = append(specs, equivSpec{method: "POST",
 		path: "/v1/estimate?model=m&alpha=0.3&refit=24&session=refit-primes",
 		body: strings.Join(refit, "\n") + "\n"})
-	return specs
+
+	// Two unknown names, and one event under both spellings, as a
+	// stream's first line and as predict's row 1: the lowest unknown
+	// name is named, and the two spellings are a parse error, on both
+	// endpoints whatever order the names' map iterates in.
+	withExtra := func(extra string) string { return strings.Replace(rj, "{", "{"+extra+",", 1) }
+	return append(specs,
+		stream("unknown-two-first", withRates(1e6, withExtra(`"NO_SUCH_B":1,"NO_SUCH_A":1`))),
+		stream("spellings-first", withRates(1e6, withExtra(`"LST_INS":0.33`))),
+		predict("m", mutRow(func(w *wireRow) { w.Rates["NO_SUCH_B"], w.Rates["NO_SUCH_A"] = 1, 1 })),
+		predict("m", mutRow(func(w *wireRow) { w.Rates["LST_INS"] = 0.33 })),
+	)
 }
 
 func TestFastPathWireEquivalence(t *testing.T) {

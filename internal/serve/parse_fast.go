@@ -23,8 +23,8 @@ import (
 // reports !ok and the caller re-parses through the encoding/json
 // route. Anything exotic — escape sequences, unknown or non-object
 // top level, `null` values, numbers outside JSON grammar, unknown
-// event names, semantic rejections — bails out, so every error
-// (message, reason, and field semantics such as
+// event names, an event named twice, semantic rejections — bails out,
+// so every error (message, reason, and field semantics such as
 // DisallowUnknownFields and last-key-wins) is still produced by the
 // encoding/json route, decodeSample. The fast path can therefore never
 // change what a client observes, only how fast the common case is
@@ -207,9 +207,8 @@ func parseUint(b []byte, i int) (v uint64, next int, ok bool) {
 // matched against it: the byte runs between number tokens must be
 // equal, and then only the numbers are scanned, by the same parseUint
 // and parseNumber the full scan uses, straight into the slots the
-// shape recorded. At the first difference the full scan takes over
-// from the last matched number, so a line whose layout changes is
-// scanned once, not twice. Because the full scan would read the same
+// shape recorded. At the first difference the full scan reads the
+// line again from its start. Because the full scan would read the same
 // keys from the same bytes, a matched line yields exactly what the
 // full scan yields on it.
 
@@ -244,81 +243,74 @@ type lineShape struct {
 // hit reports that the line had the cached shape; otherwise the full
 // scan recorded the line's own shape in ps.next. ok is false whenever
 // the input strays from the common form (escapes, null, unknown keys
-// or events, numbers outside the grammar); the caller must then
-// re-parse via encoding/json. Mirrored semantics worth noting:
-// trailing bytes after the closing brace are ignored
-// (json.Decoder.Decode reads one value and stops), and a repeated key
-// overwrites — or for "rates", merges into — the previous one, exactly
-// as encoding/json does when decoding into a struct and a non-nil map.
+// or events, an event named twice, numbers outside the grammar); the
+// caller must then re-parse via encoding/json. Mirrored semantics
+// worth noting: trailing bytes after the closing brace are ignored
+// (json.Decoder.Decode reads one value and stops), and a repeated
+// scalar key overwrites the previous one, exactly as encoding/json
+// does when decoding into a struct.
 func parseSampleFast(line []byte, ps *parseScratch) (hit, ok bool) {
-	// Keep the slow path's reusable decoded map across a bailout; the
-	// fast path itself never touches ws.Rates.
-	ps.ws = wireSample{Rates: ps.ws.Rates}
-	ps.powerW, ps.labelled = 0, false
-	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
 	if ps.tens == nil {
 		ps.tens = detailedPowersOfTen()
 	}
-	i, k := 0, 0
 	if ps.shapeOK {
-		if i, k, hit = ps.matchShape(line); hit {
+		ps.resetLine()
+		if ps.matchShape(line) {
 			return true, true
 		}
 	}
+	ps.resetLine()
 	nx := &ps.next
 	nx.skel, nx.cuts, nx.slots = nx.skel[:0], nx.cuts[:0], nx.slots[:0]
-	if k == 0 {
-		return false, ps.scan(line, 0, true, false)
-	}
-	// The line left the shape after token k-1: keep what matched and
-	// scan on from there, inside the rates object if that was a rate.
-	sh := &ps.shape
-	nx.skel = append(nx.skel, sh.skel[:sh.cuts[k-1]]...)
-	nx.cuts = append(nx.cuts, sh.cuts[:k]...)
-	nx.slots = append(nx.slots, sh.slots[:k]...)
-	return false, ps.scan(line, i, false, sh.slots[k-1].kind == slotRate)
+	return false, ps.scan(line)
 }
 
-// matchShape matches line against the cached shape up to the first
-// difference. hit reports that the whole line matched, through the
-// closing brace. Otherwise k is the number of tokens matched (each
-// one's preceding run byte for byte, then the token itself, stored)
-// and i the index just past the k-th of them.
-func (ps *parseScratch) matchShape(line []byte) (i, k int, hit bool) {
+// resetLine clears the per-line results a scan writes. It keeps the
+// slow path's reusable decoded map; the fast path never touches
+// ws.Rates.
+func (ps *parseScratch) resetLine() {
+	ps.ws = wireSample{Rates: ps.ws.Rates}
+	ps.powerW, ps.labelled = 0, false
+	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
+}
+
+// matchShape reports whether line has the cached shape through the
+// closing brace: each token's preceding run byte for byte, then the
+// token itself, stored.
+func (ps *parseScratch) matchShape(line []byte) bool {
 	sh := &ps.shape
-	from := 0
-	for ; k < len(sh.slots); k++ {
+	i, from := 0, 0
+	for k, slot := range sh.slots {
 		run := sh.skel[from:sh.cuts[k]]
 		if !bytes.HasPrefix(line[i:], run) {
-			return i, k, false
+			return false
 		}
-		next, ok := ps.token(line, i+len(run), sh.slots[k])
+		next, ok := ps.token(line, i+len(run), slot)
 		if !ok {
-			return i, k, false
+			return false
 		}
 		i, from = next, sh.cuts[k]
 	}
-	return i, k, bytes.HasPrefix(line[i:], sh.skel[from:])
+	return bytes.HasPrefix(line[i:], sh.skel[from:])
 }
 
-// scan is the full fast scan of line from index i: at the object's
-// start, or (start false) just past a number token, inside the rates
-// object when inRates. It appends the layout it reads to ps.next.
-func (ps *parseScratch) scan(line []byte, i int, start, inRates bool) bool {
+// scan is the full fast scan of line. It appends the layout it reads
+// to ps.next. A rate whose event the line has named already, under
+// either spelling, ends the scan: the decoder resolves it.
+func (ps *parseScratch) scan(line []byte) bool {
 	nx := &ps.next
-	prev := i // the end of the last token, where the next run starts
-	if start {
-		i = skipJSONWS(line, i)
-		if i >= len(line) || line[i] != '{' {
-			return false
-		}
-		i = skipJSONWS(line, i+1)
-		if i < len(line) && line[i] == '}' {
-			nx.skel = append(nx.skel, line[prev:i+1]...)
-			return true // empty object: zero-valued sample, like json
-		}
+	var named uint64 // bit id is set once the line names event id
+	i := skipJSONWS(line, 0)
+	if i >= len(line) || line[i] != '{' {
+		return false
 	}
-	afterValue := !start
+	i = skipJSONWS(line, i+1)
+	if i < len(line) && line[i] == '}' {
+		nx.skel = append(nx.skel, line[:i+1]...)
+		return true // empty object: zero-valued sample, like json
+	}
+	prev := 0 // the end of the last token, where the next run starts
+	inRates, afterValue := false, false
 	for {
 		if afterValue {
 			i = skipJSONWS(line, i)
@@ -353,9 +345,10 @@ func (ps *parseScratch) scan(line []byte, i int, start, inRates bool) bool {
 		var slot numSlot
 		if inRates {
 			id, ok := pmu.IDByName(key)
-			if !ok {
-				return false // the slow path owns the unknown-event error
+			if !ok || named&(1<<id) != 0 {
+				return false // the slow path owns the name errors
 			}
+			named |= 1 << id
 			slot = numSlot{kind: slotRate, id: id}
 		} else {
 			switch string(key) {

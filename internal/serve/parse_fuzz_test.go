@@ -28,10 +28,7 @@ func FuzzParseSample(f *testing.F) {
 			if len(line) == 0 {
 				continue
 			}
-			want, ok := decodeFresh(line)
-			if !ok {
-				continue
-			}
+			want := decodeFresh(line)
 			var got parsed
 			got.cs, got.powerW, got.labelled, got.reason, got.err = parseSampleInto(line, &shared)
 			if diff := diffParse(got, want); diff != "" {
@@ -51,12 +48,11 @@ type parsed struct {
 }
 
 // decodeFresh parses line through decodeSample, the encoding/json
-// route, with a workspace of its own. ok is false when the decoder's
-// outcome depends on map iteration order (ambiguousRates).
-func decodeFresh(line []byte) (want parsed, ok bool) {
+// route, with a workspace of its own.
+func decodeFresh(line []byte) (want parsed) {
 	var fresh parseScratch
 	want.cs, want.powerW, want.labelled, want.reason, want.err = decodeSample(line, &fresh)
-	return want, !ambiguousRates(fresh.ws.Rates)
+	return want
 }
 
 // diffParse describes how got differs from want: the rejection reason
@@ -97,28 +93,6 @@ func sameRates(a, b map[pmu.EventID]float64) bool {
 		}
 	}
 	return true
-}
-
-// ambiguousRates reports whether the decoder resolves a rates object
-// in map-iteration order, which makes the oracle itself
-// nondeterministic: two keys naming one event (LST_INS and
-// PAPI_LST_INS) leave the stored value to chance, and two unknown keys
-// leave the error message to chance.
-func ambiguousRates(rates map[string]float64) bool {
-	seen := make(map[pmu.EventID]bool, len(rates))
-	unknown := 0
-	for name := range rates {
-		ev, err := pmu.ByName(name)
-		if err != nil {
-			unknown++
-			continue
-		}
-		if seen[ev.ID] {
-			return true
-		}
-		seen[ev.ID] = true
-	}
-	return unknown > 1
 }
 
 func errText(err error) string {

@@ -35,6 +35,7 @@ var shapeFallbackCases = []struct {
 	{"unknown-event", `"PAPI_BR_UCN"`, `"PAPI_NO_SUCH_EV"`, true},
 	{"fractional-freq", `"freq_mhz":2400,`, `"freq_mhz":2400.5,`, true},
 	{"broken-number", `"PAPI_L3_TCM":75626.9485169299`, `"PAPI_L3_TCM":75626.e5`, true},
+	{"two-spellings", `"PAPI_BR_UCN"`, `"LST_INS"`, true},
 }
 
 // shapeFallbackStream is one case's stream: a line of the shape, the
@@ -70,7 +71,7 @@ func TestParseSampleShapeFallback(t *testing.T) {
 	check := func(t *testing.T, ps *parseScratch, line string, wantHit bool) parsed {
 		t.Helper()
 		got, hit := parse(t, ps, line)
-		want, _ := decodeFresh([]byte(line))
+		want := decodeFresh([]byte(line))
 		if diff := diffParse(got, want); diff != "" {
 			t.Fatalf("line %q: %s", line, diff)
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -641,6 +642,74 @@ func TestPredictRejectsInvalidRows(t *testing.T) {
 		}
 		if want := "serve: row 1: " + stream.errs[0].Error; resp.StatusCode != http.StatusBadRequest || we.Reason != f.reason || we.Error != want {
 			t.Fatalf("%s: predict answered HTTP %d %+v, want 400 %q %q", f.name, resp.StatusCode, we, f.reason, want)
+		}
+	}
+}
+
+// TestEventNamesResolveOneWay sends rows whose event names fault, each
+// 40 times, to both endpoints: as predict's row 1, and as a stream's
+// first line both plain (the fast scan reads it first) and with an
+// escaped key (only the decoder reads it). Every send of a row gets the
+// same refusal, whatever order map iteration visits its names in: the
+// lowest unknown name, the empty name included, and an event named
+// under both its spellings refused as a parse error.
+func TestEventNamesResolveOneWay(t *testing.T) {
+	if pmu.NumEvents() > 64 {
+		t.Fatalf("%d events overflow the fast scan's 64-bit event mask", pmu.NumEvents())
+	}
+	_, rows := fixture(t)
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		name, reason, err string
+		extra             map[string]float64
+	}{
+		{"two-spellings", ReasonParse, `sample names one event twice: "LST_INS" and "PAPI_LST_INS"`,
+			map[string]float64{"LST_INS": 1}},
+		{"two-unknown", ReasonUnknownEv, `sample references unknown event "NO_SUCH_A"`,
+			map[string]float64{"NO_SUCH_B": 1, "NO_SUCH_A": 1}},
+		{"empty-unknown", ReasonUnknownEv, `sample references unknown event ""`,
+			map[string]float64{"NO_SUCH_A": 1, "": 1}},
+		{"unknown-beats-two-spellings", ReasonUnknownEv, `sample references unknown event "NO_SUCH_A"`,
+			map[string]float64{"LST_INS": 1, "NO_SUCH_A": 1}},
+	} {
+		row := rowToWire(rows[1])
+		maps.Copy(row.Rates, tc.extra)
+		line, err := json.Marshal(wireSample{TimeNs: 1, FreqMHz: row.FreqMHz, VoltageV: row.VoltageV, Rates: row.Rates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := string(line)
+		escaped := strings.Replace(plain, `"time_ns"`, `"time_\u006es"`, 1)
+		predict, err := json.Marshal(predictRequest{Model: "m", Rows: []wireRow{rowToWire(rows[0]), row}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			for _, l := range []string{plain, escaped} {
+				got, err := postEstimate(ts, "?model=m", "", l+"\n")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.status != http.StatusBadRequest || len(got.errs) != 1 ||
+					got.errs[0].Reason != tc.reason || got.errs[0].Error != "serve: "+tc.err {
+					t.Fatalf("%s, send %d of %q: stream answered HTTP %d %+v, want 400 %q %q",
+						tc.name, i, l, got.status, got.errs, tc.reason, "serve: "+tc.err)
+				}
+			}
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(predict))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var we wireError
+			err = json.NewDecoder(resp.Body).Decode(&we)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "serve: row 1: " + tc.err; resp.StatusCode != http.StatusBadRequest || we.Reason != tc.reason || we.Error != want {
+				t.Fatalf("%s, send %d: predict answered HTTP %d %+v, want 400 %q %q",
+					tc.name, i, resp.StatusCode, we, tc.reason, want)
+			}
 		}
 	}
 }

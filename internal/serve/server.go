@@ -646,6 +646,8 @@ func readLine(br *bufio.Reader, lineBuf *[]byte) ([]byte, error) {
 type parseScratch struct {
 	ws    wireSample
 	rates map[pmu.EventID]float64
+	// staged receives the decoder's rates until its line is accepted.
+	staged map[pmu.EventID]float64
 	// The fast path's per-line results (parse_fast.go): the rates as
 	// resolved (event, value) pairs in line order, and the power_w
 	// label, kept by value so a labelled line allocates no float.
@@ -689,9 +691,9 @@ func parseSampleInto(line []byte, ps *parseScratch) (cs core.CounterSample, powe
 
 // decodeSample is the encoding/json route of parseSampleInto, and the
 // oracle the fast scanner is fuzzed against (FuzzParseSample). It
-// resolves every event name before it writes ps.rates, so a rejected
-// line leaves the map, and the shape cache that describes it, as they
-// were.
+// resolves the event names into ps.staged and swaps that in for
+// ps.rates only once the line is accepted, so a rejected line leaves
+// the map, and the shape cache that describes it, as they were.
 func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW float64, labelled bool, reason string, err error) {
 	// Reset the wire struct but keep the decoded map's backing storage:
 	// json reuses a non-nil map (cleared below) and would leave absent
@@ -709,26 +711,16 @@ func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW 
 	if err != nil {
 		return core.CounterSample{}, 0, false, ReasonBadOperPt, fmt.Errorf("serve: %w", err)
 	}
-	ps.rateIDs, ps.rateVals = ps.rateIDs[:0], ps.rateVals[:0]
-	for name, v := range ps.ws.Rates {
-		ev, err := pmu.ByName(name)
-		if err != nil {
-			return core.CounterSample{}, 0, false, ReasonUnknownEv, fmt.Errorf("serve: sample references unknown event %q", name)
-		}
-		ps.rateIDs = append(ps.rateIDs, ev.ID)
-		ps.rateVals = append(ps.rateVals, v)
+	if ps.staged == nil {
+		ps.staged = make(map[pmu.EventID]float64, len(ps.ws.Rates))
+	}
+	if reason, err := resolveRates(ps.ws.Rates, ps.staged); err != nil {
+		return core.CounterSample{}, 0, false, reason, fmt.Errorf("serve: %w", err)
 	}
 	// The line is accepted: its rates replace the map's, whose key set
 	// the cached shape no longer describes.
+	ps.rates, ps.staged = ps.staged, ps.rates
 	ps.shapeOK = false
-	if ps.rates == nil {
-		ps.rates = make(map[pmu.EventID]float64, len(ps.rateIDs))
-	} else {
-		clear(ps.rates)
-	}
-	for k, id := range ps.rateIDs {
-		ps.rates[id] = ps.rateVals[k]
-	}
 	if ps.ws.PowerW != nil {
 		powerW, labelled = *ps.ws.PowerW, true
 	}
@@ -741,22 +733,52 @@ func decodeSample(line []byte, ps *parseScratch) (cs core.CounterSample, powerW 
 }
 
 // sample converts a predict row to the sample core.Model.Estimate
-// judges: the frequency through validFreqMHz and the event names to
-// IDs, into rates (cleared first, so one map serves a whole batch).
+// judges: the frequency through validFreqMHz and the event names
+// through resolveRates, into rates (so one map serves a whole batch).
 func (wr wireRow) sample(rates map[pmu.EventID]float64) (core.CounterSample, string, error) {
 	freq, err := validFreqMHz(wr.FreqMHz)
 	if err != nil {
 		return core.CounterSample{}, ReasonBadOperPt, err
 	}
+	if reason, err := resolveRates(wr.Rates, rates); err != nil {
+		return core.CounterSample{}, reason, err
+	}
+	return core.CounterSample{FreqMHz: freq, VoltageV: wr.VoltageV, Rates: rates}, "", nil
+}
+
+// resolveRates converts a sample's rates, keyed by event name on the
+// wire, into rates, keyed by event (cleared first). A stream line and
+// a predict row resolve here, so a name fault reads the same on both
+// endpoints whatever order the map iterates in: the lowest unknown
+// name is the one named (reason unknown_event), and an event named
+// under both its spellings, LST_INS and PAPI_LST_INS, is refused
+// (reason parse), the lowest such event named, rather than left to
+// whichever value the map visits last.
+func resolveRates(names map[string]float64, rates map[pmu.EventID]float64) (reason string, err error) {
 	clear(rates)
-	for name, v := range wr.Rates {
+	unknown, haveUnknown := "", false
+	twice := pmu.EventID(-1)
+	for name, v := range names {
 		ev, err := pmu.ByName(name)
 		if err != nil {
-			return core.CounterSample{}, ReasonUnknownEv, fmt.Errorf("unknown event %q", name)
+			if !haveUnknown || name < unknown {
+				unknown, haveUnknown = name, true
+			}
+			continue
+		}
+		if _, dup := rates[ev.ID]; dup && (twice < 0 || ev.ID < twice) {
+			twice = ev.ID
 		}
 		rates[ev.ID] = v
 	}
-	return core.CounterSample{FreqMHz: freq, VoltageV: wr.VoltageV, Rates: rates}, "", nil
+	if haveUnknown {
+		return ReasonUnknownEv, fmt.Errorf("sample references unknown event %q", unknown)
+	}
+	if twice >= 0 {
+		ev := pmu.Lookup(twice)
+		return ReasonParse, fmt.Errorf("sample names one event twice: %q and %q", ev.Short, ev.Name)
+	}
+	return "", nil
 }
 
 // classifyPushError maps a core rejection (Model.Estimate, or

@@ -96,6 +96,9 @@ var programRuns = []programRun{
 
 	{name: "expreport", args: []string{"expreport"}},
 	{name: "expreport-table1", args: []string{"expreport", "-exp", "table1"}},
+	// The shared pipeline runs under expreport's root span.
+	{name: "expreport-trace", args: []string{"expreport", "-exp", "table2", "-j", "2", "-trace", "e.json"}},
+	{name: "tracecheck-expreport", args: []string{"tracecheck", "-require", "expreport,exp:table2,acquire,selection,cv,cv-fold", "e.json"}},
 
 	{name: "quickstart", args: []string{"quickstart"}},
 	{name: "dvfs_sweep", args: []string{"dvfs_sweep"}},
