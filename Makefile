@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-hotpath bench-rls report trace-demo clean
+.PHONY: all build vet test race verify bench bench-hotpath bench-rls bench-noise report trace-demo clean
 
 all: build vet test
 
@@ -43,6 +43,13 @@ bench-rls:
 	$(GO) test -run XXX -benchmem -benchtime=20x \
 		-bench 'BenchmarkRowQRAppendRow|BenchmarkStreamSessionPushLabeledRefit$$' \
 		./internal/mat ./internal/core
+
+# The campaign's read-out noise: one scalar normal draw, blocks of 128
+# and 2000 jitters (ns/draw), and the serial two-frequency campaign that
+# draws them.
+bench-noise:
+	$(GO) test -run XXX -cpu 1 -bench 'BenchmarkNorm$$|BenchmarkJitterInto' ./internal/rng
+	$(GO) test -run XXX -cpu 1 -benchmem -benchtime=10x -bench 'BenchmarkCampaignSerial$$' .
 
 # Text report of every table and figure.
 report:

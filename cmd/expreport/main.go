@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"pmcpower/internal/buildinfo"
@@ -38,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig2, table2, fig3, fig4, fig5a, fig5b, table3, fig6, table4, seventh, ablations, baselines, strategies, transform, hetero, stability, crossplatform, all)")
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(experiments.IDs(), ", ")+", all)")
 	seed := flag.Uint64("seed", 0, "override the acquisition seed (0 = canonical)")
 	par := flag.Int("j", 0, "worker parallelism (0 = all cores, 1 = serial)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file")
@@ -56,6 +57,14 @@ func main() {
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level)
+
+	// Refuse an unknown id before the pipeline runs.
+	want := strings.ToLower(*exp)
+	idx := slices.Index(experiments.IDs(), want)
+	if idx < 0 && want != "all" {
+		fmt.Fprintf(os.Stderr, "expreport: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *seed != 0 {
@@ -87,7 +96,6 @@ func main() {
 		logger.Info("trace written", "path", *tracePath, "spans", tracer.Len())
 	}
 
-	want := strings.ToLower(*exp)
 	if want == "all" {
 		rendered, err := ctx.RunAllCtx(runCtx, *par)
 		if err != nil {
@@ -101,21 +109,14 @@ func main() {
 		return
 	}
 
-	for _, r := range ctx.Renderers() {
-		if want != r.ID {
-			continue
-		}
-		_, span := tracer.StartSpan(runCtx, "exp:"+r.ID, obs.String("desc", r.Desc))
-		out, err := r.Render()
-		span.End()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expreport: %s: %v\n", r.ID, err)
-			os.Exit(1)
-		}
-		fmt.Printf("=== %s ===\n%s\n", r.Desc, out)
-		writeTrace()
-		return
+	r := ctx.Renderers()[idx]
+	_, span := tracer.StartSpan(runCtx, "exp:"+r.ID, obs.String("desc", r.Desc))
+	out, err := r.Render()
+	span.End()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expreport: %s: %v\n", r.ID, err)
+		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "expreport: unknown experiment %q\n", *exp)
-	os.Exit(2)
+	fmt.Printf("=== %s ===\n%s\n", r.Desc, out)
+	writeTrace()
 }

@@ -16,29 +16,52 @@ type Renderer struct {
 	Render func() (string, error)
 }
 
-// Renderers returns the full experiment registry E1–E17 in canonical
-// order. The slice is freshly allocated; callers may filter it.
-func (c *Context) Renderers() []Renderer {
-	return []Renderer{
-		{"table1", "E1: Table I — counter selection on all workloads", c.RenderTableI},
-		{"fig2", "E2: Figure 2 — R²/Adj.R² progression", c.RenderFig2},
-		{"table2", "E3: Table II — 10-fold cross validation", c.RenderTableII},
-		{"fig3", "E4: Figure 3 — per-workload MAPE", c.RenderFig3},
-		{"fig4", "E5: Figure 4 — training scenarios", c.RenderFig4},
-		{"fig5a", "E6: Figure 5a — actual vs estimated (scenario 2)", c.RenderFig5a},
-		{"fig5b", "E7: Figure 5b — actual vs estimated (scenario 3)", c.RenderFig5b},
-		{"table3", "E8: Table III — PCC of selected counters", c.RenderTableIII},
-		{"fig6", "E9: Figure 6 — PCC of all counters", c.RenderFig6},
-		{"table4", "E10: Table IV — selection on synthetic only", c.RenderTableIV},
-		{"seventh", "E11: extended selection / VIF explosion", func() (string, error) { return c.RenderSeventh(11) }},
-		{"ablations", "E12: design-choice ablations", c.RenderAblations},
-		{"baselines", "E13: baseline comparison", c.RenderBaselines},
-		{"strategies", "E14: selection-strategy comparison (future work)", c.RenderStrategies},
-		{"transform", "E15: stage-2 transformation search", c.RenderTransformations},
-		{"hetero", "Breusch–Pagan heteroscedasticity test", c.RenderHeteroscedasticity},
-		{"stability", "E16: bootstrap coefficient stability", c.RenderStability},
-		{"crossplatform", "E17: x86 vs embedded ARM accuracy", c.RenderCrossPlatform},
+// registry is the experiment registry E1–E17 in canonical order: each
+// experiment's id, description and render method.
+var registry = []struct {
+	id, desc string
+	render   func(*Context) (string, error)
+}{
+	{"table1", "E1: Table I — counter selection on all workloads", (*Context).RenderTableI},
+	{"fig2", "E2: Figure 2 — R²/Adj.R² progression", (*Context).RenderFig2},
+	{"table2", "E3: Table II — 10-fold cross validation", (*Context).RenderTableII},
+	{"fig3", "E4: Figure 3 — per-workload MAPE", (*Context).RenderFig3},
+	{"fig4", "E5: Figure 4 — training scenarios", (*Context).RenderFig4},
+	{"fig5a", "E6: Figure 5a — actual vs estimated (scenario 2)", (*Context).RenderFig5a},
+	{"fig5b", "E7: Figure 5b — actual vs estimated (scenario 3)", (*Context).RenderFig5b},
+	{"table3", "E8: Table III — PCC of selected counters", (*Context).RenderTableIII},
+	{"fig6", "E9: Figure 6 — PCC of all counters", (*Context).RenderFig6},
+	{"table4", "E10: Table IV — selection on synthetic only", (*Context).RenderTableIV},
+	{"seventh", "E11: extended selection / VIF explosion", func(c *Context) (string, error) { return c.RenderSeventh(11) }},
+	{"ablations", "E12: design-choice ablations", (*Context).RenderAblations},
+	{"baselines", "E13: baseline comparison", (*Context).RenderBaselines},
+	{"strategies", "E14: selection-strategy comparison (future work)", (*Context).RenderStrategies},
+	{"transform", "E15: stage-2 transformation search", (*Context).RenderTransformations},
+	{"hetero", "Breusch–Pagan heteroscedasticity test", (*Context).RenderHeteroscedasticity},
+	{"stability", "E16: bootstrap coefficient stability", (*Context).RenderStability},
+	{"crossplatform", "E17: x86 vs embedded ARM accuracy", (*Context).RenderCrossPlatform},
+}
+
+// IDs returns the registry's ids in canonical order: the values of
+// cmd/expreport's -exp flag besides "all". It needs no Context, so a
+// caller can refuse an unknown id before running the pipeline.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// Renderers returns the experiment registry in canonical order, each
+// render bound to c. The slice is freshly allocated; callers may
+// filter it.
+func (c *Context) Renderers() []Renderer {
+	out := make([]Renderer, len(registry))
+	for i, e := range registry {
+		out[i] = Renderer{ID: e.id, Desc: e.desc, Render: func() (string, error) { return e.render(c) }}
+	}
+	return out
 }
 
 // RenderedExperiment is one experiment's finished report.

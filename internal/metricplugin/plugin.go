@@ -79,20 +79,28 @@ func (iv *Interval) ActiveCores() []int {
 	return cores
 }
 
-// coreShares returns the work shares of n active cores, summing to 1:
-// a mild, deterministic load imbalance drawn from the interval's noise
-// stream.
-func coreShares(iv *Interval, n int) []float64 {
-	shares := make([]float64, n)
+// coreShares sets shares to the work shares of len(shares) active
+// cores, summing to 1: a mild, deterministic load imbalance drawn from
+// the interval's noise stream.
+func coreShares(iv *Interval, shares []float64) {
+	iv.Rand.JitterInto(shares, 0.04)
 	var sum float64
-	for i := range shares {
-		shares[i] = iv.Rand.Jitter(0.04)
-		sum += shares[i]
+	for _, s := range shares {
+		sum += s
 	}
 	for i := range shares {
 		shares[i] /= sum
 	}
-	return shares
+}
+
+// resize returns buf with length n. A buf too short for n is replaced
+// by one with room for max(n, room) values, so a run whose steps sweep
+// the thread count up allocates it once.
+func resize(buf []float64, n, room int) []float64 {
+	if cap(buf) < n {
+		buf = make([]float64, max(n, room))
+	}
+	return buf[:n]
 }
 
 // DurationS returns the interval length in seconds.

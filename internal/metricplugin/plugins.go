@@ -92,6 +92,10 @@ func (p *PowerPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 // voltages during runtime on contemporary Intel processors").
 type VoltagePlugin struct {
 	rateHz float64
+	// offsets and noise hold one Sample call's per-core offsets and one
+	// tick's read-out jitters; Sample reuses them, so a plugin serves
+	// one caller at a time.
+	offsets, noise []float64
 }
 
 // NewVoltagePlugin builds the plugin.
@@ -119,17 +123,20 @@ func (p *VoltagePlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, 
 		return dst, err
 	}
 	cores := iv.ActiveCores()
+	room := iv.Platform.TotalCores()
 	// Stable per-core offsets (process variation), ±0.4 %.
-	offsets := make([]float64, len(cores))
+	p.offsets = resize(p.offsets, len(cores), room)
 	for i, c := range cores {
-		offsets[i] = 1 + 0.004*math.Sin(float64(c)*2.39996)
+		p.offsets[i] = 1 + 0.004*math.Sin(float64(c)*2.39996)
 	}
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
+	p.noise = resize(p.noise, len(cores), room)
 	out := slices.Grow(dst, len(ts)*len(cores))
 	for _, t := range ts {
+		// Register read-out granularity is ~1/8192 V on real parts.
+		iv.Rand.JitterInto(p.noise, 0.0008)
 		for i, c := range cores {
-			// Register read-out granularity is ~1/8192 V on real parts.
-			v := iv.Activity.CoreVoltageV * offsets[i] * iv.Rand.Jitter(0.0008)
+			v := iv.Activity.CoreVoltageV * p.offsets[i] * p.noise[i]
 			out = append(out, SampleValue{MetricIndex: 0, TimeNs: t, Value: v, Core: c})
 		}
 	}
@@ -143,6 +150,10 @@ func (p *VoltagePlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, 
 type ApapiPlugin struct {
 	set    *pmu.EventSet
 	rateHz float64
+	// rates, shares and noise hold one Sample call's node rates, core
+	// shares and one event's read-out jitters; Sample reuses them, so a
+	// plugin serves one caller at a time.
+	rates, shares, noise []float64
 }
 
 // NewApapiPlugin builds the plugin for one schedulable event set.
@@ -153,7 +164,7 @@ func NewApapiPlugin(set *pmu.EventSet, rateHz float64) (*ApapiPlugin, error) {
 	if !set.Schedulable() {
 		return nil, fmt.Errorf("metricplugin: event set %v not schedulable in one run", set)
 	}
-	return &ApapiPlugin{set: set, rateHz: rateHz}, nil
+	return &ApapiPlugin{set: set, rateHz: rateHz, rates: make([]float64, set.Len())}, nil
 }
 
 // Name implements Plugin.
@@ -181,22 +192,25 @@ func (p *ApapiPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 	counts := cpusim.Counters(iv.Activity, p.set)
 	dur := iv.DurationS()
 	ids := p.set.Events()
-	nodeRates := make([]float64, len(ids))
 	for i, id := range ids {
-		nodeRates[i] = counts[id] / dur
+		p.rates[i] = counts[id] / dur
 	}
 	cores := iv.ActiveCores()
-	shares := coreShares(iv, len(cores))
 	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
+	room := iv.Platform.TotalCores()
+	p.shares = resize(p.shares, len(cores), room)
+	coreShares(iv, p.shares)
+	p.noise = resize(p.noise, 1+len(cores), 1+room)
 	out := slices.Grow(dst, len(ts)*len(ids)*len(cores))
 	for _, t := range ts {
-		for i, nodeRate := range nodeRates {
-			// Common-mode read-out error (sampling-window alignment
-			// hits every core's read of this event alike) plus an
-			// independent per-core component.
-			common := iv.Rand.Jitter(0.012)
+		for i, nodeRate := range p.rates {
+			// A common-mode read-out error (sampling-window alignment
+			// hits every core's read of this event alike), then an
+			// independent per-core component: one block per event.
+			iv.Rand.JitterInto(p.noise, 0.012)
+			common, perCore := p.noise[0], p.noise[1:]
 			for ci, c := range cores {
-				rate := nodeRate * shares[ci] * common * iv.Rand.Jitter(0.012)
+				rate := nodeRate * p.shares[ci] * common * perCore[ci]
 				out = append(out, SampleValue{MetricIndex: i, TimeNs: t, Value: rate, Core: c})
 			}
 		}

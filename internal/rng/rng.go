@@ -107,13 +107,62 @@ func (r *Rand) Jitter(rel float64) float64 {
 	if rel == 0 {
 		return 1
 	}
-	j := r.Norm() * rel
+	return jitter(r.Norm(), rel)
+}
+
+// JitterInto sets dst to the values len(dst) successive Jitter(rel)
+// calls would return, in order, and leaves r where those calls would.
+// It draws the normals in blocks (normBlock), which on amd64 transforms
+// two at a time with the same bits.
+func (r *Rand) JitterInto(dst []float64, rel float64) {
+	if rel == 0 {
+		for i := range dst {
+			dst[i] = 1
+		}
+		return
+	}
+	r.normBlock(dst)
+	for i, n := range dst {
+		dst[i] = jitter(n, rel)
+	}
+}
+
+// jitter scales the standard normal n by rel and clamps it as Jitter
+// documents.
+func jitter(n, rel float64) float64 {
+	j := n * rel
 	if j > 4*rel {
 		j = 4 * rel
 	} else if j < -4*rel {
 		j = -4 * rel
 	}
 	return 1 + j
+}
+
+// blockLen is how many normals normBlock transforms per boxMuller
+// call. Its u2 buffer sits on the stack and is zeroed on every call,
+// so a longer one slows the plugins' short blocks.
+const blockLen = 64
+
+// normBlock sets dst to the values len(dst) successive Norm calls
+// would return. It draws the same uniforms in the same order, the
+// u1 == 0 redraw included, blockLen pairs at a time: each u1 into dst,
+// which boxMuller then transforms in place.
+func (r *Rand) normBlock(dst []float64) {
+	var u2 [blockLen]float64
+	for len(dst) > 0 {
+		n := min(len(dst), blockLen)
+		for i := 0; i < n; i++ {
+			u := r.Float64()
+			for u == 0 {
+				u = r.Float64()
+			}
+			dst[i] = u
+			u2[i] = r.Float64()
+		}
+		boxMuller(dst[:n], u2[:n])
+		dst = dst[n:]
+	}
 }
 
 // Perm returns a random permutation of [0, n) using Fisher–Yates.

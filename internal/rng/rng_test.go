@@ -1,8 +1,10 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -249,20 +251,188 @@ func TestCosTurnMatchesMathCos(t *testing.T) {
 				u, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	check(0)
-	check(0x1p-53)
-	check(math.Nextafter(1, 0))
-	for k := 0; k <= 8; k++ {
-		b := float64(k) / 8
-		for _, u := range []float64{math.Nextafter(b, -1), b, math.Nextafter(b, 2)} {
-			if 0 <= u && u < 1 {
-				check(u)
-			}
-		}
+	for _, u := range cosTurnEdges() {
+		check(u)
 	}
 	r := New(20261019)
 	for i := 0; i < 10_000_000; i++ {
 		check(r.Float64())
+	}
+}
+
+// cosTurnEdges returns the u2 values where cosTurn is most likely to
+// go wrong: 0, 2^-53, the largest float below 1, and each octant
+// boundary k/8 with both of its neighbours inside [0, 1).
+func cosTurnEdges() []float64 {
+	edges := []float64{0, 0x1p-53, math.Nextafter(1, 0)}
+	for k := 0; k <= 8; k++ {
+		b := float64(k) / 8
+		for _, u := range []float64{math.Nextafter(b, -1), b, math.Nextafter(b, 2)} {
+			if 0 <= u && u < 1 {
+				edges = append(edges, u)
+			}
+		}
+	}
+	return edges
+}
+
+// blockLens are the block lengths the block-draw tests cycle through:
+// empty, the odd tails, and either side of one and two blockLen
+// chunks, and one ApapiPlugin.Sample call's 2000 jitters.
+var blockLens = []int{0, 1, 2, 3, 5, 7, 31, blockLen - 1, blockLen, blockLen + 1,
+	2*blockLen - 1, 2 * blockLen, 2*blockLen + 1, 2000}
+
+// checkBlocks fills blocks of every blockLens length from one
+// generator with block and compares them, bit for bit, with the values
+// scalar returns from a second generator of the same seed, until at
+// least draws values have been compared. After every block the two
+// generators' next Uint64 must agree.
+func checkBlocks(t *testing.T, seed uint64, draws int, block func(*Rand, []float64), scalar func(*Rand) float64) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	buf := make([]float64, 2000)
+	for done, k := 0, 0; done < draws; k++ {
+		dst := buf[:blockLens[k%len(blockLens)]]
+		block(a, dst)
+		for i, got := range dst {
+			if want := scalar(b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, block %d (length %d), value %d: %v (%#016x), want %v (%#016x)",
+					seed, k, len(dst), i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if ga, gb := a.Uint64(), b.Uint64(); ga != gb {
+			t.Fatalf("seed %d, after block %d (length %d): next Uint64 %#x, want %#x", seed, k, len(dst), ga, gb)
+		}
+		done += max(len(dst), 1)
+	}
+}
+
+// TestJitterIntoMatchesJitter: JitterInto must write what successive
+// Jitter calls return and leave the generator where they would, at the
+// plugins' three read-out widths and at 0, which draws nothing. With
+// TestNormBlockMatchesNorm it compares 10^7 draws.
+func TestJitterIntoMatchesJitter(t *testing.T) {
+	for i, rel := range []float64{0.012, 0.0008, 0.04, 0} {
+		draws := 2_500_000
+		if rel == 0 {
+			draws = 100_000
+		}
+		checkBlocks(t, 7001+uint64(i), draws,
+			func(r *Rand, dst []float64) { r.JitterInto(dst, rel) },
+			func(r *Rand) float64 { return r.Jitter(rel) })
+	}
+}
+
+// TestNormBlockMatchesNorm: the normal block under JitterInto must
+// write what successive Norm calls return, u1 == 0 redraws included
+// (a seeded run meets none, so TestNormBlockRedrawsZero forces one).
+func TestNormBlockMatchesNorm(t *testing.T) {
+	checkBlocks(t, 7101, 2_500_000, (*Rand).normBlock, (*Rand).Norm)
+}
+
+// TestBoxMullerCraftedUniforms feeds the transform, in both lanes and
+// as an odd count's last value, the u1 values where archLog's
+// reduction is most likely to go wrong: 2^-53, the largest float below
+// 1, and at every exponent from 2^-53 to 2^-1 the mantissas 0, all
+// ones and √2/2's mantissa and its neighbours. √2/2's own takes
+// archLog's f1 <= √2/2 branch, where pure-Go log's < does not; below 1
+// the two branches round to the same bits, so these inputs pin the
+// kernel to archLog's result, not to its predicate. Each u1 goes with
+// every u2 of cosTurnEdges.
+func TestBoxMullerCraftedUniforms(t *testing.T) {
+	const mant = 1<<52 - 1
+	hSqrt2 := math.Float64bits(math.Sqrt2/2) & mant
+	u1s := []float64{0x1p-53, math.Nextafter(1, 0)}
+	for e := -53; e <= -1; e++ {
+		for _, m := range []uint64{0, mant, hSqrt2 - 1, hSqrt2, hSqrt2 + 1} {
+			u1s = append(u1s, math.Float64frombits(uint64(e+1023)<<52|m))
+		}
+	}
+	var z, u2 []float64
+	for _, a := range u1s {
+		for _, b := range cosTurnEdges() {
+			z, u2 = append(z, a), append(u2, b)
+		}
+	}
+	check := func(what string, got, u1, u2 []float64) {
+		t.Helper()
+		for i := range got {
+			want := math.Sqrt(-2*math.Log(u1[i])) * cosTurn(u2[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: u1 %v (%#016x), u2 %v: %v (%#016x), want %v (%#016x)", what,
+					u1[i], math.Float64bits(u1[i]), u2[i], got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+	// Every pair once in each lane, the last one of the odd count alone.
+	for _, off := range []int{0, 1} {
+		got := slices.Clone(z[off:])
+		boxMuller(got, u2[off:])
+		check(fmt.Sprintf("offset %d of %d", off, len(z)), got, z[off:], u2[off:])
+	}
+	for i := range z {
+		got := []float64{z[i]}
+		boxMuller(got, u2[i:i+1])
+		check("alone", got, z[i:i+1], u2[i:i+1])
+	}
+}
+
+// TestNormBlockRedrawsZero: a u1 of exactly 0 is drawn again, as Norm
+// draws it again, before its u2 is drawn.
+func TestNormBlockRedrawsZero(t *testing.T) {
+	// Find a state whose next Float64 is 0: splitmix64's output mix is
+	// a bijection, so invert it for an output below 2^11.
+	state := unmix64(1) - 0x9e3779b97f4a7c15
+	for _, n := range []int{1, 2, 3} {
+		a, b := &Rand{state: state}, &Rand{state: state}
+		if a.Float64() != 0 {
+			t.Fatal("crafted state does not draw 0")
+		}
+		a.state = state
+		dst := make([]float64, n)
+		a.normBlock(dst)
+		for i, got := range dst {
+			if want := b.Norm(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("length %d, value %d: %v, want %v", n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("length %d: generators differ after the block", n)
+		}
+	}
+}
+
+// unmix64 inverts mix64.
+func unmix64(z uint64) uint64 {
+	z = unxorshift(z, 31) * 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb
+	z = unxorshift(z, 27) * 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9
+	return unxorshift(z, 30)
+}
+
+// unxorshift inverts z ^= z >> s.
+func unxorshift(z uint64, s uint) uint64 {
+	x := z
+	for i := 0; i < 64/int(s)+1; i++ {
+		x = z ^ x>>s
+	}
+	return x
+}
+
+// BenchmarkJitterInto times one block of jitters at the PMC plugin's
+// width: 128 values, and 2000, one ApapiPlugin.Sample call's worth.
+// ns/draw divides by the block length, for comparison with
+// BenchmarkNorm.
+func BenchmarkJitterInto(b *testing.B) {
+	for _, n := range []int{128, 2000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			r := New(1)
+			dst := make([]float64, n)
+			for i := 0; i < b.N; i++ {
+				r.JitterInto(dst, 0.012)
+			}
+			normSink = dst[n-1]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/draw")
+		})
 	}
 }
 

@@ -96,6 +96,8 @@ var programRuns = []programRun{
 
 	{name: "expreport", args: []string{"expreport"}},
 	{name: "expreport-table1", args: []string{"expreport", "-exp", "table1"}},
+	// An unknown id is refused before the pipeline runs.
+	{name: "expreport-unknown-exp", args: []string{"expreport", "-exp", "nosuch"}},
 	// The shared pipeline runs under expreport's root span.
 	{name: "expreport-trace", args: []string{"expreport", "-exp", "table2", "-j", "2", "-trace", "e.json"}},
 	{name: "tracecheck-expreport", args: []string{"tracecheck", "-require", "expreport,exp:table2,acquire,selection,cv,cv-fold", "e.json"}},
