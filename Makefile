@@ -45,11 +45,12 @@ bench-rls:
 		./internal/mat ./internal/core
 
 # The campaign's read-out noise: one scalar normal draw, blocks of 128
-# and 2000 jitters (ns/draw), and the serial two-frequency campaign that
-# draws them.
+# and 2000 jitters (ns/draw), then the serial two-frequency campaign
+# that draws them and the serial pipeline (both campaigns, selection,
+# training and CV) around it.
 bench-noise:
 	$(GO) test -run XXX -cpu 1 -bench 'BenchmarkNorm$$|BenchmarkJitterInto' ./internal/rng
-	$(GO) test -run XXX -cpu 1 -benchmem -benchtime=10x -bench 'BenchmarkCampaignSerial$$' .
+	$(GO) test -run XXX -cpu 1 -benchmem -benchtime=10x -bench 'BenchmarkCampaignSerial$$|BenchmarkPipelineSerial$$' .
 
 # Text report of every table and figure.
 report:

@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sampler, err := metricplugin.NewApapiPlugin(set, 10)
+	sampler, err := metricplugin.NewApapiPlugin(set)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,37 +98,36 @@ func main() {
 		truth := gt.TotalW
 		trueJ += truth * ph.secs
 
+		end := now + uint64(ph.secs*1e9)
 		iv := &metricplugin.Interval{
 			StartNs:  now,
-			EndNs:    now + uint64(ph.secs*1e9),
+			EndNs:    end,
 			Activity: act,
 			Platform: platform,
+			Ticks:    metricplugin.Ticks(nil, now, end, 10),
+			Cores:    metricplugin.ActiveCores(nil, platform, act),
 			Rand:     rnd.Split(uint64(1000 + pi)),
 		}
-		samples, err := sampler.Sample(nil, iv)
+		values, err := sampler.Sample(nil, iv)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Group per-tick samples into CounterSamples. The sampler reads
-		// every active core separately, so a node rate is the sum over
-		// cores.
+		// Turn each tick's values (by event, then by core) into a
+		// CounterSample. The sampler reads every active core
+		// separately, so a node rate is the sum over cores.
 		ids := set.Events()
-		perTick := map[uint64]map[pmu.EventID]float64{}
-		var ticks []uint64
-		for _, s := range samples {
-			m, ok := perTick[s.TimeNs]
-			if !ok {
-				m = make(map[pmu.EventID]float64, len(ids))
-				perTick[s.TimeNs] = m
-				ticks = append(ticks, s.TimeNs)
-			}
-			m[ids[s.MetricIndex]] += s.Value
-		}
 		var lastEst core.StreamEstimate
-		for _, tick := range ticks {
+		for _, tick := range iv.Ticks {
+			rates := make(map[pmu.EventID]float64, len(ids))
+			for _, id := range ids {
+				for range iv.Cores {
+					rates[id] += values[0]
+					values = values[1:]
+				}
+			}
 			lastEst, err = session.Push(core.CounterSample{
 				TimeNs:   tick,
-				Rates:    perTick[tick],
+				Rates:    rates,
 				VoltageV: act.CoreVoltageV,
 				FreqMHz:  ph.freq,
 			})
@@ -139,7 +138,7 @@ func main() {
 		fmt.Printf("%-6.1f %-12s %6d %6d | %10.1f %10.1f %10.1f\n",
 			float64(now)/1e9, ph.workload, ph.threads, ph.freq,
 			truth, lastEst.InstantW, lastEst.SmoothedW)
-		now += uint64(ph.secs * 1e9)
+		now = end
 	}
 
 	estJ, samples := session.Totals()

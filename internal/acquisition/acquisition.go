@@ -184,6 +184,7 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 	// label, so a cell's output is independent of which worker runs it
 	// and of how many cells run concurrently. Each worker owns one
 	// scratch, reused by every run of every cell it executes.
+	lb := newLabels(o.Platform, wls)
 	newScratch := func(int) *scratch { return &scratch{} }
 	results, err := parallel.MapWorkers(ctx, len(cells), o.Parallelism, newScratch, func(ctx context.Context, sc *scratch, ci int) (cellResult, error) {
 		w, f := cells[ci].w, cells[ci].f
@@ -194,7 +195,7 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 		runProfiles := make([][]*phaseprofile.Phase, 0, len(plan))
 		for runIdx, set := range plan {
 			seed := base.Split(rng.HashString(fmt.Sprintf("%s|%d|run%d", w.Name, f, runIdx)))
-			phases, err := recordRun(&o, sampleRateHz, exec, sensors, w, f, set, seed, sc)
+			phases, err := recordRun(&o, sampleRateHz, exec, sensors, lb, w, f, set, seed, sc)
 			if err != nil {
 				return cellResult{}, fmt.Errorf("acquisition: %s @ %d MHz run %d: %w", w.Name, f, runIdx, err)
 			}
@@ -238,9 +239,42 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 type scratch struct {
 	// archive receives one run's trace when a TraceSink asks for it.
 	archive bytes.Buffer
-	// samples holds one step's plugin samples, each plugin's run
-	// after the previous plugin's.
-	samples []metricplugin.SampleValue
+	// ticks and cores are one step's sample times and active cores,
+	// which every plugin shares; values holds the step's plugin
+	// blocks, each plugin's after the previous plugin's.
+	ticks  []uint64
+	cores  []int
+	values []float64
+}
+
+// labels are what every run of a campaign names alike: the hashes its
+// noise streams are split off by, and its core locations' names. A
+// campaign computes them once, not in every run.
+type labels struct {
+	exec    uint64    // the executor's stream, in every step
+	steps   []uint64  // step si's stream
+	plugins [3]uint64 // plugin pi's stream, in every step
+	cores   []string  // hardware core c's location
+}
+
+// newLabels names the runs of a campaign over wls on p.
+func newLabels(p *cpusim.Platform, wls []*workloads.Workload) *labels {
+	lb := &labels{exec: rng.HashString("exec"), cores: make([]string, p.TotalCores())}
+	nSteps := 0
+	for _, w := range wls {
+		nSteps = max(nSteps, len(w.ThreadSweep)*len(w.Phases))
+	}
+	lb.steps = make([]uint64, nSteps)
+	for si := range lb.steps {
+		lb.steps[si] = rng.HashString(fmt.Sprintf("step%d", si))
+	}
+	for pi := range lb.plugins {
+		lb.plugins[pi] = rng.HashString(fmt.Sprintf("plugin%d", pi))
+	}
+	for c := range lb.cores {
+		lb.cores[c] = fmt.Sprintf("core %d", c)
+	}
+	return lb
 }
 
 // phaseDurationS is the simulated duration of each workload phase at
@@ -254,11 +288,12 @@ const sampleRateHz = 20
 // recordRun executes every (thread step × phase) of a workload at one
 // frequency with one event set, its metric plugins sampling at rateHz,
 // and returns the run's phase profiles.
-// The recorder's own events go through Builder.Event, and each step's
-// plugin samples are folded plugin by plugin (runFold) as they are
-// gathered; the Score-P-style archive is encoded into sc.archive only
-// when a TraceSink asks for it.
-func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*power.Sensor,
+// The recorder's own events go through Builder.Event. Each step's
+// ticks and active cores are computed once and handed to every plugin,
+// and each plugin's block of values is folded as it is gathered
+// (runFold.sample); the Score-P-style archive is encoded into
+// sc.archive only when a TraceSink asks for it.
+func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*power.Sensor, lb *labels,
 	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) ([]*phaseprofile.Phase, error) {
 
 	sc.archive.Reset()
@@ -272,7 +307,7 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 	// to core locations and re-aggregated during post-processing.
 	coreLocs := make([]trace.Ref, exec.Platform().TotalCores())
 	for c := range coreLocs {
-		coreLocs[c], err = tw.DefineLocation(fmt.Sprintf("core %d", c))
+		coreLocs[c], err = tw.DefineLocation(lb.cores[c])
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +357,7 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 		return nil, err
 	}
 
-	apapi, err := metricplugin.NewApapiPlugin(set, rateHz)
+	apapi, err := metricplugin.NewApapiPlugin(set)
 	if err != nil {
 		return nil, err
 	}
@@ -330,39 +365,25 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 	if err != nil {
 		return nil, err
 	}
-	voltPl, err := metricplugin.NewVoltagePlugin(rateHz)
-	if err != nil {
-		return nil, err
-	}
-	plugins := []metricplugin.Plugin{powerPl, voltPl, apapi}
-	type pluginMetrics struct {
-		plugin metricplugin.Plugin
-		refs   []trace.Ref
-		runFold
-		// next and end bound the plugin's samples in sc.samples
-		// during a step; the sink's merge advances next.
-		next, end int
-	}
-	var pms []pluginMetrics
-	for _, pl := range plugins {
-		pm := pluginMetrics{plugin: pl}
+	plugins := [len(lb.plugins)]metricplugin.Plugin{powerPl, &metricplugin.VoltagePlugin{}, apapi}
+	var refs [len(plugins)][]trace.Ref
+	for pi, pl := range plugins {
 		for _, spec := range pl.Metrics() {
 			ref, err := tw.DefineMetric(spec.Name, spec.Unit, spec.Mode)
 			if err != nil {
 				return nil, err
 			}
-			pm.refs = append(pm.refs, ref)
+			refs[pi] = append(refs[pi], ref)
 		}
-		pms = append(pms, pm)
 	}
 
 	// The recorder's own events go to the profile builder, and to the
 	// archive when a sink wants one. Both check them the same way.
-	// Plugin samples fold through each plugin's runFold.
+	// Plugin blocks fold through each plugin's runFold.
 	b := phaseprofile.NewBuilder(tw.Definitions(), wl.Name)
-	for pi := range pms {
-		pm := &pms[pi]
-		if pm.runFold, err = newRunFold(b, pm.plugin.Name(), pm.refs, loc, coreLocs); err != nil {
+	var runs [len(plugins)]runFold
+	for pi, pl := range plugins {
+		if runs[pi], err = newRunFold(b, pl, refs[pi], loc, coreLocs); err != nil {
 			return nil, err
 		}
 	}
@@ -378,10 +399,11 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 	}
 
 	// Execute the steps back to back on a simulated timeline.
+	iv := &metricplugin.Interval{Platform: o.Platform}
 	now := uint64(0)
 	for si, st := range steps {
 		start, end := now, now+uint64(phaseDurationS*1e9)
-		stepSeed := seed.Split(rng.HashString(fmt.Sprintf("step%d", si)))
+		stepSeed := seed.Split(lb.steps[si])
 
 		act, err := exec.Execute(cpusim.RunConfig{
 			Workload:  wl,
@@ -389,7 +411,7 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 			FreqMHz:   freqMHz,
 			Threads:   st.threads,
 			DurationS: phaseDurationS,
-		}, stepSeed.Split(rng.HashString("exec")))
+		}, stepSeed.Split(lb.exec))
 		if err != nil {
 			return nil, err
 		}
@@ -404,59 +426,34 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 			return nil, err
 		}
 
-		// Gather every plugin's samples for the interval into the
-		// reused buffer, one run per plugin, and fold each run into
-		// the step's phase in the plugin's own order. The plugins'
-		// metrics are of distinct kinds (power channels, voltage, PMC
-		// events), so each power channel's or cell's samples come from
-		// one plugin, in tick order; the phase's flush fixes the order
-		// across them. So every float addition happens as it would over
-		// the time-merged stream.
-		iv := &metricplugin.Interval{
-			StartNs:  start,
-			EndNs:    end,
-			Activity: act,
-			Platform: o.Platform,
+		// The step's ticks and cores, shared by every plugin, are
+		// checked once: the blocks fold without a per-sample check.
+		iv.StartNs, iv.EndNs, iv.Activity = start, end, act
+		iv.Ticks = metricplugin.Ticks(sc.ticks[:0], start, end, rateHz)
+		iv.Cores = metricplugin.ActiveCores(sc.cores[:0], o.Platform, act)
+		sc.ticks, sc.cores = iv.Ticks, iv.Cores
+		if err := checkStep(iv, len(coreLocs)); err != nil {
+			return nil, err
 		}
-		buf := sc.samples[:0]
-		for pi := range pms {
-			pm := &pms[pi]
-			iv.Rand = stepSeed.Split(rng.HashString(fmt.Sprintf("plugin%d", pi)))
-			pm.next = len(buf)
-			if buf, err = pm.plugin.Sample(buf, iv); err != nil {
-				return nil, err
-			}
-			pm.end = len(buf)
-			if err := pm.fold(b, buf[pm.next:pm.end], start, end); err != nil {
-				return nil, err
-			}
-		}
-		sc.samples = buf
 
-		// The archive holds the samples in chronological order: a
-		// merge of the runs, which the folds have checked to ascend
-		// within the step. Ties go to the earlier plugin, then to its
-		// earlier sample: the order a stable sort by time would give.
+		// Gather every plugin's block into the reused buffer and fold
+		// it into the step's phase. The plugins' metrics are of
+		// distinct kinds (power channels, voltage, PMC events), so each
+		// power channel's or cell's values come from one plugin, in
+		// tick order; the phase's flush fixes the order across them. So
+		// every float addition happens as it would over the archive.
+		values := sc.values[:0]
+		for pi := range runs {
+			iv.Rand = stepSeed.Split(lb.plugins[pi])
+			if values, err = runs[pi].sample(b, values, iv); err != nil {
+				return nil, err
+			}
+		}
+		sc.values = values
+
 		if sink {
-			for {
-				var pm *pluginMetrics
-				for k := range pms {
-					if c := &pms[k]; c.next < c.end && (pm == nil || buf[c.next].TimeNs < buf[pm.next].TimeNs) {
-						pm = c
-					}
-				}
-				if pm == nil {
-					break
-				}
-				s := &buf[pm.next]
-				pm.next++
-				sampleLoc := loc
-				if s.Core != metricplugin.NodeLevel {
-					sampleLoc = coreLocs[s.Core]
-				}
-				if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: sampleLoc, TimeNs: s.TimeNs, Metric: pm.refs[s.MetricIndex], Value: s.Value}); err != nil {
-					return nil, err
-				}
+			if err := writeStep(tw, runs[:], values, iv, loc, coreLocs); err != nil {
+				return nil, err
 			}
 		}
 		if err := emit(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: end, Region: st.region}); err != nil {
@@ -472,28 +469,51 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 	return b.Phases()
 }
 
-// runFold folds one plugin's samples into a run's phase profiles. Its
-// table holds the phaseprofile.Target of every (metric index, core)
-// pair the plugin can emit, resolved once per run: entry
-// mi*stride + core+1, where a node-level sample (core
-// metricplugin.NodeLevel) takes entry mi*stride.
+// checkStep checks what the blocks of a step [iv.StartNs, iv.EndNs]
+// are folded by, before any is: its ticks ascend within the step, as
+// the Builder's order check requires of the archive it would write,
+// and its cores are below nCores, so every core has a location.
+func checkStep(iv *metricplugin.Interval, nCores int) error {
+	last := iv.StartNs
+	for _, t := range iv.Ticks {
+		if t < last || t > iv.EndNs {
+			return fmt.Errorf("acquisition: tick at %d ns out of order in step [%d, %d] ns", t, iv.StartNs, iv.EndNs)
+		}
+		last = t
+	}
+	for _, c := range iv.Cores {
+		if uint(c) >= uint(nCores) {
+			return fmt.Errorf("acquisition: active core %d of a %d-core platform", c, nCores)
+		}
+	}
+	return nil
+}
+
+// runFold is one plugin of a run. Its table holds the
+// phaseprofile.Target of every (metric index, location) pair the
+// plugin can write, resolved once per run: entry mi*width + c, where a
+// per-core plugin has one location per hardware core c and a
+// node-level plugin has one, c = 0.
 type runFold struct {
-	name    string // the plugin's, for errors
-	stride  int    // cores + 1
+	plugin  metricplugin.Plugin
+	refs    []trace.Ref // the plugin's metrics, by index
+	perCore bool
+	width   int
 	targets []phaseprofile.Target
 }
 
-// newRunFold resolves each of a plugin's metrics (refs, by metric
-// index) at the node location and at every core location.
-func newRunFold(b *phaseprofile.Builder, plugin string, refs []trace.Ref, node trace.Ref, cores []trace.Ref) (runFold, error) {
-	f := runFold{name: plugin, stride: len(cores) + 1}
-	f.targets = make([]phaseprofile.Target, 0, len(refs)*f.stride)
+// newRunFold resolves each of pl's metrics (refs, by metric index)
+// at the node location or, for a per-core plugin, at every core
+// location.
+func newRunFold(b *phaseprofile.Builder, pl metricplugin.Plugin, refs []trace.Ref, node trace.Ref, cores []trace.Ref) (runFold, error) {
+	locs := []trace.Ref{node}
+	if pl.PerCore() {
+		locs = cores
+	}
+	f := runFold{plugin: pl, refs: refs, perCore: pl.PerCore(), width: len(locs)}
+	f.targets = make([]phaseprofile.Target, 0, len(refs)*len(locs))
 	for _, ref := range refs {
-		for c := -1; c < len(cores); c++ {
-			loc := node
-			if c >= 0 {
-				loc = cores[c]
-			}
+		for _, loc := range locs {
 			t, err := b.Resolve(ref, loc)
 			if err != nil {
 				return runFold{}, err
@@ -504,48 +524,75 @@ func newRunFold(b *phaseprofile.Builder, plugin string, refs []trace.Ref, node t
 	return f, nil
 }
 
-// fold checks run, one plugin's samples for the step [startNs, endNs],
-// and folds it into b in the plugin's own order. It checks what
-// Builder.Event's order check would on the time-merged stream: the
-// samples ascend in time within the step. And each metric index and
-// core must be one of the plugin's, each checked on its own so no
-// out-of-range index can alias a neighbouring table entry. A run that
-// fails a check folds nothing.
-func (f *runFold) fold(b *phaseprofile.Builder, run []metricplugin.SampleValue, startNs, endNs uint64) error {
-	// Starting from startNs, the order check also catches a run that
-	// starts before the step; once the run ascends, only its last
-	// sample can end after the step. Core+1 is 0 for NodeLevel.
-	nMetrics := len(f.targets) / f.stride
-	last := startNs
-	for i := range run {
-		s := &run[i]
-		if s.TimeNs < last || uint(s.MetricIndex) >= uint(nMetrics) || uint(s.Core+1) >= uint(f.stride) {
-			return f.reject(s, last, startNs, endNs)
-		}
-		last = s.TimeNs
+// locations is the number of locations the plugin writes for the step
+// iv: its active cores, or the node.
+func (f *runFold) locations(iv *metricplugin.Interval) int {
+	if f.perCore {
+		return len(iv.Cores)
 	}
-	if last > endNs {
-		return fmt.Errorf("acquisition: plugin %s sample at %d ns after its step [%d, %d] ns", f.name, last, startNs, endNs)
-	}
-	for i := range run {
-		s := &run[i]
-		b.Add(f.targets[s.MetricIndex*f.stride+s.Core+1], s.Value)
-	}
-	return nil
+	return 1
 }
 
-// reject names what is wrong with s, the first sample fold refused;
-// last is the time of the sample before it, or the step's start.
-func (f *runFold) reject(s *metricplugin.SampleValue, last, startNs, endNs uint64) error {
-	switch {
-	case s.TimeNs < startNs:
-		return fmt.Errorf("acquisition: plugin %s sample at %d ns before its step [%d, %d] ns", f.name, s.TimeNs, startNs, endNs)
-	case s.TimeNs < last:
-		return fmt.Errorf("acquisition: plugin %s sample at %d ns goes back in time (last %d ns)", f.name, s.TimeNs, last)
-	case uint(s.MetricIndex) >= uint(len(f.targets)/f.stride):
-		return fmt.Errorf("acquisition: plugin %s emitted sample for invalid metric index %d", f.name, s.MetricIndex)
+// sample appends the plugin's block for the step iv to values and
+// folds it into b: each (metric, location) pair's values, one per tick
+// at a stride of metrics × locations, in one AddStrided. iv's ticks
+// and cores must have passed checkStep. A block that is not one value
+// per tick, metric and location is an error, and folds nothing.
+func (f *runFold) sample(b *phaseprofile.Builder, values []float64, iv *metricplugin.Interval) ([]float64, error) {
+	off := len(values)
+	values, err := f.plugin.Sample(values, iv)
+	if err != nil {
+		return values, err
 	}
-	return fmt.Errorf("acquisition: plugin %s emitted sample for invalid core %d", f.name, s.Core)
+	block, nLocs := values[off:], f.locations(iv)
+	stride := len(f.refs) * nLocs
+	if len(block) != len(iv.Ticks)*stride {
+		return values, fmt.Errorf("acquisition: plugin %s wrote %d values, want %d ticks × %d metrics × %d locations",
+			f.plugin.Name(), len(block), len(iv.Ticks), len(f.refs), nLocs)
+	}
+	if len(block) == 0 {
+		return values, nil
+	}
+	for mi := range f.refs {
+		row := f.targets[mi*f.width : (mi+1)*f.width]
+		for l := 0; l < nLocs; l++ {
+			c := 0
+			if f.perCore {
+				c = iv.Cores[l]
+			}
+			b.AddStrided(row[c], block[mi*nLocs+l:], stride)
+		}
+	}
+	return values, nil
+}
+
+// writeStep writes a step's plugin blocks, gathered in values by
+// runFold.sample in runs' order, to tw in the archive's chronological
+// order: tick by tick, then plugin by plugin, then by metric and
+// location.
+func writeStep(tw *trace.Writer, runs []runFold, values []float64, iv *metricplugin.Interval, node trace.Ref, cores []trace.Ref) error {
+	for ti, t := range iv.Ticks {
+		block := values
+		for fi := range runs {
+			f := &runs[fi]
+			nLocs := f.locations(iv)
+			stride := len(f.refs) * nLocs
+			row := block[ti*stride : (ti+1)*stride]
+			block = block[len(iv.Ticks)*stride:]
+			for mi, ref := range f.refs {
+				for l := 0; l < nLocs; l++ {
+					loc := node
+					if f.perCore {
+						loc = cores[iv.Cores[l]]
+					}
+					if err := tw.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: t, Metric: ref, Value: row[mi*nLocs+l]}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // rowsFromPhases aggregates merged phase profiles into dataset rows:

@@ -354,11 +354,12 @@ func TestAcquireParallelTraceSinkOrder(t *testing.T) {
 }
 
 // TestRecordRunAllocBytesPerSample gates the recorder's per-sample
-// path: plugins append into the worker's reused buffer, the merge
-// emits in place and, without a TraceSink, no archive is encoded. So a
-// warmed run allocates for its steps and phases, not for its samples:
-// under 4 bytes per emitted metric sample at 200 Hz, where a slice per
-// plugin per step costs 32.
+// path: each step's ticks and cores go into the worker's reused
+// buffers once, plugins append bare values into another and, without a
+// TraceSink, no archive is encoded. So a warmed run allocates for its
+// steps and phases, not for its samples: under 1 byte per emitted
+// metric sample at 200 Hz, where a fresh slice per plugin and step
+// costs at least the 8 bytes of each value.
 func TestRecordRunAllocBytesPerSample(t *testing.T) {
 	o := (&Options{Seed: 42}).withDefaults()
 	plan, err := pmu.PlanRuns(o.Events)
@@ -371,9 +372,10 @@ func TestRecordRunAllocBytesPerSample(t *testing.T) {
 		sensors[si] = power.NewSensor(rng.New(uint64(si)))
 	}
 	wl := workloads.MustByName("compute")
+	lb := newLabels(o.Platform, []*workloads.Workload{wl})
 	var sc scratch
 	run := func() {
-		if _, err := recordRun(&o, 200, exec, sensors, wl, 2400, plan[0], rng.New(1), &sc); err != nil {
+		if _, err := recordRun(&o, 200, exec, sensors, lb, wl, 2400, plan[0], rng.New(1), &sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +409,7 @@ func TestRecordRunAllocBytesPerSample(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(samples)
 	t.Logf("%d bytes over %d metric samples: %.2f B/sample", after.TotalAlloc-before.TotalAlloc, samples, perSample)
-	if perSample >= 4 {
-		t.Fatalf("recordRun allocates %.2f bytes per metric sample, want under 4", perSample)
+	if perSample >= 1 {
+		t.Fatalf("recordRun allocates %.2f bytes per metric sample, want under 1", perSample)
 	}
 }

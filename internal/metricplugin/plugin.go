@@ -12,9 +12,11 @@
 //   - Apapi (the scorep_plugin_apapi equivalent) asynchronously samples
 //     a PAPI event set and reports counter rates.
 //
-// Plugins produce timestamped samples for a steady-state interval of
-// simulated execution; the acquisition recorder writes them into the
-// trace archive as async metric events.
+// Plugins produce dense blocks of values for a steady-state interval
+// of simulated execution, at ticks and on cores the caller hands every
+// plugin alike; the acquisition recorder folds them into phase
+// profiles and, on request, writes them into the trace archive as
+// async metric events.
 package metricplugin
 
 import (
@@ -32,51 +34,64 @@ type MetricSpec struct {
 	Mode trace.MetricMode
 }
 
-// Sample is one timestamped value of a plugin metric. MetricIndex
-// refers to the plugin's Metrics() slice. Core identifies the
-// hardware core the value was read from (per-core plugins such as
-// the voltage reader and the PMC sampler); NodeLevel marks node-wide
-// metrics such as the power instrumentation.
-type SampleValue struct {
-	MetricIndex int
-	TimeNs      uint64
-	Value       float64
-	// Core is the hardware core index, or NodeLevel.
-	Core int
-}
-
-// NodeLevel is the Core value of node-wide samples.
-const NodeLevel = -1
-
 // Interval describes one steady-state stretch of simulated execution
-// a plugin is asked to cover.
+// the plugins are asked to cover.
 type Interval struct {
 	StartNs  uint64
 	EndNs    uint64
 	Activity *cpusim.Activity
 	Platform *cpusim.Platform
+	// Ticks are the sample times, ascending within [StartNs, EndNs],
+	// and Cores the hardware cores running the workload. The caller
+	// computes both once per interval (Ticks, ActiveCores) and hands
+	// them to every plugin: each samples at those ticks and, if it
+	// samples per core, on those cores.
+	Ticks []uint64
+	Cores []int
 	// Rand is the plugin's noise stream for this interval.
 	Rand *rng.Rand
 }
 
-// ActiveCores lists the hardware core indices running the workload
-// during the interval, derived from the activity's compact pinning
-// (socket 0 fills first).
-func (iv *Interval) ActiveCores() []int {
-	cores := make([]int, 0, max(iv.Activity.ActiveCores[0]+iv.Activity.ActiveCores[1], iv.Activity.Threads))
-	for c := 0; c < iv.Activity.ActiveCores[0]; c++ {
-		cores = append(cores, c)
+// ActiveCores appends to dst the hardware core indices running act on
+// p, derived from the activity's compact pinning (socket 0 fills
+// first), and returns the extended slice.
+func ActiveCores(dst []int, p *cpusim.Platform, act *cpusim.Activity) []int {
+	n := len(dst)
+	for c := 0; c < act.ActiveCores[0]; c++ {
+		dst = append(dst, c)
 	}
-	for c := 0; c < iv.Activity.ActiveCores[1]; c++ {
-		cores = append(cores, iv.Platform.CoresPerSocket+c)
+	for c := 0; c < act.ActiveCores[1]; c++ {
+		dst = append(dst, p.CoresPerSocket+c)
 	}
-	if len(cores) == 0 {
+	if len(dst) == n {
 		// Activity predates core accounting; fall back to thread count.
-		for c := 0; c < iv.Activity.Threads; c++ {
-			cores = append(cores, c)
+		for c := 0; c < act.Threads; c++ {
+			dst = append(dst, c)
 		}
 	}
-	return cores
+	return dst
+}
+
+// Ticks appends to dst the sample times at rateHz covering
+// [startNs, endNs), phase-aligned to startNs, and returns the extended
+// slice. A window shorter than one period gets one tick, at startNs; a
+// rate that is not positive gets none.
+func Ticks(dst []uint64, startNs, endNs uint64, rateHz float64) []uint64 {
+	if rateHz <= 0 {
+		return dst
+	}
+	stepNs := uint64(1e9 / rateHz)
+	if stepNs == 0 {
+		stepNs = 1
+	}
+	n := len(dst)
+	for t := startNs; t < endNs; t += stepNs {
+		dst = append(dst, t)
+	}
+	if len(dst) == n {
+		dst = append(dst, startNs)
+	}
+	return dst
 }
 
 // coreShares sets shares to the work shares of len(shares) active
@@ -114,10 +129,16 @@ type Plugin interface {
 	Name() string
 	// Metrics lists the metrics the plugin records.
 	Metrics() []MetricSpec
-	// Sample appends the plugin's samples for a steady-state interval
-	// to dst, in ascending time order, and returns the extended slice.
-	// On error it returns dst unchanged.
-	Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error)
+	// PerCore reports where the plugin samples: at every active core
+	// (one location per core of Interval.Cores) or at the node (one
+	// location).
+	PerCore() bool
+	// Sample appends the plugin's values for a steady-state interval to
+	// dst and returns the extended slice: one value per tick, metric and
+	// location, ordered by tick, then by metric index, then by location,
+	// so len(iv.Ticks) × len(Metrics()) × locations values. On error it
+	// returns dst unchanged.
+	Sample(dst []float64, iv *Interval) ([]float64, error)
 }
 
 // validateInterval rejects malformed intervals up front so individual
@@ -133,24 +154,4 @@ func validateInterval(iv *Interval) error {
 		return fmt.Errorf("metricplugin: interval missing noise stream")
 	}
 	return nil
-}
-
-// ticks returns sample timestamps at rateHz covering [start, end),
-// phase-aligned to the interval start.
-func ticks(startNs, endNs uint64, rateHz float64) []uint64 {
-	if rateHz <= 0 {
-		return nil
-	}
-	stepNs := uint64(1e9 / rateHz)
-	if stepNs == 0 {
-		stepNs = 1
-	}
-	var out []uint64
-	for t := startNs; t < endNs; t += stepNs {
-		out = append(out, t)
-	}
-	if len(out) == 0 {
-		out = append(out, startNs)
-	}
-	return out
 }

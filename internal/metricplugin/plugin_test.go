@@ -13,7 +13,9 @@ import (
 	"pmcpower/internal/workloads"
 )
 
-func testInterval(t *testing.T, seed uint64) *Interval {
+// testInterval is one second of compute on all 24 cores, with ticks at
+// rateHz.
+func testInterval(t *testing.T, seed uint64, rateHz float64) *Interval {
 	t.Helper()
 	p := cpusim.HaswellEP()
 	a, err := cpusim.NewExecutor(p).Execute(cpusim.RunConfig{
@@ -30,6 +32,8 @@ func testInterval(t *testing.T, seed uint64) *Interval {
 		EndNs:    2_000_000_000,
 		Activity: a,
 		Platform: p,
+		Ticks:    Ticks(nil, 1_000_000_000, 2_000_000_000, rateHz),
+		Cores:    ActiveCores(nil, p, a),
 		Rand:     rng.New(seed + 1),
 	}
 }
@@ -54,13 +58,16 @@ func TestPowerPlugin(t *testing.T) {
 			t.Fatalf("power channel must be async: %+v", spec)
 		}
 	}
-	iv := testInterval(t, 1)
-	samples, err := pl.Sample(nil, iv)
+	if pl.PerCore() {
+		t.Fatal("power must be sampled at the node")
+	}
+	iv := testInterval(t, 1, 20)
+	values, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 20*2 {
-		t.Fatalf("got %d samples at 20 Hz × 2 sockets over 1 s, want 40", len(samples))
+	if len(values) != 20*2 {
+		t.Fatalf("got %d values at 20 Hz × 2 sockets over 1 s, want 40", len(values))
 	}
 	gt, err := model.NodePower(iv.Platform, iv.Activity)
 	if err != nil {
@@ -71,20 +78,18 @@ func TestPowerPlugin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per-tick socket sums reconstruct the node power.
-	perTick := map[uint64]float64{}
-	for i, s := range samples {
-		if s.TimeNs < iv.StartNs || s.TimeNs >= iv.EndNs {
-			t.Fatalf("sample %d at %d ns outside interval", i, s.TimeNs)
+	// Values go by tick, then by socket; per-tick socket sums
+	// reconstruct the node power.
+	for ti := range iv.Ticks {
+		var sum float64
+		for si, v := range values[ti*2 : ti*2+2] {
+			if math.Abs(v-perSocket[si])/perSocket[si] > 0.05 {
+				t.Fatalf("tick %d: socket %d value %.1f W far from truth %.1f W", ti, si, v, perSocket[si])
+			}
+			sum += v
 		}
-		if math.Abs(s.Value-perSocket[s.MetricIndex])/perSocket[s.MetricIndex] > 0.05 {
-			t.Fatalf("socket %d sample %.1f W far from truth %.1f W", s.MetricIndex, s.Value, perSocket[s.MetricIndex])
-		}
-		perTick[s.TimeNs] += s.Value
-	}
-	for tick, sum := range perTick {
 		if math.Abs(sum-trueW)/trueW > 0.05 {
-			t.Fatalf("tick %d: socket sum %.1f W far from node truth %.1f W", tick, sum, trueW)
+			t.Fatalf("tick %d: socket sum %.1f W far from node truth %.1f W", ti, sum, trueW)
 		}
 	}
 }
@@ -96,64 +101,57 @@ func TestPowerPluginSocketMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Sample(nil, testInterval(t, 2)); err == nil {
+	if _, err := pl.Sample(nil, testInterval(t, 2, 20)); err == nil {
 		t.Fatal("sensor/socket mismatch must error")
 	}
 }
 
 func TestVoltagePlugin(t *testing.T) {
-	pl, err := NewVoltagePlugin(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := &VoltagePlugin{}
 	if pl.Name() != "scorep_x86_adapt" {
 		t.Fatalf("plugin name = %s", pl.Name())
 	}
-	iv := testInterval(t, 2)
-	samples, err := pl.Sample(nil, iv)
+	if !pl.PerCore() {
+		t.Fatal("voltage must be sampled per core")
+	}
+	iv := testInterval(t, 2, 20)
+	if len(iv.Cores) != 24 {
+		t.Fatalf("interval has %d active cores, want 24", len(iv.Cores))
+	}
+	values, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Per-core plugin: 20 ticks × 24 active cores.
-	if len(samples) != 20*24 {
-		t.Fatalf("got %d voltage samples, want %d", len(samples), 20*24)
+	if len(values) != 20*24 {
+		t.Fatalf("got %d voltage values, want %d", len(values), 20*24)
 	}
-	seenCores := map[int]bool{}
-	for _, s := range samples {
-		if math.Abs(s.Value-iv.Activity.CoreVoltageV)/iv.Activity.CoreVoltageV > 0.01 {
-			t.Fatalf("voltage sample %.4f far from %.4f", s.Value, iv.Activity.CoreVoltageV)
+	for _, v := range values {
+		if math.Abs(v-iv.Activity.CoreVoltageV)/iv.Activity.CoreVoltageV > 0.01 {
+			t.Fatalf("voltage value %.4f far from %.4f", v, iv.Activity.CoreVoltageV)
 		}
-		if s.Core == NodeLevel {
-			t.Fatal("voltage samples must be per-core")
-		}
-		seenCores[s.Core] = true
-	}
-	if len(seenCores) != 24 {
-		t.Fatalf("voltage covered %d cores, want 24", len(seenCores))
 	}
 }
 
 func TestVoltagePerCoreOffsetsStable(t *testing.T) {
 	// Distinct cores sit at slightly different, stable points of the
 	// load line.
-	pl, err := NewVoltagePlugin(5)
+	iv := testInterval(t, 21, 5)
+	values, err := (&VoltagePlugin{}).Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := testInterval(t, 21)
-	samples, err := pl.Sample(nil, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Values go by tick, then by core.
 	first := map[int]float64{}
 	distinct := false
-	for _, s := range samples {
-		if v, ok := first[s.Core]; ok {
-			if math.Abs(v-s.Value)/v > 0.005 {
-				t.Fatalf("core %d voltage drifted: %.4f vs %.4f", s.Core, v, s.Value)
+	for i, v := range values {
+		c := iv.Cores[i%len(iv.Cores)]
+		if v0, ok := first[c]; ok {
+			if math.Abs(v0-v)/v0 > 0.005 {
+				t.Fatalf("core %d voltage drifted: %.4f vs %.4f", c, v0, v)
 			}
 		} else {
-			first[s.Core] = s.Value
+			first[c] = v
 		}
 	}
 	for c1, v1 := range first {
@@ -184,12 +182,15 @@ func TestApapiPlugin(t *testing.T) {
 		pmu.MustByName("BR_MSP").ID,
 		pmu.MustByName("L3_TCM").ID,
 	)
-	pl, err := NewApapiPlugin(set, 10)
+	pl, err := NewApapiPlugin(set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Name() != "scorep_plugin_apapi" {
 		t.Fatalf("plugin name = %s", pl.Name())
+	}
+	if !pl.PerCore() {
+		t.Fatal("apapi must be sampled per core")
 	}
 	specs := pl.Metrics()
 	if len(specs) != 3 {
@@ -203,35 +204,28 @@ func TestApapiPlugin(t *testing.T) {
 			t.Fatalf("bad spec %+v", spec)
 		}
 	}
-	iv := testInterval(t, 3)
-	samples, err := pl.Sample(nil, iv)
+	iv := testInterval(t, 3, 10)
+	values, err := pl.Sample(nil, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Per-core plugin: 10 ticks × 3 events × 24 active cores.
-	if len(samples) != 10*3*24 {
-		t.Fatalf("got %d samples, want %d", len(samples), 10*3*24)
+	if len(values) != 10*3*24 {
+		t.Fatalf("got %d values, want %d", len(values), 10*3*24)
 	}
-	// Summing the per-core rates of one tick recovers ~ the node rate.
+	// Values go by tick, then by event, then by core. Summing the
+	// per-core rates of one tick recovers ~ the node rate.
 	counts := cpusim.Counters(iv.Activity, set)
 	ids := set.Events()
-	perTick := map[uint64]map[int]float64{} // time → metric index → sum
-	for _, s := range samples {
-		if s.Core == NodeLevel {
-			t.Fatal("apapi samples must be per-core")
-		}
-		m := perTick[s.TimeNs]
-		if m == nil {
-			m = map[int]float64{}
-			perTick[s.TimeNs] = m
-		}
-		m[s.MetricIndex] += s.Value
-	}
-	for tick, byMetric := range perTick {
-		for mi, sum := range byMetric {
-			want := counts[ids[mi]] / 1.0
+	for ti := range iv.Ticks {
+		for mi, id := range ids {
+			var sum float64
+			for _, v := range values[(ti*3+mi)*24 : (ti*3+mi+1)*24] {
+				sum += v
+			}
+			want := counts[id] / 1.0
 			if math.Abs(sum-want)/math.Max(want, 1) > 0.1 {
-				t.Fatalf("tick %d metric %d: per-core sum %g far from node rate %g", tick, mi, sum, want)
+				t.Fatalf("tick %d metric %d: per-core sum %g far from node rate %g", ti, mi, sum, want)
 			}
 		}
 	}
@@ -245,32 +239,28 @@ func TestSampleAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voltPl, err := NewVoltagePlugin(20)
+	apapiPl, err := NewApapiPlugin(eventSet(t, pmu.MustByName("TOT_CYC").ID, pmu.MustByName("L3_TCM").ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	apapiPl, err := NewApapiPlugin(eventSet(t, pmu.MustByName("TOT_CYC").ID, pmu.MustByName("L3_TCM").ID), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := []SampleValue{{MetricIndex: 7, TimeNs: 1, Value: 2, Core: 3}}
-	for _, pl := range []Plugin{powerPl, voltPl, apapiPl} {
-		alone, err := pl.Sample(nil, testInterval(t, 5))
+	prefix := []float64{7}
+	for _, pl := range []Plugin{powerPl, &VoltagePlugin{}, apapiPl} {
+		alone, err := pl.Sample(nil, testInterval(t, 5, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := append(make([]SampleValue, 0, 1), prefix...)
-		got, err := pl.Sample(dst, testInterval(t, 5))
+		dst := append(make([]float64, 0, 1), prefix...)
+		got, err := pl.Sample(dst, testInterval(t, 5, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], alone) {
 			t.Errorf("%s: appending to a buffer changed the samples or lost the buffer's contents", pl.Name())
 		}
-		bad := testInterval(t, 5)
+		bad := testInterval(t, 5, 20)
 		bad.Rand = nil
 		if got, err := pl.Sample(dst, bad); err == nil || !slices.Equal(got, prefix) {
-			t.Errorf("%s: invalid interval returned %d samples, error %v; want the buffer unchanged and an error", pl.Name(), len(got), err)
+			t.Errorf("%s: invalid interval returned %d values, error %v; want the buffer unchanged and an error", pl.Name(), len(got), err)
 		}
 	}
 }
@@ -285,17 +275,14 @@ func TestApapiRejectsUnschedulableSet(t *testing.T) {
 			break
 		}
 	}
-	if _, err := NewApapiPlugin(eventSet(t, ids...), 10); err == nil {
+	if _, err := NewApapiPlugin(eventSet(t, ids...)); err == nil {
 		t.Fatal("unschedulable set must be rejected")
 	}
 }
 
 func TestIntervalValidation(t *testing.T) {
-	good := testInterval(t, 4)
-	pl, err := NewVoltagePlugin(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := testInterval(t, 4, 10)
+	pl := &VoltagePlugin{}
 	cases := []func(*Interval){
 		func(iv *Interval) { iv.EndNs = iv.StartNs },
 		func(iv *Interval) { iv.Activity = nil },
@@ -338,18 +325,6 @@ func TestInvalidPluginConfigErrors(t *testing.T) {
 			_, err := NewPowerPlugin(power.DefaultModel(), nil, 10)
 			return err
 		}},
-		{"voltage negative rate", func() error {
-			_, err := NewVoltagePlugin(-5)
-			return err
-		}},
-		{"voltage NaN rate", func() error {
-			_, err := NewVoltagePlugin(math.NaN())
-			return err
-		}},
-		{"apapi zero rate", func() error {
-			_, err := NewApapiPlugin(eventSet(t, pmu.MustByName("TOT_CYC").ID), 0)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		if tc.make() == nil {
@@ -359,17 +334,41 @@ func TestInvalidPluginConfigErrors(t *testing.T) {
 }
 
 func TestTicksCoverage(t *testing.T) {
-	ts := ticks(0, 1_000_000_000, 4)
-	if len(ts) != 4 {
-		t.Fatalf("4 Hz over 1 s: %d ticks", len(ts))
+	ts := Ticks(nil, 0, 1_000_000_000, 4)
+	if !slices.Equal(ts, []uint64{0, 250_000_000, 500_000_000, 750_000_000}) {
+		t.Fatalf("4 Hz over 1 s: ticks %v", ts)
 	}
-	// A window shorter than one period still yields one sample.
-	ts = ticks(0, 1000, 1)
-	if len(ts) != 1 {
-		t.Fatalf("sub-period window: %d ticks, want 1", len(ts))
+	// A window shorter than one period still yields one sample, at its
+	// start.
+	ts = Ticks(nil, 500, 1000, 1)
+	if !slices.Equal(ts, []uint64{500}) {
+		t.Fatalf("sub-period window: ticks %v, want [500]", ts)
 	}
-	if ticks(0, 100, 0) != nil {
+	if Ticks(nil, 0, 100, 0) != nil {
 		t.Fatal("zero rate must yield no ticks")
+	}
+	// Ticks appends to the caller's buffer.
+	if ts := Ticks([]uint64{7}, 10, 20, 2e8); !slices.Equal(ts, []uint64{7, 10, 15}) {
+		t.Fatalf("appended ticks %v, want [7 10 15]", ts)
+	}
+}
+
+// TestActiveCores: socket 0 fills first, then socket 1 from its first
+// core; an activity without core accounting falls back to its thread
+// count; the cores are appended to the caller's buffer.
+func TestActiveCores(t *testing.T) {
+	p := cpusim.HaswellEP()
+	for _, c := range []struct {
+		act  cpusim.Activity
+		want []int
+	}{
+		{cpusim.Activity{ActiveCores: [2]int{2, 0}, Threads: 2}, []int{-1, 0, 1}},
+		{cpusim.Activity{ActiveCores: [2]int{12, 2}, Threads: 14}, []int{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}},
+		{cpusim.Activity{Threads: 3}, []int{-1, 0, 1, 2}},
+	} {
+		if got := ActiveCores([]int{-1}, p, &c.act); !slices.Equal(got, c.want) {
+			t.Errorf("ActiveCores of %v cores, %d threads: %v, want %v", c.act.ActiveCores, c.act.Threads, got, c.want)
+		}
 	}
 }
 

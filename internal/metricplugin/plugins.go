@@ -24,27 +24,20 @@ type PowerPlugin struct {
 }
 
 // NewPowerPlugin builds the plugin with one sensor per socket. rateHz
-// is the rate at which samples are written to the trace (each sensor
-// integrates at its own, higher rate). Invalid configuration (a
-// non-positive or non-finite rate, zero sensors) is an error, not a
-// panic: plugin parameters arrive from campaign options and CLI flags,
-// not compile-time data.
+// is the rate of the ticks the plugin is sampled at, the rate at which
+// samples are written to the trace: each value averages its sensor
+// over one period, 1/rateHz (each sensor integrates at its own, higher
+// rate). Invalid configuration (a non-positive or non-finite rate, zero
+// sensors) is an error, not a panic: plugin parameters arrive from
+// campaign options and CLI flags, not compile-time data.
 func NewPowerPlugin(model *power.Model, sensors []*power.Sensor, rateHz float64) (*PowerPlugin, error) {
-	if err := validRate("power", rateHz); err != nil {
-		return nil, err
+	if math.IsNaN(rateHz) || math.IsInf(rateHz, 0) || rateHz <= 0 {
+		return nil, fmt.Errorf("metricplugin: invalid power sampling rate %v", rateHz)
 	}
 	if len(sensors) == 0 {
 		return nil, fmt.Errorf("metricplugin: power plugin needs at least one sensor")
 	}
 	return &PowerPlugin{model: model, sensors: sensors, rateHz: rateHz}, nil
-}
-
-// validRate rejects non-positive, NaN, and infinite sampling rates.
-func validRate(plugin string, rateHz float64) error {
-	if math.IsNaN(rateHz) || math.IsInf(rateHz, 0) || rateHz <= 0 {
-		return fmt.Errorf("metricplugin: invalid %s sampling rate %v", plugin, rateHz)
-	}
-	return nil
 }
 
 // Name implements Plugin.
@@ -59,8 +52,11 @@ func (p *PowerPlugin) Metrics() []MetricSpec {
 	return out
 }
 
+// PerCore implements Plugin: the sensors measure the node's sockets.
+func (p *PowerPlugin) PerCore() bool { return false }
+
 // Sample implements Plugin.
-func (p *PowerPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
+func (p *PowerPlugin) Sample(dst []float64, iv *Interval) ([]float64, error) {
 	if err := validateInterval(iv); err != nil {
 		return dst, err
 	}
@@ -71,17 +67,11 @@ func (p *PowerPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 	if err != nil {
 		return dst, err
 	}
-	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
-	out := slices.Grow(dst, len(ts)*len(p.sensors))
+	out := slices.Grow(dst, len(iv.Ticks)*len(p.sensors))
 	period := 1 / p.rateHz
-	for _, t := range ts {
+	for range iv.Ticks {
 		for si, sensor := range p.sensors {
-			out = append(out, SampleValue{
-				MetricIndex: si,
-				TimeNs:      t,
-				Value:       sensor.PhaseAverage(perSocket[si], period, iv.Rand),
-				Core:        NodeLevel,
-			})
+			out = append(out, sensor.PhaseAverage(perSocket[si], period, iv.Rand))
 		}
 	}
 	return out, nil
@@ -89,21 +79,12 @@ func (p *PowerPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 
 // VoltagePlugin reads the core supply voltage, standing in for the
 // paper's scorep_x86_adapt plugin ("it is possible to read actual core
-// voltages during runtime on contemporary Intel processors").
+// voltages during runtime on contemporary Intel processors"). The zero
+// value is ready to use.
 type VoltagePlugin struct {
-	rateHz float64
-	// offsets and noise hold one Sample call's per-core offsets and one
-	// tick's read-out jitters; Sample reuses them, so a plugin serves
-	// one caller at a time.
-	offsets, noise []float64
-}
-
-// NewVoltagePlugin builds the plugin.
-func NewVoltagePlugin(rateHz float64) (*VoltagePlugin, error) {
-	if err := validRate("voltage", rateHz); err != nil {
-		return nil, err
-	}
-	return &VoltagePlugin{rateHz: rateHz}, nil
+	// offsets holds one Sample call's per-core offsets; Sample reuses
+	// it, so a plugin serves one caller at a time.
+	offsets []float64
 }
 
 // Name implements Plugin.
@@ -114,30 +95,32 @@ func (p *VoltagePlugin) Metrics() []MetricSpec {
 	return []MetricSpec{{Name: "core_voltage", Unit: "V", Mode: trace.MetricAsync}}
 }
 
+// PerCore implements Plugin: "scorep_x86_adapt supports per core
+// metrics".
+func (p *VoltagePlugin) PerCore() bool { return true }
+
 // Sample implements Plugin. The plugin reads the voltage of every
-// active core separately ("scorep_x86_adapt supports per core
-// metrics"): each core's regulator sits at a slightly different point
-// of the load line.
-func (p *VoltagePlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
+// active core separately: each core's regulator sits at a slightly
+// different point of the load line.
+func (p *VoltagePlugin) Sample(dst []float64, iv *Interval) ([]float64, error) {
 	if err := validateInterval(iv); err != nil {
 		return dst, err
 	}
-	cores := iv.ActiveCores()
-	room := iv.Platform.TotalCores()
 	// Stable per-core offsets (process variation), ±0.4 %.
-	p.offsets = resize(p.offsets, len(cores), room)
-	for i, c := range cores {
+	p.offsets = resize(p.offsets, len(iv.Cores), iv.Platform.TotalCores())
+	for i, c := range iv.Cores {
 		p.offsets[i] = 1 + 0.004*math.Sin(float64(c)*2.39996)
 	}
-	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
-	p.noise = resize(p.noise, len(cores), room)
-	out := slices.Grow(dst, len(ts)*len(cores))
-	for _, t := range ts {
+	out := slices.Grow(dst, len(iv.Ticks)*len(iv.Cores))
+	for range iv.Ticks {
 		// Register read-out granularity is ~1/8192 V on real parts.
-		iv.Rand.JitterInto(p.noise, 0.0008)
-		for i, c := range cores {
-			v := iv.Activity.CoreVoltageV * p.offsets[i] * p.noise[i]
-			out = append(out, SampleValue{MetricIndex: 0, TimeNs: t, Value: v, Core: c})
+		// The tick's jitters are drawn into its values, then scaled.
+		n := len(out)
+		out = out[:n+len(iv.Cores)]
+		v := out[n:]
+		iv.Rand.JitterInto(v, 0.0008)
+		for i := range v {
+			v[i] = iv.Activity.CoreVoltageV * p.offsets[i] * v[i]
 		}
 	}
 	return out, nil
@@ -148,8 +131,7 @@ func (p *VoltagePlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, 
 // *rate* (events per second) over the preceding sampling period; the
 // phase-profile post-processing averages these rates over each phase.
 type ApapiPlugin struct {
-	set    *pmu.EventSet
-	rateHz float64
+	set *pmu.EventSet
 	// rates, shares and noise hold one Sample call's node rates, core
 	// shares and one event's read-out jitters; Sample reuses them, so a
 	// plugin serves one caller at a time.
@@ -157,14 +139,11 @@ type ApapiPlugin struct {
 }
 
 // NewApapiPlugin builds the plugin for one schedulable event set.
-func NewApapiPlugin(set *pmu.EventSet, rateHz float64) (*ApapiPlugin, error) {
-	if err := validRate("apapi", rateHz); err != nil {
-		return nil, err
-	}
+func NewApapiPlugin(set *pmu.EventSet) (*ApapiPlugin, error) {
 	if !set.Schedulable() {
 		return nil, fmt.Errorf("metricplugin: event set %v not schedulable in one run", set)
 	}
-	return &ApapiPlugin{set: set, rateHz: rateHz, rates: make([]float64, set.Len())}, nil
+	return &ApapiPlugin{set: set, rates: make([]float64, set.Len())}, nil
 }
 
 // Name implements Plugin.
@@ -180,12 +159,14 @@ func (p *ApapiPlugin) Metrics() []MetricSpec {
 	return out
 }
 
-// Sample implements Plugin. Hardware counters are per-core resources,
+// PerCore implements Plugin. Hardware counters are per-core resources,
 // so the sampler reads every active core separately; the node total is
-// recovered in post-processing by summing across locations. A mild
-// deterministic load imbalance distributes the node aggregate over the
-// cores.
-func (p *ApapiPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, error) {
+// recovered in post-processing by summing across locations.
+func (p *ApapiPlugin) PerCore() bool { return true }
+
+// Sample implements Plugin. A mild deterministic load imbalance
+// distributes the node aggregate over the cores.
+func (p *ApapiPlugin) Sample(dst []float64, iv *Interval) ([]float64, error) {
 	if err := validateInterval(iv); err != nil {
 		return dst, err
 	}
@@ -195,23 +176,20 @@ func (p *ApapiPlugin) Sample(dst []SampleValue, iv *Interval) ([]SampleValue, er
 	for i, id := range ids {
 		p.rates[i] = counts[id] / dur
 	}
-	cores := iv.ActiveCores()
-	ts := ticks(iv.StartNs, iv.EndNs, p.rateHz)
 	room := iv.Platform.TotalCores()
-	p.shares = resize(p.shares, len(cores), room)
+	p.shares = resize(p.shares, len(iv.Cores), room)
 	coreShares(iv, p.shares)
-	p.noise = resize(p.noise, 1+len(cores), 1+room)
-	out := slices.Grow(dst, len(ts)*len(ids)*len(cores))
-	for _, t := range ts {
-		for i, nodeRate := range p.rates {
+	p.noise = resize(p.noise, 1+len(iv.Cores), 1+room)
+	out := slices.Grow(dst, len(iv.Ticks)*len(ids)*len(iv.Cores))
+	for range iv.Ticks {
+		for _, nodeRate := range p.rates {
 			// A common-mode read-out error (sampling-window alignment
 			// hits every core's read of this event alike), then an
 			// independent per-core component: one block per event.
 			iv.Rand.JitterInto(p.noise, 0.012)
 			common, perCore := p.noise[0], p.noise[1:]
-			for ci, c := range cores {
-				rate := nodeRate * p.shares[ci] * common * perCore[ci]
-				out = append(out, SampleValue{MetricIndex: i, TimeNs: t, Value: rate, Core: c})
+			for ci, share := range p.shares {
+				out = append(out, nodeRate*share*common*perCore[ci])
 			}
 		}
 	}

@@ -134,9 +134,10 @@ type cell struct {
 // recorder writes Enter/Leave around every phase on the master
 // location and annotates each phase with active_threads and
 // core_frequency sync metrics; power, voltage and PAPI rates arrive as
-// async samples. Event folds one event; a metric sample's fold is
-// Resolve (once per metric and location) and Add (per sample), which
-// the recorder calls directly on its plugins' samples.
+// async samples. Event folds one event. A recorder that holds its
+// samples outside trace.Event folds them in two steps: Resolve, once
+// per metric and location, then AddStrided, once per metric and
+// location of each block of samples.
 //
 // Aggregation state is reused across phases: once a (metric,
 // location) pair has been seen, its samples allocate nothing. Beyond
@@ -258,7 +259,7 @@ func (b *Builder) Event(ev trace.Event) error {
 		if b.current == nil {
 			return nil // inter-phase samples are discarded
 		}
-		b.Add(b.target(ev.Metric, ev.Location), ev.Value)
+		b.add(b.target(ev.Metric, ev.Location), ev.Value)
 	}
 	return nil
 }
@@ -266,7 +267,7 @@ func (b *Builder) Event(ev trace.Event) error {
 // A Target is where one metric's samples at one location fold: a
 // power channel, a (value slot, location) cell, a phase annotation
 // (threads, frequency), or nowhere, as the zero Target does. Resolve
-// finds it once; Add folds each sample into it.
+// finds it once; AddStrided folds samples into it.
 type Target struct {
 	class metricClass
 	i     int32 // power channel or cell index
@@ -276,8 +277,8 @@ type Target struct {
 // definition checks Event applies to a metric event (with the same
 // errors). It is how a recorder that holds its samples outside
 // trace.Event folds them: resolve each (metric, location) pair of a
-// run once, then Add every sample. A pair's Target stays valid for the
-// Builder's whole run.
+// run once, then AddStrided its samples. A pair's Target stays valid
+// for the Builder's whole run.
 func (b *Builder) Resolve(metric, location trace.Ref) (Target, error) {
 	// Time 0 after 0 passes the order check; the rest is the
 	// definition checks.
@@ -311,35 +312,79 @@ func (b *Builder) target(metric, location trace.Ref) Target {
 	return Target{class: class}
 }
 
-// Add folds one sample into t in the current phase. Outside a phase it
+// add folds one sample into t in the current phase. Outside a phase it
 // is discarded, as Event discards inter-phase samples. Samples of one
 // Target must arrive in the order an archive would hold them; flush
 // fixes the order across Targets.
-func (b *Builder) Add(t Target, value float64) {
+func (b *Builder) add(t Target, value float64) {
 	if b.current == nil {
 		return
 	}
-	var a *agg
+	if a := b.aggOf(t); a != nil {
+		a.sum += value
+		a.weightS++
+		return
+	}
+	b.annotate(t, value)
+}
+
+// AddStrided folds values[0], values[stride], values[2·stride], … into
+// t, exactly as that many single-sample folds in that order would: the
+// same sum, bit for bit, and for an annotation the last value. It is
+// how a recorder folds one (metric, location) pair of a dense block of
+// samples. stride must be positive.
+func (b *Builder) AddStrided(t Target, values []float64, stride int) {
+	if stride < 1 {
+		panic("phaseprofile: AddStrided stride must be positive")
+	}
+	if b.current == nil || len(values) == 0 {
+		return
+	}
+	a := b.aggOf(t)
+	if a == nil {
+		b.annotate(t, values[(len(values)-1)/stride*stride])
+		return
+	}
+	sum, n := a.sum, 0
+	for i := 0; i < len(values); i += stride {
+		sum += values[i]
+		n++
+	}
+	// weightS counts samples: adding n at once is as exact as n
+	// increments.
+	a.sum = sum
+	a.weightS += float64(n)
+}
+
+// aggOf returns the aggregate a sample into t adds to, listing it as
+// touched by the current phase if nothing has yet, or nil for an
+// annotation or the zero Target.
+func (b *Builder) aggOf(t Target) *agg {
 	switch t.class {
 	case mcPower:
-		if b.powerA[t.i].weightS == 0 {
+		a := &b.powerA[t.i]
+		if a.weightS == 0 {
 			b.powered = append(b.powered, int(t.i))
 		}
-		a = &b.powerA[t.i]
+		return a
 	case mcVoltage, mcPMC:
 		c := &b.cells[t.i]
 		if c.weightS == 0 {
 			b.touched = append(b.touched, int(t.i))
 		}
-		a = &c.agg
+		return &c.agg
+	}
+	return nil
+}
+
+// annotate sets the current phase's annotation t to value; other
+// Targets fold nowhere.
+func (b *Builder) annotate(t Target, value float64) {
+	switch t.class {
 	case mcThreads:
 		b.current.Threads = int(value)
 	case mcFreq:
 		b.current.FreqMHz = int(value)
-	}
-	if a != nil {
-		a.sum += value
-		a.weightS++
 	}
 }
 

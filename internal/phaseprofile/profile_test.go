@@ -286,3 +286,81 @@ func TestFromTraceAllowsTracesWithoutPowerChannels(t *testing.T) {
 		t.Fatalf("power-less trace must parse with 0 W: %+v", phases)
 	}
 }
+
+// TestAddStridedMatchesAdds: AddStrided folds values[0],
+// values[stride], … exactly as one add per value in that order would,
+// bit for bit, for every kind of Target: a power channel, a voltage and
+// a PMC cell, the threads and frequency annotations, and the zero
+// Target. An empty block touches nothing, and a block outside a phase
+// is discarded.
+func TestAddStridedMatchesAdds(t *testing.T) {
+	w := trace.NewWriter(nil)
+	loc, _ := w.DefineLocation("master")
+	core, _ := w.DefineLocation("core 0")
+	reg, _ := w.DefineRegion("phase@2")
+	var metrics []trace.Ref
+	for _, name := range []string{"socket0_power", MetricVoltage, "PAPI_TOT_CYC", MetricThreads, MetricFreq} {
+		ref, _ := w.DefineMetric(name, "", trace.MetricAsync)
+		metrics = append(metrics, ref)
+	}
+	// Sums that depend on the order of their terms, and integral values
+	// where an annotation is picked.
+	values := []float64{0.1, 1e16, 24, -1e16, 0.3, 2400, 7, 1e16, 2, -1e16, 12, 0.5}
+
+	for _, stride := range []int{1, 2, 3, 5, 12, 13} {
+		for off := 0; off < min(stride, 3); off++ {
+			var phases [2]*Phase
+			for side := range phases {
+				b := NewBuilder(w.Definitions(), "app")
+				var targets []Target
+				for _, m := range metrics {
+					tg, err := b.Resolve(m, core)
+					if err != nil {
+						t.Fatal(err)
+					}
+					targets = append(targets, tg)
+				}
+				idle, err := b.Resolve(metrics[1], loc) // a voltage cell that gets no values
+				if err != nil {
+					t.Fatal(err)
+				}
+				targets = append(targets, Target{})
+				fold := func() {
+					for _, tg := range targets {
+						if side == 0 {
+							b.AddStrided(tg, values[off:], stride)
+							continue
+						}
+						for i := off; i < len(values); i += stride {
+							b.add(tg, values[i])
+						}
+					}
+				}
+				fold() // before the phase: discarded
+				if err := b.Event(trace.Event{Kind: trace.KindEnter, Location: loc, Region: reg}); err != nil {
+					t.Fatal(err)
+				}
+				fold()
+				if side == 0 {
+					b.AddStrided(idle, nil, stride)
+				}
+				if err := b.Event(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: 1000, Region: reg}); err != nil {
+					t.Fatal(err)
+				}
+				ph, err := b.Phases()
+				if err != nil {
+					t.Fatal(err)
+				}
+				phases[side] = ph[0]
+			}
+			got, want := phases[0], phases[1]
+			if math.Float64bits(got.PowerW) != math.Float64bits(want.PowerW) ||
+				math.Float64bits(got.VoltageV) != math.Float64bits(want.VoltageV) ||
+				len(got.Rates) != 1 || len(want.Rates) != 1 ||
+				math.Float64bits(got.Rates[pmu.MustByName("TOT_CYC").ID]) != math.Float64bits(want.Rates[pmu.MustByName("TOT_CYC").ID]) ||
+				got.Threads != want.Threads || got.FreqMHz != want.FreqMHz {
+				t.Errorf("stride %d from %d: AddStrided gives %+v, single adds %+v", stride, off, got, want)
+			}
+		}
+	}
+}
