@@ -22,7 +22,6 @@ import (
 	"pmcpower/internal/buildinfo"
 	"pmcpower/internal/phasedetect"
 	"pmcpower/internal/phaseprofile"
-	"pmcpower/internal/pmu"
 	"pmcpower/internal/trace"
 	"pmcpower/internal/workloads"
 )
@@ -221,7 +220,6 @@ func inspect(path string) error {
 	for _, ph := range phases {
 		fmt.Printf("  %-24s threads=%-2d f=%d MHz  %.2fs  P=%.1f W  V=%.3f V  (%d PMC rates)\n",
 			ph.Region, ph.Threads, ph.FreqMHz, ph.DurationS(), ph.PowerW, ph.VoltageV, len(ph.Rates))
-		_ = pmu.NumEvents
 	}
 	return nil
 }

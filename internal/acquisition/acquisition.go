@@ -207,7 +207,10 @@ func AcquireCtx(ctx context.Context, opts Options, wls []*workloads.Workload, fr
 			}
 			runProfiles = append(runProfiles, phases)
 		}
-		merged := phaseprofile.CombineRuns(runProfiles...)
+		merged, err := phaseprofile.CombineRuns(runProfiles...)
+		if err != nil {
+			return cellResult{}, fmt.Errorf("acquisition: %s @ %d MHz: %w", w.Name, f, err)
+		}
 		rows, err := rowsFromPhases(w, f, merged)
 		if err != nil {
 			return cellResult{}, err
@@ -597,7 +600,9 @@ func writeStep(tw *trace.Writer, runs []runFold, values []float64, iv *metricplu
 
 // rowsFromPhases aggregates merged phase profiles into dataset rows:
 // one row per thread count, with multi-phase workloads averaged by
-// phase duration.
+// phase duration. A thread count's phases are summed in recording
+// order; a workload has one or two phases, and two terms sum to the
+// same bits in either order.
 func rowsFromPhases(wl *workloads.Workload, freqMHz int, phases []*phaseprofile.Phase) ([]*Row, error) {
 	byThreads := make(map[int][]*phaseprofile.Phase)
 	for _, ph := range phases {

@@ -108,7 +108,11 @@ func TestGoldenArchivesRebuildDataset(t *testing.T) {
 				}
 				runs = append(runs, phases)
 			}
-			rows, err := rowsFromPhases(w, f, phaseprofile.CombineRuns(runs...))
+			merged, err := phaseprofile.CombineRuns(runs...)
+			if err != nil {
+				t.Fatalf("%s @ %d MHz: %v", w.Name, f, err)
+			}
+			rows, err := rowsFromPhases(w, f, merged)
 			if err != nil {
 				t.Fatal(err)
 			}

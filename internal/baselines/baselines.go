@@ -146,15 +146,11 @@ func TrainPerFreqLinear(rows []*acquisition.Row, events []pmu.EventID) (*PerFreq
 	slices.Sort(out.freqs)
 	for _, f := range out.freqs {
 		group := byFreq[f]
-		x := mat.New(len(group), len(events))
 		y := make([]float64, len(group))
 		for i, r := range group {
-			for j, id := range events {
-				x.Set(i, j, r.RatePerCycle(id))
-			}
 			y[i] = r.PowerW
 		}
-		fit, err := stats.FitOLS(x, y, stats.OLSOptions{Estimator: stats.CovHC3})
+		fit, err := stats.FitOLS(core.RateMatrix(group, events), y, stats.OLSOptions{Estimator: stats.CovHC3})
 		if err != nil {
 			return nil, fmt.Errorf("baselines: per-frequency fit at %d MHz: %w", f, err)
 		}

@@ -24,7 +24,6 @@ func selectWithFullFits(rows []*acquisition.Row, opts SelectOptions) ([]Selectio
 	ctx := context.Background()
 	run := &selectionRun{
 		rows:        rows,
-		cache:       NewDatasetCache(rows),
 		opts:        opts,
 		candidates:  pmu.AllIDs(),
 		inSelected:  make(map[pmu.EventID]bool),
@@ -124,12 +123,18 @@ func TestRoundKernelEvalAllocFree(t *testing.T) {
 	// R² accumulation — must not allocate: it runs tens of thousands of
 	// times per selection.
 	sel, _ := fixtures(t)
-	cache := NewDatasetCache(sel.Rows)
 	all := pmu.AllIDs()
-	cache.Warm(all)
-	selected := all[:2]
-	n := cache.Len()
-	y := cache.Power()
+	design, y, err := DesignMatrix(sel.Rows, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := design.Columns()
+	selected := cols[:2]
+	n := len(y)
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
 	ybar := stats.Mean(y)
 	var sst float64
 	for _, v := range y {
@@ -141,20 +146,20 @@ func TestRoundKernelEvalAllocFree(t *testing.T) {
 	kTot := pcols + 3
 	maxCols := kTot
 	prefix := mat.NewUpdQR(n, maxCols)
-	prefix.AppendCol(cache.Ones())
-	baseCols := [][]float64{cache.Ones()}
-	for _, id := range selected {
-		prefix.AppendCol(cache.EVCol(id))
-		baseCols = append(baseCols, cache.EVCol(id))
+	prefix.AppendCol(ones)
+	baseCols := [][]float64{ones}
+	for _, col := range selected {
+		prefix.AppendCol(col)
+		baseCols = append(baseCols, col)
 	}
 	rk := &roundKernel{
 		n: n, pcols: pcols, kTot: kTot,
 		y: y, sst: sst,
 		prefix: prefix, baseCols: baseCols,
-		v2f: cache.V2FCol(), volt: cache.VoltCol(),
+		v2f: cols[len(all)], volt: cols[len(all)+1],
 	}
 	s := rk.newScratch()
-	cand := cache.EVCol(all[10])
+	cand := cols[10]
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, _, ok := rk.eval(s, cand); !ok {
 			t.Fatal("eval rejected a fittable candidate")
@@ -165,42 +170,8 @@ func TestRoundKernelEvalAllocFree(t *testing.T) {
 	}
 }
 
-func TestDesignSubsetMatchesDesignMatrix(t *testing.T) {
-	// DesignSubset must reproduce DesignMatrix over the same rows entry
-	// for entry — that is what makes a fold's FitR2 on it bit-identical
-	// to a fit of the freshly built design.
-	_, full := fixtures(t)
-	events := canonicalEvents()
-	cache := NewDatasetCache(full.Rows)
-	cache.Warm(events)
-
-	idx := make([]int, 0, len(full.Rows)/2)
-	for i := 0; i < len(full.Rows); i += 2 {
-		idx = append(idx, i)
-	}
-	x, y := cache.DesignSubset(events, idx)
-
-	want, wantY, err := DesignMatrix(subset(full.Rows, idx), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Rows() != want.Rows() || x.Cols() != want.Cols() {
-		t.Fatalf("shape %dx%d, want %dx%d", x.Rows(), x.Cols(), want.Rows(), want.Cols())
-	}
-	for i := 0; i < x.Rows(); i++ {
-		for j := 0; j < want.Cols(); j++ {
-			if x.At(i, j) != want.At(i, j) {
-				t.Fatalf("entry (%d,%d): subset %v, fresh %v", i, j, x.At(i, j), want.At(i, j))
-			}
-		}
-		if y[i] != wantY[i] {
-			t.Fatalf("target %d: subset %v, fresh %v", i, y[i], wantY[i])
-		}
-	}
-}
-
 func TestCrossValidationFoldsMatchFullFits(t *testing.T) {
-	// Each fold's lite fit (cached columns + FitR2) must agree
+	// Each fold's lite fit (rows of the shared design + FitR2) must agree
 	// bitwise with a from-scratch Train (full FitOLS) over the same
 	// training rows — the fold is scored by an identical model.
 	_, full := fixtures(t)

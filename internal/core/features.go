@@ -12,6 +12,7 @@ import (
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
+	"pmcpower/internal/stats"
 )
 
 // V2F returns V_DD² · f_clk for a row, with f in GHz (the scale keeps
@@ -71,6 +72,21 @@ func RateMatrix(rows []*acquisition.Row, events []pmu.EventID) *mat.Matrix {
 		}
 	}
 	return x
+}
+
+// PowerPCC returns the Pearson correlation coefficient of each event's
+// E_n rate with measured power over the rows, in event order — the
+// paper's Equation 2. A counter that never varies yields NaN.
+func PowerPCC(rows []*acquisition.Row, events []pmu.EventID) []float64 {
+	power := make([]float64, len(rows))
+	for i, r := range rows {
+		power[i] = r.PowerW
+	}
+	out := make([]float64, len(events))
+	for j, col := range RateMatrix(rows, events).Columns() {
+		out[j] = stats.Pearson(col, power)
+	}
+	return out
 }
 
 // RateMatrixPerSecond builds the matrix of absolute event rates

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pmcpower/internal/pmu"
 )
 
 func TestModelJSONRoundTrip(t *testing.T) {
@@ -137,4 +140,47 @@ func TestLoadedModelUsableByOnlineEstimator(t *testing.T) {
 	if math.IsNaN(out.InstantW) || out.InstantW <= 0 {
 		t.Fatalf("loaded-model estimate = %v", out.InstantW)
 	}
+}
+
+// FuzzReadJSON: a model document is outside input (model upload,
+// pmcpowerd -model, estimate -model). ReadJSON never panics on it, an
+// accepted document survives WriteJSON → ReadJSON unchanged, and
+// Estimate on a sample carrying the model's events returns finite
+// watts or an error.
+func FuzzReadJSON(f *testing.F) {
+	for _, doc := range []string{
+		`{"version":1,"events":["PAPI_TOT_CYC","PAPI_L3_TCM"],"alpha":[1.5,-2e-3],"beta":3,"gamma":-4,"delta":5,` +
+			`"r2":0.9,"adj_r2":0.89,"std_err":[0.1,0.2,0.3,0.4,0.5],"estimator":"HC3","n":100}`,
+		`{"version":1,"events":["LST_INS"],"alpha":[1e300],"beta":1e300,"gamma":0,"delta":-0}`,
+		`{"version":1,"events":["PAPI_TOT_CYC"],"alpha":[1],"estimator":"nonrobust","std_err":[]}`,
+		`{"version":1,"events":["PAPI_TOT_CYC","TOT_CYC"],"alpha":[1,2]}`,
+		`{"version":1,"events":["PAPI_TOT_CYC"],"alpha":[1e999]}`,
+		`{not json`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		m, err := ReadJSON(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatalf("writing an accepted model: %v", err)
+		}
+		again, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("reading back %s: %v", buf.Bytes(), err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the model: %+v became %+v", m, again)
+		}
+		cs := CounterSample{FreqMHz: 2400, VoltageV: 1, Rates: make(map[pmu.EventID]float64, len(m.Events))}
+		for _, id := range m.Events {
+			cs.Rates[id] = 1e9
+		}
+		if p, err := m.Estimate(cs); err == nil && !finite(p) {
+			t.Fatalf("Estimate accepted a sample with a non-finite estimate %v", p)
+		}
+	})
 }

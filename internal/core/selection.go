@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"pmcpower/internal/acquisition"
 	"pmcpower/internal/mat"
@@ -94,7 +95,6 @@ func SelectEventsCtx(ctx context.Context, rows []*acquisition.Row, opts SelectOp
 
 	run := &selectionRun{
 		rows:        rows,
-		cache:       NewDatasetCache(rows),
 		opts:        opts,
 		candidates:  candidates,
 		inSelected:  make(map[pmu.EventID]bool),
@@ -105,12 +105,10 @@ func SelectEventsCtx(ctx context.Context, rows []*acquisition.Row, opts SelectOp
 }
 
 // selectionRun carries the state of the greedy loop (shared with the
-// exact-fit oracle in the tests): the selected set, the recorded
-// steps, and the per-dataset column cache that the candidate designs
-// and the VIF auxiliary regressions are assembled from.
+// exact-fit oracle in the tests): the selected set and the recorded
+// steps.
 type selectionRun struct {
 	rows        []*acquisition.Row
-	cache       *DatasetCache
 	opts        SelectOptions
 	candidates  []pmu.EventID
 	selected    []pmu.EventID
@@ -119,16 +117,15 @@ type selectionRun struct {
 	parallelism int
 }
 
-// appendStep records a selection winner and its post-addition VIFs.
-// The VIF design is a view of the cached rate columns — no per-step
-// RateMatrix rebuild.
+// appendStep records a selection winner and its post-addition VIFs,
+// computed over the selected events' rate columns.
 func (run *selectionRun) appendStep(ctx context.Context, id pmu.EventID, r2, adjR2 float64) {
 	run.selected = append(run.selected, id)
 	run.inSelected[id] = true
 	step := SelectionStep{Event: id, R2: r2, AdjR2: adjR2, MeanVIF: math.NaN()}
 	if len(run.selected) >= 2 {
 		_, vifSpan := obs.FromContext(ctx).StartSpan(ctx, "selection.vif", obs.Int("events", len(run.selected)))
-		vifs, err := stats.VIFColumns(run.cache.RateColumns(run.selected), run.parallelism)
+		vifs, err := stats.VIFColumns(RateMatrix(run.rows, run.selected).Columns(), run.parallelism)
 		vifSpan.End()
 		if err != nil {
 			// A perfectly collinear addition: report +Inf rather
@@ -268,16 +265,21 @@ func (rk *roundKernel) eval(s *candScratch, evCand []float64) (r2, adjR2 float64
 
 func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error) {
 	opts := run.opts
-	cache := run.cache
-	n := cache.Len()
-	y := cache.Power()
+	n := len(run.rows)
 
-	// Warm every column the fan-out will read, so workers never
-	// mutate the cache.
-	cache.Warm(run.candidates)
-	evAll := make([][]float64, len(run.candidates))
-	for ci, cand := range run.candidates {
-		evAll[ci] = cache.EVCol(cand)
+	// Every candidate design is a choice of columns of one design over
+	// all candidates: [E·V²f of each candidate…, V²f, V]. Build it once
+	// and read its columns; the fan-out never writes them.
+	design, y, err := DesignMatrix(run.rows, run.candidates)
+	if err != nil {
+		return nil, err
+	}
+	cols := design.Columns()
+	nc := len(run.candidates)
+	evAll, v2f, volt := cols[:nc], cols[nc], cols[nc+1]
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
 	}
 
 	// The centered total sum of squares is a property of y alone; every
@@ -315,10 +317,10 @@ func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error
 		// Factor the shared prefix [1, E·V²f of selected…] once; every
 		// candidate design this round extends it by three columns.
 		prefix.Reset()
-		prefix.AppendCol(cache.Ones())
-		baseCols = append(baseCols[:0], cache.Ones())
+		prefix.AppendCol(ones)
+		baseCols = append(baseCols[:0], ones)
 		for _, id := range run.selected {
-			col := cache.EVCol(id)
+			col := evAll[slices.Index(run.candidates, id)]
 			prefix.AppendCol(col)
 			baseCols = append(baseCols, col)
 		}
@@ -327,7 +329,7 @@ func (run *selectionRun) selectFast(ctx context.Context) ([]SelectionStep, error
 			n: n, pcols: pcols, kTot: kTot,
 			y: y, sst: sst,
 			prefix: prefix, baseCols: baseCols,
-			v2f: cache.V2FCol(), volt: cache.VoltCol(),
+			v2f: v2f, volt: volt,
 		}
 		fits, err := parallel.MapWorkers(rctx, len(run.candidates), run.parallelism,
 			func(int) *candScratch { return rk.newScratch() },

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"pmcpower/internal/acquisition"
-	"pmcpower/internal/parallel"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 )
@@ -34,7 +32,8 @@ const (
 	// paper's Table III implicitly argues against.
 	StrategyPCC
 	// StrategyAIC is greedy forward selection by the Akaike
-	// information criterion instead of raw R².
+	// information criterion instead of raw R². At a fixed set size
+	// both rank candidates by SSR, so it selects Algorithm 1's events.
 	StrategyAIC
 	// StrategyLasso runs an L1-regularized fit over a shrinking
 	// penalty path and selects the first Count events to enter the
@@ -82,7 +81,12 @@ func selectWithStrategy(rows []*acquisition.Row, strategy Strategy, count, paral
 		return nil, fmt.Errorf("core: empty dataset")
 	}
 	switch strategy {
-	case StrategyGreedyR2:
+	case StrategyGreedyR2, StrategyAIC:
+		// Within a round every candidate design has the same n and k,
+		// so AIC = n·ln(SSR/n) + 2k ranks the candidates by SSR, lowest
+		// first, as R² = 1 − SSR/SST does, highest first, and both
+		// searches skip the same degenerate fits: greedy AIC selects
+		// what Algorithm 1 selects.
 		steps, err := SelectEvents(rows, SelectOptions{Count: count, Parallelism: parallelism})
 		if err != nil {
 			return nil, err
@@ -92,8 +96,6 @@ func selectWithStrategy(rows []*acquisition.Row, strategy Strategy, count, paral
 		return backwardEliminate(rows, count, candidates)
 	case StrategyPCC:
 		return pccRank(rows, count, candidates), nil
-	case StrategyAIC:
-		return aicForward(rows, count, candidates, parallelism)
 	case StrategyLasso:
 		return lassoPath(rows, count, candidates)
 	default:
@@ -145,25 +147,16 @@ func backwardEliminate(rows []*acquisition.Row, count int, candidates []pmu.Even
 }
 
 func pccRank(rows []*acquisition.Row, count int, candidates []pmu.EventID) []pmu.EventID {
-	power := make([]float64, len(rows))
-	for i, r := range rows {
-		power[i] = r.PowerW
-	}
 	type scored struct {
 		id  pmu.EventID
 		abs float64
 	}
 	var all []scored
-	for _, id := range candidates {
-		rates := make([]float64, len(rows))
-		for i, r := range rows {
-			rates[i] = r.RatePerCycle(id)
-		}
-		pcc := stats.Pearson(rates, power)
+	for j, pcc := range PowerPCC(rows, candidates) {
 		if math.IsNaN(pcc) {
 			continue
 		}
-		all = append(all, scored{id, math.Abs(pcc)})
+		all = append(all, scored{candidates[j], math.Abs(pcc)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].abs != all[j].abs {
@@ -181,60 +174,6 @@ func pccRank(rows []*acquisition.Row, count int, candidates []pmu.EventID) []pmu
 	return out
 }
 
-func aicForward(rows []*acquisition.Row, count int, candidates []pmu.EventID, parallelism int) ([]pmu.EventID, error) {
-	n := float64(len(rows))
-	aicOf := func(events []pmu.EventID) (float64, error) {
-		m, err := Train(rows, events, TrainOptions{})
-		if err != nil {
-			return 0, err
-		}
-		var ssr float64
-		for _, e := range m.Fit.Residuals {
-			ssr += e * e
-		}
-		k := float64(m.Fit.K)
-		return n*math.Log(ssr/n) + 2*k, nil
-	}
-	var selected []pmu.EventID
-	in := map[pmu.EventID]bool{}
-	type candFit struct {
-		aic float64
-		ok  bool
-	}
-	for len(selected) < count {
-		// The per-round candidate fits are independent; evaluate them
-		// on the worker pool and reduce in candidate order (strict <
-		// keeps the first minimum, matching the serial loop).
-		fits, err := parallel.MapCtx(context.Background(), len(candidates), parallelism, func(_ context.Context, ci int) (candFit, error) {
-			cand := candidates[ci]
-			if in[cand] {
-				return candFit{}, nil
-			}
-			trial := append(append([]pmu.EventID(nil), selected...), cand)
-			aic, err := aicOf(trial)
-			if err != nil {
-				return candFit{}, nil
-			}
-			return candFit{aic: aic, ok: true}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		best, bestAIC := pmu.EventID(-1), math.Inf(1)
-		for ci, f := range fits {
-			if f.ok && f.aic < bestAIC {
-				best, bestAIC = candidates[ci], f.aic
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("core: AIC selection stuck after %d events", len(selected))
-		}
-		selected = append(selected, best)
-		in[best] = true
-	}
-	return selected, nil
-}
-
 // lassoPath selects events by the order they enter an L1-regularized
 // Equation-1 fit as the penalty shrinks. Only the event features are
 // penalized; the V²f, V and intercept terms stay unpenalized. Features
@@ -243,19 +182,9 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 	// Drop zero-variance candidates (their standardized column is
 	// undefined).
 	var events []pmu.EventID
-	for _, id := range candidates {
-		var lo, hi float64 = math.Inf(1), math.Inf(-1)
-		for _, r := range rows {
-			v := r.RatePerCycle(id)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi > lo {
-			events = append(events, id)
+	for j, col := range RateMatrix(rows, candidates).Columns() {
+		if lo, hi := stats.MinMax(col); hi > lo {
+			events = append(events, candidates[j])
 		}
 	}
 	x, y, err := DesignMatrix(rows, events)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"pmcpower/internal/acquisition"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 )
@@ -49,6 +52,71 @@ func TestStrategyGreedyMatchesAlgorithm1(t *testing.T) {
 	for i := range direct {
 		if viaStrategy[i] != direct[i] {
 			t.Fatal("StrategyGreedyR2 must be Algorithm 1")
+		}
+	}
+}
+
+// aicByTrain is greedy forward selection by the Akaike information
+// criterion, every candidate of every round scored by a full Train
+// fit and a failed fit skipped: the search StrategyAIC ran before it
+// selected through Algorithm 1, kept as the oracle that pins the two
+// to the same events.
+func aicByTrain(rows []*acquisition.Row, count int) ([]pmu.EventID, error) {
+	n := float64(len(rows))
+	var selected []pmu.EventID
+	in := map[pmu.EventID]bool{}
+	for len(selected) < count {
+		best, bestAIC := pmu.EventID(-1), math.Inf(1)
+		for _, cand := range pmu.AllIDs() {
+			if in[cand] {
+				continue
+			}
+			m, err := Train(rows, append(append([]pmu.EventID(nil), selected...), cand), TrainOptions{})
+			if err != nil {
+				continue
+			}
+			var ssr float64
+			for _, e := range m.Fit.Residuals {
+				ssr += e * e
+			}
+			if aic := n*math.Log(ssr/n) + 2*float64(m.Fit.K); aic < bestAIC {
+				best, bestAIC = cand, aic
+			}
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("AIC selection stuck after %d events", len(selected))
+		}
+		selected = append(selected, best)
+		in[best] = true
+	}
+	return selected, nil
+}
+
+func TestStrategyAICIsAlgorithm1(t *testing.T) {
+	sel, full := fixtures(t)
+	cases := []struct {
+		name  string
+		rows  []*acquisition.Row
+		count int
+	}{
+		{"selection campaign", sel.Rows, 8},
+		// The evaluation campaign records only the evaluation
+		// counters, so the oracle runs out of fittable candidates at
+		// count 8.
+		{"evaluation campaign", full.Rows, 5},
+	}
+	for _, tc := range cases {
+		got, err := selectWithStrategy(tc.rows, StrategyAIC, tc.count, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := aicByTrain(tc.rows, tc.count)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", tc.name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: StrategyAIC selected %v, AIC by full fits %v",
+				tc.name, pmu.ShortNames(got), pmu.ShortNames(want))
 		}
 	}
 }

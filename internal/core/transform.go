@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pmcpower/internal/acquisition"
-	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 )
@@ -77,14 +76,8 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 		return nil, fmt.Errorf("core: empty dataset")
 	}
 
-	// Rate columns of the selected events.
-	cols := make([][]float64, len(selected))
-	for j, id := range selected {
-		cols[j] = make([]float64, len(rows))
-		for i, r := range rows {
-			cols[j][i] = r.RatePerCycle(id)
-		}
-	}
+	rates := RateMatrix(rows, selected)
+	cols := rates.Columns()
 
 	// Most correlated pair; the later-selected event is the target
 	// (Walker et al. transform the newly added event).
@@ -102,7 +95,7 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 	}
 	refIdx, tgtIdx := bestI, bestJ
 
-	vifBefore, err := stats.MeanVIF(RateMatrix(rows, selected), 1)
+	vifBefore, err := stats.MeanVIF(rates, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -125,18 +118,11 @@ func TransformationSearch(rows []*acquisition.Row, selected []pmu.EventID) ([]Tr
 			R2Before:      mBefore.R2(),
 		}
 
-		// Rebuild the rate matrix with the transformed column for VIF.
-		rates := mat.New(len(rows), len(selected))
-		for j := range selected {
-			src := cols[j]
-			if j == tgtIdx {
-				src = transformed
-			}
-			for i := range rows {
-				rates.Set(i, j, src[i])
-			}
+		after := rates.Clone()
+		for i, v := range transformed {
+			after.Set(i, tgtIdx, v)
 		}
-		vifAfter, err := stats.MeanVIF(rates, 1)
+		vifAfter, err := stats.MeanVIF(after, 1)
 		if err != nil {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"pmcpower/internal/acquisition"
+	"pmcpower/internal/mat"
 	"pmcpower/internal/obs"
 	"pmcpower/internal/parallel"
 	"pmcpower/internal/pmu"
@@ -145,12 +146,12 @@ func CrossValidateCtx(ctx context.Context, rows []*acquisition.Row, events []pmu
 		obs.Int("folds", k), obs.Int("rows", len(rows)))
 	defer cvSpan.End()
 
-	// All fold designs are column subsets of one dataset: derive the
-	// Equation-1 feature columns once and gather per fold, instead of
-	// recomputing rates and V²f per fit. Warmed before the fan-out so
-	// workers only read the cache.
-	cache := NewDatasetCache(rows)
-	cache.Warm(events)
+	// Every fold trains on rows of one design: build it once, before
+	// the fan-out; the folds only read it.
+	x, y, err := DesignMatrix(rows, events)
+	if err != nil {
+		return nil, err
+	}
 
 	type foldResult struct {
 		cf    CVFold
@@ -160,31 +161,15 @@ func CrossValidateCtx(ctx context.Context, rows []*acquisition.Row, events []pmu
 		_, foldSpan := obs.FromContext(ctx).StartSpan(ctx, "cv-fold", obs.Int("fold", fi))
 		defer foldSpan.End()
 		fold := folds[fi]
-		test := subset(rows, fold.Test)
-		// Fold scoring only consumes coefficients and R²/Adj.R², so
-		// the fit runs on the R²-only kernel — bit-identical to the
-		// full FitOLS the fold used to pay for.
-		x, ytr := cache.DesignSubset(events, fold.Train)
-		fit, err := stats.FitR2(x, ytr)
-		if err != nil {
-			return foldResult{}, fmt.Errorf("core: fold %d: core: training failed for events %v: %w", fi, pmu.ShortNames(events), err)
-		}
-		m := modelFromCoeffs(events, fit.Coeffs, nil)
-		fr := foldResult{cf: CVFold{TrainR2: fit.R2, TrainAdjR2: fit.AdjR2}}
-		actual := make([]float64, len(test))
-		pred := m.PredictAll(test)
-		fr.preds = make([]Prediction, len(test))
-		for i, r := range test {
-			actual[i] = r.PowerW
-			fr.preds[i] = Prediction{Row: r, Actual: r.PowerW, Predicted: pred[i]}
-		}
-		ape, err := stats.APEDetail(actual, pred)
+		xtr, ytr := gatherRows(x, y, fold.Train)
+		fit, preds, ape, err := fitAndScore(xtr, ytr, events, subset(rows, fold.Test))
 		if err != nil {
 			return foldResult{}, fmt.Errorf("core: fold %d: %w", fi, err)
 		}
-		fr.cf.TestMAPE = ape.MAPE
-		fr.cf.TestSkipped = ape.Skipped
-		return fr, nil
+		return foldResult{
+			cf:    CVFold{TrainR2: fit.R2, TrainAdjR2: fit.AdjR2, TestMAPE: ape.MAPE, TestSkipped: ape.Skipped},
+			preds: preds,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -203,6 +188,41 @@ func subset(rows []*acquisition.Row, idx []int) []*acquisition.Row {
 		out[i] = rows[j]
 	}
 	return out
+}
+
+// gatherRows returns rows idx of the design x and its target y.
+func gatherRows(x *mat.Matrix, y []float64, idx []int) (*mat.Matrix, []float64) {
+	gx := mat.New(len(idx), x.Cols())
+	gy := make([]float64, len(idx))
+	for i, j := range idx {
+		copy(gx.RowView(i), x.RowView(j))
+		gy[i] = y[j]
+	}
+	return gx, gy
+}
+
+// fitAndScore fits Equation 1 to the training design (x, y) on the
+// R²-only kernel, whose coefficients and R²/Adj.R² are bit-identical to
+// a full FitOLS, and scores the fitted model's predictions of the test
+// rows. Cross-validation folds and the scenario holdouts both score
+// here, each under its own error prefix.
+func fitAndScore(x *mat.Matrix, y []float64, events []pmu.EventID, test []*acquisition.Row) (*stats.FitR2Result, []Prediction, stats.APEStats, error) {
+	fit, err := stats.FitR2(x, y)
+	if err != nil {
+		return nil, nil, stats.APEStats{}, fmt.Errorf("core: training failed for events %v: %w", pmu.ShortNames(events), err)
+	}
+	pred := modelFromCoeffs(events, fit.Coeffs, nil).PredictAll(test)
+	actual := make([]float64, len(test))
+	preds := make([]Prediction, len(test))
+	for i, r := range test {
+		actual[i] = r.PowerW
+		preds[i] = Prediction{Row: r, Actual: r.PowerW, Predicted: pred[i]}
+	}
+	ape, err := stats.APEDetail(actual, pred)
+	if err != nil {
+		return nil, nil, stats.APEStats{}, err
+	}
+	return fit, preds, ape, nil
 }
 
 // ScenarioResult is the outcome of one of the paper's four validation
@@ -290,34 +310,21 @@ func holdout(name string, trainNames []string, trainRows, testRows []*acquisitio
 	if len(trainRows) == 0 || len(testRows) == 0 {
 		return nil, fmt.Errorf("core: %s: empty train (%d) or test (%d) set", name, len(trainRows), len(testRows))
 	}
-	// Scenario scoring only needs coefficients for out-of-sample
-	// prediction — the R²-only kernel yields bit-identical ones.
 	x, y, err := DesignMatrix(trainRows, events)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	fit, err := stats.FitR2(x, y)
+	_, preds, ape, err := fitAndScore(x, y, events, testRows)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: core: training failed for events %v: %w", name, pmu.ShortNames(events), err)
+		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	m := modelFromCoeffs(events, fit.Coeffs, nil)
-	res := &ScenarioResult{
+	return &ScenarioResult{
 		Name:           name,
 		TrainWorkloads: trainNames,
 		TrainRows:      len(trainRows),
 		TestRows:       len(testRows),
-	}
-	actual := make([]float64, len(testRows))
-	pred := m.PredictAll(testRows)
-	for i, r := range testRows {
-		actual[i] = r.PowerW
-		res.Predictions = append(res.Predictions, Prediction{Row: r, Actual: r.PowerW, Predicted: pred[i]})
-	}
-	ape, err := stats.APEDetail(actual, pred)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	res.MAPE = ape.MAPE
-	res.Skipped = ape.Skipped
-	return res, nil
+		MAPE:           ape.MAPE,
+		Skipped:        ape.Skipped,
+		Predictions:    preds,
+	}, nil
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"sort"
 
+	"pmcpower/internal/core"
 	"pmcpower/internal/pmu"
-	"pmcpower/internal/stats"
 )
 
 // PCCRow is one row of Table III / one bar of Figure 6: a counter's
@@ -19,18 +19,10 @@ type PCCRow struct {
 // pccAll computes the PCC of every counter's E_n rate with power over
 // the selection dataset.
 func (c *Context) pccAll() map[pmu.EventID]float64 {
-	ds := c.selectionDS
-	power := make([]float64, len(ds.Rows))
-	for i, r := range ds.Rows {
-		power[i] = r.PowerW
-	}
-	out := make(map[pmu.EventID]float64, pmu.NumEvents())
-	for _, id := range pmu.AllIDs() {
-		rates := make([]float64, len(ds.Rows))
-		for i, r := range ds.Rows {
-			rates[i] = r.RatePerCycle(id)
-		}
-		out[id] = stats.Pearson(rates, power)
+	ids := pmu.AllIDs()
+	out := make(map[pmu.EventID]float64, len(ids))
+	for j, pcc := range core.PowerPCC(c.selectionDS.Rows, ids) {
+		out[ids[j]] = pcc
 	}
 	return out
 }

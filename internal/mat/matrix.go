@@ -66,6 +66,16 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
+// Columns returns a copy of every column, in order: m as a column
+// store.
+func (m *Matrix) Columns() [][]float64 {
+	cols := make([][]float64, m.cols)
+	for j := range cols {
+		cols[j] = m.Col(j)
+	}
+	return cols
+}
+
 // RowView returns row i as a slice aliasing the matrix storage — no
 // copy. The caller must treat it as read-only; writes alias the
 // matrix. It exists for allocation-free inner loops (the OLS leverage

@@ -62,6 +62,9 @@ func TestRowColClone(t *testing.T) {
 	if c[0] != 3 || c[1] != 6 {
 		t.Fatalf("Col(2) = %v", c)
 	}
+	if cols := m.Columns(); len(cols) != 3 || cols[0][1] != 4 || cols[2][0] != 3 {
+		t.Fatalf("Columns() = %v", cols)
+	}
 	// Mutating copies must not affect the original.
 	r[0] = 99
 	c[0] = 99

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"pmcpower/internal/pmu"
@@ -54,11 +53,6 @@ type Phase struct {
 
 // DurationS returns the phase duration in seconds.
 func (p *Phase) DurationS() float64 { return float64(p.EndNs-p.StartNs) / 1e9 }
-
-// Key identifies a phase across runs of the same experiment.
-func (p *Phase) Key() string {
-	return fmt.Sprintf("%s|%s|%d|%d", p.App, p.Region, p.Threads, p.FreqMHz)
-}
 
 // Well-known auxiliary metric names written by the acquisition
 // recorder alongside plugin metrics. Power arrives as one channel per
@@ -454,60 +448,52 @@ func (b *Builder) Phases() ([]*Phase, error) {
 }
 
 // CombineRuns merges phase profiles from multiple runs of the same
-// experiment matrix. Profiles with the same Key are averaged: power
-// and voltage become the mean across runs (each run measures them),
-// and PMC rates are unioned — each run contributes the events its
-// event set recorded. Conflicting PMC observations (the same event
-// measured in several runs, e.g. fixed counters) are averaged too.
+// experiment. Every run records the same phases in the same order, so
+// phase i of each run is merged into phase i of the result: power and
+// voltage become the mean across runs (each run measures them), and
+// PMC rates are unioned — each run contributes the events its event
+// set recorded. Conflicting PMC observations (the same event measured
+// in several runs, e.g. fixed counters) are averaged too. The result
+// keeps the recording order and the first run's times.
 //
-// The result is sorted by key for determinism.
-func CombineRuns(runs ...[]*Phase) []*Phase {
-	type acc struct {
-		proto    *Phase
-		powerSum float64
-		voltSum  float64
-		n        float64
-		rateSum  map[pmu.EventID]float64
-		rateN    map[pmu.EventID]float64
+// Runs whose phases do not line up — a different count, or a
+// different App, Region, Threads or FreqMHz at some position — are an
+// error.
+func CombineRuns(runs ...[]*Phase) ([]*Phase, error) {
+	if len(runs) == 0 {
+		return nil, nil
 	}
-	byKey := make(map[string]*acc)
-	var order []string
-	for _, run := range runs {
-		for _, ph := range run {
-			k := ph.Key()
-			a := byKey[k]
-			if a == nil {
-				cp := *ph
-				cp.Rates = nil
-				a = &acc{
-					proto:   &cp,
-					rateSum: make(map[pmu.EventID]float64),
-					rateN:   make(map[pmu.EventID]float64),
-				}
-				byKey[k] = a
-				order = append(order, k)
+	for ri, run := range runs {
+		if len(run) != len(runs[0]) {
+			return nil, fmt.Errorf("phaseprofile: run %d has %d phases, run 0 has %d", ri, len(run), len(runs[0]))
+		}
+	}
+	out := make([]*Phase, len(runs[0]))
+	for i, first := range runs[0] {
+		m := *first
+		m.PowerW, m.VoltageV = 0, 0
+		m.Rates = make(map[pmu.EventID]float64)
+		rateN := make(map[pmu.EventID]float64)
+		for ri, run := range runs {
+			ph := run[i]
+			if ph.App != m.App || ph.Region != m.Region || ph.Threads != m.Threads || ph.FreqMHz != m.FreqMHz {
+				return nil, fmt.Errorf("phaseprofile: run %d phase %d is %s %q with %d threads at %d MHz, not %s %q with %d threads at %d MHz as in run 0",
+					ri, i, ph.App, ph.Region, ph.Threads, ph.FreqMHz, m.App, m.Region, m.Threads, m.FreqMHz)
 			}
-			a.powerSum += ph.PowerW
-			a.voltSum += ph.VoltageV
-			a.n++
+			m.PowerW += ph.PowerW
+			m.VoltageV += ph.VoltageV
 			for id, r := range ph.Rates {
-				a.rateSum[id] += r
-				a.rateN[id]++
+				m.Rates[id] += r
+				rateN[id]++
 			}
 		}
-	}
-	sort.Strings(order)
-	out := make([]*Phase, 0, len(order))
-	for _, k := range order {
-		a := byKey[k]
-		m := a.proto
-		m.PowerW = a.powerSum / a.n
-		m.VoltageV = a.voltSum / a.n
-		m.Rates = make(map[pmu.EventID]float64, len(a.rateSum))
-		for id, s := range a.rateSum {
-			m.Rates[id] = s / a.rateN[id]
+		n := float64(len(runs))
+		m.PowerW /= n
+		m.VoltageV /= n
+		for id, c := range rateN {
+			m.Rates[id] /= c
 		}
-		out = append(out, m)
+		out[i] = &m
 	}
-	return out
+	return out, nil
 }

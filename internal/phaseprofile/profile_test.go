@@ -157,18 +157,6 @@ func TestFromTraceRejectsTimeGoingBack(t *testing.T) {
 	}
 }
 
-func TestPhaseKey(t *testing.T) {
-	a := &Phase{App: "w", Region: "r", Threads: 4, FreqMHz: 2400}
-	b := &Phase{App: "w", Region: "r", Threads: 4, FreqMHz: 2400}
-	c := &Phase{App: "w", Region: "r", Threads: 8, FreqMHz: 2400}
-	if a.Key() != b.Key() {
-		t.Fatal("identical phases must share a key")
-	}
-	if a.Key() == c.Key() {
-		t.Fatal("different thread counts must not share a key")
-	}
-}
-
 func TestCombineRuns(t *testing.T) {
 	cyc := pmu.MustByName("TOT_CYC").ID
 	msp := pmu.MustByName("BR_MSP").ID
@@ -186,7 +174,10 @@ func TestCombineRuns(t *testing.T) {
 		PowerW: 104, VoltageV: 1.00,
 		Rates: map[pmu.EventID]float64{cyc: 1.1e9, prf: 3e6},
 	}}
-	merged := CombineRuns(run1, run2)
+	merged, err := CombineRuns(run1, run2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged) != 1 {
 		t.Fatalf("got %d merged phases, want 1", len(merged))
 	}
@@ -207,18 +198,38 @@ func TestCombineRuns(t *testing.T) {
 	}
 }
 
-func TestCombineRunsKeepsDistinctKeys(t *testing.T) {
-	run := []*Phase{
-		{App: "w", Region: "r@4", Threads: 4, FreqMHz: 2400, StartNs: 0, EndNs: 1e9, PowerW: 100},
-		{App: "w", Region: "r@8", Threads: 8, FreqMHz: 2400, StartNs: 1e9, EndNs: 2e9, PowerW: 150},
+func TestCombineRunsMergesByPosition(t *testing.T) {
+	run := func(power float64) []*Phase {
+		return []*Phase{
+			{App: "w", Region: "r@8", Threads: 8, FreqMHz: 2400, StartNs: 0, EndNs: 1e9, PowerW: power},
+			{App: "w", Region: "r@4", Threads: 4, FreqMHz: 2400, StartNs: 1e9, EndNs: 2e9, PowerW: power + 50},
+		}
 	}
-	merged := CombineRuns(run)
-	if len(merged) != 2 {
-		t.Fatalf("distinct phases must not merge: got %d", len(merged))
+	merged, err := CombineRuns(run(100), run(110))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Deterministic order.
-	if merged[0].Region != "r@4" || merged[1].Region != "r@8" {
-		t.Fatalf("merge order not deterministic: %v %v", merged[0].Region, merged[1].Region)
+	// Phase i of each run merges into phase i, in recording order.
+	if len(merged) != 2 || merged[0].Region != "r@8" || merged[1].Region != "r@4" {
+		t.Fatalf("merged phases %v, want r@8 then r@4", merged)
+	}
+	if merged[0].PowerW != 105 || merged[1].PowerW != 155 {
+		t.Fatalf("merged power %v, %v, want 105, 155", merged[0].PowerW, merged[1].PowerW)
+	}
+
+	// Runs whose phases do not line up are refused.
+	mismatches := map[string]func(p []*Phase) []*Phase{
+		"count":   func(p []*Phase) []*Phase { return p[:1] },
+		"app":     func(p []*Phase) []*Phase { p[1].App = "v"; return p },
+		"region":  func(p []*Phase) []*Phase { p[1].Region = "r@2"; return p },
+		"threads": func(p []*Phase) []*Phase { p[1].Threads = 2; return p },
+		"freq":    func(p []*Phase) []*Phase { p[1].FreqMHz = 1200; return p },
+		"order":   func(p []*Phase) []*Phase { return []*Phase{p[1], p[0]} },
+	}
+	for name, mangle := range mismatches {
+		if _, err := CombineRuns(run(100), mangle(run(110))); err == nil {
+			t.Errorf("%s: runs that do not line up were merged", name)
+		}
 	}
 }
 

@@ -152,12 +152,12 @@ func TestVIFColumnsMatchesVIFP(t *testing.T) {
 		x.Set(i, 2, r.Norm())
 		x.Set(i, 3, r.Norm())
 	}
-	want, err := VIFColumns(columns(x), 1)
+	want, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 0} {
-		got, err := VIFColumns(columns(x), p)
+		got, err := VIFColumns(x.Columns(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func TestVIFSingleColumnNaNPropagation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		x.Set(i, 0, float64(i+1))
 	}
-	vs, err := VIFColumns(columns(x), 1)
+	vs, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestVIFScaleInvarianceProperty(t *testing.T) {
 			x.Set(i, 1, 0.7*a+r.Norm())
 			x.Set(i, 2, r.Norm())
 		}
-		v1, err := VIFColumns(columns(x), 1)
+		v1, err := VIFColumns(x.Columns(), 1)
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestVIFScaleInvarianceProperty(t *testing.T) {
 			scaled.Set(i, 0, scaled.At(i, 0)*1000)
 			scaled.Set(i, 2, scaled.At(i, 2)*1e-6)
 		}
-		v2, err := VIFColumns(columns(scaled), 1)
+		v2, err := VIFColumns(scaled.Columns(), 1)
 		if err != nil {
 			return false
 		}

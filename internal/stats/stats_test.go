@@ -11,15 +11,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// columns returns x as a column store, the input VIFColumns takes.
-func columns(x *mat.Matrix) [][]float64 {
-	cols := make([][]float64, x.Cols())
-	for j := range cols {
-		cols[j] = x.Col(j)
-	}
-	return cols
-}
-
 func TestMeanVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -274,7 +265,7 @@ func TestVIFOrthogonal(t *testing.T) {
 			x.Set(i, j, r.Norm())
 		}
 	}
-	vifs, err := VIFColumns(columns(x), 1)
+	vifs, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +288,7 @@ func TestVIFCollinear(t *testing.T) {
 		x.Set(i, 1, b)
 		x.Set(i, 2, a+b+r.NormScaled(0, 0.01))
 	}
-	vifs, err := VIFColumns(columns(x), 1)
+	vifs, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +309,7 @@ func TestVIFSingleColumnNaN(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		x.Set(i, 0, float64(i))
 	}
-	vifs, err := VIFColumns(columns(x), 1)
+	vifs, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +366,11 @@ func TestVIFParallelEquivalence(t *testing.T) {
 		}
 		x.Set(i, 5, a+r.NormScaled(0, 0.05))
 	}
-	serial, err := VIFColumns(columns(x), 1)
+	serial, err := VIFColumns(x.Columns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := VIFColumns(columns(x), 4)
+	par, err := VIFColumns(x.Columns(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,11 +80,7 @@ func VIFColumns(cols [][]float64, parallelism int) ([]float64, error) {
 // regressions fanned out as in VIFColumns. The NaN produced for a
 // single-column input propagates; an Inf VIF yields +Inf.
 func MeanVIF(x *mat.Matrix, parallelism int) (float64, error) {
-	cols := make([][]float64, x.Cols())
-	for j := range cols {
-		cols[j] = x.Col(j)
-	}
-	vs, err := VIFColumns(cols, parallelism)
+	vs, err := VIFColumns(x.Columns(), parallelism)
 	if err != nil {
 		return 0, err
 	}
