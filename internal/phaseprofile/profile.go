@@ -226,6 +226,33 @@ func NewBuilder(defs *trace.Definitions, app string) *Builder {
 	return b
 }
 
+// Reset starts a new run whose events reference defs, for app, as
+// NewBuilder does, and reports whether the Targets resolved so far stay
+// valid. They do when defs names the same metrics as the previous
+// run's table, in the same order: the Builder keeps its metric classes
+// and cells, zeroed, so a recorder whose runs define the same metrics
+// and locations resolves their Targets once, not once per run.
+// Otherwise the Builder starts from nothing and Targets must be
+// resolved again. The previous run's phases stay with their caller.
+func (b *Builder) Reset(defs *trace.Definitions, app string) bool {
+	same := len(defs.Metrics) == len(b.defs.Metrics)
+	for i := 0; same && i < len(defs.Metrics); i++ {
+		same = defs.Metrics[i].Name == b.defs.Metrics[i].Name
+	}
+	if !same {
+		*b = *NewBuilder(defs, app)
+		return false
+	}
+	b.defs, b.app = *defs, app
+	clear(b.powerA)
+	for i := range b.cells {
+		b.cells[i].agg = agg{}
+	}
+	b.powered, b.touched, b.nextCell = b.powered[:0], b.touched[:0], 0
+	b.phases, b.current, b.lastNs = nil, nil, 0
+	return true
+}
+
 // Event folds the next event of the run. It applies the same checks
 // as trace.Writer.WriteEvent, with the same errors, before the phase
 // structure's own.

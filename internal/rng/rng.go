@@ -49,9 +49,12 @@ func Stream(seed uint64, i uint64) *Rand {
 	return New(seed ^ mix64(i+0x9e3779b97f4a7c15))
 }
 
+// golden is splitmix64's increment: each draw adds it to the state.
+const golden = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	return mix64(r.state)
 }
 
@@ -112,8 +115,8 @@ func (r *Rand) Jitter(rel float64) float64 {
 
 // JitterInto sets dst to the values len(dst) successive Jitter(rel)
 // calls would return, in order, and leaves r where those calls would.
-// It draws the normals in blocks (normBlock), which on amd64 transforms
-// two at a time with the same bits.
+// It draws the normals in blocks (normBlock), which on amd64 with AVX2
+// draws and transforms four at a time with the same bits.
 func (r *Rand) JitterInto(dst []float64, rel float64) {
 	if rel == 0 {
 		for i := range dst {
@@ -139,29 +142,26 @@ func jitter(n, rel float64) float64 {
 	return 1 + j
 }
 
-// blockLen is how many normals normBlock transforms per boxMuller
-// call. Its u2 buffer sits on the stack and is zeroed on every call,
-// so a longer one slows the plugins' short blocks.
-const blockLen = 64
-
 // normBlock sets dst to the values len(dst) successive Norm calls
-// would return. It draws the same uniforms in the same order, the
-// u1 == 0 redraw included, blockLen pairs at a time: each u1 into dst,
-// which boxMuller then transforms in place.
+// would return and leaves r where they would. With the AVX2 kernel
+// (haveNormKernel) it hands the state to normPairs, which draws and
+// transforms four pairs at a time; a pair whose u1 is 0 is drawn by
+// Norm, which draws that u1 again. Without it, it calls Norm.
 func (r *Rand) normBlock(dst []float64) {
-	var u2 [blockLen]float64
-	for len(dst) > 0 {
-		n := min(len(dst), blockLen)
-		for i := 0; i < n; i++ {
-			u := r.Float64()
-			for u == 0 {
-				u = r.Float64()
-			}
-			dst[i] = u
-			u2[i] = r.Float64()
+	if !haveNormKernel {
+		for i := range dst {
+			dst[i] = r.Norm()
 		}
-		boxMuller(dst[:n], u2[:n])
-		dst = dst[n:]
+		return
+	}
+	for {
+		n := normPairs(dst, r.state)
+		r.state += uint64(2*n) * golden
+		if n == len(dst) {
+			return
+		}
+		dst[n] = r.Norm()
+		dst = dst[n+1:]
 	}
 }
 
