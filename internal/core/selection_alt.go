@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"pmcpower/internal/acquisition"
+	"pmcpower/internal/mat"
 	"pmcpower/internal/pmu"
 	"pmcpower/internal/stats"
 )
@@ -107,17 +108,39 @@ func selectWithStrategy(rows []*acquisition.Row, strategy Strategy, count, paral
 // Equation-1 design matrix is full rank, in candidate order. Needed
 // because many PAPI presets are exact linear combinations of others
 // (L1_TCM = L1_DCM + L1_ICM, …), which would make the all-counter
-// design singular.
+// design singular. A candidate is kept when Train would fit it with
+// the events kept before it: the design [1, kept…, candidate, V²f, V]
+// has more rows than columns and is full rank at Train's tolerance.
+// [1, kept…] is factored once; each candidate's three columns are
+// appended to it, tested and dropped again. Householder QR factors a
+// column from the columns before it alone, so every test sees the
+// factorization Train's fit of the same design computes, bit for bit.
 func independentSubset(rows []*acquisition.Row, candidates []pmu.EventID) []pmu.EventID {
+	x, _, err := DesignMatrix(rows, candidates)
+	if err != nil {
+		return nil
+	}
+	cols := x.Columns() // each candidate's E_n·V²f, then V²f and V
+	v2f, v := cols[len(candidates)], cols[len(candidates)+1]
+	n := len(rows)
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	qr := mat.NewUpdQR(n, min(n, len(candidates)+3))
+	qr.AppendCol(ones)
 	var kept []pmu.EventID
-	for _, cand := range candidates {
-		trial := append(append([]pmu.EventID(nil), kept...), cand)
-		if len(trial)+3 > len(rows) {
-			break // keep the design comfortably overdetermined
+	for j, cand := range candidates {
+		if len(kept)+4 >= n {
+			break // Train needs more rows than coefficients
 		}
-		if _, err := Train(rows, trial, TrainOptions{}); err == nil {
+		qr.AppendCol(cols[j])
+		qr.AppendCol(v2f)
+		qr.AppendCol(v)
+		if qr.IsFullRank(1e-12) {
 			kept = append(kept, cand)
 		}
+		qr.Truncate(1 + len(kept))
 	}
 	return kept
 }
@@ -193,18 +216,16 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 	}
 	n, p := x.Rows(), x.Cols()
 
-	// Standardize all columns; center the target.
-	mu := make([]float64, p)
-	sd := make([]float64, p)
-	for j := 0; j < p; j++ {
-		col := x.Col(j)
-		mu[j] = stats.Mean(col)
-		sd[j] = stats.StdDev(col)
-		if sd[j] == 0 {
-			sd[j] = 1
+	// Standardize all columns, each a slice of its own; center the
+	// target.
+	cols := x.Columns()
+	for _, col := range cols {
+		mu, sd := stats.Mean(col), stats.StdDev(col)
+		if sd == 0 {
+			sd = 1
 		}
-		for i := 0; i < n; i++ {
-			x.Set(i, j, (x.At(i, j)-mu[j])/sd[j])
+		for i, v := range col {
+			col[i] = (v - mu) / sd
 		}
 	}
 	ybar := stats.Mean(y)
@@ -224,8 +245,8 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 			continue
 		}
 		var dot float64
-		for i := 0; i < n; i++ {
-			dot += x.At(i, j) * resid[i]
+		for i, v := range cols[j] {
+			dot += v * resid[i]
 		}
 		if a := math.Abs(dot) / float64(n); a > lambdaMax {
 			lambdaMax = a
@@ -243,10 +264,10 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 		// Cyclic coordinate descent at this λ.
 		for sweep := 0; sweep < 300; sweep++ {
 			maxDelta := 0.0
-			for j := 0; j < p; j++ {
+			for j, col := range cols {
 				var dot float64
-				for i := 0; i < n; i++ {
-					dot += x.At(i, j) * resid[i]
+				for i, v := range col {
+					dot += v * resid[i]
 				}
 				// Columns are standardized: Σx² = n−1 ≈ n.
 				z := dot/float64(n) + beta[j]
@@ -257,8 +278,8 @@ func lassoPath(rows []*acquisition.Row, count int, candidates []pmu.EventID) ([]
 					newB = z
 				}
 				if d := newB - beta[j]; d != 0 {
-					for i := 0; i < n; i++ {
-						resid[i] -= d * x.At(i, j)
+					for i, v := range col {
+						resid[i] -= d * v
 					}
 					beta[j] = newB
 					if a := math.Abs(d); a > maxDelta {

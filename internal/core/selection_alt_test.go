@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -207,6 +208,58 @@ func TestBackwardEliminationIndependent(t *testing.T) {
 	}
 }
 
+// TestIndependentSubsetMatchesTrain: independentSubset keeps exactly
+// the candidates that a Train of the events kept before them and the
+// candidate fits, in order. It runs on the selection campaign, where
+// read-out noise breaks every exact preset sum; on a copy in which
+// L1_TCM is exactly L1_DCM + L1_ICM and BR_INS never fires, so two
+// presets must go; and on twelve rows, where Train's rows-over-columns
+// bound ends the scan.
+func TestIndependentSubsetMatchesTrain(t *testing.T) {
+	sel, _ := fixtures(t)
+	byTrain := func(rows []*acquisition.Row, candidates []pmu.EventID) []pmu.EventID {
+		var kept []pmu.EventID
+		for _, cand := range candidates {
+			trial := append(slices.Clone(kept), cand)
+			if len(trial)+3 > len(rows) {
+				break
+			}
+			if _, err := Train(rows, trial, TrainOptions{}); err == nil {
+				kept = append(kept, cand)
+			}
+		}
+		return kept
+	}
+	tcm, dcm, icm := pmu.MustByName("L1_TCM").ID, pmu.MustByName("L1_DCM").ID, pmu.MustByName("L1_ICM").ID
+	brIns := pmu.MustByName("BR_INS").ID
+	exact := make([]*acquisition.Row, len(sel.Rows))
+	for i, r := range sel.Rows {
+		c := *r
+		c.Rates = maps.Clone(r.Rates)
+		c.Rates[tcm] = c.Rates[dcm] + c.Rates[icm]
+		c.Rates[brIns] = 0
+		exact[i] = &c
+	}
+	candidates := pmu.AllIDs()
+	for _, c := range []struct {
+		name string
+		rows []*acquisition.Row
+		kept int
+	}{
+		{"selection campaign", sel.Rows, len(candidates)},
+		{"exact sum and a silent counter", exact, len(candidates) - 2},
+		{"twelve rows", sel.Rows[:12], 12 - 4},
+	} {
+		got, want := independentSubset(c.rows, candidates), byTrain(c.rows, candidates)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: independentSubset keeps %v, Train keeps %v", c.name, pmu.ShortNames(got), pmu.ShortNames(want))
+		}
+		if len(got) != c.kept {
+			t.Errorf("%s: %d candidates kept, want %d", c.name, len(got), c.kept)
+		}
+	}
+}
+
 func TestLassoDeterministic(t *testing.T) {
 	sel, _ := fixtures(t)
 	a, err := selectWithStrategy(sel.Rows, StrategyLasso, 6, 0)
@@ -260,5 +313,22 @@ func TestSoftThreshold(t *testing.T) {
 	}
 	if softThreshold(1, 2) != 0 {
 		t.Fatal("inside threshold must be zero")
+	}
+}
+
+// BenchmarkSelectWithStrategy times the two sequential strategies on
+// the selection campaign (seed 42, the 54 presets at 2400 MHz, serial):
+// backward elimination, whose first step is independentSubset, and the
+// LASSO path.
+func BenchmarkSelectWithStrategy(b *testing.B) {
+	sel, _ := fixtures(b)
+	for _, s := range []Strategy{StrategyBackward, StrategyLasso} {
+		b.Run(s.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := selectWithStrategy(sel.Rows, s, 6, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

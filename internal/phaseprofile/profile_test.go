@@ -3,6 +3,7 @@ package phaseprofile
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -371,6 +372,114 @@ func TestAddStridedMatchesAdds(t *testing.T) {
 				math.Float64bits(got.Rates[pmu.MustByName("TOT_CYC").ID]) != math.Float64bits(want.Rates[pmu.MustByName("TOT_CYC").ID]) ||
 				got.Threads != want.Threads || got.FreqMHz != want.FreqMHz {
 				t.Errorf("stride %d from %d: AddStrided gives %+v, single adds %+v", stride, off, got, want)
+			}
+		}
+	}
+}
+
+// TestBuilderResetKeepsTargets: Reset keeps a Builder's Targets for a
+// run that names the same metrics, in the same order, and starts from
+// nothing for one that does not. Either way the run's phases have the
+// bits a fresh Builder gives, and nothing an earlier run left behind,
+// an aborted one included, leaks into them.
+func TestBuilderResetKeepsTargets(t *testing.T) {
+	same := func(a, b *Phase) bool {
+		bits := math.Float64bits
+		if a.App != b.App || a.Region != b.Region || a.Threads != b.Threads || a.FreqMHz != b.FreqMHz ||
+			a.StartNs != b.StartNs || a.EndNs != b.EndNs || bits(a.PowerW) != bits(b.PowerW) ||
+			bits(a.VoltageV) != bits(b.VoltageV) || len(a.Rates) != len(b.Rates) {
+			return false
+		}
+		for id, r := range a.Rates {
+			if rb, ok := b.Rates[id]; !ok || bits(r) != bits(rb) {
+				return false
+			}
+		}
+		return true
+	}
+	events := func(archive []byte) (*trace.Definitions, []trace.Event) {
+		tr, err := trace.NewReader(bytes.NewReader(archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []trace.Event
+		for {
+			ev, err := tr.Next()
+			if err == io.EOF {
+				return tr.Definitions(), evs
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	recorder := [][]byte{
+		recorderArchive(t, 9, []trace.Ref{1, 2, 3, 4}, 10),
+		recorderArchive(t, 9, []trace.Ref{8, 7}, 3),
+		recorderArchive(t, 12, []trace.Ref{5, 11, 1}, 7),
+	}
+	other := buildTrace(t).Bytes()
+	var b *Builder
+	var vlt Target
+	for i, c := range []struct {
+		archive []byte
+		abort   bool // stop halfway, inside a phase
+		kept    bool // Reset keeps the Targets
+	}{
+		{recorder[0], false, false},
+		{recorder[1], false, true},
+		{recorder[2], true, true},
+		{recorder[2], false, true},
+		{other, false, false},
+		{recorder[0], false, false},
+		{recorder[1], false, true},
+	} {
+		defs, evs := events(c.archive)
+		if b == nil {
+			b = NewBuilder(defs, "app")
+		} else if kept := b.Reset(defs, "app"); kept != c.kept {
+			t.Fatalf("run %d: Reset kept Targets %v, want %v", i, kept, c.kept)
+		}
+		if defs.Metrics[4].Name == MetricVoltage {
+			// Every recorder archive defines location 1 and voltage as
+			// metric 4.
+			tg, err := b.Resolve(4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.kept && tg != vlt {
+				t.Fatalf("run %d: Reset kept Targets, but voltage at location 1 resolves to %+v, not %+v", i, tg, vlt)
+			}
+			vlt = tg
+		}
+		if c.abort {
+			// Halfway is the end of the second of four phases: the run
+			// stops a few samples into the third.
+			evs = evs[:len(evs)/2+8]
+		}
+		for _, ev := range evs {
+			if err := b.Event(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.abort {
+			continue
+		}
+		got, err := b.Phases()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FromTrace(bytes.NewReader(c.archive), "app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d phases, want %d", i, len(got), len(want))
+		}
+		for p := range got {
+			if !same(got[p], want[p]) {
+				t.Fatalf("run %d, phase %d: %+v, want %+v", i, p, got[p], want[p])
 			}
 		}
 	}
