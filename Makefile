@@ -44,10 +44,11 @@ bench-rls:
 		-bench 'BenchmarkRowQRAppendRow|BenchmarkStreamSessionPushLabeledRefit$$' \
 		./internal/mat ./internal/core
 
-# The campaign's read-out noise: one scalar normal draw, blocks of 128
-# and 2000 jitters (ns/draw), then the serial two-frequency campaign
-# that draws them and the serial pipeline (both campaigns, selection,
-# training and CV) around it.
+# The campaign's read-out noise: one scalar normal draw and blocks of
+# jitters at the lengths the campaign draws, 24, 25, 480 and 2000
+# (ns/draw; each name says which path ran, avx2 or go), then the
+# serial two-frequency campaign that draws them and the serial pipeline
+# (both campaigns, selection, training and CV) around it.
 bench-noise:
 	$(GO) test -run XXX -cpu 1 -bench 'BenchmarkNorm$$|BenchmarkJitterInto' ./internal/rng
 	$(GO) test -run XXX -cpu 1 -benchmem -benchtime=10x -bench 'BenchmarkCampaignSerial$$|BenchmarkPipelineSerial$$' .
