@@ -253,23 +253,33 @@ type scratch struct {
 }
 
 // setRun is what every run of one event set shares on a campaign
-// worker: the plugins and their metrics, and a profile builder with
+// worker: the plugins, the definition table and a profile builder with
 // each plugin's (metric, location) targets resolved. Every run of an
-// event set defines the same metrics and locations in the same order,
-// so the next run resets the builder and keeps the targets; only its
-// app and regions differ. The plugins are built from the campaign's
-// model, sensors and rate, which a worker's runs share.
+// event set defines the same locations and metrics in the same order,
+// so the table keeps them and each run redefines only its regions; the
+// next run resets the builder and keeps the targets. The plugins are
+// built from the campaign's model, sensors and rate, and the locations
+// from its platform, which a worker's runs share.
 type setRun struct {
 	plugins [3]metricplugin.Plugin
-	specs   [3][]metricplugin.MetricSpec
-	b       *phaseprofile.Builder
-	runs    [3]runFold
+	defs    trace.Definitions
+	// loc is the recorder's node location and coreLocs each hardware
+	// core's; thrRef and freqRef are its sync metrics and refs[pi]
+	// plugin pi's metrics, by index.
+	loc             trace.Ref
+	coreLocs        []trace.Ref
+	thrRef, freqRef trace.Ref
+	refs            [3][]trace.Ref
+	b               *phaseprofile.Builder
+	runs            [3]runFold
 }
 
 // newSetRun builds the plugins of the event set set's runs: power,
 // voltage, then the PMC sampler, in the order lb.plugins names their
-// noise streams.
-func newSetRun(o *Options, sensors []*power.Sensor, rateHz float64, set *pmu.EventSet) (*setRun, error) {
+// noise streams. It defines the runs' locations, a node location then
+// one per hardware core, and their metrics: the recorder's sync
+// annotations first, then each plugin's metrics.
+func newSetRun(o *Options, sensors []*power.Sensor, rateHz float64, set *pmu.EventSet, lb *labels) (*setRun, error) {
 	apapi, err := metricplugin.NewApapiPlugin(set)
 	if err != nil {
 		return nil, err
@@ -279,8 +289,19 @@ func newSetRun(o *Options, sensors []*power.Sensor, rateHz float64, set *pmu.Eve
 		return nil, err
 	}
 	sr := &setRun{plugins: [...]metricplugin.Plugin{powerPl, &metricplugin.VoltagePlugin{}, apapi}}
+	// The voltage reader and the PMC sampler are per-core instruments;
+	// their streams are attributed to core locations and re-aggregated
+	// during post-processing.
+	sr.loc = sr.defs.AddLocation("master thread")
+	for _, name := range lb.cores {
+		sr.coreLocs = append(sr.coreLocs, sr.defs.AddLocation(name))
+	}
+	sr.thrRef = sr.defs.AddMetric(phaseprofile.MetricThreads, "threads", trace.MetricSync)
+	sr.freqRef = sr.defs.AddMetric(phaseprofile.MetricFreq, "MHz", trace.MetricSync)
 	for pi, pl := range sr.plugins {
-		sr.specs[pi] = pl.Metrics()
+		for _, spec := range pl.Metrics() {
+			sr.refs[pi] = append(sr.refs[pi], sr.defs.AddMetric(spec.Name, spec.Unit, spec.Mode))
+		}
 	}
 	return sr, nil
 }
@@ -334,22 +355,18 @@ const sampleRateHz = 20
 func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*power.Sensor, lb *labels,
 	wl *workloads.Workload, freqMHz int, set *pmu.EventSet, seed *rng.Rand, sc *scratch) ([]*phaseprofile.Phase, error) {
 
-	sc.archive.Reset()
-	tw := trace.NewWriter(&sc.archive)
-	loc, err := tw.DefineLocation("master thread")
-	if err != nil {
-		return nil, err
-	}
-	// One location per hardware core: the voltage reader and the PMC
-	// sampler are per-core instruments; their streams are attributed
-	// to core locations and re-aggregated during post-processing.
-	coreLocs := make([]trace.Ref, exec.Platform().TotalCores())
-	for c := range coreLocs {
-		coreLocs[c], err = tw.DefineLocation(lb.cores[c])
-		if err != nil {
+	sr := sc.sets[set]
+	if sr == nil {
+		var err error
+		if sr, err = newSetRun(o, sensors, rateHz, set, lb); err != nil {
 			return nil, err
 		}
+		if sc.sets == nil {
+			sc.sets = make(map[*pmu.EventSet]*setRun)
+		}
+		sc.sets[set] = sr
 	}
+	loc, coreLocs := sr.loc, sr.coreLocs
 
 	// Region per (phase, thread count).
 	type step struct {
@@ -373,73 +390,45 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 		}
 	}
 
+	defs := &sr.defs
+	defs.Regions = defs.Regions[:0]
 	var steps []step
 	for _, n := range sweep {
 		for pi, ph := range wl.Phases {
-			reg, err := tw.DefineRegion(fmt.Sprintf("%s@%d", ph.Name, n))
-			if err != nil {
-				return nil, err
-			}
+			reg := defs.AddRegion(fmt.Sprintf("%s@%d", ph.Name, n))
 			steps = append(steps, step{phaseIdx: pi, threads: n, region: reg})
 		}
 	}
 
-	// Metric definitions: recorder-provided sync annotations first,
-	// then one metric per plugin-provided metric.
-	thrRef, err := tw.DefineMetric(phaseprofile.MetricThreads, "threads", trace.MetricSync)
-	if err != nil {
-		return nil, err
-	}
-	freqRef, err := tw.DefineMetric(phaseprofile.MetricFreq, "MHz", trace.MetricSync)
-	if err != nil {
-		return nil, err
-	}
-
-	sr := sc.sets[set]
-	if sr == nil {
-		if sr, err = newSetRun(o, sensors, rateHz, set); err != nil {
-			return nil, err
-		}
-		if sc.sets == nil {
-			sc.sets = make(map[*pmu.EventSet]*setRun)
-		}
-		sc.sets[set] = sr
-	}
-	var refs [len(sr.plugins)][]trace.Ref
-	for pi, specs := range sr.specs {
-		for _, spec := range specs {
-			ref, err := tw.DefineMetric(spec.Name, spec.Unit, spec.Mode)
-			if err != nil {
-				return nil, err
-			}
-			refs[pi] = append(refs[pi], ref)
-		}
-	}
-
-	// The recorder's own events go to the profile builder, and to the
-	// archive when a sink wants one. Both check them the same way.
-	// Plugin blocks fold through each plugin's runFold. The event set's
-	// previous run on this worker defined the same metrics, and the
-	// platform's locations, in the same order, so Reset keeps the
-	// targets it resolved.
+	// The recorder's own events go to the profile builder, and to an
+	// archive encoded from the run's definitions when a sink wants one.
+	// Both check them the same way. Plugin blocks fold through each
+	// plugin's runFold. The event set's previous run on this worker
+	// defined the same metrics, and the platform's locations, in the
+	// same order, so Reset keeps the targets it resolved.
 	resolved := false
 	if sr.b == nil {
-		sr.b = phaseprofile.NewBuilder(tw.Definitions(), wl.Name)
+		sr.b = phaseprofile.NewBuilder(defs, wl.Name)
 	} else {
-		resolved = sr.b.Reset(tw.Definitions(), wl.Name)
+		resolved = sr.b.Reset(defs, wl.Name)
 	}
 	b, runs := sr.b, sr.runs[:]
 	for pi := 0; !resolved && pi < len(runs); pi++ {
-		if runs[pi], err = newRunFold(b, sr.plugins[pi], refs[pi], loc, coreLocs); err != nil {
+		var err error
+		if runs[pi], err = newRunFold(b, sr.plugins[pi], sr.refs[pi], loc, coreLocs); err != nil {
 			return nil, err
 		}
 	}
-	sink := o.TraceSink != nil
+	var tw *trace.Writer
+	if o.TraceSink != nil {
+		sc.archive.Reset()
+		tw = trace.NewWriter(&sc.archive, defs)
+	}
 	emit := func(ev trace.Event) error {
 		if err := b.Event(ev); err != nil {
 			return err
 		}
-		if sink {
+		if tw != nil {
 			return tw.WriteEvent(ev)
 		}
 		return nil
@@ -466,10 +455,10 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 		if err := emit(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: start, Region: st.region}); err != nil {
 			return nil, err
 		}
-		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: thrRef, Value: float64(st.threads)}); err != nil {
+		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: sr.thrRef, Value: float64(st.threads)}); err != nil {
 			return nil, err
 		}
-		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: freqRef, Value: float64(freqMHz)}); err != nil {
+		if err := emit(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: start, Metric: sr.freqRef, Value: float64(freqMHz)}); err != nil {
 			return nil, err
 		}
 
@@ -498,7 +487,7 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 		}
 		sc.values = values
 
-		if sink {
+		if tw != nil {
 			if err := writeStep(tw, runs, values, iv, loc, coreLocs); err != nil {
 				return nil, err
 			}
@@ -508,7 +497,7 @@ func recordRun(o *Options, rateHz float64, exec *cpusim.Executor, sensors []*pow
 		}
 		now = end
 	}
-	if sink {
+	if tw != nil {
 		if err := tw.Close(); err != nil {
 			return nil, err
 		}

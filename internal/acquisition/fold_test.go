@@ -43,6 +43,7 @@ func (p *blockPlugin) Sample(dst []float64, _ *metricplugin.Interval) ([]float64
 // metrics, each with a block for the step.
 type foldFixture struct {
 	archive      bytes.Buffer
+	defs         trace.Definitions
 	tw           *trace.Writer
 	node, region trace.Ref
 	cores        []trace.Ref
@@ -53,19 +54,12 @@ type foldFixture struct {
 func newFoldFixture(t *testing.T) *foldFixture {
 	t.Helper()
 	f := &foldFixture{}
-	f.tw = trace.NewWriter(&f.archive)
-	must := func(ref trace.Ref, err error) trace.Ref {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ref
-	}
-	f.node = must(f.tw.DefineLocation("master thread"))
+	f.tw = trace.NewWriter(&f.archive, &f.defs)
+	f.node = f.defs.AddLocation("master thread")
 	for _, name := range []string{"core 0", "core 1", "core 2"} {
-		f.cores = append(f.cores, must(f.tw.DefineLocation(name)))
+		f.cores = append(f.cores, f.defs.AddLocation(name))
 	}
-	f.region = must(f.tw.DefineRegion("phase@2"))
+	f.region = f.defs.AddRegion("phase@2")
 	f.iv = metricplugin.Interval{StartNs: 1000, EndNs: 2000, Ticks: []uint64{1000, 1500, 2000}, Cores: []int{2, 0, 1}}
 	// Values whose float sums depend on the order they are added in,
 	// ordered by tick, then metric, then location. TOT_CYC's per-core
@@ -100,15 +94,11 @@ func (f *foldFixture) enter(t *testing.T, plugins ...*blockPlugin) (*phaseprofil
 	for _, pl := range plugins {
 		var r []trace.Ref
 		for _, m := range pl.metrics {
-			ref, err := f.tw.DefineMetric(m.Name, m.Unit, m.Mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r = append(r, ref)
+			r = append(r, f.defs.AddMetric(m.Name, m.Unit, m.Mode))
 		}
 		refs = append(refs, r)
 	}
-	b := phaseprofile.NewBuilder(f.tw.Definitions(), "app")
+	b := phaseprofile.NewBuilder(&f.defs, "app")
 	var runs []runFold
 	for i, pl := range plugins {
 		run, err := newRunFold(b, pl, refs[i], f.node, f.cores)
@@ -174,7 +164,7 @@ func TestRunFoldMatchesMergedEvents(t *testing.T) {
 			}
 		}
 	}
-	merged := phaseprofile.NewBuilder(f.tw.Definitions(), "app")
+	merged := phaseprofile.NewBuilder(&f.defs, "app")
 	if err := merged.Event(trace.Event{Kind: trace.KindEnter, Location: f.node, TimeNs: f.iv.StartNs, Region: f.region}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,24 +20,23 @@ import (
 func recorderArchive(t *testing.T, nLoc int, sampled []trace.Ref, samplesPerPhase int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
 	for i := 0; i < nLoc; i++ {
-		if _, err := w.DefineLocation(""); err != nil {
-			t.Fatal(err)
-		}
+		defs.AddLocation("")
 	}
 	var regions []trace.Ref
 	for p := 0; p < 4; p++ {
-		r, _ := w.DefineRegion(fmt.Sprintf("phase%d@%d", p, len(sampled)))
+		r := defs.AddRegion(fmt.Sprintf("phase%d@%d", p, len(sampled)))
 		regions = append(regions, r)
 	}
-	thr, _ := w.DefineMetric(MetricThreads, "threads", trace.MetricSync)
-	frq, _ := w.DefineMetric(MetricFreq, "MHz", trace.MetricSync)
-	pow0, _ := w.DefineMetric("socket0_power", "W", trace.MetricAsync)
-	pow1, _ := w.DefineMetric("socket1_power", "W", trace.MetricAsync)
-	vlt, _ := w.DefineMetric(MetricVoltage, "V", trace.MetricAsync)
-	cyc, _ := w.DefineMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
-	ins, _ := w.DefineMetric("PAPI_TOT_INS", "events/s", trace.MetricAsync)
+	thr := defs.AddMetric(MetricThreads, "threads", trace.MetricSync)
+	frq := defs.AddMetric(MetricFreq, "MHz", trace.MetricSync)
+	pow0 := defs.AddMetric("socket0_power", "W", trace.MetricAsync)
+	pow1 := defs.AddMetric("socket1_power", "W", trace.MetricAsync)
+	vlt := defs.AddMetric(MetricVoltage, "V", trace.MetricAsync)
+	cyc := defs.AddMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
+	ins := defs.AddMetric("PAPI_TOT_INS", "events/s", trace.MetricAsync)
 
 	ev := func(e trace.Event) {
 		if err := w.WriteEvent(e); err != nil {
@@ -136,22 +135,23 @@ func TestFromTraceBoundedByDeclaredLocations(t *testing.T) {
 // aggregate would show too.
 func TestFromTraceFoldsInRefOrder(t *testing.T) {
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	master, _ := w.DefineLocation("master")
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
+	master := defs.AddLocation("master")
 	cores := make([]trace.Ref, 3)
 	for i := range cores {
-		cores[i], _ = w.DefineLocation(fmt.Sprintf("core %d", i))
+		cores[i] = defs.AddLocation(fmt.Sprintf("core %d", i))
 	}
-	reg1, _ := w.DefineRegion("first")
-	reg2, _ := w.DefineRegion("second")
+	reg1 := defs.AddRegion("first")
+	reg2 := defs.AddRegion("second")
 	var pow []trace.Ref
 	for i := 0; i < 3; i++ {
-		m, _ := w.DefineMetric(fmt.Sprintf("socket%d_power", i), "W", trace.MetricAsync)
+		m := defs.AddMetric(fmt.Sprintf("socket%d_power", i), "W", trace.MetricAsync)
 		pow = append(pow, m)
 	}
-	vlt, _ := w.DefineMetric(MetricVoltage, "V", trace.MetricAsync)
-	cyc, _ := w.DefineMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
-	ins, _ := w.DefineMetric("PAPI_TOT_INS", "events/s", trace.MetricAsync)
+	vlt := defs.AddMetric(MetricVoltage, "V", trace.MetricAsync)
+	cyc := defs.AddMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
+	ins := defs.AddMetric("PAPI_TOT_INS", "events/s", trace.MetricAsync)
 	now := uint64(0)
 	ev := func(e trace.Event) {
 		t.Helper()
@@ -261,16 +261,17 @@ func hostileShapes(t testing.TB, n int) map[string][2][]byte {
 	// one power sample each.
 	build := func(nPower int, manyLocations bool) []byte {
 		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
+		var defs trace.Definitions
+		w := trace.NewWriter(&buf, &defs)
 		for i := 0; i <= n; i++ {
-			w.DefineLocation("")
+			defs.AddLocation("")
 		}
-		reg, _ := w.DefineRegion("p")
+		reg := defs.AddRegion("p")
 		pow := make([]trace.Ref, nPower)
 		for i := range pow {
-			pow[i], _ = w.DefineMetric(fmt.Sprintf("socket%d_power", i), "W", trace.MetricAsync)
+			pow[i] = defs.AddMetric(fmt.Sprintf("socket%d_power", i), "W", trace.MetricAsync)
 		}
-		vlt, _ := w.DefineMetric(MetricVoltage, "V", trace.MetricAsync)
+		vlt := defs.AddMetric(MetricVoltage, "V", trace.MetricAsync)
 		now := uint64(1)
 		for p := 0; p <= n; p++ {
 			mustWrite(t, w, trace.Event{Kind: trace.KindEnter, TimeNs: now, Region: reg})
@@ -335,15 +336,16 @@ func TestFromTraceWorkBoundedBySamples(t *testing.T) {
 func TestFromTraceMemoryBoundedBySamples(t *testing.T) {
 	const nLoc = 1 << 14
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
 	for i := 0; i < nLoc; i++ {
-		w.DefineLocation("")
+		defs.AddLocation("")
 	}
-	reg, _ := w.DefineRegion("p")
-	pow, _ := w.DefineMetric("socket0_power", "W", trace.MetricAsync)
+	reg := defs.AddRegion("p")
+	pow := defs.AddMetric("socket0_power", "W", trace.MetricAsync)
 	var events []trace.Ref
 	for _, id := range pmu.AllIDs() {
-		m, _ := w.DefineMetric(pmu.Lookup(id).Name, "events/s", trace.MetricAsync)
+		m := defs.AddMetric(pmu.Lookup(id).Name, "events/s", trace.MetricAsync)
 		events = append(events, m)
 	}
 	mustWrite(t, w, trace.Event{Kind: trace.KindEnter, TimeNs: 1, Region: reg})

@@ -100,15 +100,16 @@ func writeScript(data []byte) ([]byte, *trace.Definitions, []trace.Event) {
 		return b
 	}
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
 	for n := 1 + int(next()%4); n > 0; n-- {
-		w.DefineLocation("")
+		defs.AddLocation("")
 	}
 	for n := 1 + int(next()%4); n > 0; n-- {
-		w.DefineRegion(fmt.Sprintf("r%d", n))
+		defs.AddRegion(fmt.Sprintf("r%d", n))
 	}
 	for n := int(next() % 8); n > 0; n-- {
-		w.DefineMetric(scriptMetrics[int(next())%len(scriptMetrics)], "", trace.MetricAsync)
+		defs.AddMetric(scriptMetrics[int(next())%len(scriptMetrics)], "", trace.MetricAsync)
 	}
 	var events []trace.Event
 	var now uint64
@@ -135,7 +136,7 @@ func writeScript(data []byte) ([]byte, *trace.Definitions, []trace.Event) {
 	if err := w.Close(); err != nil {
 		panic(err) // a bytes.Buffer does not fail
 	}
-	return buf.Bytes(), w.Definitions(), events
+	return buf.Bytes(), &defs, events
 }
 
 // samePhase compares phases with every float by bit pattern.

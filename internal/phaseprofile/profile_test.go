@@ -17,16 +17,17 @@ import (
 func buildTrace(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	loc, _ := w.DefineLocation("master")
-	regA, _ := w.DefineRegion("phaseA@4")
-	regB, _ := w.DefineRegion("phaseB@8")
-	thr, _ := w.DefineMetric(MetricThreads, "threads", trace.MetricSync)
-	frq, _ := w.DefineMetric(MetricFreq, "MHz", trace.MetricSync)
-	pow, _ := w.DefineMetric(MetricPower, "W", trace.MetricAsync)
-	vlt, _ := w.DefineMetric(MetricVoltage, "V", trace.MetricAsync)
-	pmc, _ := w.DefineMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
-	other, _ := w.DefineMetric("unrelated_metric", "?", trace.MetricAsync)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
+	loc := defs.AddLocation("master")
+	regA := defs.AddRegion("phaseA@4")
+	regB := defs.AddRegion("phaseB@8")
+	thr := defs.AddMetric(MetricThreads, "threads", trace.MetricSync)
+	frq := defs.AddMetric(MetricFreq, "MHz", trace.MetricSync)
+	pow := defs.AddMetric(MetricPower, "W", trace.MetricAsync)
+	vlt := defs.AddMetric(MetricVoltage, "V", trace.MetricAsync)
+	pmc := defs.AddMetric("PAPI_TOT_CYC", "events/s", trace.MetricAsync)
+	other := defs.AddMetric("unrelated_metric", "?", trace.MetricAsync)
 
 	ev := func(e trace.Event) {
 		t.Helper()
@@ -92,9 +93,10 @@ func TestFromTrace(t *testing.T) {
 func TestFromTraceRejectsMalformed(t *testing.T) {
 	// Nested Enter.
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	loc, _ := w.DefineLocation("m")
-	reg, _ := w.DefineRegion("r")
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
+	loc := defs.AddLocation("m")
+	reg := defs.AddRegion("r")
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: 0, Region: reg})
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: 1, Region: reg})
 	_ = w.Close()
@@ -104,9 +106,10 @@ func TestFromTraceRejectsMalformed(t *testing.T) {
 
 	// Leave without Enter.
 	buf.Reset()
-	w = trace.NewWriter(&buf)
-	loc, _ = w.DefineLocation("m")
-	reg, _ = w.DefineRegion("r")
+	defs = trace.Definitions{}
+	w = trace.NewWriter(&buf, &defs)
+	loc = defs.AddLocation("m")
+	reg = defs.AddRegion("r")
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: 5, Region: reg})
 	_ = w.Close()
 	if _, err := FromTrace(&buf, "x"); err == nil {
@@ -115,9 +118,10 @@ func TestFromTraceRejectsMalformed(t *testing.T) {
 
 	// Unterminated phase.
 	buf.Reset()
-	w = trace.NewWriter(&buf)
-	loc, _ = w.DefineLocation("m")
-	reg, _ = w.DefineRegion("r")
+	defs = trace.Definitions{}
+	w = trace.NewWriter(&buf, &defs)
+	loc = defs.AddLocation("m")
+	reg = defs.AddRegion("r")
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: 0, Region: reg})
 	_ = w.Close()
 	if _, err := FromTrace(&buf, "x"); err == nil {
@@ -239,13 +243,14 @@ func TestFromTraceRejectsPhaseWithoutPowerSamples(t *testing.T) {
 	// phase window caught no power sample must be rejected — recording
 	// it as a 0 W observation would poison the regression.
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	loc, _ := w.DefineLocation("master")
-	regA, _ := w.DefineRegion("withPower")
-	regB, _ := w.DefineRegion("noPower")
-	thr, _ := w.DefineMetric(MetricThreads, "threads", trace.MetricSync)
-	frq, _ := w.DefineMetric(MetricFreq, "MHz", trace.MetricSync)
-	pow, _ := w.DefineMetric("socket0_power", "W", trace.MetricAsync)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
+	loc := defs.AddLocation("master")
+	regA := defs.AddRegion("withPower")
+	regB := defs.AddRegion("noPower")
+	thr := defs.AddMetric(MetricThreads, "threads", trace.MetricSync)
+	frq := defs.AddMetric(MetricFreq, "MHz", trace.MetricSync)
+	pow := defs.AddMetric("socket0_power", "W", trace.MetricAsync)
 	ev := func(e trace.Event) {
 		t.Helper()
 		if err := w.WriteEvent(e); err != nil {
@@ -280,10 +285,11 @@ func TestFromTraceAllowsTracesWithoutPowerChannels(t *testing.T) {
 	// auxiliary runs) are still valid — only a defined-but-unsampled
 	// power channel is an error.
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	loc, _ := w.DefineLocation("master")
-	reg, _ := w.DefineRegion("r")
-	thr, _ := w.DefineMetric(MetricThreads, "threads", trace.MetricSync)
+	var defs trace.Definitions
+	w := trace.NewWriter(&buf, &defs)
+	loc := defs.AddLocation("master")
+	reg := defs.AddRegion("r")
+	thr := defs.AddMetric(MetricThreads, "threads", trace.MetricSync)
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindEnter, Location: loc, TimeNs: 0, Region: reg})
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindMetric, Location: loc, TimeNs: 0, Metric: thr, Value: 2})
 	_ = w.WriteEvent(trace.Event{Kind: trace.KindLeave, Location: loc, TimeNs: 1_000_000, Region: reg})
@@ -306,13 +312,13 @@ func TestFromTraceAllowsTracesWithoutPowerChannels(t *testing.T) {
 // Target. An empty block touches nothing, and a block outside a phase
 // is discarded.
 func TestAddStridedMatchesAdds(t *testing.T) {
-	w := trace.NewWriter(nil)
-	loc, _ := w.DefineLocation("master")
-	core, _ := w.DefineLocation("core 0")
-	reg, _ := w.DefineRegion("phase@2")
+	var defs trace.Definitions
+	loc := defs.AddLocation("master")
+	core := defs.AddLocation("core 0")
+	reg := defs.AddRegion("phase@2")
 	var metrics []trace.Ref
 	for _, name := range []string{"socket0_power", MetricVoltage, "PAPI_TOT_CYC", MetricThreads, MetricFreq} {
-		ref, _ := w.DefineMetric(name, "", trace.MetricAsync)
+		ref := defs.AddMetric(name, "", trace.MetricAsync)
 		metrics = append(metrics, ref)
 	}
 	// Sums that depend on the order of their terms, and integral values
@@ -323,7 +329,7 @@ func TestAddStridedMatchesAdds(t *testing.T) {
 		for off := 0; off < min(stride, 3); off++ {
 			var phases [2]*Phase
 			for side := range phases {
-				b := NewBuilder(w.Definitions(), "app")
+				b := NewBuilder(&defs, "app")
 				var targets []Target
 				for _, m := range metrics {
 					tg, err := b.Resolve(m, core)

@@ -337,6 +337,55 @@ done:
 	MOVQ BX, ret+32(FP)
 	RET
 
+// clampJitters is jitter on four lanes at a time: dst[i] = 1 +
+// min(max(n·rel, −4·rel), 4·rel) for each normal n in dst. rel is
+// positive, so ±4·rel are nonzero and, for a finite n·rel, VMINPD and
+// VMAXPD pick what jitter's comparisons pick, with the same bits: on a
+// tie the two values are equal and nonzero, and a −0 passes both as
+// it passes jitter's. 4·rel is rel doubled twice, exact as 4*rel is,
+// and −4·rel is 0 − 4·rel. A tail of 1–3 values runs the scalar VEX
+// twins, so nothing past dst is read or written.
+//
+// func clampJitters(dst []float64, rel float64)
+TEXT ·clampJitters(SB), NOSPLIT, $0-32
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSD rel+24(FP), Y0 // Y0 = rel
+	VADDPD       Y0, Y0, Y1
+	VADDPD       Y1, Y1, Y1 // Y1 = 4·rel
+	VXORPD       Y2, Y2, Y2
+	VSUBPD       Y1, Y2, Y2 // Y2 = −4·rel
+	VBROADCASTSD one<>(SB), Y3
+
+clamp4:
+	CMPQ    CX, $4
+	JLT     clamp1
+	VMULPD  (DI), Y0, Y4 // j := n * rel
+	VMINPD  Y4, Y1, Y4   // 4·rel < j ? 4·rel : j
+	VMAXPD  Y4, Y2, Y4   // −4·rel > j ? −4·rel : j
+	VADDPD  Y3, Y4, Y4   // 1 + j
+	VMOVUPD Y4, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     clamp4
+
+clamp1:
+	TESTQ  CX, CX
+	JEQ    clamped
+	VMOVSD (DI), X4
+	VMULSD X0, X4, X4
+	VMINSD X4, X1, X4
+	VMAXSD X4, X2, X4
+	VADDSD X3, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    clamp1
+
+clamped:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

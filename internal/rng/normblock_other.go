@@ -2,10 +2,19 @@
 
 package rng
 
-// haveNormKernel is false: only amd64 has a normPairs kernel, so
-// normBlock runs its Go loop.
-var haveNormKernel = false
+// normPaths holds the Go loop alone: only amd64 has kernels, so
+// normBlock runs its Go loop. The kernels are listed for the tests,
+// which skip them here.
+var normPaths = []normPath{
+	{name: "avx512", missing: "amd64"},
+	{name: "avx2", missing: "amd64"},
+	{name: "go"},
+}
 
-// normPairs is never called here. Writing no pair keeps its contract:
-// normBlock would draw every pair with Norm.
-func normPairs([]float64, uint64) int { return 0 }
+// clampJitters is never called here: no kernel runs. The Go loop
+// keeps its contract.
+func clampJitters(dst []float64, rel float64) {
+	for i, n := range dst {
+		dst[i] = jitter(n, rel)
+	}
+}

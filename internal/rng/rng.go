@@ -116,7 +116,8 @@ func (r *Rand) Jitter(rel float64) float64 {
 // JitterInto sets dst to the values len(dst) successive Jitter(rel)
 // calls would return, in order, and leaves r where those calls would.
 // It draws the normals in blocks (normBlock), which on amd64 with AVX2
-// draws and transforms four at a time with the same bits.
+// or AVX-512 draws and transforms four or eight at a time with the
+// same bits, and there clamps them four at a time (clampJitters).
 func (r *Rand) JitterInto(dst []float64, rel float64) {
 	if rel == 0 {
 		for i := range dst {
@@ -125,6 +126,10 @@ func (r *Rand) JitterInto(dst []float64, rel float64) {
 		return
 	}
 	r.normBlock(dst)
+	if norm.pairs != nil && rel > 0 {
+		clampJitters(dst, rel)
+		return
+	}
 	for i, n := range dst {
 		dst[i] = jitter(n, rel)
 	}
@@ -142,20 +147,49 @@ func jitter(n, rel float64) float64 {
 	return 1 + j
 }
 
+// A normPath is one way normBlock can draw a block of normals.
+type normPath struct {
+	name string // as the tests and benchmarks name it
+	// pairs is the path's kernel, nil for the Go loop over Norm. It
+	// writes to dst the values len(dst) successive Norm calls would
+	// return from a generator at state and returns how many it wrote.
+	// It stops short only before a chunk of pairs with a u1 of 0 in a
+	// pair it was to write, which Norm draws again, and leaves state
+	// to the caller, which advances it by two draws per pair written.
+	pairs func(dst []float64, state uint64) int
+	// missing names the CPU feature or GOARCH this machine lacks for
+	// the path, or is "" when it can take it.
+	missing string
+}
+
+// norm is the path normBlock takes: the first of normPaths this
+// machine can take.
+var norm = firstPath()
+
+func firstPath() normPath {
+	for _, p := range normPaths {
+		if p.missing == "" {
+			return p
+		}
+	}
+	panic("rng: no path can draw normals")
+}
+
 // normBlock sets dst to the values len(dst) successive Norm calls
-// would return and leaves r where they would. With the AVX2 kernel
-// (haveNormKernel) it hands the state to normPairs, which draws and
-// transforms four pairs at a time; a pair whose u1 is 0 is drawn by
-// Norm, which draws that u1 again. Without it, it calls Norm.
+// would return and leaves r where they would. With a kernel
+// (norm.pairs) it hands the state to the kernel, which draws and
+// transforms a chunk of pairs at a time; a pair whose u1 is 0 is drawn
+// by Norm, which draws that u1 again. Without one, it calls Norm.
 func (r *Rand) normBlock(dst []float64) {
-	if !haveNormKernel {
+	pairs := norm.pairs
+	if pairs == nil {
 		for i := range dst {
 			dst[i] = r.Norm()
 		}
 		return
 	}
 	for {
-		n := normPairs(dst, r.state)
+		n := pairs(dst, r.state)
 		r.state += uint64(2*n) * golden
 		if n == len(dst) {
 			return

@@ -277,24 +277,30 @@ func cosTurnEdges() []float64 {
 }
 
 // blockLens are the block lengths the block-draw tests cycle through:
-// empty, each tail of the kernel's four-pair chunks alone and after one
-// or two full chunks, and the lengths the campaign draws: the core
-// shares (24), the per-tick read-out block of earlier versions (25), a
-// step's voltages (480) and a step's PMC read-outs (2000).
-var blockLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 24, 25, 31, 480, 2000}
+// empty; each tail of the AVX2 kernel's four-pair chunks alone and
+// after one or two full chunks; the AVX-512 kernel's eight-pair chunk
+// alone, with a tail of seven or one, and a two-chunk pass with a tail
+// of one; and the lengths the campaign draws: the core shares (24),
+// the per-tick read-out block of earlier versions (25), a step's
+// voltages (480) and a step's PMC read-outs (2000).
+var blockLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 15, 16, 17, 24, 25, 31, 33, 480, 2000}
 
-// eachPath runs f on every path normBlock can take on this machine:
-// the AVX2 kernel where the CPU has it, then the Go loop that every
-// other machine runs.
+// eachPath runs f on every path normBlock can take, as one subtest
+// each: the AVX-512 kernel, the AVX2 kernel and the Go loop that every
+// other machine runs. A path this machine lacks is a skipped subtest
+// that names what it lacks, so a verbose run says which paths ran.
 func eachPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	kernel := haveNormKernel
-	defer func() { haveNormKernel = kernel }()
-	if kernel {
-		t.Run("avx2", f)
+	defer func(p normPath) { norm = p }(norm)
+	for _, p := range normPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.missing != "" {
+				t.Skipf("this machine lacks %s", p.missing)
+			}
+			norm = p
+			f(t)
+		})
 	}
-	haveNormKernel = false
-	t.Run("go", f)
 }
 
 // checkBlocks fills blocks of every blockLens length from one
@@ -360,10 +366,15 @@ func stateBefore(u float64, pos, draw int) uint64 {
 }
 
 // craftedLens are the block lengths that put pair pos in each place
-// of a four-pair chunk: last in the block, which is a masked tail unless
-// pos ends a chunk; in a full chunk; and before a tail of three.
+// of a kernel's chunks: last in the block, which is a masked tail
+// unless pos ends a chunk (and after one or more two-chunk passes of
+// the AVX-512 kernel from pair 16 on); at the end of a four-pair chunk,
+// of an eight-pair chunk (at pairs 16–23, the one-chunk body after a
+// two-chunk pass) and of a two-chunk pass; and in 39 pairs, two passes
+// of two eight-pair chunks, or nine four-pair chunks, before a tail of
+// seven or three.
 func craftedLens(pos int) []int {
-	lens := []int{pos + 1, pos/4*4 + 4, 11}
+	lens := []int{pos + 1, pos/4*4 + 4, pos/8*8 + 8, pos/16*16 + 16, 39}
 	slices.Sort(lens)
 	return slices.Compact(lens)
 }
@@ -399,8 +410,9 @@ func checkFrom(t *testing.T, what string, state uint64, n int) {
 
 // TestBoxMullerCraftedUniforms drives the transform with the u1 values
 // where archLog's reduction is most likely to go wrong and the u2
-// values where cosTurn is, each at every position of two four-pair
-// chunks and in tails of one to three pairs. The u1 values are 2^-53,
+// values where cosTurn is, each at every position of the widest body,
+// two eight-pair chunks twice over (pairs 0–31), and in the tails
+// craftedLens makes. The u1 values are 2^-53,
 // the largest Float64 below 1 and, at every exponent from 2^-53 to
 // 2^-1, the mantissas 0, all ones and √2/2's mantissa and its
 // neighbours, as far as Float64's 53 bits reach. √2/2's own takes
@@ -433,7 +445,7 @@ func TestBoxMullerCraftedUniforms(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		for draw, us := range [][]float64{u1s, u2s} {
 			for _, u := range us {
-				for pos := 0; pos < 8; pos++ {
+				for pos := 0; pos < 32; pos++ {
 					for _, n := range craftedLens(pos) {
 						checkFrom(t, fmt.Sprintf("u%d %v (%#016x) at pair %d", draw+1, u, math.Float64bits(u), pos),
 							stateBefore(u, pos, draw), n)
@@ -445,12 +457,13 @@ func TestBoxMullerCraftedUniforms(t *testing.T) {
 }
 
 // TestNormBlockRedrawsZero: a u1 of exactly 0 is drawn again, as Norm
-// draws it again, before its u2 is drawn, whichever of a chunk's four
-// lanes it falls in, in the first chunk or a later one, in a masked
-// tail, and past the block's end, where it is not drawn.
+// draws it again, before its u2 is drawn, whichever lane of a chunk it
+// falls in, in either chunk of a two-chunk pass or a later pass, in a
+// masked tail, in the one-chunk body after a two-chunk pass, and past
+// the block's end, where it is not drawn.
 func TestNormBlockRedrawsZero(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
-		for pos := 0; pos < 8; pos++ {
+		for pos := 0; pos < 32; pos++ {
 			state := stateBefore(0, pos, 0)
 			r := &Rand{state: state + uint64(2*pos)*golden}
 			if r.Float64() != 0 {
@@ -461,6 +474,43 @@ func TestNormBlockRedrawsZero(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestClampJittersMatchesJitter: the lane-wide clamp must write
+// jitter's bits for the normals on both sides of the clamp, at it
+// (n = ±4, where n·rel is ±4·rel) and at ±0, whichever lane or tail
+// slot each falls in, and nothing past the block's end.
+func TestClampJittersMatchesJitter(t *testing.T) {
+	if norm.pairs == nil {
+		t.Skipf("clampJitters runs beside a kernel; this machine takes the %s path", norm.name)
+	}
+	ns := []float64{4, -4, math.Nextafter(4, 5), math.Nextafter(-4, -5), math.Nextafter(4, 0), math.Nextafter(-4, 0),
+		4.5, -4.5, 8.6, -8.6, 0, math.Copysign(0, -1), 1, -1, 0x1p-40, -0x1p-40, 3.999, -3.999}
+	for _, rel := range []float64{0.012, 0.0008, 0.04, 1, 3, 0x1p-1060} {
+		for n := 0; n <= 12; n++ {
+			for rot := range ns {
+				buf := make([]float64, n+3)
+				for i := range buf {
+					buf[i] = ns[(rot+i)%len(ns)]
+				}
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = jitter(buf[i], rel)
+				}
+				tail := slices.Clone(buf[n:])
+				clampJitters(buf[:n], rel)
+				for i, got := range buf[:n] {
+					if math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Fatalf("rel %v, length %d, value %d (n = %v): %v (%#016x), want %v (%#016x)",
+							rel, n, i, ns[(rot+i)%len(ns)], got, math.Float64bits(got), want[i], math.Float64bits(want[i]))
+					}
+				}
+				if !slices.Equal(buf[n:], tail) {
+					t.Fatalf("rel %v, length %d: the clamp wrote %v past the block's end, want %v", rel, n, buf[n:], tail)
+				}
+			}
+		}
+	}
 }
 
 // unmix64 inverts mix64.
@@ -484,14 +534,10 @@ func unxorshift(z uint64, s uint) uint64 {
 // block of earlier versions (25), a step's voltages (480) and a step's
 // PMC read-outs (2000). ns/draw divides by the block length, for
 // comparison with BenchmarkNorm. The name says which path normBlock
-// took: BenchmarkJitterInto/avx2/24 or BenchmarkJitterInto/go/24.
+// took: BenchmarkJitterInto/avx512/24, /avx2/24 or /go/24.
 func BenchmarkJitterInto(b *testing.B) {
-	path := "go"
-	if haveNormKernel {
-		path = "avx2"
-	}
 	for _, n := range []int{24, 25, 480, 2000} {
-		b.Run(fmt.Sprintf("%s/%d", path, n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/%d", norm.name, n), func(b *testing.B) {
 			r := New(1)
 			dst := make([]float64, n)
 			for i := 0; i < b.N; i++ {

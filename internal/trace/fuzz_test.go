@@ -259,16 +259,7 @@ func decodeAll(data []byte) (*Definitions, []Event, error) {
 // when the Writer rejects them.
 func encodeAll(defs *Definitions, events []Event) ([]byte, bool) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, l := range defs.Locations {
-		w.DefineLocation(l.Name)
-	}
-	for _, r := range defs.Regions {
-		w.DefineRegion(r.Name)
-	}
-	for _, m := range defs.Metrics {
-		w.DefineMetric(m.Name, m.Unit, m.Mode)
-	}
+	w := NewWriter(&buf, defs)
 	for _, ev := range events {
 		if err := w.WriteEvent(ev); err != nil {
 			return nil, false

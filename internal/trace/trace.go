@@ -109,11 +109,33 @@ type Event struct {
 	Value    float64
 }
 
-// Definitions is the definition section of an archive.
+// Definitions is the definition section of an archive. A definition's
+// Ref is its position in its table.
 type Definitions struct {
 	Locations []Location
 	Regions   []Region
 	Metrics   []Metric
+}
+
+// AddLocation appends an execution location and returns its reference.
+func (d *Definitions) AddLocation(name string) Ref {
+	ref := Ref(len(d.Locations))
+	d.Locations = append(d.Locations, Location{Ref: ref, Name: name})
+	return ref
+}
+
+// AddRegion appends a code region and returns its reference.
+func (d *Definitions) AddRegion(name string) Ref {
+	ref := Ref(len(d.Regions))
+	d.Regions = append(d.Regions, Region{Ref: ref, Name: name})
+	return ref
+}
+
+// AddMetric appends a metric and returns its reference.
+func (d *Definitions) AddMetric(name, unit string, mode MetricMode) Ref {
+	ref := Ref(len(d.Metrics))
+	d.Metrics = append(d.Metrics, Metric{Ref: ref, Name: name, Unit: unit, Mode: mode})
+	return ref
 }
 
 // CheckEvent reports whether ev is a valid next event after one at

@@ -14,19 +14,11 @@ import (
 func buildSample(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	loc, err := w.DefineLocation("thread 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := w.DefineRegion("phase_a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := w.DefineMetric("power", "W", MetricAsync)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	loc := defs.AddLocation("thread 0")
+	reg := defs.AddRegion("phase_a")
+	met := defs.AddMetric("power", "W", MetricAsync)
 	events := []Event{
 		{Kind: KindEnter, Location: loc, TimeNs: 100, Region: reg},
 		{Kind: KindMetric, Location: loc, TimeNs: 150, Metric: met, Value: 98.5},
@@ -95,9 +87,10 @@ func TestRoundTrip(t *testing.T) {
 
 func TestChronologicalOrderEnforced(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	loc, _ := w.DefineLocation("t0")
-	reg, _ := w.DefineRegion("r")
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	loc := defs.AddLocation("t0")
+	reg := defs.AddRegion("r")
 	if err := w.WriteEvent(Event{Kind: KindEnter, Location: loc, TimeNs: 200, Region: reg}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +101,36 @@ func TestChronologicalOrderEnforced(t *testing.T) {
 
 func TestDefinitionsFrozenAfterFirstEvent(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	loc, _ := w.DefineLocation("t0")
-	reg, _ := w.DefineRegion("r")
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	loc := defs.AddLocation("t0")
+	reg := defs.AddRegion("r")
 	if err := w.WriteEvent(Event{Kind: KindEnter, Location: loc, TimeNs: 1, Region: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.DefineRegion("late"); err == nil {
-		t.Fatal("late definition must be rejected")
+	// A region added after the first event is not in the archive's
+	// definitions, so an event naming it is undefined.
+	late := defs.AddRegion("late")
+	if err := w.WriteEvent(Event{Kind: KindLeave, Location: loc, TimeNs: 2, Region: late}); err == nil {
+		t.Fatal("an event naming a late definition must be rejected")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Definitions().Regions); got != 1 {
+		t.Fatalf("the archive defines %d regions, want the 1 defined before the first event", got)
 	}
 }
 
 func TestUndefinedRefsRejected(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	loc, _ := w.DefineLocation("t0")
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	loc := defs.AddLocation("t0")
 	if err := w.WriteEvent(Event{Kind: KindEnter, Location: loc, TimeNs: 1, Region: 5}); err == nil {
 		t.Fatal("undefined region must be rejected")
 	}
@@ -154,10 +162,9 @@ func TestBadMagic(t *testing.T) {
 
 func TestEmptyArchive(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if _, err := w.DefineLocation("t0"); err != nil {
-		t.Fatal(err)
-	}
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	defs.AddLocation("t0")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +202,11 @@ func TestTruncatedStream(t *testing.T) {
 
 func TestMultiLocationInterleaving(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	l0, _ := w.DefineLocation("t0")
-	l1, _ := w.DefineLocation("t1")
-	reg, _ := w.DefineRegion("r")
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	l0 := defs.AddLocation("t0")
+	l1 := defs.AddLocation("t1")
+	reg := defs.AddRegion("r")
 	// Interleave two locations with globally ascending time.
 	evs := []Event{
 		{Kind: KindEnter, Location: l0, TimeNs: 10, Region: reg},
@@ -234,15 +242,16 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		var defs Definitions
+		w := NewWriter(&buf, &defs)
 		nLoc := 1 + r.Intn(4)
 		var locs []Ref
 		for i := 0; i < nLoc; i++ {
-			l, _ := w.DefineLocation("loc")
+			l := defs.AddLocation("loc")
 			locs = append(locs, l)
 		}
-		reg, _ := w.DefineRegion("r")
-		met, _ := w.DefineMetric("m", "u", MetricAsync)
+		reg := defs.AddRegion("r")
+		met := defs.AddMetric("m", "u", MetricAsync)
 		var want []Event
 		tNs := uint64(0)
 		for i := 0; i < 200; i++ {
@@ -292,9 +301,10 @@ func TestCompactness(t *testing.T) {
 	// Delta+varint encoding should keep a realistic stream well below
 	// a naive 64-bit-per-field encoding (~33 bytes/event).
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	loc, _ := w.DefineLocation("t0")
-	met, _ := w.DefineMetric("power", "W", MetricAsync)
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
+	loc := defs.AddLocation("t0")
+	met := defs.AddMetric("power", "W", MetricAsync)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		if err := w.WriteEvent(Event{
@@ -336,10 +346,11 @@ func TestCompactness(t *testing.T) {
 // are appended straight into the bufio buffer, so once the definition
 // section is out, writing an event allocates nothing.
 func TestWriteEventAllocFree(t *testing.T) {
-	w := NewWriter(io.Discard)
-	loc, _ := w.DefineLocation("core 0")
-	reg, _ := w.DefineRegion("phase")
-	met, _ := w.DefineMetric("power", "W", MetricAsync)
+	var defs Definitions
+	w := NewWriter(io.Discard, &defs)
+	loc := defs.AddLocation("core 0")
+	reg := defs.AddRegion("phase")
+	met := defs.AddMetric("power", "W", MetricAsync)
 	var i uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
@@ -362,14 +373,15 @@ func TestWriteEventAllocFree(t *testing.T) {
 func TestReaderNextAllocFree(t *testing.T) {
 	const n = 2000
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var defs Definitions
+	w := NewWriter(&buf, &defs)
 	locs := []Ref{}
 	for _, name := range []string{"master", "core 0", "core 1"} {
-		l, _ := w.DefineLocation(name)
+		l := defs.AddLocation(name)
 		locs = append(locs, l)
 	}
-	reg, _ := w.DefineRegion("phase")
-	met, _ := w.DefineMetric("power", "W", MetricAsync)
+	reg := defs.AddRegion("phase")
+	met := defs.AddMetric("power", "W", MetricAsync)
 	for i := 0; i < n; i++ {
 		ev := Event{Kind: KindMetric, Location: locs[i%len(locs)], TimeNs: uint64(i) * 1_000_000, Metric: met, Value: float64(i) / 7}
 		if i%5 == 0 {

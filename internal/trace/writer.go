@@ -12,58 +12,28 @@ import (
 // time order (Score-P guarantees this per stream; the simulator's
 // recorder emits a merged stream).
 type Writer struct {
-	enc  *encoder
-	defs Definitions
+	enc   *encoder
+	table *Definitions // the caller's table, read at the first event
+	defs  Definitions  // the table as the archive defines it
 
 	defsWritten bool
 	lastGlobal  uint64
 	closed      bool
-
-	nextLoc, nextReg, nextMet Ref
 }
 
-// NewWriter starts a new archive on w. Definitions are registered via
-// DefineLocation / DefineRegion / DefineMetric before the first event
-// is written.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{enc: newEncoder(w)}
-}
-
-// DefineLocation registers an execution location and returns its
-// reference.
-func (w *Writer) DefineLocation(name string) (Ref, error) {
-	if w.defsWritten {
-		return 0, errors.New("trace: definitions are frozen after the first event")
-	}
-	ref := w.nextLoc
-	w.nextLoc++
-	w.defs.Locations = append(w.defs.Locations, Location{Ref: ref, Name: name})
-	return ref, nil
-}
-
-// DefineRegion registers a code region and returns its reference.
-func (w *Writer) DefineRegion(name string) (Ref, error) {
-	if w.defsWritten {
-		return 0, errors.New("trace: definitions are frozen after the first event")
-	}
-	ref := w.nextReg
-	w.nextReg++
-	w.defs.Regions = append(w.defs.Regions, Region{Ref: ref, Name: name})
-	return ref, nil
-}
-
-// DefineMetric registers a metric and returns its reference.
-func (w *Writer) DefineMetric(name, unit string, mode MetricMode) (Ref, error) {
-	if w.defsWritten {
-		return 0, errors.New("trace: definitions are frozen after the first event")
-	}
-	ref := w.nextMet
-	w.nextMet++
-	w.defs.Metrics = append(w.defs.Metrics, Metric{Ref: ref, Name: name, Unit: unit, Mode: mode})
-	return ref, nil
+// NewWriter starts a new archive on w whose definitions are the table
+// defs. The writer encodes the table as it stands at the first event,
+// or at Close if no event comes; a definition added after that is
+// undefined to the writer. The caller keeps the table, and must not
+// change the definitions the writer has taken until it is closed: a
+// recorder whose runs define much the same table keeps it across
+// archives and builds no other.
+func NewWriter(w io.Writer, defs *Definitions) *Writer {
+	return &Writer{enc: newEncoder(w), table: defs}
 }
 
 func (w *Writer) writeDefs() error {
+	w.defs = *w.table
 	if _, err := io.WriteString(w.enc.w, Magic); err != nil {
 		return err
 	}
@@ -139,11 +109,6 @@ func (w *Writer) WriteEvent(ev Event) error {
 	_, err = w.enc.w.Write(buf)
 	return err
 }
-
-// Definitions returns the definitions registered so far. The table
-// is the writer's own: a consumer that folds the same events without
-// decoding them (phaseprofile.Builder) reads refs from it.
-func (w *Writer) Definitions() *Definitions { return &w.defs }
 
 // Close flushes the archive. The writer cannot be used afterwards.
 func (w *Writer) Close() error {
